@@ -138,7 +138,7 @@ def _lu_fixture(n, m, seed=140):
     from fractions import Fraction
 
     from repro.core.programs import IP3Builder
-    from repro.lp.revised import _RevisedSolver, solve_standard_revised
+    from repro.lp.revised import _RevisedSolver, solve_standard
     from repro.lp.simplex import standard_form
 
     inst = random_hierarchical(rng_from_seed(seed), n=n, m=m)
@@ -146,8 +146,8 @@ def _lu_fixture(n, m, seed=140):
     coeff, senses, rhs, active = builder.probe_rows(builder.breakpoints[-1])
     objective = [Fraction(0)] * len(active)
     std = standard_form(coeff, senses, rhs, objective)
-    solver = _RevisedSolver(std, objective, 5000, 200000, "dantzig")
-    result = solve_standard_revised(coeff, senses, rhs, objective)
+    solver = _RevisedSolver(std, objective, 5000, 200000, partial=False)
+    result = solve_standard(coeff, senses, rhs, objective)
     assert result.status == "optimal"
     return solver, [solver.cols[c] for c in result.basis]
 
@@ -256,17 +256,16 @@ def _time_repr_ops(solver, basis_columns, rounds=3):
 
 
 def _pricing_pivots(n, m, seed=140):
-    """Cold-solve pivot counts per pricing rule on the assignment LP at T*.
+    """Cold-solve pivot counts of both pricing rules on the assignment LP at T*.
 
     The LST assignment LP is the hardest single cold solve of the E14
-    pipeline (wide, degenerate), so it is where the pricing rules actually
-    diverge.  Non-canonical solves (vertex identity irrelevant), so each
-    rule runs free — the point of the column is the pivot-count spread,
-    with ``dantzig`` as the tableau-identical reference.
+    pipeline (wide, degenerate), so it is where the two rules actually
+    diverge: ``dantzig`` is what canonical solves price with, ``partial``
+    what probe-style (``canonical=False``) solves price with.
     """
     from repro._fraction import is_inf, to_fraction
     from repro.core.programs import minimal_fractional_T
-    from repro.lp.revised import PRICINGS, solve_standard_revised
+    from repro.lp.revised import solve_standard
     from repro.rounding.lst import build_unrelated_lp
 
     inst = random_hierarchical(rng_from_seed(seed), n=n, m=m).with_singletons()
@@ -282,10 +281,8 @@ def _pricing_pivots(n, m, seed=140):
     lp = build_unrelated_lp(p_matrix, T)
     coeff, senses, rhs, objective = lp.to_standard_rows()
     out = {}
-    for pricing in PRICINGS:
-        result = solve_standard_revised(
-            coeff, senses, rhs, objective, pricing=pricing, canonical=False
-        )
+    for pricing, canonical in (("dantzig", True), ("partial", False)):
+        result = solve_standard(coeff, senses, rhs, objective, canonical=canonical)
         assert result.status == "optimal"
         out[f"pivots_{pricing}"] = result.pivots
     return out

@@ -1,32 +1,25 @@
-"""LP backend × kernel benchmark: ``hybrid`` vs ``exact`` vs ``scipy``.
+"""LP backend benchmark: ``hybrid`` vs ``exact`` vs ``scipy``.
 
 Runs the full Theorem V.2 pipeline (the E14 scaling family: binary search
-for ``T*`` + LST rounding + scheduling) under each backend **and each exact
-pivoting kernel** (``revised`` — factorized basis, the default — and
-``tableau`` — dense fraction-free) on identical instances, verifies that
-every certified configuration agrees on ``T*`` to *exact* equality — and,
-per backend, on the rounded makespan — and records wall-clock times plus
-solver counters (pivots, refactorizations) from
-:func:`repro.lp.stats.collect_stats`.
+for ``T*`` + LST rounding + scheduling) under each backend on identical
+instances, verifies that every configuration agrees on ``T*`` to *exact*
+equality, and records wall-clock times plus solver counters (pivots,
+refactorizations) from :func:`repro.lp.stats.collect_stats`.
 
 Results are written to ``BENCH_lp_backends.json`` at the repository root
 (the perf-trajectory artifact CI uploads) and mirrored under
-``benchmarks/results/``.  Rows carry a ``kernel`` field; the rows the CI
-perf gate and the totals consume are the *default-kernel* ones
-(``revised`` for exact/hybrid, ``float`` for scipy) — see
-``check_perf_regression.py``, which treats rows without a kernel field
-(older baselines) as canonical.
+``benchmarks/results/``.  Each row names the solver that did the work in
+its ``kernel`` field (``revised`` for exact/hybrid, ``float`` for scipy),
+the key ``check_perf_regression.py`` matches rows on.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_lp_backends.py          # full run
     PYTHONPATH=src python benchmarks/bench_lp_backends.py --quick  # CI smoke
 
-The full run asserts two perf claims: hybrid ≥3× over exact (aggregate)
-and the revised kernel ≥2× over the tableau kernel (median over shapes,
-exact backend).  The quick run only checks exact ``T*``/makespan agreement
-(timing noise on small instances makes speedup assertions meaningless
-there).
+The full run asserts the hybrid-over-exact speedup target (aggregate).  The
+quick run only checks exact ``T*`` agreement (timing noise on small
+instances makes speedup assertions meaningless there).
 """
 
 from __future__ import annotations
@@ -34,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -43,7 +35,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.core.approx import two_approximation  # noqa: E402
-from repro.lp.simplex import get_default_kernel, set_default_kernel  # noqa: E402
 from repro.lp.stats import collect_stats  # noqa: E402
 from repro.workloads import random_hierarchical, rng_from_seed  # noqa: E402
 
@@ -56,16 +47,9 @@ QUICK_SHAPES: Tuple[Tuple[int, int], ...] = ((10, 4), (16, 6))
 #: ~4× faster, so hybrid's *relative* advantage shrank even though its
 #: absolute time halved — the gate keeps hybrid strictly ahead of exact.
 SPEEDUP_TARGET = 1.3
-#: Median revised-over-tableau speedup (exact backend) the full run must
-#: demonstrate — the revised-simplex tentpole claim.
-KERNEL_SPEEDUP_TARGET = 2.0
-
-#: Kernels benchmarked per backend ("float" marks the kernel-less scipy path).
-_KERNELS_OF = {
-    "exact": ("revised", "tableau"),
-    "hybrid": ("revised", "tableau"),
-    "scipy": ("float",),
-}
+#: The solver each backend's rows are labelled with ("float" marks the
+#: HiGHS path of the scipy backend).
+_KERNEL_OF = {"exact": "revised", "hybrid": "revised", "scipy": "float"}
 
 
 def run(
@@ -75,73 +59,44 @@ def run(
 ) -> Dict:
     rows: List[Dict] = []
     totals: Dict[str, float] = {b: 0.0 for b in backends}
-    kernel_seconds: Dict[Tuple[str, str], List[float]] = {}
-    saved_kernel = get_default_kernel()
-    try:
-        for n, m in shapes:
-            # Same instance for every configuration (fresh rng per shape).
-            inst = random_hierarchical(rng_from_seed(seed), n=n, m=m)
-            makespan: Dict[Tuple[str, str], str] = {}
-            for backend in backends:
-                for kernel in _KERNELS_OF[backend]:
-                    # The scipy path still performs exact re-check/repair
-                    # solves; pin them to the default kernel rather than
-                    # whatever the previous configuration left behind.
-                    set_default_kernel(kernel if kernel != "float" else "revised")
-                    with collect_stats() as stats:
-                        start = time.perf_counter()
-                        result = two_approximation(inst, backend=backend)
-                        elapsed = time.perf_counter() - start
-                    if kernel in ("revised", "float"):
-                        totals[backend] += elapsed
-                    kernel_seconds.setdefault((backend, kernel), []).append(elapsed)
-                    makespan[(backend, kernel)] = str(result.makespan)
-                    row = {
-                        "n": n,
-                        "m": m,
-                        "backend": backend,
-                        "kernel": kernel,
-                        "seconds": round(elapsed, 4),
-                        "T_star": str(result.T_lp),
-                        "makespan": str(result.makespan),
-                        "ratio_vs_lp": float(result.ratio_vs_lp),
-                    }
-                    # Full counter record, not hand-picked fields: the exact
-                    # to_json round-trip keeps bench rows and the sweep
-                    # hand-back on one schema (the perf gate reads both).
-                    row.update(stats.to_json())
-                    rows.append(row)
-                    print(
-                        f"n={n:3d} m={m:3d} backend={backend:7s} kernel={kernel:8s} "
-                        f"{elapsed:8.3f}s  T*={result.T_lp}  pivots={stats.pivots}"
-                    )
-                    # Certification claims: kernels agree per backend on the
-                    # rounded makespan (identical pivot sequences) …
-                    assert len({r for (b, _k), r in makespan.items() if b == backend}) == 1, (
-                        f"kernels disagree on makespan at (n={n}, m={m}, "
-                        f"backend={backend}): {makespan}"
-                    )
-            # … and every configuration lands on the same exact T*.
-            all_t = {row["T_star"] for row in rows if row["n"] == n and row["m"] == m}
-            assert len(all_t) == 1, (
-                f"configurations disagree on T* at (n={n}, m={m}): {all_t}"
+    for n, m in shapes:
+        # Same instance for every backend (fresh rng per shape).
+        inst = random_hierarchical(rng_from_seed(seed), n=n, m=m)
+        for backend in backends:
+            kernel = _KERNEL_OF[backend]
+            with collect_stats() as stats:
+                start = time.perf_counter()
+                result = two_approximation(inst, backend=backend)
+                elapsed = time.perf_counter() - start
+            totals[backend] += elapsed
+            row = {
+                "n": n,
+                "m": m,
+                "backend": backend,
+                "kernel": kernel,
+                "seconds": round(elapsed, 4),
+                "T_star": str(result.T_lp),
+                "makespan": str(result.makespan),
+                "ratio_vs_lp": float(result.ratio_vs_lp),
+            }
+            # Full counter record, not hand-picked fields: the exact
+            # to_json round-trip keeps bench rows and the sweep hand-back
+            # on one schema (the perf gate reads both).
+            row.update(stats.to_json())
+            rows.append(row)
+            print(
+                f"n={n:3d} m={m:3d} backend={backend:7s} kernel={kernel:8s} "
+                f"{elapsed:8.3f}s  T*={result.T_lp}  pivots={stats.pivots}"
             )
-    finally:
-        set_default_kernel(saved_kernel)
+        # Certification claim: every backend lands on the same exact T*.
+        all_t = {row["T_star"] for row in rows if row["n"] == n and row["m"] == m}
+        assert len(all_t) == 1, (
+            f"backends disagree on T* at (n={n}, m={m}): {all_t}"
+        )
 
     speedup: Optional[float] = None
     if "exact" in totals and "hybrid" in totals and totals["hybrid"] > 0:
         speedup = totals["exact"] / totals["hybrid"]
-    kernel_speedups: Dict[str, Optional[float]] = {}
-    for backend in ("exact", "hybrid"):
-        rev = kernel_seconds.get((backend, "revised"))
-        tab = kernel_seconds.get((backend, "tableau"))
-        if rev and tab and all(s > 0 for s in rev):
-            kernel_speedups[backend] = round(
-                statistics.median(t / r for t, r in zip(tab, rev)), 3
-            )
-        else:
-            kernel_speedups[backend] = None
     return {
         "family": "e14_scaling",
         "seed": seed,
@@ -149,7 +104,6 @@ def run(
         "rows": rows,
         "totals_seconds": {b: round(t, 4) for b, t in totals.items()},
         "speedup_hybrid_over_exact": round(speedup, 3) if speedup else None,
-        "kernel_speedup_revised_over_tableau": kernel_speedups,
     }
 
 
@@ -188,23 +142,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         json.dump(payload, fh, indent=2)
 
     speedup = payload["speedup_hybrid_over_exact"]
-    kernel_speedup = payload["kernel_speedup_revised_over_tableau"]
     print(f"\ntotals: {payload['totals_seconds']}")
     print(f"hybrid over exact: {speedup}x  (target ≥{SPEEDUP_TARGET}x, full mode)")
-    print(
-        f"revised over tableau: {kernel_speedup}  "
-        f"(target ≥{KERNEL_SPEEDUP_TARGET}x median on exact, full mode)"
-    )
     if not args.quick and not args.shapes:
-        failed = False
         if speedup is not None and speedup < SPEEDUP_TARGET:
             print("FAIL: hybrid speedup target not met")
-            failed = True
-        exact_kernel = kernel_speedup.get("exact")
-        if exact_kernel is not None and exact_kernel < KERNEL_SPEEDUP_TARGET:
-            print("FAIL: revised-kernel speedup target not met")
-            failed = True
-        if failed:
             return 1
     return 0
 

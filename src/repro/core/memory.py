@@ -139,7 +139,6 @@ def solve_model1(
     budgets: Mapping[int, Time],
     T: Time,
     backend: str = "hybrid",
-    kernel: Optional[str] = None,
 ) -> Model1Result:
     """Theorem VI.1: round (IP-3)+(7) at horizon *T* into a schedule.
 
@@ -149,9 +148,7 @@ def solve_model1(
     """
     T = to_fraction(T)
     groups, rows = _model1_rows(instance, space, budgets, T)
-    rounding = iterative_round(
-        groups, rows, max_drop_vars=2, backend=backend, kernel=kernel
-    )
+    rounding = iterative_round(groups, rows, max_drop_vars=2, backend=backend)
     masks: Dict[int, MachineSet] = {}
     for (alpha, j), value in rounding.values.items():
         if value == 1:
@@ -198,7 +195,6 @@ def model1_lp_feasible(
     budgets: Mapping[int, Time],
     T: Time,
     backend: str = "hybrid",
-    kernel: Optional[str] = None,
 ) -> bool:
     """Whether the LP relaxation of (IP-3)+(7) is feasible at *T*.
 
@@ -211,7 +207,7 @@ def model1_lp_feasible(
         groups, rows = _model1_rows(instance, space, budgets, T)
     except InfeasibleError:
         return False
-    return is_feasible(_memory_lp(groups, rows), backend=backend, kernel=kernel)
+    return is_feasible(_memory_lp(groups, rows), backend=backend)
 
 
 def _min_T_with_rows(
@@ -220,7 +216,6 @@ def _min_T_with_rows(
     rows: Sequence[PackingRow],
     anchor: Fraction,
     backend: str,
-    kernel: Optional[str] = None,
 ) -> Optional[Fraction]:
     """Minimize T over the given rows with ``R`` frozen at *anchor*.
 
@@ -248,7 +243,7 @@ def _min_T_with_rows(
             lp.add_constraint(row.coeffs, "<=", row.bound, name=row.name)
     lp.add_constraint({t_key: 1}, ">=", anchor)
     lp.set_objective({t_key: 1})
-    solution = solve_lp(lp, backend=backend, kernel=kernel)
+    solution = solve_lp(lp, backend=backend)
     if not solution.is_optimal:
         return None
     return to_fraction(solution.value(t_key))
@@ -258,7 +253,6 @@ def _minimal_memory_T(
     instance: Instance,
     rows_at,
     backend: str,
-    kernel: Optional[str] = None,
 ) -> Fraction:
     """Shared breakpoint search for the two memory models.
 
@@ -283,7 +277,7 @@ def _minimal_memory_T(
             return False
         point, state = feasible_point(
             _memory_lp(groups, rows), backend=backend, warm_values=warm or None,
-            kernel=kernel, warm_state=carried[0], want_state=True,
+            warm_state=carried[0], want_state=True,
         )
         if state is not None:
             carried[0] = state
@@ -310,9 +304,7 @@ def _minimal_memory_T(
             groups, rows = rows_at(values[hi])
         except InfeasibleError:
             raise InfeasibleError("memory LP infeasible at every horizon")
-        t_above = _min_T_with_rows(
-            instance, groups, rows, values[hi], backend, kernel=kernel
-        )
+        t_above = _min_T_with_rows(instance, groups, rows, values[hi], backend)
         if t_above is None:
             raise InfeasibleError("memory LP infeasible at every horizon")
         return t_above
@@ -327,7 +319,7 @@ def _minimal_memory_T(
         try:
             groups, rows = rows_at(values[lo - 1])
             t_prev = _min_T_with_rows(
-                instance, groups, rows, values[lo - 1], backend, kernel=kernel
+                instance, groups, rows, values[lo - 1], backend
             )
         except InfeasibleError:
             t_prev = None
@@ -341,14 +333,12 @@ def minimal_model1_T(
     space: Sequence[Sequence[Time]],
     budgets: Mapping[int, Time],
     backend: str = "hybrid",
-    kernel: Optional[str] = None,
 ) -> Fraction:
     """Smallest horizon at which (IP-3)+(7)'s LP relaxation is feasible."""
     return _minimal_memory_T(
         instance,
         rows_at=lambda T: _model1_rows(instance, space, budgets, to_fraction(T)),
         backend=backend,
-        kernel=kernel,
     )
 
 
@@ -515,7 +505,6 @@ def solve_model2(
     mu: Time,
     T: Time,
     backend: str = "hybrid",
-    kernel: Optional[str] = None,
 ) -> Model2Result:
     """Theorem VI.3: round (IP-4) at horizon *T* with Lemma VI.2.
 
@@ -525,9 +514,7 @@ def solve_model2(
     T = to_fraction(T)
     groups, rows, capacities = _model2_rows(instance, sizes, mu, T)
     rho = model2_rho(instance)
-    rounding = iterative_round(
-        groups, rows, rho=rho, backend=backend, kernel=kernel
-    )
+    rounding = iterative_round(groups, rows, rho=rho, backend=backend)
     masks: Dict[int, MachineSet] = {}
     for (alpha, j), value in rounding.values.items():
         if value == 1:
@@ -561,7 +548,6 @@ def model2_lp_feasible(
     mu: Time,
     T: Time,
     backend: str = "hybrid",
-    kernel: Optional[str] = None,
 ) -> bool:
     """Whether the LP relaxation of (IP-4) is feasible at *T*.
 
@@ -574,7 +560,7 @@ def model2_lp_feasible(
         groups, rows, _caps = _model2_rows(instance, sizes, mu, T)
     except InfeasibleError:
         return False
-    return is_feasible(_memory_lp(groups, rows), backend=backend, kernel=kernel)
+    return is_feasible(_memory_lp(groups, rows), backend=backend)
 
 
 def minimal_model2_T(
@@ -582,12 +568,10 @@ def minimal_model2_T(
     sizes: Sequence[Time],
     mu: Time,
     backend: str = "hybrid",
-    kernel: Optional[str] = None,
 ) -> Fraction:
     """Smallest horizon at which (IP-4)'s LP relaxation is feasible."""
     return _minimal_memory_T(
         instance,
         rows_at=lambda T: _model2_rows(instance, sizes, mu, to_fraction(T))[:2],
         backend=backend,
-        kernel=kernel,
     )

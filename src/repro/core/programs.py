@@ -249,15 +249,9 @@ class _ProbeSession:
     structural columns were masked away degrades to the point path.
     """
 
-    def __init__(
-        self,
-        builder: IP3Builder,
-        backend: str,
-        kernel: Optional[str] = None,
-    ):
+    def __init__(self, builder: IP3Builder, backend: str):
         self.builder = builder
         self.backend = backend
-        self.kernel = kernel
         #: Last feasible point, keyed by global variable index (support only).
         self.point: Optional[Dict[int, Fraction]] = None
         #: Last verified Farkas certificate, in probe-row order.
@@ -332,7 +326,7 @@ class _ProbeSession:
             with collect_stats() as probe_stats:
                 point, farkas, state = feasible_point_rows(
                     coeff_rows, senses, rhs, len(active),
-                    backend=self.backend, warm_point=masked, kernel=self.kernel,
+                    backend=self.backend, warm_point=masked,
                     warm_state=carried, structure_token=token,
                     want_state=True,
                 )
@@ -436,7 +430,6 @@ def feasible_lp_solution(
     instance: Instance,
     T: Time,
     backend: str = "hybrid",
-    kernel: Optional[str] = None,
 ) -> Optional[FractionalAssignment]:
     """A feasible fractional solution of (IP-3)'s LP relaxation at *T*.
 
@@ -448,19 +441,17 @@ def feasible_lp_solution(
     ``push_down``/``lst_round``.
     """
     lp = build_ip3(instance, T)
-    solution = solve_lp(lp, backend=backend, kernel=kernel)
+    solution = solve_lp(lp, backend=backend)
     if not solution.is_optimal and backend == "scipy":
         # A float "infeasible" right at the certified T* boundary is noise
         # territory; re-derive the verdict exactly before returning None.
-        solution = solve_lp(lp, backend="exact", kernel=kernel)
+        solution = solve_lp(lp, backend="exact")
     if not solution.is_optimal:
         return None
     if backend == "scipy" and lp.check_values(solution.values):
         # Rationalization noise: certify by exact re-solve instead of
         # handing a near-feasible point to the rounding arguments.
-        solution = solve_lp(
-            lp, backend="exact", warm_values=solution.values, kernel=kernel
-        )
+        solution = solve_lp(lp, backend="exact", warm_values=solution.values)
         if not solution.is_optimal:  # pragma: no cover - float false positive
             return None
     values = {
@@ -471,21 +462,15 @@ def feasible_lp_solution(
     return FractionalAssignment(values)
 
 
-def lp_feasible(
-    instance: Instance, T: Time, backend: str = "hybrid", kernel: Optional[str] = None
-) -> bool:
+def lp_feasible(instance: Instance, T: Time, backend: str = "hybrid") -> bool:
     """Whether the LP relaxation of (IP-3) is feasible at horizon *T*.
 
     Certified for every backend: the verdict is always backed by either an
     exactly re-checked point or an exact solve (see
     :func:`repro.lp.solve.feasible_point`).
     """
-    return (
-        feasible_point(
-            build_ip3(instance, to_fraction(T)), backend=backend, kernel=kernel
-        )
-        is not None
-    )
+    lp = build_ip3(instance, to_fraction(T))
+    return feasible_point(lp, backend=backend) is not None
 
 
 def _min_T_with_fixed_R(
@@ -495,7 +480,6 @@ def _min_T_with_fixed_R(
     backend: str,
     builder: Optional[IP3Builder] = None,
     warm_values: Optional[Dict] = None,
-    kernel: Optional[str] = None,
     warm_state: Optional[WarmState] = None,
 ) -> Optional[Fraction]:
     """Minimize T over the LP with ``R = R(r_anchor)`` and ``T ≥ t_low``.
@@ -522,7 +506,7 @@ def _min_T_with_fixed_R(
             warm = dict(warm_values)
             warm.setdefault(T_KEY, max(t_low, r_anchor))
         solution = solve_lp(
-            lp, backend=backend, warm_values=warm, kernel=kernel,
+            lp, backend=backend, warm_values=warm,
             warm_state=warm_state, canonical=False,
         )
         if not solution.is_optimal:
@@ -534,9 +518,7 @@ def _min_T_with_fixed_R(
         return to_fraction(solution.value(T_KEY))
 
 
-def minimal_fractional_T(
-    instance: Instance, backend: str = "hybrid", kernel: Optional[str] = None
-) -> Fraction:
+def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fraction:
     """The minimum horizon ``T*`` at which (IP-3)'s LP relaxation is feasible.
 
     This is the paper's fractional lower bound: ``T* ≤ opt(I)``.  Exact
@@ -572,16 +554,14 @@ def minimal_fractional_T(
         "search.minimal_fractional_T",
         n=instance.n, backend=backend, breakpoints=len(points),
     ):
-        session = _ProbeSession(builder, backend, kernel=kernel)
+        session = _ProbeSession(builder, backend)
         lo_idx, hi_idx = 0, len(points) - 1
         top_point = session.probe(points[hi_idx])
         if top_point is None:
             # The optimum lies above every processing time (the load bound
             # dominates); R is maximal there, so one min-T LP settles it.
             top = points[hi_idx]
-            t_above = _min_T_with_fixed_R(
-                instance, top, top, backend, builder=builder, kernel=kernel
-            )
+            t_above = _min_T_with_fixed_R(instance, top, top, backend, builder=builder)
             if t_above is None:
                 raise InfeasibleError(
                     "LP relaxation infeasible at every horizon; some job cannot "
@@ -617,13 +597,13 @@ def minimal_fractional_T(
                 prev_warm[T_KEY] = anchor
             t_prev = _min_T_with_fixed_R(
                 instance, prev, prev, backend, builder=builder,
-                warm_values=prev_warm, kernel=kernel,
+                warm_values=prev_warm,
             )
             if t_prev is not None and t_prev < anchor:
                 candidates.append(t_prev)
         t_here = _min_T_with_fixed_R(
             instance, anchor, anchor, backend, builder=builder,
-            warm_values=anchor_point, kernel=kernel,
+            warm_values=anchor_point,
             warm_state=session.keyed_state(),
         )
         if t_here is not None:

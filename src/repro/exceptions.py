@@ -89,26 +89,24 @@ class PivotLimitError(SolverError):
     Structured so callers (and retry logic) can see *where* the budget went
     instead of parsing a message: ``budget`` is the configured cap,
     ``pivots`` the count reached, ``phase`` which simplex phase was running
-    (``1`` or ``2``), ``kernel`` which pivoting kernel was active.  With the
-    anti-cycling Bland rule active the budget can only be exhausted by a
-    genuinely enormous program or a bug, never by cycling.
+    (``1`` or ``2``).  With the anti-cycling Bland rule active the budget
+    can only be exhausted by a genuinely enormous program or a bug, never
+    by cycling.
     """
 
-    def __init__(self, budget: int, pivots: int, phase: int, kernel: str = ""):
+    def __init__(self, budget: int, pivots: int, phase: int):
         self.budget = budget
         self.pivots = pivots
         self.phase = phase
-        self.kernel = kernel
-        where = f" ({kernel} kernel)" if kernel else ""
         super().__init__(
-            f"simplex exceeded the pivot budget in phase {phase}{where}: "
+            f"simplex exceeded the pivot budget in phase {phase}: "
             f"{pivots} pivots > budget {budget}"
         )
 
     def __reduce__(self):
         # Mirror RoundingCertificationError: keep the structure across
         # pickling (sweep workers raise through a process pool).
-        return (self.__class__, (self.budget, self.pivots, self.phase, self.kernel))
+        return (self.__class__, (self.budget, self.pivots, self.phase))
 
 
 class TaskBudgetError(ReproError):

@@ -1,9 +1,9 @@
-"""Fraction-free factorized-basis kernel for the revised exact simplex.
+"""Fraction-free factorized basis for the revised exact simplex.
 
-The dense tableau of :mod:`repro.lp.simplex` updates **every** column on
-every pivot — ``O(rows·cols)`` big-integer work per pivot, even though a
-simplex iteration only ever reads one entering column and one cost row.
-The revised simplex (:mod:`repro.lp.revised`) instead maintains a
+A dense simplex tableau updates **every** column on every pivot —
+``O(rows·cols)`` big-integer work per pivot, even though a simplex
+iteration only ever reads one entering column and one cost row.  The
+revised simplex (:mod:`repro.lp.revised`) instead maintains a
 factorization of the *basis* alone; per-pivot work drops to ``O(rows²)``
 plus the sparse pricing of candidate columns.
 

@@ -16,7 +16,7 @@ These certificates are the currency of the incremental probe pipeline: an
 infeasible probe of a binary search hands its ``y`` to the next probe,
 which re-checks it against the *new* rows in ``O(nnz)`` rational work — if
 it still certifies, an entire exact solve is skipped (see
-:meth:`repro.core.programs.IP3Builder`).  Both exact kernels and the
+:meth:`repro.core.programs.IP3Builder`).  The exact simplex and the
 HiGHS-dual path of :func:`repro.lp.hybrid.certify_infeasible` emit their
 certificates in this one format.
 """

@@ -11,17 +11,20 @@ basic optimal solution at close to float speed:
 
 1. solve the LP with HiGHS (:func:`solve_standard_float`);
 2. rationalize the candidate and read off its support;
-3. re-solve with the **exact** fraction-free simplex, warm-started by
-   pushing the candidate's support columns into the basis first
-   (:func:`repro.lp.simplex.solve_standard` with ``warm_hints``).
+3. re-solve with the **exact** simplex, passing the candidate as
+   ``warm_point`` (:func:`repro.lp.revised.solve_standard`): its support
+   columns are factorized straight into the starting basis, claiming only
+   rows that are tight at the candidate.
 
 Step 3 is the certificate: every number the caller sees was produced by
 exact pivoting, so feasibility, optimality and basicness hold
 unconditionally.  When the float candidate was right — the common case —
-the warm-started exact solve needs no phase-1 work and terminates after the
-support pushes plus a handful of cleanup pivots.  When the candidate was
-wrong (rounding noise, wrong vertex, wrong verdict) the exact simplex
-transparently repairs it: bad hints cost only the pivots they take.  A
+the crash basis is already feasible, so the exact solve needs no phase-1
+work and terminates after a handful of cleanup pivots.  When the candidate
+was wrong (rounding noise, wrong vertex, wrong verdict) the exact simplex
+transparently repairs it: a crash that lands on an infeasible dictionary
+falls back to ratio-test pushes of the support, and bad hints cost only
+the pivots they take.  A
 claimed "infeasible"/"unbounded" is likewise never trusted — the exact
 solver re-derives the verdict from scratch.
 
@@ -37,7 +40,8 @@ from typing import Dict, List, Optional, Sequence
 
 from .._fraction import rationalize, to_fraction
 from .certificates import denormalize_farkas, farkas_certifies
-from .simplex import SimplexResult, solve_standard, standard_form
+from .revised import solve_standard
+from .simplex import SimplexResult, standard_form
 
 try:  # pragma: no cover - exercised implicitly on import
     from .scipy_backend import solve_standard_float
@@ -155,20 +159,18 @@ def solve_standard_hybrid(
     objective: Sequence[Fraction],
     warm_hints: Optional[Sequence[int]] = None,
     warm_point: Optional[Sequence[Fraction]] = None,
-    kernel: Optional[str] = None,
     warm_state=None,
     structure_token: object = None,
-    canonical: "bool | str" = True,
+    canonical: bool = True,
 ) -> SimplexResult:
     """Certified solve: float candidate first, exact verification always.
 
     The returned :class:`SimplexResult` is produced by the exact simplex in
     every path, so it carries the same guarantees as ``backend="exact"``.
     The rationalized HiGHS point (when HiGHS claims optimality) takes
-    precedence over the caller's *warm_point* as the crash-basis seed; with
-    the default ``revised`` kernel the candidate's basis is **factorized
-    directly** (``O(rows³)``, independent of the column count) instead of
-    being pushed in through full-width tableau pivots.  A claimed
+    precedence over the caller's *warm_point* as the crash-basis seed; the
+    candidate's basis is **factorized directly** (``O(rows³)``, independent
+    of the column count).  A claimed
     infeasibility is accepted only with an exact Farkas certificate, which
     is attached to the result for reuse.
 
@@ -191,7 +193,7 @@ def solve_standard_hybrid(
                 )
     return solve_standard(
         coeff_rows, senses, rhs, objective,
-        warm_hints=warm_hints, warm_point=warm_point, kernel=kernel,
+        warm_hints=warm_hints, warm_point=warm_point,
         warm_state=warm_state, structure_token=structure_token,
         canonical=canonical,
     )

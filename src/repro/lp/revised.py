@@ -1,9 +1,9 @@
-"""Revised exact simplex: lazy pricing over a factorized basis.
+"""The exact simplex: revised two-phase simplex over a factorized basis.
 
-The dense-tableau kernel (:mod:`repro.lp.simplex`) pays ``O(rows·cols)``
-big-integer work per pivot because it updates every column, including the
-thousands it will never pivot on.  This driver keeps only the basis inverse
-factorized (:class:`repro.lp.basis.LUBasis` — integer-preserving, exact) and
+The paper's rounding steps need exact *basic* solutions (see
+:mod:`repro.lp.simplex`).  :func:`solve_standard` produces them with a
+revised simplex that keeps only the basis inverse factorized
+(:class:`repro.lp.basis.LUBasis` — integer-preserving, exact) and
 reconstructs just what an iteration needs:
 
 * the dual row ``y = c_B·B⁻¹`` by one backward transform (``btran``) of the
@@ -13,26 +13,26 @@ reconstructs just what an iteration needs:
 * the entering column ``B⁻¹·a_q`` by one forward transform (``ftran``),
 * the basis exchange by one ``O(rows²)`` rank-one update.
 
-Pricing is lazy either way; two rules are offered.  ``pricing="dantzig"``
-(the default) prices every column with the tableau kernel's exact
-tie-breaking; from a cold start this replicates the dense kernel's pivot
-sequence *pivot for pivot*, so the two kernels return byte-identical
-vertices — the cross-check suite and the benchmark's reproducibility
-guarantee rely on it.  ``pricing="partial"`` scans columns in rotating
-blocks and takes the Dantzig winner of the first block containing an
-improving column, pricing only a fraction of the columns per iteration; it
-is faster on very wide programs but may land on a *different* (equally
-optimal) vertex when optima are non-unique.  Under both rules, once the
-pivot count crosses ``bland_threshold`` the rule switches to Bland's
-smallest-index rule (scanning from column 0), which cannot cycle, so
-termination is guaranteed exactly as in the tableau kernel.
+Each constraint row is pre-scaled to integers, so every quantity is an
+integer over the basis' common denominator and no rational normalization
+happens inside the pivot loop.
+
+Pricing follows the vertex contract.  Canonical solves (the default) price
+every column with Dantzig's rule, which is deterministic, so the returned
+vertex depends only on the program and the starting basis.  Probe-style
+solves (``canonical=False``) use partial pricing: columns are scanned in
+rotating blocks and the Dantzig winner of the first block containing an
+improving column enters.  That prices only a fraction of the columns per
+iteration and may land on a *different* (equally optimal) vertex when
+optima are non-unique.  Under both rules, once the pivot count crosses
+``bland_threshold`` the rule switches to Bland's smallest-index rule
+(scanning from column 0), which cannot cycle, so termination is guaranteed.
 
 Warm starts factorize directly: a candidate point's support columns are
 eliminated straight into the basis (``O(rows³)``, independent of the column
-count) instead of being pushed through full-width tableau pivots.  This is
-how the hybrid backend certifies HiGHS candidates.  A failed crash falls
-back to ordinary ratio-test pushes, which preserve feasibility
-unconditionally.
+count).  This is how the hybrid backend certifies HiGHS candidates.  A
+failed crash falls back to ordinary ratio-test pushes, which preserve
+feasibility unconditionally.
 
 Infeasible programs return an exact Farkas certificate
 (:mod:`repro.lp.certificates`) read off the optimal phase-1 duals, so
@@ -50,24 +50,20 @@ from .._fraction import bigint, to_fraction
 from ..exceptions import PivotLimitError, SolverError
 from .basis import LUBasis
 from .certificates import denormalize_farkas, farkas_certifies
-from .stats import SolverStats
+from .simplex import (
+    BLAND_THRESHOLD_DEFAULT,
+    SimplexResult,
+    _point_hints,
+    _tight_rows,
+    default_max_pivots,
+    standard_form,
+)
+from .stats import SolverStats, record
 from .warm import WarmState
-
-#: Pricing rules the revised kernel implements.  ``dantzig`` replicates the
-#: tableau kernel pivot for pivot; ``partial`` scans rotating blocks (the
-#: default for non-canonical solves, and safe under ``canonical`` because
-#: the optimal vertex is lexicographically canonicalized — see
-#: ``canonicalize``); ``steepest`` is projected steepest edge with exact
-#: reference weights (fewest pivots, but each pricing step is dense — best
-#: when pivots are expensive relative to pricing).
-PRICINGS: Tuple[str, ...] = ("dantzig", "partial", "steepest")
 
 
 def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
-
-
-_ONE = Fraction(1)
 
 
 class _RevisedSolver:
@@ -79,27 +75,21 @@ class _RevisedSolver:
         objective: Sequence[Fraction],
         bland_threshold: int,
         max_pivots: int,
-        pricing: str,
+        partial: bool,
     ):
         self.std = std
         self.m = std.num_rows
         self.bland_threshold = bland_threshold
         self.max_pivots = max_pivots
-        if pricing not in PRICINGS:
-            raise SolverError(f"unknown pricing rule {pricing!r}")
-        self.pricing = pricing
-        #: Steepest-edge reference weights, sparse (absent = 1).  Reset
-        #: whenever the basis is replaced wholesale (crash, reset): the
-        #: reference framework re-anchors at the new basis.
-        self._gamma: Dict[int, Fraction] = {}
+        #: Partial (rotating-block) pricing instead of full Dantzig.
+        self.partial = partial
         self.stats = SolverStats(solves=1)
         self.stats.count_kernel("revised")
         self.phase = 2
 
         # Row scales: every constraint row becomes integer; slacks and
         # artificials are implicitly rescaled with their row (their columns
-        # keep ±1 entries), exactly as the tableau kernel does — the two
-        # kernels therefore pivot on identical integers.
+        # keep ±1 entries, so the starting basis is the identity).
         m, n = self.m, std.n
         self.scales: List[int] = []
         for i in range(m):
@@ -176,9 +166,7 @@ class _RevisedSolver:
         if self.phase == 1:
             self.stats.phase1_pivots += 1
         if self.lub.updates > self.max_pivots:
-            raise PivotLimitError(
-                self.max_pivots, self.lub.updates, self.phase, kernel="revised"
-            )
+            raise PivotLimitError(self.max_pivots, self.lub.updates, self.phase)
 
     # ------------------------------------------------------------------
     # Pricing
@@ -207,9 +195,7 @@ class _RevisedSolver:
                 if self._reduced(j, y_num, den) < 0:
                     return j
             return None
-        if self.pricing == "steepest":
-            return self._entering_steepest(y_num, den, limit)
-        if self.pricing == "dantzig":
+        if not self.partial:
             best_j: Optional[int] = None
             best = 0
             for j in range(limit):
@@ -239,85 +225,6 @@ class _RevisedSolver:
             self._cursor = (best_j + 1) % limit
         return best_j
 
-    # -- steepest edge (projected, exact reference weights) -------------
-
-    def _entering_steepest(
-        self, y_num: List[int], den: int, limit: int
-    ) -> Optional[int]:
-        """Maximize ``rc_j² / γ_j`` over improving columns (ties → smallest).
-
-        ``rc`` is den-scaled; the common ``den²`` factor cancels in the
-        argmax.  Weights γ are exact Fractions relative to the reference
-        framework anchored at the last wholesale basis change (γ = 1 there,
-        the projected-steepest-edge convention); the comparison is done by
-        cross-multiplication, so selection is exact.
-        """
-        best_j: Optional[int] = None
-        best_num = 0  # rc², integer
-        best_gam = Fraction(1)
-        gamma = self._gamma
-        for j in range(limit):
-            rc = self._reduced(j, y_num, den)
-            if rc >= 0:
-                continue
-            gam = gamma.get(j)
-            if gam is None:
-                gam = _ONE
-            num = rc * rc
-            # num / gam > best_num / best_gam  ⟺  num·best_gam > best_num·gam
-            if best_j is None or (
-                num * best_gam.numerator * gam.denominator
-                > best_num * gam.numerator * best_gam.denominator
-            ):
-                best_j, best_num, best_gam = j, num, gam
-        return best_j
-
-    def _update_steepest(self, q: int, row: int, alpha: Sequence[int]) -> None:
-        """Goldfarb weight recurrence for the pivot (enter *q* at *row*).
-
-        Called **before** the basis update — it needs the pre-pivot ``W``,
-        ``den`` and the transformed entering column α.  For every nonbasic
-        column *j* with ᾱ_rj ≠ 0::
-
-            t_j = ᾱ_rj / ᾱ_rq
-            γ_j ← γ_j − 2·t_j·(a_j·v) + t_j²·γ_q,   v = B⁻ᵀB⁻¹a_q
-
-        and the leaving variable re-enters the nonbasic pool with
-        ``γ = γ_q / ᾱ_rq²``.  All quantities are exact: ᾱ entries are
-        ``row_dot/den``, ``v = Wᵀα/den²``.
-        """
-        lub = self.lub
-        den = lub.den
-        piv = alpha[row]
-        gamma = self._gamma
-        gamma_q = gamma.pop(q, _ONE)
-        v_num = lub.btran({i: a for i, a in enumerate(alpha) if a})
-        den2 = den * den
-        in_basis = set(self.basis)
-        limit = self.std.art_start
-        for j in range(limit):
-            if j == q or j in in_basis:
-                continue
-            arj = lub.row_dot(row, self.cols[j])
-            if arj == 0:
-                continue
-            t = Fraction(int(arj), int(piv))
-            ajv_num = 0
-            for i, v in self.col_items[j]:
-                vi = v_num[i]
-                if vi:
-                    ajv_num += vi * v
-            g = (
-                gamma.get(j, _ONE)
-                - 2 * t * Fraction(int(ajv_num), int(den2))
-                + t * t * gamma_q
-            )
-            if g <= 0:  # pragma: no cover - exact recurrence keeps γ > 0
-                g = t * t
-            gamma[j] = g
-        t_leave = Fraction(int(den), int(piv))
-        gamma[self.basis[row]] = gamma_q * t_leave * t_leave
-
     def _dual_row(self) -> List[int]:
         """den-scaled duals ``c_B·W`` for the current phase's costs."""
         if self.phase == 1:
@@ -335,7 +242,7 @@ class _RevisedSolver:
         return self.lub.btran(cb)
 
     # ------------------------------------------------------------------
-    # Ratio test (identical comparisons and tie-breaks to the tableau)
+    # Ratio test (ties broken by smallest basis index: Bland-safe)
     # ------------------------------------------------------------------
 
     def _leaving(self, alpha: Sequence[int]) -> Optional[int]:
@@ -368,8 +275,6 @@ class _RevisedSolver:
             row = self._leaving(alpha)
             if row is None:
                 return "unbounded"
-            if self.pricing == "steepest" and not bland:
-                self._update_steepest(col, row, alpha)
             self._pivot(row, alpha, col)
 
     # ------------------------------------------------------------------
@@ -455,7 +360,6 @@ class _RevisedSolver:
                         in_basis.discard(self.basis[r])
                         self._pivot(r, alpha, s)
                         in_basis.add(s)
-        self._gamma = {}  # pivots above bypass weight maintenance: re-anchor
         for r in range(m):
             if self.lub.rhs[r] < 0:
                 return False
@@ -476,7 +380,6 @@ class _RevisedSolver:
             in_basis.discard(self.basis[row])
             self._pivot(row, alpha, col)
             in_basis.add(col)
-        self._gamma = {}  # same: reference framework re-anchors here
 
     def crash_from_state(
         self, state: WarmState, token: object
@@ -531,7 +434,6 @@ class _RevisedSolver:
                 cand.sparse_btrans = self.lub.sparse_btrans
                 self.lub = cand
                 self.basis = resolved
-                self._gamma = {}
                 self.stats.crash_skips += 1
                 return True
 
@@ -561,7 +463,6 @@ class _RevisedSolver:
         fresh.sparse_btrans += self.lub.sparse_btrans
         self.lub = fresh
         self.basis = assign
-        self._gamma = {}
         return True
 
     def _dictionary_feasible(self, lub: LUBasis, basis: Sequence[int]) -> bool:
@@ -589,70 +490,6 @@ class _RevisedSolver:
         self.lub.updates = updates  # pivot budget covers the failed crash
         self.lub.refactorizations = refact
         self.lub.sparse_btrans = sparse_btrans
-        self._gamma = {}
-
-    # ------------------------------------------------------------------
-    # Lexicographic canonicalization
-    # ------------------------------------------------------------------
-
-    def canonicalize(self) -> None:
-        """Pivot within the optimal face to the **lex-min** optimal vertex.
-
-        Runs Bland's rule on the ε-perturbed objective ``c·x + Σ εᵏ·x_k``
-        over Q(ε): among the zero-reduced-cost columns, enter the smallest
-        *j* whose lex reduced-cost vector is lex-negative.  The component of
-        that vector at structural index ``k`` (ascending) is 0 when *k* is
-        nonbasic (≠ j), +1 when ``k == j`` (structural *j* itself), and
-        ``−(W·a_j)[r(k)]/den`` when *k* is basic at row ``r(k)`` — so the
-        scan below stops at the first basic ``k < j`` whose row entry is
-        non-zero (positive entry ⟹ improving, negative ⟹ not), and a
-        structural *j* surviving the scan hits its own +1 (not improving)
-        while a slack *j* with an all-zero scan moves no structural at all.
-
-        Pivots on zero-reduced-cost columns leave the phase-2 reduced costs
-        unchanged, so optimality is preserved throughout; Bland's rule
-        cannot cycle, and the lex-min optimum is **unique**, so the vertex
-        reached is independent of the pivot path (and hence of the pricing
-        rule) — what makes partial/steepest pricing safe defaults for
-        output-facing solves.
-        """
-        n = self.std.n
-        limit = self.std.art_start
-        while True:
-            y_num = self._dual_row()
-            den = self.lub.den
-            basics = sorted(
-                (self.basis[r], r) for r in range(self.m) if self.basis[r] < n
-            )
-            in_basis = set(self.basis)
-            enter: Optional[int] = None
-            for j in range(limit):
-                if j in in_basis:
-                    continue
-                if self._reduced(j, y_num, den) != 0:
-                    continue
-                improving = False
-                for k, r in basics:
-                    if k >= j:
-                        break  # j's own +1 component decides: not improving
-                    d = self.lub.row_dot(r, self.cols[j])
-                    if d > 0:
-                        improving = True
-                        break
-                    if d < 0:
-                        break
-                if improving:
-                    enter = j
-                    break
-            if enter is None:
-                return
-            alpha = self.lub.ftran(self.cols[enter])
-            row = self._leaving(alpha)
-            if row is None:  # pragma: no cover - lex objective bounded on x≥0
-                return
-            if self.pricing == "steepest":
-                self._update_steepest(enter, row, alpha)
-            self._pivot(row, alpha, enter)
 
     # ------------------------------------------------------------------
     # WarmState extraction
@@ -705,7 +542,7 @@ class _RevisedSolver:
     def clear_artificials(self) -> None:
         """Pivot zero-level artificials out wherever a structural entry exists.
 
-        Load-bearing (same invariant as the tableau kernel): a basic
+        Load-bearing: a basic
         artificial at level 0 whose row has non-zero structural entries
         could be lifted off zero by a later phase-2 pivot, silently voiding
         an equality row.  All-zero rows (redundant constraints) keep their
@@ -765,7 +602,7 @@ class _RevisedSolver:
         return x, value
 
 
-def solve_standard_revised(
+def solve_standard(
     coeff_rows: Sequence[Dict[int, Fraction]],
     senses: Sequence[str],
     rhs: Sequence[Fraction],
@@ -774,46 +611,44 @@ def solve_standard_revised(
     warm_point: Optional[Sequence[Fraction]] = None,
     bland_threshold: Optional[int] = None,
     max_pivots: Optional[int] = None,
-    pricing: str = "dantzig",
-    want_farkas: bool = True,
     warm_state: Optional[WarmState] = None,
     structure_token: object = None,
-    canonical: "bool | str" = True,
-):
-    """Solve ``min c·x  s.t.  rows, x ≥ 0`` exactly via the revised simplex.
+    canonical: bool = True,
+) -> SimplexResult:
+    """Solve ``min c·x  s.t.  rows, x ≥ 0`` exactly.
 
-    Same contract as :func:`repro.lp.simplex.solve_standard` (which
-    dispatches here for ``kernel="revised"``): exact rational basic optimal
-    solutions, warm starts never change the result.  Additionally fills
-    ``SimplexResult.stats`` and, for infeasible programs (when
-    *want_farkas*), ``SimplexResult.farkas`` with a verified certificate.
+    *coeff_rows* are sparse ``{var_index: coefficient}`` mappings; *senses*
+    entries are ``"<="``, ``">="`` or ``"=="``.  The returned ``x`` is an
+    exact rational basic solution: at most ``len(coeff_rows)`` entries are
+    non-zero.  Every result carries ``stats``; infeasible results carry a
+    verified Farkas certificate on ``farkas``.
 
-    *warm_state* is a carried :class:`~repro.lp.warm.WarmState` (labels in
-    **this** LP's index space); when its basis resolves and is feasible,
-    phase 1 and the ratio-test push are skipped outright.  A stale state
-    degrades to its carried point, then to a cold start — never changes the
-    result.  *structure_token* authorizes verbatim ``W`` reuse (see
-    :mod:`repro.lp.warm`).  *canonical* picks the vertex-identity contract:
-    ``True`` (the default) yields the deterministic kernel-invariant vertex
-    — with Dantzig pricing nothing extra is needed (the tableau kernel
-    pivots identically), while any other pricing rule gets a lexicographic
-    cleanup so the vertex never depends on scan order; ``"lex"`` always
-    post-processes the optimum to the lex-min vertex (independent of
-    pricing *and* warm start); ``False`` skips all cleanup for probe-style
-    callers that only need feasibility/values.  Optimal results carry the
-    final basis on ``SimplexResult.warm_state``.
+    *bland_threshold* / *max_pivots* override the anti-cycling switchover
+    and the pivot budget (:data:`~repro.lp.simplex.BLAND_THRESHOLD_DEFAULT`
+    / :func:`~repro.lp.simplex.default_max_pivots`); exhausting the budget
+    raises the structured :class:`~repro.exceptions.PivotLimitError`.
+
+    Warm starts can only speed the solve up, never change its guarantees:
+    *warm_point* is a candidate solution whose support and tight rows seed a
+    crash basis; *warm_hints* is the bare column-index form used when no
+    full point is available; *warm_state* is a carried
+    :class:`~repro.lp.warm.WarmState` (labels in **this** LP's index space)
+    whose basis, when it resolves and is feasible, skips phase 1 and the
+    crash outright.  A stale state degrades to its carried point, then to a
+    cold start.  *structure_token* authorizes verbatim ``W`` reuse (see
+    :mod:`repro.lp.warm`).  Optimal results carry the final basis on
+    ``warm_state``.
+
+    *canonical* picks the pricing and with it the vertex contract.  ``True``
+    (the default) prices with Dantzig's rule, so the vertex is a
+    deterministic function of the program and the starting basis.
+    ``False`` prices partially, for probe-style callers that need only
+    feasibility or the objective value and take whatever vertex the solve
+    lands on.
     """
-    # Imported late: simplex dispatches into this module (kernel switch).
-    from .simplex import (
-        BLAND_THRESHOLD_DEFAULT,
-        SimplexResult,
-        _point_hints,
-        _tight_rows,
-        default_max_pivots,
-        standard_form,
-    )
+    if not isinstance(canonical, bool):
+        raise SolverError(f"canonical must be a bool, not {canonical!r}")
     from ..obs.trace import span as trace_span
-    from .stats import record
 
     with trace_span(
         "lp.solve", kernel="revised", rows=len(coeff_rows), cols=len(objective),
@@ -824,7 +659,7 @@ def solve_standard_revised(
             objective,
             bland_threshold if bland_threshold is not None else BLAND_THRESHOLD_DEFAULT,
             max_pivots if max_pivots is not None else default_max_pivots(),
-            pricing,
+            partial=not canonical,
         )
         has_artificials = any(std.needs_artificial)
 
@@ -878,11 +713,7 @@ def solve_standard_revised(
             if status == "unbounded":  # pragma: no cover - impossible: cost ≥ 0
                 raise SolverError("phase-1 objective unbounded")
             if solver.artificial_level_positive():
-                farkas = (
-                    solver.farkas_certificate(coeff_rows, senses, rhs)
-                    if want_farkas
-                    else None
-                )
+                farkas = solver.farkas_certificate(coeff_rows, senses, rhs)
                 solver.stats.pivots = solver.pivots
                 solver.stats.sparse_btrans = solver.lub.sparse_btrans
                 record(solver.stats)
@@ -901,10 +732,6 @@ def solve_standard_revised(
             status = solver.run_phase(2)
             if phase_sp:
                 phase_sp.attrs["pivots"] = solver.pivots - phase1_total
-        if status == "optimal" and (
-            canonical == "lex" or (canonical is True and pricing != "dantzig")
-        ):
-            solver.canonicalize()
         solver.stats.pivots = solver.pivots
         solver.stats.sparse_btrans = solver.lub.sparse_btrans
         record(solver.stats)

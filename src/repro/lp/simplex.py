@@ -1,50 +1,30 @@
-"""Exact two-phase simplex over the rationals, with fraction-free pivoting.
+"""Shared pieces of the exact simplex: standard form, results, warm points.
 
 The rounding arguments of Sections V and VI need *basic* feasible solutions:
 Lenstra–Shmoys–Tardos relies on the pseudo-forest structure of a vertex's
 support, and Lemma VI.2's iterative relaxation counts fractional variables at
 a vertex.  Floating-point solvers return "almost" vertices; telling a
 fractional value from numeric noise then needs tolerances that can break the
-combinatorial arguments.  This implementation is exact throughout, so support
-and fractionality are exact properties.
+combinatorial arguments.  The exact simplex
+(:func:`repro.lp.revised.solve_standard`) is exact throughout, so support and
+fractionality are exact properties.
 
-Arithmetic: instead of a dense :class:`~fractions.Fraction` tableau (whose
-per-cell gcd normalization dominated the old hot path), the tableau is kept
-as **integers with one common denominator** — Edmonds' integer pivoting, the
-arithmetic used by lrs.  Each row is pre-scaled to integers; a pivot on
-``(r, c)`` updates every other row as
-
-    T'[i][j] = (T[i][j]·T[r][c] − T[i][c]·T[r][j]) / d
-
-where ``d`` is the previous pivot value.  The division is exact (tableau
-entries are subdeterminants of the scaled input), so no rational
-normalization ever happens inside the pivot loop; the true tableau value of
-cell ``(i, j)`` is ``T[i][j] / d`` with ``d > 0`` maintained as an invariant.
-
-Pivot rule: Dantzig's for speed, switching to Bland's (which cannot cycle)
-once the iteration count exceeds a threshold, so termination is guaranteed.
-
-Warm starts: callers that already hold a (near-)feasible point — a prior
-solve of a neighbouring LP in a binary search, or a rationalized HiGHS
-candidate in the ``hybrid`` backend — can pass its support as
-``warm_hints``.  Hint columns are pushed into the basis by ordinary
-ratio-test pivots before the phase-1/phase-2 loops run, which preserves
-every invariant (each push is a legal simplex pivot) while typically letting
-phase 1 terminate immediately and phase 2 start at (or next to) the optimal
-vertex.
+This module holds what that solver and the hybrid backend share: the
+normalized :class:`StandardForm` (rows sign-normalized to ``b ≥ 0``, fixed
+slack/artificial column indices), the :class:`SimplexResult` record, the
+warm-point helpers that turn a candidate solution into crash hints and
+tight-row flags, and the pivot budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .._fraction import to_fraction
-from ..exceptions import PivotLimitError, SolverError
-from .revised import PRICINGS
-from .stats import SolverStats, record
+from ..exceptions import SolverError
+from .stats import SolverStats
 from .warm import WarmState
 
 #: After this many pivots the pivot rule switches to Bland's (anti-cycling).
@@ -80,48 +60,6 @@ def default_max_pivots() -> int:
     """The pivot budget solves use when no ``max_pivots`` is passed."""
     return MAX_PIVOTS_DEFAULT if _default_max_pivots is None else _default_max_pivots
 
-#: The exact pivoting kernels ``solve_standard`` dispatches between.
-KERNELS = ("revised", "tableau")
-
-#: Process-wide default kernel (the CLI's ``--kernel`` flag sets it).
-_default_kernel = "revised"
-
-#: Process-wide default pricing for the revised kernel when callers pass
-#: ``pricing=None`` on a **non-canonical** solve (probes, min-T bisection —
-#: the hot paths, where any optimal vertex will do).  ``partial`` is safe
-#: there, and safe even under ``canonical`` because an explicit non-Dantzig
-#: pricing gets its optimal vertex lexicographically canonicalized (see
-#: ``_RevisedSolver.canonicalize``).  Canonical solves with ``pricing=None``
-#: pin Dantzig instead, which is deterministic and kernel-invariant by
-#: construction.  The tableau kernel always prices Dantzig→Bland.
-_default_pricing = "partial"
-
-
-def set_default_kernel(kernel: str) -> None:
-    """Set the kernel used when callers pass ``kernel=None`` (the default)."""
-    global _default_kernel
-    if kernel not in KERNELS:
-        raise SolverError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-    _default_kernel = kernel
-
-
-def get_default_kernel() -> str:
-    return _default_kernel
-
-
-def set_default_pricing(pricing: str) -> None:
-    """Set the revised-kernel pricing used when callers pass ``pricing=None``."""
-    global _default_pricing
-    if pricing not in PRICINGS:
-        raise SolverError(
-            f"unknown pricing {pricing!r}; choose from {PRICINGS}"
-        )
-    _default_pricing = pricing
-
-
-def get_default_pricing() -> str:
-    return _default_pricing
-
 
 @dataclass
 class SimplexResult:
@@ -132,22 +70,17 @@ class SimplexResult:
     pivots: int = 0
     #: Per-solve performance counters (``None`` for the float backend).
     stats: Optional[SolverStats] = None
-    #: Verified Farkas certificate (infeasible results from the revised
-    #: kernel; row-indexed in the caller's row order, see
-    #: :mod:`repro.lp.certificates`).
+    #: Verified Farkas certificate (infeasible results; row-indexed in the
+    #: caller's row order, see :mod:`repro.lp.certificates`).
     farkas: Optional[List[Fraction]] = None
     #: Carried solver state for the *next* solve (optimal results only):
-    #: the final basis as labels, the live factorized basis (revised
-    #: kernel), and the vertex.  Process-local ephemera — never serialized.
+    #: the final basis as labels, the live factorized basis, and the
+    #: vertex.  Process-local ephemera — never serialized.
     warm_state: Optional[WarmState] = None
 
     @property
     def is_optimal(self) -> bool:
         return self.status == "optimal"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 @dataclass
@@ -177,7 +110,7 @@ def standard_form(
     rhs: Sequence[Fraction],
     objective: Sequence[Fraction],
 ) -> StandardForm:
-    """Normalize ``min c·x s.t. rows, x ≥ 0`` for the tableau solvers."""
+    """Normalize ``min c·x s.t. rows, x ≥ 0`` for the exact solver."""
     n = len(objective)
     r = len(coeff_rows)
     if len(senses) != r or len(rhs) != r:
@@ -224,319 +157,6 @@ def standard_form(
     )
 
 
-class _Tableau:
-    """Integer tableau with one common denominator (``den > 0``).
-
-    ``rows`` holds the constraint rows followed by one or two cost rows; the
-    true rational value of any cell is ``cell / den``.  The rhs is the last
-    column of every row.
-    """
-
-    __slots__ = (
-        "rows", "den", "basis", "num_rows", "art_start", "pivots",
-        "bland_threshold", "max_pivots", "phase",
-    )
-
-    def __init__(
-        self,
-        rows: List[List[int]],
-        basis: List[int],
-        num_rows: int,
-        art_start: int,
-        bland_threshold: int = BLAND_THRESHOLD_DEFAULT,
-        max_pivots: int = MAX_PIVOTS_DEFAULT,
-    ):
-        self.rows = rows
-        self.den = 1
-        self.basis = basis
-        self.num_rows = num_rows
-        self.art_start = art_start
-        self.pivots = 0
-        self.bland_threshold = bland_threshold
-        self.max_pivots = max_pivots
-        self.phase = 2
-
-    def pivot(self, row: int, col: int) -> None:
-        rows = self.rows
-        den = self.den
-        piv_row = rows[row]
-        piv = piv_row[col]
-        if piv == 0:
-            raise SolverError("zero pivot element")
-        for i in range(len(rows)):
-            if i == row:
-                continue
-            cur = rows[i]
-            f = cur[col]
-            if f == 0:
-                if piv != den:
-                    rows[i] = [a * piv // den if a else 0 for a in cur]
-            else:
-                rows[i] = [
-                    (a * piv - f * b) // den for a, b in zip(cur, piv_row)
-                ]
-        self.basis[row] = col
-        if piv < 0:
-            # Keep den > 0 so sign tests read directly off the entries.
-            self.den = -piv
-            self.rows = [[-a for a in rw] for rw in rows]
-        else:
-            self.den = piv
-        self.pivots += 1
-        if self.pivots > self.max_pivots:
-            raise PivotLimitError(
-                self.max_pivots, self.pivots, self.phase, kernel="tableau"
-            )
-
-    def entering(self, cost_index: int, bland: bool) -> Optional[int]:
-        """An improving non-artificial column (negative reduced cost)."""
-        cost = self.rows[cost_index]
-        limit = self.art_start
-        if bland:
-            for j in range(limit):
-                if cost[j] < 0:
-                    return j
-            return None
-        best_j: Optional[int] = None
-        best = 0
-        for j in range(limit):
-            v = cost[j]
-            if v < best:
-                best = v
-                best_j = j
-        return best_j
-
-    def leaving(self, col: int) -> Optional[int]:
-        """Min-ratio test; ties broken by smallest basis index (Bland-safe).
-
-        Ratios compare as ``b_r·a_s  vs  b_s·a_r`` — the common denominator
-        cancels, so no rationals are formed.
-        """
-        rows, basis = self.rows, self.basis
-        best_r: Optional[int] = None
-        best_b = best_a = 0
-        for r in range(self.num_rows):
-            a = rows[r][col]
-            if a <= 0:
-                continue
-            b = rows[r][-1]
-            if best_r is None:
-                best_r, best_b, best_a = r, b, a
-                continue
-            lhs = b * best_a
-            rhs = best_b * a
-            if lhs < rhs or (lhs == rhs and basis[r] < basis[best_r]):
-                best_r, best_b, best_a = r, b, a
-        return best_r
-
-    def push_hints(self, hints: Sequence[int]) -> None:
-        """Drive hint columns into the basis with legal ratio-test pivots.
-
-        A hint that is already basic, has no positive column entry, or lies
-        outside the column range is skipped; nothing here can violate
-        feasibility, so bad hints only cost the pivots they take.
-        """
-        in_basis = set(self.basis)
-        for col in hints:
-            if not 0 <= col < self.art_start or col in in_basis:
-                continue
-            row = self.leaving(col)
-            if row is None:
-                continue
-            old = self.basis[row]
-            self.pivot(row, col)
-            in_basis.discard(old)
-            in_basis.add(col)
-
-    def crash_basis(
-        self,
-        hints: Sequence[int],
-        std: "StandardForm",
-        eligible: Optional[Sequence[bool]] = None,
-    ) -> bool:
-        """Gaussian-eliminate hint columns straight into the basis.
-
-        Unlike :meth:`push_hints` this ignores the ratio test — each hint is
-        pivoted into one of its *structurally-owning* rows (rows where the
-        column has a non-zero coefficient in the original program, so
-        elimination fill-in cannot misroute a variable into an unrelated
-        row), artificial-basic rows first so phase 1 dissolves as a side
-        effect.  *eligible* marks the rows that are tight at the warm-start
-        point — claiming a slack row that is *not* tight would force its
-        positive slack out of the basis and land on a different (generally
-        infeasible) basic solution, so non-tight rows are never claimed.
-
-        The intermediate dictionaries may be primal infeasible, so the
-        result is accepted only if the final one is exactly feasible
-        (``b ≥ 0``) with every remaining artificial at level 0; returns
-        whether it was.  On success the caller skips phase 1 outright — this
-        is the certification step of the hybrid backend, where the hints are
-        a float solver's optimal support and one elimination pass replaces
-        both simplex phases.
-        """
-        hinted: set = set()
-        in_basis = set(self.basis)
-        skipped: List[int] = []
-        for col in hints:
-            if not 0 <= col < self.art_start or col in in_basis:
-                continue
-            best_row: Optional[int] = None
-            best_rank = 2
-            for r in range(self.num_rows):
-                if (
-                    (eligible is not None and not eligible[r])
-                    or self.basis[r] in hinted
-                    or col not in std.rows[r]
-                    or self.rows[r][col] == 0
-                ):
-                    continue
-                rank = 0 if self.basis[r] >= self.art_start else 1
-                if rank < best_rank:
-                    best_rank = rank
-                    best_row = r
-                    if rank == 0:
-                        break
-            if best_row is None:
-                skipped.append(col)
-                continue
-            in_basis.discard(self.basis[best_row])
-            self.pivot(best_row, col)
-            in_basis.add(col)
-            hinted.add(col)
-        # Mop-up pass: with the bulk of the structure placed, stragglers may
-        # pivot into eligible rows through elimination fill-in (no longer a
-        # misrouting risk — every structurally-owning row is already hinted).
-        for col in skipped:
-            best_row = None
-            for r in range(self.num_rows):
-                if (
-                    (eligible is not None and not eligible[r])
-                    or self.basis[r] in hinted
-                    or self.rows[r][col] == 0
-                ):
-                    continue
-                best_row = r
-                if self.basis[r] >= self.art_start:
-                    break
-            if best_row is None:
-                continue  # linearly dependent on the placed columns
-            in_basis.discard(self.basis[best_row])
-            self.pivot(best_row, col)
-            in_basis.add(col)
-            hinted.add(col)
-        # A "≥" row that is slack at the warm point starts artificial-basic
-        # (its slack has coefficient −1, not +1); reinstate the slack so the
-        # artificial doesn't sit at a negative level.
-        for r in range(self.num_rows):
-            if self.basis[r] >= self.art_start:
-                slack = std.slack_of_row[r]
-                if slack is not None and slack not in in_basis and self.rows[r][slack]:
-                    in_basis.discard(self.basis[r])
-                    self.pivot(r, slack)
-                    in_basis.add(slack)
-        for r in range(self.num_rows):
-            if self.rows[r][-1] < 0:
-                return False
-            if self.basis[r] >= self.art_start and self.rows[r][-1] != 0:
-                return False
-        return True
-
-    def drop_artificials(self) -> None:
-        """Compact artificial columns away once phase 1 is done.
-
-        Redundant rows can keep an artificial basic at level 0; their basis
-        markers stay ≥ ``art_start`` (skipped by extraction and never chosen
-        by the entering rule), while every row sheds the dead columns so
-        later pivots touch fewer cells.
-        """
-        art_start = self.art_start
-        self.rows = [row[:art_start] + [row[-1]] for row in self.rows]
-
-    def run_phase(self, cost_index: int) -> str:
-        self.phase = 1 if cost_index > self.num_rows else 2
-        while True:
-            bland = self.pivots >= self.bland_threshold
-            col = self.entering(cost_index, bland)
-            if col is None:
-                return "optimal"
-            row = self.leaving(col)
-            if row is None:
-                return "unbounded"
-            self.pivot(row, col)
-
-    def value(self, row: int, col: int) -> Fraction:
-        return Fraction(self.rows[row][col], self.den)
-
-
-def _build_tableau(
-    std: StandardForm,
-    objective: Sequence[Fraction],
-    bland_threshold: int = BLAND_THRESHOLD_DEFAULT,
-    max_pivots: int = MAX_PIVOTS_DEFAULT,
-) -> Tuple[_Tableau, bool]:
-    """Integer tableau for *std* with the slack/artificial starting basis.
-
-    Each constraint row is scaled by the lcm of its denominators; slack and
-    artificial variables are implicitly rescaled with their row, which keeps
-    their columns unit columns (required for the starting basis) without
-    changing the structural solution.  Returns ``(tableau, has_artificials)``
-    with the phase-2 cost row at index ``num_rows`` and, when artificials
-    exist, the reduced phase-1 cost row at index ``num_rows + 1``.
-    """
-    r, width = std.num_rows, std.total_cols + 1
-    rows: List[List[int]] = []
-    basis: List[int] = []
-    art_index = std.art_start
-    for i in range(r):
-        scale = 1
-        for v in std.rows[i].values():
-            scale = _lcm(scale, v.denominator)
-        scale = _lcm(scale, std.rhs[i].denominator)
-        row = [0] * width
-        # scale is a multiple of every denominator in the row: scaled
-        # entries are exact in pure integer arithmetic (no Fraction mul).
-        for j, v in std.rows[i].items():
-            row[j] = v.numerator * (scale // v.denominator)
-        if std.slack_of_row[i] is not None:
-            row[std.slack_of_row[i]] = std.slack_sign[i]
-        if std.needs_artificial[i]:
-            row[art_index] = 1
-            basis.append(art_index)
-            art_index += 1
-        else:
-            basis.append(std.slack_of_row[i])  # type: ignore[arg-type]
-        row[-1] = std.rhs[i].numerator * (scale // std.rhs[i].denominator)
-        rows.append(row)
-
-    # Phase-2 cost row (scaled to integers by its own lcm; the scale only
-    # stretches reduced costs by a positive factor, so sign tests and the
-    # argmin are unaffected).
-    obj_scale = 1
-    fr_obj = [to_fraction(c) for c in objective]
-    for c in fr_obj:
-        obj_scale = _lcm(obj_scale, c.denominator)
-    cost2 = [0] * width
-    for j, c in enumerate(fr_obj):
-        cost2[j] = c.numerator * (obj_scale // c.denominator)
-    rows.append(cost2)
-
-    has_artificials = art_index > std.art_start
-    if has_artificials:
-        cost1 = [0] * width
-        for j in range(std.art_start, std.total_cols):
-            cost1[j] = 1
-        # Reduce w.r.t. the artificial part of the starting basis.
-        for i in range(r):
-            if basis[i] >= std.art_start:
-                cost1 = [a - b for a, b in zip(cost1, rows[i])]
-        rows.append(cost1)
-
-    return (
-        _Tableau(rows, basis, r, std.art_start, bland_threshold, max_pivots),
-        has_artificials,
-    )
-
-
 def _point_hints(point: Sequence[Fraction]) -> List[int]:
     """Support of a warm-start point, largest value first (deterministic)."""
     support = [(v, j) for j, v in enumerate(point) if v > 0]
@@ -580,290 +200,3 @@ def _tight_rows(
         fb = float(b)
         flags.append(abs(activity - fb) <= _TIGHT_EPS * max(1.0, abs(fb)))
     return flags
-
-
-def _canonicalize_tableau(tab: _Tableau, std: StandardForm) -> None:
-    """Pivot within the optimal face to the lex-min optimal vertex.
-
-    The tableau twin of ``_RevisedSolver.canonicalize`` — Bland's rule on
-    the ε-perturbed objective over the zero-reduced-cost columns (see the
-    revised kernel for the full argument).  From the same basis both
-    kernels pick identical entering/leaving pairs (the cost row entry is
-    zero exactly when the revised reduced cost is, and ``rows[r][j]`` is
-    the same den-scaled ᾱ ``row_dot`` computes), so the kernels stay
-    pivot-for-pivot identical through the cleanup as well.
-    """
-    n = std.n
-    limit = std.art_start
-    r_count = tab.num_rows
-    while True:
-        cost_row = tab.rows[r_count]
-        basics = sorted(
-            (tab.basis[r], r) for r in range(r_count) if tab.basis[r] < n
-        )
-        in_basis = set(tab.basis)
-        enter: Optional[int] = None
-        for j in range(limit):
-            if j in in_basis or cost_row[j] != 0:
-                continue
-            improving = False
-            for k, rr in basics:
-                if k >= j:
-                    break  # j's own +1 lex component: not improving
-                d = tab.rows[rr][j]
-                if d > 0:
-                    improving = True
-                    break
-                if d < 0:
-                    break
-            if improving:
-                enter = j
-                break
-        if enter is None:
-            return
-        row = tab.leaving(enter)
-        if row is None:  # pragma: no cover - lex objective bounded on x≥0
-            return
-        tab.pivot(row, enter)
-
-
-def _tableau_warm_state(
-    tab: _Tableau, std: StandardForm, x: Sequence[Fraction], token: object
-) -> WarmState:
-    """Package the tableau's final basis as a (lub-less) :class:`WarmState`.
-
-    A consumer factorizes the labelled columns directly (the tableau keeps
-    no basis inverse to reinstall), so ``scales`` is empty and ``token`` is
-    carried only for symmetry with the revised kernel.
-    """
-    slack_row = {s: i for i, s in enumerate(std.slack_of_row) if s is not None}
-    art_row: Dict[int, int] = {}
-    art_index = std.art_start
-    for i in range(std.num_rows):
-        if std.needs_artificial[i]:
-            art_row[art_index] = i
-            art_index += 1
-    labels: List[Tuple[str, object]] = []
-    for b in tab.basis:
-        if b < std.n:
-            labels.append(("x", b))
-        elif b >= std.art_start:
-            labels.append(("a", art_row[b]))
-        else:
-            labels.append(("s", slack_row[b]))
-    point = {j: x[j] for j in range(std.n) if x[j]}
-    return WarmState(
-        labels, std.num_rows, std.n, (), lub=None, token=token, point=point
-    )
-
-
-def solve_standard(
-    coeff_rows: Sequence[Dict[int, Fraction]],
-    senses: Sequence[str],
-    rhs: Sequence[Fraction],
-    objective: Sequence[Fraction],
-    warm_hints: Optional[Sequence[int]] = None,
-    warm_point: Optional[Sequence[Fraction]] = None,
-    kernel: Optional[str] = None,
-    bland_threshold: Optional[int] = None,
-    max_pivots: Optional[int] = None,
-    pricing: Optional[str] = None,
-    warm_state: Optional[WarmState] = None,
-    structure_token: object = None,
-    canonical: "bool | str" = True,
-) -> SimplexResult:
-    """Solve ``min c·x  s.t.  rows, x ≥ 0`` exactly.
-
-    *coeff_rows* are sparse ``{var_index: coefficient}`` mappings; *senses*
-    entries are ``"<="``, ``">="`` or ``"=="``.  The returned ``x`` is a
-    basic solution: at most ``len(coeff_rows)`` entries are non-zero.
-
-    *kernel* selects the exact pivoting engine: ``"revised"`` (default —
-    lazy pricing over the factorized basis of :mod:`repro.lp.revised`) or
-    ``"tableau"`` (the dense fraction-free tableau below).  Both are exact
-    and return the same statuses/objectives; from a cold start with full
-    Dantzig pricing they pivot identically.
-
-    *bland_threshold* / *max_pivots* override the anti-cycling switchover
-    and the pivot budget (:data:`BLAND_THRESHOLD_DEFAULT` /
-    :data:`MAX_PIVOTS_DEFAULT`); exhausting the budget raises the
-    structured :class:`~repro.exceptions.PivotLimitError`.
-
-    Warm starts (see the module docstring) can only speed the solve up,
-    never change its guarantees: *warm_point* is a candidate solution whose
-    support and tight rows seed a crash basis; *warm_hints* is the bare
-    column-index form used when no full point is available; *warm_state* is
-    a carried :class:`~repro.lp.warm.WarmState` whose basis (labels in this
-    LP's index space) skips phase 1 and the crash push outright when it is
-    still feasible — *structure_token* additionally authorizes verbatim
-    ``W`` reuse (see :mod:`repro.lp.warm`).  Optimal results carry the next
-    solve's ``warm_state``.
-
-    *canonical* picks the vertex-identity contract.  ``True`` (the
-    default) returns a deterministic, kernel-invariant vertex: with
-    ``pricing=None`` the solve pins Dantzig (both kernels pivot
-    identically, so results stay byte-compatible across kernels and code
-    generations for free), and an explicitly non-Dantzig pricing gets a
-    lexicographic cleanup instead.  ``"lex"`` always pivots the optimum to
-    the lexicographically minimal vertex — identical across kernels,
-    pricing rules *and* warm starts.  ``False`` skips all of it:
-    probe-style callers that need only feasibility or the objective value
-    take the process-default pricing (normally ``partial``) and whatever
-    vertex the solve lands on.
-    """
-    kernel = kernel or _default_kernel
-    if kernel not in KERNELS:
-        raise SolverError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-    if kernel == "revised":
-        from .revised import solve_standard_revised
-
-        if pricing is None:
-            # Canonical solves default to Dantzig: it is kernel-invariant
-            # by construction (the tableau twin pivots identically), so the
-            # deterministic vertex costs nothing extra.  Non-canonical
-            # (probe-style) solves take the process default pricing.
-            pricing = "dantzig" if canonical is True else _default_pricing
-        return solve_standard_revised(
-            coeff_rows, senses, rhs, objective,
-            warm_hints=warm_hints, warm_point=warm_point,
-            bland_threshold=bland_threshold, max_pivots=max_pivots,
-            pricing=pricing,
-            warm_state=warm_state, structure_token=structure_token,
-            canonical=canonical,
-        )
-    if pricing not in (None, "dantzig"):
-        raise SolverError(
-            f"pricing {pricing!r} requires kernel='revised' (the tableau "
-            f"kernel always prices with Dantzig→Bland)"
-        )
-
-    from ..obs.trace import span as trace_span
-
-    bland_threshold = (
-        BLAND_THRESHOLD_DEFAULT if bland_threshold is None else bland_threshold
-    )
-    max_pivots = default_max_pivots() if max_pivots is None else max_pivots
-    stats = SolverStats(solves=1)
-    stats.count_kernel("tableau")
-    with trace_span(
-        "lp.solve", kernel="tableau", rows=len(coeff_rows), cols=len(objective),
-    ) as solve_sp:
-        std = standard_form(coeff_rows, senses, rhs, objective)
-        tab, has_artificials = _build_tableau(std, objective, bland_threshold, max_pivots)
-        r = std.num_rows
-
-        if warm_state is not None:
-            # The tableau kernel has no factorized basis to reinstall; a
-            # carried state degrades to its labels (as column hints) and
-            # its vertex (as a warm point).
-            state_hints = [
-                payload
-                for kind, payload in warm_state.labels
-                if kind == "x" and isinstance(payload, int)
-                and 0 <= payload < std.n
-            ]
-            warm_hints = state_hints + list(warm_hints or [])
-            if warm_point is None and warm_state.point:
-                pt = [Fraction(0)] * std.n
-                for payload, value in warm_state.point.items():
-                    if isinstance(payload, int) and 0 <= payload < std.n:
-                        pt[payload] = to_fraction(value)
-                warm_point = pt
-
-        eligible: Optional[List[bool]] = None
-        if warm_point is not None and len(warm_point) == std.n:
-            point = [to_fraction(v) for v in warm_point]
-            warm_hints = _point_hints(point) + list(warm_hints or [])
-            eligible = _tight_rows(coeff_rows, senses, rhs, point)
-
-        crashed = False
-        if warm_hints:
-            stats.warm_start_attempts += 1
-            with trace_span("lp.crash", hints=len(warm_hints)) as crash_sp:
-                crashed = tab.crash_basis(warm_hints, std, eligible)
-                if crashed:
-                    stats.warm_start_hits += 1
-                else:
-                    # The crash left an infeasible dictionary; rebuild and
-                    # fall back to ratio-test pushes (always legal, merely
-                    # less direct).
-                    tab, has_artificials = _build_tableau(
-                        std, objective, bland_threshold, max_pivots
-                    )
-                    tab.push_hints(warm_hints)
-                if crash_sp:
-                    crash_sp.attrs["hit"] = crashed
-                    crash_sp.attrs["pivots"] = tab.pivots
-
-        # ------------- Phase 1: minimize the sum of artificials ------------
-        if has_artificials:
-            if not crashed:
-                before = tab.pivots
-                with trace_span("lp.phase1") as phase_sp:
-                    status = tab.run_phase(r + 1)
-                    if phase_sp:
-                        phase_sp.attrs["pivots"] = tab.pivots - before
-                stats.phase1_pivots += tab.pivots - before
-                if status == "unbounded":  # pragma: no cover - impossible: cost ≥ 0
-                    raise SolverError("phase-1 objective unbounded")
-                if tab.rows[r + 1][-1] < 0:  # objective −rhs/den still positive
-                    stats.pivots = tab.pivots
-                    record(stats)
-                    if solve_sp:
-                        solve_sp.attrs["status"] = "infeasible"
-                    return SimplexResult(
-                        "infeasible", [], None, None, tab.pivots, stats=stats
-                    )
-            # Drive any zero-level artificials out of the basis.  This is
-            # load-bearing, not cosmetic: a basic artificial at level 0 whose
-            # row has non-zero structural entries could be lifted off zero by
-            # a later phase-2 pivot, silently voiding an equality row.
-            for i in range(r):
-                if tab.basis[i] >= std.art_start:
-                    pivot_col = None
-                    row_i = tab.rows[i]
-                    for j in range(std.art_start):
-                        if row_i[j] != 0:
-                            pivot_col = j
-                            break
-                    if pivot_col is not None:
-                        tab.pivot(i, pivot_col)
-                    # else: the row is all-zero outside its artificial column
-                    # (redundant constraint); the artificial stays basic at 0
-                    # and nothing can move it.
-            tab.rows.pop()  # drop the phase-1 cost row
-            tab.drop_artificials()
-
-        # ------------- Phase 2: original objective -------------------------
-        phase1_total = tab.pivots
-        with trace_span("lp.phase2") as phase_sp:
-            status = tab.run_phase(r)
-            if phase_sp:
-                phase_sp.attrs["pivots"] = tab.pivots - phase1_total
-        if status == "optimal" and canonical == "lex":
-            # Dantzig→Bland is already deterministic and kernel-invariant,
-            # so plain ``canonical=True`` needs no cleanup here; only the
-            # strong warm-start-independent contract pivots to lex-min.
-            _canonicalize_tableau(tab, std)
-        stats.pivots = tab.pivots
-        record(stats)
-        if solve_sp:
-            solve_sp.attrs["status"] = status
-            solve_sp.attrs["pivots"] = tab.pivots
-        if status == "unbounded":
-            return SimplexResult(
-                "unbounded", [], None, list(tab.basis), tab.pivots, stats=stats
-            )
-
-        n = std.n
-        x = [Fraction(0)] * n
-        for i in range(r):
-            if tab.basis[i] < n:
-                x[tab.basis[i]] = tab.value(i, -1)
-        objective_value = sum(
-            (to_fraction(objective[j]) * x[j] for j in range(n) if x[j]), Fraction(0)
-        )
-        return SimplexResult(
-            "optimal", x, objective_value, list(tab.basis), tab.pivots, stats=stats,
-            warm_state=_tableau_warm_state(tab, std, x, structure_token),
-        )

@@ -1,4 +1,4 @@
-"""Unified LP solving entry point with backend and kernel dispatch.
+"""Unified LP solving entry point with backend dispatch.
 
 Backends
 --------
@@ -20,14 +20,9 @@ Backends
     ``"exact"`` for small programs, ``"hybrid"`` beyond
     :data:`_AUTO_SIZE_LIMIT`.
 
-Kernels
--------
-Orthogonal to the backend, the *exact* pivoting engine is selectable:
-``"revised"`` (default — lazy pricing over a fraction-free factorized
-basis, :mod:`repro.lp.revised`) or ``"tableau"`` (dense fraction-free
-tableau, :mod:`repro.lp.simplex`).  Both are exact; the revised kernel does
-``O(rows²)`` work per pivot instead of ``O(rows·cols)``.
-``repro … --kernel`` sets the process-wide default.
+Every exact solve — the ``"exact"`` backend and the verification step of
+``"hybrid"`` — runs the one exact simplex,
+:func:`repro.lp.revised.solve_standard`.
 
 Warm starts: pass ``warm_values`` (a previously feasible point keyed like
 the program's variables) and the exact/hybrid backends factorize its
@@ -44,7 +39,7 @@ from .._fraction import to_fraction
 from ..exceptions import SolverError
 from .hybrid import HAVE_SCIPY, solve_standard_hybrid
 from .model import LinearProgram, LPSolution, VarKey
-from .simplex import solve_standard
+from .revised import solve_standard
 from .stats import SolverStats, record
 from .warm import WarmState
 
@@ -147,18 +142,16 @@ def solve_lp(
     lp: LinearProgram,
     backend: str = "exact",
     warm_values: Optional[Mapping[VarKey, Fraction]] = None,
-    kernel: Optional[str] = None,
     warm_state: Optional[WarmState] = None,
     structure_token: object = None,
-    canonical: "bool | str" = True,
+    canonical: bool = True,
 ) -> LPSolution:
     """Solve *lp* (minimization) and map values back to variable keys.
 
     See the module docstring for the per-backend guarantees.  *warm_values*
     is an optional previously-feasible point used to warm-start the
     exact/hybrid backends; it never changes the result, only the pivot
-    path.  *kernel* selects the exact pivoting engine (``None`` = the
-    process default, normally ``"revised"``).
+    path.
 
     *warm_state* is a carried :class:`~repro.lp.warm.WarmState` whose
     structural labels are **variable keys** (as returned on
@@ -167,11 +160,11 @@ def solve_lp(
     the warm-point push outright.  A stale state degrades to its carried
     vertex.  *structure_token* authorizes verbatim basis reuse (raw-row
     callers only — relabelling drops the witness, so keyed carrying always
-    refactorizes).  *canonical* picks the vertex-identity contract (see
-    :func:`repro.lp.simplex.solve_standard`): ``True`` (default) returns
-    the deterministic kernel-invariant vertex, ``"lex"`` the warm-start-
-    independent lex-min vertex, ``False`` whatever vertex the solve lands
-    on (probe-style callers that only consume values).
+    refactorizes).  *canonical* picks the pricing and vertex contract (see
+    :func:`repro.lp.revised.solve_standard`): ``True`` (default) prices
+    with Dantzig's rule for a deterministic vertex, ``False`` prices
+    partially and returns whatever vertex the solve lands on (probe-style
+    callers that only consume values).
     """
     backend = _resolve_backend(backend, lp)
     coeff_rows, senses, rhs, objective = lp.to_standard_rows()
@@ -184,14 +177,14 @@ def solve_lp(
     if backend == "exact":
         result = solve_standard(
             coeff_rows, senses, rhs, objective,
-            warm_point=warm_pt, kernel=kernel,
+            warm_point=warm_pt,
             warm_state=local_state, structure_token=structure_token,
             canonical=canonical,
         )
     elif backend == "hybrid":
         result = solve_standard_hybrid(
             coeff_rows, senses, rhs, objective,
-            warm_point=warm_pt, kernel=kernel,
+            warm_point=warm_pt,
             warm_state=local_state, structure_token=structure_token,
             canonical=canonical,
         )
@@ -247,7 +240,6 @@ def feasible_point_rows(
     num_vars: int,
     backend: str = "hybrid",
     warm_point: Optional[Sequence[Fraction]] = None,
-    kernel: Optional[str] = None,
     warm_state: Optional[WarmState] = None,
     structure_token: object = None,
     want_state: bool = False,
@@ -298,7 +290,7 @@ def feasible_point_rows(
                 return (None, farkas, None) if want_state else (None, farkas)
     result = solve_standard(
         coeff_rows, senses, rhs, objective,
-        warm_point=warm_point, kernel=kernel,
+        warm_point=warm_point,
         warm_state=warm_state, structure_token=structure_token,
         canonical=False,
     )
@@ -313,7 +305,6 @@ def feasible_point(
     lp: LinearProgram,
     backend: str = "exact",
     warm_values: Optional[Mapping[VarKey, Fraction]] = None,
-    kernel: Optional[str] = None,
     warm_state: Optional[WarmState] = None,
     want_state: bool = False,
 ):
@@ -352,13 +343,13 @@ def feasible_point(
         point, _farkas, state = feasible_point_rows(
             coeff_rows, senses, rhs, lp.num_variables,
             backend=backend, warm_point=warm_pt,
-            kernel=kernel, warm_state=local_state, want_state=True,
+            warm_state=local_state, want_state=True,
         )
         _count_warm_drops(drops, None)
     else:
         result = solve_standard(
             coeff_rows, senses, rhs, objective,
-            warm_point=warm_pt, kernel=kernel,
+            warm_point=warm_pt,
             warm_state=local_state, canonical=False,
         )
         _count_warm_drops(drops, result.stats)
@@ -375,8 +366,6 @@ def feasible_point(
     return values, _keyed_warm_state(lp, state)
 
 
-def is_feasible(
-    lp: LinearProgram, backend: str = "exact", kernel: Optional[str] = None
-) -> bool:
+def is_feasible(lp: LinearProgram, backend: str = "exact") -> bool:
     """Certified feasibility check (see :func:`feasible_point`)."""
-    return feasible_point(lp, backend=backend, kernel=kernel) is not None
+    return feasible_point(lp, backend=backend) is not None

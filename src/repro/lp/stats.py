@@ -84,11 +84,12 @@ class SolverStats:
     task_retries: int = 0
     tasks_quarantined: int = 0
     budget_kills: int = 0
-    #: Solve count per kernel name ("revised", "tableau", "float").
+    #: Solve count per kernel name ("revised" for the exact simplex,
+    #: "float" for the HiGHS backend).
     kernels: Dict[str, int] = field(default_factory=dict)
 
-    def count_kernel(self, kernel: str) -> None:
-        self.kernels[kernel] = self.kernels.get(kernel, 0) + 1
+    def count_kernel(self, name: str) -> None:
+        self.kernels[name] = self.kernels.get(name, 0) + 1
 
     def add(self, other: "SolverStats") -> None:
         self.solves += other.solves

@@ -4,9 +4,9 @@ PR 4 made consecutive solves share *points* and Farkas certificates; the
 expensive artifact — the factorized basis — still died inside each solve.
 :class:`WarmState` is that artifact made first-class: the final
 :class:`~repro.lp.basis.LUBasis`, the basic set (as stable *labels*, not
-raw column indices), the optimal vertex and optionally a Farkas
-certificate, packaged so it can travel between binary-search probes, the
-min-T re-solve, memory-model probes and iterative-rounding iterations.
+raw column indices) and the optimal vertex, packaged so it can travel
+between binary-search probes, the min-T re-solve, memory-model probes and
+iterative-rounding iterations.
 
 Labels
 ------
@@ -74,18 +74,17 @@ class WarmState:
         rhs denominators); verbatim ``W`` reuse requires equality.
     ``lub``
         the factorized basis, or ``None`` when only labels/point are
-        carried (e.g. states produced by the tableau kernel).
+        carried (e.g. states built by hand); a consumer then factorizes the
+        labelled columns itself.
     ``token``
         opaque structure witness for verbatim reuse (compared with ``==``).
     ``point``
         sparse optimal vertex ``{structural payload: Fraction}`` (nonzeros
         only) — doubles as the point-based warm start when the basis is
         stale.
-    ``farkas``
-        optional infeasibility certificate in original-row space.
     """
 
-    __slots__ = ("labels", "m", "n", "scales", "lub", "token", "point", "farkas")
+    __slots__ = ("labels", "m", "n", "scales", "lub", "token", "point")
 
     def __init__(
         self,
@@ -96,7 +95,6 @@ class WarmState:
         lub: Optional[LUBasis] = None,
         token: object = None,
         point: Optional[Dict[object, Fraction]] = None,
-        farkas: Optional[Tuple[Fraction, ...]] = None,
     ):
         self.labels = tuple(labels)
         self.m = m
@@ -105,7 +103,6 @@ class WarmState:
         self.lub = lub
         self.token = token
         self.point = dict(point) if point else {}
-        self.farkas = farkas
 
     # -- process locality ------------------------------------------------
 
@@ -162,7 +159,6 @@ class WarmState:
             lub=self.lub,
             token=None,
             point=point,
-            farkas=None,
         )
 
     def relabel_dict(

@@ -19,7 +19,7 @@ hierarchical LP solution lives on singletons and *is* such an LP solution.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 from .._fraction import INF, is_inf, to_fraction, to_fraction_finite
 from ..exceptions import InfeasibleError, RoundingError
@@ -130,7 +130,6 @@ def lst_round(
     p: PMatrix,
     T: Time,
     backend: str = "hybrid",
-    kernel: Optional[str] = None,
 ) -> Dict[int, int]:
     """Full LST step: solve the assignment LP at *T*, then round.
 
@@ -139,26 +138,23 @@ def lst_round(
     :class:`InfeasibleError` when the LP itself is infeasible at *T*.
 
     The rounding needs a *basic* solution; the exact and hybrid backends
-    guarantee one (with either exact *kernel* — ``None`` means the process
-    default, normally the revised simplex).  With ``backend="scipy"`` the
+    guarantee one.  With ``backend="scipy"`` the
     rationalized point is re-checked exactly first, and any uncertified or
     non-vertex point is repaired by an exact re-solve (warm-started from
     the candidate) instead of being propagated into the pseudo-forest
     argument.
     """
     lp = build_unrelated_lp(p, T)
-    solution = solve_lp(lp, backend=backend, kernel=kernel)
+    solution = solve_lp(lp, backend=backend)
     if not solution.is_optimal and backend == "scipy":
         # Callers sit exactly on the feasibility knife-edge (T = certified
         # T*); never let a float solver's "infeasible" be the last word.
-        solution = solve_lp(lp, backend="exact", kernel=kernel)
+        solution = solve_lp(lp, backend="exact")
     if not solution.is_optimal:
         raise InfeasibleError(f"assignment LP infeasible at T={T}")
     if backend == "scipy":
         if lp.check_values(solution.values):
-            solution = solve_lp(
-                lp, backend="exact", warm_values=solution.values, kernel=kernel
-            )
+            solution = solve_lp(lp, backend="exact", warm_values=solution.values)
             if not solution.is_optimal:  # pragma: no cover - float false positive
                 raise InfeasibleError(f"assignment LP infeasible at T={T}")
         else:
@@ -168,7 +164,7 @@ def lst_round(
                 # Feasible but not vertex-shaped (HiGHS interior/crossover
                 # artifact): repair with an exact basic re-solve.
                 solution = solve_lp(
-                    lp, backend="exact", warm_values=solution.values, kernel=kernel
+                    lp, backend="exact", warm_values=solution.values
                 )
     return round_fractional_solution(solution.values)
 

@@ -143,5 +143,5 @@ def worker_guards(budget: Optional[TaskBudget]) -> Iterator[None]:
     except PivotLimitError as exc:
         raise TaskBudgetError(
             "pivots", exc.budget, exc.pivots,
-            detail=f"phase {exc.phase}, {exc.kernel or 'unknown'} kernel",
+            detail=f"phase {exc.phase}",
         ) from exc

@@ -1,8 +1,8 @@
 """The solver session: one façade owning defaults, cache, and counters.
 
 A :class:`Session` is the object every entry point routes through: it owns
-the backend/kernel defaults (instead of threading ``backend=`` strings
-through call chains), consults one content-addressed
+the backend default (instead of threading ``backend=`` strings through
+call chains), consults one content-addressed
 :class:`~repro.session.cache.SolveCache` before every solve, and aggregates
 :class:`~repro.lp.stats.SolverStats` — including cache hits/misses — for the
 ``--profile`` output.
@@ -48,9 +48,8 @@ def set_default_cache(cache: Union[SolveCache, str, None]) -> Optional[SolveCach
     """Set (and return) the process-default solve cache.
 
     Accepts an open :class:`SolveCache`, a store directory path, or ``None``
-    to clear.  Mirrors :func:`repro.lp.simplex.set_default_kernel` — the CLI
-    sets it once and every Session constructed without an explicit cache
-    picks it up.
+    to clear.  The CLI's ``--cache`` sets it once and every Session
+    constructed without an explicit cache picks it up.
     """
     global _default_cache
     if isinstance(cache, str):
@@ -70,9 +69,6 @@ class Session:
     ----------
     backend:
         LP backend every routed solve uses (``"hybrid"`` default).
-    kernel:
-        Exact pivoting kernel (``None`` = process default, normally
-        ``"revised"``); threaded explicitly, never via global state.
     cache:
         ``None`` (default) uses the process-default cache — which may be
         absent, in which case the session solves cold every time;
@@ -84,17 +80,9 @@ class Session:
     def __init__(
         self,
         backend: str = "hybrid",
-        kernel: Optional[str] = None,
         cache: Union[SolveCache, str, None, bool] = None,
     ):
         self.backend = backend
-        # Resolve the kernel now: the cache key must name the kernel that
-        # actually pivots, not "whatever the process default happens to be".
-        if kernel is None:
-            from ..lp.simplex import get_default_kernel
-
-            kernel = get_default_kernel()
-        self.kernel = kernel
         self._owns_cache = False
         if cache is False:
             self.cache: Optional[SolveCache] = None
@@ -113,7 +101,7 @@ class Session:
 
     def _config(self) -> Dict[str, Any]:
         """Solver configuration that participates in every cache key."""
-        return {"backend": self.backend, "kernel": self.kernel}
+        return {"backend": self.backend}
 
     def _solve(
         self,
@@ -125,9 +113,7 @@ class Session:
         """Cache-through execution of one request."""
         cache = self.cache
         with trace_span(
-            f"session.{request.algorithm}",
-            backend=self.backend,
-            kernel=self.kernel,
+            f"session.{request.algorithm}", backend=self.backend,
         ) as session_sp:
             if cache is not None:
                 key = request.key()
@@ -176,9 +162,7 @@ class Session:
         request = SolveRequest("minimal_fractional_T", instance, self._config())
         return self._solve(
             request,
-            lambda: minimal_fractional_T(
-                instance, backend=self.backend, kernel=self.kernel
-            ),
+            lambda: minimal_fractional_T(instance, backend=self.backend),
             lambda T: {"T_star": frac_to_str(T)},
             lambda result: str_to_frac(result["T_star"]),
         )
@@ -235,7 +219,6 @@ class Session:
                 backend=self.backend,
                 verify=verify,
                 use_pushdown_certificate=use_pushdown_certificate,
-                kernel=self.kernel,
             ),
             encode,
             decode,
@@ -288,7 +271,7 @@ class Session:
         return self._solve(
             request,
             lambda: minimal_model1_T(
-                instance, space, budgets, backend=self.backend, kernel=self.kernel
+                instance, space, budgets, backend=self.backend
             ),
             lambda T: {"T_star": frac_to_str(T)},
             lambda result: str_to_frac(result["T_star"]),
@@ -306,7 +289,7 @@ class Session:
         return self._solve(
             request,
             lambda: minimal_model2_T(
-                instance, sizes, mu, backend=self.backend, kernel=self.kernel
+                instance, sizes, mu, backend=self.backend
             ),
             lambda T: {"T_star": frac_to_str(T)},
             lambda result: str_to_frac(result["T_star"]),

@@ -2,7 +2,8 @@
 
 Covers the PR-4 acceptance criteria:
 
-* revised-vs-tableau equivalence (status, objective, vertex support) on
+* equivalence with the dense reference simplex of
+  ``tests/_reference_simplex.py`` (status, objective, vertex and basis) on
   randomized LPs drawn from **every** workload family, plus hypothesis LPs;
 * warm-start edge cases — degenerate hints with no positive ratio, a failed
   crash falling back to ratio-test pushes, Farkas-dual seeding across an
@@ -19,6 +20,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from _reference_simplex import reference_solve
 from repro.core.programs import IP3Builder, minimal_fractional_T, _ProbeSession
 from repro.exceptions import PivotLimitError, SolverError
 from repro.lp import (
@@ -27,11 +29,8 @@ from repro.lp import (
     SolverStats,
     collect_stats,
     farkas_certifies,
-    get_default_kernel,
-    set_default_kernel,
     solve_lp,
     solve_standard,
-    solve_standard_revised,
 )
 from repro.lp.certificates import denormalize_farkas
 from repro.lp.simplex import standard_form
@@ -40,9 +39,9 @@ from repro.workloads import FAMILIES, make_instance, make_topology, rng_from_see
 
 
 def _assert_equivalent(rows, senses, rhs, objective):
-    """Tableau and (cold, Dantzig-priced) revised agree vertex-for-vertex."""
-    tab = solve_standard(rows, senses, rhs, objective, kernel="tableau")
-    rev = solve_standard_revised(rows, senses, rhs, objective, pricing="dantzig")
+    """The reference simplex and a cold canonical solve agree vertex-for-vertex."""
+    tab = reference_solve(rows, senses, rhs, objective)
+    rev = solve_standard(rows, senses, rhs, objective, canonical=True)
     assert tab.status == rev.status
     if tab.status == "optimal":
         assert tab.objective == rev.objective
@@ -65,41 +64,24 @@ class TestKernelEquivalence:
                 objective = [Fraction(0)] * len(active)
                 _assert_equivalent(rows, senses, rhs, objective)
 
-    def test_t_star_matches_across_kernels_and_families(self):
-        topo = make_topology("smp2x2x2")
-        saved = get_default_kernel()
-        try:
-            for i, name in enumerate(sorted(FAMILIES)):
-                inst = make_instance(name, rng_from_seed(40 + i), topo, n=5)
-                set_default_kernel("tableau")
-                t_tab = minimal_fractional_T(inst, backend="exact")
-                set_default_kernel("revised")
-                t_rev = minimal_fractional_T(inst, backend="exact")
-                assert t_tab == t_rev
-        finally:
-            set_default_kernel(saved)
-
     def test_partial_pricing_same_value(self):
-        """Partial pricing may pick another vertex, never another optimum."""
+        """Partial pricing (``canonical=False``) may pick another vertex,
+        never another optimum."""
         topo = make_topology("flat4")
         inst = make_instance("heavy_tailed", rng_from_seed(7), topo, n=6)
         builder = IP3Builder(inst)
         rows, senses, rhs, active = builder.probe_rows(builder.breakpoints[-1])
         objective = [Fraction(1)] * len(active)
-        full = solve_standard_revised(rows, senses, rhs, objective, pricing="dantzig")
-        part = solve_standard_revised(rows, senses, rhs, objective, pricing="partial")
+        full = solve_standard(rows, senses, rhs, objective, canonical=True)
+        part = solve_standard(rows, senses, rhs, objective, canonical=False)
         assert full.status == part.status == "optimal"
         assert full.objective == part.objective
         # Both are vertices: support bounded by the row count.
         assert sum(1 for v in part.x if v) <= len(rows)
 
-    def test_unknown_pricing_rejected(self):
+    def test_canonical_must_be_bool(self):
         with pytest.raises(SolverError):
-            solve_standard_revised([], [], [], [Fraction(1)], pricing="newton")
-        with pytest.raises(SolverError):
-            solve_standard(
-                [], [], [], [Fraction(1)], kernel="tableau", pricing="partial"
-            )
+            solve_standard([], [], [], [Fraction(1)], canonical="lex")
 
 
 @st.composite
@@ -126,7 +108,7 @@ def test_kernels_agree_on_random_lps(data):
     rows, senses, rhs, objective = data
     tab, rev = _assert_equivalent(rows, senses, rhs, objective)
     if rev.status == "infeasible":
-        # The revised kernel's certificate is a verified proof.
+        # The solver's certificate is a verified proof.
         assert rev.farkas is not None
         assert farkas_certifies(rows, senses, rhs, rev.farkas)
 
@@ -187,9 +169,7 @@ class TestWarmStartEdgeCases:
         senses = ["<="]
         rhs = [Fraction(2)]
         objective = [Fraction(0), Fraction(-1)]
-        result = solve_standard_revised(
-            rows, senses, rhs, objective, warm_hints=[0]
-        )
+        result = solve_standard(rows, senses, rhs, objective, warm_hints=[0])
         assert result.status == "unbounded"
 
     def test_bad_warm_point_repaired(self):
@@ -216,10 +196,8 @@ class TestWarmStartEdgeCases:
         senses = ["==", "<="]
         rhs = [Fraction(2), Fraction(3)]
         objective = [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
-        cold = solve_standard_revised(rows, senses, rhs, objective)
-        warm = solve_standard_revised(
-            rows, senses, rhs, objective, warm_point=cold.x
-        )
+        cold = solve_standard(rows, senses, rhs, objective)
+        warm = solve_standard(rows, senses, rhs, objective, warm_point=cold.x)
         assert warm.status == "optimal" and warm.objective == cold.objective
         assert warm.stats.warm_start_hits == 1
         assert warm.stats.phase1_pivots == 0
@@ -293,15 +271,11 @@ class TestPivotBudget:
         senses = ["==", "<="]
         rhs = [Fraction(1), Fraction(1)]
         objective = [Fraction(-1), Fraction(1)]
-        for kernel in ("revised", "tableau"):
-            with pytest.raises(PivotLimitError) as err:
-                solve_standard(
-                    rows, senses, rhs, objective, kernel=kernel, max_pivots=1
-                )
-            assert err.value.budget == 1
-            assert err.value.pivots == 2
-            assert err.value.kernel == kernel
-            assert err.value.phase in (1, 2)
+        with pytest.raises(PivotLimitError) as err:
+            solve_standard(rows, senses, rhs, objective, max_pivots=1)
+        assert err.value.budget == 1
+        assert err.value.pivots == 2
+        assert err.value.phase in (1, 2)
 
     def test_default_budget_solves_fine(self):
         rows = [{0: Fraction(1)}]
@@ -419,16 +393,6 @@ class TestStatsPlumbing:
         out = capsys.readouterr().out
         assert "solver profile:" in out
         assert "pivots" in out
-
-    def test_kernel_cli_flag_sets_default(self):
-        from repro.cli import main
-
-        saved = get_default_kernel()
-        try:
-            assert main(["experiments", "e01", "--kernel", "tableau"]) == 0
-            assert get_default_kernel() == "tableau"
-        finally:
-            set_default_kernel(saved)
 
 
 def test_standard_form_unchanged_contract():

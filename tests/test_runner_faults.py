@@ -25,7 +25,8 @@ import pytest
 
 from repro.analysis.tables import Table
 from repro.exceptions import TaskBudgetError, WorkerCrashError
-from repro.lp.simplex import default_max_pivots, solve_standard
+from repro.lp import solve_standard
+from repro.lp.simplex import default_max_pivots
 from repro.runner import (
     ChaosError,
     ChaosSpec,

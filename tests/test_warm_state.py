@@ -8,8 +8,9 @@ edges this module pins down:
   exception, never a corrupted solver);
 * a :class:`~repro.exceptions.PivotLimitError` mid-search must leave the
   :class:`~repro.core.programs._ProbeSession` resumable;
-* a carried-basis solve under ``canonical="lex"`` lands on exactly the
-  cold solve's vertex (warm starts change the path, never the answer);
+* a solve warm-started from any carried basis is optimal with the cold
+  solve's objective and a vertex-sized support (warm starts change the
+  path, never the answer);
 * ``WarmState`` is process-local ephemera: pickling and session
   canonicalization both refuse it;
 * sparse and densified ``W`` rows answer ftran/btran identically;
@@ -30,6 +31,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from _reference_simplex import reference_solve
 from repro._fraction import HAVE_GMPY2, bigint, bigint_backend
 from repro.core.programs import IP3Builder, _ProbeSession
 from repro.exceptions import PivotLimitError
@@ -40,9 +42,9 @@ from repro.lp import (
     collect_stats,
     solve_lp,
     solve_standard,
-    solve_standard_revised,
 )
 from repro.lp.basis import _to_dense
+from repro.lp.solve import check_standard_rows
 from repro.lp.warm import WarmState
 from repro.workloads import make_instance, make_topology, rng_from_seed
 
@@ -84,11 +86,10 @@ class TestProcessLocality:
             [("x", 0), ("s", 1)], 2, 2, (1, 1),
             token="witness",
             point={0: Fraction(1), 1: Fraction(2)},
-            farkas=(Fraction(1), Fraction(-1)),
         )
         mapped = state.relabel_dict({0: "a", 1: "b"})
         assert mapped is not None
-        assert mapped.token is None and mapped.farkas is None
+        assert mapped.token is None
         assert mapped.labels == (("x", "a"), ("s", 1))
         assert mapped.point == {"a": Fraction(1), "b": Fraction(2)}
 
@@ -109,15 +110,15 @@ class TestStaleBasisRejection:
     def test_dimension_change_rejected_cleanly(self):
         """A basis carried across a row-count change degrades to cold."""
         rows, senses, rhs, objective = _small_lp()
-        donor = solve_standard_revised(rows, senses, rhs, objective)
+        donor = solve_standard(rows, senses, rhs, objective)
         assert donor.status == "optimal" and donor.warm_state is not None
 
         # Same variables, one extra row: state.m no longer matches.
         rows2 = rows + [{2: Fraction(1), 3: Fraction(1)}]
         senses2 = senses + ["<="]
         rhs2 = rhs + [Fraction(1)]
-        cold = solve_standard_revised(rows2, senses2, rhs2, objective)
-        warm = solve_standard_revised(
+        cold = solve_standard(rows2, senses2, rhs2, objective)
+        warm = solve_standard(
             rows2, senses2, rhs2, objective, warm_state=donor.warm_state
         )
         assert warm.status == cold.status == "optimal"
@@ -128,13 +129,13 @@ class TestStaleBasisRejection:
     def test_out_of_range_labels_rejected_cleanly(self):
         """Labels pointing past the consumer's variable space are stale."""
         rows, senses, rhs, objective = _small_lp()
-        donor = solve_standard_revised(rows, senses, rhs, objective)
+        donor = solve_standard(rows, senses, rhs, objective)
         # Shrink to 2 structural variables; any ("x", j>=2) label is now
         # unresolvable and the whole state must be rejected, not crash.
         rows2 = [{k: v for k, v in r.items() if k < 2} for r in rows]
         obj2 = objective[:2]
-        cold = solve_standard_revised(rows2, senses, rhs, obj2)
-        warm = solve_standard_revised(
+        cold = solve_standard(rows2, senses, rhs, obj2)
+        warm = solve_standard(
             rows2, senses, rhs, obj2, warm_state=donor.warm_state
         )
         assert warm.status == cold.status
@@ -169,16 +170,16 @@ class TestStaleBasisRejection:
         """Without a structure token tier 1 never fires (tier 2 may)."""
         rows, senses, rhs, objective = _small_lp()
         token = object()
-        donor = solve_standard_revised(
+        donor = solve_standard(
             rows, senses, rhs, objective, structure_token=token
         )
-        warm = solve_standard_revised(
+        warm = solve_standard(
             rows, senses, rhs, objective, warm_state=donor.warm_state
         )
         assert warm.status == "optimal"
         assert warm.stats.crash_skips == 0  # no token presented
 
-        verbatim = solve_standard_revised(
+        verbatim = solve_standard(
             rows, senses, rhs, objective,
             warm_state=donor.warm_state, structure_token=token,
         )
@@ -194,9 +195,9 @@ class TestPivotLimitResumability:
         """A budgeted abort is an exception, not a corrupted process."""
         rows, senses, rhs, objective = _small_lp()
         with pytest.raises(PivotLimitError):
-            solve_standard_revised(rows, senses, rhs, objective, max_pivots=1)
+            solve_standard(rows, senses, rhs, objective, max_pivots=1)
         # The very next solve in the same process is untouched.
-        result = solve_standard_revised(rows, senses, rhs, objective)
+        result = solve_standard(rows, senses, rhs, objective)
         assert result.status == "optimal"
 
     def test_probe_session_resumable_after_pivot_limit(self, monkeypatch):
@@ -216,7 +217,7 @@ class TestPivotLimitResumability:
         real = programs.feasible_point_rows
 
         def explode(*args, **kwargs):
-            raise PivotLimitError(budget=1, pivots=1, phase=2, kernel="revised")
+            raise PivotLimitError(budget=1, pivots=1, phase=2)
 
         # Walk down the breakpoint ladder until a probe actually needs an
         # LP solve — simulating a search step whose carried point did not
@@ -267,52 +268,25 @@ def random_lp(draw):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(random_lp())
 def test_carried_basis_solve_equals_cold_solve(data):
-    """Property: warm path ≠ warm answer.  Under ``canonical="lex"`` a
-    solve seeded with *any* carried basis lands on the cold solve's exact
-    vertex — the lex-min optimum is independent of pricing and warm start.
+    """Property: warm path ≠ warm answer.  A solve seeded with the basis of
+    a partially priced donor is optimal, matches the cold objective exactly,
+    satisfies every row exactly and returns a vertex (support ≤ rows).
     """
     rows, senses, rhs, objective = data
-    cold = solve_standard_revised(
-        rows, senses, rhs, objective, canonical="lex"
-    )
-    # Donor: a different pricing rule and no cleanup, so its final basis
-    # is as unlike the cold path as this LP allows.
-    donor = solve_standard_revised(
-        rows, senses, rhs, objective, pricing="partial", canonical=False
-    )
+    cold = solve_standard(rows, senses, rhs, objective)
+    # Donor: partial pricing, so its final basis may differ from the cold
+    # Dantzig path whenever this LP allows it.
+    donor = solve_standard(rows, senses, rhs, objective, canonical=False)
     assert donor.status == cold.status
     if donor.status != "optimal":
         return
-    warm = solve_standard_revised(
-        rows, senses, rhs, objective,
-        warm_state=donor.warm_state, canonical="lex",
+    warm = solve_standard(
+        rows, senses, rhs, objective, warm_state=donor.warm_state
     )
     assert warm.status == "optimal"
     assert warm.objective == cold.objective
-    assert warm.x == cold.x  # identical vertex, not just identical value
-
-
-class TestSteepestEdgePricing:
-    def test_same_optimum_as_dantzig(self):
-        topo = make_topology("flat4")
-        inst = make_instance("heavy_tailed", rng_from_seed(7), topo, n=6)
-        builder = IP3Builder(inst)
-        rows, senses, rhs, active = builder.probe_rows(builder.breakpoints[-1])
-        objective = [Fraction(1)] * len(active)
-        dz = solve_standard_revised(rows, senses, rhs, objective, pricing="dantzig")
-        se = solve_standard_revised(rows, senses, rhs, objective, pricing="steepest")
-        assert dz.status == se.status == "optimal"
-        assert dz.objective == se.objective
-
-    def test_lex_canonical_erases_pricing_choice(self):
-        rows, senses, rhs, objective = _small_lp()
-        vertices = {
-            pricing: solve_standard_revised(
-                rows, senses, rhs, objective, pricing=pricing, canonical="lex"
-            ).x
-            for pricing in ("dantzig", "partial", "steepest")
-        }
-        assert vertices["dantzig"] == vertices["partial"] == vertices["steepest"]
+    assert check_standard_rows(rows, senses, rhs, warm.x)
+    assert sum(1 for v in warm.x if v) <= len(rows)
 
 
 class TestWarmKeyDrops:
@@ -407,12 +381,15 @@ class TestBigintSeam:
 
     @pytest.mark.skipif(not HAVE_GMPY2, reason="gmpy2 not installed")
     def test_kernel_equivalence_under_gmpy2(self):
-        """With gmpy2 active the kernels still agree vertex-for-vertex."""
+        """With gmpy2 active the solver still matches the reference simplex
+        vertex-for-vertex."""
         rows, senses, rhs, objective = _small_lp()
-        tab = solve_standard(rows, senses, rhs, objective, kernel="tableau")
-        rev = solve_standard_revised(rows, senses, rhs, objective)
+        tab = reference_solve(rows, senses, rhs, objective)
+        rev = solve_standard(rows, senses, rhs, objective, canonical=True)
         assert tab.status == rev.status == "optimal"
+        assert tab.objective == rev.objective
         assert tab.x == rev.x
+        assert tab.basis == rev.basis
         assert all(isinstance(v, Fraction) for v in rev.x)
 
     def test_escape_hatch_forces_python_ints(self):
@@ -426,8 +403,8 @@ class TestBigintSeam:
             "from repro._fraction import bigint, bigint_backend\n"
             "assert bigint_backend() == 'python', bigint_backend()\n"
             "assert type(bigint(7)) is int\n"
-            "from repro.lp import solve_standard_revised\n"
-            "r = solve_standard_revised("
+            "from repro.lp import solve_standard\n"
+            "r = solve_standard("
             "[{0: Fraction(1)}], ['<='], [Fraction(2)], [Fraction(-1)])\n"
             "assert r.status == 'optimal' and r.x == [Fraction(2)]\n"
             "print('ok')\n"
