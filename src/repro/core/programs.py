@@ -20,7 +20,9 @@ is **incremental** end to end:
 * one :class:`IP3Builder` is shared across all probes — the closure is
   computed once, and each probe's rows are materialized by *masking* the
   cached index templates on ``p ≤ T`` (:meth:`IP3Builder.probe_rows`), not
-  by rebuilding a keyed :class:`~repro.lp.model.LinearProgram`;
+  by rebuilding a keyed :class:`~repro.lp.model.LinearProgram`; the mask is
+  one exact integer threshold per probe (:meth:`IP3Builder.mask`), and the
+  HiGHS leg gets a column slice of one float CSR template per builder;
 * successive probes reuse the bracketing probes' outcomes: a still-valid
   feasible point answers a "yes" probe after one ``O(nnz)`` exact re-check,
   a still-valid Farkas certificate answers a "no" probe the same way, and
@@ -33,12 +35,14 @@ is **incremental** end to end:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .._fraction import is_inf, to_fraction
 from ..exceptions import InfeasibleError, InvalidInstanceError
 from ..lp.certificates import farkas_certifies
+from ..lp.hybrid import HAVE_SCIPY
 from ..lp.model import LinearProgram
 from ..lp.solve import check_standard_rows, feasible_point, feasible_point_rows, solve_lp
 from ..lp.stats import SolverStats, collect_stats, record
@@ -74,6 +78,21 @@ class IP3Builder:
     pass instead of a fresh ``O(|F|²·n)`` scan.  Variable and row ordering
     match :func:`build_ip3` exactly (the vertex a solver returns depends on
     it).
+
+    **Exact mask.**  Every finite pair's time is one of the sorted
+    ``breakpoints``; :attr:`var_rank` stores its index there.  So
+    ``p ≤ T`` holds exactly when ``var_rank < mask(T)``, where
+    :meth:`mask` is one ``bisect`` over the breakpoints.  Every builder
+    (probe rows, :meth:`decision_lp`, :meth:`min_T_lp`) and the probe
+    pipeline's structural and support checks filter on that integer — no
+    per-entry ``Fraction`` comparison.
+
+    **Float template.**  The HiGHS leg of a probe needs the probe rows as
+    a float matrix.  The builder keeps one ``scipy.sparse`` CSR of *all*
+    probe rows over the global variables, built on the first float call;
+    a probe's matrix is the column slice over its active variables
+    (:meth:`float_slice`) — equal, entry for entry, to the matrix built
+    from its dict rows.
     """
 
     def __init__(self, instance: Instance):
@@ -92,17 +111,19 @@ class IP3Builder:
         self.jobs_without_options: List[int] = [
             j for j in range(n) if not has_finite[j]
         ]
-        self.breakpoints: List[Fraction] = sorted({p for _j, _a, p in self.finite})
-        #: Per-set load-row template: (β, j, p_{βj}) over β ⊆ α, finite.
-        self.load_template: Dict[MachineSet, List[Tuple[MachineSet, int, Fraction]]] = {}
-        for alpha in family.sets:
-            entries: List[Tuple[MachineSet, int, Fraction]] = []
-            for beta in family.subsets_of(alpha):
-                for j in range(n):
-                    p = instance.p(j, beta)
-                    if not is_inf(p):
-                        entries.append((beta, j, to_fraction(p)))
-            self.load_template[alpha] = entries
+        #: Processing time per global variable index (position in ``finite``).
+        self.var_p: List[Fraction] = [p for _j, _a, p in self.finite]
+        #: ``("x", α, j)`` LP key per global variable index.
+        self.var_key: List[Tuple] = [("x", alpha, j) for j, alpha, _p in self.finite]
+        by_time: Dict[Fraction, List[int]] = {}
+        for gi, p in enumerate(self.var_p):
+            by_time.setdefault(p, []).append(gi)
+        self.breakpoints: List[Fraction] = sorted(by_time)
+        #: Index of each variable's time in ``breakpoints`` (the exact mask key).
+        self.var_rank: List[int] = [0] * len(self.var_p)
+        for rank, p in enumerate(self.breakpoints):
+            for gi in by_time[p]:
+                self.var_rank[gi] = rank
 
         # Index-based row templates for probe masking: probes address
         # variables by their position in ``self.finite`` (stable across all
@@ -115,19 +136,30 @@ class IP3Builder:
         self.assign_template: List[List[int]] = [[] for _ in range(n)]
         for gi, (j, _alpha, _p) in enumerate(self.finite):
             self.assign_template[j].append(gi)
-        #: Per-set load-row template in index form: (global index, p).
-        self.load_template_idx: List[Tuple[MachineSet, List[Tuple[int, Fraction]]]] = [
+        #: Per-set load-row template: (global index, p, rank) over β ⊆ α.
+        self.load_template: List[Tuple[MachineSet, List[Tuple[int, Fraction, int]]]] = []
+        for alpha in family.sets:
+            entries: List[Tuple[int, Fraction, int]] = []
+            for beta in family.subsets_of(alpha):
+                for j in range(n):
+                    gi = var_of_pair.get((j, beta))
+                    if gi is not None:
+                        entries.append((gi, self.var_p[gi], self.var_rank[gi]))
+            self.load_template.append((alpha, entries))
+        #: Smallest mask at which every job has an admissible pair (beyond
+        #: every mask when some job has none).
+        self.full_mask: int = 1 + max(
             (
-                alpha,
-                [
-                    (var_of_pair[(j, beta)], p)
-                    for beta, j, p in self.load_template[alpha]
-                ],
-            )
-            for alpha in family.sets
-        ]
-        #: Processing time per global variable index.
-        self.var_p: List[Fraction] = [p for _j, _a, p in self.finite]
+                min((self.var_rank[gi] for gi in group), default=len(self.breakpoints))
+                for group in self.assign_template
+            ),
+            default=-1,
+        )
+        self._float_template = None
+
+    def mask(self, T: Time) -> int:
+        """The exact mask of horizon *T*: ``p_gi ≤ T  ⇔  var_rank[gi] < mask(T)``."""
+        return bisect_right(self.breakpoints, T)
 
     def probe_rows(
         self, T: Fraction
@@ -138,56 +170,64 @@ class IP3Builder:
         local variable index → position in ``self.finite``.  Row order is
         the ``decision_lp`` order (all assignment rows, then all load rows),
         which is what keeps Farkas certificates transferable between
-        probes.  ``O(nnz)`` — a filter pass over cached index templates.
+        probes.  ``O(nnz)`` integer filtering on the exact mask.
         """
-        var_p = self.var_p
-        active = [gi for gi in range(len(var_p)) if var_p[gi] <= T]
-        local = {gi: li for li, gi in enumerate(active)}
+        k = self.mask(T)
+        rank = self.var_rank
+        active = [gi for gi, r in enumerate(rank) if r < k]
+        local = [0] * len(rank)
+        for li, gi in enumerate(active):
+            local[gi] = li
         coeff_rows: List[Dict[int, Fraction]] = []
         senses: List[str] = []
         rhs: List[Fraction] = []
         one = Fraction(1)
-        for j in range(self.instance.n):
-            coeff_rows.append(
-                {local[gi]: one for gi in self.assign_template[j] if var_p[gi] <= T}
-            )
+        for group in self.assign_template:
+            coeff_rows.append({local[gi]: one for gi in group if rank[gi] < k})
             senses.append("==")
             rhs.append(one)
-        for alpha, entries in self.load_template_idx:
-            coeff_rows.append(
-                {local[gi]: p for gi, p in entries if p <= T}
-            )
+        for alpha, entries in self.load_template:
+            coeff_rows.append({local[gi]: p for gi, p, r in entries if r < k})
             senses.append("<=")
             rhs.append(len(alpha) * T)
         return coeff_rows, senses, rhs, active
 
+    def float_slice(self, active: List[int]):
+        """Float CSR of :meth:`probe_rows` over *active*, or ``None`` without scipy.
+
+        The column slice of the builder's template (built on the first
+        call); it equals ``float_matrix(coeff_rows, len(active))`` of the
+        probe's dict rows.
+        """
+        if not HAVE_SCIPY:
+            return None
+        if self._float_template is None:
+            from ..lp.scipy_backend import float_matrix
+
+            rows = [{gi: 1 for gi in group} for group in self.assign_template]
+            rows += [{gi: p for gi, p, _r in entries} for _a, entries in self.load_template]
+            self._float_template = float_matrix(rows, len(self.finite))
+        return self._float_template[:, active]
+
     def decision_lp(self, T: Fraction) -> LinearProgram:
         """The LP relaxation of (IP-3) at horizon *T* (== :func:`build_ip3`)."""
+        k = self.mask(T)
+        rank = self.var_rank
+        key = self.var_key
         lp = LinearProgram()
-        by_job: Dict[int, List[MachineSet]] = {}
         # No explicit ub: x ≤ 1 is implied by the assignment equality rows
         # (each variable has coefficient 1 in exactly one of them), and
         # materializing the bound as a row would multiply the tableau size.
-        for j, alpha, p in self.finite:
-            if p <= T:
-                lp.add_variable(("x", alpha, j), lb=0)
-                by_job.setdefault(j, []).append(alpha)
-        for j in range(self.instance.n):
-            if j not in by_job:
-                lp.add_constraint({}, "==", 1, name=f"assign[{j}]")
-            else:
-                lp.add_constraint(
-                    {("x", alpha, j): 1 for alpha in by_job[j]},
-                    "==",
-                    1,
-                    name=f"assign[{j}]",
-                )
-        for alpha in self.instance.family.sets:
-            coeffs = {
-                ("x", beta, j): p
-                for beta, j, p in self.load_template[alpha]
-                if p <= T
-            }
+        for gi in range(len(rank)):
+            if rank[gi] < k:
+                lp.add_variable(key[gi], lb=0)
+        for j, group in enumerate(self.assign_template):
+            lp.add_constraint(
+                {key[gi]: 1 for gi in group if rank[gi] < k}, "==", 1,
+                name=f"assign[{j}]",
+            )
+        for alpha, entries in self.load_template:
+            coeffs = {key[gi]: p for gi, p, r in entries if r < k}
             lp.add_constraint(coeffs, "<=", len(alpha) * T, name=f"load[{sorted(alpha)}]")
         return lp
 
@@ -197,24 +237,26 @@ class IP3Builder:
         Returns ``None`` when some job has no admissible set at the anchor
         (the frozen-R program is then trivially infeasible).
         """
+        k = self.mask(r_anchor)
+        if k < self.full_mask:
+            return None
+        rank = self.var_rank
+        key = self.var_key
         lp = LinearProgram()
         lp.add_variable(T_KEY, lb=0)
-        by_job: Dict[int, List[MachineSet]] = {}
-        for j, alpha, p in self.finite:
-            if p <= r_anchor:
-                lp.add_variable(("x", alpha, j), lb=0)  # ub implied, see above
-                by_job.setdefault(j, []).append(alpha)
-        for j in range(self.instance.n):
-            if j not in by_job:
-                return None
+        for gi in range(len(rank)):
+            if rank[gi] < k:
+                lp.add_variable(key[gi], lb=0)  # ub implied, see above
+        for j, group in enumerate(self.assign_template):
             lp.add_constraint(
-                {("x", alpha, j): 1 for alpha in by_job[j]}, "==", 1, name=f"assign[{j}]"
+                {key[gi]: 1 for gi in group if rank[gi] < k}, "==", 1,
+                name=f"assign[{j}]",
             )
-        for alpha in self.instance.family.sets:
+        for alpha, entries in self.load_template:
             coeffs: Dict = {T_KEY: -len(alpha)}
-            for beta, j, p in self.load_template[alpha]:
-                if p <= r_anchor:
-                    coeffs[("x", beta, j)] = p
+            for gi, p, r in entries:
+                if r < k:
+                    coeffs[key[gi]] = p
             lp.add_constraint(coeffs, "<=", 0, name=f"load[{sorted(alpha)}]")
         lp.add_constraint({T_KEY: 1}, ">=", t_low, name="bracket-low")
         lp.set_objective({T_KEY: 1})
@@ -294,15 +336,14 @@ class _ProbeSession:
         ``None`` for a certified infeasibility.
         """
         builder = self.builder
-        var_p = builder.var_p
         with trace_span("search.probe", T=str(T)) as probe_sp:
+            k = builder.mask(T)
             # A job with no admissible pair at T is an unsatisfiable {} == 1
             # row; decide it structurally instead of building the LP.
-            for j in range(builder.instance.n):
-                if not any(var_p[gi] <= T for gi in builder.assign_template[j]):
-                    if probe_sp:
-                        probe_sp.attrs["outcome"] = "structurally-infeasible"
-                    return None
+            if k < builder.full_mask:
+                if probe_sp:
+                    probe_sp.attrs["outcome"] = "structurally-infeasible"
+                return None
             coeff_rows, senses, rhs, active = builder.probe_rows(T)
             if self.farkas is not None and farkas_certifies(
                 coeff_rows, senses, rhs, self.farkas
@@ -313,8 +354,10 @@ class _ProbeSession:
                 return None
             masked: Optional[List[Fraction]] = None
             if self.point is not None:
-                masked = [self.point.get(gi, Fraction(0)) for gi in active]
-                support_survives = all(var_p[gi] <= T for gi in self.point)
+                zero = Fraction(0)
+                masked = [self.point.get(gi, zero) for gi in active]
+                rank = builder.var_rank
+                support_survives = all(rank[gi] < k for gi in self.point)
                 if support_survives and check_standard_rows(
                     coeff_rows, senses, rhs, masked
                 ):
@@ -323,12 +366,15 @@ class _ProbeSession:
                         probe_sp.attrs["outcome"] = "point-reuse"
                     return self.point
             carried, token = self._carried_state(active)
+            float_rows = (
+                builder.float_slice(active) if self.backend != "exact" else None
+            )
             with collect_stats() as probe_stats:
                 point, farkas, state = feasible_point_rows(
                     coeff_rows, senses, rhs, len(active),
                     backend=self.backend, warm_point=masked,
                     warm_state=carried, structure_token=token,
-                    want_state=True,
+                    want_state=True, float_rows=float_rows,
                 )
             if probe_sp:
                 probe_sp.attrs["basis_reuse"] = bool(probe_stats.basis_reuses)
@@ -354,10 +400,8 @@ class _ProbeSession:
         """A global-index point as ``("x", α, j)``-keyed LP warm values."""
         if gpoint is None:
             return None
-        finite = self.builder.finite
-        return {
-            ("x", finite[gi][1], finite[gi][0]): v for gi, v in gpoint.items()
-        }
+        key = self.builder.var_key
+        return {key[gi]: v for gi, v in gpoint.items()}
 
     def keyed_state(self) -> Optional[WarmState]:
         """The carried basis relabelled onto ``("x", α, j)`` variable keys.
@@ -369,13 +413,12 @@ class _ProbeSession:
         """
         if self.state is None or self.state_active is None:
             return None
-        finite = self.builder.finite
+        key = self.builder.var_key
         active = self.state_active
 
         def mapper(li: object) -> Optional[Tuple]:
             if isinstance(li, int) and 0 <= li < len(active):
-                j, alpha, _p = finite[active[li]]
-                return ("x", alpha, j)
+                return key[active[li]]
             return None  # pragma: no cover - labels are self-produced
 
         return self.state.relabel(mapper)

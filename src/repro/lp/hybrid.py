@@ -31,6 +31,16 @@ solver re-derives the verdict from scratch.
 Small programs skip HiGHS entirely (below :data:`_FLOAT_SIZE_CUTOFF` the
 fixed ``linprog`` overhead exceeds a full exact solve).  When scipy is not
 installed the backend degrades to the exact solver, keeping every guarantee.
+
+The float leg never builds a dense matrix.  :func:`float_candidate` and
+:func:`certify_infeasible` accept *float_rows*, a prebuilt
+``scipy.sparse`` CSR image of the exact rows — the probe pipeline passes
+the column slice of its builder's template for the probe's exact mask
+(:meth:`repro.core.programs.IP3Builder.float_slice`) — and build one
+from the dict rows otherwise (:func:`repro.lp.scipy_backend.float_matrix`).
+Only the ``linprog`` call itself is allowed to fail quietly (the caller
+falls back to the exact solver); a construction error, such as a
+mis-shaped *float_rows*, raises.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .._fraction import rationalize, to_fraction
+from ..exceptions import SolverError
 from .certificates import denormalize_farkas, farkas_certifies
 from .revised import solve_standard
 from .simplex import SimplexResult, standard_form
@@ -61,16 +72,20 @@ def float_candidate(
     senses: Sequence[str],
     rhs: Sequence[Fraction],
     objective: Sequence[Fraction],
+    float_rows=None,
 ) -> Optional[SimplexResult]:
     """The HiGHS candidate, or ``None`` when scipy is missing or HiGHS fails.
 
     The result is *uncertified*: statuses and values are hints only.
+    *float_rows* is an optional prebuilt float CSR of *coeff_rows*.
     """
     if not HAVE_SCIPY:
         return None
     try:
-        return solve_standard_float(coeff_rows, senses, rhs, objective)
-    except Exception:  # pragma: no cover - HiGHS internal failures
+        return solve_standard_float(
+            coeff_rows, senses, rhs, objective, float_rows=float_rows
+        )
+    except SolverError:  # pragma: no cover - HiGHS internal failures
         return None
 
 
@@ -79,6 +94,7 @@ def certify_infeasible(
     senses: Sequence[str],
     rhs: Sequence[Fraction],
     num_vars: Optional[int] = None,
+    float_rows=None,
 ) -> Optional[List[Fraction]]:
     """Exact Farkas certificate of infeasibility from a float phase-1 dual.
 
@@ -108,6 +124,9 @@ def certify_infeasible(
         return None
     import numpy as np
     from scipy.optimize import linprog
+    from scipy.sparse import coo_array
+
+    from .scipy_backend import float_entries
 
     if num_vars is None:
         num_vars = _num_vars(coeff_rows)
@@ -115,27 +134,37 @@ def certify_infeasible(
     n, r = std.n, std.num_rows
     if r == 0:
         return None  # x = 0 is feasible
-    num_slack = sum(1 for s in std.slack_of_row if s is not None)
+    raw_rhs = [to_fraction(b) for b in rhs]
+    # standard_form negated the rows with a negative rhs.
+    flip = np.array([b < 0 for b in raw_rhs], dtype=bool)
+    row, col, data = float_entries(coeff_rows, n, float_rows, flip)
+    slack_rows = np.array(
+        [i for i in range(r) if std.slack_of_row[i] is not None], dtype=np.int64
+    )
+    slack_cols = np.array([std.slack_of_row[i] for i in slack_rows], dtype=np.int64)
+    slack_signs = np.array([float(std.slack_sign[i]) for i in slack_rows])
+    num_slack = len(slack_rows)
     width = n + num_slack + r
-    a_eq = np.zeros((r, width))
-    for i in range(r):
-        for j, v in std.rows[i].items():
-            a_eq[i][j] = float(v)
-        if std.slack_of_row[i] is not None:
-            a_eq[i][std.slack_of_row[i]] = float(std.slack_sign[i])
-        a_eq[i][n + num_slack + i] = 1.0
+    artificial = np.arange(r)
+    a_eq = coo_array(
+        (
+            np.concatenate([data, slack_signs, np.ones(r)]),
+            (
+                np.concatenate([row, slack_rows, artificial]),
+                np.concatenate([col, slack_cols, n + num_slack + artificial]),
+            ),
+        ),
+        shape=(r, width),
+    )
     b_eq = np.array([float(b) for b in std.rhs])
     c = np.zeros(width)
     c[n + num_slack:] = 1.0
     try:
-        result = linprog(
-            c=c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * width, method="highs"
-        )
+        result = linprog(c=c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     except Exception:  # pragma: no cover - HiGHS internal failures
         return None
     if result.status != 0 or result.fun < 1e-9 or result.eqlin is None:
         return None
-    raw_rhs = [to_fraction(b) for b in rhs]
     raw = [float(v) for v in result.eqlin.marginals]
     for sign in (1.0, -1.0):  # scipy's dual sign convention varies by path
         try:

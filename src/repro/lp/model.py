@@ -166,7 +166,8 @@ class LinearProgram:
                 coeff_rows.append({idx: Fraction(1)})
                 senses.append("<=")
                 rhs.append(ub)
-        objective = [self._objective.get(i, Fraction(0)) for i in range(len(self._keys))]
+        zero = Fraction(0)
+        objective = [self._objective.get(i, zero) for i in range(len(self._keys))]
         return coeff_rows, senses, rhs, objective
 
     def values_by_key(self, x: Sequence[Union[Fraction, float]]) -> Dict[VarKey, Union[Fraction, float]]:

@@ -243,6 +243,7 @@ def feasible_point_rows(
     warm_state: Optional[WarmState] = None,
     structure_token: object = None,
     want_state: bool = False,
+    float_rows=None,
 ):
     """Certified feasibility probe on raw standard rows.
 
@@ -263,6 +264,8 @@ def feasible_point_rows(
     final :class:`~repro.lp.warm.WarmState` — ``None`` on the float-certified
     shortcut (no exact basis existed) and on infeasibility.  Probe vertices
     are **not** canonicalized (feasibility verdicts are vertex-agnostic).
+    *float_rows* is an optional prebuilt float CSR of *coeff_rows* for the
+    HiGHS leg (see :mod:`repro.lp.hybrid`); it changes no result.
     """
     from .hybrid import _FLOAT_SIZE_CUTOFF, certify_infeasible, float_candidate
 
@@ -275,7 +278,9 @@ def feasible_point_rows(
     )
     objective = [Fraction(0)] * num_vars
     if use_float:
-        candidate = float_candidate(coeff_rows, senses, rhs, objective)
+        candidate = float_candidate(
+            coeff_rows, senses, rhs, objective, float_rows=float_rows
+        )
         if candidate is not None and candidate.status == "optimal":
             if check_standard_rows(coeff_rows, senses, rhs, candidate.x):
                 # Certified by the re-check; no exact basis to carry.
@@ -284,7 +289,7 @@ def feasible_point_rows(
             warm_point = candidate.x  # uncertified: warm-start the repair
         elif candidate is not None and candidate.status == "infeasible":
             farkas = certify_infeasible(
-                coeff_rows, senses, rhs, num_vars=num_vars
+                coeff_rows, senses, rhs, num_vars=num_vars, float_rows=float_rows
             )
             if farkas is not None:
                 return (None, farkas, None) if want_state else (None, farkas)

@@ -1,0 +1,387 @@
+"""The sparse float leg from ``IP3Builder`` to HiGHS.
+
+* The builder's float template, sliced to a probe's active columns, hands
+  HiGHS exactly the matrices and right-hand sides the probe's dict rows
+  produce — and exactly the CSC a dense matrix of those rows converts to —
+  at every breakpoint of seeded instances, including non-integer times,
+  ``p = 0`` entries, single-option jobs and empty load rows.
+* The exact mask (one integer threshold per horizon) selects the same
+  variables and builds the same rows and LPs as per-entry ``p ≤ T``
+  comparisons.
+* ``solve_standard_float`` agrees with the exact simplex on the edge
+  shapes of the standard form, and construction errors raise instead of
+  falling back to the exact solve.
+* ``certify_infeasible`` still certifies infeasible probes, with and
+  without the template.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from repro._fraction import INF, is_inf
+from repro.core.instance import Instance
+from repro.core.laminar import LaminarFamily
+from repro.core.programs import T_KEY, IP3Builder, build_ip3
+from repro.lp import HAVE_SCIPY, LinearProgram, farkas_certifies, solve_standard
+from repro.lp.simplex import standard_form
+from repro.workloads import random_hierarchical, rng_from_seed
+
+pytestmark = pytest.mark.skipif(not HAVE_SCIPY, reason="the float leg needs scipy")
+
+if HAVE_SCIPY:
+    import numpy as np
+    from scipy import sparse
+
+    from repro.lp.hybrid import certify_infeasible, float_candidate
+    from repro.lp.scipy_backend import (
+        float_matrix,
+        highs_inputs,
+        solve_standard_float,
+    )
+    from repro.lp.solve import feasible_point_rows
+
+
+def _edge_instance() -> Instance:
+    """Fraction times, ``p = 0`` pairs, a single-option job, an empty load row."""
+    family = LaminarFamily(
+        range(4), [[0], [1], [2], [3], [0, 1], [2, 3], [0, 1, 2, 3]]
+    )
+    # A finite time on a set forces finite times on all its subsets, so
+    # leaving every job off {1} also keeps them off {0, 1} and the root.
+    processing = {
+        0: {(0,): Fraction(7, 2)},  # single option
+        1: {(2,): 0, (3,): 0, (2, 3): 0},  # p = 0 entries
+        2: {(2,): Fraction(3, 2), (3,): 1, (2, 3): Fraction(3, 2)},
+        3: {(3,): Fraction(9, 4)},
+        4: {(0,): Fraction(1, 3)},
+    }
+    return Instance(family, processing)
+
+
+def _fractional(inst: Instance, divisor: int) -> Instance:
+    """*inst* with every finite time divided by *divisor*."""
+    return Instance(
+        inst.family,
+        lambda j, alpha: INF if is_inf(inst.p(j, alpha)) else Fraction(inst.p(j, alpha)) / divisor,
+        n=inst.n,
+    )
+
+
+def _instances():
+    yield "edge", _edge_instance()
+    for seed, (n, m) in ((1, (8, 3)), (2, (10, 4)), (3, (12, 5))):
+        inst = random_hierarchical(rng_from_seed(seed), n=n, m=m)
+        yield f"seed{seed}", inst
+        yield f"seed{seed}/7", _fractional(inst, 7)
+
+
+INSTANCES = dict(_instances())
+
+
+def _horizons(builder: IP3Builder):
+    """Every breakpoint, the midpoints between them, and one below them all."""
+    points = builder.breakpoints
+    yield points[0] / 2 if points[0] else Fraction(-1)
+    for a, b in zip(points, points[1:]):
+        yield a
+        yield (a + b) / 2
+    yield points[-1]
+
+
+def _reference_probe_rows(inst: Instance, builder: IP3Builder, T: Fraction):
+    """Probe rows from per-entry ``p ≤ T`` comparisons on the instance."""
+    var_of_pair = {(j, alpha): gi for gi, (j, alpha, _p) in enumerate(builder.finite)}
+    active = [gi for gi, (_j, _a, p) in enumerate(builder.finite) if p <= T]
+    local = {gi: li for li, gi in enumerate(active)}
+    rows, senses, rhs = [], [], []
+    for j in range(inst.n):
+        rows.append({
+            local[gi]: Fraction(1)
+            for gi, (jj, _a, p) in enumerate(builder.finite)
+            if jj == j and p <= T
+        })
+        senses.append("==")
+        rhs.append(Fraction(1))
+    for alpha in inst.family.sets:
+        row = {}
+        for beta in inst.family.subsets_of(alpha):
+            for j in range(inst.n):
+                p = inst.p(j, beta)
+                if not is_inf(p) and p <= T:
+                    row[local[var_of_pair[(j, beta)]]] = Fraction(p)
+        rows.append(row)
+        senses.append("<=")
+        rhs.append(len(alpha) * T)
+    return rows, senses, rhs, active
+
+
+def _linprog_csc(inputs):
+    """The CSC ``linprog`` assembles from ``A_ub`` over ``A_eq`` for HiGHS."""
+    blocks = [sparse.coo_array(inputs[k]) for k in ("A_ub", "A_eq") if inputs[k] is not None]
+    return sparse.csc_array(sparse.vstack(blocks))
+
+
+def _dense_csc(rows, senses, n):
+    """The CSC of a dense list-of-lists image of the rows (``>=`` negated)."""
+    ub, eq = [], []
+    for row, sense in zip(rows, senses):
+        dense = [0.0] * n
+        for j, v in row.items():
+            dense[j] = float(v)
+        if sense == "==":
+            eq.append(dense)
+        else:
+            ub.append([-v for v in dense] if sense == ">=" else dense)
+    blocks = [np.array(b) for b in (ub, eq) if b]
+    return sparse.csc_array(np.vstack(blocks))
+
+
+def _assert_same_csc(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+def _assert_same_inputs(a, b):
+    for key in ("c", "b_ub", "b_eq"):
+        if a[key] is None or b[key] is None:
+            assert a[key] is None and b[key] is None, key
+        else:
+            assert np.array_equal(a[key], b[key]), key
+    _assert_same_csc(_linprog_csc(a), _linprog_csc(b))
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+class TestTemplateSlice:
+    def test_mask_and_rows_match_per_entry_comparisons(self, name):
+        inst = INSTANCES[name]
+        builder = IP3Builder(inst)
+        for T in _horizons(builder):
+            assert builder.probe_rows(T) == _reference_probe_rows(inst, builder, T)
+            every_job = all(
+                any(builder.var_p[gi] <= T for gi in group)
+                for group in builder.assign_template
+            )
+            assert (builder.mask(T) >= builder.full_mask) == every_job
+
+    def test_slice_equals_row_built_matrices(self, name):
+        builder = IP3Builder(INSTANCES[name])
+        for T in _horizons(builder):
+            rows, senses, rhs, active = builder.probe_rows(T)
+            objective = [Fraction(0)] * len(active)
+            if not active:
+                continue
+            sliced = builder.float_slice(active)
+            built = float_matrix(rows, len(active))
+            _assert_same_csc(sliced.tocsc(), built.tocsc())
+            via_template = highs_inputs(rows, senses, rhs, objective, float_rows=sliced)
+            via_rows = highs_inputs(rows, senses, rhs, objective)
+            _assert_same_inputs(via_template, via_rows)
+            _assert_same_csc(_linprog_csc(via_rows), _dense_csc(rows, senses, len(active)))
+            assert np.array_equal(via_rows["b_ub"], [float(len(a) * T) for a, _e in builder.load_template])
+
+    def test_float_solve_identical_either_way(self, name):
+        builder = IP3Builder(INSTANCES[name])
+        for T in _horizons(builder):
+            rows, senses, rhs, active = builder.probe_rows(T)
+            objective = [Fraction(0)] * len(active)
+            a = solve_standard_float(rows, senses, rhs, objective)
+            b = solve_standard_float(
+                rows, senses, rhs, objective, float_rows=builder.float_slice(active)
+            )
+            assert (a.status, a.x, a.objective) == (b.status, b.x, b.objective)
+
+
+def _reference_min_T_lp(builder: IP3Builder, r_anchor, t_low):
+    """``min_T_lp`` from per-entry ``p ≤ r_anchor`` comparisons."""
+    inst = builder.instance
+    lp = LinearProgram()
+    lp.add_variable(T_KEY, lb=0)
+    by_job = {}
+    for j, alpha, p in builder.finite:
+        if p <= r_anchor:
+            lp.add_variable(("x", alpha, j), lb=0)
+            by_job.setdefault(j, []).append(alpha)
+    for j in range(inst.n):
+        if j not in by_job:
+            return None
+        lp.add_constraint({("x", a, j): 1 for a in by_job[j]}, "==", 1, name=f"assign[{j}]")
+    for alpha in inst.family.sets:
+        coeffs = {T_KEY: -len(alpha)}
+        for beta in inst.family.subsets_of(alpha):
+            for j in range(inst.n):
+                p = inst.p(j, beta)
+                if not is_inf(p) and p <= r_anchor:
+                    coeffs[("x", beta, j)] = Fraction(p)
+        lp.add_constraint(coeffs, "<=", 0, name=f"load[{sorted(alpha)}]")
+    lp.add_constraint({T_KEY: 1}, ">=", t_low, name="bracket-low")
+    lp.set_objective({T_KEY: 1})
+    return lp
+
+
+def _lp_signature(lp: LinearProgram):
+    """Variable order, row order, coefficient order and objective of *lp*."""
+    return (
+        lp.variable_keys,
+        [(list(r.coeffs.items()), r.sense, r.rhs, r.name) for r in lp.rows],
+        lp.objective_coeffs,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_masked_lp_builders_unchanged(name):
+    inst = INSTANCES[name]
+    builder = IP3Builder(inst)
+    for T in _horizons(builder):
+        assert _lp_signature(builder.decision_lp(T)) == _lp_signature(build_ip3(inst, T))
+        ref = _reference_min_T_lp(builder, T, T)
+        got = builder.min_T_lp(T, T)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert _lp_signature(got) == _lp_signature(ref)
+
+
+class TestFloatEdgeCases:
+    """``solve_standard_float`` against the exact simplex on edge shapes."""
+
+    CASES = {
+        "ge-rows": (
+            [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1)}],
+            [">=", "<="], [Fraction(3), Fraction(2)], [Fraction(1), Fraction(2)],
+        ),
+        "eq-only": (
+            [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1), 2: Fraction(1)}],
+            ["==", "=="], [Fraction(4), Fraction(1)], [Fraction(1)] * 3,
+        ),
+        "le-only": (
+            [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3), 1: Fraction(1)}],
+            ["<=", "<="], [Fraction(4), Fraction(6)], [Fraction(-1), Fraction(-1)],
+        ),
+        "negative-rhs": (
+            [{0: Fraction(-1), 1: Fraction(1, 3)}, {0: Fraction(1), 1: Fraction(1)}],
+            ["<=", "=="], [Fraction(-1), Fraction(5, 2)], [Fraction(0), Fraction(1)],
+        ),
+        "infeasible": (
+            [{0: Fraction(1)}, {0: Fraction(1)}],
+            [">=", "<="], [Fraction(2), Fraction(1)], [Fraction(0)],
+        ),
+        "unbounded": (
+            [{0: Fraction(1)}], [">="], [Fraction(1)], [Fraction(-1)],
+        ),
+        "no-vars-feasible": ([{}, {}], ["<=", ">="], [Fraction(1), Fraction(-1)], []),
+        "no-vars-infeasible": ([{}], ["=="], [Fraction(1)], []),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_agrees_with_exact(self, case):
+        rows, senses, rhs, objective = self.CASES[case]
+        exact = solve_standard(rows, senses, rhs, objective)
+        floaty = solve_standard_float(rows, senses, rhs, objective)
+        assert floaty.status == exact.status
+        if exact.status == "optimal":
+            assert floaty.objective == exact.objective
+            if objective:
+                prebuilt = float_matrix(rows, len(objective))
+                again = solve_standard_float(rows, senses, rhs, objective, float_rows=prebuilt)
+                assert (again.status, again.x) == (floaty.status, floaty.x)
+
+
+class TestConstructionErrorsRaise:
+    def _probe(self):
+        builder = IP3Builder(INSTANCES["seed2"])
+        rows, senses, rhs, active = builder.probe_rows(builder.breakpoints[-1])
+        wrong = builder.float_slice(active[:-1])  # one column short
+        return rows, senses, rhs, active, wrong
+
+    def test_float_candidate_raises_on_misshaped_float_rows(self):
+        rows, senses, rhs, active, wrong = self._probe()
+        objective = [Fraction(0)] * len(active)
+        with pytest.raises(ValueError, match="float_rows has shape"):
+            float_candidate(rows, senses, rhs, objective, float_rows=wrong)
+
+    def test_certify_infeasible_raises_on_misshaped_float_rows(self):
+        rows, senses, rhs, active, wrong = self._probe()
+        with pytest.raises(ValueError, match="float_rows has shape"):
+            certify_infeasible(rows, senses, rhs, num_vars=len(active), float_rows=wrong)
+
+    def test_probe_pipeline_does_not_swallow_it(self):
+        rows, senses, rhs, active, wrong = self._probe()
+        with pytest.raises(ValueError, match="float_rows has shape"):
+            feasible_point_rows(
+                rows, senses, rhs, len(active), backend="hybrid", float_rows=wrong
+            )
+
+    def test_unknown_sense_raises(self):
+        with pytest.raises(ValueError, match="unknown sense"):
+            float_candidate([{0: Fraction(1)}], ["<"], [Fraction(1)], [Fraction(1)])
+
+
+def _dense_phase1_csc(rows, senses, rhs, n):
+    """CSC of the dense ``[A | S | I]`` phase-1 matrix, rows sign-normalized."""
+    std = standard_form(rows, senses, rhs, [Fraction(0)] * n)
+    num_slack = sum(1 for s in std.slack_of_row if s is not None)
+    dense = np.zeros((std.num_rows, n + num_slack + std.num_rows))
+    for i, row in enumerate(std.rows):
+        for j, v in row.items():
+            dense[i][j] = float(v)
+        if std.slack_of_row[i] is not None:
+            dense[i][std.slack_of_row[i]] = float(std.slack_sign[i])
+        dense[i][n + num_slack + i] = 1.0
+    return sparse.csc_array(dense)
+
+
+def _certify_both_ways(monkeypatch, rows, senses, rhs, n, float_rows):
+    """The certificate from the dict rows and from *float_rows*; asserts
+    both agree, verify exactly, and came from the dense phase-1 matrix."""
+    import scipy.optimize
+
+    phase1 = []
+    real_linprog = scipy.optimize.linprog
+
+    def recording_linprog(*args, **kwargs):
+        phase1.append(kwargs["A_eq"])
+        return real_linprog(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.optimize, "linprog", recording_linprog)
+        built = certify_infeasible(rows, senses, rhs, num_vars=n)
+        sliced = certify_infeasible(rows, senses, rhs, num_vars=n, float_rows=float_rows)
+    assert built is not None and sliced == built
+    assert farkas_certifies(rows, senses, rhs, sliced)
+    dense = _dense_phase1_csc(rows, senses, rhs, n)
+    assert len(phase1) == 2
+    for a_eq in phase1:
+        _assert_same_csc(sparse.csc_array(sparse.coo_array(a_eq)), dense)
+    return sliced
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_certify_infeasible_on_infeasible_probes(name, monkeypatch):
+    """Every seeded probe HiGHS calls infeasible is certified, both ways."""
+    builder = IP3Builder(INSTANCES[name])
+    certified = 0
+    for T in _horizons(builder):
+        if builder.mask(T) < builder.full_mask:
+            continue  # structurally infeasible: decided before any LP
+        rows, senses, rhs, active = builder.probe_rows(T)
+        objective = [Fraction(0)] * len(active)
+        if solve_standard_float(rows, senses, rhs, objective).status != "infeasible":
+            continue
+        _certify_both_ways(
+            monkeypatch, rows, senses, rhs, len(active), builder.float_slice(active)
+        )
+        certified += 1
+    if name.startswith("seed"):
+        assert certified, "no LP-infeasible probe exercised"
+
+
+def test_certify_infeasible_negative_rhs_rows(monkeypatch):
+    """Rows with a negative rhs are negated in the phase-1 matrix."""
+    # x0 + x1 >= 3 and x1 <= 1, written with negative right-hand sides,
+    # against x0 <= 1.
+    rows = [{0: Fraction(-1), 1: Fraction(-1)}, {0: Fraction(1)}, {1: Fraction(-1)}]
+    senses = ["<=", "<=", ">="]
+    rhs = [Fraction(-3), Fraction(1), Fraction(-1)]
+    _certify_both_ways(monkeypatch, rows, senses, rhs, 2, float_matrix(rows, 2))
