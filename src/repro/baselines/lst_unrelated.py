@@ -56,7 +56,8 @@ def _min_T_lp_above(p: PMatrix, anchor: Fraction, backend: str) -> Fraction:
         for i in sorted(p[j]):
             value = p[j][i]
             if not is_inf(value) and to_fraction(value) <= anchor:
-                lp.add_variable(("x", i, j), lb=0, ub=1)
+                # ub implied by the assignment row (see build_unrelated_lp).
+                lp.add_variable(("x", i, j), lb=0)
                 allowed.append(i)
                 machines.setdefault(i, []).append(j)
         if not allowed:

@@ -28,9 +28,15 @@ is **incremental** end to end:
   a still-valid Farkas certificate answers a "no" probe the same way, and
   when a solve is unavoidable it is warm-started from the previous feasible
   point's factorized basis (:class:`_ProbeSession`);
-* the final min-T LPs are warm-started from the feasible point the
-  bracketing probe already produced — with a warm basis the min-T solve
-  needs no phase-1 work at all.
+* the refinement inside the bracket solves at most **one** min-T LP.  The
+  anchor probe already certified the decision LP feasible at ``T =
+  anchor``, so over ``R(anchor)`` with ``T ≥ anchor`` the optimum is the
+  anchor itself; only the previous bracket ``[prev, anchor)``, with the
+  smaller ``R(prev)``, can do better.  That one LP is built from the
+  builder's raw rows and float template (:meth:`IP3Builder.min_T_rows`,
+  :meth:`IP3Builder.min_T_float_slice`) — no keyed
+  :class:`~repro.lp.model.LinearProgram` — and warm-started from the
+  anchor's feasible point.
 """
 
 from __future__ import annotations
@@ -44,7 +50,13 @@ from ..exceptions import InfeasibleError, InvalidInstanceError
 from ..lp.certificates import farkas_certifies
 from ..lp.hybrid import HAVE_SCIPY
 from ..lp.model import LinearProgram
-from ..lp.solve import check_standard_rows, feasible_point, feasible_point_rows, solve_lp
+from ..lp.solve import (
+    check_standard_rows,
+    feasible_point,
+    feasible_point_rows,
+    solve_lp,
+    solve_rows,
+)
 from ..lp.stats import SolverStats, collect_stats, record
 from ..lp.warm import WarmState
 from ..obs.trace import span as trace_span
@@ -53,9 +65,6 @@ from .instance import Instance
 from .laminar import MachineSet
 
 Time = Union[int, Fraction]
-
-#: Variable key for the horizon in the min-T LPs.
-T_KEY = ("__T__",)
 
 
 def admissible_pairs(instance: Instance, T: Time) -> List[Tuple[MachineSet, int]]:
@@ -83,16 +92,18 @@ class IP3Builder:
     ``breakpoints``; :attr:`var_rank` stores its index there.  So
     ``p ≤ T`` holds exactly when ``var_rank < mask(T)``, where
     :meth:`mask` is one ``bisect`` over the breakpoints.  Every builder
-    (probe rows, :meth:`decision_lp`, :meth:`min_T_lp`) and the probe
-    pipeline's structural and support checks filter on that integer — no
-    per-entry ``Fraction`` comparison.
+    (:meth:`probe_rows`, :meth:`decision_lp`, :meth:`min_T_rows`) and the
+    probe pipeline's structural and support checks filter on that integer
+    — no per-entry ``Fraction`` comparison.
 
     **Float template.**  The HiGHS leg of a probe needs the probe rows as
     a float matrix.  The builder keeps one ``scipy.sparse`` CSR of *all*
     probe rows over the global variables, built on the first float call;
     a probe's matrix is the column slice over its active variables
     (:meth:`float_slice`) — equal, entry for entry, to the matrix built
-    from its dict rows.
+    from its dict rows.  The min-T LP (:meth:`min_T_rows`: the probe rows
+    with a ``T`` column in front and a ``T ≥ t_low`` row at the end) gets
+    its float matrix from the same slice (:meth:`min_T_float_slice`).
     """
 
     def __init__(self, instance: Instance):
@@ -161,6 +172,16 @@ class IP3Builder:
         """The exact mask of horizon *T*: ``p_gi ≤ T  ⇔  var_rank[gi] < mask(T)``."""
         return bisect_right(self.breakpoints, T)
 
+    def _columns(self, k: int, offset: int) -> Tuple[List[int], List[int]]:
+        """``(active, local)`` at mask *k*: the global indices of the active
+        variables, and each active variable's column (``offset`` + its
+        position in *active*) indexed by global index."""
+        active = [gi for gi, r in enumerate(self.var_rank) if r < k]
+        local = [0] * len(self.var_rank)
+        for li, gi in enumerate(active):
+            local[gi] = offset + li
+        return active, local
+
     def probe_rows(
         self, T: Fraction
     ) -> Tuple[List[Dict[int, Fraction]], List[str], List[Fraction], List[int]]:
@@ -174,10 +195,7 @@ class IP3Builder:
         """
         k = self.mask(T)
         rank = self.var_rank
-        active = [gi for gi, r in enumerate(rank) if r < k]
-        local = [0] * len(rank)
-        for li, gi in enumerate(active):
-            local[gi] = li
+        active, local = self._columns(k, 0)
         coeff_rows: List[Dict[int, Fraction]] = []
         senses: List[str] = []
         rhs: List[Fraction] = []
@@ -231,36 +249,67 @@ class IP3Builder:
             lp.add_constraint(coeffs, "<=", len(alpha) * T, name=f"load[{sorted(alpha)}]")
         return lp
 
-    def min_T_lp(self, r_anchor: Fraction, t_low: Fraction) -> Optional[LinearProgram]:
-        """Min-T LP with ``R`` frozen at *r_anchor* and ``T ≥ t_low``.
+    def min_T_rows(
+        self, r_anchor: Fraction, t_low: Fraction
+    ) -> Optional[
+        Tuple[List[Dict[int, Fraction]], List[str], List[Fraction], List[Fraction], List[int]]
+    ]:
+        """Min-T LP with ``R`` frozen at *r_anchor* and ``T ≥ t_low``, as raw rows.
 
-        Returns ``None`` when some job has no admissible set at the anchor
-        (the frozen-R program is then trivially infeasible).
+        Returns ``(coeff_rows, senses, rhs, objective, active)``: column 0
+        is ``T``, column ``1 + li`` is global variable ``active[li]``; the
+        rows are the assignment rows, the load rows
+        ``Σ p·x − |α|·T ≤ 0`` (``T`` first, ``p = 0`` entries omitted) and
+        ``T ≥ t_low``; the objective is ``T``.  Returns ``None`` when some
+        job has no admissible set at the anchor (the frozen-R program is
+        then trivially infeasible).  ``x ≤ 1`` is implied by the
+        assignment rows and not materialized.
         """
         k = self.mask(r_anchor)
         if k < self.full_mask:
             return None
         rank = self.var_rank
-        key = self.var_key
-        lp = LinearProgram()
-        lp.add_variable(T_KEY, lb=0)
-        for gi in range(len(rank)):
-            if rank[gi] < k:
-                lp.add_variable(key[gi], lb=0)  # ub implied, see above
-        for j, group in enumerate(self.assign_template):
-            lp.add_constraint(
-                {key[gi]: 1 for gi in group if rank[gi] < k}, "==", 1,
-                name=f"assign[{j}]",
-            )
+        active, local = self._columns(k, 1)
+        one, zero = Fraction(1), Fraction(0)
+        coeff_rows: List[Dict[int, Fraction]] = []
+        senses: List[str] = []
+        rhs: List[Fraction] = []
+        for group in self.assign_template:
+            coeff_rows.append({local[gi]: one for gi in group if rank[gi] < k})
+            senses.append("==")
+            rhs.append(one)
         for alpha, entries in self.load_template:
-            coeffs: Dict = {T_KEY: -len(alpha)}
-            for gi, p, r in entries:
-                if r < k:
-                    coeffs[key[gi]] = p
-            lp.add_constraint(coeffs, "<=", 0, name=f"load[{sorted(alpha)}]")
-        lp.add_constraint({T_KEY: 1}, ">=", t_low, name="bracket-low")
-        lp.set_objective({T_KEY: 1})
-        return lp
+            row: Dict[int, Fraction] = {0: Fraction(-len(alpha))}
+            row.update((local[gi], p) for gi, p, r in entries if r < k and p)
+            coeff_rows.append(row)
+            senses.append("<=")
+            rhs.append(zero)
+        coeff_rows.append({0: one})
+        senses.append(">=")
+        rhs.append(to_fraction(t_low))
+        objective = [one] + [zero] * len(active)
+        return coeff_rows, senses, rhs, objective, active
+
+    def min_T_float_slice(self, active: List[int]):
+        """Float CSR of :meth:`min_T_rows` over *active*, or ``None`` without scipy.
+
+        The ``T`` column (``−|α|`` on the load rows), then
+        :meth:`float_slice` of *active*, then the ``T ≥ t_low`` row.  It
+        stores the ``p = 0`` entries the dict rows omit; HiGHS gets the
+        same matrix either way (zeros are dropped on the way in).
+        """
+        sliced = self.float_slice(active)
+        if sliced is None:
+            return None
+        from scipy.sparse import csr_array, hstack, vstack
+
+        n, loads = len(self.assign_template), len(self.load_template)
+        sizes = [-float(len(alpha)) for alpha, _e in self.load_template]
+        t_column = csr_array(
+            (sizes, (range(n, n + loads), [0] * loads)), shape=(n + loads, 1)
+        )
+        bracket = csr_array(([1.0], ([0], [0])), shape=(1, 1 + len(active)))
+        return vstack([hstack([t_column, sliced]), bracket], format="csr")
 
 
 class _ProbeSession:
@@ -394,35 +443,6 @@ class _ProbeSession:
                 probe_sp.attrs["outcome"] = "solved-infeasible"
             return None
 
-    def keyed_point(
-        self, gpoint: Optional[Dict[int, Fraction]]
-    ) -> Optional[Dict]:
-        """A global-index point as ``("x", α, j)``-keyed LP warm values."""
-        if gpoint is None:
-            return None
-        key = self.builder.var_key
-        return {key[gi]: v for gi, v in gpoint.items()}
-
-    def keyed_state(self) -> Optional[WarmState]:
-        """The carried basis relabelled onto ``("x", α, j)`` variable keys.
-
-        This is the form :func:`repro.lp.solve.solve_lp` consumes (e.g. the
-        min-T re-solve).  Consumers whose standard form has different
-        dimensions — the min-T LP adds the ``T`` column and the bracket
-        row — reject the basis exactly and degrade to its carried vertex.
-        """
-        if self.state is None or self.state_active is None:
-            return None
-        key = self.builder.var_key
-        active = self.state_active
-
-        def mapper(li: object) -> Optional[Tuple]:
-            if isinstance(li, int) and 0 <= li < len(active):
-                return key[active[li]]
-            return None  # pragma: no cover - labels are self-produced
-
-        return self.state.relabel(mapper)
-
 
 def build_ip3(
     instance: Instance,
@@ -517,59 +537,64 @@ def lp_feasible(instance: Instance, T: Time, backend: str = "hybrid") -> bool:
 
 
 def _min_T_with_fixed_R(
-    instance: Instance,
+    builder: IP3Builder,
     r_anchor: Fraction,
     t_low: Fraction,
     backend: str,
-    builder: Optional[IP3Builder] = None,
-    warm_values: Optional[Dict] = None,
-    warm_state: Optional[WarmState] = None,
+    warm: Optional[Tuple[Fraction, Dict[int, Fraction]]] = None,
 ) -> Optional[Fraction]:
     """Minimize T over the LP with ``R = R(r_anchor)`` and ``T ≥ t_low``.
 
     Returns the optimal T or ``None`` when infeasible.  Caller must ensure
     the returned value stays inside the bracket where ``R`` is constant.
-    *warm_values* (a feasible point of the decision LP at *r_anchor*) lets
-    the exact/hybrid backends start from a feasible basis; *warm_state* (a
-    keyed carried basis, see :meth:`_ProbeSession.keyed_state`) is offered
-    first and degrades to the point path when stale.  The optimum ``T`` is
-    vertex-invariant, so the vertex is not canonicalized.
+    *warm* is ``(T, point)`` with *point* a global-index feasible point of
+    a decision LP; masked to the LP's variables it seeds the exact/hybrid
+    crash basis.  The optimum ``T`` is vertex-invariant, so the vertex is
+    not canonicalized.
     """
-    builder = builder or IP3Builder(instance)
     with trace_span(
-        "search.min_T", anchor=str(r_anchor), warm=warm_values is not None,
+        "search.min_T", anchor=str(r_anchor), warm=warm is not None,
     ) as min_sp:
-        lp = builder.min_T_lp(r_anchor, t_low)
-        if lp is None:
+        program = builder.min_T_rows(r_anchor, t_low)
+        if program is None:
             if min_sp:
                 min_sp.attrs["outcome"] = "trivially-infeasible"
             return None
-        warm = None
-        if warm_values:
-            warm = dict(warm_values)
-            warm.setdefault(T_KEY, max(t_low, r_anchor))
-        solution = solve_lp(
-            lp, backend=backend, warm_values=warm,
-            warm_state=warm_state, canonical=False,
+        coeff_rows, senses, rhs, objective, active = program
+        warm_point = None
+        if warm is not None:
+            warm_T, point = warm
+            zero = Fraction(0)
+            warm_point = [warm_T] + [point.get(gi, zero) for gi in active]
+        float_rows = (
+            builder.min_T_float_slice(active) if backend != "exact" else None
         )
-        if not solution.is_optimal:
+        result = solve_rows(
+            coeff_rows, senses, rhs, objective, backend=backend,
+            warm_point=warm_point, float_rows=float_rows, canonical=False,
+        )
+        if result.status != "optimal":
             if min_sp:
                 min_sp.attrs["outcome"] = "infeasible"
             return None
         if min_sp:
             min_sp.attrs["outcome"] = "optimal"
-        return to_fraction(solution.value(T_KEY))
+        return to_fraction(result.x[0])
 
 
 def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fraction:
     """The minimum horizon ``T*`` at which (IP-3)'s LP relaxation is feasible.
 
     This is the paper's fractional lower bound: ``T* ≤ opt(I)``.  Exact
-    procedure: binary search over the breakpoints of ``R(T)``, then a min-T
-    LP inside the bracket where ``R`` is constant.  The probes run through
+    procedure: binary search over the breakpoints of ``R(T)`` for the
+    smallest feasible one, the *anchor*, then at most one min-T LP over
+    the previous bracket, where ``R`` is constant.  The probes run through
     :class:`_ProbeSession`, so consecutive probes reuse each other's
     feasible points and Farkas certificates and only a handful of them pay
-    for an actual LP solve.
+    for an actual LP solve.  The search span records how the bracket was
+    refined: ``refine=prev-bracket`` (the previous bracket's LP beat the
+    anchor), ``anchor`` or ``above-top`` (infeasible at every breakpoint;
+    one min-T LP over the full ``R``).
 
     Degenerate inputs resolve exactly instead of entering a vacuous search:
 
@@ -596,15 +621,17 @@ def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fractio
     with trace_span(
         "search.minimal_fractional_T",
         n=instance.n, backend=backend, breakpoints=len(points),
-    ):
+    ) as search_sp:
         session = _ProbeSession(builder, backend)
         lo_idx, hi_idx = 0, len(points) - 1
-        top_point = session.probe(points[hi_idx])
-        if top_point is None:
+        anchor_point = session.probe(points[hi_idx])
+        if anchor_point is None:
             # The optimum lies above every processing time (the load bound
             # dominates); R is maximal there, so one min-T LP settles it.
+            if search_sp:
+                search_sp.attrs["refine"] = "above-top"
             top = points[hi_idx]
-            t_above = _min_T_with_fixed_R(instance, top, top, backend, builder=builder)
+            t_above = _min_T_with_fixed_R(builder, top, top, backend)
             if t_above is None:
                 raise InfeasibleError(
                     "LP relaxation infeasible at every horizon; some job cannot "
@@ -612,45 +639,31 @@ def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fractio
                 )
             return t_above
         # Find the smallest breakpoint index at which the LP becomes feasible.
-        feasible_points: Dict[Fraction, Dict] = {points[hi_idx]: top_point}
         while lo_idx < hi_idx:
             mid = (lo_idx + hi_idx) // 2
             mid_point = session.probe(points[mid])
             if mid_point is not None:
-                feasible_points[points[mid]] = mid_point
+                anchor_point = mid_point
                 hi_idx = mid
             else:
                 lo_idx = mid + 1
         anchor = points[lo_idx]
-        anchor_point = session.keyed_point(feasible_points.get(anchor))
-        # Below `anchor`, R is strictly smaller.  The optimum lies either in
-        # the previous bracket [prev, anchor) with R(prev), or at/above anchor
-        # with R(anchor).
-        candidates: List[Fraction] = []
+        # The anchor probe certified T = anchor feasible, so over R(anchor)
+        # with T ≥ anchor the optimum is the anchor itself.  Below it, R is
+        # strictly smaller: only the previous bracket [prev, anchor) with
+        # R(prev) can do better.
+        t_star, refine = anchor, "anchor"
         if lo_idx > 0:
             prev = points[lo_idx - 1]
-            # The anchor's feasible point, restricted to R(prev)'s variables
-            # (absent keys are dropped and counted by the solver), with
-            # ``T = anchor`` is the best available seed: often feasible for
-            # the previous bracket's LP, and its support still crashes most
-            # of the basis when it is not.
-            prev_warm = None
-            if anchor_point:
-                prev_warm = dict(anchor_point)
-                prev_warm[T_KEY] = anchor
+            # The anchor's feasible point, restricted to R(prev)'s variables,
+            # with ``T = anchor`` is the best available seed: often feasible
+            # for the previous bracket's LP, and its support still crashes
+            # most of the basis when it is not.
             t_prev = _min_T_with_fixed_R(
-                instance, prev, prev, backend, builder=builder,
-                warm_values=prev_warm,
+                builder, prev, prev, backend, warm=(anchor, anchor_point),
             )
             if t_prev is not None and t_prev < anchor:
-                candidates.append(t_prev)
-        t_here = _min_T_with_fixed_R(
-            instance, anchor, anchor, backend, builder=builder,
-            warm_values=anchor_point,
-            warm_state=session.keyed_state(),
-        )
-        if t_here is not None:
-            candidates.append(t_here)
-        if not candidates:  # pragma: no cover - guarded by the binary search
-            raise InfeasibleError("bracket search failed to certify feasibility")
-        return min(candidates)
+                t_star, refine = t_prev, "prev-bracket"
+        if search_sp:
+            search_sp.attrs["refine"] = refine
+        return t_star

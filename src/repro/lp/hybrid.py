@@ -36,7 +36,8 @@ The float leg never builds a dense matrix.  :func:`float_candidate` and
 :func:`certify_infeasible` accept *float_rows*, a prebuilt
 ``scipy.sparse`` CSR image of the exact rows — the probe pipeline passes
 the column slice of its builder's template for the probe's exact mask
-(:meth:`repro.core.programs.IP3Builder.float_slice`) — and build one
+(:meth:`repro.core.programs.IP3Builder.float_slice`), the min-T solve its
+min-T counterpart through :func:`solve_standard_hybrid` — and build one
 from the dict rows otherwise (:func:`repro.lp.scipy_backend.float_matrix`).
 Only the ``linprog`` call itself is allowed to fail quietly (the caller
 falls back to the exact solver); a construction error, such as a
@@ -191,6 +192,7 @@ def solve_standard_hybrid(
     warm_state=None,
     structure_token: object = None,
     canonical: bool = True,
+    float_rows=None,
 ) -> SimplexResult:
     """Certified solve: float candidate first, exact verification always.
 
@@ -207,15 +209,21 @@ def solve_standard_hybrid(
     the exact solve, where it takes precedence over any point-based seed —
     a resolvable carried basis beats re-pushing the float candidate's
     support.
+
+    *float_rows* is an optional prebuilt float CSR of *coeff_rows* for the
+    HiGHS leg; it changes no result.
     """
     n = len(objective)
     size = n * max(len(coeff_rows), 1)
     if size >= _FLOAT_SIZE_CUTOFF:
-        candidate = float_candidate(coeff_rows, senses, rhs, objective)
+        prebuilt = {} if float_rows is None else {"float_rows": float_rows}
+        candidate = float_candidate(coeff_rows, senses, rhs, objective, **prebuilt)
         if candidate is not None and candidate.status == "optimal":
             warm_point = candidate.x
         elif candidate is not None and candidate.status == "infeasible":
-            farkas = certify_infeasible(coeff_rows, senses, rhs, num_vars=n)
+            farkas = certify_infeasible(
+                coeff_rows, senses, rhs, num_vars=n, **prebuilt
+            )
             if farkas is not None:
                 return SimplexResult(
                     "infeasible", [], None, None, farkas=farkas

@@ -27,6 +27,10 @@ Every exact solve — the ``"exact"`` backend and the verification step of
 Warm starts: pass ``warm_values`` (a previously feasible point keyed like
 the program's variables) and the exact/hybrid backends factorize its
 support into the starting basis, typically skipping phase 1 entirely.
+
+:func:`solve_lp` (keyed :class:`~repro.lp.model.LinearProgram`) and
+:func:`solve_rows` (raw standard rows) share one backend dispatch:
+``solve_lp`` converts to rows and delegates.
 """
 
 from __future__ import annotations
@@ -56,9 +60,9 @@ BACKENDS = ("exact", "scipy", "hybrid")
 _AUTO_SIZE_LIMIT = 20000
 
 
-def _resolve_backend(backend: str, lp: LinearProgram) -> str:
+def _resolve_backend(backend: str, num_vars: int, num_rows: int) -> str:
     if backend == "auto":
-        size = lp.num_variables * max(lp.num_constraints, 1)
+        size = num_vars * max(num_rows, 1)
         backend = "exact" if size <= _AUTO_SIZE_LIMIT else "hybrid"
     if backend not in BACKENDS:
         raise SolverError(f"unknown backend {backend!r}; choose from {BACKENDS}")
@@ -138,6 +142,50 @@ def _keyed_warm_state(lp: LinearProgram, state) -> Optional[WarmState]:
     )
 
 
+def solve_rows(
+    coeff_rows: Sequence[Dict[int, Fraction]],
+    senses: Sequence[str],
+    rhs: Sequence[Fraction],
+    objective: Sequence[Fraction],
+    backend: str = "exact",
+    warm_point: Optional[Sequence[Fraction]] = None,
+    float_rows=None,
+    canonical: bool = True,
+    warm_state: Optional[WarmState] = None,
+    structure_token: object = None,
+):
+    """Solve raw standard rows (minimization) on *backend*.
+
+    The backend dispatch behind :func:`solve_lp`, for callers that build
+    their rows without a :class:`~repro.lp.model.LinearProgram` (the
+    min-T LP of :func:`repro.core.programs.minimal_fractional_T`).  Returns
+    the solver's :class:`~repro.lp.simplex.SimplexResult`; the per-backend
+    guarantees are those of the module docstring.  *warm_point* is a dense
+    structural vector, *warm_state* a carried basis labelled in this
+    column space (exact/hybrid only); *float_rows* is an optional prebuilt
+    float CSR of *coeff_rows* for the HiGHS leg and changes no result.
+    *canonical* is as in :func:`solve_lp`.
+    """
+    backend = _resolve_backend(backend, len(objective), len(coeff_rows))
+    if backend == "exact":
+        return solve_standard(
+            coeff_rows, senses, rhs, objective,
+            warm_point=warm_point,
+            warm_state=warm_state, structure_token=structure_token,
+            canonical=canonical,
+        )
+    if backend == "hybrid":
+        return solve_standard_hybrid(
+            coeff_rows, senses, rhs, objective,
+            warm_point=warm_point,
+            warm_state=warm_state, structure_token=structure_token,
+            canonical=canonical, float_rows=float_rows,
+        )
+    return solve_standard_float(
+        coeff_rows, senses, rhs, objective, float_rows=float_rows
+    )
+
+
 def solve_lp(
     lp: LinearProgram,
     backend: str = "exact",
@@ -166,7 +214,7 @@ def solve_lp(
     partially and returns whatever vertex the solve lands on (probe-style
     callers that only consume values).
     """
-    backend = _resolve_backend(backend, lp)
+    backend = _resolve_backend(backend, lp.num_variables, lp.num_constraints)
     coeff_rows, senses, rhs, objective = lp.to_standard_rows()
     local_state = None
     if warm_state is not None and backend in ("exact", "hybrid"):
@@ -174,22 +222,11 @@ def solve_lp(
         if local_state is None and not warm_values:
             warm_values = warm_state.point  # stale basis: keep the vertex
     warm_pt, drops = _warm_point(lp, warm_values)
-    if backend == "exact":
-        result = solve_standard(
-            coeff_rows, senses, rhs, objective,
-            warm_point=warm_pt,
-            warm_state=local_state, structure_token=structure_token,
-            canonical=canonical,
-        )
-    elif backend == "hybrid":
-        result = solve_standard_hybrid(
-            coeff_rows, senses, rhs, objective,
-            warm_point=warm_pt,
-            warm_state=local_state, structure_token=structure_token,
-            canonical=canonical,
-        )
-    else:
-        result = solve_standard_float(coeff_rows, senses, rhs, objective)
+    result = solve_rows(
+        coeff_rows, senses, rhs, objective, backend=backend,
+        warm_point=warm_pt, canonical=canonical,
+        warm_state=local_state, structure_token=structure_token,
+    )
     _count_warm_drops(drops, result.stats)
     if result.status != "optimal":
         return LPSolution(
@@ -334,7 +371,7 @@ def feasible_point(
     """
     from .hybrid import _FLOAT_SIZE_CUTOFF
 
-    backend = _resolve_backend(backend, lp)
+    backend = _resolve_backend(backend, lp.num_variables, lp.num_constraints)
     size = lp.num_variables * max(lp.num_constraints, 1)
     if backend == "hybrid" and size < _FLOAT_SIZE_CUTOFF:
         backend = "exact"  # linprog overhead exceeds a cold exact solve

@@ -159,6 +159,26 @@ class TestLSTUnrelated:
         p = {j: {0: 5, 1: 5} for j in range(3)}
         assert minimal_unrelated_T(p) == Fraction(15, 2)
 
+    #: minimal_unrelated_T on seeded 12x4 matrices, captured while the
+    #: min-T LP still declared ``ub=1`` on every variable (one ``<=`` row
+    #: each); the bound is implied by the assignment rows.
+    SEEDED_T = {0: "18", 1: "1987/99", 2: "25280/953", 3: "622/33", 4: "385465/14117", 5: "15"}
+
+    @pytest.mark.parametrize("backend", ["exact", "hybrid"])
+    @pytest.mark.parametrize("seed", sorted(SEEDED_T))
+    def test_seeded_T_unchanged_without_bound_rows(self, seed, backend):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        p = {j: {i: int(rng.integers(1, 30)) for i in range(4)} for j in range(12)}
+        assert minimal_unrelated_T(p, backend=backend) == Fraction(self.SEEDED_T[seed])
+
+    @pytest.mark.parametrize("backend", ["exact", "hybrid"])
+    def test_load_dominated_T_either_backend(self, backend):
+        p = {j: {0: 3, 1: 3, 2: 4} for j in range(7)}
+        # Volume bound: T·(1/3 + 1/3 + 1/4) = 7 jobs.
+        assert minimal_unrelated_T(p, backend=backend) == Fraction(84, 11)
+
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(0, 10**6))
     def test_2approx_property(self, seed):

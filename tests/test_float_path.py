@@ -7,7 +7,9 @@
   ``p = 0`` entries, single-option jobs and empty load rows.
 * The exact mask (one integer threshold per horizon) selects the same
   variables and builds the same rows and LPs as per-entry ``p ≤ T``
-  comparisons.
+  comparisons; the min-T rows equal the keyed min-T LP's standard rows,
+  and the min-T float template hands HiGHS the same matrices as those
+  rows.
 * ``solve_standard_float`` agrees with the exact simplex on the edge
   shapes of the standard form, and construction errors raise instead of
   falling back to the exact solve.
@@ -22,7 +24,7 @@ import pytest
 from repro._fraction import INF, is_inf
 from repro.core.instance import Instance
 from repro.core.laminar import LaminarFamily
-from repro.core.programs import T_KEY, IP3Builder, build_ip3
+from repro.core.programs import IP3Builder, build_ip3
 from repro.lp import HAVE_SCIPY, LinearProgram, farkas_certifies, solve_standard
 from repro.lp.simplex import standard_form
 from repro.workloads import random_hierarchical, rng_from_seed
@@ -194,8 +196,11 @@ class TestTemplateSlice:
             assert (a.status, a.x, a.objective) == (b.status, b.x, b.objective)
 
 
+T_KEY = ("__T__",)
+
+
 def _reference_min_T_lp(builder: IP3Builder, r_anchor, t_low):
-    """``min_T_lp`` from per-entry ``p ≤ r_anchor`` comparisons."""
+    """The keyed min-T LP from per-entry ``p ≤ r_anchor`` comparisons."""
     inst = builder.instance
     lp = LinearProgram()
     lp.add_variable(T_KEY, lb=0)
@@ -230,17 +235,52 @@ def _lp_signature(lp: LinearProgram):
     )
 
 
+def _ordered_rows(rows):
+    """Rows as ordered ``(column, value)`` lists, so order is compared too."""
+    return [list(row.items()) for row in rows]
+
+
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_masked_lp_builders_unchanged(name):
     inst = INSTANCES[name]
     builder = IP3Builder(inst)
     for T in _horizons(builder):
         assert _lp_signature(builder.decision_lp(T)) == _lp_signature(build_ip3(inst, T))
-        ref = _reference_min_T_lp(builder, T, T)
-        got = builder.min_T_lp(T, T)
-        assert (got is None) == (ref is None)
-        if ref is not None:
-            assert _lp_signature(got) == _lp_signature(ref)
+        for t_low in (T, T + 1):
+            ref = _reference_min_T_lp(builder, T, t_low)
+            got = builder.min_T_rows(T, t_low)
+            assert (got is None) == (ref is None)
+            if ref is None:
+                continue
+            rows, senses, rhs, objective, active = got
+            ref_rows, ref_senses, ref_rhs, ref_objective = ref.to_standard_rows()
+            assert _ordered_rows(rows) == _ordered_rows(ref_rows)
+            assert (senses, rhs, objective) == (ref_senses, ref_rhs, ref_objective)
+            assert [builder.var_key[gi] for gi in active] == list(ref.variable_keys[1:])
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_min_T_template_equals_row_built_matrices(name):
+    """At every breakpoint, the min-T float template hands HiGHS the same
+    matrices as ``float_matrix`` of the min-T rows (which omit ``p = 0``)."""
+    builder = IP3Builder(INSTANCES[name])
+    checked = 0
+    for T in builder.breakpoints:
+        program = builder.min_T_rows(T, T)
+        if program is None:
+            continue
+        rows, senses, rhs, objective, active = program
+        template = builder.min_T_float_slice(active)
+        assert template.shape == (len(rows), 1 + len(active))
+        via_template = highs_inputs(rows, senses, rhs, objective, float_rows=template)
+        via_rows = highs_inputs(rows, senses, rhs, objective)
+        _assert_same_inputs(via_template, via_rows)
+        _assert_same_csc(_linprog_csc(via_rows), _dense_csc(rows, senses, len(objective)))
+        a = solve_standard_float(rows, senses, rhs, objective)
+        b = solve_standard_float(rows, senses, rhs, objective, float_rows=template)
+        assert (a.status, a.x, a.objective) == (b.status, b.x, b.objective)
+        checked += 1
+    assert checked
 
 
 class TestFloatEdgeCases:

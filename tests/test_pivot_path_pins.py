@@ -27,32 +27,32 @@ from repro.workloads import random_hierarchical, rng_from_seed
 PINS = {
     ("exact", 3, 10, 4): (
         "755/29", "30",
-        dict(solves=8, pivots=168, phase1_pivots=60, refactorizations=6,
+        dict(solves=7, pivots=157, phase1_pivots=60, refactorizations=5,
              basis_reuses=0, crash_skips=0),
     ),
     ("exact", 5, 16, 6): (
         "28", "39",
-        dict(solves=7, pivots=171, phase1_pivots=79, refactorizations=5,
+        dict(solves=6, pivots=153, phase1_pivots=79, refactorizations=4,
              basis_reuses=1, crash_skips=0),
     ),
     ("exact", 8, 16, 6): (
         "1406/53", "32",
-        dict(solves=8, pivots=283, phase1_pivots=96, refactorizations=6,
+        dict(solves=7, pivots=266, phase1_pivots=96, refactorizations=5,
              basis_reuses=0, crash_skips=0),
     ),
     ("hybrid", 3, 10, 4): (
         "755/29", "34",
-        dict(solves=3, pivots=39, phase1_pivots=0, refactorizations=3,
+        dict(solves=2, pivots=28, phase1_pivots=0, refactorizations=2,
              basis_reuses=0, crash_skips=0),
     ),
     ("hybrid", 5, 16, 6): (
         "28", "41",
-        dict(solves=3, pivots=60, phase1_pivots=0, refactorizations=3,
+        dict(solves=2, pivots=40, phase1_pivots=0, refactorizations=2,
              basis_reuses=0, crash_skips=0),
     ),
     ("hybrid", 8, 16, 6): (
         "1406/53", "40",
-        dict(solves=3, pivots=62, phase1_pivots=0, refactorizations=3,
+        dict(solves=2, pivots=45, phase1_pivots=0, refactorizations=2,
              basis_reuses=0, crash_skips=0),
     ),
 }
