@@ -1,7 +1,8 @@
 """The full Lenstra–Shmoys–Tardos 2-approximation for ``R||Cmax``.
 
-Binary search over the processing-time breakpoints for the smallest horizon
-at which the assignment LP is feasible, then the rounding of
+Binary search over the processing-time breakpoints, from the first one at
+or above the matrix's trivial lower bound, for the smallest horizon at which
+the assignment LP is feasible, then the rounding of
 :mod:`repro.rounding.lst`.  This is simultaneously
 
 * the classical algorithm the paper builds Theorem V.2 on,
@@ -11,6 +12,7 @@ at which the assignment LP is feasible, then the rounding of
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Union
@@ -43,8 +45,27 @@ class LSTResult:
         return self.makespan / self.T_lp if self.T_lp else Fraction(0)
 
 
-def _min_T_lp_above(p: PMatrix, anchor: Fraction, backend: str) -> Fraction:
-    """Minimize T over the assignment LP with ``R = R(anchor)``, ``T ≥ anchor``."""
+def _lower_bound(p: PMatrix) -> Fraction:
+    """``max(max_j min_i p_ij, Σ_j min_i p_ij / #machines with a finite time)``.
+
+    A lower bound on the LP's smallest feasible horizon: each job needs one
+    machine with ``p_ij ≤ T``, and summing the machine rows with the
+    assignment rows gives ``Σ_j min_i p_ij ≤ #machines·T``.  Jobs without a
+    finite time are skipped; the LP is infeasible for them at any ``T``.
+    """
+    mins = [
+        min(to_fraction(v) for v in row.values() if not is_inf(v))
+        for row in p.values()
+        if any(not is_inf(v) for v in row.values())
+    ]
+    machines = {i for row in p.values() for i, v in row.items() if not is_inf(v)}
+    return max(max(mins), sum(mins, Fraction(0)) / len(machines))
+
+
+def _min_T_lp_above(
+    p: PMatrix, anchor: Fraction, t_low: Fraction, backend: str
+) -> Fraction:
+    """Minimize T over the assignment LP with ``R = R(anchor)``, ``T ≥ t_low``."""
     from ..lp.model import LinearProgram
 
     t_key = ("__T__",)
@@ -67,7 +88,7 @@ def _min_T_lp_above(p: PMatrix, anchor: Fraction, backend: str) -> Fraction:
         row = {("x", i, j): to_fraction(p[j][i]) for j in machines[i]}
         row[t_key] = Fraction(-1)
         lp.add_constraint(row, "<=", 0)
-    lp.add_constraint({t_key: 1}, ">=", anchor)
+    lp.add_constraint({t_key: 1}, ">=", t_low)
     lp.set_objective({t_key: 1})
     solution = solve_lp(lp, backend=backend)
     if not solution.is_optimal:  # pragma: no cover - always feasible for T big
@@ -78,9 +99,11 @@ def _min_T_lp_above(p: PMatrix, anchor: Fraction, backend: str) -> Fraction:
 def minimal_unrelated_T(p: PMatrix, backend: str = "exact") -> Fraction:
     """Smallest horizon at which the R||Cmax assignment LP is feasible.
 
-    Binary search over the processing-time breakpoints; when the load bound
-    dominates (optimum above every processing time), a min-T LP with the
-    full pruning set settles the exact value.
+    Binary search over the processing-time breakpoints at or above the
+    trivial lower bound ``LB`` (every one below it is infeasible); when the
+    load bound dominates (optimum above every processing time), a min-T LP
+    with the full pruning set settles the exact value.  An anchor equal to
+    ``LB`` is the optimum, with no min-T LP.
     """
     finite = sorted(
         {
@@ -92,9 +115,12 @@ def minimal_unrelated_T(p: PMatrix, backend: str = "exact") -> Fraction:
     )
     if not finite:
         raise InfeasibleError("no finite processing time in the matrix")
-    lo, hi = 0, len(finite) - 1
-    if not solve_lp(build_unrelated_lp(p, finite[hi]), backend=backend).is_optimal:
-        return _min_T_lp_above(p, finite[hi], backend)
+    lower = _lower_bound(p)
+    lo, hi = bisect_left(finite, lower), len(finite) - 1
+    if lo > hi or not solve_lp(
+        build_unrelated_lp(p, finite[hi]), backend=backend
+    ).is_optimal:
+        return _min_T_lp_above(p, finite[hi], max(finite[hi], lower), backend)
     while lo < hi:
         mid = (lo + hi) // 2
         if solve_lp(build_unrelated_lp(p, finite[mid]), backend=backend).is_optimal:
@@ -102,11 +128,14 @@ def minimal_unrelated_T(p: PMatrix, backend: str = "exact") -> Fraction:
         else:
             lo = mid + 1
     anchor = finite[lo]
+    if anchor == lower:
+        return anchor
     if lo > 0:
         # The optimum may sit strictly inside the previous bracket, where
         # the pruning set is smaller but the load bound is the binding one.
+        prev = finite[lo - 1]
         try:
-            t_prev = _min_T_lp_above(p, finite[lo - 1], backend)
+            t_prev = _min_T_lp_above(p, prev, max(prev, lower), backend)
         except InfeasibleError:
             t_prev = None
         if t_prev is not None and t_prev < anchor:

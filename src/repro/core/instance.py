@@ -311,6 +311,11 @@ class Instance:
         Lower: max over jobs of their cheapest time, and total cheapest
         volume divided by m.  Upper: sum of cheapest times (serial schedule
         on one chain of sets is always feasible).
+
+        The lower value also bounds the LP relaxation's ``T*`` of (IP-3):
+        each job needs one pair with ``p ≤ T``, and summing the root sets'
+        load rows (disjoint, at most ``m`` machines) with the assignment
+        rows gives ``Σ_j min p ≤ m·T``.
         """
         mins: List[Fraction] = []
         for j in range(self._n):

@@ -7,11 +7,15 @@ everything else uses:
 * ``Σ_j Σ_{β ⊆ α} p_{βj} x_{βj} ≤ |α|·T``  for every admissible set,
 * ``x_{αj} = 0`` whenever ``p_{αj} > T``   (the pruning set ``R``).
 
-Minimizing the makespan reduces to binary search on ``T``: the admissible
-pair set ``R(T)`` only changes at the distinct finite processing-time values,
-and between two consecutive breakpoints feasibility is a single LP with ``T``
-as an explicit variable.  :func:`minimal_fractional_T` implements that search
-exactly, returning the paper's lower bound ``T* ≤ opt(I)``.
+Minimizing the makespan reduces to a search on ``T``: the admissible pair
+set ``R(T)`` only changes at the distinct finite processing-time values, and
+between two consecutive breakpoints feasibility is a single LP with ``T`` as
+an explicit variable.  :func:`minimal_fractional_T` implements that search
+exactly, returning the paper's lower bound ``T* ≤ opt(I)``.  It starts at
+the instance's trivial lower bound ``LB ≤ T*``
+(:meth:`~repro.core.instance.Instance.trivial_bounds`): no breakpoint below
+``LB`` is probed, the search gallops upward from the first one at or above
+it and then bisects, and an anchor equal to ``LB`` is ``T*`` itself.
 
 Probe cost: a naive implementation rebuilds the subset-closure scan
 (``O(|F|²·n)``) and cold-starts the simplex at every probe.  The search here
@@ -41,7 +45,7 @@ is **incremental** end to end:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -582,19 +586,37 @@ def _min_T_with_fixed_R(
         return to_fraction(result.x[0])
 
 
+def _gallop(start: int, top: int):
+    """Indices ``start, start+1, start+3, start+7, …`` below *top*, then *top*
+    (nothing when ``start > top``)."""
+    idx, step = start, 1
+    while idx < top:
+        yield idx
+        idx, step = idx + step, 2 * step
+    if start <= top:
+        yield top
+
+
 def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fraction:
     """The minimum horizon ``T*`` at which (IP-3)'s LP relaxation is feasible.
 
     This is the paper's fractional lower bound: ``T* ≤ opt(I)``.  Exact
-    procedure: binary search over the breakpoints of ``R(T)`` for the
-    smallest feasible one, the *anchor*, then at most one min-T LP over
-    the previous bracket, where ``R`` is constant.  The probes run through
+    procedure over the breakpoints of ``R(T)``, starting at the instance's
+    trivial lower bound ``LB = instance.trivial_bounds()[0]``, which also
+    bounds ``T*``; every breakpoint below it is infeasible unprobed.  From
+    the first breakpoint ``≥ LB`` the search gallops upward (indices
+    ``start``, ``start+1``, ``start+3``, ``start+7``, … capped at the top)
+    to the first feasible one, then bisects back for the smallest feasible
+    breakpoint, the *anchor*.  At most one min-T LP follows, over the
+    previous bracket, where ``R`` is constant.  The probes run through
     :class:`_ProbeSession`, so consecutive probes reuse each other's
     feasible points and Farkas certificates and only a handful of them pay
-    for an actual LP solve.  The search span records how the bracket was
-    refined: ``refine=prev-bracket`` (the previous bracket's LP beat the
-    anchor), ``anchor`` or ``above-top`` (infeasible at every breakpoint;
-    one min-T LP over the full ``R``).
+    for an actual LP solve.  The search span records ``lower_bound`` (LB),
+    ``start`` (its breakpoint index) and how the bracket was refined:
+    ``refine=bound`` (the anchor is LB, so ``T* = LB`` with no LP),
+    ``prev-bracket`` (the previous bracket's LP beat the anchor),
+    ``anchor`` or ``above-top`` (infeasible at every breakpoint; one min-T
+    LP over the full ``R``, with no probe at all when LB is above the top).
 
     Degenerate inputs resolve exactly instead of entering a vacuous search:
 
@@ -618,27 +640,42 @@ def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fractio
         # Every finite time is 0 and every job has one: T* = 0 exactly.
         return Fraction(0)
 
+    # LB ≤ T* (see Instance.trivial_bounds): every breakpoint below it is
+    # infeasible without a probe.
+    lower = instance.trivial_bounds()[0]
+    start = bisect_left(points, lower)
+    top = len(points) - 1
+
     with trace_span(
         "search.minimal_fractional_T",
         n=instance.n, backend=backend, breakpoints=len(points),
+        lower_bound=str(lower), start=start,
     ) as search_sp:
         session = _ProbeSession(builder, backend)
-        lo_idx, hi_idx = 0, len(points) - 1
-        anchor_point = session.probe(points[hi_idx])
+        # Gallop upward from the first breakpoint ≥ LB to the first feasible
+        # one; ``below`` is the last index known infeasible.
+        below, anchor_point = start - 1, None
+        for idx in _gallop(start, top):
+            anchor_point = session.probe(points[idx])
+            if anchor_point is not None:
+                break
+            below = idx
         if anchor_point is None:
             # The optimum lies above every processing time (the load bound
             # dominates); R is maximal there, so one min-T LP settles it.
             if search_sp:
                 search_sp.attrs["refine"] = "above-top"
-            top = points[hi_idx]
-            t_above = _min_T_with_fixed_R(builder, top, top, backend)
+            t_above = _min_T_with_fixed_R(
+                builder, points[top], max(points[top], lower), backend,
+            )
             if t_above is None:
                 raise InfeasibleError(
                     "LP relaxation infeasible at every horizon; some job cannot "
                     "be placed"
                 )
             return t_above
-        # Find the smallest breakpoint index at which the LP becomes feasible.
+        # Bisect (below, idx] for the smallest feasible breakpoint index.
+        lo_idx, hi_idx = below + 1, idx
         while lo_idx < hi_idx:
             mid = (lo_idx + hi_idx) // 2
             mid_point = session.probe(points[mid])
@@ -651,16 +688,19 @@ def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fractio
         # The anchor probe certified T = anchor feasible, so over R(anchor)
         # with T ≥ anchor the optimum is the anchor itself.  Below it, R is
         # strictly smaller: only the previous bracket [prev, anchor) with
-        # R(prev) can do better.
+        # R(prev) can do better, and only above LB.
         t_star, refine = anchor, "anchor"
-        if lo_idx > 0:
+        if anchor == lower:
+            refine = "bound"
+        elif lo_idx > 0:
             prev = points[lo_idx - 1]
             # The anchor's feasible point, restricted to R(prev)'s variables,
             # with ``T = anchor`` is the best available seed: often feasible
             # for the previous bracket's LP, and its support still crashes
             # most of the basis when it is not.
             t_prev = _min_T_with_fixed_R(
-                builder, prev, prev, backend, warm=(anchor, anchor_point),
+                builder, prev, max(prev, lower), backend,
+                warm=(anchor, anchor_point),
             )
             if t_prev is not None and t_prev < anchor:
                 t_star, refine = t_prev, "prev-bracket"

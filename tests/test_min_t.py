@@ -1,14 +1,15 @@
 """The bracket refinement of ``minimal_fractional_T``.
 
-After the binary search finds the anchor (the smallest feasible
-breakpoint), the search solves at most one min-T LP: the previous bracket's,
-built from the builder's raw rows.  The anchor bracket's LP is not solved,
-because its optimum is the anchor itself.  These tests check that against a
+After the search finds the anchor (the smallest feasible breakpoint), it
+solves at most one min-T LP: the previous bracket's, built from the
+builder's raw rows.  The anchor bracket's LP is not solved, because its
+optimum is the anchor itself, and no LP is solved when the anchor meets the
+instance's trivial lower bound ``LB``.  These tests check that against a
 reference that solves **both** bracket LPs as keyed ``LinearProgram``
 objects on the exact backend, under every backend, on seeded instances and
-on the edge cases: ``T* = anchor``, an optimum above every breakpoint, an
-anchor at the first breakpoint, no jobs and all-zero times.  They also pin
-the span count and the ``refine`` reason.
+on the edge cases: ``T* = anchor``, ``T* = anchor = LB``, an optimum above
+every breakpoint, an anchor at the first breakpoint, no jobs and all-zero
+times.  They also pin the span count and the ``refine`` reason.
 """
 
 from fractions import Fraction
@@ -69,6 +70,15 @@ def _keyed_min_T(inst: Instance, r_anchor: Fraction, t_low: Fraction):
     return solution.value(T_KEY) if solution.is_optimal else None
 
 
+def _lower_bound(inst: Instance) -> Fraction:
+    """``max(max_j min_α p_αj, Σ_j min_α p_αj / m)``, straight from ``inst.p``."""
+    mins = [
+        min(Fraction(inst.p(j, a)) for a in inst.family.sets if not is_inf(inst.p(j, a)))
+        for j in range(inst.n)
+    ]
+    return max(max(mins), sum(mins) / inst.m)
+
+
 def _reference(inst: Instance):
     """``(T*, refine)`` from a plain search that solves both bracket LPs."""
     if inst.n == 0:
@@ -88,7 +98,7 @@ def _reference(inst: Instance):
         t_prev = _keyed_min_T(inst, points[lo - 1], points[lo - 1])
         if t_prev is not None and t_prev < anchor:
             return t_prev, "prev-bracket"
-    return anchor, "anchor"
+    return anchor, "bound" if anchor == _lower_bound(inst) else "anchor"
 
 
 def _seeded(seed, n, m):
@@ -104,7 +114,8 @@ def _div7(inst: Instance) -> Instance:
 
 
 CASES = {
-    # 16x6 draws whose T* is the anchor, with a previous bracket to refine.
+    # 16x6 draws whose T* is the anchor, with a previous bracket to refine;
+    # seed 73's anchor is LB itself, so it refines nothing.
     "anchor-seed11": _seeded(11, 16, 6),
     "anchor-seed73": _seeded(73, 16, 6),
     "anchor-seed73/7": _div7(_seeded(73, 16, 6)),
@@ -129,7 +140,8 @@ REFERENCE = {name: _reference(inst) for name, inst in CASES.items()}
 
 def test_cases_cover_every_refinement():
     refines = {refine for _t, refine in REFERENCE.values()}
-    assert refines == {"prev-bracket", "anchor", "above-top", None}
+    assert refines == {"prev-bracket", "anchor", "bound", "above-top", None}
+    assert REFERENCE["anchor-seed73"][1] == REFERENCE["anchor-seed73/7"][1] == "bound"
     first = CASES["first-breakpoint"]
     assert REFERENCE["first-breakpoint"][0] == _breakpoints(first)[0]
 
@@ -161,9 +173,10 @@ def test_one_min_T_span_per_refinement(name, backend):
         return
     (search,) = searches
     assert search.attrs["refine"] == refine
-    # Only an anchor at the first breakpoint (lo = 0) has no bracket to refine.
+    # Only an anchor at LB or at the first breakpoint (lo = 0) has no
+    # bracket to refine.
     lo_is_zero = refine == "anchor" and REFERENCE[name][0] == _breakpoints(inst)[0]
-    if lo_is_zero:
+    if refine == "bound" or lo_is_zero:
         assert min_T == []
     else:
         (lp_span,) = min_T

@@ -27,17 +27,17 @@ from repro.workloads import random_hierarchical, rng_from_seed
 PINS = {
     ("exact", 3, 10, 4): (
         "755/29", "30",
-        dict(solves=7, pivots=157, phase1_pivots=60, refactorizations=5,
+        dict(solves=3, pivots=66, phase1_pivots=41, refactorizations=1,
              basis_reuses=0, crash_skips=0),
     ),
     ("exact", 5, 16, 6): (
         "28", "39",
-        dict(solves=6, pivots=153, phase1_pivots=79, refactorizations=4,
-             basis_reuses=1, crash_skips=0),
+        dict(solves=3, pivots=99, phase1_pivots=64, refactorizations=1,
+             basis_reuses=0, crash_skips=0),
     ),
     ("exact", 8, 16, 6): (
         "1406/53", "32",
-        dict(solves=7, pivots=266, phase1_pivots=96, refactorizations=5,
+        dict(solves=3, pivots=120, phase1_pivots=65, refactorizations=1,
              basis_reuses=0, crash_skips=0),
     ),
     ("hybrid", 3, 10, 4): (

@@ -1,0 +1,226 @@
+"""``minimal_fractional_T`` starts at the instance's trivial lower bound.
+
+``LB = Instance.trivial_bounds()[0] = max(max_j min_α p_αj, Σ_j min_α p_αj / m)``
+bounds the LP relaxation's ``T*`` from below: each job needs one pair with
+``p ≤ T``, and the root sets' load rows (disjoint, covering at most ``m``
+machines) summed with the assignment rows give ``Σ_j min p ≤ m·T``.  The
+search therefore probes no breakpoint below ``LB``, gallops upward from the
+first one at or above it, and refines nothing when the anchor is ``LB``.
+
+These tests check the bound against an independent reference that solves a
+min-T LP at **every** breakpoint on the exact backend, over seeded
+instances of every family shape, with and without singletons.  They also
+check that the breakpoints below ``LB`` really are infeasible, that no
+probe lands below ``LB``, and the two edges of the gallop: a bound above
+every breakpoint (no probe at all) and a gallop that runs to the top.
+"""
+
+from bisect import bisect_left
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from repro import minimal_fractional_T
+from repro._fraction import is_inf
+from repro.core.instance import Instance
+from repro.core.laminar import LaminarFamily
+from repro.core.programs import build_ip3
+from repro.lp import HAVE_SCIPY, LinearProgram, solve_lp
+from repro.obs.trace import tracing
+from repro.workloads import random_hierarchical, rng_from_seed
+
+T_KEY = ("__T__",)
+
+BACKENDS = [
+    "exact",
+    pytest.param("hybrid", marks=pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy")),
+    pytest.param("scipy", marks=pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy")),
+]
+
+
+def _breakpoints(inst: Instance):
+    return sorted({
+        Fraction(inst.p(j, alpha))
+        for j in range(inst.n)
+        for alpha in inst.family.sets
+        if not is_inf(inst.p(j, alpha))
+    })
+
+
+def _min_T_at(inst: Instance, r: Fraction):
+    """Min T over the keyed LP with pruning set ``R(r)`` and ``T ≥ r``, exactly."""
+    lp = LinearProgram()
+    lp.add_variable(T_KEY)
+    pairs = [
+        (alpha, j)
+        for j in range(inst.n)
+        for alpha in inst.family.sets
+        if not is_inf(inst.p(j, alpha)) and inst.p(j, alpha) <= r
+    ]
+    for alpha, j in pairs:
+        lp.add_variable(("x", alpha, j))
+    for j in range(inst.n):
+        row = {("x", alpha, k): 1 for alpha, k in pairs if k == j}
+        if not row:
+            return None
+        lp.add_constraint(row, "==", 1)
+    for alpha in inst.family.sets:
+        row = {T_KEY: -len(alpha)}
+        for beta in inst.family.subsets_of(alpha):
+            row.update(
+                (("x", b, j), inst.p(j, b)) for b, j in pairs if b == beta
+            )
+        lp.add_constraint(row, "<=", 0)
+    lp.add_constraint({T_KEY: 1}, ">=", r)
+    lp.set_objective({T_KEY: 1})
+    solution = solve_lp(lp, backend="exact")
+    return solution.value(T_KEY) if solution.is_optimal else None
+
+
+def _reference(inst: Instance) -> Fraction:
+    """``T*`` as the least min-T LP optimum over every breakpoint's bracket.
+
+    Each one is feasible for the true LP (``R(b) ⊆ R(T)`` for ``T ≥ b``),
+    and the bracket holding ``T*`` attains it, so the minimum is ``T*``.
+    """
+    return min(
+        t for t in (_min_T_at(inst, b) for b in _breakpoints(inst)) if t is not None
+    )
+
+
+def _div7(inst: Instance) -> Instance:
+    return Instance(
+        inst.family,
+        lambda j, a: inst.p(j, a) if is_inf(inst.p(j, a)) else Fraction(inst.p(j, a)) / 7,
+        n=inst.n,
+    )
+
+
+def _without_singletons(inst: Instance) -> Instance:
+    """*inst* on its non-singleton sets; a singletons-only family instead
+    drops the last machine's singleton, leaving that machine uncovered."""
+    sets = [a for a in inst.family.sets if len(a) > 1]
+    if not sets:
+        sets = [a for a in inst.family.sets if a != frozenset([inst.m - 1])]
+    family = LaminarFamily(inst.family.machines, sets)
+    return Instance(family, lambda j, a: inst.p(j, a), n=inst.n)
+
+
+def _ints(rng, low, high, *shape):
+    return rng.integers(low, high, size=shape).tolist()
+
+
+def _shapes():
+    """Seeded instances of every family shape, before the singleton split."""
+    out = {}
+    for seed in (4, 5, 6):
+        inst = random_hierarchical(rng_from_seed(seed), n=12, m=5)
+        out[f"hier-{seed}"] = inst
+        out[f"hier-{seed}/7"] = _div7(inst)
+    rng = np.random.default_rng(7)
+    out["unrelated"] = Instance.unrelated(_ints(rng, 1, 20, 6, 3))
+    out["identical"] = Instance.identical(3, _ints(rng, 1, 20, 7))
+    local = _ints(rng, 1, 10, 6, 3)
+    out["semi"] = Instance.semi_partitioned(
+        local, [max(row) + g for row, g in zip(local, _ints(rng, 0, 6, 6))]
+    )
+    local = _ints(rng, 1, 10, 6, 4)
+    cluster = [
+        [max(row[0:2]) + a, max(row[2:4]) + b]
+        for row, (a, b) in zip(local, _ints(rng, 0, 4, 6, 2))
+    ]
+    out["clustered"] = Instance.clustered(
+        2, local, cluster, [max(c) + g for c, g in zip(cluster, _ints(rng, 0, 4, 6))]
+    )
+    return out
+
+
+CASES = {}
+for _name, _inst in _shapes().items():
+    CASES[f"{_name}+singletons"] = _inst.with_singletons()
+    CASES[f"{_name}-singletons"] = _without_singletons(_inst)
+
+REFERENCE = {name: _reference(inst) for name, inst in CASES.items()}
+
+
+def _lower(inst: Instance) -> Fraction:
+    return inst.trivial_bounds()[0]
+
+
+def test_cases_cover_both_singleton_variants():
+    for name, inst in CASES.items():
+        assert inst.family.has_all_singletons == name.endswith("+singletons"), name
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_lower_bound_is_below_T_star(name):
+    assert _lower(CASES[name]) <= REFERENCE[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_breakpoints_below_bound_are_infeasible(name):
+    inst = CASES[name]
+    lower = _lower(inst)
+    for T in _breakpoints(inst):
+        if T < lower:
+            assert not solve_lp(build_ip3(inst, T), backend="exact").is_optimal, T
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_equals_every_breakpoint_reference(name, backend):
+    assert minimal_fractional_T(CASES[name], backend=backend) == REFERENCE[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_search_starts_at_bound(name):
+    inst = CASES[name]
+    lower = _lower(inst)
+    points = _breakpoints(inst)
+    with tracing() as tracer:
+        minimal_fractional_T(inst, backend="exact")
+    (search,) = [s for s in tracer.spans if s.name == "search.minimal_fractional_T"]
+    assert search.attrs["lower_bound"] == str(lower)
+    assert search.attrs["start"] == bisect_left(points, lower)
+    assert all(
+        Fraction(s.attrs["T"]) >= lower for s in tracer.spans if s.name == "search.probe"
+    )
+    # The anchor is LB exactly when T* = LB lands on a breakpoint; then no
+    # min-T LP runs.
+    at_bound = REFERENCE[name] == lower and lower in points
+    assert (search.attrs["refine"] == "bound") == at_bound
+    if at_bound:
+        assert not [s for s in tracer.spans if s.name == "search.min_T"]
+
+
+def test_bound_above_every_breakpoint_needs_no_probe():
+    # Three unit jobs on two machines: LB = 3/2 lies above the only breakpoint.
+    inst = Instance.identical(2, [1, 1, 1])
+    with tracing() as tracer:
+        assert minimal_fractional_T(inst, backend="exact") == Fraction(3, 2)
+    assert [s for s in tracer.spans if s.name == "search.probe"] == []
+    assert len([s for s in tracer.spans if s.name == "search.min_T"]) == 1
+    (search,) = [s for s in tracer.spans if s.name == "search.minimal_fractional_T"]
+    assert search.attrs["refine"] == "above-top"
+    assert search.attrs["start"] == 1
+
+
+def test_gallop_runs_to_the_top():
+    # Machine 0 alone or all four machines: every job is cheap on {0}, and
+    # LB = 5 sits low in ten breakpoints.  Machine 0 cannot carry the load,
+    # so the gallop steps 5, 6, 9 are infeasible and its next step is capped
+    # at the top breakpoint; bisection then finds the anchor 12 below it.
+    root, zero = frozenset(range(4)), frozenset([0])
+    times = [(2, 9), (4, 23), (1, 8), (2, 12), (2, 6), (5, 27)]
+    inst = Instance(
+        LaminarFamily(range(4), [root, zero]),
+        {j: {zero: c, root: g} for j, (c, g) in enumerate(times)},
+    )
+    assert _lower(inst) == 5
+    with tracing() as tracer:
+        t_star = minimal_fractional_T(inst, backend="exact")
+    assert t_star == _reference(inst) == 11
+    probes = [s.attrs["T"] for s in tracer.spans if s.name == "search.probe"]
+    assert _breakpoints(inst)[-1] == 27
+    assert probes == ["5", "6", "9", "27", "23", "12"]
