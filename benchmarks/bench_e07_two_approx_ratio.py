@@ -12,7 +12,7 @@ def test_e07_two_approx_ratio(benchmark):
             shapes=((4, 3), (6, 3), (8, 4), (12, 5), (16, 6)),
             trials=8,
             exact_job_limit=8,
-            backend="scipy",
+            backend="hybrid",
         ),
     )
     emit("e07", result.table)

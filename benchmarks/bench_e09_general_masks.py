@@ -9,7 +9,7 @@ def test_e09_general_masks(benchmark):
     result = run_once(
         benchmark,
         lambda: exp.run(
-            shapes=((4, 3), (6, 4), (10, 5), (14, 6)), trials=10, backend="scipy"
+            shapes=((4, 3), (6, 4), (10, 5), (14, 6)), trials=10, backend="hybrid"
         ),
     )
     emit("e09", result.table)

@@ -81,12 +81,16 @@ def test_kernel_exact_simplex_ip3(benchmark):
 
 
 def test_kernel_scipy_lp_ip3(benchmark):
+    from repro.lp.scipy_backend import solve_standard_float
+
     rng = rng_from_seed(1003)
     inst = random_hierarchical(rng, n=30, m=10)
     _lo, hi = inst.trivial_bounds()
     lp = build_ip3(inst, hi)
-    solution = benchmark(lambda: solve_lp(lp, backend="scipy"))
-    assert solution.is_optimal
+    rows = lp.to_standard_rows()
+    # The float ceiling: HiGHS alone, no exact certification.
+    solution = benchmark(lambda: solve_standard_float(*rows))
+    assert solution.status == "optimal"
 
 
 def test_kernel_lst_rounding(benchmark):
@@ -97,8 +101,8 @@ def test_kernel_lst_rounding(benchmark):
     }
     from repro.baselines import minimal_unrelated_T
 
-    T = minimal_unrelated_T(p, backend="scipy")
-    mapping = benchmark(lambda: lst_round(p, T, backend="scipy"))
+    T = minimal_unrelated_T(p, backend="hybrid")
+    mapping = benchmark(lambda: lst_round(p, T, backend="hybrid"))
     assert len(mapping) == n
 
 
@@ -106,7 +110,7 @@ def test_kernel_two_approximation_end_to_end(benchmark):
     rng = rng_from_seed(1005)
     inst = random_hierarchical(rng, n=16, m=6)
     result = benchmark.pedantic(
-        lambda: two_approximation(inst, backend="scipy"), rounds=3, iterations=1
+        lambda: two_approximation(inst, backend="hybrid"), rounds=3, iterations=1
     )
     assert result.makespan <= result.bound
 

@@ -1,4 +1,4 @@
-"""LP backend benchmark: ``hybrid`` vs ``exact`` vs ``scipy``.
+"""LP backend benchmark: ``hybrid`` vs ``exact``.
 
 Runs the full Theorem V.2 pipeline (the E14 scaling family: binary search
 for ``T*`` + LST rounding + scheduling) under each backend on identical
@@ -9,8 +9,8 @@ refactorizations) from :func:`repro.lp.stats.collect_stats`.
 Results are written to ``BENCH_lp_backends.json`` at the repository root
 (the perf-trajectory artifact CI uploads) and mirrored under
 ``benchmarks/results/``.  Each row names the solver that did the work in
-its ``kernel`` field (``revised`` for exact/hybrid, ``float`` for scipy),
-the key ``check_perf_regression.py`` matches rows on.
+its ``kernel`` field (``revised`` for both backends), the key
+``check_perf_regression.py`` matches rows on.
 
 Usage::
 
@@ -47,14 +47,13 @@ QUICK_SHAPES: Tuple[Tuple[int, int], ...] = ((10, 4), (16, 6))
 #: ~4× faster, so hybrid's *relative* advantage shrank even though its
 #: absolute time halved — the gate keeps hybrid strictly ahead of exact.
 SPEEDUP_TARGET = 1.3
-#: The solver each backend's rows are labelled with ("float" marks the
-#: HiGHS path of the scipy backend).
-_KERNEL_OF = {"exact": "revised", "hybrid": "revised", "scipy": "float"}
+#: The solver each backend's rows are labelled with.
+_KERNEL_OF = {"exact": "revised", "hybrid": "revised"}
 
 
 def run(
     shapes: Tuple[Tuple[int, int], ...] = FULL_SHAPES,
-    backends: Tuple[str, ...] = ("exact", "hybrid", "scipy"),
+    backends: Tuple[str, ...] = ("exact", "hybrid"),
     seed: int = 140,
 ) -> Dict:
     rows: List[Dict] = []

@@ -2,7 +2,7 @@
 
 Commands
 --------
-``experiments [ids…|list] [--backend hybrid|exact|scipy]``
+``experiments [ids…|list] [--backend hybrid|exact]``
     Run (a subset of) the E01–E15 experiment suite at test scale and print
     the tables; ``experiments list`` prints every registered experiment id
     with its one-line summary.  ``--backend`` overrides the LP backend for
@@ -23,7 +23,7 @@ Commands
 ``report <store> [ids…] [--timings]``
     Reassemble accumulated sweep tables from a results store;
     ``--failures`` renders the failure ledger instead.
-``solve --demo <name> [--backend hybrid|exact|scipy]``
+``solve --demo <name> [--backend hybrid|exact]``
     Solve one of the built-in demo instances (``ii1``, ``v1``, ``smp``) with
     the exact solver and the 2-approximation, printing schedules as Gantt
     charts.
@@ -41,8 +41,7 @@ Commands
     Print the package version.
 
 Backend guide: ``hybrid`` (default) = HiGHS speed with exact certification;
-``exact`` = pure rational simplex; ``scipy`` = uncertified floats (fast,
-re-checked at the call sites that need exactness).
+``exact`` = pure rational simplex.  Both return the same exact ``T*``.
 
 ``--profile`` prints aggregated solver counters (solves, pivots,
 refactorizations, warm-start hits, probe shortcuts, cache hits/misses)
@@ -497,7 +496,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     exp.add_argument("ids", nargs="*", help="experiment ids (e.g. e01 e08), or 'list'")
     exp.add_argument(
         "--backend",
-        choices=("hybrid", "exact", "scipy"),
+        choices=("hybrid", "exact"),
         default=None,
         help="LP backend override (default: each experiment's own)",
     )
@@ -603,7 +602,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     solve.add_argument("--demo", default="ii1", help="ii1 | v1 | smp")
     solve.add_argument(
         "--backend",
-        choices=("hybrid", "exact", "scipy"),
+        choices=("hybrid", "exact"),
         default="hybrid",
         help="LP backend for the 2-approximation (default: hybrid)",
     )

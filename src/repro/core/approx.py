@@ -100,9 +100,7 @@ def two_approximation(
     backend:
         LP backend: ``"hybrid"`` (default — HiGHS candidates verified and
         repaired by the exact simplex, so basicness and ``T*`` are still
-        exact), ``"exact"`` (pure rational simplex) or ``"scipy"``
-        (uncertified floats; every point is exactness-checked and repaired
-        before rounding).
+        exact) or ``"exact"`` (pure rational simplex).
     verify:
         Validate the final schedule and the ``≤ 2T*`` bound exactly; a
         failure raises :class:`RoundingError` (it would indicate a bug, not

@@ -501,26 +501,12 @@ def feasible_lp_solution(
     """A feasible fractional solution of (IP-3)'s LP relaxation at *T*.
 
     Returns ``None`` when the relaxation is infeasible.  The solution is a
-    basic one (vertex) with the exact and hybrid backends.  With
-    ``backend="scipy"`` the rationalized point is re-checked exactly and
-    **repaired** (exact re-solve, warm-started from the candidate) when it
-    violates any constraint — an uncertified point never propagates into
-    ``push_down``/``lst_round``.
+    basic one (vertex) on both backends.
     """
     lp = build_ip3(instance, T)
     solution = solve_lp(lp, backend=backend)
-    if not solution.is_optimal and backend == "scipy":
-        # A float "infeasible" right at the certified T* boundary is noise
-        # territory; re-derive the verdict exactly before returning None.
-        solution = solve_lp(lp, backend="exact")
     if not solution.is_optimal:
         return None
-    if backend == "scipy" and lp.check_values(solution.values):
-        # Rationalization noise: certify by exact re-solve instead of
-        # handing a near-feasible point to the rounding arguments.
-        solution = solve_lp(lp, backend="exact", warm_values=solution.values)
-        if not solution.is_optimal:  # pragma: no cover - float false positive
-            return None
     values = {
         (alpha, j): value
         for (tag, alpha, j), value in solution.values.items()

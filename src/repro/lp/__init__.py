@@ -1,4 +1,4 @@
-"""LP/ILP substrate: model builder, exact simplex, scipy + hybrid backends, B&B.
+"""LP/ILP substrate: model builder, exact simplex, certified hybrid backend, B&B.
 
 Every exact answer comes from one simplex,
 :func:`~repro.lp.revised.solve_standard`: a revised two-phase simplex over

@@ -1,10 +1,10 @@
 """Certified hybrid LP backend: HiGHS speed, exact-simplex guarantees.
 
-The ``scipy`` backend is fast but returns rationalized floats whose
-"feasibility" and "basicness" are only approximate — propagating them into
-the Section V/VI rounding arguments silently voids the pseudo-forest and
-fractionality properties those proofs rely on.  The ``exact`` backend is
-certified but pays rational-pivoting cost from a cold start.
+HiGHS alone is fast but returns floats whose rationalized "feasibility"
+and "basicness" are only approximate — propagating them into the Section
+V/VI rounding arguments silently voids the pseudo-forest and fractionality
+properties those proofs rely on.  The ``exact`` backend is certified but
+pays rational-pivoting cost from a cold start.
 
 ``hybrid`` composes the two so callers always get a guaranteed rational
 basic optimal solution at close to float speed:

@@ -6,8 +6,8 @@ index maps.  :class:`LinearProgram` lets callers build rows against hashable
 variable keys and converts to the dense/standard forms the solvers need.
 
 All coefficients are stored as exact :class:`~fractions.Fraction` values so
-the exact simplex can run unchanged; the scipy backend converts to floats on
-the way out.
+the exact simplex can run unchanged; the hybrid backend's HiGHS leg converts
+to floats on the way out.
 """
 
 from __future__ import annotations
@@ -185,8 +185,8 @@ class LinearProgram:
         Every variable bound and every constraint row is re-evaluated in
         rational arithmetic — no tolerances.  An empty list certifies that
         *values* (missing keys read as 0) is a feasible point of this
-        program.  This is the gate that keeps rationalized float-backend
-        output from entering the exact pipeline unchecked.
+        program.  The exact oracle the tests hold every backend's points
+        against.
         """
         x = [Fraction(0)] * len(self._keys)
         for key, value in values.items():
@@ -221,11 +221,11 @@ class LPSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: Dict[VarKey, Fraction]
     objective: Optional[Fraction]
-    #: Per-solve performance counters (``None`` for the float backend).
+    #: Per-solve performance counters (``None`` when no exact solve ran).
     stats: Optional["SolverStats"] = None
     #: Carried solver basis (:class:`~repro.lp.warm.WarmState`) with
     #: structural labels mapped to this program's variable keys; process-
-    #: local ephemera — never serialized (``None`` for non-exact backends).
+    #: local ephemera — never serialized (``None`` when no exact solve ran).
     warm_state: Optional[object] = None
 
     @property

@@ -5,20 +5,13 @@ Backends
 ``"exact"``
     Exact rational simplex.  Guaranteed exact optimal *basic* solutions;
     the reference everything else is certified against.
-``"scipy"``
-    HiGHS floats, rationalized on the way out.  Fast but **uncertified**:
-    values may violate constraints by rounding hairs and need not be
-    vertices.  Callers must re-check (see
-    :meth:`~repro.lp.model.LinearProgram.check_values`) before feeding the
-    result to anything that needs exactness.
 ``"hybrid"``
     HiGHS candidate + exact verification/repair (see :mod:`repro.lp.hybrid`).
-    Same guarantees as ``"exact"``, close to ``"scipy"`` speed on anything
-    large enough for the float probe to pay off.  Degrades to ``"exact"``
-    when scipy is unavailable.
-``"auto"``
-    ``"exact"`` for small programs, ``"hybrid"`` beyond
-    :data:`_AUTO_SIZE_LIMIT`.
+    Same guarantees as ``"exact"``, faster on anything large enough for the
+    float probe to pay off.  Degrades to ``"exact"`` when scipy is
+    unavailable.
+
+Any other name raises :class:`~repro.exceptions.SolverError`.
 
 Every exact solve — the ``"exact"`` backend and the verification step of
 ``"hybrid"`` — runs the one exact simplex,
@@ -50,26 +43,20 @@ from .warm import WarmState
 logger = logging.getLogger(__name__)
 
 if HAVE_SCIPY:
+    # Unused here; kept bound because perfbench/layers.py wraps this name.
     from .scipy_backend import solve_standard_float
 else:  # pragma: no cover - scipy is present in CI images
     solve_standard_float = None  # type: ignore[assignment]
 
-BACKENDS = ("exact", "scipy", "hybrid")
-
-#: Problem size (variables × rows) above which "auto" prefers hybrid.
-_AUTO_SIZE_LIMIT = 20000
+BACKENDS = ("exact", "hybrid")
 
 
-def _resolve_backend(backend: str, num_vars: int, num_rows: int) -> str:
-    if backend == "auto":
-        size = num_vars * max(num_rows, 1)
-        backend = "exact" if size <= _AUTO_SIZE_LIMIT else "hybrid"
+def _resolve_backend(backend: str) -> str:
+    """Validate *backend*; ``"hybrid"`` degrades to ``"exact"`` without scipy."""
     if backend not in BACKENDS:
         raise SolverError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    if backend in ("scipy", "hybrid") and not HAVE_SCIPY:
-        if backend == "scipy":
-            raise SolverError("backend 'scipy' requested but scipy is not installed")
-        backend = "exact"  # hybrid degrades gracefully, guarantees intact
+    if backend == "hybrid" and not HAVE_SCIPY:
+        return "exact"  # guarantees intact, only the float probe is lost
     return backend
 
 
@@ -166,23 +153,18 @@ def solve_rows(
     float CSR of *coeff_rows* for the HiGHS leg and changes no result.
     *canonical* is as in :func:`solve_lp`.
     """
-    backend = _resolve_backend(backend, len(objective), len(coeff_rows))
-    if backend == "exact":
+    if _resolve_backend(backend) == "exact":
         return solve_standard(
             coeff_rows, senses, rhs, objective,
             warm_point=warm_point,
             warm_state=warm_state, structure_token=structure_token,
             canonical=canonical,
         )
-    if backend == "hybrid":
-        return solve_standard_hybrid(
-            coeff_rows, senses, rhs, objective,
-            warm_point=warm_point,
-            warm_state=warm_state, structure_token=structure_token,
-            canonical=canonical, float_rows=float_rows,
-        )
-    return solve_standard_float(
-        coeff_rows, senses, rhs, objective, float_rows=float_rows
+    return solve_standard_hybrid(
+        coeff_rows, senses, rhs, objective,
+        warm_point=warm_point,
+        warm_state=warm_state, structure_token=structure_token,
+        canonical=canonical, float_rows=float_rows,
     )
 
 
@@ -214,10 +196,10 @@ def solve_lp(
     partially and returns whatever vertex the solve lands on (probe-style
     callers that only consume values).
     """
-    backend = _resolve_backend(backend, lp.num_variables, lp.num_constraints)
+    backend = _resolve_backend(backend)
     coeff_rows, senses, rhs, objective = lp.to_standard_rows()
     local_state = None
-    if warm_state is not None and backend in ("exact", "hybrid"):
+    if warm_state is not None:
         local_state = _local_warm_state(lp, warm_state)
         if local_state is None and not warm_values:
             warm_values = warm_state.point  # stale basis: keep the vertex
@@ -306,11 +288,8 @@ def feasible_point_rows(
     """
     from .hybrid import _FLOAT_SIZE_CUTOFF, certify_infeasible, float_candidate
 
-    if backend not in BACKENDS and backend != "auto":
-        raise SolverError(f"unknown backend {backend!r}; choose from {BACKENDS}")
     use_float = (
-        backend in ("hybrid", "scipy", "auto")
-        and HAVE_SCIPY
+        _resolve_backend(backend) == "hybrid"
         and num_vars * max(len(coeff_rows), 1) >= _FLOAT_SIZE_CUTOFF
     )
     objective = [Fraction(0)] * num_vars
@@ -357,12 +336,10 @@ def feasible_point(
     backend, a rationalized HiGHS point that passes the exact re-check is
     returned directly — no exact pivoting at all; the point is feasible but
     not necessarily basic, which is all a feasibility verdict needs.  Every
-    other path (check fails, float says infeasible, non-hybrid backend)
-    falls through to a certified solve, warm-started from *warm_values*
-    (e.g. the bracketing probe's point) when given.
-
-    With ``backend="scipy"`` the point is re-checked exactly as well, and
-    rejected (exact re-solve) instead of propagated when uncertified.
+    other path (check fails, float says infeasible, exact backend, program
+    too small for the float probe to pay off) falls through to a certified
+    solve, warm-started from *warm_values* (e.g. the bracketing probe's
+    point) when given.  The keyed front end of :func:`feasible_point_rows`.
 
     *warm_state* is a keyed :class:`~repro.lp.warm.WarmState` (as returned
     with ``want_state=True``); when its basis resolves the solver skips the
@@ -371,35 +348,20 @@ def feasible_point(
     """
     from .hybrid import _FLOAT_SIZE_CUTOFF
 
-    backend = _resolve_backend(backend, lp.num_variables, lp.num_constraints)
-    size = lp.num_variables * max(lp.num_constraints, 1)
-    if backend == "hybrid" and size < _FLOAT_SIZE_CUTOFF:
+    backend = _resolve_backend(backend)
+    if lp.num_variables * max(lp.num_constraints, 1) < _FLOAT_SIZE_CUTOFF:
         backend = "exact"  # linprog overhead exceeds a cold exact solve
     local_state = _local_warm_state(lp, warm_state)
     if warm_state is not None and local_state is None and not warm_values:
         warm_values = warm_state.point  # stale basis: keep the vertex
     warm_pt, drops = _warm_point(lp, warm_values)
-    coeff_rows, senses, rhs, objective = lp.to_standard_rows()
-    state = None
-    if backend in ("hybrid", "scipy"):
-        point, _farkas, state = feasible_point_rows(
-            coeff_rows, senses, rhs, lp.num_variables,
-            backend=backend, warm_point=warm_pt,
-            warm_state=local_state, want_state=True,
-        )
-        _count_warm_drops(drops, None)
-    else:
-        result = solve_standard(
-            coeff_rows, senses, rhs, objective,
-            warm_point=warm_pt,
-            warm_state=local_state, canonical=False,
-        )
-        _count_warm_drops(drops, result.stats)
-        if result.status == "optimal":
-            point = result.x
-            state = getattr(result, "warm_state", None)
-        else:
-            point = None
+    coeff_rows, senses, rhs, _objective = lp.to_standard_rows()
+    point, _farkas, state = feasible_point_rows(
+        coeff_rows, senses, rhs, lp.num_variables,
+        backend=backend, warm_point=warm_pt,
+        warm_state=local_state, want_state=True,
+    )
+    _count_warm_drops(drops, None)
     if point is None:
         return (None, None) if want_state else None
     values = {key: point[lp.index_of(key)] for key in lp.variable_keys}

@@ -137,35 +137,12 @@ def lst_round(
     ``2T`` (LP load ≤ T plus at most one extra job of size ≤ T).  Raises
     :class:`InfeasibleError` when the LP itself is infeasible at *T*.
 
-    The rounding needs a *basic* solution; the exact and hybrid backends
-    guarantee one.  With ``backend="scipy"`` the
-    rationalized point is re-checked exactly first, and any uncertified or
-    non-vertex point is repaired by an exact re-solve (warm-started from
-    the candidate) instead of being propagated into the pseudo-forest
-    argument.
+    The rounding needs a *basic* solution; both backends guarantee one.
     """
     lp = build_unrelated_lp(p, T)
     solution = solve_lp(lp, backend=backend)
-    if not solution.is_optimal and backend == "scipy":
-        # Callers sit exactly on the feasibility knife-edge (T = certified
-        # T*); never let a float solver's "infeasible" be the last word.
-        solution = solve_lp(lp, backend="exact")
     if not solution.is_optimal:
         raise InfeasibleError(f"assignment LP infeasible at T={T}")
-    if backend == "scipy":
-        if lp.check_values(solution.values):
-            solution = solve_lp(lp, backend="exact", warm_values=solution.values)
-            if not solution.is_optimal:  # pragma: no cover - float false positive
-                raise InfeasibleError(f"assignment LP infeasible at T={T}")
-        else:
-            try:
-                return round_fractional_solution(solution.values)
-            except RoundingError:
-                # Feasible but not vertex-shaped (HiGHS interior/crossover
-                # artifact): repair with an exact basic re-solve.
-                solution = solve_lp(
-                    lp, backend="exact", warm_values=solution.values
-                )
     return round_fractional_solution(solution.values)
 
 

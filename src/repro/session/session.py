@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..core.instance import Instance
+from ..lp.solve import _resolve_backend
 from ..lp.stats import SolverStats, collect_stats, record
 from ..obs.trace import span as trace_span
 from .cache import SolveCache
@@ -68,7 +69,10 @@ class Session:
     Parameters
     ----------
     backend:
-        LP backend every routed solve uses (``"hybrid"`` default).
+        LP backend every routed solve uses: ``"hybrid"`` (default) or
+        ``"exact"``.  Any other name raises
+        :class:`~repro.exceptions.SolverError` here, before it can reach a
+        cache key.
     cache:
         ``None`` (default) uses the process-default cache — which may be
         absent, in which case the session solves cold every time;
@@ -82,6 +86,8 @@ class Session:
         backend: str = "hybrid",
         cache: Union[SolveCache, str, None, bool] = None,
     ):
+        _resolve_backend(backend)  # raises on unknown names
+        # The requested name, not its scipy-less fallback, keys the cache.
         self.backend = backend
         self._owns_cache = False
         if cache is False:

@@ -122,10 +122,6 @@ class TestTwoApproximation:
         assert result.T_lp == 5
         assert result.makespan == 5
 
-    def test_scipy_backend(self, instance_ii1):
-        result = two_approximation(instance_ii1, backend="scipy")
-        assert result.makespan <= result.bound
-
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(0, 10**6))
     def test_theorem_v2_bound_random_semi_partitioned(self, seed):

@@ -1,9 +1,9 @@
-"""Property-based cross-check: exact, scipy and hybrid backends agree.
+"""Property-based cross-check: the exact and hybrid backends agree.
 
-Satellite of the certified-hybrid PR: on random hierarchical instances the
-three backends must return the same feasibility verdicts and — after
-certification — the same ``T*`` to *exact* equality.  Any divergence means
-an uncertified float value leaked through the solver stack.
+On random hierarchical instances both backends must return the same
+feasibility verdicts and — after certification — the same ``T*`` to
+*exact* equality.  Any divergence means an uncertified float value leaked
+through the solver stack.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ from repro import minimal_fractional_T
 from repro.core.programs import IP3Builder, lp_feasible
 from repro.workloads import random_hierarchical, random_semi_partitioned, rng_from_seed
 
-BACKENDS = ("exact", "scipy", "hybrid")
+BACKENDS = ("exact", "hybrid")
 
 
 def _instances():
@@ -26,13 +26,29 @@ def _instances():
         yield random_semi_partitioned(rng, n=5, m=3)
 
 
+def _t_star_cases():
+    """``(instance, expected T* or None)``: :func:`_instances`, plus one pin.
+
+    Seed 3 at 24×8 is where a rationalized HiGHS optimum, taken without
+    exact certification, came out 1.2e-12 above the true ``T*``.
+    """
+    for inst in _instances():
+        yield inst, None
+    yield (
+        random_hierarchical(rng_from_seed(3), n=24, m=8),
+        Fraction(45000454, 1222137),
+    )
+
+
 class TestBackendAgreement:
-    @pytest.mark.parametrize("idx", range(7))
+    @pytest.mark.parametrize("idx", range(8))
     def test_t_star_exact_equality(self, idx):
-        inst = list(_instances())[idx]
+        inst, expected = list(_t_star_cases())[idx]
         values = {b: minimal_fractional_T(inst, backend=b) for b in BACKENDS}
-        assert values["exact"] == values["hybrid"] == values["scipy"]
+        assert values["exact"] == values["hybrid"]
         assert isinstance(values["hybrid"], Fraction)
+        if expected is not None:
+            assert values["exact"] == expected
 
     @pytest.mark.parametrize("idx", range(7))
     def test_feasibility_verdicts_agree(self, idx):
@@ -46,7 +62,7 @@ class TestBackendAgreement:
         probes.append(points[0] / 2)
         for T in probes:
             verdicts = {b: lp_feasible(inst, T, backend=b) for b in BACKENDS}
-            assert verdicts["exact"] == verdicts["scipy"] == verdicts["hybrid"], (
+            assert verdicts["exact"] == verdicts["hybrid"], (
                 f"backends disagree at T={T}: {verdicts}"
             )
 
@@ -69,7 +85,7 @@ class TestTwoApproxAcrossBackends:
         inst = random_hierarchical(rng, n=6, m=3)
         results = {b: two_approximation(inst, backend=b) for b in BACKENDS}
         t_values = {b: r.T_lp for b, r in results.items()}
-        assert t_values["exact"] == t_values["hybrid"] == t_values["scipy"]
+        assert t_values["exact"] == t_values["hybrid"]
         for backend, result in results.items():
             assert result.makespan <= 2 * result.T_lp
             report = validate_schedule(

@@ -40,7 +40,7 @@ class TestDegenerateMinimalT:
     def test_all_inf_row_raises_for_every_backend(self):
         fam = LaminarFamily.global_only(2)
         inst = Instance(fam, {0: {frozenset({0, 1}): INF}})
-        for backend in ("exact", "scipy", "hybrid"):
+        for backend in ("exact", "hybrid"):
             with pytest.raises(InvalidInstanceError):
                 minimal_fractional_T(inst, backend=backend)
 

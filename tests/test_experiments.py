@@ -143,7 +143,7 @@ class TestE13:
 
 class TestE14:
     def test_runs_and_reports(self):
-        result = e14_scaling.run(shapes=((5, 3),), backends=("exact", "scipy"))
+        result = e14_scaling.run(shapes=((5, 3),), backends=("exact", "hybrid"))
         assert len(result.rows) == 2
         assert all(r.seconds >= 0 for r in result.rows)
         assert all(r.ratio_vs_lp <= 2.0 + 1e-9 for r in result.rows)

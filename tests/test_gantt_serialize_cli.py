@@ -111,6 +111,13 @@ class TestCLI:
     def test_solve_unknown_demo(self, capsys):
         assert cli_main(["solve", "--demo", "nope"]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "experiments"])
+    def test_retired_backend_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--backend", "scipy"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_experiments_subset(self, capsys):
         assert cli_main(["experiments", "e01"]) == 0
         assert "E01" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Tests for the LP substrate: model builder, exact simplex, scipy backend."""
+"""Tests for the LP substrate: model builder, exact simplex, backend dispatch."""
 
 from fractions import Fraction
 
@@ -7,9 +7,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.exceptions import SolverError
-from repro.lp import LinearProgram, solve_binary_ilp, solve_lp, solve_standard
-from repro.lp.scipy_backend import solve_standard_float
-from repro.lp.solve import is_feasible
+from repro.lp import (
+    HAVE_SCIPY,
+    LinearProgram,
+    feasible_point,
+    feasible_point_rows,
+    solve_binary_ilp,
+    solve_lp,
+    solve_standard,
+)
+from repro.lp.solve import is_feasible, solve_rows
 
 
 class TestModelBuilder:
@@ -146,9 +153,12 @@ def random_lp(draw):
     return rows, senses, rhs, objective
 
 
+@pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy")
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(random_lp())
 def test_exact_simplex_agrees_with_scipy(data):
+    from repro.lp.scipy_backend import solve_standard_float
+
     rows, senses, rhs, objective = data
     exact = solve_standard(rows, senses, rhs, objective)
     floaty = solve_standard_float(rows, senses, rhs, objective)
@@ -162,15 +172,27 @@ class TestSolveLP:
         lp = LinearProgram()
         lp.add_variable("x", ub=2)
         lp.set_objective({"x": -1})
-        for backend in ("exact", "scipy", "auto"):
+        for backend in ("exact", "hybrid"):
             solution = solve_lp(lp, backend=backend)
             assert solution.value("x") == 2
 
     def test_unknown_backend_raises(self):
+        # The retired names are rejected like any other, never remapped.
         lp = LinearProgram()
-        lp.add_variable("x")
-        with pytest.raises(SolverError):
-            solve_lp(lp, backend="gurobi")
+        lp.add_variable("x", ub=1)
+        lp.add_constraint({"x": 1}, ">=", 1)
+        rows, senses, rhs, objective = lp.to_standard_rows()
+        for backend in ("gurobi", "scipy", "auto"):
+            with pytest.raises(SolverError):
+                solve_lp(lp, backend=backend)
+            with pytest.raises(SolverError):
+                solve_rows(rows, senses, rhs, objective, backend=backend)
+            with pytest.raises(SolverError):
+                feasible_point(lp, backend=backend)
+            with pytest.raises(SolverError):
+                feasible_point_rows(
+                    rows, senses, rhs, lp.num_variables, backend=backend
+                )
 
     def test_is_feasible(self):
         lp = LinearProgram()

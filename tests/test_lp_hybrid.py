@@ -132,7 +132,7 @@ class TestCheckValues:
 
     def test_hairline_violation_caught(self):
         # A point off by 10^-12 — invisible to float tolerances, caught
-        # exactly.  This is the scipy-propagation bug the re-check closes.
+        # exactly.  This is the float-propagation bug the re-check closes.
         lp = LinearProgram()
         lp.add_variable("x")
         lp.add_constraint({"x": 1}, "<=", 1)
@@ -143,7 +143,7 @@ class TestCheckValues:
 class TestFeasiblePoint:
     def test_point_is_exactly_feasible(self):
         lp = _knapsack_lp()
-        for backend in ("exact", "scipy", "hybrid"):
+        for backend in ("exact", "hybrid"):
             point = feasible_point(lp, backend=backend)
             assert point is not None
             assert lp.check_values(point) == []
@@ -152,7 +152,7 @@ class TestFeasiblePoint:
         lp = LinearProgram()
         lp.add_variable("x", ub=1)
         lp.add_constraint({"x": 1}, ">=", 2)
-        for backend in ("exact", "scipy", "hybrid"):
+        for backend in ("exact", "hybrid"):
             assert feasible_point(lp, backend=backend) is None
 
     def test_empty_row_infeasibility(self):
@@ -160,7 +160,7 @@ class TestFeasiblePoint:
         lp = LinearProgram()
         lp.add_variable("x", ub=1)
         lp.add_constraint({}, "==", 1)
-        for backend in ("exact", "scipy", "hybrid"):
+        for backend in ("exact", "hybrid"):
             assert not is_feasible(lp, backend=backend)
 
 

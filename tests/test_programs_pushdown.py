@@ -46,10 +46,6 @@ class TestLPFeasibility:
     def test_infeasible_returns_none(self, instance_ii1):
         assert feasible_lp_solution(instance_ii1, 1) is None
 
-    def test_scipy_backend_agrees(self, instance_ii1):
-        assert lp_feasible(instance_ii1, 2, backend="scipy")
-        assert not lp_feasible(instance_ii1, 1, backend="scipy")
-
 
 class TestMinimalFractionalT:
     def test_example_ii1(self, instance_ii1):
@@ -71,9 +67,6 @@ class TestMinimalFractionalT:
     def test_single_job(self):
         inst = Instance.identical(3, [7])
         assert minimal_fractional_T(inst) == 7
-
-    def test_scipy_backend_agrees_on_examples(self, instance_ii1):
-        assert minimal_fractional_T(instance_ii1, backend="scipy") == 2
 
     def test_unrelated_equals_collapse_bound(self):
         # For a singleton-complete family, T* equals the minimal feasible T

@@ -192,8 +192,3 @@ class TestLSTRound:
         # Every job placed on a machine with p_ij ≤ T (the pruning).
         for j, i in mapping.items():
             assert p[j][i] <= T
-
-    def test_scipy_backend(self):
-        p = {0: {0: 2, 1: 2}, 1: {0: 2, 1: 2}}
-        mapping = lst_round(p, 2, backend="scipy")
-        assert sorted(mapping) == [0, 1]

@@ -35,7 +35,6 @@ T_KEY = ("__T__",)
 BACKENDS = [
     "exact",
     pytest.param("hybrid", marks=pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy")),
-    pytest.param("scipy", marks=pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy")),
 ]
 
 

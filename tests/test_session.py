@@ -27,6 +27,7 @@ from repro.cli import main as cli_main
 from repro.core.approx import two_approximation
 from repro.core.exact import solve_exact
 from repro.core.programs import minimal_fractional_T
+from repro.exceptions import SolverError
 from repro.lp.stats import SolverStats, collect_stats, record
 from repro.runner import ResultsStore
 from repro.schedule.arrivals import JobArrival
@@ -269,6 +270,14 @@ def test_distinct_solver_configs_occupy_distinct_slots(tmp_path):
     with Session(backend="exact", cache=root) as s:
         s.minimal_fractional_T(inst)
         assert s.stats.cache_hits == 1
+
+
+@pytest.mark.parametrize("backend", ["scipy", "auto", "gurobi"])
+def test_unknown_backend_rejected_before_any_cache_key(tmp_path, backend):
+    root = tmp_path / "store"
+    with pytest.raises(SolverError, match="unknown backend"):
+        Session(backend=backend, cache=str(root))
+    assert not root.exists()  # rejected before the store was opened
 
 
 def test_solve_exact_and_template_round_trip(tmp_path):
