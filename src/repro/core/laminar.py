@@ -14,6 +14,7 @@ construction, so queries are O(1)/O(size of answer).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import InvalidFamilyError
@@ -339,6 +340,26 @@ class LaminarFamily:
             if target <= s and (best is None or s < best):
                 best = s
         return best
+
+    def trapped_demand(
+        self, contributions: Iterable[Tuple[Optional[MachineSet], Fraction]]
+    ) -> Dict[MachineSet, Fraction]:
+        """``D(α) = Σ w`` over the ``(trap, w)`` pairs with ``trap ⊆ α``, per set.
+
+        Each weight is booked on its trap set, then accumulated bottom-up,
+        so ``D(α)`` sums the whole subtree below ``α``: the per-level
+        demand-bound accumulation over the laminar forest.  A ``None`` trap
+        (no single family set contains the job's options) counts nowhere.
+        """
+        demand: Dict[MachineSet, Fraction] = {alpha: Fraction(0) for alpha in self._sets}
+        for trap, weight in contributions:
+            if trap is not None:
+                demand[trap] += weight
+        for alpha in reversed(self._sets):  # children before parents
+            parent = self._parent[alpha]
+            if parent is not None:
+                demand[parent] += demand[alpha]
+        return demand
 
     # ------------------------------------------------------------------
     # Visit orders for Algorithms 2 and 3

@@ -12,10 +12,15 @@ set ``R(T)`` only changes at the distinct finite processing-time values, and
 between two consecutive breakpoints feasibility is a single LP with ``T`` as
 an explicit variable.  :func:`minimal_fractional_T` implements that search
 exactly, returning the paper's lower bound ``T* ≤ opt(I)``.  It starts at
-the instance's trivial lower bound ``LB ≤ T*``
-(:meth:`~repro.core.instance.Instance.trivial_bounds`): no breakpoint below
-``LB`` is probed, the search gallops upward from the first one at or above
-it and then bisects, and an anchor equal to ``LB`` is ``T*`` itself.
+a bound ``B ≤ T*`` found with no LP (:meth:`IP3Builder.demand_bound`): the
+instance's trivial lower bound ``LB``
+(:meth:`~repro.core.instance.Instance.trivial_bounds`) sharpened by the
+trapped-demand cut ``D(α) ≤ |α|·T``, which holds for the LP relaxation and
+not only for integral assignments.  When ``B`` lies strictly inside a
+bracket, that bracket's min-T LP runs first and usually *is* the search.
+Otherwise no breakpoint below ``B`` is probed, the search gallops upward
+from the first one at or above it and then bisects, and an anchor equal to
+``B`` is ``T*`` itself.
 
 Probe cost: a naive implementation rebuilds the subset-closure scan
 (``O(|F|²·n)``) and cold-starts the simplex at every probe.  The search here
@@ -32,21 +37,23 @@ is **incremental** end to end:
   a still-valid Farkas certificate answers a "no" probe the same way, and
   when a solve is unavoidable it is warm-started from the previous feasible
   point's factorized basis (:class:`_ProbeSession`);
-* the refinement inside the bracket solves at most **one** min-T LP.  The
-  anchor probe already certified the decision LP feasible at ``T =
+* a search solves at most **two** min-T LPs: ``B``'s bracket's, and the
+  one below the anchor only when the anchor lies above ``B``'s bracket.
+  The anchor probe already certified the decision LP feasible at ``T =
   anchor``, so over ``R(anchor)`` with ``T ≥ anchor`` the optimum is the
   anchor itself; only the previous bracket ``[prev, anchor)``, with the
-  smaller ``R(prev)``, can do better.  That one LP is built from the
+  smaller ``R(prev)``, can do better.  Every min-T LP is built from the
   builder's raw rows and float template (:meth:`IP3Builder.min_T_rows`,
   :meth:`IP3Builder.min_T_float_slice`) — no keyed
-  :class:`~repro.lp.model.LinearProgram` — and warm-started from the
-  anchor's feasible point.
+  :class:`~repro.lp.model.LinearProgram` — and the previous bracket's is
+  warm-started from the anchor's feasible point.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple, Union
 
 from .._fraction import is_inf, to_fraction
@@ -108,6 +115,11 @@ class IP3Builder:
     from its dict rows.  The min-T LP (:meth:`min_T_rows`: the probe rows
     with a ``T`` column in front and a ``T ≥ t_low`` row at the end) gets
     its float matrix from the same slice (:meth:`min_T_float_slice`).
+
+    **Demand bound.**  Per job it keeps the cheapest time and the trap
+    steps, so :meth:`demand_bound` evaluates the trapped demand at a mask
+    with one bisection per job and one pass over the family, with no
+    per-entry conversion.
     """
 
     def __init__(self, instance: Instance):
@@ -170,11 +182,82 @@ class IP3Builder:
             ),
             default=-1,
         )
+        #: Cheapest finite time per job (the trapped-demand weight; 0 for a
+        #: job without options).
+        self.cheapest: List[Fraction] = []
+        #: Per job, its trap steps ``(rank, trap)``: ``trap`` is the minimal
+        #: family set containing every mask of rank ``< rank``; it holds for
+        #: every mask ``k ≥ rank`` up to the next step.  ``None`` (masks on
+        #: two roots) is final.
+        self.trap_steps: List[List[Tuple[int, Optional[MachineSet]]]] = []
+        for group in self.assign_template:
+            by_rank = sorted(group, key=self.var_rank.__getitem__)
+            self.cheapest.append(self.var_p[by_rank[0]] if by_rank else Fraction(0))
+            steps: List[Tuple[int, Optional[MachineSet]]] = []
+            for gi in by_rank:
+                trap = self.finite[gi][1]
+                if steps:
+                    # The sets containing the old trap form its ancestor
+                    # chain; the first one that also holds the new mask is
+                    # the minimal set containing both.
+                    alpha, trap = trap, steps[-1][1]
+                    if trap is None or alpha <= trap:
+                        continue
+                    while trap is not None and not alpha <= trap:
+                        trap = family.parent(trap)
+                step = (self.var_rank[gi] + 1, trap)
+                if steps and steps[-1][0] == step[0]:
+                    steps[-1] = step
+                else:
+                    steps.append(step)
+            self.trap_steps.append(steps)
         self._float_template = None
 
     def mask(self, T: Time) -> int:
         """The exact mask of horizon *T*: ``p_gi ≤ T  ⇔  var_rank[gi] < mask(T)``."""
         return bisect_right(self.breakpoints, T)
+
+    def _trapped_demand(self, k: int) -> Dict[MachineSet, Fraction]:
+        """``D(α)`` at mask *k* (``k ≥ full_mask``): each job's cheapest
+        time, booked on its trap at *k* and accumulated bottom-up."""
+        traps = (
+            steps[bisect_right(steps, k, key=itemgetter(0)) - 1][1]
+            for steps in self.trap_steps
+        )
+        return self.instance.family.trapped_demand(zip(traps, self.cheapest))
+
+    def trivial_lower(self) -> Fraction:
+        """``LB = max(max_j c_j, Σ_j c_j / m)`` over the cheapest times: the
+        lower value of :meth:`~repro.core.instance.Instance.trivial_bounds`
+        (which proves ``LB ≤ T*``), in ``O(n)`` from the cached ranks."""
+        return max(max(self.cheapest), sum(self.cheapest, Fraction(0)) / self.instance.m)
+
+    def demand_bound(self, lower: Fraction) -> Fraction:
+        """A lower bound ``B ≥ lower`` on (IP-3)'s ``T*``, from the
+        trapped-demand cut, with no LP.  *lower* must itself bound ``T*``.
+
+        On the bracket of mask ``k``, ``[points[k-1], points[k])``, ``R`` is
+        fixed and every job whose masks all lie in ``α`` loads ``α``'s row
+        by at least its cheapest time, even split fractionally.  So a
+        feasible ``T`` there is at least ``g_k = max_α D_k(α)/|α|``.  ``g_k``
+        falls as ``k`` grows (traps only widen), so bisection finds the
+        first bracket ``g_k`` does not refute, from the one holding *lower*
+        on, and ``B = max(lower, points[k-1], g_k)`` lies in it.  ``T*``
+        lies in that bracket or a later one, hence ``B ≤ T*``.
+        """
+        points = self.breakpoints
+        lo, hi = max(self.full_mask, self.mask(lower)), len(points)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            cap = points[mid]
+            demand = self._trapped_demand(mid)
+            if all(d < len(alpha) * cap for alpha, d in demand.items()):
+                hi = mid
+            else:
+                lo = mid + 1
+        demand = self._trapped_demand(lo)
+        g = max(d / len(alpha) for alpha, d in demand.items())
+        return max(lower, points[lo - 1], g)
 
     def _columns(self, k: int, offset: int) -> Tuple[List[int], List[int]]:
         """``(active, local)`` at mask *k*: the global indices of the active
@@ -572,37 +655,54 @@ def _min_T_with_fixed_R(
         return to_fraction(result.x[0])
 
 
+def _above_top(builder: IP3Builder, t_low: Fraction, backend: str) -> Fraction:
+    """``T*`` when it lies above every processing time (the load bound
+    dominates): ``R`` is maximal there, so one min-T LP with ``T ≥ t_low``
+    settles it."""
+    t_above = _min_T_with_fixed_R(builder, builder.breakpoints[-1], t_low, backend)
+    if t_above is None:
+        raise InfeasibleError(
+            "LP relaxation infeasible at every horizon; some job cannot be placed"
+        )
+    return t_above
+
+
 def _gallop(start: int, top: int):
-    """Indices ``start, start+1, start+3, start+7, …`` below *top*, then *top*
-    (nothing when ``start > top``)."""
+    """Indices ``start, start+1, start+3, start+7, …`` below *top*, then
+    *top* (``start ≤ top``)."""
     idx, step = start, 1
     while idx < top:
         yield idx
         idx, step = idx + step, 2 * step
-    if start <= top:
-        yield top
+    yield top
 
 
 def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fraction:
     """The minimum horizon ``T*`` at which (IP-3)'s LP relaxation is feasible.
 
     This is the paper's fractional lower bound: ``T* ≤ opt(I)``.  Exact
-    procedure over the breakpoints of ``R(T)``, starting at the instance's
-    trivial lower bound ``LB = instance.trivial_bounds()[0]``, which also
-    bounds ``T*``; every breakpoint below it is infeasible unprobed.  From
-    the first breakpoint ``≥ LB`` the search gallops upward (indices
-    ``start``, ``start+1``, ``start+3``, ``start+7``, … capped at the top)
-    to the first feasible one, then bisects back for the smallest feasible
-    breakpoint, the *anchor*.  At most one min-T LP follows, over the
-    previous bracket, where ``R`` is constant.  The probes run through
+    procedure over the breakpoints of ``R(T)``, starting at the bound
+    ``B = builder.demand_bound(LB)``, with ``LB = instance.trivial_bounds()[0]``
+    (:meth:`IP3Builder.trivial_lower`):
+    ``LB ≤ B ≤ T*``, found from the LP-valid trapped-demand cut with no LP.
+    When ``B`` lies strictly inside ``[points[s-1], points[s])``, where ``R``
+    is fixed, that bracket's min-T LP with ``T ≥ B`` runs first; an optimum
+    ``≤ points[s]`` is ``T*``.  Otherwise, from the first breakpoint ``≥ B``
+    the search gallops upward (indices ``start``, ``start+1``,
+    ``start+3``, ``start+7``, … capped at the top) to the first feasible
+    one, then bisects back for the smallest feasible breakpoint, the
+    *anchor*.  A second min-T LP, over the bracket below the anchor, runs
+    only when the anchor lies above ``points[s]``: at ``points[s]`` the
+    bracket below is already decided.  The probes run through
     :class:`_ProbeSession`, so consecutive probes reuse each other's
     feasible points and Farkas certificates and only a handful of them pay
     for an actual LP solve.  The search span records ``lower_bound`` (LB),
-    ``start`` (its breakpoint index) and how the bracket was refined:
-    ``refine=bound`` (the anchor is LB, so ``T* = LB`` with no LP),
-    ``prev-bracket`` (the previous bracket's LP beat the anchor),
-    ``anchor`` or ``above-top`` (infeasible at every breakpoint; one min-T
-    LP over the full ``R``, with no probe at all when LB is above the top).
+    ``demand_bound`` (B), ``start`` (B's breakpoint index) and how the
+    bracket was refined: ``refine=bound-bracket`` (B's bracket LP gave
+    ``T*``, no probe), ``bound`` (the anchor is B, so ``T* = B`` with no
+    LP), ``prev-bracket`` (the LP below the anchor beat it), ``anchor`` or
+    ``above-top`` (infeasible at every breakpoint; one min-T LP over the
+    full ``R``, with no probe at all when B is above the top).
 
     Degenerate inputs resolve exactly instead of entering a vacuous search:
 
@@ -626,19 +726,33 @@ def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fractio
         # Every finite time is 0 and every job has one: T* = 0 exactly.
         return Fraction(0)
 
-    # LB ≤ T* (see Instance.trivial_bounds): every breakpoint below it is
-    # infeasible without a probe.
-    lower = instance.trivial_bounds()[0]
-    start = bisect_left(points, lower)
+    # LB ≤ T* (see Instance.trivial_bounds), and B ≥ LB refines it with the
+    # trapped-demand cut: every T below B is infeasible without a probe.
+    lower = builder.trivial_lower()
+    bound = builder.demand_bound(lower)
+    start = bisect_left(points, bound)
     top = len(points) - 1
 
     with trace_span(
         "search.minimal_fractional_T",
         n=instance.n, backend=backend, breakpoints=len(points),
-        lower_bound=str(lower), start=start,
+        lower_bound=str(lower), demand_bound=str(bound), start=start,
     ) as search_sp:
+        if start > top:
+            if search_sp:
+                search_sp.attrs["refine"] = "above-top"
+            return _above_top(builder, bound, backend)
+        if points[start] != bound:
+            # B lies strictly inside [points[start-1], points[start]), where
+            # R is fixed: that bracket's min-T LP with T ≥ B is T* whenever
+            # its optimum stays within the bracket's closure.
+            t_bound = _min_T_with_fixed_R(builder, points[start - 1], bound, backend)
+            if t_bound is not None and t_bound <= points[start]:
+                if search_sp:
+                    search_sp.attrs["refine"] = "bound-bracket"
+                return t_bound
         session = _ProbeSession(builder, backend)
-        # Gallop upward from the first breakpoint ≥ LB to the first feasible
+        # Gallop upward from the first breakpoint ≥ B to the first feasible
         # one; ``below`` is the last index known infeasible.
         below, anchor_point = start - 1, None
         for idx in _gallop(start, top):
@@ -647,19 +761,9 @@ def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fractio
                 break
             below = idx
         if anchor_point is None:
-            # The optimum lies above every processing time (the load bound
-            # dominates); R is maximal there, so one min-T LP settles it.
             if search_sp:
                 search_sp.attrs["refine"] = "above-top"
-            t_above = _min_T_with_fixed_R(
-                builder, points[top], max(points[top], lower), backend,
-            )
-            if t_above is None:
-                raise InfeasibleError(
-                    "LP relaxation infeasible at every horizon; some job cannot "
-                    "be placed"
-                )
-            return t_above
+            return _above_top(builder, points[top], backend)
         # Bisect (below, idx] for the smallest feasible breakpoint index.
         lo_idx, hi_idx = below + 1, idx
         while lo_idx < hi_idx:
@@ -674,19 +778,20 @@ def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fractio
         # The anchor probe certified T = anchor feasible, so over R(anchor)
         # with T ≥ anchor the optimum is the anchor itself.  Below it, R is
         # strictly smaller: only the previous bracket [prev, anchor) with
-        # R(prev) can do better, and only above LB.
+        # R(prev) can do better.  Below points[start] nothing is left to
+        # solve: everything under B is refuted, and the rest of B's bracket
+        # was decided by its LP.
         t_star, refine = anchor, "anchor"
-        if anchor == lower:
+        if anchor == bound:
             refine = "bound"
-        elif lo_idx > 0:
+        elif lo_idx > start:
             prev = points[lo_idx - 1]
             # The anchor's feasible point, restricted to R(prev)'s variables,
             # with ``T = anchor`` is the best available seed: often feasible
             # for the previous bracket's LP, and its support still crashes
             # most of the basis when it is not.
             t_prev = _min_T_with_fixed_R(
-                builder, prev, max(prev, lower), backend,
-                warm=(anchor, anchor_point),
+                builder, prev, prev, backend, warm=(anchor, anchor_point),
             )
             if t_prev is not None and t_prev < anchor:
                 t_star, refine = t_prev, "prev-bracket"

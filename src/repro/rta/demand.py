@@ -23,6 +23,19 @@ all exact Fractions:
   each need more than ``T/2`` cannot share a machine, so the heavy pinned
   jobs need at least as many distinct machines as there are such jobs.
 
+The first three are **LP-valid**: they also hold for (IP-3)'s LP
+relaxation, where a job may be split across its masks.  A split job still
+puts at least its cheapest time into the load row of every set that
+contains all its masks, and the total-volume test is the same argument
+summed over the roots.  So they also bound the relaxation's ``T*``, and
+:meth:`repro.core.programs.IP3Builder.demand_bound` uses them, over every
+horizon at once, to start the ``T*`` search (total volume there is the
+lower value of :meth:`~repro.core.instance.Instance.trivial_bounds`).
+The pigeonhole test is **integral-only**: the LP may split heavy pinned
+jobs across machines (three jobs of ``0.6·T`` fit fractionally on two), so
+the search must not use it.  The ``D(α)`` accumulation itself is
+:meth:`~repro.core.laminar.LaminarFamily.trapped_demand`, shared by both.
+
 The profile is also the shared preprocessing for the constructive side
 (:mod:`repro.rta.packing`): per-job feasible options, cheapest times, and
 the demand accumulated per family set.
@@ -110,16 +123,7 @@ def demand_profile(instance: Instance, T: Union[int, Fraction]) -> DemandProfile
         union = frozenset().union(*(alpha for _p, alpha in opts))
         trap.append(family.minimal_containing(union))
 
-    demand: Dict[MachineSet, Fraction] = {a: Fraction(0) for a in family.sets}
-    for j, lca in enumerate(trap):
-        if lca is not None:
-            demand[lca] += min_feasible[j]
-    # Bottom-up aggregation: D(α) sums the whole subtree below α, exactly
-    # the per-level demand-bound accumulation over the laminar forest.
-    for alpha in family.bottom_up():
-        parent = family.parent(alpha)
-        if parent is not None:
-            demand[parent] += demand[alpha]
+    demand = family.trapped_demand(zip(trap, min_feasible))
 
     return DemandProfile(
         T=T,

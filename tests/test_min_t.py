@@ -1,24 +1,33 @@
 """The bracket refinement of ``minimal_fractional_T``.
 
-After the search finds the anchor (the smallest feasible breakpoint), it
-solves at most one min-T LP: the previous bracket's, built from the
-builder's raw rows.  The anchor bracket's LP is not solved, because its
-optimum is the anchor itself, and no LP is solved when the anchor meets the
-instance's trivial lower bound ``LB``.  These tests check that against a
-reference that solves **both** bracket LPs as keyed ``LinearProgram``
+The search starts at the trapped-demand bound ``B`` (``LB ≤ B ≤ T*``).
+When ``B`` lies strictly inside a bracket, that bracket's min-T LP with
+``T ≥ B`` runs first and settles ``T*`` whenever its optimum stays within
+the bracket's closure (``refine=bound-bracket``, no probe).  Otherwise the
+search probes for the anchor (the smallest feasible breakpoint) and solves
+at most one more min-T LP: the previous bracket's, and only when the
+anchor lies above ``B``'s bracket.  The anchor bracket's LP is never
+solved, because its optimum is the anchor itself, and no LP is solved when
+the anchor is ``B``.  These tests check that against a reference that
+solves **both** bracket LPs around the anchor as keyed ``LinearProgram``
 objects on the exact backend, under every backend, on seeded instances and
-on the edge cases: ``T* = anchor``, ``T* = anchor = LB``, an optimum above
-every breakpoint, an anchor at the first breakpoint, no jobs and all-zero
-times.  They also pin the span count and the ``refine`` reason.
+on the edge cases: ``T*`` in ``B``'s bracket, ``T* = anchor``,
+``T* = anchor = B``, an anchor at the top of ``B``'s bracket, an anchor
+above it, an optimum above every breakpoint, an anchor at the first
+breakpoint, no jobs and all-zero times.  They also pin the ``search.min_T``
+and ``search.probe`` span counts and the ``refine`` reason.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+from _reference_bound import demand_bound
+
 from repro import minimal_fractional_T
-from repro._fraction import is_inf
+from repro._fraction import INF, is_inf
 from repro.core.instance import Instance
 from repro.core.programs import IP3Builder, build_ip3
 from repro.lp import HAVE_SCIPY, LinearProgram, solve_lp
@@ -69,35 +78,45 @@ def _keyed_min_T(inst: Instance, r_anchor: Fraction, t_low: Fraction):
     return solution.value(T_KEY) if solution.is_optimal else None
 
 
-def _lower_bound(inst: Instance) -> Fraction:
-    """``max(max_j min_α p_αj, Σ_j min_α p_αj / m)``, straight from ``inst.p``."""
-    mins = [
-        min(Fraction(inst.p(j, a)) for a in inst.family.sets if not is_inf(inst.p(j, a)))
-        for j in range(inst.n)
-    ]
-    return max(max(mins), sum(mins) / inst.m)
-
-
 def _reference(inst: Instance):
-    """``(T*, refine)`` from a plain search that solves both bracket LPs."""
+    """``(T*, refine, min-T LPs)``: ``T*`` from a plain search that solves
+    both bracket LPs around the anchor and never looks at a bound; then the
+    refinement the bound-first search takes and how many min-T LPs it
+    solves, with ``B`` from the independent oracle."""
     if inst.n == 0:
-        return Fraction(0), None
+        return Fraction(0), None, 0
     points = _breakpoints(inst)
     if points[-1] == 0:
-        return Fraction(0), None
+        return Fraction(0), None, 0
     feasible = [solve_lp(build_ip3(inst, T), backend="exact").is_optimal for T in points]
     if not feasible[-1]:
-        return _keyed_min_T(inst, points[-1], points[-1]), "above-top"
-    lo = feasible.index(True)
-    anchor = points[lo]
-    # The anchor bracket's LP always returns the anchor: this is what lets
-    # the production search skip it.
-    assert _keyed_min_T(inst, anchor, anchor) == anchor
-    if lo > 0:
-        t_prev = _keyed_min_T(inst, points[lo - 1], points[lo - 1])
-        if t_prev is not None and t_prev < anchor:
-            return t_prev, "prev-bracket"
-    return anchor, "bound" if anchor == _lower_bound(inst) else "anchor"
+        t_star = _keyed_min_T(inst, points[-1], points[-1])
+    else:
+        lo = feasible.index(True)
+        anchor = points[lo]
+        # The anchor bracket's LP always returns the anchor: this is what
+        # lets the production search skip it.
+        assert _keyed_min_T(inst, anchor, anchor) == anchor
+        t_prev = _keyed_min_T(inst, points[lo - 1], points[lo - 1]) if lo > 0 else None
+        t_star = t_prev if t_prev is not None and t_prev < anchor else anchor
+    bound = demand_bound(inst)
+    s = bisect_left(points, bound)
+    if s == len(points):
+        return t_star, "above-top", 1
+    lps = 0
+    if points[s] != bound:
+        lps = 1
+        t_bound = _keyed_min_T(inst, points[s - 1], bound)
+        if t_bound is not None and t_bound <= points[s]:
+            assert t_bound == t_star
+            return t_star, "bound-bracket", lps
+    if not feasible[-1]:
+        return t_star, "above-top", lps + 1
+    if anchor == bound:
+        return t_star, "bound", lps
+    if lo > s:
+        lps += 1  # the previous bracket lies above B's
+    return t_star, "prev-bracket" if t_star < anchor else "anchor", lps
 
 
 def _seeded(seed, n, m):
@@ -113,21 +132,45 @@ def _div7(inst: Instance) -> Instance:
 
 
 CASES = {
-    # 16x6 draws whose T* is the anchor, with a previous bracket to refine;
-    # seed 73's anchor is LB itself, so it refines nothing.
+    # The case names record the refinement each took before the search
+    # started at B; the comments give the current one.
+    # 16x6 draws whose anchor is B itself, so they refine nothing.
     "anchor-seed11": _seeded(11, 16, 6),
     "anchor-seed73": _seeded(73, 16, 6),
     "anchor-seed73/7": _div7(_seeded(73, 16, 6)),
-    # Anchor at 2, previous bracket R(1) allows only machine 0: T = 3 there.
+    # B = 2, the second breakpoint: R(1) allows only machine 0, so the
+    # trapped demand refutes [1, 2).
     "anchor-unrelated": Instance.unrelated([[1, 2], [1, 2], [1, 2]]),
-    # Three unit jobs on two machines: infeasible at the only breakpoint.
+    # Three unit jobs on two machines: B = 3/2 lies above the only breakpoint.
     "above-top": Instance.identical(2, [1, 1, 1]),
     "above-top-unrelated": Instance.unrelated([[2, 3], [2, 3], [2, 3], [3, 2]]),
-    # Feasible at the first breakpoint already (lo = 0).
+    # B = 13/2 inside [6, 7): that bracket's LP overshoots 7, the probe at 7
+    # fails too, and one more min-T LP runs above the top.
+    "above-top-after-probe": Instance.unrelated([[7, 4], [6, INF], [3, 6]]),
+    # Feasible at the first breakpoint already (lo = 0), which is B.
     "first-breakpoint": Instance.unrelated([[1, 5], [5, 1]]),
+    # T* lies in B's bracket: one min-T LP, no probe.
     "prev-seed1": _seeded(1, 16, 6),
     "prev-seed2": _seeded(2, 10, 4),
     "prev-seed2/7": _div7(_seeded(2, 10, 4)),
+    # B = 13/2 inside [6, 7) and T* = 7: the bracket's LP overshoots, the
+    # anchor is the bracket's top, and nothing below it is left to refine.
+    "anchor-at-bracket-top": Instance.unrelated([[6, 7], [2, 6], [6, 5]]),
+    # B = 11/3 inside [3, 4), anchor 5 above it: the previous bracket's LP
+    # runs too, and does not beat the anchor.
+    "anchor-above-bracket": Instance.unrelated(
+        [[3, INF, 2], [INF, 5, 3], [3, INF, 3], [3, 6, 4]]
+    ),
+    # B = 10/3 inside [3, 4), anchor 6 above it: the previous bracket's LP
+    # gives T* = 29/7.
+    "prev-above-bracket": Instance.unrelated(
+        [[7, 2, 3], [INF, INF, 3], [7, 3, 4], [2, 6, 3]]
+    ),
+    # B on a breakpoint below the anchor: one min-T LP, over the previous
+    # bracket, which beats the anchor 7 with T* = 9/2 (B = 4) ...
+    "prev-above-bound": Instance.unrelated([[4, 7], [1, 3], [2, 3]]),
+    # ... or does not beat the anchor 7 (B = 6).
+    "anchor-above-bound": Instance.unrelated([[4, 3], [7, 6], [5, 3]]),
     # Instance refuses n = 0; the search's own n = 0 guard is checked on a
     # stand-in that has only ``n``.
     "no-jobs": SimpleNamespace(n=0),
@@ -138,11 +181,20 @@ REFERENCE = {name: _reference(inst) for name, inst in CASES.items()}
 
 
 def test_cases_cover_every_refinement():
-    refines = {refine for _t, refine in REFERENCE.values()}
-    assert refines == {"prev-bracket", "anchor", "bound", "above-top", None}
+    refines = {refine for _t, refine, _lps in REFERENCE.values()}
+    assert refines == {
+        "bound-bracket", "prev-bracket", "anchor", "bound", "above-top", None
+    }
     assert REFERENCE["anchor-seed73"][1] == REFERENCE["anchor-seed73/7"][1] == "bound"
     first = CASES["first-breakpoint"]
     assert REFERENCE["first-breakpoint"][0] == _breakpoints(first)[0]
+    # Both ways the anchor can follow a bound-bracket LP that overshoots:
+    # at the top of B's bracket (one LP) or above it (two LPs).
+    assert REFERENCE["anchor-at-bracket-top"][1:] == ("anchor", 1)
+    assert REFERENCE["anchor-above-bracket"][1:] == ("anchor", 2)
+    assert REFERENCE["prev-above-bracket"][1:] == ("prev-bracket", 2)
+    assert REFERENCE["prev-above-bound"][1:] == ("prev-bracket", 1)
+    assert REFERENCE["anchor-above-bound"][1:] == ("anchor", 1)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -166,20 +218,17 @@ def test_one_min_T_span_per_refinement(name, backend):
         minimal_fractional_T(inst, backend=backend)
     searches = [s for s in tracer.spans if s.name == "search.minimal_fractional_T"]
     min_T = [s for s in tracer.spans if s.name == "search.min_T"]
-    refine = REFERENCE[name][1]
+    probes = [s for s in tracer.spans if s.name == "search.probe"]
+    _t_star, refine, lps = REFERENCE[name]
     if refine is None:
         assert searches == [] and min_T == []  # decided before any search
         return
     (search,) = searches
     assert search.attrs["refine"] == refine
-    # Only an anchor at LB or at the first breakpoint (lo = 0) has no
-    # bracket to refine.
-    lo_is_zero = refine == "anchor" and REFERENCE[name][0] == _breakpoints(inst)[0]
-    if refine == "bound" or lo_is_zero:
-        assert min_T == []
-    else:
-        (lp_span,) = min_T
-        assert lp_span.parent_id == search.span_id
+    assert len(min_T) == lps
+    assert all(lp_span.parent_id == search.span_id for lp_span in min_T)
+    if refine == "bound-bracket":
+        assert probes == []
 
 
 def test_min_T_float_template_needs_scipy():
