@@ -259,28 +259,23 @@ def _minimal_memory_T(
     *rows_at(T)* returns ``(groups, rows)`` — the probe LP *and* the min-T
     refinement both build from it.  Mirroring the incremental pipeline of
     :func:`repro.core.programs.minimal_fractional_T`, the previous feasible
-    probe's **basis** (a keyed :class:`~repro.lp.warm.WarmState`) is carried
-    into the next probe — variable keys are stable across horizons, so when
-    the admissible set is unchanged the solver refactorizes the carried
-    basic columns and skips phase 1 outright; when it changed, the state
-    degrades to its vertex as warm values and from there to a cold start.
+    probe's **point** warm-starts the next probe as keyed ``warm_values``:
+    variable keys are stable across horizons, so the solver factorizes the
+    point's surviving support into its starting basis (keys the new LP
+    lacks are dropped and counted).
     """
     from ..lp.solve import feasible_point
 
     warm: Dict = {}
-    carried: List = [None]  # the last solve's WarmState (closure cell)
 
     def feasible_at(T: Fraction) -> bool:
         try:
             groups, rows = rows_at(T)
         except InfeasibleError:
             return False
-        point, state = feasible_point(
+        point = feasible_point(
             _memory_lp(groups, rows), backend=backend, warm_values=warm or None,
-            warm_state=carried[0], want_state=True,
         )
-        if state is not None:
-            carried[0] = state
         if point is not None:
             warm.clear()
             warm.update({k: v for k, v in point.items() if v})

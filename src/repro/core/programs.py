@@ -36,7 +36,7 @@ is **incremental** end to end:
   feasible point answers a "yes" probe after one ``O(nnz)`` exact re-check,
   a still-valid Farkas certificate answers a "no" probe the same way, and
   when a solve is unavoidable it is warm-started from the previous feasible
-  point's factorized basis (:class:`_ProbeSession`);
+  point, masked to the probe's columns (:class:`_ProbeSession`);
 * a search solves at most **two** min-T LPs: ``B``'s bracket's, and the
   one below the anchor only when the anchor lies above ``B``'s bracket.
   The anchor probe already certified the decision LP feasible at ``T =
@@ -68,8 +68,7 @@ from ..lp.solve import (
     solve_lp,
     solve_rows,
 )
-from ..lp.stats import SolverStats, collect_stats, record
-from ..lp.warm import WarmState
+from ..lp.stats import SolverStats, record
 from ..obs.trace import span as trace_span
 from .assignment import FractionalAssignment
 from .instance import Instance
@@ -413,18 +412,10 @@ class _ProbeSession:
     misses fall through to a certified solve warm-started from the masked
     previous point.  Shortcut hits are recorded as
     ``point_reuses``/``farkas_reuses`` in any active
-    :func:`repro.lp.stats.collect_stats` scope.
-
-    Probes that do solve additionally carry the solver's **basis**
-    (:class:`~repro.lp.warm.WarmState`) to the next probe.  The state is
-    stored in the local column space of the producing probe together with
-    its ``active`` mask; a consumer with the *same* active set hands it to
-    the solver unchanged (the structure token then authorizes verbatim
-    ``W`` reuse whenever the row scales also agree), while a different
-    active set relabels through the shared global indexing — dropping the
-    token, so the solver refactorizes the surviving basis (``O(m³)``, still
-    skipping phase 1 and the warm-point push).  A basis whose basic
-    structural columns were masked away degrades to the point path.
+    :func:`repro.lp.stats.collect_stats` scope.  No solver basis is
+    carried between probes: the masked point is the only warm start, and a
+    session never probes the same mask twice, so a carried basis would
+    never match.
     """
 
     def __init__(self, builder: IP3Builder, backend: str):
@@ -434,36 +425,6 @@ class _ProbeSession:
         self.point: Optional[Dict[int, Fraction]] = None
         #: Last verified Farkas certificate, in probe-row order.
         self.farkas: Optional[List[Fraction]] = None
-        #: Basis of the last probe that actually solved (local labels).
-        self.state: Optional[WarmState] = None
-        #: The ``active`` mask (local→global) the state was produced under.
-        self.state_active: Optional[Tuple[int, ...]] = None
-
-    def _token(self, active: Tuple[int, ...]) -> Tuple:
-        """Structure witness: same builder + same active mask ⇒ identical
-        probe columns (row order and unscaled coefficients are functions of
-        the templates and the mask; scale equality is checked separately by
-        the solver)."""
-        return (id(self.builder), active)
-
-    def _carried_state(
-        self, active: List[int]
-    ) -> Tuple[Optional[WarmState], object]:
-        """The carried basis relabelled for a probe over *active*."""
-        if self.state is None or self.state_active is None:
-            return None, None
-        key = tuple(active)
-        if self.state_active == key:
-            return self.state, self._token(key)
-        old_active = self.state_active
-        new_local = {gi: li for li, gi in enumerate(active)}
-
-        def mapper(li_old: object) -> Optional[int]:
-            if not isinstance(li_old, int) or not 0 <= li_old < len(old_active):
-                return None  # pragma: no cover - labels are self-produced
-            return new_local.get(old_active[li_old])
-
-        return self.state.relabel(mapper, new_n=len(active)), None
 
     def probe(self, T: Fraction) -> Optional[Dict[int, Fraction]]:
         """Certified feasibility verdict at horizon *T*.
@@ -501,22 +462,13 @@ class _ProbeSession:
                     if probe_sp:
                         probe_sp.attrs["outcome"] = "point-reuse"
                     return self.point
-            carried, token = self._carried_state(active)
             float_rows = (
                 builder.float_slice(active) if self.backend != "exact" else None
             )
-            with collect_stats() as probe_stats:
-                point, farkas, state = feasible_point_rows(
-                    coeff_rows, senses, rhs, len(active),
-                    backend=self.backend, warm_point=masked,
-                    warm_state=carried, structure_token=token,
-                    want_state=True, float_rows=float_rows,
-                )
-            if probe_sp:
-                probe_sp.attrs["basis_reuse"] = bool(probe_stats.basis_reuses)
-            if state is not None:
-                self.state = state
-                self.state_active = tuple(active)
+            point, farkas = feasible_point_rows(
+                coeff_rows, senses, rhs, len(active),
+                backend=self.backend, warm_point=masked, float_rows=float_rows,
+            )
             if point is not None:
                 self.point = {
                     active[li]: v for li, v in enumerate(point) if v

@@ -2,7 +2,9 @@
 
 Every exact answer comes from one simplex,
 :func:`~repro.lp.revised.solve_standard`: a revised two-phase simplex over
-an exact factorized basis that returns rational basic solutions.
+an exact factorized basis that returns rational basic solutions.  Its one
+warm-start channel is a point: a prior solution whose support it factorizes
+into the starting basis.
 """
 
 from .basis import LUBasis
@@ -14,7 +16,6 @@ from .revised import solve_standard
 from .simplex import SimplexResult
 from .solve import BACKENDS, feasible_point, feasible_point_rows, is_feasible, solve_lp
 from .stats import SolverStats, collect_stats
-from .warm import WarmState
 
 if HAVE_SCIPY:
     from .scipy_backend import solve_standard_float
@@ -30,7 +31,6 @@ __all__ = [
     "Row",
     "SimplexResult",
     "SolverStats",
-    "WarmState",
     "collect_stats",
     "farkas_certifies",
     "feasible_point",

@@ -40,11 +40,6 @@ and converting back and forth would churn).  ``ftran``/``btran``/
 sparsity lasts; ``sparse_btrans`` counts btran calls answered entirely
 from sparse rows (surfaced through :class:`~repro.lp.stats.SolverStats`).
 
-Rows are **copy-on-write**: every operation replaces row objects instead
-of mutating them, so :meth:`clone` is ``O(rows)`` (it shares row objects)
-— the cheap primitive behind verbatim basis reuse across solves (see
-:mod:`repro.lp.warm`).
-
 Operations
 ----------
 ``ftran(a)``
@@ -59,22 +54,18 @@ Operations
 ``factorize(columns, b)``
     Fraction-free elimination of an explicit column set straight into a
     factorized basis (Gauss–Jordan realized as ``rows`` ftran+update
-    steps, i.e. the LU elimination with the L-factor applied through).
-    This is how the hybrid backend certifies a float candidate — and how a
-    carried :class:`~repro.lp.warm.WarmState` whose structure witness does
-    not match is re-anchored: the labelled basis is factorized
-    **directly** — ``O(rows³)``, independent of the total column count —
-    instead of being pushed in through ``O(rows)`` full-tableau pivots of
-    ``O(rows·cols)`` each.
+    steps, i.e. the LU elimination with the L-factor applied through),
+    ``O(rows³)`` and independent of the total column count.
 
 Because the arithmetic is exact, periodic refactorization is *not* needed
-for numerical hygiene (there is no drift to flush, and a from-scratch
-factorization reproduces ``W`` and ``den`` bit-for-bit — the representation
-is canonical).  :meth:`refactorize` exists for the structural occasions
-where the basis is *given* rather than evolved — crash starts from a float
-candidate, re-anchoring a basis carried across two neighbouring LPs of a
-binary search — and as an invariant self-check; the driver counts every
-call in :class:`~repro.lp.stats.SolverStats`.
+for numerical hygiene: there is no drift to flush, and a from-scratch
+factorization reproduces ``W`` and ``den`` bit-for-bit (the representation
+is canonical).  A basis is factorized from scratch only when it is *given*
+rather than evolved: the solver's crash start
+(:meth:`repro.lp.revised._RevisedSolver.crash_factorize`) eliminates a
+warm point's support columns into the starting identity basis the same way —
+this is how the hybrid backend certifies a float candidate — and the
+solver counts each such crash in :class:`~repro.lp.stats.SolverStats`.
 """
 
 from __future__ import annotations
@@ -104,8 +95,7 @@ class LUBasis:
     """
 
     __slots__ = (
-        "m", "den", "inv", "rhs", "updates", "refactorizations",
-        "sparse_btrans", "_dense_at",
+        "m", "den", "inv", "rhs", "updates", "sparse_btrans", "_dense_at",
     )
 
     def __init__(self, m: int, b: Sequence[int]):
@@ -117,57 +107,10 @@ class LUBasis:
         self.inv: List[Row] = [{i: one} for i in range(m)]
         self.rhs: List[int] = [bigint(v) for v in b]
         self.updates = 0
-        self.refactorizations = 0
         #: btran calls answered entirely from sparse rows.
         self.sparse_btrans = 0
         # Densify once fill crosses the threshold; precomputed per instance.
         self._dense_at = max(2, int(DENSIFY_THRESHOLD * m) + 1)
-
-    # ------------------------------------------------------------------
-    # Cheap structural copies (copy-on-write rows)
-    # ------------------------------------------------------------------
-
-    def clone(self) -> "LUBasis":
-        """``O(m)`` copy sharing row objects (rows are copy-on-write)."""
-        dup = LUBasis.__new__(LUBasis)
-        dup.m = self.m
-        dup.den = self.den
-        dup.inv = list(self.inv)
-        dup.rhs = list(self.rhs)
-        dup.updates = 0
-        dup.refactorizations = 0
-        dup.sparse_btrans = 0
-        dup._dense_at = self._dense_at
-        return dup
-
-    def rebind(self, b: Sequence[int]) -> "LUBasis":
-        """Clone with ``rhs`` recomputed as ``W·b`` — ``O(Σ nnz(row))``.
-
-        The primitive behind verbatim basis reuse: the same factorized
-        ``W`` anchored to a new right-hand side (only sound when the basis
-        columns themselves are unchanged — the caller vouches via the
-        :class:`~repro.lp.warm.WarmState` structure token).
-        """
-        if len(b) != self.m:
-            raise SolverError("rhs length must match the basis dimension")
-        dup = self.clone()
-        rhs: List[int] = []
-        for row in self.inv:
-            s = bigint(0)
-            if type(row) is dict:
-                for k, w in row.items():
-                    v = b[k]
-                    if v:
-                        s += w * v
-            else:
-                for k, v in enumerate(b):
-                    if v:
-                        w = row[k]
-                        if w:
-                            s += w * v
-            rhs.append(s)
-        dup.rhs = rhs
-        return dup
 
     # ------------------------------------------------------------------
     # Exact solves
@@ -237,8 +180,6 @@ class LUBasis:
         *alpha* is the entering column's forward transform (``ftran``
         output).  Exactly the Edmonds tableau pivot restricted to the
         ``W | rhs`` block; divisions are exact by the minor identity.
-        Row objects are replaced, never mutated (copy-on-write for
-        :meth:`clone`).
         """
         piv = alpha[row]
         if piv == 0:
@@ -333,26 +274,6 @@ class LUBasis:
             claimed[row] = True
         return basis
 
-    def refactorize(
-        self, columns: Sequence[Mapping[int, int]], b: Sequence[int]
-    ) -> bool:
-        """Rebuild this factorization from scratch off *columns*.
-
-        Returns ``False`` (state unchanged) when the columns are singular.
-        With exact arithmetic the rebuilt ``W``/``den`` equal the updated
-        ones whenever *columns* is the basis the updates evolved — the
-        canonical-representation property — so this is used to (re)anchor a
-        basis that came from *outside* the update path, and as a self-check.
-        """
-        fresh = self.factorize(self.m, columns, b)
-        if fresh is None:
-            return False
-        self.den = fresh.den
-        self.inv = fresh.inv
-        self.rhs = fresh.rhs
-        self.refactorizations += 1
-        return True
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -384,10 +305,6 @@ class LUBasis:
         if type(inv_row) is dict:
             return len(inv_row) / self.m if self.m else 0.0
         return 1.0
-
-    def is_feasible_dictionary(self) -> bool:
-        """Whether the current basic values are all non-negative."""
-        return all(v >= 0 for v in self.rhs)
 
 
 def _to_dense(row: Dict[int, int], m: int) -> List[int]:

@@ -187,10 +187,7 @@ def solve_standard_hybrid(
     senses: Sequence[str],
     rhs: Sequence[Fraction],
     objective: Sequence[Fraction],
-    warm_hints: Optional[Sequence[int]] = None,
     warm_point: Optional[Sequence[Fraction]] = None,
-    warm_state=None,
-    structure_token: object = None,
     canonical: bool = True,
     float_rows=None,
 ) -> SimplexResult:
@@ -204,11 +201,6 @@ def solve_standard_hybrid(
     of the column count).  A claimed
     infeasibility is accepted only with an exact Farkas certificate, which
     is attached to the result for reuse.
-
-    A carried *warm_state* (see :mod:`repro.lp.warm`) is handed through to
-    the exact solve, where it takes precedence over any point-based seed —
-    a resolvable carried basis beats re-pushing the float candidate's
-    support.
 
     *float_rows* is an optional prebuilt float CSR of *coeff_rows* for the
     HiGHS leg; it changes no result.
@@ -230,7 +222,5 @@ def solve_standard_hybrid(
                 )
     return solve_standard(
         coeff_rows, senses, rhs, objective,
-        warm_hints=warm_hints, warm_point=warm_point,
-        warm_state=warm_state, structure_token=structure_token,
-        canonical=canonical,
+        warm_point=warm_point, canonical=canonical,
     )

@@ -223,10 +223,6 @@ class LPSolution:
     objective: Optional[Fraction]
     #: Per-solve performance counters (``None`` when no exact solve ran).
     stats: Optional["SolverStats"] = None
-    #: Carried solver basis (:class:`~repro.lp.warm.WarmState`) with
-    #: structural labels mapped to this program's variable keys; process-
-    #: local ephemera — never serialized (``None`` when no exact solve ran).
-    warm_state: Optional[object] = None
 
     @property
     def is_optimal(self) -> bool:

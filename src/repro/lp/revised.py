@@ -28,11 +28,11 @@ optima are non-unique.  Under both rules, once the pivot count crosses
 ``bland_threshold`` the rule switches to Bland's smallest-index rule
 (scanning from column 0), which cannot cycle, so termination is guaranteed.
 
-Warm starts factorize directly: a candidate point's support columns are
-eliminated straight into the basis (``O(rows³)``, independent of the column
-count).  This is how the hybrid backend certifies HiGHS candidates.  A
-failed crash falls back to ordinary ratio-test pushes, which preserve
-feasibility unconditionally.
+A warm start is a point, never a carried basis: the point's support
+columns are eliminated straight into the basis (``O(rows³)``, independent
+of the column count).  This is how the hybrid backend certifies HiGHS
+candidates.  A failed crash falls back to ordinary ratio-test pushes, which
+preserve feasibility unconditionally.
 
 Infeasible programs return an exact Farkas certificate
 (:mod:`repro.lp.certificates`) read off the optimal phase-1 duals, so
@@ -59,7 +59,6 @@ from .simplex import (
     standard_form,
 )
 from .stats import SolverStats, record
-from .warm import WarmState
 
 
 def _lcm(a: int, b: int) -> int:
@@ -296,7 +295,6 @@ class _RevisedSolver:
         """
         std, m = self.std, self.m
         self.stats.refactorizations += 1
-        self.lub.refactorizations += 1
         claimed = [False] * m
         in_basis = set(self.basis)
         skipped: List[int] = []
@@ -381,101 +379,6 @@ class _RevisedSolver:
             self._pivot(row, alpha, col)
             in_basis.add(col)
 
-    def crash_from_state(
-        self, state: WarmState, token: object
-    ) -> bool:
-        """Install a carried :class:`WarmState` basis; ``True`` iff feasible.
-
-        Two tiers (see :mod:`repro.lp.warm`): when the caller's structure
-        *token* matches the state's and the row scales are identical, the
-        factorized ``W`` is reinstalled verbatim — ``rhs = W·b`` is the only
-        arithmetic (``crash_skips``).  Otherwise the labelled columns are
-        factorized directly, ``O(m³)`` but self-validating against the
-        *current* columns.  Either way the resulting dictionary must be
-        exactly feasible with every artificial at level 0, or the state is
-        rejected with the solver untouched (stale bases degrade cleanly).
-        """
-        std, m = self.std, self.m
-        if state.m != m or len(state.labels) != m:
-            return False
-        resolved: List[int] = []
-        for kind, payload in state.labels:
-            col: Optional[int] = None
-            if kind == "x":
-                if isinstance(payload, int) and 0 <= payload < std.n:
-                    col = payload
-            elif kind == "s":
-                if isinstance(payload, int) and 0 <= payload < m:
-                    col = std.slack_of_row[payload]
-            elif kind == "a":
-                if isinstance(payload, int) and 0 <= payload < m:
-                    col = self.art_of_row[payload]
-            if col is None:
-                return False
-            resolved.append(col)
-        if len(set(resolved)) != m:
-            return False
-
-        # Tier 1: verbatim W reinstall.  Sound only when the caller vouches
-        # (token equality) that its basis columns are identical to the
-        # producer's — a feasibility check alone cannot validate W as B⁻¹.
-        if (
-            state.lub is not None
-            and token is not None
-            and state.token is not None
-            and state.token == token
-            and state.scales == tuple(self.scales)
-            and state.lub.m == m
-        ):
-            cand = state.lub.rebind(self.b_int)
-            if self._dictionary_feasible(cand, resolved):
-                cand.updates = self.lub.updates
-                cand.refactorizations = self.lub.refactorizations
-                cand.sparse_btrans = self.lub.sparse_btrans
-                self.lub = cand
-                self.basis = resolved
-                self.stats.crash_skips += 1
-                return True
-
-        # Tier 2: factorize the labelled columns against the current system
-        # (self-validating — no token needed), tracking which row each
-        # column claims so basis membership stays positional.
-        prior_updates = self.lub.updates
-        prior_refacts = self.lub.refactorizations
-        self.stats.refactorizations += 1
-        fresh = LUBasis(m, self.b_int)
-        claimed = [False] * m
-        assign: List[int] = [-1] * m
-        for col in resolved:
-            alpha = fresh.ftran(self.cols[col])
-            row = next(
-                (r for r in range(m) if not claimed[r] and alpha[r] != 0), None
-            )
-            if row is None:
-                return False  # singular against the current columns
-            fresh.update(row, alpha)
-            claimed[row] = True
-            assign[row] = col
-        if not self._dictionary_feasible(fresh, assign):
-            return False
-        fresh.updates = prior_updates  # a crash is a refactorization, not pivots
-        fresh.refactorizations = prior_refacts + 1
-        fresh.sparse_btrans += self.lub.sparse_btrans
-        self.lub = fresh
-        self.basis = assign
-        return True
-
-    def _dictionary_feasible(self, lub: LUBasis, basis: Sequence[int]) -> bool:
-        """Non-negative basics, artificials (if basic) exactly at zero."""
-        art_start = self.std.art_start
-        for r in range(self.m):
-            v = lub.rhs[r]
-            if v < 0:
-                return False
-            if basis[r] >= art_start and v != 0:
-                return False
-        return True
-
     def reset(self) -> None:
         """Back to the slack/artificial identity basis (crash fallback)."""
         self.basis = [
@@ -484,49 +387,10 @@ class _RevisedSolver:
             else self.std.slack_of_row[i]  # type: ignore[list-item]
             for i in range(self.m)
         ]
-        updates, refact = self.lub.updates, self.lub.refactorizations
-        sparse_btrans = self.lub.sparse_btrans
+        updates, sparse_btrans = self.lub.updates, self.lub.sparse_btrans
         self.lub = LUBasis(self.m, self.b_int)
         self.lub.updates = updates  # pivot budget covers the failed crash
-        self.lub.refactorizations = refact
         self.lub.sparse_btrans = sparse_btrans
-
-    # ------------------------------------------------------------------
-    # WarmState extraction
-    # ------------------------------------------------------------------
-
-    def build_warm_state(
-        self, x: Sequence[Fraction], token: object
-    ) -> WarmState:
-        """Package the final basis as a carried :class:`WarmState`.
-
-        The live :class:`LUBasis` is *moved* (rows are copy-on-write, so a
-        future consumer cloning it never aliases mutations); labels encode
-        basis membership positionally in this solve's index space.
-        """
-        std = self.std
-        labels: List[Tuple[str, object]] = []
-        slack_row = {
-            s: r for r, s in enumerate(std.slack_of_row) if s is not None
-        }
-        art_row = {a: r for r, a in enumerate(self.art_of_row) if a is not None}
-        for b in self.basis:
-            if b < std.n:
-                labels.append(("x", b))
-            elif b >= std.art_start:
-                labels.append(("a", art_row[b]))
-            else:
-                labels.append(("s", slack_row[b]))
-        point = {j: x[j] for j in range(std.n) if x[j]}
-        return WarmState(
-            labels,
-            self.m,
-            std.n,
-            tuple(self.scales),
-            lub=self.lub,
-            token=token,
-            point=point,
-        )
 
     # ------------------------------------------------------------------
     # Phase-1 bookkeeping
@@ -607,12 +471,9 @@ def solve_standard(
     senses: Sequence[str],
     rhs: Sequence[Fraction],
     objective: Sequence[Fraction],
-    warm_hints: Optional[Sequence[int]] = None,
     warm_point: Optional[Sequence[Fraction]] = None,
     bland_threshold: Optional[int] = None,
     max_pivots: Optional[int] = None,
-    warm_state: Optional[WarmState] = None,
-    structure_token: object = None,
     canonical: bool = True,
 ) -> SimplexResult:
     """Solve ``min c·x  s.t.  rows, x ≥ 0`` exactly.
@@ -628,16 +489,10 @@ def solve_standard(
     / :func:`~repro.lp.simplex.default_max_pivots`); exhausting the budget
     raises the structured :class:`~repro.exceptions.PivotLimitError`.
 
-    Warm starts can only speed the solve up, never change its guarantees:
+    A warm start can only speed the solve up, never change its guarantees:
     *warm_point* is a candidate solution whose support and tight rows seed a
-    crash basis; *warm_hints* is the bare column-index form used when no
-    full point is available; *warm_state* is a carried
-    :class:`~repro.lp.warm.WarmState` (labels in **this** LP's index space)
-    whose basis, when it resolves and is feasible, skips phase 1 and the
-    crash outright.  A stale state degrades to its carried point, then to a
-    cold start.  *structure_token* authorizes verbatim ``W`` reuse (see
-    :mod:`repro.lp.warm`).  Optimal results carry the final basis on
-    ``warm_state``.
+    crash basis.  A crash that lands on an infeasible dictionary restarts
+    from the identity basis and pushes the support in by ratio tests.
 
     *canonical* picks the pricing and with it the vertex contract.  ``True``
     (the default) prices with Dantzig's rule, so the vertex is a
@@ -664,45 +519,26 @@ def solve_standard(
         has_artificials = any(std.needs_artificial)
 
         crashed = False
-        if warm_state is not None:
-            solver.stats.warm_start_attempts += 1
-            with trace_span("lp.crash", state=True) as crash_sp:
-                crashed = solver.crash_from_state(warm_state, structure_token)
-                if crash_sp:
-                    crash_sp.attrs["hit"] = crashed
-                    crash_sp.attrs["verbatim"] = bool(solver.stats.crash_skips)
-            if crashed:
-                solver.stats.warm_start_hits += 1
-                solver.stats.basis_reuses += 1
-            elif warm_point is None and warm_state.point:
-                # Stale basis: degrade to the carried vertex as a point hint.
-                pt = [Fraction(0)] * std.n
-                for payload, value in warm_state.point.items():
-                    if isinstance(payload, int) and 0 <= payload < std.n:
-                        pt[payload] = to_fraction(value)
-                warm_point = pt
-
-        eligible: Optional[List[bool]] = None
-        if not crashed and warm_point is not None and len(warm_point) == std.n:
+        if warm_point is not None and len(warm_point) == std.n:
             point = [to_fraction(v) for v in warm_point]
-            warm_hints = _point_hints(point) + list(warm_hints or [])
-            eligible = _tight_rows(coeff_rows, senses, rhs, point)
-
-        if not crashed and warm_hints:
-            solver.stats.warm_start_attempts += 1
-            with trace_span("lp.crash", hints=len(warm_hints)) as crash_sp:
-                crashed = solver.crash_factorize(warm_hints, eligible)
-                if crashed:
-                    solver.stats.warm_start_hits += 1
-                else:
-                    # The crash landed on an infeasible dictionary; restart
-                    # from the identity basis and fall back to ratio-test
-                    # pushes.
-                    solver.reset()
-                    solver.push_hints(warm_hints)
-                if crash_sp:
-                    crash_sp.attrs["hit"] = crashed
-                    crash_sp.attrs["pivots"] = solver.pivots
+            hints = _point_hints(point)
+            if hints:
+                solver.stats.warm_start_attempts += 1
+                with trace_span("lp.crash", hints=len(hints)) as crash_sp:
+                    crashed = solver.crash_factorize(
+                        hints, _tight_rows(coeff_rows, senses, rhs, point)
+                    )
+                    if crashed:
+                        solver.stats.warm_start_hits += 1
+                    else:
+                        # The crash landed on an infeasible dictionary;
+                        # restart from the identity basis and fall back to
+                        # ratio-test pushes.
+                        solver.reset()
+                        solver.push_hints(hints)
+                    if crash_sp:
+                        crash_sp.attrs["hit"] = crashed
+                        crash_sp.attrs["pivots"] = solver.pivots
 
         # ------------- Phase 1: minimize the sum of artificials ------------
         if has_artificials and not crashed:
@@ -747,5 +583,4 @@ def solve_standard(
         return SimplexResult(
             "optimal", x, value, list(solver.basis), solver.pivots,
             stats=solver.stats,
-            warm_state=solver.build_warm_state(x, structure_token),
         )

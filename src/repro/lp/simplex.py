@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence
 from .._fraction import to_fraction
 from ..exceptions import SolverError
 from .stats import SolverStats
-from .warm import WarmState
 
 #: After this many pivots the pivot rule switches to Bland's (anti-cycling).
 #: Overridable per solve via ``solve_standard(bland_threshold=…)``.
@@ -73,10 +72,6 @@ class SimplexResult:
     #: Verified Farkas certificate (infeasible results; row-indexed in the
     #: caller's row order, see :mod:`repro.lp.certificates`).
     farkas: Optional[List[Fraction]] = None
-    #: Carried solver state for the *next* solve (optimal results only):
-    #: the final basis as labels, the live factorized basis, and the
-    #: vertex.  Process-local ephemera — never serialized.
-    warm_state: Optional[WarmState] = None
 
     @property
     def is_optimal(self) -> bool:

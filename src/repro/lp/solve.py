@@ -18,8 +18,10 @@ Every exact solve — the ``"exact"`` backend and the verification step of
 :func:`repro.lp.revised.solve_standard`.
 
 Warm starts: pass ``warm_values`` (a previously feasible point keyed like
-the program's variables) and the exact/hybrid backends factorize its
-support into the starting basis, typically skipping phase 1 entirely.
+the program's variables; ``warm_point``, a dense vector, on the raw-row
+entry points) and the exact/hybrid backends factorize its support into the
+starting basis, typically skipping phase 1 entirely.  A point is the only
+warm-start input: no solver basis is carried from one solve to the next.
 
 :func:`solve_lp` (keyed :class:`~repro.lp.model.LinearProgram`) and
 :func:`solve_rows` (raw standard rows) share one backend dispatch:
@@ -38,7 +40,6 @@ from .hybrid import HAVE_SCIPY, solve_standard_hybrid
 from .model import LinearProgram, LPSolution, VarKey
 from .revised import solve_standard
 from .stats import SolverStats, record
-from .warm import WarmState
 
 logger = logging.getLogger(__name__)
 
@@ -107,28 +108,6 @@ def _count_warm_drops(drops: int, stats) -> None:
     record(SolverStats(warm_key_drops=drops))
 
 
-def _local_warm_state(
-    lp: LinearProgram, state: Optional[WarmState]
-) -> Optional[WarmState]:
-    """Relabel a keyed :class:`WarmState` into *lp*'s column space."""
-    if state is None:
-        return None
-    return state.relabel(
-        lambda key: lp.index_of(key) if lp.has_variable(key) else None,
-        new_n=lp.num_variables,
-    )
-
-
-def _keyed_warm_state(lp: LinearProgram, state) -> Optional[WarmState]:
-    """Relabel a solver-produced :class:`WarmState` onto variable keys."""
-    if state is None:
-        return None
-    keys = lp.variable_keys
-    return state.relabel(
-        lambda j: keys[j] if isinstance(j, int) and 0 <= j < len(keys) else None
-    )
-
-
 def solve_rows(
     coeff_rows: Sequence[Dict[int, Fraction]],
     senses: Sequence[str],
@@ -138,8 +117,6 @@ def solve_rows(
     warm_point: Optional[Sequence[Fraction]] = None,
     float_rows=None,
     canonical: bool = True,
-    warm_state: Optional[WarmState] = None,
-    structure_token: object = None,
 ):
     """Solve raw standard rows (minimization) on *backend*.
 
@@ -148,23 +125,18 @@ def solve_rows(
     min-T LP of :func:`repro.core.programs.minimal_fractional_T`).  Returns
     the solver's :class:`~repro.lp.simplex.SimplexResult`; the per-backend
     guarantees are those of the module docstring.  *warm_point* is a dense
-    structural vector, *warm_state* a carried basis labelled in this
-    column space (exact/hybrid only); *float_rows* is an optional prebuilt
-    float CSR of *coeff_rows* for the HiGHS leg and changes no result.
-    *canonical* is as in :func:`solve_lp`.
+    structural vector; *float_rows* is an optional prebuilt float CSR of
+    *coeff_rows* for the HiGHS leg and changes no result.  *canonical* is
+    as in :func:`solve_lp`.
     """
     if _resolve_backend(backend) == "exact":
         return solve_standard(
             coeff_rows, senses, rhs, objective,
-            warm_point=warm_point,
-            warm_state=warm_state, structure_token=structure_token,
-            canonical=canonical,
+            warm_point=warm_point, canonical=canonical,
         )
     return solve_standard_hybrid(
         coeff_rows, senses, rhs, objective,
-        warm_point=warm_point,
-        warm_state=warm_state, structure_token=structure_token,
-        canonical=canonical, float_rows=float_rows,
+        warm_point=warm_point, canonical=canonical, float_rows=float_rows,
     )
 
 
@@ -172,8 +144,6 @@ def solve_lp(
     lp: LinearProgram,
     backend: str = "exact",
     warm_values: Optional[Mapping[VarKey, Fraction]] = None,
-    warm_state: Optional[WarmState] = None,
-    structure_token: object = None,
     canonical: bool = True,
 ) -> LPSolution:
     """Solve *lp* (minimization) and map values back to variable keys.
@@ -181,16 +151,7 @@ def solve_lp(
     See the module docstring for the per-backend guarantees.  *warm_values*
     is an optional previously-feasible point used to warm-start the
     exact/hybrid backends; it never changes the result, only the pivot
-    path.
-
-    *warm_state* is a carried :class:`~repro.lp.warm.WarmState` whose
-    structural labels are **variable keys** (as returned on
-    ``LPSolution.warm_state``); it is relabelled into *lp*'s column space
-    and, when its basis still resolves, the exact solver skips phase 1 and
-    the warm-point push outright.  A stale state degrades to its carried
-    vertex.  *structure_token* authorizes verbatim basis reuse (raw-row
-    callers only — relabelling drops the witness, so keyed carrying always
-    refactorizes).  *canonical* picks the pricing and vertex contract (see
+    path.  *canonical* picks the pricing and vertex contract (see
     :func:`repro.lp.revised.solve_standard`): ``True`` (default) prices
     with Dantzig's rule for a deterministic vertex, ``False`` prices
     partially and returns whatever vertex the solve lands on (probe-style
@@ -198,16 +159,10 @@ def solve_lp(
     """
     backend = _resolve_backend(backend)
     coeff_rows, senses, rhs, objective = lp.to_standard_rows()
-    local_state = None
-    if warm_state is not None:
-        local_state = _local_warm_state(lp, warm_state)
-        if local_state is None and not warm_values:
-            warm_values = warm_state.point  # stale basis: keep the vertex
     warm_pt, drops = _warm_point(lp, warm_values)
     result = solve_rows(
         coeff_rows, senses, rhs, objective, backend=backend,
         warm_point=warm_pt, canonical=canonical,
-        warm_state=local_state, structure_token=structure_token,
     )
     _count_warm_drops(drops, result.stats)
     if result.status != "optimal":
@@ -220,7 +175,6 @@ def solve_lp(
     return LPSolution(
         status="optimal", values=values, objective=result.objective,
         stats=result.stats,
-        warm_state=_keyed_warm_state(lp, getattr(result, "warm_state", None)),
     )
 
 
@@ -259,9 +213,6 @@ def feasible_point_rows(
     num_vars: int,
     backend: str = "hybrid",
     warm_point: Optional[Sequence[Fraction]] = None,
-    warm_state: Optional[WarmState] = None,
-    structure_token: object = None,
-    want_state: bool = False,
     float_rows=None,
 ):
     """Certified feasibility probe on raw standard rows.
@@ -275,14 +226,10 @@ def feasible_point_rows(
     views instead of materialized :class:`~repro.lp.model.LinearProgram`
     objects.
 
-    *warm_state* carries the basis of a neighbouring probe's solve (labels
-    in **this** row/column space); *structure_token* authorizes verbatim
-    basis reuse when the caller guarantees identical columns (see
-    :mod:`repro.lp.warm`).  With ``want_state=True`` the return becomes the
-    3-tuple ``(point, farkas, state)`` where *state* is the exact solve's
-    final :class:`~repro.lp.warm.WarmState` — ``None`` on the float-certified
-    shortcut (no exact basis existed) and on infeasibility.  Probe vertices
-    are **not** canonicalized (feasibility verdicts are vertex-agnostic).
+    *warm_point* is a dense structural vector that seeds the exact solve's
+    crash basis (the float candidate replaces it when HiGHS returns one
+    that fails the exact re-check).  Probe vertices are **not**
+    canonicalized (feasibility verdicts are vertex-agnostic).
     *float_rows* is an optional prebuilt float CSR of *coeff_rows* for the
     HiGHS leg (see :mod:`repro.lp.hybrid`); it changes no result.
     """
@@ -299,36 +246,28 @@ def feasible_point_rows(
         )
         if candidate is not None and candidate.status == "optimal":
             if check_standard_rows(coeff_rows, senses, rhs, candidate.x):
-                # Certified by the re-check; no exact basis to carry.
-                point = list(candidate.x)
-                return (point, None, None) if want_state else (point, None)
+                return list(candidate.x), None  # certified by the re-check
             warm_point = candidate.x  # uncertified: warm-start the repair
         elif candidate is not None and candidate.status == "infeasible":
             farkas = certify_infeasible(
                 coeff_rows, senses, rhs, num_vars=num_vars, float_rows=float_rows
             )
             if farkas is not None:
-                return (None, farkas, None) if want_state else (None, farkas)
+                return None, farkas
     result = solve_standard(
         coeff_rows, senses, rhs, objective,
-        warm_point=warm_point,
-        warm_state=warm_state, structure_token=structure_token,
-        canonical=False,
+        warm_point=warm_point, canonical=False,
     )
     if result.status != "optimal":
-        farkas = result.farkas
-        return (None, farkas, None) if want_state else (None, farkas)
-    state = getattr(result, "warm_state", None)
-    return (result.x, None, state) if want_state else (result.x, None)
+        return None, result.farkas
+    return result.x, None
 
 
 def feasible_point(
     lp: LinearProgram,
     backend: str = "exact",
     warm_values: Optional[Mapping[VarKey, Fraction]] = None,
-    warm_state: Optional[WarmState] = None,
-    want_state: bool = False,
-):
+) -> Optional[Dict[VarKey, Fraction]]:
     """An **exactly certified** feasible point of *lp*, or ``None``.
 
     This is the cheap primitive behind feasibility probes (the binary search
@@ -340,34 +279,22 @@ def feasible_point(
     too small for the float probe to pay off) falls through to a certified
     solve, warm-started from *warm_values* (e.g. the bracketing probe's
     point) when given.  The keyed front end of :func:`feasible_point_rows`.
-
-    *warm_state* is a keyed :class:`~repro.lp.warm.WarmState` (as returned
-    with ``want_state=True``); when its basis resolves the solver skips the
-    push/phase-1 machinery entirely.  With ``want_state=True`` the return
-    becomes ``(point_dict_or_None, state_or_None)``.
     """
     from .hybrid import _FLOAT_SIZE_CUTOFF
 
     backend = _resolve_backend(backend)
     if lp.num_variables * max(lp.num_constraints, 1) < _FLOAT_SIZE_CUTOFF:
         backend = "exact"  # linprog overhead exceeds a cold exact solve
-    local_state = _local_warm_state(lp, warm_state)
-    if warm_state is not None and local_state is None and not warm_values:
-        warm_values = warm_state.point  # stale basis: keep the vertex
     warm_pt, drops = _warm_point(lp, warm_values)
     coeff_rows, senses, rhs, _objective = lp.to_standard_rows()
-    point, _farkas, state = feasible_point_rows(
+    point, _farkas = feasible_point_rows(
         coeff_rows, senses, rhs, lp.num_variables,
         backend=backend, warm_point=warm_pt,
-        warm_state=local_state, want_state=True,
     )
     _count_warm_drops(drops, None)
     if point is None:
-        return (None, None) if want_state else None
-    values = {key: point[lp.index_of(key)] for key in lp.variable_keys}
-    if not want_state:
-        return values
-    return values, _keyed_warm_state(lp, state)
+        return None
+    return {key: point[lp.index_of(key)] for key in lp.variable_keys}
 
 
 def is_feasible(lp: LinearProgram, backend: str = "exact") -> bool:

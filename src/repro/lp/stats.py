@@ -57,16 +57,15 @@ class SolverStats:
     warm_start_hits: int = 0
     point_reuses: int = 0
     farkas_reuses: int = 0
-    #: WarmState outcomes: ``basis_reuses`` counts solves whose starting
-    #: basis came from a carried :class:`~repro.lp.warm.WarmState` (phase 1
-    #: skipped); ``crash_skips`` is the subset where the factorized ``W``
-    #: itself was installed verbatim — no ``O(m³)`` refactorization, no
-    #: ratio-test push.  ``sparse_btrans`` counts btran calls answered
-    #: entirely from sparse ``W`` rows; ``warm_key_drops`` counts warm-point
-    #: keys dropped because the target LP lacks the variable (cross-probe
-    #: shape mismatches — see ``lp/solve.py:_warm_point``).
+    #: ``basis_reuses`` is always 0: solves are warm-started from points
+    #: only, and no solver basis is carried between solves.  The field stays
+    #: because ``perfbench/workload.py`` still reports it as
+    #: ``lp.basis_reuses``.
+    #: ``sparse_btrans`` counts btran calls answered entirely from sparse
+    #: ``W`` rows; ``warm_key_drops`` counts warm-point keys dropped because
+    #: the target LP lacks the variable (cross-probe shape mismatches — see
+    #: ``lp/solve.py:_warm_point``).
     basis_reuses: int = 0
-    crash_skips: int = 0
     sparse_btrans: int = 0
     warm_key_drops: int = 0
     #: Session-layer solve cache outcomes: a hit means a whole solve (or a
@@ -101,7 +100,6 @@ class SolverStats:
         self.point_reuses += other.point_reuses
         self.farkas_reuses += other.farkas_reuses
         self.basis_reuses += other.basis_reuses
-        self.crash_skips += other.crash_skips
         self.sparse_btrans += other.sparse_btrans
         self.warm_key_drops += other.warm_key_drops
         self.cache_hits += other.cache_hits
@@ -130,7 +128,6 @@ class SolverStats:
             "point_reuses": self.point_reuses,
             "farkas_reuses": self.farkas_reuses,
             "basis_reuses": self.basis_reuses,
-            "crash_skips": self.crash_skips,
             "sparse_btrans": self.sparse_btrans,
             "warm_key_drops": self.warm_key_drops,
             "cache_hits": self.cache_hits,
@@ -152,8 +149,7 @@ class SolverStats:
                     "solves", "pivots", "phase1_pivots", "refactorizations",
                     "warm_start_attempts", "warm_start_hits",
                     "point_reuses", "farkas_reuses",
-                    "basis_reuses", "crash_skips",
-                    "sparse_btrans", "warm_key_drops",
+                    "basis_reuses", "sparse_btrans", "warm_key_drops",
                     "cache_hits", "cache_misses",
                     "task_retries", "tasks_quarantined", "budget_kills",
                 )
@@ -175,12 +171,10 @@ class SolverStats:
                 f"  solves            {self.solves}  ({kernels})",
                 f"  pivots            {self.pivots}  (phase 1: {self.phase1_pivots})",
                 f"  refactorizations  {self.refactorizations}",
-                f"  warm starts       {self.warm_start_hits}/{self.warm_start_attempts} hits",
+                f"  warm starts       {self.warm_start_hits}/{self.warm_start_attempts} hits, "
+                f"{self.warm_key_drops} warm keys dropped",
                 f"  probe shortcuts   {self.point_reuses} point reuses, "
                 f"{self.farkas_reuses} Farkas reuses",
-                f"  basis carrying    {self.basis_reuses} reuses "
-                f"({self.crash_skips} verbatim), "
-                f"{self.warm_key_drops} warm keys dropped",
                 f"  sparse btrans     {self.sparse_btrans}",
                 f"  solve cache       {self.cache_hits} hits, "
                 f"{self.cache_misses} misses",

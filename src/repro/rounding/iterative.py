@@ -221,6 +221,9 @@ def iterative_round(
     restricted to the still-free variables — that restriction stays
     feasible for the residual system (1-fixed contributions are subtracted
     from the bounds), so the crash basis typically skips phase 1 outright.
+    The point is the only warm start: every iteration fixes a variable
+    (removing its ``ub`` row) or drops a packing row, so the previous
+    iteration's basis never has the next LP's row count.
     """
     all_keys: List[VarKey] = []
     owner: Dict[VarKey, Hashable] = {}
@@ -246,7 +249,6 @@ def iterative_round(
     fallback_drops = 0
     iterations = 0
     warm: Optional[Dict[VarKey, Fraction]] = None
-    carried = None  # last iteration's WarmState (keys survive shrinking)
 
     while True:
         iterations += 1
@@ -273,21 +275,12 @@ def iterative_round(
             lp.add_constraint(coeffs, "<=", _residual(row, fixed), name=row.name)
         if cost_map:
             lp.set_objective({q: cost_map.get(q, Fraction(0)) for q in free_keys})
-        solution = solve_lp(
-            lp, backend=backend, warm_values=warm,
-            warm_state=carried,
-        )
+        solution = solve_lp(lp, backend=backend, warm_values=warm)
         if not solution.is_optimal:
             raise InfeasibleError(
                 "iterative rounding LP became infeasible (input LP was "
                 "infeasible to begin with)"
             )
-        # Carry the basis into the next iteration's solve.  The residual
-        # system shrinks (fixed columns vanish, rows close/drop), so the
-        # state is often stale by dimension — the solver then degrades to
-        # the *warm* point below; when only columns were fixed it
-        # refactorizes the surviving basis and skips phase 1.
-        carried = solution.warm_state
 
         progress = False
         fractional: List[VarKey] = []

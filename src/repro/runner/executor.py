@@ -162,14 +162,6 @@ def execute_task(
     (*key*, *attempt*)'s injected fault — ``allow_kill`` tells the injector
     whether it runs in an expendable pool worker (may SIGKILL/hang) or in
     the driver itself (faults degrade to raised errors).
-
-    Carried solver bases (:class:`~repro.lp.warm.WarmState`) are process-
-    local ephemera and never appear in the returned record: params pass
-    through the canonicalizer (which rejects them explicitly), the table
-    payload holds encoded cells only, and a state smuggled anywhere else
-    would fail the worker→driver pickle (``WarmState.__reduce__`` raises).
-    Stores written by earlier generations therefore read back byte-
-    identically.
     """
     spec = get_spec(experiment)
     fault = chaos.draw(key, attempt) if chaos is not None else None

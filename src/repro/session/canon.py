@@ -34,7 +34,6 @@ from fractions import Fraction
 from typing import Any, Dict, List
 
 from ..analysis.tables import encode_cell
-from ..lp.warm import WarmState
 
 #: Environment variable mixed into :func:`code_fingerprint` when set.
 FINGERPRINT_SALT_ENV = "REPRO_FINGERPRINT_SALT"
@@ -48,15 +47,6 @@ def canonical(obj: Any) -> Any:
     to tag Fractions and non-finite floats exactly and to stringify anything
     else (e.g. a Topology passed programmatically) deterministically.
     """
-    if isinstance(obj, WarmState):
-        # Belt-and-braces alongside WarmState.__reduce__: carried solver
-        # bases are process-local ephemera and must never leak into a
-        # cache payload or a content key (stores written by earlier
-        # generations would silently stop being byte-compatible).
-        raise TypeError(
-            "WarmState is process-local solver ephemera and cannot be "
-            "canonicalized into cache payloads or content keys"
-        )
     if isinstance(obj, dict):
         return {str(k): canonical(obj[k]) for k in sorted(obj, key=str)}
     if isinstance(obj, (list, tuple)):

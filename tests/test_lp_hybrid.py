@@ -96,17 +96,14 @@ class TestWarmStart:
         assert warm.objective == solve_lp(lp, backend="exact").objective
 
     def test_warm_start_skips_pivots(self):
-        # An equality program needs phase-1 work from a cold start; with the
-        # optimal support pushed first it should need strictly fewer pivots.
+        # An equality program needs phase-1 work from a cold start; seeded
+        # with the optimal point it should need no more pivots.
         rows = [{j: Fraction(1) for j in range(8)}, {0: Fraction(1), 4: Fraction(1)}]
         senses = ["==", ">="]
         rhs = [Fraction(5), Fraction(1)]
         objective = [Fraction(j + 1) for j in range(8)]
         cold = solve_standard(rows, senses, rhs, objective)
-        warm = solve_standard(
-            rows, senses, rhs, objective,
-            warm_hints=[j for j, v in enumerate(cold.x) if v > 0],
-        )
+        warm = solve_standard(rows, senses, rhs, objective, warm_point=cold.x)
         assert warm.objective == cold.objective
         assert warm.pivots <= cold.pivots
 

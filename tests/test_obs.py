@@ -144,7 +144,9 @@ class TestRoundTrips:
         assert SolverStats.from_json(json.loads(json.dumps(stats.to_json()))) == stats
 
     def test_solver_stats_from_json_tolerates_missing_and_unknown(self):
-        rebuilt = SolverStats.from_json({"solves": 2, "not_a_counter": 9})
+        rebuilt = SolverStats.from_json(
+            {"solves": 2, "not_a_counter": 9, "crash_skips": 4}
+        )
         assert rebuilt.solves == 2 and rebuilt.pivots == 0
         assert rebuilt.kernels == {}
 

@@ -28,32 +28,32 @@ PINS = {
     ("exact", 3, 10, 4): (
         "755/29", "30",
         dict(solves=2, pivots=46, phase1_pivots=43, refactorizations=0,
-             basis_reuses=0, crash_skips=0),
+             basis_reuses=0),
     ),
     ("exact", 5, 16, 6): (
         "28", "39",
         dict(solves=2, pivots=52, phase1_pivots=48, refactorizations=0,
-             basis_reuses=0, crash_skips=0),
+             basis_reuses=0),
     ),
     ("exact", 8, 16, 6): (
         "1406/53", "32",
         dict(solves=2, pivots=87, phase1_pivots=64, refactorizations=0,
-             basis_reuses=0, crash_skips=0),
+             basis_reuses=0),
     ),
     ("hybrid", 3, 10, 4): (
         "755/29", "34",
         dict(solves=2, pivots=28, phase1_pivots=0, refactorizations=2,
-             basis_reuses=0, crash_skips=0),
+             basis_reuses=0),
     ),
     ("hybrid", 5, 16, 6): (
         "28", "41",
         dict(solves=2, pivots=39, phase1_pivots=0, refactorizations=2,
-             basis_reuses=0, crash_skips=0),
+             basis_reuses=0),
     ),
     ("hybrid", 8, 16, 6): (
         "1406/53", "40",
         dict(solves=2, pivots=45, phase1_pivots=0, refactorizations=2,
-             basis_reuses=0, crash_skips=0),
+             basis_reuses=0),
     ),
 }
 

@@ -144,32 +144,25 @@ class TestLUBasis:
         for j in range(3):
             assert y[j] == 2 * w[0].get(j, 0) - w[2].get(j, 0)
 
-    def test_refactorize_is_canonical(self):
-        """A from-scratch refactorization reproduces the updated state."""
-        cols = [{0: 2, 1: 1}, {1: 3, 2: 1}, {0: 1, 2: 2}]
-        b = [3, 5, 7]
-        lub = LUBasis.factorize(3, cols, b)
-        den = lub.den
-        inv = [dict(lub.row_items(i)) for i in range(3)]
-        rhs = lub.rhs[:]
-        assert lub.refactorize(cols, b)
-        assert lub.den == den
-        assert [dict(lub.row_items(i)) for i in range(3)] == inv
-        assert lub.rhs == rhs
-        assert lub.refactorizations == 1
-
 
 class TestWarmStartEdgeCases:
     def test_degenerate_hint_no_positive_ratio(self):
         """A hint column with no positive entry is skipped harmlessly."""
         # x0 only appears with negative coefficient in a <= row: its
         # transformed column has no positive ratio; pushing it must not
-        # corrupt the solve.
-        rows = [{0: Fraction(-1), 1: Fraction(1)}]
-        senses = ["<="]
-        rhs = [Fraction(2)]
-        objective = [Fraction(0), Fraction(-1)]
-        result = solve_standard(rows, senses, rhs, objective, warm_hints=[0])
+        # corrupt the solve.  The ">=" row is slack at the warm point, so
+        # the crash lands on a negative surplus and the solve falls back to
+        # ratio-test pushes of the point's support, x0 alone.
+        rows = [{0: Fraction(-1), 1: Fraction(1)}, {2: Fraction(1)}]
+        senses = ["<=", ">="]
+        rhs = [Fraction(2), Fraction(1)]
+        objective = [Fraction(0), Fraction(-1), Fraction(0)]
+        result = solve_standard(
+            rows, senses, rhs, objective,
+            warm_point=[Fraction(1), Fraction(0), Fraction(0)],
+        )
+        assert result.stats.warm_start_attempts == 1
+        assert result.stats.warm_start_hits == 0
         assert result.status == "unbounded"
 
     def test_bad_warm_point_repaired(self):

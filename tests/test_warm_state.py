@@ -1,27 +1,22 @@
-"""WarmState lifecycle: staleness, resumability, determinism, the seam.
+"""Warm starts from a point: resumability, determinism, kernel seams.
 
-The carried-basis contract of PR 8 (see :mod:`repro.lp.warm`) has sharp
-edges this module pins down:
+A solve is warm-started only from a point (``warm_point`` on raw rows,
+keyed ``warm_values`` on a :class:`~repro.lp.model.LinearProgram`); no
+solver basis survives from one solve to the next.  This module pins down:
 
-* a stale basis — wrong dimensions, vanished variables, out-of-range
-  labels — must degrade *cleanly* (same answer as a cold solve, never an
-  exception, never a corrupted solver);
 * a :class:`~repro.exceptions.PivotLimitError` mid-search must leave the
   :class:`~repro.core.programs._ProbeSession` resumable;
-* a solve warm-started from any carried basis is optimal with the cold
-  solve's objective and a vertex-sized support (warm starts change the
+* a solve warm-started from another solve's vertex is optimal with the
+  cold solve's objective and a vertex-sized support (warm starts change the
   path, never the answer);
-* ``WarmState`` is process-local ephemera: pickling and session
-  canonicalization both refuse it;
+* warm keys the target program lacks are dropped and counted;
 * sparse and densified ``W`` rows answer ftran/btran identically;
 * the gmpy2 bigint seam is optional and escapable (``REPRO_BIGINT``).
 """
 
 from __future__ import annotations
 
-import copy
 import os
-import pickle
 import random
 import subprocess
 import sys
@@ -38,14 +33,12 @@ from repro.exceptions import PivotLimitError
 from repro.lp import (
     LinearProgram,
     LUBasis,
-    SolverStats,
     collect_stats,
     solve_lp,
     solve_standard,
 )
 from repro.lp.basis import _to_dense
 from repro.lp.solve import check_standard_rows
-from repro.lp.warm import WarmState
 from repro.workloads import make_instance, make_topology, rng_from_seed
 
 
@@ -59,135 +52,6 @@ def _small_lp():
     rhs = [Fraction(2), Fraction(3)]
     objective = [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
     return rows, senses, rhs, objective
-
-
-class TestProcessLocality:
-    def test_pickle_refused(self):
-        state = WarmState([("s", 0)], 1, 2, (1,))
-        with pytest.raises(TypeError):
-            pickle.dumps(state)
-
-    def test_deepcopy_refused(self):
-        # copy.deepcopy routes through __reduce__ as well: aliasing live
-        # kernel state across a "copy" would be just as unsound.
-        state = WarmState([("s", 0)], 1, 2, (1,))
-        with pytest.raises(TypeError):
-            copy.deepcopy(state)
-
-    def test_session_canonicalization_refused(self):
-        from repro.session.canon import canonical
-
-        state = WarmState([("s", 0)], 1, 2, (1,))
-        with pytest.raises(TypeError):
-            canonical({"payload": state})
-
-    def test_relabel_drops_token_and_farkas(self):
-        state = WarmState(
-            [("x", 0), ("s", 1)], 2, 2, (1, 1),
-            token="witness",
-            point={0: Fraction(1), 1: Fraction(2)},
-        )
-        mapped = state.relabel_dict({0: "a", 1: "b"})
-        assert mapped is not None
-        assert mapped.token is None
-        assert mapped.labels == (("x", "a"), ("s", 1))
-        assert mapped.point == {"a": Fraction(1), "b": Fraction(2)}
-
-    def test_relabel_basic_miss_is_stale(self):
-        """A basic structural that does not map kills the whole state..."""
-        state = WarmState([("x", 0)], 1, 2, (1,), point={1: Fraction(3)})
-        assert state.relabel_dict({1: "b"}) is None
-
-    def test_relabel_point_miss_merely_drops(self):
-        """...but a non-basic point entry is just dropped."""
-        state = WarmState([("x", 0)], 1, 2, (1,), point={0: Fraction(1), 1: Fraction(3)})
-        mapped = state.relabel_dict({0: "a"})
-        assert mapped is not None
-        assert mapped.point == {"a": Fraction(1)}
-
-
-class TestStaleBasisRejection:
-    def test_dimension_change_rejected_cleanly(self):
-        """A basis carried across a row-count change degrades to cold."""
-        rows, senses, rhs, objective = _small_lp()
-        donor = solve_standard(rows, senses, rhs, objective)
-        assert donor.status == "optimal" and donor.warm_state is not None
-
-        # Same variables, one extra row: state.m no longer matches.
-        rows2 = rows + [{2: Fraction(1), 3: Fraction(1)}]
-        senses2 = senses + ["<="]
-        rhs2 = rhs + [Fraction(1)]
-        cold = solve_standard(rows2, senses2, rhs2, objective)
-        warm = solve_standard(
-            rows2, senses2, rhs2, objective, warm_state=donor.warm_state
-        )
-        assert warm.status == cold.status == "optimal"
-        assert warm.x == cold.x
-        assert warm.stats.basis_reuses == 0
-        assert warm.stats.crash_skips == 0
-
-    def test_out_of_range_labels_rejected_cleanly(self):
-        """Labels pointing past the consumer's variable space are stale."""
-        rows, senses, rhs, objective = _small_lp()
-        donor = solve_standard(rows, senses, rhs, objective)
-        # Shrink to 2 structural variables; any ("x", j>=2) label is now
-        # unresolvable and the whole state must be rejected, not crash.
-        rows2 = [{k: v for k, v in r.items() if k < 2} for r in rows]
-        obj2 = objective[:2]
-        cold = solve_standard(rows2, senses, rhs, obj2)
-        warm = solve_standard(
-            rows2, senses, rhs, obj2, warm_state=donor.warm_state
-        )
-        assert warm.status == cold.status
-        assert warm.x == cold.x
-
-    def test_keyed_state_with_vanished_variable_degrades_to_point(self):
-        """solve_lp: a basic variable missing from the new LP = stale."""
-
-        def build(extra):
-            lp = LinearProgram()
-            lp.add_variable("x", ub=2)
-            lp.add_variable("y", ub=3)
-            if extra:
-                lp.add_variable("z", ub=1)
-            keys = {"x": 1, "y": 2, "z": 1} if extra else {"x": 1, "y": 2}
-            lp.add_constraint(keys, "<=", 4)
-            obj = {"x": -1, "y": -1, "z": -3} if extra else {"x": -1, "y": -1}
-            lp.set_objective(obj)
-            return lp
-
-        donor = solve_lp(build(True), backend="exact")
-        assert donor.status == "optimal" and donor.warm_state is not None
-        # "z" is basic at the donor optimum (cost -3 dominates); the target
-        # LP does not have it, so the carried basis cannot resolve.
-        cold = solve_lp(build(False), backend="exact")
-        warm = solve_lp(build(False), backend="exact", warm_state=donor.warm_state)
-        assert warm.status == cold.status == "optimal"
-        assert warm.values == cold.values
-        assert warm.objective == cold.objective
-
-    def test_verbatim_reuse_requires_token(self):
-        """Without a structure token tier 1 never fires (tier 2 may)."""
-        rows, senses, rhs, objective = _small_lp()
-        token = object()
-        donor = solve_standard(
-            rows, senses, rhs, objective, structure_token=token
-        )
-        warm = solve_standard(
-            rows, senses, rhs, objective, warm_state=donor.warm_state
-        )
-        assert warm.status == "optimal"
-        assert warm.stats.crash_skips == 0  # no token presented
-
-        verbatim = solve_standard(
-            rows, senses, rhs, objective,
-            warm_state=donor.warm_state, structure_token=token,
-        )
-        assert verbatim.status == "optimal"
-        assert verbatim.x == donor.x
-        assert verbatim.stats.crash_skips == 1
-        assert verbatim.stats.basis_reuses == 1
-        assert verbatim.stats.phase1_pivots == 0
 
 
 class TestPivotLimitResumability:
@@ -210,7 +74,7 @@ class TestPivotLimitResumability:
         T_hi = builder.breakpoints[-1]
 
         session = _ProbeSession(builder, backend="exact")
-        assert session.probe(T_hi) is not None  # seeds point + basis
+        assert session.probe(T_hi) is not None  # seeds the point
 
         import repro.core.programs as programs
 
@@ -268,21 +132,19 @@ def random_lp(draw):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(random_lp())
 def test_carried_basis_solve_equals_cold_solve(data):
-    """Property: warm path ≠ warm answer.  A solve seeded with the basis of
+    """Property: warm path ≠ warm answer.  A solve seeded with the vertex of
     a partially priced donor is optimal, matches the cold objective exactly,
     satisfies every row exactly and returns a vertex (support ≤ rows).
     """
     rows, senses, rhs, objective = data
     cold = solve_standard(rows, senses, rhs, objective)
-    # Donor: partial pricing, so its final basis may differ from the cold
-    # Dantzig path whenever this LP allows it.
+    # Donor: partial pricing, so its vertex may differ from the cold
+    # Dantzig one whenever this LP allows it.
     donor = solve_standard(rows, senses, rhs, objective, canonical=False)
     assert donor.status == cold.status
     if donor.status != "optimal":
         return
-    warm = solve_standard(
-        rows, senses, rhs, objective, warm_state=donor.warm_state
-    )
+    warm = solve_standard(rows, senses, rhs, objective, warm_point=donor.x)
     assert warm.status == "optimal"
     assert warm.objective == cold.objective
     assert check_standard_rows(rows, senses, rhs, warm.x)
