@@ -6,10 +6,17 @@ regressions are measurable.
 
 Run as a script, it micro-benchmarks the **LU basis kernel**
 (:class:`repro.lp.basis.LUBasis`: factorize, ftran, btran, rank-one update)
-on optimal IP-3 bases across the E14 shapes and writes ``BENCH_kernels.json``
-to the repository root (mirrored under ``benchmarks/results/``)::
+on optimal IP-3 bases across the E14 shapes, breaks the cold canonical LST
+LP at 64×16 down into pricing, ftran, update and btran time, and writes
+``BENCH_kernels.json`` to the repository root (mirrored under
+``benchmarks/results/``)::
 
-    PYTHONPATH=src python benchmarks/bench_kernels.py
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--quick] [--seed S]
+
+Every configuration gets :data:`WARMUP` untimed runs and :data:`REPEATS`
+timed ones (three with ``--quick``), reported as median, min and
+interquartile range; the configurations run in an order shuffled by
+``--seed``.
 """
 
 import os
@@ -129,6 +136,14 @@ def test_kernel_mcnaughton(benchmark):
 #: E14 shapes the script-mode microbench sweeps (pytest uses the smallest).
 LU_SHAPES = ((16, 6), (24, 8), (32, 10), (48, 12), (64, 16))
 
+#: Untimed runs before, and timed runs of, every script-mode configuration.
+WARMUP = 1
+REPEATS = 7
+
+#: The shape of the ``v2_exact`` perfbench workload, whose cold canonical LST
+#: LP the per-step breakdown times.
+LST_SHAPE = (64, 16)
+
 
 def _lu_fixture(n, m, seed=140):
     """An optimal IP-3 basis at the top breakpoint, in kernel terms.
@@ -156,69 +171,91 @@ def _lu_fixture(n, m, seed=140):
     return solver, [solver.cols[c] for c in result.basis]
 
 
-def _time_lu_ops(solver, basis_columns, rounds=3):
-    """Wall-clock the four kernel operations on a realistic basis."""
+def _summary(values):
+    """Median, min and interquartile range of one op's repeats."""
+    import statistics
+
+    vals = sorted(values)
+    if len(vals) > 1:
+        q1, _, q3 = statistics.quantiles(vals, n=4, method="inclusive")
+    else:
+        q1 = q3 = vals[0]
+    return {
+        "median": round(statistics.median(vals), 4),
+        "min": round(vals[0], 4),
+        "iqr": round(q3 - q1, 4),
+    }
+
+
+def _measure(sample, repeats):
+    """Run *sample* :data:`WARMUP` times untimed, then summarize *repeats* runs.
+
+    *sample* returns one ``{op: value}`` dict per run.
+    """
+    for _ in range(WARMUP):
+        sample()
+    runs = [sample() for _ in range(repeats)]
+    return {op: _summary([run[op] for run in runs]) for op in runs[0]}
+
+
+def _lu_ops_sample(solver, basis_columns):
+    """One wall-clock sample of the four kernel operations on a real basis."""
     import time
 
     from repro.lp.basis import LUBasis
 
     m = solver.m
-    times = {"factorize_ms": [], "ftran_us": [], "btran_us": [], "update_ms": []}
-    for _ in range(rounds):
-        start = time.perf_counter()
-        lub = LUBasis.factorize(m, basis_columns, solver.b_int)
-        times["factorize_ms"].append((time.perf_counter() - start) * 1e3)
-        assert lub is not None
+    out = {}
+    start = time.perf_counter()
+    lub = LUBasis.factorize(m, basis_columns, solver.b_int)
+    out["factorize_ms"] = (time.perf_counter() - start) * 1e3
+    assert lub is not None
 
-        sample = solver.cols[: min(len(solver.cols), 128)]
-        start = time.perf_counter()
-        for col in sample:
-            lub.ftran(col)
-        times["ftran_us"].append((time.perf_counter() - start) * 1e6 / len(sample))
+    sample = solver.cols[: min(len(solver.cols), 128)]
+    start = time.perf_counter()
+    for col in sample:
+        lub.ftran(col)
+    out["ftran_us"] = (time.perf_counter() - start) * 1e6 / len(sample)
 
-        cb = {i: 1 for i in range(0, m, 3)}
-        start = time.perf_counter()
-        for _ in range(16):
-            lub.btran(cb)
-        times["btran_us"].append((time.perf_counter() - start) * 1e6 / 16)
+    cb = {i: 1 for i in range(0, m, 3)}
+    start = time.perf_counter()
+    for _ in range(16):
+        lub.btran(cb)
+    out["btran_us"] = (time.perf_counter() - start) * 1e6 / 16
 
-        # Update pairs: pivot a non-basic column in, then the displaced one
-        # back (both legal exchanges), so the basis — and therefore the
-        # per-op cost — is identical across iterations.
-        basic = set()
-        pairs = 0
-        start = time.perf_counter()
-        for j, col in enumerate(solver.cols):
-            if pairs >= 8:
-                break
-            alpha = lub.ftran(col)
-            row = next(
-                (r for r in range(m) if alpha[r] != 0 and r not in basic), None
-            )
-            if row is None:
-                continue
-            old = basis_columns[row]
-            lub.update(row, alpha)
-            lub.update(row, lub.ftran(old))
-            basic.add(row)
-            pairs += 1
-        if pairs:
-            times["update_ms"].append(
-                (time.perf_counter() - start) * 1e3 / (2 * pairs)
-            )
-    return {op: round(min(vals), 4) for op, vals in times.items() if vals}
+    # Update pairs: pivot a non-basic column in, then the displaced one
+    # back (both legal exchanges), so the basis — and therefore the
+    # per-op cost — is identical across iterations.
+    basic = set()
+    pairs = 0
+    start = time.perf_counter()
+    for col in solver.cols:
+        if pairs >= 8:
+            break
+        alpha = lub.ftran(col)
+        row = next(
+            (r for r in range(m) if alpha[r] != 0 and r not in basic), None
+        )
+        if row is None:
+            continue
+        old = basis_columns[row]
+        lub.update(row, alpha)
+        lub.update(row, lub.ftran(old))
+        basic.add(row)
+        pairs += 1
+    assert pairs
+    out["update_ms"] = (time.perf_counter() - start) * 1e3 / (2 * pairs)
+    return out
 
 
-def _time_repr_ops(solver, basis_columns, rounds=3):
-    """Sparse rows (as factorized) vs dense-forced rows for ftran/btran.
+def _repr_bases(solver, basis_columns):
+    """The factorized basis as stored, and its twin with every row dense.
 
     The sparse representation is whatever :class:`LUBasis` chose per row
     under :data:`~repro.lp.basis.DENSIFY_THRESHOLD`; the dense twin is the
-    same factorization with every row expanded, so the delta is purely the
-    representation's doing.
+    same factorization with every row brought up to the current den and
+    expanded, so the delta is purely the representation's doing.
     """
-    import time
-
     from repro.lp.basis import LUBasis, _to_dense
 
     m = solver.m
@@ -226,50 +263,39 @@ def _time_repr_ops(solver, basis_columns, rounds=3):
     dense = LUBasis.factorize(m, basis_columns, solver.b_int)
     assert sparse is not None and dense is not None
     for i in range(m):
-        row = dense.inv[i]
+        row = dense.current_row(i)
         if type(row) is dict:
             dense.inv[i] = _to_dense(row, m)
+    return sparse, dense
+
+
+def _repr_ops_sample(solver, sparse, dense):
+    """One sample of ftran/btran on sparse-as-factorized vs dense rows."""
+    import time
+
     sample = solver.cols[: min(len(solver.cols), 128)]
-    cb = {i: 1 for i in range(0, m, 3)}
-    out = {
-        "sparse_row_fraction": round(
-            sum(1 for i in range(m) if type(sparse.inv[i]) is dict) / m, 4
-        ),
-        "mean_row_density": round(
-            sum(sparse.row_density(i) for i in range(m)) / m, 4
-        ),
-    }
+    cb = {i: 1 for i in range(0, solver.m, 3)}
+    out = {}
     for name, lub in (("sparse", sparse), ("dense", dense)):
-        ftran_best = btran_best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            for col in sample:
-                lub.ftran(col)
-            ftran_best = min(
-                ftran_best, (time.perf_counter() - start) * 1e6 / len(sample)
-            )
-            start = time.perf_counter()
-            for _ in range(16):
-                lub.btran(cb)
-            btran_best = min(
-                btran_best, (time.perf_counter() - start) * 1e6 / 16
-            )
-        out[f"ftran_{name}_us"] = round(ftran_best, 4)
-        out[f"btran_{name}_us"] = round(btran_best, 4)
+        start = time.perf_counter()
+        for col in sample:
+            lub.ftran(col)
+        out[f"ftran_{name}_us"] = (time.perf_counter() - start) * 1e6 / len(sample)
+        start = time.perf_counter()
+        for _ in range(16):
+            lub.btran(cb)
+        out[f"btran_{name}_us"] = (time.perf_counter() - start) * 1e6 / 16
     return out
 
 
-def _pricing_pivots(n, m, seed=140):
-    """Cold-solve pivot counts of both pricing rules on the assignment LP at T*.
+def _lst_lp_rows(n, m, seed=140):
+    """Standard rows of the LST assignment LP of ``Iu`` at ``T*``.
 
-    The LST assignment LP is the hardest single cold solve of the E14
-    pipeline (wide, degenerate), so it is where the two rules actually
-    diverge: ``dantzig`` is what canonical solves price with, ``partial``
-    what probe-style (``canonical=False``) solves price with.
+    This is the cold canonical solve that Theorem V.2 rounds: the hardest
+    single solve of the E14 pipeline (wide, degenerate).
     """
     from repro._fraction import is_inf, to_fraction
     from repro.core.programs import minimal_fractional_T
-    from repro.lp.revised import solve_standard
     from repro.rounding.lst import build_unrelated_lp
 
     inst = random_hierarchical(rng_from_seed(seed), n=n, m=m).with_singletons()
@@ -282,14 +308,69 @@ def _pricing_pivots(n, m, seed=140):
             if not is_inf(value):
                 row[i] = to_fraction(value)
         p_matrix[j] = row
-    lp = build_unrelated_lp(p_matrix, T)
-    coeff, senses, rhs, objective = lp.to_standard_rows()
+    return build_unrelated_lp(p_matrix, T).to_standard_rows()
+
+
+def _pricing_pivots(rows):
+    """Cold-solve pivot counts of both pricing rules on the LST LP.
+
+    ``dantzig`` is what canonical solves price with, ``partial`` what
+    probe-style (``canonical=False``) solves price with.
+    """
+    from repro.lp.revised import solve_standard
+
     out = {}
     for pricing, canonical in (("dantzig", True), ("partial", False)):
-        result = solve_standard(coeff, senses, rhs, objective, canonical=canonical)
+        result = solve_standard(*rows, canonical=canonical)
         assert result.status == "optimal"
         out[f"pivots_{pricing}"] = result.pivots
     return out
+
+
+def _lst_step_sample(rows):
+    """One cold canonical LST solve, timed per kernel step.
+
+    Class-level wrappers time pricing (``_RevisedSolver._entering``), the
+    dual row's ``btran`` and every ``ftran`` and ``update`` of the solve;
+    ``solve_ms`` is the whole ``solve_standard`` call, wrappers included.
+    """
+    import time
+
+    from repro.lp.basis import LUBasis
+    from repro.lp.revised import _RevisedSolver, solve_standard
+
+    totals = {"price_ms": 0.0, "ftran_ms": 0.0, "update_ms": 0.0, "btran_ms": 0.0}
+    wrapped = (
+        (_RevisedSolver, "_entering", "price_ms"),
+        (LUBasis, "ftran", "ftran_ms"),
+        (LUBasis, "update", "update_ms"),
+        (LUBasis, "btran", "btran_ms"),
+    )
+
+    def timed(fn, key):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                totals[key] += (time.perf_counter() - start) * 1e3
+
+        return wrapper
+
+    originals = [(cls, name, getattr(cls, name)) for cls, name, _ in wrapped]
+    try:
+        for (cls, name, key), (_, _, fn) in zip(wrapped, originals):
+            setattr(cls, name, timed(fn, key))
+        start = time.perf_counter()
+        result = solve_standard(*rows, canonical=True)
+        totals["solve_ms"] = (time.perf_counter() - start) * 1e3
+    finally:
+        for cls, name, fn in originals:
+            setattr(cls, name, fn)
+    assert result.status == "optimal"
+    totals["pivots"] = result.pivots
+    totals["phase1_pivots"] = result.stats.phase1_pivots
+    return totals
 
 
 def test_kernel_lu_basis_ops(benchmark):
@@ -304,36 +385,97 @@ def lu_main(argv=None):
     """Script mode: emit BENCH_kernels.json across the E14 shapes."""
     import argparse
     import json
-    import os
+    import random
 
     parser = argparse.ArgumentParser(description="LU basis kernel microbench")
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser.add_argument(
         "--out", default=os.path.join(repo_root, "BENCH_kernels.json")
     )
-    parser.add_argument("--quick", action="store_true", help="two shapes only")
+    parser.add_argument(
+        "--quick", action="store_true", help="two shapes and three repeats"
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seeds the configuration order"
+    )
     args = parser.parse_args(argv)
+    repeats = 3 if args.quick else REPEATS
 
     shapes = LU_SHAPES[:2] if args.quick else LU_SHAPES
+    fixtures = {shape: _lu_fixture(*shape) for shape in shapes}
+    bases = {shape: _repr_bases(*fixtures[shape]) for shape in shapes}
+    lst_rows = {shape: _lst_lp_rows(*shape) for shape in (*shapes, LST_SHAPE)}
+
+    # Every timed configuration, run in a seeded random order so a drift in
+    # machine speed over the run does not always land on the same shape.
+    configs = [(kind, shape) for shape in shapes for kind in ("lu", "repr")]
+    configs.append(("lst", LST_SHAPE))
+    order = list(configs)
+    random.Random(args.seed).shuffle(order)
+    measured = {}
+    for kind, shape in order:
+        if kind == "lu":
+            sample = lambda: _lu_ops_sample(*fixtures[shape])  # noqa: E731
+        elif kind == "repr":
+            sample = lambda: _repr_ops_sample(fixtures[shape][0], *bases[shape])  # noqa: E731
+        else:
+            sample = lambda: _lst_step_sample(lst_rows[shape])  # noqa: E731
+        measured[kind, shape] = _measure(sample, repeats)
+
     rows = []
-    for n, m in shapes:
-        solver, basis_columns = _lu_fixture(n, m)
-        ops = _time_lu_ops(solver, basis_columns)
-        ops.update(_time_repr_ops(solver, basis_columns))
-        ops.update(_pricing_pivots(n, m))
+    for shape in shapes:
+        solver, _ = fixtures[shape]
+        sparse, _ = bases[shape]
+        m = solver.m
         row = {
-            "n": n,
-            "m": m,
-            "rows": solver.m,
+            "n": shape[0],
+            "m": shape[1],
+            "rows": m,
             "cols": len(solver.cols),
-            **ops,
+            "sparse_row_fraction": round(
+                sum(1 for i in range(m) if type(sparse.inv[i]) is dict) / m, 4
+            ),
+            "mean_row_density": round(
+                sum(sparse.row_density(i) for i in range(m)) / m, 4
+            ),
+            **_pricing_pivots(lst_rows[shape]),
+            "ops": {**measured["lu", shape], **measured["repr", shape]},
         }
         rows.append(row)
         print(
-            f"n={n:3d} m={m:3d} rows={solver.m:4d} cols={len(solver.cols):5d}  "
-            + "  ".join(f"{k}={v}" for k, v in ops.items())
+            f"n={shape[0]:3d} m={shape[1]:3d} rows={m:4d} cols={len(solver.cols):5d}  "
+            + "  ".join(
+                f"{op}={v['median']}" for op, v in row["ops"].items()
+            )
         )
-    payload = {"family": "e14_scaling", "kernel": "LUBasis", "rows": rows}
+    steps = measured["lst", LST_SHAPE]
+    lst = {
+        "n": LST_SHAPE[0],
+        "m": LST_SHAPE[1],
+        "rows": len(lst_rows[LST_SHAPE][0]),
+        "cols": len(lst_rows[LST_SHAPE][3]),
+        # Deterministic counts: identical in every repeat.
+        "pivots": steps.pop("pivots")["median"],
+        "phase1_pivots": steps.pop("phase1_pivots")["median"],
+        "steps": steps,
+    }
+    print(
+        f"LST LP {LST_SHAPE[0]}x{LST_SHAPE[1]} pivots={lst['pivots']}  "
+        + "  ".join(f"{k}={v['median']}" for k, v in steps.items())
+    )
+    payload = {
+        "family": "e14_scaling",
+        "kernel": "LUBasis",
+        "config": {
+            "seed": args.seed,
+            "warmup": WARMUP,
+            "repeats": repeats,
+            "order": [f"{kind}:{n}x{m}" for kind, (n, m) in order],
+            "stats": "median, min and interquartile range over the repeats",
+        },
+        "rows": rows,
+        "lst_step_breakdown": lst,
+    }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
     results_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")

@@ -22,9 +22,26 @@ rank-one pivot update
 
     W'[i][j] = (W[i][j]·α_r − α_i·W[r][j]) / den        (i ≠ r)
 
-divides **exactly**: no rational normalization, no gcd scans, and the
-representation after any pivot sequence is *canonical* (it depends only on
-the current basis, not on the path taken to reach it).
+divides **exactly**: no rational normalization, no gcd scans, and ``W``
+after any pivot sequence is *canonical* (it depends only on the current
+basis, not on the path taken to reach it).
+
+Stamped rows
+------------
+A row with ``α_i = 0`` changes on a pivot only by the factor
+``den'/den`` — ``O(nnz)`` big-integer work that, on the ~80-row bases of
+the LST LP, most rows would pay on every pivot.  So rows are stored
+lazily: ``stamp[i]`` is the ``den`` at which row ``i`` was last written,
+and its current value is
+
+    W[i] = inv[i] · den / stamp[i]
+
+where the division is exact because both ``W[i]`` and ``inv[i]`` are
+minors.  Only a row with ``stamp[i] == den`` is canonical; the stored
+entries of any other row are that row's canonical entries at an earlier
+``den``.  A pivot rewrites in full only the pivot row and the rows it
+combines (``α_i ≠ 0``), at the new ``den``; the others keep their entries
+and stamp.  ``rhs`` stays eager: every entry is current after every pivot.
 
 Sparse rows
 -----------
@@ -39,18 +56,24 @@ and converting back and forth would churn).  ``ftran``/``btran``/
 ``row_dot``/``update`` all branch per row, so their cost tracks nnz while
 sparsity lasts; ``sparse_btrans`` counts btran calls answered entirely
 from sparse rows (surfaced through :class:`~repro.lp.stats.SolverStats`).
+A row's layout and its stamp are independent: lifting a row to the current
+``den`` keeps its layout.
 
 Operations
 ----------
 ``ftran(a)``
     Forward transform: the den-scaled tableau column ``W·a`` of a sparse
-    column ``a`` — ``O(rows · nnz(a))``.
+    column ``a`` — ``O(rows · nnz(a))``; each stale row's dot product is
+    scaled once by ``den/stamp[i]``.
 ``btran(c_B)``
     Backward transform: the den-scaled dual row ``c_Bᵀ·W`` of a sparse
-    basic-cost vector — ``O(nnz(c_B) · nnz(rows))``.
+    basic-cost vector — ``O(nnz(c_B) · nnz(rows))``.  Rows it reads are
+    lifted to the current ``den`` and stored (:meth:`LUBasis.current_row`;
+    ``row_dot`` and ``row_items`` do the same).
 ``update(r, α)``
     Rank-one basis exchange given the already-ftran'd entering column α,
-    pivoting on row ``r`` — ``O(Σ_i nnz(row_i))``, at worst ``O(rows²)``.
+    pivoting on row ``r`` — ``O(Σ_{α_i ≠ 0} nnz(row_i))`` plus one integer
+    rescale per other ``rhs`` entry, at worst ``O(rows²)``.
 ``factorize(columns, b)``
     Fraction-free elimination of an explicit column set straight into a
     factorized basis (Gauss–Jordan realized as ``rows`` ftran+update
@@ -59,9 +82,9 @@ Operations
 
 Because the arithmetic is exact, periodic refactorization is *not* needed
 for numerical hygiene: there is no drift to flush, and a from-scratch
-factorization reproduces ``W`` and ``den`` bit-for-bit (the representation
-is canonical).  A basis is factorized from scratch only when it is *given*
-rather than evolved: the solver's crash start
+factorization reproduces ``den`` and every row lifted to it bit-for-bit
+(``W`` is canonical).  A basis is factorized from scratch only when it is
+*given* rather than evolved: the solver's crash start
 (:meth:`repro.lp.revised._RevisedSolver.crash_factorize`) eliminates a
 warm point's support columns into the starting identity basis the same way —
 this is how the hybrid backend certifies a float candidate — and the
@@ -87,15 +110,19 @@ DENSIFY_THRESHOLD = 0.34
 class LUBasis:
     """Integer-preserving factorized basis inverse (see module docstring).
 
-    ``inv`` holds ``W`` row-major (sparse dict rows or dense list rows);
-    ``rhs`` holds the transformed right-hand side ``W·b`` (updated in
-    lockstep with ``W`` so the current basic values are always
+    ``inv`` holds the rows of ``W`` row-major (sparse dict rows or dense
+    list rows), each as last written: row ``i`` reads
+    ``inv[i]·den/stamp[i]`` at the current ``den``, and only rows with
+    ``stamp[i] == den`` are canonical — read rows through
+    :meth:`current_row`.  ``rhs`` holds the transformed right-hand side
+    ``W·b`` eagerly (so the current basic values are always
     ``rhs[i] / den``); ``den > 0`` is maintained as an invariant so sign
     tests read directly off the integers.
     """
 
     __slots__ = (
-        "m", "den", "inv", "rhs", "updates", "sparse_btrans", "_dense_at",
+        "m", "den", "inv", "stamp", "rhs", "updates", "sparse_btrans",
+        "_dense_at",
     )
 
     def __init__(self, m: int, b: Sequence[int]):
@@ -105,12 +132,28 @@ class LUBasis:
         self.m = m
         self.den = one
         self.inv: List[Row] = [{i: one} for i in range(m)]
+        #: The ``den`` at which each row of ``inv`` was last written.
+        self.stamp: List[int] = [one] * m
         self.rhs: List[int] = [bigint(v) for v in b]
         self.updates = 0
         #: btran calls answered entirely from sparse rows.
         self.sparse_btrans = 0
         # Densify once fill crosses the threshold; precomputed per instance.
         self._dense_at = max(2, int(DENSIFY_THRESHOLD * m) + 1)
+
+    def current_row(self, i: int) -> Row:
+        """Row ``i`` of ``W`` at the current ``den``, brought up and stored."""
+        row = self.inv[i]
+        st = self.stamp[i]
+        den = self.den
+        if st != den:
+            if type(row) is dict:
+                row = {j: w * den // st for j, w in row.items()}
+            else:
+                row = [w * den // st if w else 0 for w in row]
+            self.inv[i] = row
+            self.stamp[i] = den
+        return row
 
     # ------------------------------------------------------------------
     # Exact solves
@@ -123,8 +166,9 @@ class LUBasis:
         cget = cdict.get
         nitems = len(items)
         zero = bigint(0)
+        den = self.den
         out = []
-        for row in self.inv:
+        for row, st in zip(self.inv, self.stamp):
             s = zero
             if type(row) is dict:
                 # Dot over the intersection: iterate whichever side is
@@ -146,6 +190,8 @@ class LUBasis:
                     w = row[k]
                     if w:
                         s += w * v
+            if s and st != den:
+                s = s * den // st  # exact: the product is a minor
             out.append(s)
         return out
 
@@ -156,7 +202,7 @@ class LUBasis:
         for i, c in basic_costs.items():
             if c == 0:
                 continue
-            row = self.inv[i]
+            row = self.current_row(i)
             if type(row) is dict:
                 for j, w in row.items():
                     out[j] += c * w
@@ -180,6 +226,10 @@ class LUBasis:
         *alpha* is the entering column's forward transform (``ftran``
         output).  Exactly the Edmonds tableau pivot restricted to the
         ``W | rhs`` block; divisions are exact by the minor identity.
+        Rows with ``alpha[i] == 0`` only change by the factor
+        ``new_den/den``, so they keep their stored entries and stamp; only
+        their ``rhs`` entry is rescaled.  The sign of a negative pivot is
+        folded into the rows written here, keeping ``den > 0``.
         """
         piv = alpha[row]
         if piv == 0:
@@ -187,58 +237,71 @@ class LUBasis:
         den = self.den
         m = self.m
         dense_at = self._dense_at
-        inv, rhs = self.inv, self.rhs
-        piv_row = inv[row]
+        inv, rhs, stamp = self.inv, self.rhs, self.stamp
+        piv_row = self.current_row(row)
         piv_sparse = type(piv_row) is dict
         piv_rhs = rhs[row]
+        negative = piv < 0
+        new_den = -piv if negative else piv
+        # Stale rows enter the combination as w·den/stamp; w·den·|piv| is
+        # divisible by the stamp, so one exact division brings them up.
+        lifted = den * new_den
         for i in range(m):
             if i == row:
                 continue
             f = alpha[i]
-            w_row = inv[i]
-            w_sparse = type(w_row) is dict
             if f == 0:
-                if piv != den:
-                    if w_sparse:
-                        inv[i] = {j: w * piv // den for j, w in w_row.items()}
-                    else:
-                        inv[i] = [w * piv // den if w else 0 for w in w_row]
-                    rhs[i] = rhs[i] * piv // den
-            else:
-                if w_sparse and piv_sparse:
-                    acc: Dict[int, int] = {j: w * piv for j, w in w_row.items()}
-                    get = acc.get
-                    zero = bigint(0)
-                    for j, p in piv_row.items():
-                        acc[j] = get(j, zero) - f * p
-                    new_row: Row = {}
-                    for j, v in acc.items():
-                        if v:
-                            new_row[j] = v // den
-                    if len(new_row) >= dense_at:
-                        dense = [0] * m
-                        for j, v in new_row.items():
-                            dense[j] = v
-                        new_row = dense
-                    inv[i] = new_row
+                if new_den != den:
+                    rhs[i] = rhs[i] * new_den // den
+                continue
+            if negative:
+                f = -f
+            w_row = inv[i]
+            st = stamp[i]
+            w_sparse = type(w_row) is dict
+            if w_sparse and piv_sparse:
+                if st == den:
+                    acc: Dict[int, int] = {
+                        j: w * new_den for j, w in w_row.items()
+                    }
                 else:
-                    wr = w_row if not w_sparse else _to_dense(w_row, m)
-                    pr = piv_row if not piv_sparse else _to_dense(piv_row, m)
+                    acc = {j: w * lifted // st for j, w in w_row.items()}
+                get = acc.get
+                zero = bigint(0)
+                for j, p in piv_row.items():
+                    acc[j] = get(j, zero) - f * p
+                new_row: Row = {}
+                for j, v in acc.items():
+                    if v:
+                        new_row[j] = v // den
+                if len(new_row) >= dense_at:
+                    dense = [0] * m
+                    for j, v in new_row.items():
+                        dense[j] = v
+                    new_row = dense
+                inv[i] = new_row
+            else:
+                wr = w_row if not w_sparse else _to_dense(w_row, m)
+                pr = piv_row if not piv_sparse else _to_dense(piv_row, m)
+                if st == den:
                     inv[i] = [
-                        (w * piv - f * p) // den for w, p in zip(wr, pr)
+                        (w * new_den - f * p) // den for w, p in zip(wr, pr)
                     ]
-                rhs[i] = (rhs[i] * piv - f * piv_rhs) // den
-        if piv < 0:
-            # Keep den > 0 so feasibility tests read off rhs signs directly.
-            self.den = -piv
-            self.inv = [
-                {j: -w for j, w in r.items()} if type(r) is dict
-                else [-w for w in r]
-                for r in inv
-            ]
-            self.rhs = [-v for v in rhs]
-        else:
-            self.den = piv
+                else:
+                    inv[i] = [
+                        (w * lifted // st - f * p) // den
+                        for w, p in zip(wr, pr)
+                    ]
+            stamp[i] = new_den
+            rhs[i] = (rhs[i] * new_den - f * piv_rhs) // den
+        if negative:
+            if piv_sparse:
+                inv[row] = {j: -w for j, w in piv_row.items()}
+            else:
+                inv[row] = [-w for w in piv_row]
+            rhs[row] = -piv_rhs
+        stamp[row] = new_den
+        self.den = new_den
         self.updates += 1
 
     # ------------------------------------------------------------------
@@ -280,7 +343,7 @@ class LUBasis:
 
     def row_dot(self, row: int, col: Mapping[int, int]) -> int:
         """Single transformed entry ``(W·a)[row]`` — ``O(nnz(a))``."""
-        inv_row = self.inv[row]
+        inv_row = self.current_row(row)
         if type(inv_row) is dict:
             get = inv_row.get
             s = bigint(0)
@@ -294,7 +357,7 @@ class LUBasis:
 
     def row_items(self, row: int):
         """Nonzero ``(col, value)`` pairs of ``W[row]`` in arbitrary order."""
-        inv_row = self.inv[row]
+        inv_row = self.current_row(row)
         if type(inv_row) is dict:
             return list(inv_row.items())
         return [(j, w) for j, w in enumerate(inv_row) if w]

@@ -8,8 +8,8 @@ reconstructs just what an iteration needs:
 
 * the dual row ``y = c_B·B⁻¹`` by one backward transform (``btran``) of the
   sparse basic-cost vector,
-* reduced costs ``c_j − y·a_j`` by sparse dot products against the original
-  columns (*pricing* — never materialized as a row),
+* reduced costs ``c_j − y·a_j`` (*pricing*) from the original constraint
+  rows or columns, never from an updated tableau,
 * the entering column ``B⁻¹·a_q`` by one forward transform (``ftran``),
 * the basis exchange by one ``O(rows²)`` rank-one update.
 
@@ -19,14 +19,20 @@ happens inside the pivot loop.
 
 Pricing follows the vertex contract.  Canonical solves (the default) price
 every column with Dantzig's rule, which is deterministic, so the returned
-vertex depends only on the program and the starting basis.  Probe-style
-solves (``canonical=False``) use partial pricing: columns are scanned in
-rotating blocks and the Dantzig winner of the first block containing an
-improving column enters.  That prices only a fraction of the columns per
-iteration and may land on a *different* (equally optimal) vertex when
-optima are non-unique.  Under both rules, once the pivot count crosses
-``bland_threshold`` the rule switches to Bland's smallest-index rule
-(scanning from column 0), which cannot cycle, so termination is guaranteed.
+vertex depends only on the program and the starting basis.  They price in
+one pass over the scaled constraint rows whose dual is non-zero,
+``acc[j] = c_j·den − Σ_i y_i·a_ij``, and the first minimum of ``acc``
+enters (the smallest index wins ties).  Probe-style solves
+(``canonical=False``) use partial pricing: columns are scanned in rotating
+blocks and the Dantzig winner of the first block containing an improving
+column enters.  That scan stays column-wise, since it usually stops after
+one block; it prices only a fraction of the columns per iteration and may
+land on a *different* (equally optimal) vertex when optima are non-unique.
+Under both rules, once the pivot count crosses ``bland_threshold`` the rule
+switches to Bland's smallest-index rule (the first negative entry of the
+one-pass prices), which cannot cycle, so termination is guaranteed.  Every
+compared quantity is an exact integer, so how prices are computed never
+changes which column enters.
 
 A warm start is a point, never a carried basis: the point's support
 columns are eliminated straight into the basis (``O(rows³)``, independent
@@ -110,23 +116,30 @@ class _RevisedSolver:
             for i in range(m)
         ]
 
-        # Sparse integer columns of [A | S | I].
+        # Sparse integer columns of [A | S | I], and the same entries by row
+        # restricted to the priced columns [A | S] (one-pass pricing).
         cols: List[Dict[int, int]] = [dict() for _ in range(std.total_cols)]
+        row_items: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
         for i in range(m):
             scale = self.scales[i]
+            items = row_items[i]
             for j, v in std.rows[i].items():
-                cols[j][i] = bigint(v.numerator * (scale // v.denominator))
+                a = bigint(v.numerator * (scale // v.denominator))
+                cols[j][i] = a
+                items.append((j, a))
         art_index = std.art_start
         self.art_of_row: List[Optional[int]] = [None] * m
         for i in range(m):
             s = std.slack_of_row[i]
             if s is not None:
                 cols[s][i] = std.slack_sign[i]
+                row_items[i].append((s, std.slack_sign[i]))
             if std.needs_artificial[i]:
                 cols[art_index][i] = 1
                 self.art_of_row[i] = art_index
                 art_index += 1
         self.cols = cols
+        self.row_items = row_items
         self.col_items: List[Tuple[Tuple[int, int], ...]] = [
             tuple(c.items()) for c in cols
         ]
@@ -171,46 +184,56 @@ class _RevisedSolver:
     # Pricing
     # ------------------------------------------------------------------
 
-    def _structural_cost(self, j: int) -> int:
+    def _costs(self) -> Sequence[int]:
         # Phase 1 prices against zero structural costs; phase 2 against the
         # scaled objective (slack/artificial costs are zero in both).
-        if self.phase == 1 or j >= self.std.n:
-            return 0
-        return self.c_int[j]
+        return self.c_int if self.phase == 2 else ()
 
-    def _reduced(self, j: int, y_num: List[int], den: int) -> int:
-        r = self._structural_cost(j) * den
-        for i, v in self.col_items[j]:
-            yi = y_num[i]
+    def _prices(self, y_num: List[int]) -> List[int]:
+        """Every priced column's den-scaled reduced cost, in one pass.
+
+        ``acc[j] = c_j·den − Σ_i y_i·a_ij``, accumulated over the rows of
+        ``[A | S]`` whose dual ``y_i`` is non-zero.
+        """
+        den = self.lub.den
+        acc = [c * den for c in self._costs()]
+        acc += [0] * (self.std.art_start - len(acc))
+        row_items = self.row_items
+        for i, yi in enumerate(y_num):
             if yi:
-                r -= yi * v
-        return r
+                for j, a in row_items[i]:
+                    acc[j] -= yi * a
+        return acc
 
     def _entering(self, y_num: List[int], bland: bool) -> Optional[int]:
+        if bland:
+            return next(
+                (j for j, v in enumerate(self._prices(y_num)) if v < 0), None
+            )
+        if not self.partial:
+            acc = self._prices(y_num)
+            best = min(acc, default=0)
+            # The first minimum keeps Dantzig's smallest-index tie-break.
+            return acc.index(best) if best < 0 else None
+        # Partial pricing: rotating blocks, Dantzig winner of the first
+        # block that contains any improving column.  Column-wise, because
+        # the scan usually stops after the first block.
         limit = self.std.art_start
         den = self.lub.den
-        if bland:
-            for j in range(limit):
-                if self._reduced(j, y_num, den) < 0:
-                    return j
-            return None
-        if not self.partial:
-            best_j: Optional[int] = None
-            best = 0
-            for j in range(limit):
-                v = self._reduced(j, y_num, den)
-                if v < best:
-                    best = v
-                    best_j = j
-            return best_j
-        # Partial pricing: rotating blocks, Dantzig winner of the first
-        # block that contains any improving column.
+        costs = self._costs()
+        n_costs = len(costs)
+        col_items = self.col_items
+        block = self._block
         scanned = 0
         j = self._cursor if self._cursor < limit else 0
         best_j = None
         best = 0
         while scanned < limit:
-            v = self._reduced(j, y_num, den)
+            v = costs[j] * den if j < n_costs else 0
+            for i, a in col_items[j]:
+                yi = y_num[i]
+                if yi:
+                    v -= yi * a
             if v < best:
                 best = v
                 best_j = j
@@ -218,7 +241,7 @@ class _RevisedSolver:
             j += 1
             if j >= limit:
                 j = 0
-            if scanned % self._block == 0 and best_j is not None:
+            if scanned % block == 0 and best_j is not None:
                 break
         if best_j is not None:
             self._cursor = (best_j + 1) % limit

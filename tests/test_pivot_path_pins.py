@@ -40,6 +40,14 @@ PINS = {
         dict(solves=2, pivots=87, phase1_pivots=64, refactorizations=0,
              basis_reuses=0),
     ),
+    # The production shape of the ``v2_exact`` benchmark workload: its
+    # cold canonical LST LP runs hundreds of Dantzig pivots on an ~80-row
+    # basis, so kernel changes that must keep every pivot show here first.
+    ("exact", 1, 64, 16): (
+        "10530/257", "59",
+        dict(solves=2, pivots=476, phase1_pivots=357, refactorizations=0,
+             basis_reuses=0),
+    ),
     ("hybrid", 3, 10, 4): (
         "755/29", "34",
         dict(solves=2, pivots=28, phase1_pivots=0, refactorizations=2,

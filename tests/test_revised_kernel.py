@@ -14,6 +14,7 @@ Covers the PR-4 acceptance criteria:
   factorized-basis verifier.
 """
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from _reference_simplex import reference_solve
+from repro._fraction import bigint
 from repro.core.programs import IP3Builder, minimal_fractional_T, _ProbeSession
 from repro.exceptions import PivotLimitError, SolverError
 from repro.lp import (
@@ -144,6 +146,258 @@ class TestLUBasis:
         for j in range(3):
             assert y[j] == 2 * w[0].get(j, 0) - w[2].get(j, 0)
 
+
+def _brought_up(lub, i):
+    """Row ``i`` of ``W`` at the current den, read off its stamp, not stored."""
+    row, st, den = lub.inv[i], lub.stamp[i], lub.den
+    out = {}
+    for j, w in row.items() if type(row) is dict else enumerate(row):
+        if w:
+            assert w * den % st == 0  # the lift is an exact division
+            out[j] = w * den // st
+    return out
+
+
+def _dot(row, col):
+    return sum(row.get(k, 0) * v for k, v in col.items())
+
+
+def _abs_det(cols, m):
+    """``|det B|`` of the matrix with the given sparse columns, exactly."""
+    a = [[Fraction(cols[c].get(r, 0)) for c in range(m)] for r in range(m)]
+    det = Fraction(1)
+    for k in range(m):
+        p = next((r for r in range(k, m) if a[r][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+        det *= a[k][k]
+        for r in range(k + 1, m):
+            f = a[r][k] / a[k][k]
+            for c in range(k, m):
+                a[r][c] -= f * a[k][c]
+    return abs(det)
+
+
+def _assert_stamped(lub, basis_cols, b):
+    """``W·a_{basis[r]} = den·e_r`` and ``W·b = rhs`` for every row."""
+    m, den = lub.m, lub.den
+    assert den > 0
+    assert den == _abs_det(basis_cols, m)
+    for r in range(m):
+        row = _brought_up(lub, r)
+        for r2 in range(m):
+            assert _dot(row, basis_cols[r2]) == (den if r == r2 else 0)
+        assert _dot(row, dict(enumerate(b))) == lub.rhs[r]
+
+
+class TestStampedRows:
+    """Lazily stamped rows of :class:`LUBasis` stay exact after every pivot."""
+
+    @staticmethod
+    def _pool(rng, m, size):
+        cols = []
+        while len(cols) < size:
+            col = {
+                i: rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+                for i in range(m)
+                if rng.random() < 0.4
+            }
+            if col:
+                cols.append(col)
+        return cols
+
+    def _random_pivots(self, lub, basis_cols, b, pool, rng, steps, seen):
+        m = lub.m
+        for _ in range(steps):
+            col = rng.choice(pool)
+            alpha = lub.ftran(col)
+            # ftran scales stale rows' dot products exactly.
+            assert alpha == [_dot(_brought_up(lub, i), col) for i in range(m)]
+            rows = [r for r in range(m) if alpha[r]]
+            if not rows:
+                continue
+            r = rng.choice(rows)
+            was_sparse = [type(w) is dict for w in lub.inv]
+            seen["negative"] |= alpha[r] < 0
+            lub.update(r, alpha)
+            basis_cols[r] = col
+            seen["densified"] |= any(
+                was_sparse[i] and type(lub.inv[i]) is list for i in range(m)
+            )
+            seen["stale"] |= any(st != lub.den for st in lub.stamp)
+            _assert_stamped(lub, basis_cols, b)
+            # Reading rows through the accessor lifts and stores them.
+            if rng.random() < 0.3:
+                i = rng.randrange(m)
+                expected = _brought_up(lub, i)
+                assert dict(lub.row_items(i)) == expected
+                assert lub.stamp[i] == lub.den
+                assert _brought_up(lub, i) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_pivot_sequences(self, seed):
+        rng = random.Random(seed)
+        m = rng.randint(5, 9)
+        b = [rng.randrange(-6, 7) for _ in range(m)]
+        pool = self._pool(rng, m, 3 * m)
+        seen = dict(negative=False, densified=False, stale=False)
+        lub = LUBasis(m, b)
+        basis_cols = [{i: 1} for i in range(m)]
+        _assert_stamped(lub, basis_cols, b)
+        self._random_pivots(lub, basis_cols, b, pool, rng, 30, seen)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_factorize_then_pivot(self, seed):
+        rng = random.Random(100 + seed)
+        m = rng.randint(5, 8)
+        b = [rng.randrange(-6, 7) for _ in range(m)]
+        pool = self._pool(rng, m, 3 * m)
+        while True:
+            cols = rng.sample(pool, m)
+            lub = LUBasis.factorize(m, cols, b)
+            if lub is not None:
+                break
+        # factorize places each column in some row; ftran reads it back.
+        basis_cols = [None] * m
+        for col in cols:
+            alpha = lub.ftran(col)
+            (r,) = [i for i in range(m) if alpha[i]]
+            assert alpha[r] == lub.den
+            basis_cols[r] = col
+        _assert_stamped(lub, basis_cols, b)
+        seen = dict(negative=False, densified=False, stale=False)
+        self._random_pivots(lub, basis_cols, b, pool, rng, 20, seen)
+
+    def test_solver_pivots_through_failed_crash_and_reset(self, monkeypatch):
+        """Every pivot of real solves — crash, reset, pushes, both phases."""
+        from repro.lp.revised import _RevisedSolver
+
+        original = _RevisedSolver._pivot
+        pivots = []
+
+        def checked(self, row, alpha, col):
+            original(self, row, alpha, col)
+            basis_cols = [self.cols[c] for c in self.basis]
+            _assert_stamped(self.lub, basis_cols, self.b_int)
+            pivots.append(col)
+
+        monkeypatch.setattr(_RevisedSolver, "_pivot", checked)
+        # The crash lands on a negative surplus and resets to the identity
+        # basis, then pushes the warm point's support in by ratio tests.
+        rows = [
+            {0: Fraction(-1), 1: Fraction(1)},
+            {2: Fraction(1)},
+            {0: Fraction(2), 1: Fraction(-3), 2: Fraction(1)},
+        ]
+        senses = ["<=", ">=", "=="]
+        rhs = [Fraction(2), Fraction(1), Fraction(1)]
+        objective = [Fraction(1), Fraction(-1), Fraction(2)]
+        result = solve_standard(
+            rows, senses, rhs, objective,
+            warm_point=[Fraction(1), Fraction(0), Fraction(0)],
+        )
+        assert result.stats.warm_start_attempts == 1
+        assert result.stats.warm_start_hits == 0
+        assert pivots
+        # Cold solves of IP-3 probes, canonical and partial.
+        inst = make_instance(
+            "heavy_tailed", rng_from_seed(7), make_topology("flat4"), n=6
+        )
+        builder = IP3Builder(inst)
+        coeff, senses, rhs, active = builder.probe_rows(builder.breakpoints[-1])
+        objective = [Fraction(1)] * len(active)
+        for canonical in (True, False):
+            assert solve_standard(
+                coeff, senses, rhs, objective, canonical=canonical
+            ).status == "optimal"
+
+
+class TestOnePassPricing:
+    """One-pass row-wise prices and entering choices match a column scan."""
+
+    @staticmethod
+    def _solver(seed):
+        """A solver whose structural columns come in identical pairs, so
+        every reduced cost — and so every minimum — is tied."""
+        from repro.lp.revised import _RevisedSolver
+
+        rng = random.Random(seed)
+        m, half = 6, 7
+        rows, senses, rhs = [], [], []
+        for _ in range(m):
+            entries = {
+                j: Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+                for j in range(half)
+                if rng.random() < 0.5
+            }
+            row = {}
+            for j, v in entries.items():
+                row[2 * j] = row[2 * j + 1] = v
+            rows.append(row)
+            senses.append(rng.choice(["<=", ">=", "=="]))
+            rhs.append(Fraction(rng.randrange(0, 7)))
+        costs = [Fraction(rng.randrange(-3, 4), 2) for _ in range(half)]
+        objective = [c for c in costs for _ in (0, 1)]
+        std = standard_form(rows, senses, rhs, objective)
+        return _RevisedSolver(std, objective, 50, 1000, partial=False), rng
+
+    @staticmethod
+    def _reference_price(solver, j, y):
+        cost = solver.c_int[j] if solver.phase == 2 and j < solver.std.n else 0
+        return cost * solver.lub.den - sum(
+            y[i] * a for i, a in solver.cols[j].items()
+        )
+
+    def _reference_partial(self, solver, prices):
+        limit = solver.std.art_start
+        scanned, best, best_j = 0, 0, None
+        j = solver._cursor if solver._cursor < limit else 0
+        while scanned < limit:
+            if prices[j] < best:
+                best, best_j = prices[j], j
+            scanned += 1
+            j = (j + 1) % limit
+            if scanned % solver._block == 0 and best_j is not None:
+                break
+        cursor = solver._cursor if best_j is None else (best_j + 1) % limit
+        return best_j, cursor
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_prices_and_entering_match_reference_scan(self, seed):
+        solver, rng = self._solver(seed)
+        limit = solver.std.art_start
+        ties = 0
+        for step in range(24):
+            solver.phase = 1 + step % 2
+            solver.lub.den = bigint(rng.randrange(1, 9))
+            y = [rng.choice([0, 0, -2, -1, 1, 3]) for _ in range(solver.m)]
+            prices = [self._reference_price(solver, j, y) for j in range(limit)]
+            assert solver._prices(y) == prices
+            negative = [j for j in range(limit) if prices[j] < 0]
+            # Bland: the first improving column.
+            assert solver._entering(y, bland=True) == (
+                negative[0] if negative else None
+            )
+            # Dantzig: the most negative price, smallest index on ties.
+            solver.partial = False
+            best = min(prices)
+            assert solver._entering(y, bland=False) == (
+                prices.index(best) if best < 0 else None
+            )
+            if best < 0 and prices.index(best) < solver.std.n:
+                assert prices.count(best) >= 2  # the tie really is there
+                ties += 1
+            # Partial: rotating blocks from the cursor, Dantzig per block.
+            solver.partial = True
+            solver._block = rng.choice([1, 3, 5, limit])
+            solver._cursor = rng.randrange(limit + 2)
+            expected = self._reference_partial(solver, prices)
+            assert solver._entering(y, bland=False) == expected[0]
+            assert solver._cursor == expected[1]
+        assert ties
 
 class TestWarmStartEdgeCases:
     def test_degenerate_hint_no_positive_ratio(self):

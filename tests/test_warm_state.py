@@ -205,7 +205,9 @@ class TestSparseDenseEquivalence:
             dense, _ = self._random_basis(7, seed)  # identical factorization
             assert dense.den == sparse.den
             for i in range(dense.m):
-                row = dense.inv[i]
+                # Lift the row to the current den before re-laying it out,
+                # so the rewritten row and its stamp agree.
+                row = dense.current_row(i)
                 if type(row) is dict:
                     dense.inv[i] = _to_dense(row, dense.m)
                 assert dense.row_density(i) == 1.0
@@ -224,8 +226,9 @@ class TestSparseDenseEquivalence:
             assert sparse.sparse_btrans == before + 1
         dense, _ = self._random_basis(6, 13)
         for i in range(dense.m):
-            if type(dense.inv[i]) is dict:
-                dense.inv[i] = _to_dense(dense.inv[i], dense.m)
+            row = dense.current_row(i)
+            if type(row) is dict:
+                dense.inv[i] = _to_dense(row, dense.m)
         before = dense.sparse_btrans
         dense.btran({0: bigint(1)})
         assert dense.sparse_btrans == before  # dense path never counts
