@@ -1,8 +1,9 @@
-"""Setup shim so `pip install -e .` works offline (no wheel package available).
+"""Setup shim for the legacy editable install, ``python setup.py develop``.
 
-All metadata lives in pyproject.toml; this file only enables the legacy
-editable-install code path (PEP 660 builds require the `wheel` package,
-which is not installed in the offline environment).
+All metadata lives in pyproject.toml.  ``pip install -e .`` needs the
+``wheel`` package to build a PEP 660 editable wheel; where ``wheel`` is not
+installed (an offline environment, for example), ``python setup.py develop``
+still installs the package from pyproject.toml's metadata.
 """
 
 from setuptools import setup

@@ -64,10 +64,21 @@ def merge_piece_runs(
     return merged
 
 
+def _merge_pairs(pairs) -> List[Tuple[int, Fraction, Fraction]]:
+    return merge_piece_runs([(machine, seg.start, seg.end) for machine, seg in pairs])
+
+
 def _merged_job_segments(schedule: Schedule, job: int) -> List[Tuple[int, Fraction, Fraction]]:
-    return merge_piece_runs(
-        [(machine, seg.start, seg.end) for machine, seg in schedule.job_segments(job)]
-    )
+    return _merge_pairs(schedule.job_segments(job))
+
+
+def merged_pieces_by_job(
+    schedule: Schedule,
+) -> Dict[int, List[Tuple[int, Fraction, Fraction]]]:
+    """Every scheduled job's merged pieces, in job order, from one
+    :meth:`~repro.schedule.schedule.Schedule.segments_by_job` pass."""
+    by_job = schedule.segments_by_job()
+    return {job: _merge_pairs(by_job[job]) for job in sorted(by_job)}
 
 
 def transitions_of_merged(
@@ -91,7 +102,10 @@ def job_transitions(schedule: Schedule, job: int) -> JobTransitionCounts:
 
 def total_migrations(schedule: Schedule) -> int:
     """Total wall-clock migrations over all jobs (observable accounting)."""
-    return sum(job_transitions(schedule, j).migrations for j in schedule.jobs())
+    return sum(
+        transitions_of_merged(merged).migrations
+        for merged in merged_pieces_by_job(schedule).values()
+    )
 
 
 def distinct_machine_migrations(schedule: Schedule, job: int) -> int:
@@ -107,7 +121,10 @@ def distinct_machine_migrations(schedule: Schedule, job: int) -> int:
 
 def total_migrations_processing_order(schedule: Schedule) -> int:
     """Total processing-order migrations (Prop. III.2 bound: ``m − 1``)."""
-    return sum(distinct_machine_migrations(schedule, j) for j in schedule.jobs())
+    return sum(
+        max(0, len({m for m, _seg in pairs}) - 1)
+        for pairs in schedule.segments_by_job().values()
+    )
 
 
 def total_preemptions_and_migrations(schedule: Schedule) -> int:
@@ -115,7 +132,10 @@ def total_preemptions_and_migrations(schedule: Schedule) -> int:
 
     Order-invariant: equals Σ_j (merged pieces of j − 1).
     """
-    return sum(job_transitions(schedule, j).total for j in schedule.jobs())
+    return sum(
+        transitions_of_merged(merged).total
+        for merged in merged_pieces_by_job(schedule).values()
+    )
 
 
 def migration_tier_histogram(schedule, topology) -> Dict[int, int]:
@@ -125,8 +145,7 @@ def migration_tier_histogram(schedule, topology) -> Dict[int, int]:
     ``topology.tier_name`` to label them.
     """
     histogram: Dict[int, int] = {}
-    for job in schedule.jobs():
-        merged = _merged_job_segments(schedule, job)
+    for merged in merged_pieces_by_job(schedule).values():
         for (m1, _s1, _e1), (m2, _s2, _e2) in zip(merged, merged[1:]):
             if m1 != m2:
                 tier = topology.migration_tier(m1, m2)
@@ -174,8 +193,8 @@ def priced_migration_cost(schedule, topology, cost_model) -> Fraction:
     """
     return sum(
         (
-            priced_job_migration_cost(schedule, job, topology, cost_model)
-            for job in schedule.jobs()
+            priced_cost_of_merged(merged, topology, cost_model)
+            for merged in merged_pieces_by_job(schedule).values()
         ),
         Fraction(0),
     )

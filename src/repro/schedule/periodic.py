@@ -47,8 +47,14 @@ def wrapped_tail(schedule: Schedule, job: int):
     (:mod:`repro.simulation.admission`), so the two readings agree on which
     piece wraps by construction.
     """
-    segs = schedule.job_segments(job)
-    by_machine_end = {m for m, s in segs if s.end == schedule.T}
+    return wrapped_tail_of(schedule.job_segments(job), schedule.T)
+
+
+def wrapped_tail_of(segs, T: Fraction):
+    """:func:`wrapped_tail` of one job's time-ordered ``(machine, segment)``
+    pairs (a :meth:`~repro.schedule.schedule.Schedule.segments_by_job`
+    entry) on a schedule of horizon *T*."""
+    by_machine_end = {m for m, s in segs if s.end == T}
     tail = []
     for machine, seg in segs:
         if seg.start == 0 and machine in by_machine_end and len(segs) > 1:
@@ -102,7 +108,10 @@ def unroll(
     # For each job, split its per-period segments into "head" (the pieces
     # from its first processing onward) and "wrapped tail" (pieces that the
     # mod-T rule pushed to the start of the window) — see wrapped_tail.
-    tail_segments = {job: wrapped_tail(schedule, job) for job in jobs}
+    tail_segments = {
+        job: wrapped_tail_of(segs, T)
+        for job, segs in schedule.segments_by_job().items()
+    }
 
     for q in range(periods):
         offset = q * T

@@ -10,6 +10,11 @@ from ..exceptions import InvalidScheduleError
 from .segments import MachineTimeline, Segment, Time
 
 
+def _by_time(pair: Tuple[int, Segment]):
+    machine, seg = pair
+    return (seg.start, seg.end, machine)
+
+
 class Schedule:
     """A complete schedule: per-machine timelines over the horizon ``[0, T]``.
 
@@ -55,7 +60,22 @@ class Schedule:
             for seg in timeline:
                 if seg.job == job:
                     found.append((machine, seg))
-        found.sort(key=lambda pair: (pair[1].start, pair[1].end, pair[0]))
+        found.sort(key=_by_time)
+        return found
+
+    def segments_by_job(self) -> Dict[int, List[Tuple[int, Segment]]]:
+        """:meth:`job_segments` of every scheduled job, in one pass.
+
+        Maps each job with at least one segment to the list
+        ``job_segments(job)`` would return.  Callers that need every job's
+        pieces use this instead of one full-schedule scan per job.
+        """
+        found: Dict[int, List[Tuple[int, Segment]]] = {}
+        for machine, timeline in self._timelines.items():
+            for seg in timeline:
+                found.setdefault(seg.job, []).append((machine, seg))
+        for pairs in found.values():
+            pairs.sort(key=_by_time)
         return found
 
     def jobs(self) -> Tuple[int, ...]:

@@ -9,6 +9,7 @@ sorted and overlap-checked.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Tuple, Union
@@ -84,21 +85,33 @@ def advance_mod(t: Time, delta: Time, T: Time) -> Fraction:
 
 
 class MachineTimeline:
-    """The segments executed by one machine, kept sorted by start time."""
+    """The segments executed by one machine, kept sorted by start time.
+
+    ``_starts`` mirrors ``_segments`` start for start.  The timeline is
+    disjoint, so starts are unique and ordering by start is the same as
+    the ``Segment`` order ``(start, end, job)``.
+    """
 
     def __init__(self, machine: int):
         self.machine = machine
         self._segments: List[Segment] = []
+        self._starts: List[Fraction] = []
 
     def add(self, segment: Segment) -> None:
-        """Insert a segment, rejecting any overlap with existing ones."""
-        for existing in self._segments:
+        """Insert a segment, rejecting any overlap with existing ones.
+
+        In a sorted, disjoint timeline only the neighbours ``i-1`` and ``i``
+        of the insertion point can overlap *segment*, and the first of them
+        that does is the first overlapping segment in timeline order.
+        """
+        i = bisect_left(self._starts, segment.start)
+        for existing in self._segments[max(i - 1, 0):i + 1]:
             if existing.overlaps(segment):
                 raise InvalidScheduleError(
                     f"machine {self.machine}: segment {segment} overlaps {existing}"
                 )
-        self._segments.append(segment)
-        self._segments.sort()
+        self._segments.insert(i, segment)
+        self._starts.insert(i, segment.start)
 
     @property
     def segments(self) -> Tuple[Segment, ...]:

@@ -102,9 +102,10 @@ def check_releases(
     Jobs absent from the mapping are unconstrained (released at 0).
     """
     violations: List[ScheduleViolation] = []
+    by_job = schedule.segments_by_job()
     for job, release in releases.items():
         release = to_fraction(release)
-        for machine, seg in schedule.job_segments(job):
+        for machine, seg in by_job.get(job, ()):
             if seg.start < release:
                 violations.append(
                     ScheduleViolation(
@@ -182,7 +183,7 @@ def validate_schedule(
                 )
 
     # --- per-job conditions ---------------------------------------------------
-    scheduled_jobs = set(schedule.jobs())
+    by_job = schedule.segments_by_job()
     for job in range(instance.n):
         mask = assignment[job]
         required = instance.p(job, mask)
@@ -196,7 +197,7 @@ def validate_schedule(
             )
             continue
         required = to_fraction(required)
-        segments = schedule.job_segments(job)
+        segments = by_job.get(job, [])
 
         # condition 1: mask containment
         for machine, seg in segments:
@@ -212,9 +213,8 @@ def validate_schedule(
                     )
                 )
 
-        # condition 2: no parallel self-execution
-        ordered = sorted(segments, key=lambda pair: (pair[1].start, pair[1].end))
-        for (m1, s1), (m2, s2) in zip(ordered, ordered[1:]):
+        # condition 2: no parallel self-execution (segments are time-ordered)
+        for (m1, s1), (m2, s2) in zip(segments, segments[1:]):
             if s2.start < s1.end:
                 violations.append(
                     ScheduleViolation(
@@ -240,7 +240,7 @@ def validate_schedule(
                 )
             )
 
-        if required > 0 and job not in scheduled_jobs:
+        if required > 0 and job not in by_job:
             violations.append(
                 ScheduleViolation(
                     "work",

@@ -347,9 +347,10 @@ class Session:
         """Run many arrival *streams* against one cached template schedule.
 
         The template for ``(instance, assignment, T)`` is built (or fetched)
-        once through :meth:`template`; its per-job piece decomposition is
-        computed once and shared across every stream — the amortization the
-        scheduling-as-a-service layer is built around.  Returns one
+        once through :meth:`template`; one
+        :class:`~repro.simulation.admission.WindowReplay` of it is shared
+        across every stream — the amortization the scheduling-as-a-service
+        layer is built around.  Returns one
         :class:`~repro.simulation.admission.AdmissionResult` per stream, in
         order, identical to calling ``admit`` per stream.
         """

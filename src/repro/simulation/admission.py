@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..exceptions import InvalidScheduleError
 from ..obs.trace import span as trace_span
@@ -48,7 +48,7 @@ from ..schedule.metrics import (
     response_stats,
     transitions_of_merged,
 )
-from ..schedule.periodic import wrapped_tail
+from ..schedule.periodic import wrapped_tail_of
 from ..schedule.schedule import Schedule
 from .costs import CostModel
 from .topology import Topology
@@ -198,6 +198,7 @@ def witness_within(
             verdict = analytic_schedulable(instance, scheduler_class, T_ref)
             if sp:
                 sp.attrs["verdict"] = verdict.status
+                sp.attrs["reason"] = verdict.reason
             if verdict.status == UNSCHEDULABLE:
                 return None
             if analytic_witness and verdict.status == SCHEDULABLE:
@@ -212,26 +213,176 @@ def witness_within(
         return find_assignment_within(restricted, T_ref, node_limit=node_limit)
 
 
-def _template_pieces(
-    template: Schedule,
-) -> Dict[int, Tuple[List[Tuple[int, Fraction, Fraction]], List[Tuple[int, Fraction, Fraction]]]]:
-    """Per job: ``(head pieces, wrapped-tail pieces)`` as machine/start/end.
+class WindowSlot(NamedTuple):
+    """One job's instance in one planning window, as the template places it.
 
-    Tail detection delegates to :func:`repro.schedule.periodic.wrapped_tail`
-    so admission and ``unroll(relabel=True)`` can never disagree on which
-    piece wraps.
+    Everything here depends only on the template, the window, the topology
+    and the cost model — never on the arrival stream — so one slot serves
+    every stream that admits the job into that window.
     """
-    pieces = {}
-    for job in template.jobs():
-        tail = wrapped_tail(template, job)
-        tail_ids = {(m, s.start, s.end) for m, s in tail}
-        head = [
-            (m, s.start, s.end)
-            for m, s in template.job_segments(job)
-            if (m, s.start, s.end) not in tail_ids
-        ]
-        pieces[job] = (head, [(m, s.start, s.end) for m, s in tail])
-    return pieces
+
+    pieces: Tuple[Tuple[int, Fraction, Fraction], ...]
+    """``(machine, start, end)`` in placement order: head pieces, then the
+    wrapped tail shifted into the next window."""
+
+    start: Fraction
+    completion: Fraction
+    migrations: int
+    priced_overhead: Fraction
+
+
+class WindowReplay:
+    """A template's window-by-window replay, shared by every arrival stream.
+
+    Built with one grouping pass over the template
+    (:meth:`~repro.schedule.schedule.Schedule.segments_by_job`).  Each job
+    splits into head pieces and the wrapped tail
+    (:func:`repro.schedule.periodic.wrapped_tail_of`, so admission and
+    ``unroll(relabel=True)`` can never disagree on which piece wraps), and
+    its accounting — merged runs, start, completion, migrations, priced
+    overhead — is computed once relative to the window start, since all of
+    it is translation-invariant.  :meth:`slot` shifts that into window
+    ``w`` once and memoizes it; slots are immutable, so streams share them.
+    """
+
+    def __init__(
+        self,
+        template: Schedule,
+        topology: Optional[Topology] = None,
+        cost_model: Optional[CostModel] = None,
+    ):
+        if topology is not None and cost_model is None:
+            cost_model = CostModel.numa_like()
+        self.template = template
+        self.T = template.T
+        by_job = template.segments_by_job()
+        self.jobs: Tuple[int, ...] = tuple(sorted(by_job))
+        self._relative: Dict[int, WindowSlot] = {}
+        for job, segs in by_job.items():
+            tail = wrapped_tail_of(segs, self.T)
+            tail_ids = {(m, s.start, s.end) for m, s in tail}
+            pieces = tuple(
+                (m, s.start, s.end)
+                for m, s in segs
+                if (m, s.start, s.end) not in tail_ids
+            ) + tuple((m, s.start + self.T, s.end + self.T) for m, s in tail)
+            merged = merge_piece_runs(pieces)
+            if topology is not None:
+                overhead = priced_cost_of_merged(merged, topology, cost_model)
+            else:
+                overhead = Fraction(0)
+            self._relative[job] = WindowSlot(
+                pieces,
+                min(s for _m, s, _e in merged),
+                max(e for _m, _s, e in merged),
+                transitions_of_merged(merged).migrations,
+                overhead,
+            )
+        self._slots: Dict[Tuple[int, int], WindowSlot] = {}
+
+    def slot(self, job: int, window: int) -> WindowSlot:
+        """Job *job*'s slot in *window*; a job the template never schedules
+        (zero work) gets no pieces and completes at the window boundary."""
+        key = (job, window)
+        found = self._slots.get(key)
+        if found is None:
+            boundary = window * self.T
+            rel = self._relative.get(job)
+            if rel is None:
+                found = WindowSlot((), boundary, boundary, 0, Fraction(0))
+            else:
+                found = WindowSlot(
+                    tuple((m, s + boundary, e + boundary) for m, s, e in rel.pieces),
+                    rel.start + boundary,
+                    rel.completion + boundary,
+                    rel.migrations,
+                    rel.priced_overhead,
+                )
+            self._slots[key] = found
+        return found
+
+    def admit(self, arrivals: Sequence[JobArrival], windows: int) -> AdmissionResult:
+        """:func:`admit` of one stream against this replay."""
+        with trace_span(
+            "sim.admit", windows=windows, arrivals=len(arrivals)
+        ) as admit_sp:
+            result = self._admit(arrivals, windows)
+            if admit_sp:
+                admit_sp.attrs["admitted"] = len(result.admitted)
+                admit_sp.attrs["pending"] = len(result.pending)
+                admit_sp.attrs["max_backlog"] = result.max_backlog
+            return result
+
+    def _admit(self, arrivals: Sequence[JobArrival], windows: int) -> AdmissionResult:
+        _check_windows(self.template, windows)
+        T = self.T
+        ordered = sorted(arrivals, key=lambda a: (a.release, a.job, a.index))
+        for a in ordered:
+            if a.job < 0:
+                raise InvalidScheduleError(f"arrival for negative job id {a.job}")
+
+        stride = (max(self.jobs) + 1) if self.jobs else 1
+        max_job = max((a.job for a in ordered), default=-1)
+        if max_job >= stride:
+            stride = max_job + 1
+
+        result_schedule = Schedule(self.template.machines, T * (windows + 1))
+        queues: Dict[int, Deque[JobArrival]] = {}
+        cursor = 0
+        max_backlog = 0
+        admitted: List[AdmittedInstance] = []
+
+        for w in range(windows):
+            boundary = w * T
+            while cursor < len(ordered) and ordered[cursor].release <= boundary:
+                queues.setdefault(ordered[cursor].job, deque()).append(ordered[cursor])
+                cursor += 1
+            for job in sorted(queues):
+                queue = queues[job]
+                if not queue:
+                    continue
+                arrival = queue.popleft()
+                instance_id = job + w * stride
+                slot = self.slot(job, w)
+                for machine, start, end in slot.pieces:
+                    result_schedule.add_segment(machine, instance_id, start, end)
+                admitted.append(
+                    AdmittedInstance(
+                        job=arrival.job,
+                        index=arrival.index,
+                        release=arrival.release,
+                        deadline=arrival.deadline,
+                        window=w,
+                        instance_id=instance_id,
+                        start=slot.start,
+                        completion=slot.completion,
+                        migrations=slot.migrations,
+                        priced_overhead=slot.priced_overhead,
+                    )
+                )
+            backlog = sum(len(q) for q in queues.values())
+            max_backlog = max(max_backlog, backlog)
+
+        pending = sorted(
+            (a for q in queues.values() for a in q),
+            key=lambda a: (a.release, a.job, a.index),
+        )
+        return AdmissionResult(
+            schedule=result_schedule,
+            admitted=admitted,
+            pending=pending,
+            unreleased=list(ordered[cursor:]),
+            template_T=T,
+            windows=windows,
+            max_backlog=max_backlog,
+        )
+
+
+def _check_windows(template: Schedule, windows: int) -> None:
+    if windows < 1:
+        raise InvalidScheduleError(f"need ≥ 1 window, got {windows}")
+    if template.T <= 0:
+        raise InvalidScheduleError("cannot run windows of a zero-horizon template")
 
 
 def admit(
@@ -240,7 +391,6 @@ def admit(
     windows: int,
     topology: Optional[Topology] = None,
     cost_model: Optional[CostModel] = None,
-    _pieces=None,
 ) -> AdmissionResult:
     """Run *windows* planning windows of *template* against *arrivals*.
 
@@ -253,128 +403,10 @@ def admit(
     :meth:`~repro.simulation.costs.CostModel.numa_like`), each admitted
     instance is charged its distance-priced migration overhead.
 
-    *_pieces* is the precomputed :func:`_template_pieces` decomposition —
-    :func:`admit_batch` passes it so many streams share one template scan.
+    Equivalent to ``admit_batch(template, [arrivals], ...)[0]``: both run
+    the stream through a :class:`WindowReplay` of the template.
     """
-    with trace_span(
-        "sim.admit", windows=windows, arrivals=len(arrivals)
-    ) as admit_sp:
-        result = _admit(template, arrivals, windows, topology, cost_model, _pieces)
-        if admit_sp:
-            admit_sp.attrs["admitted"] = len(result.admitted)
-            admit_sp.attrs["pending"] = len(result.pending)
-            admit_sp.attrs["max_backlog"] = result.max_backlog
-        return result
-
-
-def _admit(
-    template: Schedule,
-    arrivals: Sequence[JobArrival],
-    windows: int,
-    topology: Optional[Topology],
-    cost_model: Optional[CostModel],
-    _pieces,
-) -> AdmissionResult:
-    if windows < 1:
-        raise InvalidScheduleError(f"need ≥ 1 window, got {windows}")
-    T = template.T
-    if T <= 0:
-        raise InvalidScheduleError("cannot run windows of a zero-horizon template")
-    if topology is not None and cost_model is None:
-        cost_model = CostModel.numa_like()
-
-    ordered = sorted(arrivals, key=lambda a: (a.release, a.job, a.index))
-    for a in ordered:
-        if a.job < 0:
-            raise InvalidScheduleError(f"arrival for negative job id {a.job}")
-
-    jobs = template.jobs()
-    stride = (max(jobs) + 1) if jobs else 1
-    max_job = max((a.job for a in ordered), default=-1)
-    if max_job >= stride:
-        stride = max_job + 1
-    pieces = _template_pieces(template) if _pieces is None else _pieces
-
-    result_schedule = Schedule(template.machines, T * (windows + 1))
-    queues: Dict[int, Deque[JobArrival]] = {}
-    cursor = 0
-    max_backlog = 0
-    admitted_raw: List[
-        Tuple[JobArrival, int, int, List[Tuple[int, Fraction, Fraction]]]
-    ] = []
-
-    for w in range(windows):
-        boundary = w * T
-        while cursor < len(ordered) and ordered[cursor].release <= boundary:
-            queues.setdefault(ordered[cursor].job, deque()).append(ordered[cursor])
-            cursor += 1
-        for job in sorted(queues):
-            queue = queues[job]
-            if not queue:
-                continue
-            arrival = queue.popleft()
-            instance_id = job + w * stride
-            head, tail = pieces.get(job, ([], []))
-            placed = []
-            for machine, start, end in head:
-                result_schedule.add_segment(
-                    machine, instance_id, start + boundary, end + boundary
-                )
-                placed.append((machine, start + boundary, end + boundary))
-            for machine, start, end in tail:
-                result_schedule.add_segment(
-                    machine, instance_id, start + boundary + T, end + boundary + T
-                )
-                placed.append((machine, start + boundary + T, end + boundary + T))
-            admitted_raw.append((arrival, w, instance_id, placed))
-        backlog = sum(len(q) for q in queues.values())
-        max_backlog = max(max_backlog, backlog)
-
-    admitted: List[AdmittedInstance] = []
-    for arrival, w, instance_id, placed in admitted_raw:
-        boundary = w * T
-        # Accounting works on the instance's own pieces (already in hand)
-        # rather than re-scanning the whole materialized schedule — admit()
-        # stays linear in total placed pieces.
-        merged = merge_piece_runs(placed)
-        if merged:
-            start = min(s for _m, s, _e in merged)
-            completion = max(e for _m, _s, e in merged)
-        else:
-            start = completion = boundary
-        migrations = transitions_of_merged(merged).migrations
-        if topology is not None and cost_model is not None:
-            overhead = priced_cost_of_merged(merged, topology, cost_model)
-        else:
-            overhead = Fraction(0)
-        admitted.append(
-            AdmittedInstance(
-                job=arrival.job,
-                index=arrival.index,
-                release=arrival.release,
-                deadline=arrival.deadline,
-                window=w,
-                instance_id=instance_id,
-                start=start,
-                completion=completion,
-                migrations=migrations,
-                priced_overhead=overhead,
-            )
-        )
-
-    pending = sorted(
-        (a for q in queues.values() for a in q),
-        key=lambda a: (a.release, a.job, a.index),
-    )
-    return AdmissionResult(
-        schedule=result_schedule,
-        admitted=admitted,
-        pending=pending,
-        unreleased=list(ordered[cursor:]),
-        template_T=T,
-        windows=windows,
-        max_backlog=max_backlog,
-    )
+    return WindowReplay(template, topology, cost_model).admit(arrivals, windows)
 
 
 def admit_batch(
@@ -386,28 +418,26 @@ def admit_batch(
 ) -> List[AdmissionResult]:
     """Admit many independent arrival *streams* against one template.
 
-    The batch entry point of the scheduling-as-a-service layer: the
-    template's per-job piece decomposition (the only per-template scan in
-    :func:`admit`) is computed **once** and shared, so ``k`` streams cost
-    one template analysis plus ``k`` linear admission passes.  Results are
+    The batch entry point of the scheduling-as-a-service layer.  One
+    :class:`WindowReplay` serves every stream: the template is scanned
+    **once**, and each ``(job, window)`` slot — its placed pieces and
+    their accounting (merged runs, start, completion, migrations, priced
+    overhead) — is computed the first time any stream admits that job into
+    that window, then reused.  Each stream still places every piece of
+    every admitted instance through
+    :meth:`~repro.schedule.schedule.Schedule.add_segment`, with its eager
+    horizon and overlap checks; a timeline insert is one ``bisect`` plus
+    two neighbour checks.  So ``k`` streams cost one template scan plus,
+    per stream, one log-time insert per placed piece.  Results are
     returned in stream order and are identical to calling :func:`admit`
     per stream — the streams are independent workload scenarios (e.g. the
     arrival-family axis of E18), not one merged arrival set.
     """
     if not streams:
         return []
-    if windows < 1:
-        raise InvalidScheduleError(f"need ≥ 1 window, got {windows}")
-    if template.T <= 0:
-        raise InvalidScheduleError("cannot run windows of a zero-horizon template")
+    _check_windows(template, windows)
     with trace_span(
         "sim.admit_batch", streams=len(streams), windows=windows
     ):
-        pieces = _template_pieces(template)
-        return [
-            admit(
-                template, stream, windows,
-                topology=topology, cost_model=cost_model, _pieces=pieces,
-            )
-            for stream in streams
-        ]
+        replay = WindowReplay(template, topology, cost_model)
+        return [replay.admit(stream, windows) for stream in streams]

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from .._fraction import to_fraction
 from ..core.assignment import Assignment
 from ..core.instance import Instance
+from ..schedule.metrics import merged_pieces_by_job
 from ..schedule.schedule import Schedule
 from .costs import CostModel, mask_overhead_budget
 from .topology import Topology
@@ -40,15 +41,7 @@ def simulate(
 ) -> ExecutionTrace:
     """Replay *schedule* and emit the full event trace with charged costs."""
     trace = ExecutionTrace()
-    for job in schedule.jobs():
-        merged: List[Tuple[int, Fraction, Fraction]] = []
-        for machine, seg in schedule.job_segments(job):
-            if merged and merged[-1][0] == machine and merged[-1][2] == seg.start:
-                merged[-1] = (machine, merged[-1][1], seg.end)
-            else:
-                merged.append((machine, seg.start, seg.end))
-        if not merged:
-            continue
+    for job, merged in merged_pieces_by_job(schedule).items():
         first_machine, first_start, _ = merged[0]
         trace.add(Event(first_start, EventKind.START, job, first_machine))
         for (m1, _s1, e1), (m2, s2, _e2) in zip(merged, merged[1:]):

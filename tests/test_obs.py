@@ -504,6 +504,25 @@ class TestInstrumentationShape:
         batch = next(sp for sp in tracer.spans if sp.name == "sim.admit_batch")
         assert all(sp.parent_id == batch.span_id for sp in admits)
 
+    @pytest.mark.parametrize("u", [0.5, 1.2])
+    def test_prefilter_span_records_verdict_reason(self, u):
+        from repro.rta import analytic_schedulable
+        from repro.simulation.admission import witness_within
+        from repro.workloads.families import make_topology
+        from repro.workloads.generators import utilization_workload
+
+        family = make_topology("flat4").family
+        inst = utilization_workload(rng_from_seed(5), family, u, 20)
+        with tracing() as tracer:
+            witness_within(inst, 20, node_limit=20_000)
+        (sp,) = [sp for sp in tracer.spans if sp.name == "sim.prefilter"]
+        verdict = analytic_schedulable(inst, "hierarchical", 20)
+        assert sp.attrs["verdict"] == verdict.status
+        assert sp.attrs["reason"] == verdict.reason
+        assert verdict.reason
+        analyzed = next(s for s in tracer.spans if s.name == "rta.analyze")
+        assert analyzed.attrs["reason"] == sp.attrs["reason"]
+
     def test_e14_timed_region_stays_trace_off(self):
         from repro.experiments.e14_scaling import run as e14_run
 
