@@ -23,13 +23,21 @@ Both solvers return the rounded assignment, the realized schedule (built at
 the *actual* minimal horizon of the assignment, never worse than σ·T), and
 the measured memory violations, so experiments E10/E11 can compare against
 the theorems' guarantees.
+
+The smallest LP-feasible horizons (:func:`minimal_model1_T`,
+:func:`minimal_model2_T`) are not searched here: rows (7) and (9) do not
+depend on ``T``, so each model is (IP-3) plus *side rows* of
+:class:`~repro.core.programs.IP3Builder`, and the (IP-3) breakpoint search
+of :mod:`repro.core.programs` finds ``T*`` with its bound, probe reuse and
+min-T LPs.  Model 1 hands it a copy of the instance in which the
+budget-pruned pairs are ``INF``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .._fraction import is_inf, to_fraction
 from ..exceptions import InfeasibleError, InvalidInstanceError
@@ -39,7 +47,7 @@ from .assignment import Assignment, min_T_for_assignment
 from .hierarchical import schedule_hierarchical
 from .instance import Instance
 from .laminar import MachineSet
-from .programs import admissible_pairs
+from .programs import IP3Builder, _minimal_T, admissible_pairs
 
 Time = Union[int, Fraction]
 
@@ -94,7 +102,15 @@ def _model1_rows(
     Pairs whose memory footprint alone would exceed some budget are pruned
     (they could never be 1 in a solution within the budgets) — this keeps
     every coefficient ≤ its row bound, the property behind the "3×".
+    Every Model 1 entry point starts here, so the budgets are validated
+    first: a missing or non-positive budget is an invalid instance, whatever
+    the pruning would have found.
     """
+    for i in sorted(instance.machines):
+        if i not in budgets:
+            raise InvalidInstanceError(f"machine {i} has no memory budget")
+        if to_fraction(budgets[i]) <= 0:
+            raise InvalidInstanceError(f"budget of machine {i} must be positive")
     pairs = admissible_pairs(instance, T)
     groups: Dict[int, List] = {j: [] for j in range(instance.n)}
     for alpha, j in pairs:
@@ -126,10 +142,7 @@ def _model1_rows(
                 alpha, _j = key
                 if i in alpha:
                     coeffs[key] = s
-        bound = to_fraction(budgets[i])
-        if bound <= 0:
-            raise InvalidInstanceError(f"budget of machine {i} must be positive")
-        rows.append(PackingRow(f"mem[{i}]", coeffs, bound))
+        rows.append(PackingRow(f"mem[{i}]", coeffs, to_fraction(budgets[i])))
     return groups, rows
 
 
@@ -210,117 +223,31 @@ def model1_lp_feasible(
     return is_feasible(_memory_lp(groups, rows), backend=backend)
 
 
-def _min_T_with_rows(
-    instance: Instance,
-    groups: Mapping[int, List],
-    rows: Sequence[PackingRow],
-    anchor: Fraction,
-    backend: str,
-) -> Optional[Fraction]:
-    """Minimize T over the given rows with ``R`` frozen at *anchor*.
+def _memory_builder(instance: Instance, rows_at) -> IP3Builder:
+    """The (IP-3) builder of a memory model: its pairs, with side rows.
 
-    Load rows (named ``load[...]``) scale with T (bound = |α|·T·(b/anchor
-    proportion)); memory rows are T-independent.  Returns None if infeasible.
+    *rows_at(T)* returns ``(groups, rows)``.  Evaluated once at the top
+    breakpoint, where ``R`` is every finite pair, it gives the model's
+    pairs (*groups*, which Model 1 prunes by budget) and its memory rows,
+    which do not depend on ``T``; the builder takes the instance with every
+    other pair ``INF`` and the memory rows as side rows.
     """
-    from ..lp.model import LinearProgram
-    from ..lp.solve import solve_lp
-
-    t_key = ("__T__",)
-    lp = LinearProgram()
-    lp.add_variable(t_key, lb=0)
-    for j, keys in groups.items():
-        for key in keys:
-            lp.add_variable(key, lb=0)  # ub implied by the group equality
-        lp.add_constraint({key: 1 for key in keys}, "==", 1)
-    for row in rows:
-        if row.name.startswith("load["):
-            # bound was |α|·anchor; with T variable it becomes |α|·T.
-            per_T = row.bound / anchor
-            coeffs = dict(row.coeffs)
-            coeffs[t_key] = -per_T
-            lp.add_constraint(coeffs, "<=", 0, name=row.name)
-        else:
-            lp.add_constraint(row.coeffs, "<=", row.bound, name=row.name)
-    lp.add_constraint({t_key: 1}, ">=", anchor)
-    lp.set_objective({t_key: 1})
-    solution = solve_lp(lp, backend=backend)
-    if not solution.is_optimal:
-        return None
-    return to_fraction(solution.value(t_key))
-
-
-def _minimal_memory_T(
-    instance: Instance,
-    rows_at,
-    backend: str,
-) -> Fraction:
-    """Shared breakpoint search for the two memory models.
-
-    *rows_at(T)* returns ``(groups, rows)`` — the probe LP *and* the min-T
-    refinement both build from it.  Mirroring the incremental pipeline of
-    :func:`repro.core.programs.minimal_fractional_T`, the previous feasible
-    probe's **point** warm-starts the next probe as keyed ``warm_values``:
-    variable keys are stable across horizons, so the solver factorizes the
-    point's surviving support into its starting basis (keys the new LP
-    lacks are dropped and counted).
-    """
-    from ..lp.solve import feasible_point
-
-    warm: Dict = {}
-
-    def feasible_at(T: Fraction) -> bool:
-        try:
-            groups, rows = rows_at(T)
-        except InfeasibleError:
-            return False
-        point = feasible_point(
-            _memory_lp(groups, rows), backend=backend, warm_values=warm or None,
-        )
-        if point is not None:
-            warm.clear()
-            warm.update({k: v for k, v in point.items() if v})
-            return True
-        return False
-
-    values = sorted(
-        {
-            to_fraction(instance.p(j, alpha))
-            for j in range(instance.n)
-            for alpha in instance.family.sets
-            if not is_inf(instance.p(j, alpha))
-        }
-    )
-    if not values:
+    finite = [
+        to_fraction(instance.p(j, alpha))
+        for j in range(instance.n)
+        for alpha in instance.family.sets
+        if not is_inf(instance.p(j, alpha))
+    ]
+    if not finite:
         raise InfeasibleError("no finite processing times")
-    lo, hi = 0, len(values) - 1
-    if not feasible_at(values[hi]):
-        # Optimum above every breakpoint: R maximal, one min-T LP.
-        try:
-            groups, rows = rows_at(values[hi])
-        except InfeasibleError:
-            raise InfeasibleError("memory LP infeasible at every horizon")
-        t_above = _min_T_with_rows(instance, groups, rows, values[hi], backend)
-        if t_above is None:
-            raise InfeasibleError("memory LP infeasible at every horizon")
-        return t_above
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible_at(values[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    anchor = values[lo]
-    if lo > 0:
-        try:
-            groups, rows = rows_at(values[lo - 1])
-            t_prev = _min_T_with_rows(
-                instance, groups, rows, values[lo - 1], backend
-            )
-        except InfeasibleError:
-            t_prev = None
-        if t_prev is not None and t_prev < anchor:
-            return t_prev
-    return anchor
+    groups, rows = rows_at(max(finite))
+    pruned = Instance(
+        instance.family,
+        {j: {alpha: instance.p(j, alpha) for alpha, _j in keys} for j, keys in groups.items()},
+        validate=False,
+    )
+    side_rows = [(row.coeffs, row.bound) for row in rows if not row.name.startswith("load[")]
+    return IP3Builder(pruned, side_rows)
 
 
 def minimal_model1_T(
@@ -330,11 +257,10 @@ def minimal_model1_T(
     backend: str = "hybrid",
 ) -> Fraction:
     """Smallest horizon at which (IP-3)+(7)'s LP relaxation is feasible."""
-    return _minimal_memory_T(
-        instance,
-        rows_at=lambda T: _model1_rows(instance, space, budgets, to_fraction(T)),
-        backend=backend,
+    builder = _memory_builder(
+        instance, lambda T: _model1_rows(instance, space, budgets, T)
     )
+    return _minimal_T(builder, backend)
 
 
 def solve_model1_exact(
@@ -565,8 +491,7 @@ def minimal_model2_T(
     backend: str = "hybrid",
 ) -> Fraction:
     """Smallest horizon at which (IP-4)'s LP relaxation is feasible."""
-    return _minimal_memory_T(
-        instance,
-        rows_at=lambda T: _model2_rows(instance, sizes, mu, to_fraction(T))[:2],
-        backend=backend,
+    builder = _memory_builder(
+        instance, lambda T: _model2_rows(instance, sizes, mu, T)[:2]
     )
+    return _minimal_T(builder, backend)

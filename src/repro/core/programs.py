@@ -47,6 +47,14 @@ is **incremental** end to end:
   :meth:`IP3Builder.min_T_float_slice`) — no keyed
   :class:`~repro.lp.model.LinearProgram` — and the previous bracket's is
   warm-started from the anchor's feasible point.
+
+This is the only ``T*`` search over the breakpoints.  The ``R||Cmax``
+assignment LP is (IP-3) on the singleton family
+(:func:`repro.baselines.lst_unrelated.minimal_unrelated_T`), and the
+memory LPs of Section VI are (IP-3) plus ``T``-independent packing rows,
+which :class:`IP3Builder` takes as *side rows*
+(:func:`repro.core.memory.minimal_model1_T`, ``minimal_model2_T``).  Only
+:mod:`repro.core.exact_ilp`, the independent cross-check, keeps its own.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .._fraction import is_inf, to_fraction
 from ..exceptions import InfeasibleError, InvalidInstanceError
@@ -101,10 +109,19 @@ class IP3Builder:
     **Exact mask.**  Every finite pair's time is one of the sorted
     ``breakpoints``; :attr:`var_rank` stores its index there.  So
     ``p ≤ T`` holds exactly when ``var_rank < mask(T)``, where
-    :meth:`mask` is one ``bisect`` over the breakpoints.  Every builder
-    (:meth:`probe_rows`, :meth:`decision_lp`, :meth:`min_T_rows`) and the
-    probe pipeline's structural and support checks filter on that integer
-    — no per-entry ``Fraction`` comparison.
+    :meth:`mask` is one ``bisect`` over the breakpoints.  Both row builders
+    (:meth:`probe_rows`, :meth:`min_T_rows`) and the probe pipeline's
+    structural and support checks filter on that integer — no per-entry
+    ``Fraction`` comparison.
+
+    **Side rows.**  *side_rows* adds ``T``-independent packing rows to
+    every program the builder makes, each ``({(α, j): coeff}, bound)``
+    meaning ``Σ coeff·x_{αj} ≤ bound`` over the pairs active at the probed
+    horizon; every key must be a finite pair of the instance.  They come
+    after the load rows in :meth:`probe_rows`, :meth:`min_T_rows` (before
+    ``T ≥ t_low``, with no ``T`` entry) and both float templates.  The
+    memory models of Section VI are (IP-3) plus such rows (see
+    :mod:`repro.core.memory`); with none, every program is (IP-3) itself.
 
     **Float template.**  The HiGHS leg of a probe needs the probe rows as
     a float matrix.  The builder keeps one ``scipy.sparse`` CSR of *all*
@@ -121,7 +138,11 @@ class IP3Builder:
     per-entry conversion.
     """
 
-    def __init__(self, instance: Instance):
+    def __init__(
+        self,
+        instance: Instance,
+        side_rows: Sequence[Tuple[Mapping[Tuple[MachineSet, int], Time], Time]] = (),
+    ):
         self.instance = instance
         family = instance.family
         n = instance.n
@@ -139,8 +160,6 @@ class IP3Builder:
         ]
         #: Processing time per global variable index (position in ``finite``).
         self.var_p: List[Fraction] = [p for _j, _a, p in self.finite]
-        #: ``("x", α, j)`` LP key per global variable index.
-        self.var_key: List[Tuple] = [("x", alpha, j) for j, alpha, _p in self.finite]
         by_time: Dict[Fraction, List[int]] = {}
         for gi, p in enumerate(self.var_p):
             by_time.setdefault(p, []).append(gi)
@@ -172,6 +191,14 @@ class IP3Builder:
                     if gi is not None:
                         entries.append((gi, self.var_p[gi], self.var_rank[gi]))
             self.load_template.append((alpha, entries))
+        #: Per side row: (entries as (global index, coeff, rank), bound).
+        self.side_template: List[Tuple[List[Tuple[int, Fraction, int]], Fraction]] = []
+        for coeffs, bound in side_rows:
+            entries = []
+            for (alpha, j), coeff in coeffs.items():
+                gi = var_of_pair[(j, alpha)]
+                entries.append((gi, to_fraction(coeff), self.var_rank[gi]))
+            self.side_template.append((entries, to_fraction(bound)))
         #: Smallest mask at which every job has an admissible pair (beyond
         #: every mask when some job has none).
         self.full_mask: int = 1 + max(
@@ -275,9 +302,10 @@ class IP3Builder:
 
         Returns ``(coeff_rows, senses, rhs, active)`` where *active* maps
         local variable index → position in ``self.finite``.  Row order is
-        the ``decision_lp`` order (all assignment rows, then all load rows),
-        which is what keeps Farkas certificates transferable between
-        probes.  ``O(nnz)`` integer filtering on the exact mask.
+        the :func:`build_ip3` order (all assignment rows, then all load
+        rows), then the side rows; a fixed order is what keeps Farkas
+        certificates transferable between probes.  ``O(nnz)`` integer
+        filtering on the exact mask.
         """
         k = self.mask(T)
         rank = self.var_rank
@@ -294,6 +322,10 @@ class IP3Builder:
             coeff_rows.append({local[gi]: p for gi, p, r in entries if r < k})
             senses.append("<=")
             rhs.append(len(alpha) * T)
+        for entries, bound in self.side_template:
+            coeff_rows.append({local[gi]: c for gi, c, r in entries if r < k})
+            senses.append("<=")
+            rhs.append(bound)
         return coeff_rows, senses, rhs, active
 
     def float_slice(self, active: List[int]):
@@ -310,30 +342,9 @@ class IP3Builder:
 
             rows = [{gi: 1 for gi in group} for group in self.assign_template]
             rows += [{gi: p for gi, p, _r in entries} for _a, entries in self.load_template]
+            rows += [{gi: c for gi, c, _r in entries} for entries, _b in self.side_template]
             self._float_template = float_matrix(rows, len(self.finite))
         return self._float_template[:, active]
-
-    def decision_lp(self, T: Fraction) -> LinearProgram:
-        """The LP relaxation of (IP-3) at horizon *T* (== :func:`build_ip3`)."""
-        k = self.mask(T)
-        rank = self.var_rank
-        key = self.var_key
-        lp = LinearProgram()
-        # No explicit ub: x ≤ 1 is implied by the assignment equality rows
-        # (each variable has coefficient 1 in exactly one of them), and
-        # materializing the bound as a row would multiply the tableau size.
-        for gi in range(len(rank)):
-            if rank[gi] < k:
-                lp.add_variable(key[gi], lb=0)
-        for j, group in enumerate(self.assign_template):
-            lp.add_constraint(
-                {key[gi]: 1 for gi in group if rank[gi] < k}, "==", 1,
-                name=f"assign[{j}]",
-            )
-        for alpha, entries in self.load_template:
-            coeffs = {key[gi]: p for gi, p, r in entries if r < k}
-            lp.add_constraint(coeffs, "<=", len(alpha) * T, name=f"load[{sorted(alpha)}]")
-        return lp
 
     def min_T_rows(
         self, r_anchor: Fraction, t_low: Fraction
@@ -345,10 +356,10 @@ class IP3Builder:
         Returns ``(coeff_rows, senses, rhs, objective, active)``: column 0
         is ``T``, column ``1 + li`` is global variable ``active[li]``; the
         rows are the assignment rows, the load rows
-        ``Σ p·x − |α|·T ≤ 0`` (``T`` first, ``p = 0`` entries omitted) and
-        ``T ≥ t_low``; the objective is ``T``.  Returns ``None`` when some
-        job has no admissible set at the anchor (the frozen-R program is
-        then trivially infeasible).  ``x ≤ 1`` is implied by the
+        ``Σ p·x − |α|·T ≤ 0`` (``T`` first, ``p = 0`` entries omitted), the
+        side rows and ``T ≥ t_low``; the objective is ``T``.  Returns
+        ``None`` when some job has no admissible set at the anchor (the
+        frozen-R program is then trivially infeasible).  ``x ≤ 1`` is implied by the
         assignment rows and not materialized.
         """
         k = self.mask(r_anchor)
@@ -370,6 +381,10 @@ class IP3Builder:
             coeff_rows.append(row)
             senses.append("<=")
             rhs.append(zero)
+        for entries, bound in self.side_template:
+            coeff_rows.append({local[gi]: c for gi, c, r in entries if r < k})
+            senses.append("<=")
+            rhs.append(bound)
         coeff_rows.append({0: one})
         senses.append(">=")
         rhs.append(to_fraction(t_low))
@@ -379,10 +394,11 @@ class IP3Builder:
     def min_T_float_slice(self, active: List[int]):
         """Float CSR of :meth:`min_T_rows` over *active*, or ``None`` without scipy.
 
-        The ``T`` column (``−|α|`` on the load rows), then
-        :meth:`float_slice` of *active*, then the ``T ≥ t_low`` row.  It
-        stores the ``p = 0`` entries the dict rows omit; HiGHS gets the
-        same matrix either way (zeros are dropped on the way in).
+        The ``T`` column (``−|α|`` on the load rows, empty on the side
+        rows), then :meth:`float_slice` of *active*, then the
+        ``T ≥ t_low`` row.  It stores the ``p = 0`` entries the dict rows
+        omit; HiGHS gets the same matrix either way (zeros are dropped on
+        the way in).
         """
         sliced = self.float_slice(active)
         if sliced is None:
@@ -392,7 +408,8 @@ class IP3Builder:
         n, loads = len(self.assign_template), len(self.load_template)
         sizes = [-float(len(alpha)) for alpha, _e in self.load_template]
         t_column = csr_array(
-            (sizes, (range(n, n + loads), [0] * loads)), shape=(n + loads, 1)
+            (sizes, (range(n, n + loads), [0] * loads)),
+            shape=(n + loads + len(self.side_template), 1),
         )
         bracket = csr_array(([1.0], ([0], [0])), shape=(1, 1 + len(active)))
         return vstack([hstack([t_column, sliced]), bracket], format="csr")
@@ -613,9 +630,8 @@ def _above_top(builder: IP3Builder, t_low: Fraction, backend: str) -> Fraction:
     settles it."""
     t_above = _min_T_with_fixed_R(builder, builder.breakpoints[-1], t_low, backend)
     if t_above is None:
-        raise InfeasibleError(
-            "LP relaxation infeasible at every horizon; some job cannot be placed"
-        )
+        # Every job has a pair at the top, so only side rows can get here.
+        raise InfeasibleError("LP relaxation infeasible at every horizon")
     return t_above
 
 
@@ -632,10 +648,43 @@ def _gallop(start: int, top: int):
 def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fraction:
     """The minimum horizon ``T*`` at which (IP-3)'s LP relaxation is feasible.
 
-    This is the paper's fractional lower bound: ``T* ≤ opt(I)``.  Exact
-    procedure over the breakpoints of ``R(T)``, starting at the bound
-    ``B = builder.demand_bound(LB)``, with ``LB = instance.trivial_bounds()[0]``
-    (:meth:`IP3Builder.trivial_lower`):
+    This is the paper's fractional lower bound: ``T* ≤ opt(I)``, found by
+    the breakpoint search of :func:`_minimal_T` on the instance's
+    :class:`IP3Builder`.
+
+    Degenerate inputs resolve exactly instead of entering a vacuous search:
+
+    * no jobs → ``0``;
+    * a job whose processing row is all-INF can never be placed at any
+      horizon → :class:`InvalidInstanceError` (structural, not a matter of
+      ``T``);
+    * all finite processing times zero (zero-volume instance) → ``0``.
+    """
+    if instance.n == 0:
+        return Fraction(0)
+    builder = IP3Builder(instance)
+    if builder.jobs_without_options:
+        jobs = builder.jobs_without_options
+        raise InvalidInstanceError(
+            f"job(s) {jobs} have no finite processing time on any admissible "
+            f"set; no horizon T can make (IP-3) feasible"
+        )
+    return _minimal_T(builder, backend)
+
+
+def _minimal_T(builder: IP3Builder, backend: str) -> Fraction:
+    """The minimum horizon ``T*`` at which *builder*'s LP is feasible.
+
+    The LP is (IP-3) plus the builder's side rows; every job must have a
+    finite pair.  Side rows are ``T``-independent, so feasibility stays
+    monotone in ``T``, ``R(T)`` still changes only at the breakpoints, and
+    every bound below still holds (extra rows only shrink the feasible
+    set).  Raises :class:`InfeasibleError` when no horizon is feasible,
+    which only side rows can cause.
+
+    Exact procedure over the breakpoints of ``R(T)``, starting at the bound
+    ``B = builder.demand_bound(LB)``, with ``LB`` the instance's trivial
+    lower bound (:meth:`IP3Builder.trivial_lower`):
     ``LB ≤ B ≤ T*``, found from the LP-valid trapped-demand cut with no LP.
     When ``B`` lies strictly inside ``[points[s-1], points[s])``, where ``R``
     is fixed, that bracket's min-T LP with ``T ≥ B`` runs first; an optimum
@@ -655,27 +704,11 @@ def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fractio
     LP), ``prev-bracket`` (the LP below the anchor beat it), ``anchor`` or
     ``above-top`` (infeasible at every breakpoint; one min-T LP over the
     full ``R``, with no probe at all when B is above the top).
-
-    Degenerate inputs resolve exactly instead of entering a vacuous search:
-
-    * no jobs → ``0``;
-    * a job whose processing row is all-INF can never be placed at any
-      horizon → :class:`InvalidInstanceError` (structural, not a matter of
-      ``T``);
-    * all finite processing times zero (zero-volume instance) → ``0``.
     """
-    if instance.n == 0:
-        return Fraction(0)
-    builder = IP3Builder(instance)
-    if builder.jobs_without_options:
-        jobs = builder.jobs_without_options
-        raise InvalidInstanceError(
-            f"job(s) {jobs} have no finite processing time on any admissible "
-            f"set; no horizon T can make (IP-3) feasible"
-        )
     points = builder.breakpoints
-    if points[-1] == 0:
+    if points[-1] == 0 and not builder.side_template:
         # Every finite time is 0 and every job has one: T* = 0 exactly.
+        # Side rows may still be infeasible at T = 0, so then it is probed.
         return Fraction(0)
 
     # LB ≤ T* (see Instance.trivial_bounds), and B ≥ LB refines it with the
@@ -687,7 +720,7 @@ def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fractio
 
     with trace_span(
         "search.minimal_fractional_T",
-        n=instance.n, backend=backend, breakpoints=len(points),
+        n=builder.instance.n, backend=backend, breakpoints=len(points),
         lower_bound=str(lower), demand_bound=str(bound), start=start,
     ) as search_sp:
         if start > top:

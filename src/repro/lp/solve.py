@@ -266,7 +266,6 @@ def feasible_point_rows(
 def feasible_point(
     lp: LinearProgram,
     backend: str = "exact",
-    warm_values: Optional[Mapping[VarKey, Fraction]] = None,
 ) -> Optional[Dict[VarKey, Fraction]]:
     """An **exactly certified** feasible point of *lp*, or ``None``.
 
@@ -277,21 +276,17 @@ def feasible_point(
     not necessarily basic, which is all a feasibility verdict needs.  Every
     other path (check fails, float says infeasible, exact backend, program
     too small for the float probe to pay off) falls through to a certified
-    solve, warm-started from *warm_values* (e.g. the bracketing probe's
-    point) when given.  The keyed front end of :func:`feasible_point_rows`.
+    solve.  The keyed front end of :func:`feasible_point_rows`.
     """
     from .hybrid import _FLOAT_SIZE_CUTOFF
 
     backend = _resolve_backend(backend)
     if lp.num_variables * max(lp.num_constraints, 1) < _FLOAT_SIZE_CUTOFF:
         backend = "exact"  # linprog overhead exceeds a cold exact solve
-    warm_pt, drops = _warm_point(lp, warm_values)
     coeff_rows, senses, rhs, _objective = lp.to_standard_rows()
     point, _farkas = feasible_point_rows(
-        coeff_rows, senses, rhs, lp.num_variables,
-        backend=backend, warm_point=warm_pt,
+        coeff_rows, senses, rhs, lp.num_variables, backend=backend,
     )
-    _count_warm_drops(drops, None)
     if point is None:
         return None
     return {key: point[lp.index_of(key)] for key in lp.variable_keys}

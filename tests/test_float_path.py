@@ -226,13 +226,9 @@ def _reference_min_T_lp(builder: IP3Builder, r_anchor, t_low):
     return lp
 
 
-def _lp_signature(lp: LinearProgram):
-    """Variable order, row order, coefficient order and objective of *lp*."""
-    return (
-        lp.variable_keys,
-        [(list(r.coeffs.items()), r.sense, r.rhs, r.name) for r in lp.rows],
-        lp.objective_coeffs,
-    )
+def _keys(builder: IP3Builder, active):
+    """The ``("x", α, j)`` LP key of each active variable, in column order."""
+    return [("x", builder.finite[gi][1], builder.finite[gi][0]) for gi in active]
 
 
 def _ordered_rows(rows):
@@ -245,7 +241,15 @@ def test_masked_lp_builders_unchanged(name):
     inst = INSTANCES[name]
     builder = IP3Builder(inst)
     for T in _horizons(builder):
-        assert _lp_signature(builder.decision_lp(T)) == _lp_signature(build_ip3(inst, T))
+        # The probe rows are build_ip3's rows, in its variable and row
+        # order, except that they keep the p = 0 entries build_ip3 drops.
+        rows, senses, rhs, active = builder.probe_rows(T)
+        ref = build_ip3(inst, T)
+        ref_rows, ref_senses, ref_rhs, _objective = ref.to_standard_rows()
+        nonzero = [{col: v for col, v in row.items() if v} for row in rows]
+        assert _ordered_rows(nonzero) == _ordered_rows(ref_rows)
+        assert (senses, rhs) == (ref_senses, ref_rhs)
+        assert _keys(builder, active) == list(ref.variable_keys)
         for t_low in (T, T + 1):
             ref = _reference_min_T_lp(builder, T, t_low)
             got = builder.min_T_rows(T, t_low)
@@ -256,7 +260,7 @@ def test_masked_lp_builders_unchanged(name):
             ref_rows, ref_senses, ref_rhs, ref_objective = ref.to_standard_rows()
             assert _ordered_rows(rows) == _ordered_rows(ref_rows)
             assert (senses, rhs, objective) == (ref_senses, ref_rhs, ref_objective)
-            assert [builder.var_key[gi] for gi in active] == list(ref.variable_keys[1:])
+            assert _keys(builder, active) == list(ref.variable_keys[1:])
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
