@@ -15,7 +15,7 @@ construction, so queries are O(1)/O(size of answer).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import InvalidFamilyError
 
@@ -342,7 +342,9 @@ class LaminarFamily:
         return best
 
     def trapped_demand(
-        self, contributions: Iterable[Tuple[Optional[MachineSet], Fraction]]
+        self,
+        contributions: Iterable[Tuple[Optional[MachineSet], Fraction]],
+        zero: Union[int, Fraction] = Fraction(0),
     ) -> Dict[MachineSet, Fraction]:
         """``D(α) = Σ w`` over the ``(trap, w)`` pairs with ``trap ⊆ α``, per set.
 
@@ -350,8 +352,10 @@ class LaminarFamily:
         so ``D(α)`` sums the whole subtree below ``α``: the per-level
         demand-bound accumulation over the laminar forest.  A ``None`` trap
         (no single family set contains the job's options) counts nowhere.
+        Every sum starts at *zero*, so integer weights with ``zero=0`` give
+        integer demands.
         """
-        demand: Dict[MachineSet, Fraction] = {alpha: Fraction(0) for alpha in self._sets}
+        demand: Dict[MachineSet, Fraction] = {alpha: zero for alpha in self._sets}
         for trap, weight in contributions:
             if trap is not None:
                 demand[trap] += weight

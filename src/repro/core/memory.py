@@ -30,7 +30,10 @@ depend on ``T``, so each model is (IP-3) plus *side rows* of
 :class:`~repro.core.programs.IP3Builder`, and the (IP-3) breakpoint search
 of :mod:`repro.core.programs` finds ``T*`` with its bound, probe reuse and
 min-T LPs.  Model 1 hands it a copy of the instance in which the
-budget-pruned pairs are ``INF``.
+budget-pruned pairs are ``INF``.  The decision verdicts
+(:func:`model1_lp_feasible`, :func:`model2_lp_feasible`) are one probe of
+the same builder, as :func:`repro.core.programs.lp_feasible` is for
+(IP-3).
 """
 
 from __future__ import annotations
@@ -41,13 +44,14 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .._fraction import is_inf, to_fraction
 from ..exceptions import InfeasibleError, InvalidInstanceError
+from ..lp.solve import _resolve_backend
 from ..rounding.iterative import IterativeRoundingResult, PackingRow, iterative_round
 from ..schedule.schedule import Schedule
 from .assignment import Assignment, min_T_for_assignment
 from .hierarchical import schedule_hierarchical
 from .instance import Instance
 from .laminar import MachineSet
-from .programs import IP3Builder, _minimal_T, admissible_pairs
+from .programs import IP3Builder, _minimal_T, _ProbeSession, admissible_pairs
 
 Time = Union[int, Fraction]
 
@@ -188,20 +192,6 @@ def solve_model1(
     )
 
 
-def _memory_lp(groups: Mapping[int, List], rows: Sequence[PackingRow]):
-    """The feasibility LP shared by both memory models (groups + packing rows)."""
-    from ..lp.model import LinearProgram
-
-    lp = LinearProgram()
-    for j, keys in groups.items():
-        for key in keys:
-            lp.add_variable(key, lb=0)  # ub implied by the group equality
-        lp.add_constraint({key: 1 for key in keys}, "==", 1)
-    for row in rows:
-        lp.add_constraint(row.coeffs, "<=", row.bound, name=row.name)
-    return lp
-
-
 def model1_lp_feasible(
     instance: Instance,
     space: Sequence[Sequence[Time]],
@@ -211,16 +201,12 @@ def model1_lp_feasible(
 ) -> bool:
     """Whether the LP relaxation of (IP-3)+(7) is feasible at *T*.
 
-    Certified for every backend via :func:`repro.lp.solve.is_feasible`.
+    Certified for every backend: one probe of the model's builder (see
+    :func:`_memory_lp_feasible`).
     """
-    from ..lp.solve import is_feasible
-
-    T = to_fraction(T)
-    try:
-        groups, rows = _model1_rows(instance, space, budgets, T)
-    except InfeasibleError:
-        return False
-    return is_feasible(_memory_lp(groups, rows), backend=backend)
+    return _memory_lp_feasible(
+        instance, lambda T: _model1_rows(instance, space, budgets, T), T, backend
+    )
 
 
 def _memory_builder(instance: Instance, rows_at) -> IP3Builder:
@@ -248,6 +234,20 @@ def _memory_builder(instance: Instance, rows_at) -> IP3Builder:
     )
     side_rows = [(row.coeffs, row.bound) for row in rows if not row.name.startswith("load[")]
     return IP3Builder(pruned, side_rows)
+
+
+def _memory_lp_feasible(instance: Instance, rows_at, T: Time, backend: str) -> bool:
+    """Certified verdict of a memory model's LP at *T*: one
+    :class:`~repro.core.programs._ProbeSession` probe of its
+    :func:`_memory_builder`, the memory rows riding as side rows.  A job
+    with no pair within *T* and the model's pruning is infeasible, and so
+    is a model with no pair at any horizon."""
+    _resolve_backend(backend)
+    try:
+        builder = _memory_builder(instance, rows_at)
+    except InfeasibleError:
+        return False
+    return _ProbeSession(builder, backend).probe(to_fraction(T)) is not None
 
 
 def minimal_model1_T(
@@ -472,16 +472,12 @@ def model2_lp_feasible(
 ) -> bool:
     """Whether the LP relaxation of (IP-4) is feasible at *T*.
 
-    Certified for every backend via :func:`repro.lp.solve.is_feasible`.
+    Certified for every backend: one probe of the model's builder (see
+    :func:`_memory_lp_feasible`).
     """
-    from ..lp.solve import is_feasible
-
-    T = to_fraction(T)
-    try:
-        groups, rows, _caps = _model2_rows(instance, sizes, mu, T)
-    except InfeasibleError:
-        return False
-    return is_feasible(_memory_lp(groups, rows), backend=backend)
+    return _memory_lp_feasible(
+        instance, lambda T: _model2_rows(instance, sizes, mu, T)[:2], T, backend
+    )
 
 
 def minimal_model2_T(

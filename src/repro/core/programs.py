@@ -16,11 +16,15 @@ a bound ``B ≤ T*`` found with no LP (:meth:`IP3Builder.demand_bound`): the
 instance's trivial lower bound ``LB``
 (:meth:`~repro.core.instance.Instance.trivial_bounds`) sharpened by the
 trapped-demand cut ``D(α) ≤ |α|·T``, which holds for the LP relaxation and
-not only for integral assignments.  When ``B`` lies strictly inside a
-bracket, that bracket's min-T LP runs first and usually *is* the search.
-Otherwise no breakpoint below ``B`` is probed, the search gallops upward
-from the first one at or above it and then bisects, and an anchor equal to
-``B`` is ``T*`` itself.
+not only for integral assignments.  ``T* = B`` is tried first, keyed on
+the term that set ``B``: at the volume bound ``Σ_j c_j / m`` one max-flow
+decides the LP (:meth:`IP3Builder.volume_flow`, no LP at all), and at a
+trapped set's ``D(α)/|α| > LB`` strictly inside a bracket one probe at
+``B`` does.  Failing that, when ``B`` lies strictly inside a bracket, that
+bracket's min-T LP runs and usually settles ``T*``.  Otherwise no
+breakpoint below ``B`` is probed, the search gallops upward from the first
+one at or above it and then bisects, and an anchor equal to ``B`` is
+``T*`` itself.
 
 Probe cost: a naive implementation rebuilds the subset-closure scan
 (``O(|F|²·n)``) and cold-starts the simplex at every probe.  The search here
@@ -37,7 +41,8 @@ is **incremental** end to end:
   a still-valid Farkas certificate answers a "no" probe the same way, and
   when a solve is unavoidable it is warm-started from the previous feasible
   point, masked to the probe's columns (:class:`_ProbeSession`);
-* a search solves at most **two** min-T LPs: ``B``'s bracket's, and the
+* a search solves at most **two** min-T LPs, and none when the flow or the
+  probe at ``B`` proves ``T* = B``: ``B``'s bracket's, and the
   one below the anchor only when the anchor lies above ``B``'s bracket.
   The anchor probe already certified the decision LP feasible at ``T =
   anchor``, so over ``R(anchor)`` with ``T ≥ anchor`` the optimum is the
@@ -60,7 +65,9 @@ which :class:`IP3Builder` takes as *side rows*
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import deque
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -70,8 +77,8 @@ from ..lp.certificates import farkas_certifies
 from ..lp.hybrid import HAVE_SCIPY
 from ..lp.model import LinearProgram
 from ..lp.solve import (
+    _resolve_backend,
     check_standard_rows,
-    feasible_point,
     feasible_point_rows,
     solve_lp,
     solve_rows,
@@ -132,10 +139,12 @@ class IP3Builder:
     with a ``T`` column in front and a ``T ≥ t_low`` row at the end) gets
     its float matrix from the same slice (:meth:`min_T_float_slice`).
 
-    **Demand bound.**  Per job it keeps the cheapest time and the trap
-    steps, so :meth:`demand_bound` evaluates the trapped demand at a mask
-    with one bisection per job and one pass over the family, with no
-    per-entry conversion.
+    **Demand bound.**  Per job it keeps the cheapest time, as an integer
+    over one common :attr:`denominator`, and the trap steps, so
+    :meth:`demand_bound` evaluates the trapped demand at a mask with one
+    bisection per job and one integer pass over the family, with no
+    ``Fraction`` arithmetic.  :meth:`trivial_lower`, :meth:`volume_bound`
+    and :meth:`volume_flow` read the same integers.
     """
 
     def __init__(
@@ -208,9 +217,7 @@ class IP3Builder:
             ),
             default=-1,
         )
-        #: Cheapest finite time per job (the trapped-demand weight; 0 for a
-        #: job without options).
-        self.cheapest: List[Fraction] = []
+        cheapest: List[Fraction] = []
         #: Per job, its trap steps ``(rank, trap)``: ``trap`` is the minimal
         #: family set containing every mask of rank ``< rank``; it holds for
         #: every mask ``k ≥ rank`` up to the next step.  ``None`` (masks on
@@ -218,7 +225,7 @@ class IP3Builder:
         self.trap_steps: List[List[Tuple[int, Optional[MachineSet]]]] = []
         for group in self.assign_template:
             by_rank = sorted(group, key=self.var_rank.__getitem__)
-            self.cheapest.append(self.var_p[by_rank[0]] if by_rank else Fraction(0))
+            cheapest.append(self.var_p[by_rank[0]] if by_rank else Fraction(0))
             steps: List[Tuple[int, Optional[MachineSet]]] = []
             for gi in by_rank:
                 trap = self.finite[gi][1]
@@ -237,26 +244,42 @@ class IP3Builder:
                 else:
                     steps.append(step)
             self.trap_steps.append(steps)
+        #: Common denominator of the cheapest times.
+        self.denominator: int = lcm(*(c.denominator for c in cheapest))
+        #: Cheapest finite time per job as an integer over ``denominator``
+        #: (``c_j = cheapest[j] / denominator``; 0 for a job without
+        #: options): the trapped-demand weight and the volume bound's term.
+        self.cheapest: List[int] = [
+            c.numerator * (self.denominator // c.denominator) for c in cheapest
+        ]
         self._float_template = None
 
     def mask(self, T: Time) -> int:
         """The exact mask of horizon *T*: ``p_gi ≤ T  ⇔  var_rank[gi] < mask(T)``."""
         return bisect_right(self.breakpoints, T)
 
-    def _trapped_demand(self, k: int) -> Dict[MachineSet, Fraction]:
-        """``D(α)`` at mask *k* (``k ≥ full_mask``): each job's cheapest
-        time, booked on its trap at *k* and accumulated bottom-up."""
+    def _trapped_demand(self, k: int) -> Dict[MachineSet, int]:
+        """``D(α)`` at mask *k* (``k ≥ full_mask``) over ``denominator``:
+        each job's cheapest time, booked on its trap at *k* and accumulated
+        bottom-up."""
         traps = (
             steps[bisect_right(steps, k, key=itemgetter(0)) - 1][1]
             for steps in self.trap_steps
         )
-        return self.instance.family.trapped_demand(zip(traps, self.cheapest))
+        return self.instance.family.trapped_demand(zip(traps, self.cheapest), zero=0)
 
     def trivial_lower(self) -> Fraction:
         """``LB = max(max_j c_j, Σ_j c_j / m)`` over the cheapest times: the
         lower value of :meth:`~repro.core.instance.Instance.trivial_bounds`
         (which proves ``LB ≤ T*``), in ``O(n)`` from the cached ranks."""
-        return max(max(self.cheapest), sum(self.cheapest, Fraction(0)) / self.instance.m)
+        m = self.instance.m
+        return Fraction(
+            max(max(self.cheapest) * m, sum(self.cheapest)), m * self.denominator
+        )
+
+    def volume_bound(self) -> Fraction:
+        """``Σ_j c_j / m``, the volume term of :meth:`trivial_lower`."""
+        return Fraction(sum(self.cheapest), self.instance.m * self.denominator)
 
     def demand_bound(self, lower: Fraction) -> Fraction:
         """A lower bound ``B ≥ lower`` on (IP-3)'s ``T*``, from the
@@ -269,21 +292,79 @@ class IP3Builder:
         falls as ``k`` grows (traps only widen), so bisection finds the
         first bracket ``g_k`` does not refute, from the one holding *lower*
         on, and ``B = max(lower, points[k-1], g_k)`` lies in it.  ``T*``
-        lies in that bracket or a later one, hence ``B ≤ T*``.
+        lies in that bracket or a later one, hence ``B ≤ T*``.  Demands
+        stay integers over ``denominator``; each comparison is one
+        cross-multiplication.
         """
         points = self.breakpoints
+        den = self.denominator
         lo, hi = max(self.full_mask, self.mask(lower)), len(points)
         while lo < hi:
             mid = (lo + hi) // 2
-            cap = points[mid]
+            # D(α)/den < |α|·cap  ⇔  D(α)·cap.denominator < |α|·cap.numerator·den
+            q, p = points[mid].denominator, points[mid].numerator * den
             demand = self._trapped_demand(mid)
-            if all(d < len(alpha) * cap for alpha, d in demand.items()):
+            if all(d * q < len(alpha) * p for alpha, d in demand.items()):
                 hi = mid
             else:
                 lo = mid + 1
-        demand = self._trapped_demand(lo)
-        g = max(d / len(alpha) for alpha, d in demand.items())
-        return max(lower, points[lo - 1], g)
+        top_d, top_size = 0, 1
+        for alpha, d in self._trapped_demand(lo).items():
+            if d * top_size > top_d * len(alpha):
+                top_d, top_size = d, len(alpha)
+        return max(lower, points[lo - 1], Fraction(top_d, top_size * den))
+
+    def volume_flow(self) -> Optional[Dict[int, Fraction]]:
+        """A point of the decision LP at ``T = Σc/m`` from one max-flow, or
+        ``None`` when the flow is short (then the LP is infeasible there).
+
+        Summing the root load rows with the assignment rows at that horizon
+        forces every feasible point to put each job on its cheapest pairs
+        only and to fill the roots exactly.  So feasibility there is a
+        flow: source → job ``j`` with capacity ``c_j``; job ``j`` → every
+        inclusion-maximal set among its cheapest pairs, uncapacitated
+        (moving flow from ``β`` up to a cheapest ``α ⊇ β`` loads a subset of
+        the rows ``β`` loads); set ``α`` → its parent (the sink, for a
+        root) with capacity ``|α|·T``.  It saturates exactly when the LP is
+        feasible, and ``x_αj = flow_αj / c_j`` is then a point; a job with
+        ``c_j = 0`` goes whole onto one zero-time pair.  Capacities are
+        integers (everything times ``m·denominator``).  Side rows are
+        ignored: callers with side rows must not use it.
+        """
+        family = self.instance.family
+        sets = family.sets
+        index = {alpha: s for s, alpha in enumerate(sets)}
+        m, total = self.instance.m, sum(self.cheapest)
+        supply = [c * m for c in self.cheapest]
+        rank = self.var_rank
+        point: Dict[int, Fraction] = {}
+        options: List[List[int]] = []
+        var_of: List[Dict[int, int]] = []
+        for j, group in enumerate(self.assign_template):
+            low = min(rank[gi] for gi in group)
+            pairs = {self.finite[gi][1]: gi for gi in group if rank[gi] == low}
+            if supply[j]:
+                options.append([
+                    index[alpha] for alpha in pairs if not any(alpha < b for b in pairs)
+                ])
+            else:
+                point[next(iter(pairs.values()))] = Fraction(1)
+                options.append([])
+            var_of.append({index[alpha]: gi for alpha, gi in pairs.items()})
+        flow = _forest_flow(
+            [index.get(family.parent(alpha), -1) for alpha in sets],
+            [[index[c] for c in family.children(alpha)] for alpha in sets],
+            [len(alpha) * total for alpha in sets],
+            options,
+            supply,
+        )
+        if flow is None:
+            return None
+        for s, by_job in enumerate(flow):
+            for j, f in by_job.items():
+                if f:
+                    point[var_of[j][s]] = Fraction(f, supply[j])
+        return point
 
     def _columns(self, k: int, offset: int) -> Tuple[List[int], List[int]]:
         """``(active, local)`` at mask *k*: the global indices of the active
@@ -415,6 +496,93 @@ class IP3Builder:
         return vstack([hstack([t_column, sliced]), bracket], format="csr")
 
 
+def _forest_flow(
+    parent: List[int],
+    children: List[List[int]],
+    cap: List[int],
+    options: List[List[int]],
+    supply: List[int],
+) -> Optional[List[Dict[int, int]]]:
+    """Route every job's *supply* into a forest of capacitated edges.
+
+    Set ``s`` has one edge to ``parent[s]`` (``-1``: the sink) with
+    capacity ``cap[s]``; job ``j`` may send any amount into each set of
+    ``options[j]``.  Returns ``flow[s][j]``, job ``j``'s flow into set
+    ``s``, when the maximum flow routes all of *supply*, else ``None``.
+    Flow is placed greedily up each job's chain first; then BFS augmenting
+    paths (shortest first, so the loop ends) run over the residual graph,
+    whose backward arcs go from a set down to a child with flow and from a
+    set back to a job with flow into it.
+    """
+    resid = list(cap)
+    flow: List[Dict[int, int]] = [{} for _ in cap]
+    need = list(supply)
+    for j, sets in enumerate(options):
+        for s in sets:
+            amount, t = need[j], s
+            while t >= 0 and amount:
+                amount, t = min(amount, resid[t]), parent[t]
+            if amount:
+                flow[s][j] = flow[s].get(j, 0) + amount
+                need[j] -= amount
+                t = s
+                while t >= 0:
+                    resid[t] -= amount
+                    t = parent[t]
+            if not need[j]:
+                break
+    jobs = len(cap)  # job j is node jobs + j; sets are 0 … jobs-1
+    while any(need):
+        prev: Dict[int, Optional[int]] = {
+            jobs + j: None for j, left in enumerate(need) if left
+        }
+        queue, end = deque(prev), None
+        while queue:
+            u = queue.popleft()
+            if u >= jobs:
+                nexts = options[u - jobs]
+            elif resid[u] and parent[u] < 0:
+                end = u
+                break
+            else:
+                nexts = [parent[u]] if resid[u] else []
+                nexts += [c for c in children[u] if resid[c] < cap[c]]
+                nexts += [jobs + j for j, f in flow[u].items() if f]
+            for v in nexts:
+                if v not in prev:
+                    prev[v] = u
+                    queue.append(v)
+        if end is None:
+            return None
+        path = [end]
+        while prev[path[-1]] is not None:
+            path.append(prev[path[-1]])
+        path.reverse()
+        arcs = list(zip(path, path[1:]))
+        amount = min(need[path[0] - jobs], resid[end])
+        for u, v in arcs:
+            if u >= jobs:
+                continue  # job → set is uncapacitated
+            if v >= jobs:
+                amount = min(amount, flow[u][v - jobs])
+            elif v == parent[u]:
+                amount = min(amount, resid[u])
+            else:
+                amount = min(amount, cap[v] - resid[v])
+        need[path[0] - jobs] -= amount
+        resid[end] -= amount
+        for u, v in arcs:
+            if u >= jobs:
+                flow[v][u - jobs] = flow[v].get(u - jobs, 0) + amount
+            elif v >= jobs:
+                flow[u][v - jobs] -= amount
+            elif v == parent[u]:
+                resid[u] -= amount
+            else:
+                resid[v] += amount
+    return flow
+
+
 class _ProbeSession:
     """Incremental feasibility probing for one binary search.
 
@@ -436,6 +604,7 @@ class _ProbeSession:
     """
 
     def __init__(self, builder: IP3Builder, backend: str):
+        _resolve_backend(backend)  # raises on unknown names
         self.builder = builder
         self.backend = backend
         #: Last feasible point, keyed by global variable index (support only).
@@ -570,12 +739,12 @@ def feasible_lp_solution(
 def lp_feasible(instance: Instance, T: Time, backend: str = "hybrid") -> bool:
     """Whether the LP relaxation of (IP-3) is feasible at horizon *T*.
 
-    Certified for every backend: the verdict is always backed by either an
-    exactly re-checked point or an exact solve (see
-    :func:`repro.lp.solve.feasible_point`).
+    Certified for every backend: one :meth:`_ProbeSession.probe` on the
+    instance's :class:`IP3Builder`, so the verdict is always backed by an
+    exactly re-checked point, an exact solve or an exact Farkas
+    certificate.  A job with no pair within *T* is infeasible outright.
     """
-    lp = build_ip3(instance, to_fraction(T))
-    return feasible_point(lp, backend=backend) is not None
+    return _ProbeSession(IP3Builder(instance), backend).probe(to_fraction(T)) is not None
 
 
 def _min_T_with_fixed_R(
@@ -686,25 +855,36 @@ def _minimal_T(builder: IP3Builder, backend: str) -> Fraction:
     ``B = builder.demand_bound(LB)``, with ``LB`` the instance's trivial
     lower bound (:meth:`IP3Builder.trivial_lower`):
     ``LB ≤ B ≤ T*``, found from the LP-valid trapped-demand cut with no LP.
-    When ``B`` lies strictly inside ``[points[s-1], points[s])``, where ``R``
-    is fixed, that bracket's min-T LP with ``T ≥ B`` runs first; an optimum
-    ``≤ points[s]`` is ``T*``.  Otherwise, from the first breakpoint ``≥ B``
-    the search gallops upward (indices ``start``, ``start+1``,
+    ``T* = B`` is tried first wherever the term that set ``B`` allows a
+    cheap proof.  When ``B`` is the volume bound ``Σc/m`` and there are no
+    side rows, one max-flow (:meth:`IP3Builder.volume_flow`) decides the
+    LP at ``B``; a saturated flow's point, re-checked exactly on the probe
+    rows at ``B``, proves ``T* = B`` with no LP at all.  When ``B > LB``
+    (a trapped set's ``D(α)/|α|``) lies strictly inside
+    ``[points[s-1], points[s])``, one probe at ``B`` runs first and a
+    feasible verdict proves ``T* = B``.  Otherwise, on that bracket, where
+    ``R`` is fixed, the bracket's min-T LP with ``T ≥ B`` runs; an optimum
+    ``≤ points[s]`` is ``T*``.  Failing that, from the first breakpoint
+    ``≥ B`` the search gallops upward (indices ``start``, ``start+1``,
     ``start+3``, ``start+7``, … capped at the top) to the first feasible
     one, then bisects back for the smallest feasible breakpoint, the
     *anchor*.  A second min-T LP, over the bracket below the anchor, runs
     only when the anchor lies above ``points[s]``: at ``points[s]`` the
-    bracket below is already decided.  The probes run through
+    bracket below is already decided.  The probes run through one
     :class:`_ProbeSession`, so consecutive probes reuse each other's
     feasible points and Farkas certificates and only a handful of them pay
     for an actual LP solve.  The search span records ``lower_bound`` (LB),
-    ``demand_bound`` (B), ``start`` (B's breakpoint index) and how the
-    bracket was refined: ``refine=bound-bracket`` (B's bracket LP gave
-    ``T*``, no probe), ``bound`` (the anchor is B, so ``T* = B`` with no
-    LP), ``prev-bracket`` (the LP below the anchor beat it), ``anchor`` or
-    ``above-top`` (infeasible at every breakpoint; one min-T LP over the
-    full ``R``, with no probe at all when B is above the top).
+    ``demand_bound`` (B), ``start`` (B's breakpoint index), ``flow``
+    (``saturated`` or ``short``, when the flow ran) and how the bracket
+    was refined: ``refine=volume-flow`` (the flow proved ``T* = B``, no
+    LP), ``bound-probe`` (the probe at B proved ``T* = B``),
+    ``bound-bracket`` (B's bracket LP gave ``T*``), ``bound`` (the anchor
+    is B, so ``T* = B`` with no min-T LP), ``prev-bracket`` (the LP below
+    the anchor beat it), ``anchor`` or ``above-top`` (infeasible at every
+    breakpoint; one min-T LP over the full ``R``, with no probe at all
+    when B is above the top).
     """
+    _resolve_backend(backend)  # raises on unknown names, even with no LP
     points = builder.breakpoints
     if points[-1] == 0 and not builder.side_template:
         # Every finite time is 0 and every job has one: T* = 0 exactly.
@@ -723,20 +903,40 @@ def _minimal_T(builder: IP3Builder, backend: str) -> Fraction:
         n=builder.instance.n, backend=backend, breakpoints=len(points),
         lower_bound=str(lower), demand_bound=str(bound), start=start,
     ) as search_sp:
+        if not builder.side_template and bound == builder.volume_bound():
+            point = builder.volume_flow()
+            if search_sp:
+                search_sp.attrs["flow"] = "short" if point is None else "saturated"
+            if point is not None:
+                coeff_rows, senses, rhs, active = builder.probe_rows(bound)
+                zero = Fraction(0)
+                if check_standard_rows(
+                    coeff_rows, senses, rhs, [point.get(gi, zero) for gi in active]
+                ):
+                    if search_sp:
+                        search_sp.attrs["refine"] = "volume-flow"
+                    return bound
         if start > top:
             if search_sp:
                 search_sp.attrs["refine"] = "above-top"
             return _above_top(builder, bound, backend)
+        session = _ProbeSession(builder, backend)
         if points[start] != bound:
             # B lies strictly inside [points[start-1], points[start]), where
-            # R is fixed: that bracket's min-T LP with T ≥ B is T* whenever
-            # its optimum stays within the bracket's closure.
+            # R is fixed.  Set by a trapped set (B > LB), B itself is often
+            # T*: one probe decides that, and an infeasible verdict leaves
+            # its Farkas certificate to the gallop.
+            if bound > lower and session.probe(bound) is not None:
+                if search_sp:
+                    search_sp.attrs["refine"] = "bound-probe"
+                return bound
+            # That bracket's min-T LP with T ≥ B is T* whenever its optimum
+            # stays within the bracket's closure.
             t_bound = _min_T_with_fixed_R(builder, points[start - 1], bound, backend)
             if t_bound is not None and t_bound <= points[start]:
                 if search_sp:
                     search_sp.attrs["refine"] = "bound-bracket"
                 return t_bound
-        session = _ProbeSession(builder, backend)
         # Gallop upward from the first breakpoint ≥ B to the first feasible
         # one; ``below`` is the last index known infeasible.
         below, anchor_point = start - 1, None

@@ -29,23 +29,29 @@ def breakpoints(inst: Instance) -> List[Fraction]:
     })
 
 
-def trivial_lower(inst: Instance) -> Fraction:
-    """``max(max_j min_α p_αj, Σ_j min_α p_αj / m)``."""
-    mins = [
+def cheapest(inst: Instance) -> List[Fraction]:
+    """``min_α p_αj`` per job."""
+    return [
         min(Fraction(inst.p(j, a)) for a in inst.family.sets if not is_inf(inst.p(j, a)))
         for j in range(inst.n)
     ]
-    return max(max(mins), sum(mins) / inst.m)
+
+
+def trivial_lower(inst: Instance) -> Fraction:
+    """``max(max_j min_α p_αj, Σ_j min_α p_αj / m)``."""
+    return max(max(cheapest(inst)), volume_bound(inst))
+
+
+def volume_bound(inst: Instance) -> Fraction:
+    """``Σ_j min_α p_αj / m``, the volume term of :func:`trivial_lower`."""
+    return sum(cheapest(inst), Fraction(0)) / inst.m
 
 
 def demand_bound(inst: Instance) -> Fraction:
     family = inst.family
     points = breakpoints(inst)
     lower = trivial_lower(inst)
-    cheapest = [
-        min(Fraction(inst.p(j, a)) for a in family.sets if not is_inf(inst.p(j, a)))
-        for j in range(inst.n)
-    ]
+    costs = cheapest(inst)
     for k in range(1, len(points) + 1):
         r = points[k - 1]
         cap = points[k] if k < len(points) else None
@@ -63,7 +69,7 @@ def demand_bound(inst: Instance) -> Fraction:
         else:
             g = max(
                 sum(
-                    (c for c, t in zip(cheapest, traps) if t is not None and t <= alpha),
+                    (c for c, t in zip(costs, traps) if t is not None and t <= alpha),
                     Fraction(0),
                 ) / len(alpha)
                 for alpha in family.sets

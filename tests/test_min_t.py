@@ -1,9 +1,13 @@
 """The bracket refinement of ``minimal_fractional_T``.
 
 The search starts at the trapped-demand bound ``B`` (``LB ≤ B ≤ T*``).
-When ``B`` lies strictly inside a bracket, that bracket's min-T LP with
-``T ≥ B`` runs first and settles ``T*`` whenever its optimum stays within
-the bracket's closure (``refine=bound-bracket``, no probe).  Otherwise the
+When ``B`` is the volume bound ``Σc/m``, a max-flow at ``B`` proves
+``T* = B`` whenever it holds (``refine=volume-flow``, no LP).  When a
+trapped set put ``B`` above ``LB`` and strictly inside a bracket, one
+probe at ``B`` proves ``T* = B`` whenever it holds (``bound-probe``).
+Otherwise, with ``B`` strictly inside a bracket, that bracket's min-T LP
+with ``T ≥ B`` runs and settles ``T*`` whenever its optimum stays within
+the bracket's closure (``refine=bound-bracket``).  Otherwise the
 search probes for the anchor (the smallest feasible breakpoint) and solves
 at most one more min-T LP: the previous bracket's, and only when the
 anchor lies above ``B``'s bracket.  The anchor bracket's LP is never
@@ -14,7 +18,8 @@ objects on the exact backend, under every backend, on seeded instances and
 on the edge cases: ``T*`` in ``B``'s bracket, ``T* = anchor``,
 ``T* = anchor = B``, an anchor at the top of ``B``'s bracket, an anchor
 above it, an optimum above every breakpoint, an anchor at the first
-breakpoint, no jobs and all-zero times.  They also pin the ``search.min_T``
+breakpoint, ``T* = B`` at the volume bound and at a trapped set's bound, a
+probe at ``B`` that fails, no jobs and all-zero times.  They also pin the ``search.min_T``
 and ``search.probe`` span counts and the ``refine`` reason.
 """
 
@@ -24,7 +29,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from _reference_bound import demand_bound
+from _reference_bound import demand_bound, trivial_lower, volume_bound
 
 from repro import minimal_fractional_T
 from repro._fraction import INF, is_inf
@@ -82,7 +87,10 @@ def _reference(inst: Instance):
     """``(T*, refine, min-T LPs)``: ``T*`` from a plain search that solves
     both bracket LPs around the anchor and never looks at a bound; then the
     refinement the bound-first search takes and how many min-T LPs it
-    solves, with ``B`` from the independent oracle."""
+    solves, with ``B`` and ``LB`` from the independent oracle.  The flow at
+    the volume bound saturates exactly when ``T* = B``, and a probe at
+    ``B`` is feasible exactly when ``T* = B``, so both proofs are predicted
+    from ``T*`` alone."""
     if inst.n == 0:
         return Fraction(0), None, 0
     points = _breakpoints(inst)
@@ -99,12 +107,16 @@ def _reference(inst: Instance):
         assert _keyed_min_T(inst, anchor, anchor) == anchor
         t_prev = _keyed_min_T(inst, points[lo - 1], points[lo - 1]) if lo > 0 else None
         t_star = t_prev if t_prev is not None and t_prev < anchor else anchor
-    bound = demand_bound(inst)
+    bound, lower = demand_bound(inst), trivial_lower(inst)
+    if bound == volume_bound(inst) and t_star == bound:
+        return t_star, "volume-flow", 0
     s = bisect_left(points, bound)
     if s == len(points):
         return t_star, "above-top", 1
     lps = 0
     if points[s] != bound:
+        if bound > lower and t_star == bound:
+            return t_star, "bound-probe", 0
         lps = 1
         t_bound = _keyed_min_T(inst, points[s - 1], bound)
         if t_bound is not None and t_bound <= points[s]:
@@ -174,6 +186,13 @@ CASES = {
     # Instance refuses n = 0; the search's own n = 0 guard is checked on a
     # stand-in that has only ``n``.
     "no-jobs": SimpleNamespace(n=0),
+    # B = 4 = D({0})/1 inside [3, 7), above LB = 3: the probe at B is
+    # feasible, so T* = B with no min-T LP.
+    "bound-probe-unrelated": Instance.unrelated([[1, 7], [3, 7]]),
+    "bound-probe-seed5": _seeded(5, 16, 6),
+    # B = 6 inside [5, 8), above LB = 5: the probe at B is infeasible, and
+    # B's bracket LP gives T* = 13/2.
+    "bracket-after-probe": Instance.unrelated([[8, 1], [3, 1], [5, 3], [8, 5]]),
     "all-zero": Instance.identical(3, [0, 0]),
 }
 
@@ -183,8 +202,15 @@ REFERENCE = {name: _reference(inst) for name, inst in CASES.items()}
 def test_cases_cover_every_refinement():
     refines = {refine for _t, refine, _lps in REFERENCE.values()}
     assert refines == {
-        "bound-bracket", "prev-bracket", "anchor", "bound", "above-top", None
+        "volume-flow", "bound-probe", "bound-bracket", "prev-bracket", "anchor",
+        "bound", "above-top", None,
     }
+    # B = Σc/m and T* = B: the flow proves it, on a breakpoint and above
+    # the top one.
+    assert REFERENCE["first-breakpoint"][1] == REFERENCE["above-top"][1] == "volume-flow"
+    assert REFERENCE["bound-probe-unrelated"][1:] == ("bound-probe", 0)
+    assert REFERENCE["bound-probe-seed5"][1:] == ("bound-probe", 0)
+    assert REFERENCE["bracket-after-probe"][1:] == ("bound-bracket", 1)
     assert REFERENCE["anchor-seed73"][1] == REFERENCE["anchor-seed73/7"][1] == "bound"
     first = CASES["first-breakpoint"]
     assert REFERENCE["first-breakpoint"][0] == _breakpoints(first)[0]
@@ -227,8 +253,14 @@ def test_one_min_T_span_per_refinement(name, backend):
     assert search.attrs["refine"] == refine
     assert len(min_T) == lps
     assert all(lp_span.parent_id == search.span_id for lp_span in min_T)
-    if refine == "bound-bracket":
-        assert probes == []
+    if refine == "volume-flow":
+        assert search.attrs["flow"] == "saturated"
+        assert probes == [] and search.stats.solves == 0
+    if refine in ("bound-probe", "bound-bracket"):
+        # One probe at B exactly when a trapped set set B above LB.
+        bound = demand_bound(inst)
+        expected = [str(bound)] if bound > trivial_lower(inst) else []
+        assert [probe.attrs["T"] for probe in probes] == expected
 
 
 def test_min_T_float_template_needs_scipy():

@@ -266,24 +266,38 @@ def test_search_starts_at_bound(name):
     assert all(
         Fraction(s.attrs["T"]) >= bound for s in tracer.spans if s.name == "search.probe"
     )
-    # The anchor is B exactly when T* = B lands on a breakpoint; then no
-    # min-T LP runs.
+    # The anchor is B exactly when T* = B lands on a breakpoint, unless the
+    # flow at the volume bound already proved it; either way no min-T LP
+    # runs.  The flow proves only T* = B.
     at_bound = REFERENCE[name] == bound and bound in points
-    assert (search.attrs["refine"] == "bound") == at_bound
+    if search.attrs["refine"] == "volume-flow":
+        assert REFERENCE[name] == bound
+    else:
+        assert (search.attrs["refine"] == "bound") == at_bound
     if at_bound:
         assert not [s for s in tracer.spans if s.name == "search.min_T"]
 
 
 def test_bound_above_every_breakpoint_needs_no_probe():
-    # Three unit jobs on two machines: LB = 3/2 lies above the only breakpoint.
-    inst = Instance.identical(2, [1, 1, 1])
+    # Four jobs on two unrelated machines: B = Σc/m = 4 lies above the top
+    # breakpoint 3.  Jobs 0-2 take 2 only on machine 0, which holds 4 at
+    # T = 4, so the flow at B is short and one min-T LP settles T*.
+    inst = Instance.unrelated([[2, 3], [2, 3], [2, 3], [3, 2]])
     with tracing() as tracer:
-        assert minimal_fractional_T(inst, backend="exact") == Fraction(3, 2)
+        assert minimal_fractional_T(inst, backend="exact") == Fraction(22, 5)
     assert [s for s in tracer.spans if s.name == "search.probe"] == []
     assert len([s for s in tracer.spans if s.name == "search.min_T"]) == 1
     (search,) = [s for s in tracer.spans if s.name == "search.minimal_fractional_T"]
     assert search.attrs["refine"] == "above-top"
-    assert search.attrs["start"] == 1
+    assert search.attrs["flow"] == "short"
+    assert search.attrs["start"] == 2
+    # Three unit jobs on two machines: B = 3/2 above the only breakpoint
+    # is T* itself, and the flow proves it with no LP at all.
+    with tracing() as tracer:
+        assert minimal_fractional_T(Instance.identical(2, [1, 1, 1])) == Fraction(3, 2)
+    (search,) = [s for s in tracer.spans if s.name == "search.minimal_fractional_T"]
+    assert search.attrs["refine"] == "volume-flow"
+    assert [s.name for s in tracer.spans] == ["search.minimal_fractional_T"]
 
 
 def test_gallop_runs_to_the_top():

@@ -334,7 +334,8 @@ def test_request_key_depends_on_fingerprint_and_params():
 
 
 def test_session_without_cache_still_aggregates_stats():
-    inst = example_ii1()
+    # A draw whose T* needs a min-T LP (Example II.1's needs none).
+    inst = random_hierarchical(rng_from_seed(0), n=8, m=3)
     session = Session(backend="exact", cache=False)
     T = session.minimal_fractional_T(inst)
     assert T == minimal_fractional_T(inst, backend="exact")
