@@ -7,9 +7,12 @@ regressions are measurable.
 Run as a script, it micro-benchmarks the **LU basis kernel**
 (:class:`repro.lp.basis.LUBasis`: factorize, ftran, btran, rank-one update)
 on optimal IP-3 bases across the E14 shapes, breaks the cold canonical LST
-LP at 64×16 down into pricing, ftran, update and btran time, and writes
-``BENCH_kernels.json`` to the repository root (mirrored under
-``benchmarks/results/``)::
+LP at 64×16 down into pricing, ftran, update and btran time under both
+bases — the pseudo-forest basis the solver picks for it
+(:class:`repro.lp.forest.ForestBasis`) and ``LUBasis``, forced by patching
+the solver's basis choice inside this script — with the ratio of their
+solve times, and writes ``BENCH_kernels.json`` to the repository root
+(mirrored under ``benchmarks/results/``)::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--quick] [--seed S]
 
@@ -327,24 +330,35 @@ def _pricing_pivots(rows):
     return out
 
 
-def _lst_step_sample(rows):
-    """One cold canonical LST solve, timed per kernel step.
+#: The bases the LST step breakdown runs under: the pseudo-forest basis the
+#: solver picks for the LST LP, and LUBasis forced in its place.
+LST_BASES = ("forest", "lu")
+
+
+def _lst_step_sample(rows, basis):
+    """One cold canonical LST solve on *basis*, timed per kernel step.
 
     Class-level wrappers time pricing (``_RevisedSolver._entering``), the
     dual row's ``btran`` and every ``ftran`` and ``update`` of the solve;
     ``solve_ms`` is the whole ``solve_standard`` call, wrappers included.
+    ``basis="lu"`` swaps ``LUBasis`` in for ``ForestBasis`` in the solver's
+    module for the duration of the sample; both return the same integers,
+    so the pivots are identical.
     """
     import time
 
+    from repro.lp import revised
     from repro.lp.basis import LUBasis
+    from repro.lp.forest import ForestBasis
     from repro.lp.revised import _RevisedSolver, solve_standard
 
+    cls = ForestBasis if basis == "forest" else LUBasis
     totals = {"price_ms": 0.0, "ftran_ms": 0.0, "update_ms": 0.0, "btran_ms": 0.0}
     wrapped = (
         (_RevisedSolver, "_entering", "price_ms"),
-        (LUBasis, "ftran", "ftran_ms"),
-        (LUBasis, "update", "update_ms"),
-        (LUBasis, "btran", "btran_ms"),
+        (cls, "ftran", "ftran_ms"),
+        (cls, "update", "update_ms"),
+        (cls, "btran", "btran_ms"),
     )
 
     def timed(fn, key):
@@ -357,16 +371,18 @@ def _lst_step_sample(rows):
 
         return wrapper
 
-    originals = [(cls, name, getattr(cls, name)) for cls, name, _ in wrapped]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in wrapped]
     try:
-        for (cls, name, key), (_, _, fn) in zip(wrapped, originals):
-            setattr(cls, name, timed(fn, key))
+        revised.ForestBasis = cls
+        for (owner, name, key), (_, _, fn) in zip(wrapped, originals):
+            setattr(owner, name, timed(fn, key))
         start = time.perf_counter()
         result = solve_standard(*rows, canonical=True)
         totals["solve_ms"] = (time.perf_counter() - start) * 1e3
     finally:
-        for cls, name, fn in originals:
-            setattr(cls, name, fn)
+        revised.ForestBasis = ForestBasis
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
     assert result.status == "optimal"
     totals["pivots"] = result.pivots
     totals["phase1_pivots"] = result.stats.phase1_pivots
@@ -409,7 +425,7 @@ def lu_main(argv=None):
     # Every timed configuration, run in a seeded random order so a drift in
     # machine speed over the run does not always land on the same shape.
     configs = [(kind, shape) for shape in shapes for kind in ("lu", "repr")]
-    configs.append(("lst", LST_SHAPE))
+    configs += [(f"lst-{basis}", LST_SHAPE) for basis in LST_BASES]
     order = list(configs)
     random.Random(args.seed).shuffle(order)
     measured = {}
@@ -419,7 +435,8 @@ def lu_main(argv=None):
         elif kind == "repr":
             sample = lambda: _repr_ops_sample(fixtures[shape][0], *bases[shape])  # noqa: E731
         else:
-            sample = lambda: _lst_step_sample(lst_rows[shape])  # noqa: E731
+            basis = kind[len("lst-"):]
+            sample = lambda: _lst_step_sample(lst_rows[shape], basis)  # noqa: E731
         measured[kind, shape] = _measure(sample, repeats)
 
     rows = []
@@ -448,24 +465,39 @@ def lu_main(argv=None):
                 f"{op}={v['median']}" for op, v in row["ops"].items()
             )
         )
-    steps = measured["lst", LST_SHAPE]
+    steps = {basis: measured[f"lst-{basis}", LST_SHAPE] for basis in LST_BASES}
+    # Deterministic counts: identical in every repeat and under both bases.
+    counts = {
+        key: {steps[basis].pop(key)["median"] for basis in LST_BASES}
+        for key in ("pivots", "phase1_pivots")
+    }
+    assert all(len(values) == 1 for values in counts.values()), counts
     lst = {
         "n": LST_SHAPE[0],
         "m": LST_SHAPE[1],
         "rows": len(lst_rows[LST_SHAPE][0]),
         "cols": len(lst_rows[LST_SHAPE][3]),
-        # Deterministic counts: identical in every repeat.
-        "pivots": steps.pop("pivots")["median"],
-        "phase1_pivots": steps.pop("phase1_pivots")["median"],
-        "steps": steps,
+        "pivots": counts["pivots"].pop(),
+        "phase1_pivots": counts["phase1_pivots"].pop(),
+        "steps": steps["forest"],
+        "steps_lu": steps["lu"],
+        # Median LUBasis solve time over median pseudo-forest solve time.
+        "lu_over_forest": round(
+            steps["lu"]["solve_ms"]["median"]
+            / steps["forest"]["solve_ms"]["median"],
+            3,
+        ),
     }
-    print(
-        f"LST LP {LST_SHAPE[0]}x{LST_SHAPE[1]} pivots={lst['pivots']}  "
-        + "  ".join(f"{k}={v['median']}" for k, v in steps.items())
-    )
+    for basis in LST_BASES:
+        print(
+            f"LST LP {LST_SHAPE[0]}x{LST_SHAPE[1]} {basis:6s} pivots={lst['pivots']}  "
+            + "  ".join(f"{k}={v['median']}" for k, v in steps[basis].items())
+        )
+    print(f"LST LP lu/forest solve time: {lst['lu_over_forest']}x")
     payload = {
         "family": "e14_scaling",
         "kernel": "LUBasis",
+        "lst_kernels": ["ForestBasis", "LUBasis"],
         "config": {
             "seed": args.seed,
             "warmup": WARMUP,

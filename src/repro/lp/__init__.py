@@ -5,16 +5,23 @@ Every exact answer comes from one simplex,
 an exact factorized basis that returns rational basic solutions.  Its one
 warm-start channel is a point: a prior solution whose support it factorizes
 into the starting basis.
+
+The basis is picked by structure: a pseudo-forest
+(:class:`~repro.lp.forest.ForestBasis`) when every column has at most two
+non-zeros, as in the LST LP, and :class:`LUBasis` otherwise.  Both return
+the same integers after every pivot, so the choice changes no pivot,
+vertex or certificate.
 """
 
 from .basis import LUBasis
 from .branch_and_bound import BnBResult, solve_binary_ilp
 from .certificates import farkas_certifies
+from .forest import ForestBasis
 from .hybrid import HAVE_SCIPY, solve_standard_hybrid
 from .model import LinearProgram, LPSolution, Row
 from .revised import solve_standard
 from .simplex import SimplexResult
-from .solve import BACKENDS, feasible_point, feasible_point_rows, is_feasible, solve_lp
+from .solve import BACKENDS, feasible_point_rows, solve_lp
 from .stats import SolverStats, collect_stats
 
 if HAVE_SCIPY:
@@ -25,6 +32,7 @@ else:  # pragma: no cover - scipy is present in CI images
 __all__ = [
     "BACKENDS",
     "BnBResult",
+    "ForestBasis",
     "LPSolution",
     "LUBasis",
     "LinearProgram",
@@ -33,9 +41,7 @@ __all__ = [
     "SolverStats",
     "collect_stats",
     "farkas_certifies",
-    "feasible_point",
     "feasible_point_rows",
-    "is_feasible",
     "solve_binary_ilp",
     "solve_lp",
     "solve_standard",

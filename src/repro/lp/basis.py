@@ -1,5 +1,12 @@
 """Fraction-free factorized basis for the revised exact simplex.
 
+This is the general basis.  When every column of ``[A | S | I]`` has at
+most two non-zeros — the LST LP that Theorem V.2 rounds — the solver picks
+the pseudo-forest basis of :mod:`repro.lp.forest` instead, by that
+structure alone.  The two return the same integers after every pivot
+(``den``, ``rhs``, ``ftran``, ``btran``, ``row_dot``; see
+``tests/test_forest_basis.py``), so the choice moves no pivot.
+
 A dense simplex tableau updates **every** column on every pivot —
 ``O(rows·cols)`` big-integer work per pivot, even though a simplex
 iteration only ever reads one entering column and one cost row.  The
@@ -54,10 +61,8 @@ the dimension, at which point it converts to a dense list for good (dense
 scans of small integer lists beat dict overhead once fill is substantial,
 and converting back and forth would churn).  ``ftran``/``btran``/
 ``row_dot``/``update`` all branch per row, so their cost tracks nnz while
-sparsity lasts; ``sparse_btrans`` counts btran calls answered entirely
-from sparse rows (surfaced through :class:`~repro.lp.stats.SolverStats`).
-A row's layout and its stamp are independent: lifting a row to the current
-``den`` keeps its layout.
+sparsity lasts.  A row's layout and its stamp are independent: lifting a
+row to the current ``den`` keeps its layout.
 
 Operations
 ----------
@@ -120,10 +125,9 @@ class LUBasis:
     tests read directly off the integers.
     """
 
-    __slots__ = (
-        "m", "den", "inv", "stamp", "rhs", "updates", "sparse_btrans",
-        "_dense_at",
-    )
+    kind = "lu"
+
+    __slots__ = ("m", "den", "inv", "stamp", "rhs", "updates", "_dense_at")
 
     def __init__(self, m: int, b: Sequence[int]):
         if len(b) != m:
@@ -136,8 +140,6 @@ class LUBasis:
         self.stamp: List[int] = [one] * m
         self.rhs: List[int] = [bigint(v) for v in b]
         self.updates = 0
-        #: btran calls answered entirely from sparse rows.
-        self.sparse_btrans = 0
         # Densify once fill crosses the threshold; precomputed per instance.
         self._dense_at = max(2, int(DENSIFY_THRESHOLD * m) + 1)
 
@@ -198,7 +200,6 @@ class LUBasis:
     def btran(self, basic_costs: Mapping[int, int]) -> List[int]:
         """``c_Bᵀ·W`` for a sparse basic-cost vector — den-scaled duals."""
         out = [bigint(0)] * self.m
-        all_sparse = True
         for i, c in basic_costs.items():
             if c == 0:
                 continue
@@ -207,25 +208,28 @@ class LUBasis:
                 for j, w in row.items():
                     out[j] += c * w
             else:
-                all_sparse = False
                 for j in range(self.m):
                     w = row[j]
                     if w:
                         out[j] += c * w
-        if all_sparse:
-            self.sparse_btrans += 1
         return out
 
     # ------------------------------------------------------------------
     # Rank-one update
     # ------------------------------------------------------------------
 
-    def update(self, row: int, alpha: Sequence[int]) -> None:
+    def update(
+        self,
+        row: int,
+        alpha: Sequence[int],
+        col: Optional[Mapping[int, int]] = None,
+    ) -> None:
         """Basis exchange pivoting on ``(row, alpha[row])``.
 
         *alpha* is the entering column's forward transform (``ftran``
-        output).  Exactly the Edmonds tableau pivot restricted to the
-        ``W | rhs`` block; divisions are exact by the minor identity.
+        output); the column *col* itself is not needed here.  Exactly the
+        Edmonds tableau pivot restricted to the ``W | rhs`` block;
+        divisions are exact by the minor identity.
         Rows with ``alpha[i] == 0`` only change by the factor
         ``new_den/den``, so they keep their stored entries and stamp; only
         their ``rhs`` entry is rescaled.  The sign of a negative pivot is

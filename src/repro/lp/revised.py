@@ -2,16 +2,26 @@
 
 The paper's rounding steps need exact *basic* solutions (see
 :mod:`repro.lp.simplex`).  :func:`solve_standard` produces them with a
-revised simplex that keeps only the basis inverse factorized
-(:class:`repro.lp.basis.LUBasis` — integer-preserving, exact) and
-reconstructs just what an iteration needs:
+revised simplex that keeps only the basis factorized and reconstructs
+just what an iteration needs:
 
 * the dual row ``y = c_B·B⁻¹`` by one backward transform (``btran``) of the
   sparse basic-cost vector,
 * reduced costs ``c_j − y·a_j`` (*pricing*) from the original constraint
   rows or columns, never from an updated tableau,
 * the entering column ``B⁻¹·a_q`` by one forward transform (``ftran``),
-* the basis exchange by one ``O(rows²)`` rank-one update.
+* the basis exchange by one update of the factorized basis.
+
+The basis is chosen by the program's structure, with no parameter.  When
+every column of ``[A | S | I]`` has at most two non-zeros (the LST LP), it
+is :class:`repro.lp.forest.ForestBasis`, which keeps the basis as a
+pseudo-forest and updates it in tree-sized steps.  Otherwise it is
+:class:`repro.lp.basis.LUBasis`, the integer-preserving inverse with an
+``O(rows²)`` rank-one update.  Both return the same den-scaled integers
+(``den = |det B|``, ``rhs``, ``ftran``, ``btran``, ``row_dot``) after every
+pivot, so pricing, the ratio test, the crash and Farkas certificates see the
+same numbers and every pivot is the same under either.  The ``lp.solve``
+span records which one ran (``basis=forest|lu``).
 
 Each constraint row is pre-scaled to integers, so every quantity is an
 integer over the basis' common denominator and no rational normalization
@@ -56,6 +66,7 @@ from .._fraction import bigint, to_fraction
 from ..exceptions import PivotLimitError, SolverError
 from .basis import LUBasis
 from .certificates import denormalize_farkas, farkas_certifies
+from .forest import ForestBasis
 from .simplex import (
     BLAND_THRESHOLD_DEFAULT,
     SimplexResult,
@@ -72,7 +83,11 @@ def _lcm(a: int, b: int) -> int:
 
 
 class _RevisedSolver:
-    """One solve's state: scaled columns, factorized basis, counters."""
+    """One solve's state: scaled columns, factorized basis, counters.
+
+    ``lub`` is the basis: a :class:`ForestBasis` or an :class:`LUBasis`,
+    as ``_basis_cls`` chose from the columns.
+    """
 
     def __init__(
         self,
@@ -160,7 +175,13 @@ class _RevisedSolver:
             else std.slack_of_row[i]  # type: ignore[list-item]
             for i in range(m)
         ]
-        self.lub = LUBasis(m, self.b_int)
+        # Chosen by structure alone (see the module docstring).
+        self._basis_cls = (
+            ForestBasis
+            if all(sum(1 for a in c.values() if a) <= 2 for c in cols)
+            else LUBasis
+        )
+        self.lub = self._basis_cls(m, self.b_int)
         self._cursor = 0
         self._block = max(64, (std.art_start + 7) // 8)
 
@@ -173,7 +194,7 @@ class _RevisedSolver:
         return self.lub.updates
 
     def _pivot(self, row: int, alpha: Sequence[int], col: int) -> None:
-        self.lub.update(row, alpha)
+        self.lub.update(row, alpha, self.cols[col])
         self.basis[row] = col
         if self.phase == 1:
             self.stats.phase1_pivots += 1
@@ -410,10 +431,9 @@ class _RevisedSolver:
             else self.std.slack_of_row[i]  # type: ignore[list-item]
             for i in range(self.m)
         ]
-        updates, sparse_btrans = self.lub.updates, self.lub.sparse_btrans
-        self.lub = LUBasis(self.m, self.b_int)
+        updates = self.lub.updates
+        self.lub = self._basis_cls(self.m, self.b_int)
         self.lub.updates = updates  # pivot budget covers the failed crash
-        self.lub.sparse_btrans = sparse_btrans
 
     # ------------------------------------------------------------------
     # Phase-1 bookkeeping
@@ -539,6 +559,8 @@ def solve_standard(
             max_pivots if max_pivots is not None else default_max_pivots(),
             partial=not canonical,
         )
+        if solve_sp:
+            solve_sp.attrs["basis"] = solver.lub.kind
         has_artificials = any(std.needs_artificial)
 
         crashed = False
@@ -574,7 +596,6 @@ def solve_standard(
             if solver.artificial_level_positive():
                 farkas = solver.farkas_certificate(coeff_rows, senses, rhs)
                 solver.stats.pivots = solver.pivots
-                solver.stats.sparse_btrans = solver.lub.sparse_btrans
                 record(solver.stats)
                 if solve_sp:
                     solve_sp.attrs["status"] = "infeasible"
@@ -592,7 +613,6 @@ def solve_standard(
             if phase_sp:
                 phase_sp.attrs["pivots"] = solver.pivots - phase1_total
         solver.stats.pivots = solver.pivots
-        solver.stats.sparse_btrans = solver.lub.sparse_btrans
         record(solver.stats)
         if solve_sp:
             solve_sp.attrs["status"] = status

@@ -261,37 +261,3 @@ def feasible_point_rows(
     if result.status != "optimal":
         return None, result.farkas
     return result.x, None
-
-
-def feasible_point(
-    lp: LinearProgram,
-    backend: str = "exact",
-) -> Optional[Dict[VarKey, Fraction]]:
-    """An **exactly certified** feasible point of *lp*, or ``None``.
-
-    This is the cheap primitive behind feasibility probes (the binary search
-    of ``minimal_fractional_T`` fires hundreds of them).  With the hybrid
-    backend, a rationalized HiGHS point that passes the exact re-check is
-    returned directly — no exact pivoting at all; the point is feasible but
-    not necessarily basic, which is all a feasibility verdict needs.  Every
-    other path (check fails, float says infeasible, exact backend, program
-    too small for the float probe to pay off) falls through to a certified
-    solve.  The keyed front end of :func:`feasible_point_rows`.
-    """
-    from .hybrid import _FLOAT_SIZE_CUTOFF
-
-    backend = _resolve_backend(backend)
-    if lp.num_variables * max(lp.num_constraints, 1) < _FLOAT_SIZE_CUTOFF:
-        backend = "exact"  # linprog overhead exceeds a cold exact solve
-    coeff_rows, senses, rhs, _objective = lp.to_standard_rows()
-    point, _farkas = feasible_point_rows(
-        coeff_rows, senses, rhs, lp.num_variables, backend=backend,
-    )
-    if point is None:
-        return None
-    return {key: point[lp.index_of(key)] for key in lp.variable_keys}
-
-
-def is_feasible(lp: LinearProgram, backend: str = "exact") -> bool:
-    """Certified feasibility check (see :func:`feasible_point`)."""
-    return feasible_point(lp, backend=backend) is not None

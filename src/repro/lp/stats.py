@@ -61,12 +61,10 @@ class SolverStats:
     #: only, and no solver basis is carried between solves.  The field stays
     #: because ``perfbench/workload.py`` still reports it as
     #: ``lp.basis_reuses``.
-    #: ``sparse_btrans`` counts btran calls answered entirely from sparse
-    #: ``W`` rows; ``warm_key_drops`` counts warm-point keys dropped because
+    #: ``warm_key_drops`` counts warm-point keys dropped because
     #: the target LP lacks the variable (cross-probe shape mismatches — see
     #: ``lp/solve.py:_warm_point``).
     basis_reuses: int = 0
-    sparse_btrans: int = 0
     warm_key_drops: int = 0
     #: Session-layer solve cache outcomes: a hit means a whole solve (or a
     #: whole pipeline of solves) was answered from the content-addressed
@@ -100,7 +98,6 @@ class SolverStats:
         self.point_reuses += other.point_reuses
         self.farkas_reuses += other.farkas_reuses
         self.basis_reuses += other.basis_reuses
-        self.sparse_btrans += other.sparse_btrans
         self.warm_key_drops += other.warm_key_drops
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
@@ -128,7 +125,6 @@ class SolverStats:
             "point_reuses": self.point_reuses,
             "farkas_reuses": self.farkas_reuses,
             "basis_reuses": self.basis_reuses,
-            "sparse_btrans": self.sparse_btrans,
             "warm_key_drops": self.warm_key_drops,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -149,7 +145,7 @@ class SolverStats:
                     "solves", "pivots", "phase1_pivots", "refactorizations",
                     "warm_start_attempts", "warm_start_hits",
                     "point_reuses", "farkas_reuses",
-                    "basis_reuses", "sparse_btrans", "warm_key_drops",
+                    "basis_reuses", "warm_key_drops",
                     "cache_hits", "cache_misses",
                     "task_retries", "tasks_quarantined", "budget_kills",
                 )
@@ -175,7 +171,6 @@ class SolverStats:
                 f"{self.warm_key_drops} warm keys dropped",
                 f"  probe shortcuts   {self.point_reuses} point reuses, "
                 f"{self.farkas_reuses} Farkas reuses",
-                f"  sparse btrans     {self.sparse_btrans}",
                 f"  solve cache       {self.cache_hits} hits, "
                 f"{self.cache_misses} misses",
                 f"  fault tolerance   {self.task_retries} task retries, "

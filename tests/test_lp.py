@@ -10,13 +10,12 @@ from repro.exceptions import SolverError
 from repro.lp import (
     HAVE_SCIPY,
     LinearProgram,
-    feasible_point,
     feasible_point_rows,
     solve_binary_ilp,
     solve_lp,
     solve_standard,
 )
-from repro.lp.solve import is_feasible, solve_rows
+from repro.lp.solve import solve_rows
 
 
 class TestModelBuilder:
@@ -188,8 +187,6 @@ class TestSolveLP:
             with pytest.raises(SolverError):
                 solve_rows(rows, senses, rhs, objective, backend=backend)
             with pytest.raises(SolverError):
-                feasible_point(lp, backend=backend)
-            with pytest.raises(SolverError):
                 feasible_point_rows(
                     rows, senses, rhs, lp.num_variables, backend=backend
                 )
@@ -198,7 +195,11 @@ class TestSolveLP:
         lp = LinearProgram()
         lp.add_variable("x", ub=1)
         lp.add_constraint({"x": 1}, ">=", 2)
-        assert not is_feasible(lp)
+        rows, senses, rhs, _objective = lp.to_standard_rows()
+        point, _farkas = feasible_point_rows(
+            rows, senses, rhs, lp.num_variables, backend="exact"
+        )
+        assert point is None
 
 
 class TestBranchAndBound:

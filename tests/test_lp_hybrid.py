@@ -10,13 +10,23 @@ from repro.exceptions import SolverError
 from repro.lp import (
     BACKENDS,
     LinearProgram,
-    feasible_point,
-    is_feasible,
+    feasible_point_rows,
     solve_lp,
     solve_standard,
     solve_standard_hybrid,
 )
 from repro.lp.simplex import _point_hints
+
+
+def _feasible_point(lp, backend):
+    """A certified feasible point of *lp* keyed by variable, or ``None``."""
+    rows, senses, rhs, _objective = lp.to_standard_rows()
+    point, _farkas = feasible_point_rows(
+        rows, senses, rhs, lp.num_variables, backend=backend
+    )
+    if point is None:
+        return None
+    return {key: point[lp.index_of(key)] for key in lp.variable_keys}
 
 
 def _knapsack_lp():
@@ -46,7 +56,7 @@ class TestHybridBackend:
         lp.add_variable("x", ub=1)
         lp.add_constraint({"x": 1}, ">=", 2)
         assert solve_lp(lp, backend="hybrid").status == "infeasible"
-        assert not is_feasible(lp, backend="hybrid")
+        assert _feasible_point(lp, backend="hybrid") is None
 
     def test_unbounded(self):
         result = solve_standard_hybrid(
@@ -141,7 +151,7 @@ class TestFeasiblePoint:
     def test_point_is_exactly_feasible(self):
         lp = _knapsack_lp()
         for backend in ("exact", "hybrid"):
-            point = feasible_point(lp, backend=backend)
+            point = _feasible_point(lp, backend=backend)
             assert point is not None
             assert lp.check_values(point) == []
 
@@ -150,7 +160,7 @@ class TestFeasiblePoint:
         lp.add_variable("x", ub=1)
         lp.add_constraint({"x": 1}, ">=", 2)
         for backend in ("exact", "hybrid"):
-            assert feasible_point(lp, backend=backend) is None
+            assert _feasible_point(lp, backend=backend) is None
 
     def test_empty_row_infeasibility(self):
         # The builders encode "job has no options" as {} == 1.
@@ -158,7 +168,7 @@ class TestFeasiblePoint:
         lp.add_variable("x", ub=1)
         lp.add_constraint({}, "==", 1)
         for backend in ("exact", "hybrid"):
-            assert not is_feasible(lp, backend=backend)
+            assert _feasible_point(lp, backend=backend) is None
 
 
 class TestPivotAccounting:

@@ -487,6 +487,23 @@ class TestInstrumentationShape:
         hit = sessions[1]
         assert hit.stats.cache_hits == 1 and hit.stats.solves == 0
 
+    def test_lp_solve_span_records_basis(self):
+        from repro import two_approximation
+
+        # The min-T LP's T column sits in every load row, so it runs on
+        # LUBasis; every column of the LST LP has at most two non-zeros,
+        # so it runs on the pseudo-forest basis.
+        inst = random_hierarchical(rng_from_seed(0), n=8, m=3)
+        with tracing() as tracer:
+            two_approximation(inst, backend="exact")
+        by_id = {sp.span_id: sp for sp in tracer.spans}
+        solves = [
+            (by_id[sp.parent_id].name if sp.parent_id in by_id else None,
+             sp.attrs["basis"])
+            for sp in tracer.spans if sp.name == "lp.solve"
+        ]
+        assert solves == [("search.min_T", "lu"), (None, "forest")]
+
     def test_admission_spans(self):
         from repro.schedule.arrivals import PeriodicArrivals
         from repro.schedule.schedule import Schedule

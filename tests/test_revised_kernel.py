@@ -273,8 +273,13 @@ class TestStampedRows:
 
     def test_solver_pivots_through_failed_crash_and_reset(self, monkeypatch):
         """Every pivot of real solves — crash, reset, pushes, both phases."""
+        from repro.lp import revised
         from repro.lp.revised import _RevisedSolver
 
+        # The first LP has at most two non-zeros per column, so the solver
+        # would pick the pseudo-forest basis; these checks read LUBasis'
+        # stamped rows, so run it on LUBasis.
+        monkeypatch.setattr(revised, "ForestBasis", LUBasis)
         original = _RevisedSolver._pivot
         pivots = []
 

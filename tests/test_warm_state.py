@@ -217,22 +217,6 @@ class TestSparseDenseEquivalence:
             for cb in ({0: bigint(1)}, {i: bigint(i + 1) for i in range(7)}):
                 assert sparse.btran(cb) == dense.btran(cb)
 
-    def test_sparse_btran_counter_only_on_sparse_rows(self):
-        sparse, _ = self._random_basis(6, 13)
-        all_sparse = all(type(r) is dict for r in sparse.inv)
-        before = sparse.sparse_btrans
-        sparse.btran({0: bigint(1)})
-        if all_sparse:
-            assert sparse.sparse_btrans == before + 1
-        dense, _ = self._random_basis(6, 13)
-        for i in range(dense.m):
-            row = dense.current_row(i)
-            if type(row) is dict:
-                dense.inv[i] = _to_dense(row, dense.m)
-        before = dense.sparse_btrans
-        dense.btran({0: bigint(1)})
-        assert dense.sparse_btrans == before  # dense path never counts
-
 
 class TestBigintSeam:
     def test_backend_reported(self):
