@@ -2,43 +2,66 @@
 
 Every bench prints the experiment table it reproduces and also writes it to
 ``benchmarks/results/<name>.txt`` so the tables survive pytest's output
-capture (EXPERIMENTS.md is assembled from those files).
+capture (EXPERIMENTS.md is assembled from those files).  The script-mode
+benches write their ``BENCH_*.json`` artifacts through
+:func:`write_bench_json`.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
-def emit(name: str, table) -> None:
-    """Print a table and persist it under benchmarks/results/.
-
-    The write is atomic (temp file in the same directory + ``os.replace``):
-    concurrent bench/sweep runs may race on the same result name, and a
-    reader — or a crashed writer — must never observe a truncated file.
-    """
-    rendered = table.render()
-    print()
-    print(rendered)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
+def _write_atomic(path: str, text: str) -> None:
+    """Write *text* to *path* atomically (temp file in the same directory +
+    ``os.replace``): concurrent bench/sweep runs may race on the same file,
+    and a reader — or a crashed writer — must never observe a truncated
+    one."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(
-        dir=RESULTS_DIR, prefix=f".{name}.", suffix=".tmp"
+        dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(rendered + "\n")
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp_path, os.path.join(RESULTS_DIR, f"{name}.txt"))
+        os.replace(tmp_path, path)
     except BaseException:
         try:
             os.unlink(tmp_path)
         except OSError:
             pass
         raise
+
+
+def emit(name: str, table) -> None:
+    """Print a table and persist it under benchmarks/results/ (atomically)."""
+    rendered = table.render()
+    print()
+    print(rendered)
+    _write_atomic(os.path.join(RESULTS_DIR, f"{name}.txt"), rendered + "\n")
+
+
+def write_bench_json(out: str, default_out: str, payload) -> None:
+    """Write a ``BENCH_*.json`` *payload* to *out* atomically.
+
+    A run that writes the default artifact (*default_out*) also refreshes
+    its mirror under ``benchmarks/results/``.  A run with ``--out``
+    elsewhere (the CI smoke runs) leaves that mirror of the last full run
+    alone.
+    """
+    text = json.dumps(payload, indent=2)
+    _write_atomic(out, text)
+    if os.path.abspath(out) == os.path.abspath(default_out):
+        _write_atomic(
+            os.path.join(RESULTS_DIR, os.path.basename(default_out)), text
+        )
 
 
 def run_once(benchmark, fn):

@@ -12,7 +12,8 @@ bases — the pseudo-forest basis the solver picks for it
 (:class:`repro.lp.forest.ForestBasis`) and ``LUBasis``, forced by patching
 the solver's basis choice inside this script — with the ratio of their
 solve times, and writes ``BENCH_kernels.json`` to the repository root
-(mirrored under ``benchmarks/results/``)::
+(mirrored under ``benchmarks/results/``; a run with ``--out`` elsewhere
+writes only that file)::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--quick] [--seed S]
 
@@ -400,14 +401,14 @@ def test_kernel_lu_basis_ops(benchmark):
 def lu_main(argv=None):
     """Script mode: emit BENCH_kernels.json across the E14 shapes."""
     import argparse
-    import json
     import random
+
+    from _common import write_bench_json
 
     parser = argparse.ArgumentParser(description="LU basis kernel microbench")
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    parser.add_argument(
-        "--out", default=os.path.join(repo_root, "BENCH_kernels.json")
-    )
+    default_out = os.path.join(repo_root, "BENCH_kernels.json")
+    parser.add_argument("--out", default=default_out)
     parser.add_argument(
         "--quick", action="store_true", help="two shapes and three repeats"
     )
@@ -508,12 +509,7 @@ def lu_main(argv=None):
         "rows": rows,
         "lst_step_breakdown": lst,
     }
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    results_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
-    os.makedirs(results_dir, exist_ok=True)
-    with open(os.path.join(results_dir, "BENCH_kernels.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
+    write_bench_json(args.out, default_out, payload)
     return 0
 
 

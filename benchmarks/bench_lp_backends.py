@@ -8,7 +8,8 @@ refactorizations) from :func:`repro.lp.stats.collect_stats`.
 
 Results are written to ``BENCH_lp_backends.json`` at the repository root
 (the perf-trajectory artifact CI uploads) and mirrored under
-``benchmarks/results/``.  Each row names the solver that did the work in
+``benchmarks/results/``; a run with ``--out`` elsewhere writes only that
+file.  Each row names the solver that did the work in
 its ``kernel`` field (``revised`` for both backends), the key
 ``check_perf_regression.py`` matches rows on.
 
@@ -25,7 +26,6 @@ instances makes speedup assertions meaningless there).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -33,7 +33,9 @@ from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_lp_backends.json")
 
+from _common import write_bench_json  # noqa: E402
 from repro.core.approx import two_approximation  # noqa: E402
 from repro.lp.stats import collect_stats  # noqa: E402
 from repro.workloads import random_hierarchical, rng_from_seed  # noqa: E402
@@ -113,7 +115,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="small shapes, no speedup assertion (CI smoke)",
     )
     parser.add_argument(
-        "--out", default=os.path.join(REPO_ROOT, "BENCH_lp_backends.json"),
+        "--out", default=DEFAULT_OUT,
         help="output JSON path (default: repo root)",
     )
     parser.add_argument(
@@ -133,12 +135,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     payload = run(shapes=shapes)
     payload["mode"] = "quick" if args.quick or args.shapes else "full"
 
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    results_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
-    os.makedirs(results_dir, exist_ok=True)
-    with open(os.path.join(results_dir, "BENCH_lp_backends.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
+    write_bench_json(args.out, DEFAULT_OUT, payload)
 
     speedup = payload["speedup_hybrid_over_exact"]
     print(f"\ntotals: {payload['totals_seconds']}")

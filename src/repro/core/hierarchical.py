@@ -52,9 +52,6 @@ class LoadAllocation:
     load: Dict[Tuple[int, MachineSet], Fraction]
     tot_load: Dict[Tuple[int, MachineSet], Fraction]
 
-    def machines_loaded(self, alpha: MachineSet) -> List[int]:
-        return [i for i in sorted(alpha) if self.load.get((i, alpha), 0) > 0]
-
     def check_lemma_iv1(self) -> None:
         """Lemma IV.1(i): every cumulative load is at most T."""
         for (i, alpha), value in self.tot_load.items():

@@ -79,10 +79,6 @@ class AnalyticSoundnessError(ReproError):
     """
 
 
-class UnboundedError(SolverError):
-    """The linear program is unbounded in the optimization direction."""
-
-
 class PivotLimitError(SolverError):
     """The simplex exceeded its pivot budget.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 from .._fraction import to_fraction
 from ..exceptions import SolverError
@@ -112,10 +112,6 @@ class LinearProgram:
         return {self._keys[i]: v for i, v in self._objective.items()}
 
     @property
-    def num_constraints(self) -> int:
-        return len(self._rows)
-
-    @property
     def variable_keys(self) -> Tuple[VarKey, ...]:
         return tuple(self._keys)
 
@@ -169,9 +165,6 @@ class LinearProgram:
         zero = Fraction(0)
         objective = [self._objective.get(i, zero) for i in range(len(self._keys))]
         return coeff_rows, senses, rhs, objective
-
-    def values_by_key(self, x: Sequence[Union[Fraction, float]]) -> Dict[VarKey, Union[Fraction, float]]:
-        return {key: x[i] for key, i in self._index.items()}
 
     # ------------------------------------------------------------------
     # Exact certification

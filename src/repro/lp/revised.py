@@ -38,11 +38,11 @@ blocks and the Dantzig winner of the first block containing an improving
 column enters.  That scan stays column-wise, since it usually stops after
 one block; it prices only a fraction of the columns per iteration and may
 land on a *different* (equally optimal) vertex when optima are non-unique.
-Under both rules, once the pivot count crosses ``bland_threshold`` the rule
-switches to Bland's smallest-index rule (the first negative entry of the
-one-pass prices), which cannot cycle, so termination is guaranteed.  Every
-compared quantity is an exact integer, so how prices are computed never
-changes which column enters.
+Under both rules, once the pivot count crosses ``BLAND_THRESHOLD_DEFAULT``
+the rule switches to Bland's smallest-index rule (the first negative entry
+of the one-pass prices), which cannot cycle, so termination is guaranteed.
+Every compared quantity is an exact integer, so how prices are computed
+never changes which column enters.
 
 A warm start is a point, never a carried basis: the point's support
 columns are eliminated straight into the basis (``O(rows³)``, independent
@@ -104,7 +104,6 @@ class _RevisedSolver:
         #: Partial (rotating-block) pricing instead of full Dantzig.
         self.partial = partial
         self.stats = SolverStats(solves=1)
-        self.stats.count_kernel("revised")
         self.phase = 2
 
         # Row scales: every constraint row becomes integer; slacks and
@@ -515,8 +514,6 @@ def solve_standard(
     rhs: Sequence[Fraction],
     objective: Sequence[Fraction],
     warm_point: Optional[Sequence[Fraction]] = None,
-    bland_threshold: Optional[int] = None,
-    max_pivots: Optional[int] = None,
     canonical: bool = True,
 ) -> SimplexResult:
     """Solve ``min c·x  s.t.  rows, x ≥ 0`` exactly.
@@ -527,9 +524,11 @@ def solve_standard(
     non-zero.  Every result carries ``stats``; infeasible results carry a
     verified Farkas certificate on ``farkas``.
 
-    *bland_threshold* / *max_pivots* override the anti-cycling switchover
-    and the pivot budget (:data:`~repro.lp.simplex.BLAND_THRESHOLD_DEFAULT`
-    / :func:`~repro.lp.simplex.default_max_pivots`); exhausting the budget
+    Pricing switches to Bland's rule after
+    :data:`~repro.lp.simplex.BLAND_THRESHOLD_DEFAULT` pivots.  The pivot
+    budget is the process budget
+    (:func:`~repro.lp.simplex.default_max_pivots`, which the sweep runner's
+    :func:`~repro.runner.budget.pivot_cap` sets per task); exhausting it
     raises the structured :class:`~repro.exceptions.PivotLimitError`.
 
     A warm start can only speed the solve up, never change its guarantees:
@@ -555,8 +554,8 @@ def solve_standard(
         solver = _RevisedSolver(
             std,
             objective,
-            bland_threshold if bland_threshold is not None else BLAND_THRESHOLD_DEFAULT,
-            max_pivots if max_pivots is not None else default_max_pivots(),
+            BLAND_THRESHOLD_DEFAULT,
+            default_max_pivots(),
             partial=not canonical,
         )
         if solve_sp:

@@ -27,27 +27,26 @@ from ..exceptions import SolverError
 from .stats import SolverStats
 
 #: After this many pivots the pivot rule switches to Bland's (anti-cycling).
-#: Overridable per solve via ``solve_standard(bland_threshold=…)``.
 BLAND_THRESHOLD_DEFAULT = 5000
 #: Default hard cap — exceeded only by a bug, not by honest degeneracy.
-#: Overridable per solve via ``solve_standard(max_pivots=…)``; exceeding it
-#: raises the structured :class:`~repro.exceptions.PivotLimitError`.
+#: Overridable only through the process budget below; exceeding it raises
+#: the structured :class:`~repro.exceptions.PivotLimitError`.
 MAX_PIVOTS_DEFAULT = 200000
 
 #: Process-default override of :data:`MAX_PIVOTS_DEFAULT` (``None`` = use
 #: the constant).  The sweep runner's per-task pivot budget
 #: (:mod:`repro.runner.budget`) installs a cap here for the duration of a
 #: worker task, so every solve the task performs — however deep in the
-#: pipeline — answers to the budget without threading ``max_pivots``
-#: through every call chain.
+#: pipeline — answers to the budget without threading a cap through every
+#: call chain.  It is the one pivot-cap channel: ``solve_standard`` takes no
+#: per-solve override.
 _default_max_pivots: "Optional[int]" = None
 
 
 def set_default_max_pivots(cap: "Optional[int]") -> "Optional[int]":
     """Set the process-default pivot budget; returns the previous value.
 
-    ``None`` restores :data:`MAX_PIVOTS_DEFAULT`.  Explicit
-    ``solve_standard(max_pivots=…)`` arguments always win over the default.
+    ``None`` restores :data:`MAX_PIVOTS_DEFAULT`.
     """
     global _default_max_pivots
     previous = _default_max_pivots
@@ -56,7 +55,7 @@ def set_default_max_pivots(cap: "Optional[int]") -> "Optional[int]":
 
 
 def default_max_pivots() -> int:
-    """The pivot budget solves use when no ``max_pivots`` is passed."""
+    """The pivot budget every solve runs under."""
     return MAX_PIVOTS_DEFAULT if _default_max_pivots is None else _default_max_pivots
 
 

@@ -30,18 +30,14 @@ warm-start input: no solver basis is carried from one solve to the next.
 
 from __future__ import annotations
 
-import logging
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .._fraction import to_fraction
 from ..exceptions import SolverError
 from .hybrid import HAVE_SCIPY, solve_standard_hybrid
 from .model import LinearProgram, LPSolution, VarKey
 from .revised import solve_standard
-from .stats import SolverStats, record
-
-logger = logging.getLogger(__name__)
 
 if HAVE_SCIPY:
     # Unused here; kept bound because perfbench/layers.py wraps this name.
@@ -63,49 +59,25 @@ def _resolve_backend(backend: str) -> str:
 
 def _warm_point(
     lp: LinearProgram, warm_values: Optional[Mapping[VarKey, Fraction]]
-) -> Tuple[Optional[List[Fraction]], int]:
+) -> Optional[List[Fraction]]:
     """A prior point as a dense structural vector (missing keys read as 0).
 
-    Returns ``(point, dropped)`` where *dropped* counts warm keys absent
-    from the target LP.  Drops are expected across structurally different
-    re-solves (masked probes, min-T), but a persistently high count means a
-    caller is warm-starting from the wrong space — so they are surfaced in
-    ``SolverStats.warm_key_drops`` and a debug log rather than silently
-    swallowed as before.
+    Every warm key must name a variable of *lp*: a key the LP lacks means
+    the caller is warm-starting from the wrong space, which raises
+    :class:`~repro.exceptions.SolverError`.
     """
     if not warm_values:
-        return None, 0
+        return None
     point = [Fraction(0)] * lp.num_variables
     found = False
-    dropped = 0
     for key, value in warm_values.items():
-        if lp.has_variable(key):
-            value = to_fraction(value)
-            if value != 0:
-                point[lp.index_of(key)] = value
-                found = True
-        else:
-            dropped += 1
-    if dropped and logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "warm start dropped %d key(s) absent from the target LP "
-            "(%d variables)", dropped, lp.num_variables,
-        )
-    return (point if found else None), dropped
-
-
-def _count_warm_drops(drops: int, stats) -> None:
-    """Fold *drops* into the per-solve stats and the active scopes/sinks.
-
-    ``record`` was already called inside the solve, so the per-solve object
-    must be patched *and* a delta recorded for scope aggregates and span
-    sinks to see the count.
-    """
-    if not drops:
-        return
-    if stats is not None:
-        stats.warm_key_drops += drops
-    record(SolverStats(warm_key_drops=drops))
+        if not lp.has_variable(key):
+            raise SolverError(f"warm key {key!r} is not a variable of the LP")
+        value = to_fraction(value)
+        if value != 0:
+            point[lp.index_of(key)] = value
+            found = True
+    return point if found else None
 
 
 def solve_rows(
@@ -126,8 +98,9 @@ def solve_rows(
     the solver's :class:`~repro.lp.simplex.SimplexResult`; the per-backend
     guarantees are those of the module docstring.  *warm_point* is a dense
     structural vector; *float_rows* is an optional prebuilt float CSR of
-    *coeff_rows* for the HiGHS leg and changes no result.  *canonical* is
-    as in :func:`solve_lp`.
+    *coeff_rows* for the HiGHS leg and changes no result.  *canonical*
+    picks the pricing and vertex contract, as in
+    :func:`repro.lp.revised.solve_standard`.
     """
     if _resolve_backend(backend) == "exact":
         return solve_standard(
@@ -144,27 +117,22 @@ def solve_lp(
     lp: LinearProgram,
     backend: str = "exact",
     warm_values: Optional[Mapping[VarKey, Fraction]] = None,
-    canonical: bool = True,
 ) -> LPSolution:
     """Solve *lp* (minimization) and map values back to variable keys.
 
     See the module docstring for the per-backend guarantees.  *warm_values*
     is an optional previously-feasible point used to warm-start the
     exact/hybrid backends; it never changes the result, only the pivot
-    path.  *canonical* picks the pricing and vertex contract (see
-    :func:`repro.lp.revised.solve_standard`): ``True`` (default) prices
-    with Dantzig's rule for a deterministic vertex, ``False`` prices
-    partially and returns whatever vertex the solve lands on (probe-style
-    callers that only consume values).
+    path.  The solve is canonical (see
+    :func:`repro.lp.revised.solve_standard`): Dantzig pricing gives a
+    deterministic vertex.
     """
     backend = _resolve_backend(backend)
     coeff_rows, senses, rhs, objective = lp.to_standard_rows()
-    warm_pt, drops = _warm_point(lp, warm_values)
     result = solve_rows(
         coeff_rows, senses, rhs, objective, backend=backend,
-        warm_point=warm_pt, canonical=canonical,
+        warm_point=_warm_point(lp, warm_values),
     )
-    _count_warm_drops(drops, result.stats)
     if result.status != "optimal":
         return LPSolution(
             status=result.status, values={}, objective=None, stats=result.stats

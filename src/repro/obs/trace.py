@@ -13,7 +13,7 @@ involved.
 
 Cost discipline: when no :class:`Tracer` is installed, :func:`span` checks
 one module-level list and yields ``None`` — no :class:`Span` is allocated,
-no clock is read, no stats sink is registered.  The hot paths stay
+no clock is read, no counter scope is attached.  The hot paths stay
 instrumented permanently and pay for it only when someone is listening.
 Observability must never perturb results, and cannot: spans carry
 timestamps and counter copies *out* of the computation and feed nothing
@@ -26,11 +26,11 @@ across a sweep's worker pool to within wall-clock sync — good enough for
 one merged Chrome trace, while in-process durations keep the monotonic
 clock's quality.
 
-Counter attachment: while at least one tracer is installed, a
-:mod:`repro.lp.stats` sink routes every :func:`~repro.lp.stats.record` call
-into all currently-open spans.  A parent span therefore aggregates its
-children's counters, mirroring the nesting semantics of
-:func:`~repro.lp.stats.collect_stats` scopes.
+Counter attachment: an open span's :class:`~repro.lp.stats.SolverStats` is
+an :mod:`repro.lp.stats` scope, attached for as long as the span is open,
+so every :func:`~repro.lp.stats.record` call reaches all currently-open
+spans.  A parent span therefore aggregates its children's counters, exactly
+as nested :func:`~repro.lp.stats.collect_stats` scopes do.
 """
 
 from __future__ import annotations
@@ -189,32 +189,30 @@ def current_span() -> Optional[Span]:
     return _stack[-1] if _stack else None
 
 
-def _on_record(stats: SolverStats) -> None:
-    """lp.stats sink: attach counter deltas to every open span."""
-    for span in _stack:
-        span.stats.add(stats)
+def _drop_stack() -> None:
+    """Detach every open span's counters and forget the open spans."""
+    for sp in _stack:
+        lp_stats.detach(sp.stats)
+    _stack.clear()
 
 
 def install(tracer: Tracer) -> None:
-    """Install *tracer*; the first installation registers the stats sink."""
-    if not _tracers:
-        lp_stats.add_sink(_on_record)
+    """Install *tracer*."""
     _tracers.append(tracer)
 
 
 def uninstall(tracer: Tracer) -> None:
-    """Remove *tracer* (by identity); the last removal drops the sink."""
+    """Remove *tracer* (by identity); the last removal drops open spans."""
     for i in range(len(_tracers) - 1, -1, -1):
         if _tracers[i] is tracer:
             del _tracers[i]
             break
     if not _tracers:
-        lp_stats.remove_sink(_on_record)
-        _stack.clear()
+        _drop_stack()
 
 
 def reset() -> None:
-    """Drop every installed tracer, open span, and the stats sink.
+    """Drop every installed tracer and open span (and its counter scope).
 
     For process-pool worker entry points: a fork-started worker inherits
     the driver's installed tracer, so without a reset the worker's spans
@@ -222,8 +220,7 @@ def reset() -> None:
     collected by a worker-local tracer and shipped home.
     """
     del _tracers[:]
-    _stack.clear()
-    lp_stats.remove_sink(_on_record)
+    _drop_stack()
 
 
 def adopt_spans(
@@ -277,10 +274,12 @@ def span(name: str, **attrs: Any) -> Iterator[Optional[Span]]:
         attrs=attrs,
     )
     _stack.append(sp)
+    lp_stats.attach(sp.stats)
     try:
         yield sp
     finally:
         sp.end_ns = _now_ns()
+        lp_stats.detach(sp.stats)
         for i in range(len(_stack) - 1, -1, -1):
             if _stack[i] is sp:
                 del _stack[i]
@@ -291,7 +290,7 @@ def span(name: str, **attrs: Any) -> Iterator[Optional[Span]]:
 
 @contextmanager
 def suspended() -> Iterator[None]:
-    """Temporarily disable tracing (and its stats sink) inside the scope.
+    """Temporarily disable tracing (and span counters) inside the scope.
 
     The escape hatch for timing experiments: E14 measures cold-solve
     wall-clock, and even cheap span bookkeeping inside the timed region
@@ -306,12 +305,11 @@ def suspended() -> Iterator[None]:
     saved_tracers = _tracers[:]
     saved_stack = _stack[:]
     del _tracers[:]
-    _stack.clear()
-    lp_stats.remove_sink(_on_record)
+    _drop_stack()
     try:
         yield
     finally:
         _tracers.extend(saved_tracers)
         _stack.extend(saved_stack)
-        if _tracers:
-            lp_stats.add_sink(_on_record)
+        for sp in saved_stack:
+            lp_stats.attach(sp.stats)

@@ -38,6 +38,7 @@ from repro.lp.forest import ForestBasis
 from repro.lp.revised import _RevisedSolver, solve_standard
 from repro.lp.simplex import standard_form
 from repro.rounding.lst import build_unrelated_lp
+from repro.runner.budget import pivot_cap
 from repro.workloads import random_hierarchical, rng_from_seed
 
 
@@ -267,12 +268,12 @@ class TestLSTLockstep:
     def test_pivot_limit_mid_solve(self, lockstep, monkeypatch):
         rows = _lst_rows(16, 6, 10)
         budget = solve_standard(*rows).pivots // 2
-        with pytest.raises(PivotLimitError) as forest_err:
-            solve_standard(*rows, max_pivots=budget)
+        with pytest.raises(PivotLimitError) as forest_err, pivot_cap(budget):
+            solve_standard(*rows)
         monkeypatch.undo()
         _force_lu(monkeypatch)
-        with pytest.raises(PivotLimitError) as lu_err:
-            solve_standard(*rows, max_pivots=budget)
+        with pytest.raises(PivotLimitError) as lu_err, pivot_cap(budget):
+            solve_standard(*rows)
         got = forest_err.value
         assert (got.budget, got.pivots, got.phase) == (
             lu_err.value.budget, lu_err.value.pivots, lu_err.value.phase,

@@ -7,11 +7,12 @@ The load-bearing properties:
   ``None``, allocates nothing) and builds a correctly parented tree when
   one is;
 * counter deltas recorded while a span is open attach to it (and to its
-  ancestors), mirroring nested ``collect_stats`` scopes;
-* ``SolverStats.to_json``/``from_json`` and ``Span`` round-trip exactly,
-  kernels dict included — the sweep worker→driver wire format;
-* the lp.stats sink machinery survives re-entrant ``record`` calls from a
-  sink and out-of-order scope unwinds under exceptions;
+  ancestors): an open span's counters are a ``collect_stats``-style scope,
+  detached when the span closes or tracing is uninstalled, reset or
+  suspended;
+* ``SolverStats.to_json``/``from_json`` and ``Span`` round-trip exactly —
+  the sweep worker→driver wire format — and older payloads still load;
+* scopes survive out-of-order unwinds under exceptions;
 * **byte-identity**: traced runs produce bit-identical results, payload
   files, and counter totals to untraced runs — observability feeds
   nothing back into the computation;
@@ -49,6 +50,7 @@ from repro.obs import (
     write_chrome_trace,
     write_spans_jsonl,
 )
+from repro.obs.trace import install, uninstall
 from repro.obs.trace import reset as obs_reset
 from repro.session.cache import SolveCache
 from repro.workloads import random_hierarchical, rng_from_seed
@@ -56,7 +58,7 @@ from repro.workloads import random_hierarchical, rng_from_seed
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
-    """Every test starts and ends with no tracer, no spans, no sinks."""
+    """Every test starts and ends with no tracer and no open spans."""
     obs_reset()
     yield
     obs_reset()
@@ -88,13 +90,13 @@ class TestSpanBasics:
         with tracing() as tracer:
             with span("outer"):
                 with span("inner"):
-                    record(SolverStats(solves=1, pivots=7, kernels={"revised": 1}))
+                    record(SolverStats(solves=1, pivots=7))
                 record(SolverStats(pivots=2))
         inner, outer = tracer.spans
         assert (inner.stats.solves, inner.stats.pivots) == (1, 7)
         # The parent aggregates its child's delta plus its own.
         assert (outer.stats.solves, outer.stats.pivots) == (1, 9)
-        assert outer.stats.kernels == {"revised": 1}
+        assert not lp_stats._scopes
 
     def test_span_exception_teardown_closes_and_collects(self):
         with tracing() as tracer:
@@ -105,7 +107,7 @@ class TestSpanBasics:
         assert current_span() is None
 
     def test_suspended_drops_spans_and_counter_attachment(self):
-        with tracing() as tracer:
+        with collect_stats() as outer, tracing() as tracer:
             with span("kept") as kept:
                 with suspended():
                     assert not tracing_enabled()
@@ -114,15 +116,42 @@ class TestSpanBasics:
                     record(SolverStats(pivots=100))
                 assert tracing_enabled()
                 assert current_span() is kept
+                # Re-attached on exit: the open span counts again.
+                record(SolverStats(pivots=1))
         assert [sp.name for sp in tracer.spans] == ["kept"]
-        assert tracer.spans[0].stats.pivots == 0
+        assert tracer.spans[0].stats.pivots == 1
+        # The outer scope kept counting while the span was suspended.
+        assert outer.pivots == 101
+        assert not lp_stats._scopes
 
     def test_uninstall_clears_stack_and_sink(self):
         with tracing():
             with span("left-open"):
                 pass
         assert current_span() is None
-        assert not lp_stats._sinks
+        assert not lp_stats._scopes
+
+    @pytest.mark.parametrize("teardown", ["uninstall", "reset"])
+    def test_teardown_with_open_spans_detaches_their_counters(self, teardown):
+        tracer = Tracer()
+        install(tracer)
+        outer_cm, inner_cm = span("outer"), span("inner")
+        outer, inner = outer_cm.__enter__(), inner_cm.__enter__()
+        assert [id(s) for s in lp_stats._scopes] == [
+            id(outer.stats), id(inner.stats),
+        ]
+        if teardown == "uninstall":
+            uninstall(tracer)
+        else:
+            obs_reset()
+        assert not lp_stats._scopes
+        assert current_span() is None
+        record(SolverStats(pivots=5))
+        assert outer.stats.pivots == inner.stats.pivots == 0
+        # Closing the orphaned spans late is harmless.
+        inner_cm.__exit__(None, None, None)
+        outer_cm.__exit__(None, None, None)
+        assert not lp_stats._scopes
 
 
 class TestRoundTrips:
@@ -131,13 +160,12 @@ class TestRoundTrips:
             solves=3, pivots=41, phase1_pivots=11, refactorizations=2,
             warm_start_attempts=3, warm_start_hits=2, point_reuses=1,
             farkas_reuses=4, cache_hits=5, cache_misses=6,
-            kernels={"revised": 2, "tableau": 1},
         )
         payload = stats.to_json()
-        assert payload["kernels"] == {"revised": 2, "tableau": 1}
-        # The copy is deep enough: mutating the payload leaves stats alone.
-        payload["kernels"]["revised"] = 99
-        assert stats.kernels["revised"] == 2
+        assert all(type(v) is int for v in payload.values())
+        # Mutating the payload leaves stats alone.
+        payload["pivots"] = 99
+        assert stats.pivots == 41
         rebuilt = SolverStats.from_json(stats.to_json())
         assert rebuilt == stats
         # JSON wire trip (what actually crosses the process boundary).
@@ -148,14 +176,20 @@ class TestRoundTrips:
             {"solves": 2, "not_a_counter": 9, "crash_skips": 4}
         )
         assert rebuilt.solves == 2 and rebuilt.pivots == 0
-        assert rebuilt.kernels == {}
+        # A payload written before kernels and warm_key_drops were dropped
+        # (and before crash_skips and sparse_btrans were) still loads.
+        old = SolverStats.from_json(
+            {"solves": 3, "pivots": 8, "kernels": {"revised": 3},
+             "warm_key_drops": 0, "crash_skips": 1, "sparse_btrans": 2}
+        )
+        assert old == SolverStats(solves=3, pivots=8)
 
     def test_span_json_round_trip(self):
         sp = Span(
             name="lp.solve", span_id=7, parent_id=3,
             start_ns=1_000, end_ns=5_000,
             attrs={"kernel": "revised", "T": str(Fraction(7, 2))},
-            stats=SolverStats(solves=1, kernels={"revised": 1}),
+            stats=SolverStats(solves=1, pivots=4),
             pid=1234,
         )
         rebuilt = Span.from_json(json.loads(json.dumps(sp.to_json())))
@@ -189,38 +223,6 @@ class TestRoundTrips:
 
 
 class TestSinkHardening:
-    def test_reentrant_record_from_sink_updates_scopes_not_sinks(self):
-        calls = []
-
-        def sink(stats):
-            calls.append(stats.pivots)
-            # A sink that records (e.g. tracing code paths that themselves
-            # count) must not recurse into the sink fan-out.
-            record(SolverStats(cache_hits=1))
-
-        lp_stats.add_sink(sink)
-        try:
-            with collect_stats() as scope:
-                record(SolverStats(pivots=5))
-            assert calls == [5]
-            # The re-entrant record still reached the scope.
-            assert scope.pivots == 5 and scope.cache_hits == 1
-        finally:
-            lp_stats.remove_sink(sink)
-
-    def test_sink_opening_and_closing_scopes_mid_record_is_safe(self):
-        def sink(stats):
-            with collect_stats():
-                pass
-
-        lp_stats.add_sink(sink)
-        try:
-            with collect_stats() as scope:
-                record(SolverStats(solves=1))
-            assert scope.solves == 1
-        finally:
-            lp_stats.remove_sink(sink)
-
     def test_nested_scopes_unwound_out_of_order_under_exceptions(self):
         """Regression: generator-held scopes torn down in the 'wrong' order
         (inner exit after outer exit) must each remove exactly themselves."""
@@ -246,21 +248,6 @@ class TestSinkHardening:
         record(SolverStats(pivots=1))
         assert outer.pivots == 3
 
-    def test_remove_sink_is_identity_based_and_tolerates_absent(self):
-        def sink_a(stats):
-            pass
-
-        def sink_b(stats):
-            pass
-
-        lp_stats.add_sink(sink_a)
-        lp_stats.add_sink(sink_b)
-        lp_stats.remove_sink(sink_a)
-        assert lp_stats._sinks == [sink_b]
-        lp_stats.remove_sink(sink_a)  # absent: no-op
-        lp_stats.remove_sink(sink_b)
-        assert not lp_stats._sinks
-
 
 class TestByteIdentity:
     """Observability must never perturb results — the tentpole invariant."""
@@ -274,7 +261,7 @@ class TestByteIdentity:
             with collect_stats() as traced:
                 t_traced = minimal_fractional_T(inst)
         assert t_traced == t_cold
-        assert traced == cold  # identical counter totals, kernels included
+        assert traced == cold  # identical counter totals
         # Every solve shows as a span.  Seed 23's T* is the trapped-set
         # bound, which one probe proves from a certified HiGHS point.
         assert any(sp.name == "lp.solve" for sp in tracer.spans) == (seed != 23)
@@ -284,6 +271,8 @@ class TestByteIdentity:
         # The search root aggregates exactly the scope's solve counters.
         assert root[0].stats.solves == traced.solves
         assert root[0].stats.pivots == traced.pivots
+        # Spans and scopes read one stream: every counter agrees.
+        assert root[0].stats.to_json() == traced.to_json()
 
     def test_traced_sweep_payloads_byte_identical(self, tmp_path, capsys):
         # e07 solves LPs (e01 and e02 solve none), so the traced run has
@@ -345,8 +334,7 @@ class TestExport:
         with tracing() as tracer:
             with span("session.solve", backend="hybrid"):
                 with span("lp.solve", kernel="revised"):
-                    record(SolverStats(solves=1, pivots=3,
-                                       kernels={"revised": 1}))
+                    record(SolverStats(solves=1, pivots=3))
         return tracer.spans
 
     def test_chrome_trace_structure(self):
@@ -363,7 +351,9 @@ class TestExport:
         lp = by_name["lp.solve"]
         assert lp["args"]["kernel"] == "revised"
         assert lp["args"]["pivots"] == 3
-        assert lp["args"]["kernels"] == "revised×1"
+        assert lp["args"]["solves"] == 1
+        # Zero counters stay out of the event args.
+        assert "cache_hits" not in lp["args"]
         assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in xs)
         # The child lies within the parent on the same track.
         parent = by_name["session.solve"]

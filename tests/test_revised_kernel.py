@@ -9,7 +9,7 @@ Covers the PR-4 acceptance criteria:
   crash falling back to ratio-test pushes, Farkas-dual seeding across an
   infeasible→feasible probe pair;
 * the structured pivot budget (:class:`~repro.exceptions.PivotLimitError`)
-  and the ``bland_threshold``/``max_pivots`` parameters;
+  under the process pivot cap, and Bland's rule from pivot 0;
 * hybrid certification still rejecting corrupted candidates under the
   factorized-basis verifier.
 """
@@ -36,7 +36,9 @@ from repro.lp import (
 )
 from repro.lp.certificates import denormalize_farkas
 from repro.lp.simplex import standard_form
+from repro.lp import revised as revised_mod
 from repro.lp.solve import check_standard_rows, feasible_point_rows
+from repro.runner.budget import pivot_cap
 from repro.workloads import FAMILIES, make_instance, make_topology, rng_from_seed
 
 
@@ -523,8 +525,8 @@ class TestPivotBudget:
         senses = ["==", "<="]
         rhs = [Fraction(1), Fraction(1)]
         objective = [Fraction(-1), Fraction(1)]
-        with pytest.raises(PivotLimitError) as err:
-            solve_standard(rows, senses, rhs, objective, max_pivots=1)
+        with pytest.raises(PivotLimitError) as err, pivot_cap(1):
+            solve_standard(rows, senses, rhs, objective)
         assert err.value.budget == 1
         assert err.value.pivots == 2
         assert err.value.phase in (1, 2)
@@ -534,7 +536,7 @@ class TestPivotBudget:
         result = solve_standard(rows, ["<="], [Fraction(1)], [Fraction(-1)])
         assert result.status == "optimal"
 
-    def test_bland_threshold_zero_still_terminates(self):
+    def test_bland_threshold_zero_still_terminates(self, monkeypatch):
         """Bland-from-pivot-0 is slower but exact — a pure safety rule."""
         rows = [
             {0: Fraction(1), 1: Fraction(2), 2: Fraction(1)},
@@ -543,8 +545,9 @@ class TestPivotBudget:
         senses = ["<=", "<="]
         rhs = [Fraction(4), Fraction(6)]
         objective = [Fraction(-1), Fraction(-1), Fraction(-1)]
-        a = solve_standard(rows, senses, rhs, objective, bland_threshold=0)
         b = solve_standard(rows, senses, rhs, objective)
+        monkeypatch.setattr(revised_mod, "BLAND_THRESHOLD_DEFAULT", 0)
+        a = solve_standard(rows, senses, rhs, objective)
         assert a.status == b.status == "optimal"
         assert a.objective == b.objective
 
@@ -624,7 +627,7 @@ class TestStatsPlumbing:
         lp.set_objective({"x": -1})
         solution = solve_lp(lp, backend="exact")
         assert isinstance(solution.stats, SolverStats)
-        assert solution.stats.kernels.get("revised") == 1
+        assert solution.stats.solves == 1
 
     def test_collect_stats_nested_scopes(self):
         lp = LinearProgram()

@@ -9,7 +9,7 @@ solver basis survives from one solve to the next.  This module pins down:
 * a solve warm-started from another solve's vertex is optimal with the
   cold solve's objective and a vertex-sized support (warm starts change the
   path, never the answer);
-* warm keys the target program lacks are dropped and counted;
+* a warm key the target program lacks raises ``SolverError``;
 * sparse and densified ``W`` rows answer ftran/btran identically;
 * the gmpy2 bigint seam is optional and escapable (``REPRO_BIGINT``).
 """
@@ -29,16 +29,16 @@ from hypothesis import HealthCheck, given, settings
 from _reference_simplex import reference_solve
 from repro._fraction import HAVE_GMPY2, bigint, bigint_backend
 from repro.core.programs import IP3Builder, _ProbeSession
-from repro.exceptions import PivotLimitError
+from repro.exceptions import PivotLimitError, SolverError
 from repro.lp import (
     LinearProgram,
     LUBasis,
-    collect_stats,
     solve_lp,
     solve_standard,
 )
 from repro.lp.basis import _to_dense
 from repro.lp.solve import check_standard_rows
+from repro.runner.budget import pivot_cap
 from repro.workloads import make_instance, make_topology, rng_from_seed
 
 
@@ -58,8 +58,8 @@ class TestPivotLimitResumability:
     def test_kernel_raise_leaves_no_global_residue(self):
         """A budgeted abort is an exception, not a corrupted process."""
         rows, senses, rhs, objective = _small_lp()
-        with pytest.raises(PivotLimitError):
-            solve_standard(rows, senses, rhs, objective, max_pivots=1)
+        with pytest.raises(PivotLimitError), pivot_cap(1):
+            solve_standard(rows, senses, rhs, objective)
         # The very next solve in the same process is untouched.
         result = solve_standard(rows, senses, rhs, objective)
         assert result.status == "optimal"
@@ -151,34 +151,21 @@ def test_carried_basis_solve_equals_cold_solve(data):
     assert sum(1 for v in warm.x if v) <= len(rows)
 
 
-class TestWarmKeyDrops:
-    def test_unknown_warm_keys_counted(self):
+class TestUnknownWarmKey:
+    def test_unknown_warm_key_raises(self):
+        """A warm key the LP lacks is a caller bug, not a silent drop."""
         lp = LinearProgram()
         lp.add_variable("x", ub=2)
         lp.add_variable("y", ub=3)
         lp.add_constraint({"x": 1, "y": 2}, "<=", 4)
         lp.set_objective({"x": -1, "y": -1})
-        with collect_stats() as stats:
-            result = solve_lp(
+        with pytest.raises(SolverError, match="ghost"):
+            solve_lp(
                 lp, backend="exact",
-                warm_values={
-                    "x": Fraction(1),
-                    "ghost": Fraction(5),
-                    ("gone", 2): Fraction(7),
-                },
+                warm_values={"x": Fraction(1), "ghost": Fraction(5)},
             )
-        assert result.status == "optimal"
-        assert result.stats.warm_key_drops == 2
-        assert stats.warm_key_drops == 2
-
-    def test_valid_warm_keys_not_counted(self):
-        lp = LinearProgram()
-        lp.add_variable("x", ub=2)
-        lp.add_constraint({"x": 1}, "<=", 2)
-        lp.set_objective({"x": -1})
         result = solve_lp(lp, backend="exact", warm_values={"x": Fraction(1)})
         assert result.status == "optimal"
-        assert result.stats.warm_key_drops == 0
 
 
 class TestSparseDenseEquivalence:
