@@ -4,14 +4,18 @@ Every bench prints the experiment table it reproduces and also writes it to
 ``benchmarks/results/<name>.txt`` so the tables survive pytest's output
 capture (EXPERIMENTS.md is assembled from those files).  The script-mode
 benches write their ``BENCH_*.json`` artifacts through
-:func:`write_bench_json`.
+:func:`write_bench_json`, summarize repeats with :func:`summary` and scale
+wall-clock to the machine with :func:`calibration_sample`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import tempfile
+import time
+from fractions import Fraction
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -62,6 +66,52 @@ def write_bench_json(out: str, default_out: str, payload) -> None:
         _write_atomic(
             os.path.join(RESULTS_DIR, os.path.basename(default_out)), text
         )
+
+
+def summary(values):
+    """Median, min and interquartile range of one measurement's repeats."""
+    vals = sorted(values)
+    if len(vals) > 1:
+        q1, _, q3 = statistics.quantiles(vals, n=4, method="inclusive")
+    else:
+        q1 = q3 = vals[0]
+    return {
+        "median": round(statistics.median(vals), 4),
+        "min": round(vals[0], 4),
+        "iqr": round(q3 - q1, 4),
+    }
+
+
+def calibration_sample() -> float:
+    """Time one pass of a fixed loop: ``Fraction`` elimination, then dict and sort.
+
+    The same loop as ``perfbench/workload.py::calibration_sample``: its mix
+    resembles the program's hot code (rational arithmetic, small
+    containers) and it touches nothing of the program, so no change to the
+    program changes its cost.  Dividing a timing by the median of samples
+    taken alongside it cancels the machine's speed and its drift over a
+    run.  Returns the elapsed seconds (about 2.5 ms on a 2-core x86-64 box).
+    """
+    t0 = time.perf_counter()
+    n = 9
+    rows = [
+        [Fraction((i * 7 + j * 13) % 17 + 20 * (i == j), (i + j) % 5 + 1)
+         for j in range(n + 1)]
+        for i in range(n)
+    ]
+    for c in range(n):
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            for j in range(c, n + 1):
+                rows[r][j] -= f * rows[c][j]
+    counts = {}
+    keys = []
+    for i in range(3000):
+        key = (i * 31) % 1009
+        counts[key] = counts.get(key, 0) + i
+        keys.append((i * 17) % 101)
+    keys.sort()
+    return time.perf_counter() - t0
 
 
 def run_once(benchmark, fn):

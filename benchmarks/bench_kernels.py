@@ -175,31 +175,17 @@ def _lu_fixture(n, m, seed=140):
     return solver, [solver.cols[c] for c in result.basis]
 
 
-def _summary(values):
-    """Median, min and interquartile range of one op's repeats."""
-    import statistics
-
-    vals = sorted(values)
-    if len(vals) > 1:
-        q1, _, q3 = statistics.quantiles(vals, n=4, method="inclusive")
-    else:
-        q1 = q3 = vals[0]
-    return {
-        "median": round(statistics.median(vals), 4),
-        "min": round(vals[0], 4),
-        "iqr": round(q3 - q1, 4),
-    }
-
-
 def _measure(sample, repeats):
     """Run *sample* :data:`WARMUP` times untimed, then summarize *repeats* runs.
 
     *sample* returns one ``{op: value}`` dict per run.
     """
+    from _common import summary
+
     for _ in range(WARMUP):
         sample()
     runs = [sample() for _ in range(repeats)]
-    return {op: _summary([run[op] for run in runs]) for op in runs[0]}
+    return {op: summary([run[op] for run in runs]) for op in runs[0]}
 
 
 def _lu_ops_sample(solver, basis_columns):

@@ -1,32 +1,44 @@
 """LP backend benchmark: ``hybrid`` vs ``exact``.
 
-Runs the full Theorem V.2 pipeline (the E14 scaling family: binary search
-for ``T*`` + LST rounding + scheduling) under each backend on identical
+Runs the full Theorem V.2 pipeline (the E14 scaling family: search for
+``T*`` + LST rounding + scheduling) under each backend on identical
 instances, verifies that every configuration agrees on ``T*`` to *exact*
 equality, and records wall-clock times plus solver counters (pivots,
 refactorizations) from :func:`repro.lp.stats.collect_stats`.
 
+Every (shape, backend) configuration gets :data:`WARMUP` untimed runs and
+:data:`REPEATS` timed ones (three with ``--quick``), reported as median,
+min and interquartile range; the configurations run in an order shuffled
+by ``--seed``.  Before each timed run the script takes
+:data:`CALIBRATION_PER_REPEAT` samples of
+:func:`_common.calibration_sample`, and each row records the median of its
+samples as ``calibration_s``.  ``seconds / calibration_s`` is the row's
+time in units of the machine's own speed at that moment, the quantity
+``check_perf_regression.py`` gates.
+
 Results are written to ``BENCH_lp_backends.json`` at the repository root
 (the perf-trajectory artifact CI uploads) and mirrored under
 ``benchmarks/results/``; a run with ``--out`` elsewhere writes only that
-file.  Each row names the solver that did the work in
-its ``kernel`` field (``revised`` for both backends), the key
-``check_perf_regression.py`` matches rows on.
+file.  Each row names the solver that did the work in its ``kernel`` field
+(``revised`` for both backends).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_lp_backends.py          # full run
-    PYTHONPATH=src python benchmarks/bench_lp_backends.py --quick  # CI smoke
+    PYTHONPATH=src python benchmarks/bench_lp_backends.py --quick  # smoke
+    PYTHONPATH=src python benchmarks/bench_lp_backends.py \\
+        --shapes 16x6,24x8,32x10 --out /tmp/fresh.json             # CI gate
 
-The full run asserts the hybrid-over-exact speedup target (aggregate).  The
-quick run only checks exact ``T*`` agreement (timing noise on small
-instances makes speedup assertions meaningless there).
+The full run asserts the hybrid-over-exact speedup target (aggregate).
+Runs with ``--quick`` or ``--shapes`` only check exact ``T*`` agreement.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import random
+import statistics
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -35,7 +47,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_lp_backends.json")
 
-from _common import write_bench_json  # noqa: E402
+from _common import calibration_sample, summary, write_bench_json  # noqa: E402
 from repro.core.approx import two_approximation  # noqa: E402
 from repro.lp.stats import collect_stats  # noqa: E402
 from repro.workloads import random_hierarchical, rng_from_seed  # noqa: E402
@@ -43,6 +55,13 @@ from repro.workloads import random_hierarchical, rng_from_seed  # noqa: E402
 #: The E14 scaling family, extended upward to where backend choice matters.
 FULL_SHAPES: Tuple[Tuple[int, int], ...] = ((16, 6), (24, 8), (32, 10), (48, 12), (64, 16))
 QUICK_SHAPES: Tuple[Tuple[int, int], ...] = ((10, 4), (16, 6))
+BACKENDS: Tuple[str, ...] = ("exact", "hybrid")
+
+#: Untimed runs before, and timed runs of, every configuration.
+WARMUP = 1
+REPEATS = 7
+#: Calibration samples taken before each timed run.
+CALIBRATION_PER_REPEAT = 3
 
 #: Aggregate hybrid-over-exact speedup the full run must demonstrate.
 #: Re-based (3.0 → 1.3) when the revised kernel landed: the exact core got
@@ -53,29 +72,70 @@ SPEEDUP_TARGET = 1.3
 _KERNEL_OF = {"exact": "revised", "hybrid": "revised"}
 
 
+def _timed(inst, backend):
+    with collect_stats() as stats:
+        start = time.perf_counter()
+        result = two_approximation(inst, backend=backend)
+        elapsed = time.perf_counter() - start
+    return elapsed, result, stats
+
+
+def _measure(inst, backend, repeats):
+    """Warm up, then time *repeats* runs, each after its calibration samples.
+
+    Returns ``(seconds, calibration, result, stats)``: the timed runs, the
+    calibration samples, and the last run's result and counters (both
+    deterministic, so any run's would do).
+    """
+    for _ in range(WARMUP):
+        _timed(inst, backend)
+    seconds: List[float] = []
+    calibration: List[float] = []
+    for _ in range(repeats):
+        calibration.extend(
+            calibration_sample() for _ in range(CALIBRATION_PER_REPEAT)
+        )
+        elapsed, result, stats = _timed(inst, backend)
+        seconds.append(elapsed)
+    return seconds, calibration, result, stats
+
+
 def run(
     shapes: Tuple[Tuple[int, int], ...] = FULL_SHAPES,
-    backends: Tuple[str, ...] = ("exact", "hybrid"),
+    backends: Tuple[str, ...] = BACKENDS,
     seed: int = 140,
+    repeats: int = REPEATS,
+    order_seed: int = 0,
 ) -> Dict:
+    # Same instance for every backend (fresh rng per shape).
+    instances = {
+        (n, m): random_hierarchical(rng_from_seed(seed), n=n, m=m)
+        for n, m in shapes
+    }
+    # A seeded random order, so a drift in machine speed over the run does
+    # not always land on the same configuration.
+    order = [(shape, backend) for shape in shapes for backend in backends]
+    random.Random(order_seed).shuffle(order)
+    measured = {}
+    for shape, backend in order:
+        measured[shape, backend] = _measure(instances[shape], backend, repeats)
+
     rows: List[Dict] = []
     totals: Dict[str, float] = {b: 0.0 for b in backends}
     for n, m in shapes:
-        # Same instance for every backend (fresh rng per shape).
-        inst = random_hierarchical(rng_from_seed(seed), n=n, m=m)
         for backend in backends:
-            kernel = _KERNEL_OF[backend]
-            with collect_stats() as stats:
-                start = time.perf_counter()
-                result = two_approximation(inst, backend=backend)
-                elapsed = time.perf_counter() - start
-            totals[backend] += elapsed
+            seconds, calibration, result, stats = measured[(n, m), backend]
+            timing = summary(seconds)
+            totals[backend] += timing["median"]
             row = {
                 "n": n,
                 "m": m,
                 "backend": backend,
-                "kernel": kernel,
-                "seconds": round(elapsed, 4),
+                "kernel": _KERNEL_OF[backend],
+                "seconds": timing["median"],
+                "seconds_min": timing["min"],
+                "seconds_iqr": timing["iqr"],
+                "calibration_s": round(statistics.median(calibration), 6),
                 "T_star": str(result.T_lp),
                 "makespan": str(result.makespan),
                 "ratio_vs_lp": float(result.ratio_vs_lp),
@@ -86,8 +146,11 @@ def run(
             row.update(stats.to_json())
             rows.append(row)
             print(
-                f"n={n:3d} m={m:3d} backend={backend:7s} kernel={kernel:8s} "
-                f"{elapsed:8.3f}s  T*={result.T_lp}  pivots={stats.pivots}"
+                f"n={n:3d} m={m:3d} backend={backend:7s} "
+                f"median {timing['median']:8.4f}s  min {timing['min']:8.4f}s  "
+                f"iqr {timing['iqr']:7.4f}s  "
+                f"calibration {row['calibration_s'] * 1e3:6.3f}ms  "
+                f"T*={result.T_lp}  pivots={stats.pivots}"
             )
         # Certification claim: every backend lands on the same exact T*.
         all_t = {row["T_star"] for row in rows if row["n"] == n and row["m"] == m}
@@ -102,6 +165,15 @@ def run(
         "family": "e14_scaling",
         "seed": seed,
         "shapes": [list(s) for s in shapes],
+        "config": {
+            "order_seed": order_seed,
+            "warmup": WARMUP,
+            "repeats": repeats,
+            "calibration_per_repeat": CALIBRATION_PER_REPEAT,
+            "order": [f"{backend}:{n}x{m}" for (n, m), backend in order],
+            "stats": "seconds is the median over the repeats; calibration_s "
+            "the median of the samples taken before them",
+        },
         "rows": rows,
         "totals_seconds": {b: round(t, 4) for b, t in totals.items()},
         "speedup_hybrid_over_exact": round(speedup, 3) if speedup else None,
@@ -112,7 +184,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="small shapes, no speedup assertion (CI smoke)",
+        help="small shapes, three repeats, no speedup assertion (smoke)",
     )
     parser.add_argument(
         "--out", default=DEFAULT_OUT,
@@ -124,6 +196,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "shapes; used by the CI perf gate to match the committed baseline). "
         "Disables the speedup assertion like --quick does.",
     )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seeds the configuration order"
+    )
     args = parser.parse_args(argv)
 
     if args.shapes:
@@ -132,13 +207,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     else:
         shapes = QUICK_SHAPES if args.quick else FULL_SHAPES
-    payload = run(shapes=shapes)
+    repeats = 3 if args.quick else REPEATS
+    payload = run(shapes=shapes, repeats=repeats, order_seed=args.seed)
     payload["mode"] = "quick" if args.quick or args.shapes else "full"
 
     write_bench_json(args.out, DEFAULT_OUT, payload)
 
     speedup = payload["speedup_hybrid_over_exact"]
-    print(f"\ntotals: {payload['totals_seconds']}")
+    print(f"\ntotals (sum of medians): {payload['totals_seconds']}")
     print(f"hybrid over exact: {speedup}x  (target ≥{SPEEDUP_TARGET}x, full mode)")
     if not args.quick and not args.shapes:
         if speedup is not None and speedup < SPEEDUP_TARGET:

@@ -1,22 +1,23 @@
-"""Perf-regression gate: fresh ``BENCH_lp_backends.json`` vs the committed one.
+"""Perf-regression gate: fresh ``BENCH_lp_backends.json`` vs a baseline one.
 
-CI regenerates the benchmark (``bench_lp_backends.py --quick``) and calls
-this script with the committed artifact as baseline.  For every (n, m)
-shape present in **both** files it computes the hybrid backend's slowdown
-and fails when the *median* slowdown exceeds the threshold (default 1.5×).
+CI regenerates the benchmark (``bench_lp_backends.py --shapes
+16x6,24x8,32x10``) and calls this script with the committed artifact, and
+then with the previous CI run's artifact, as baseline.  For every backend
+and every (n, m) shape present in **both** files it computes the backend's
+slowdown, and it fails when a backend's *median* slowdown over the shapes
+exceeds the threshold (default 1.5×).
 
-By default the slowdown is **normalized**: each file's hybrid seconds are
-divided by the *same run's* ``exact``-backend seconds before comparing, so
-raw machine speed cancels out — the committed artifact comes from a
-developer workstation while CI runs on shared runners, and an absolute
-wall-clock gate across machines would trip on hardware, not regressions.
-What the normalized gate catches is the thing the hybrid backend exists
-for: its advantage over the exact core eroding.  ``--absolute`` switches to
-raw hybrid seconds for same-machine comparisons (e.g. artifact hand-off
-between CI runs).
+By default a row's time is **calibrated**: its median ``seconds`` divided
+by its ``calibration_s``, the median of the calibration samples
+(``_common.calibration_sample``, a fixed loop that touches nothing of the
+program) taken alongside its repeats.  Machine speed and its drift cancel,
+so a baseline from another machine compares, and each backend is gated on
+its own time — a speedup of one backend never reads as a slowdown of the
+other.  ``--absolute`` compares raw median seconds instead (only meaningful
+when both files come from the same machine).
 
 It also re-checks the certification invariant: where both files share a
-shape, they must agree on the exact ``T*`` string — a perf artifact from a
+row, they must agree on the exact ``T*`` string — a perf artifact from a
 solver that changed its answers is worse than useless.
 
 Orthogonal to wall-clock, the gate compares **solver counters** per
@@ -29,8 +30,8 @@ forbid 1).  Rows whose baseline predates counter recording are skipped.
 
 Usage::
 
-    python benchmarks/check_perf_regression.py BASELINE.json FRESH.json \
-        [--max-slowdown 1.5] [--backend hybrid] [--absolute] \
+    python benchmarks/check_perf_regression.py BASELINE.json FRESH.json \\
+        [--max-slowdown 1.5] [--backend hybrid ...] [--absolute] \\
         [--max-counter-growth 1.1] [--counter-slack 4]
 """
 
@@ -40,50 +41,33 @@ import argparse
 import json
 import statistics
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Shape = Tuple[int, int]
 
 
-def _canonical(row: Dict) -> bool:
-    """Whether a row is the default-kernel measurement for its backend.
+def _rows(payload: Dict, backend: str) -> Dict[Shape, Dict]:
+    return {
+        (int(row["n"]), int(row["m"])): row
+        for row in payload.get("rows", [])
+        if row.get("backend") == backend
+    }
 
-    Newer artifacts carry one row per (backend, kernel); the gate compares
-    the default-kernel rows (``revised`` for exact/hybrid, ``float`` for
-    scipy).  Rows without a ``kernel`` field — pre-kernel baselines — are
-    canonical by definition.
+
+def _metric(payload: Dict, backend: str, absolute: bool) -> Dict[Shape, float]:
+    """Each shape's median seconds, over its calibration unless *absolute*.
+
+    Raises ``KeyError`` when a row carries no calibration sample.
     """
-    return row.get("kernel") in (None, "revised", "float")
-
-
-def _seconds_by_shape(payload: Dict, backend: str) -> Dict[Shape, float]:
     out: Dict[Shape, float] = {}
-    for row in payload.get("rows", []):
-        if row.get("backend") == backend and _canonical(row):
-            out[(int(row["n"]), int(row["m"]))] = float(row["seconds"])
+    for shape, row in _rows(payload, backend).items():
+        seconds = float(row["seconds"])
+        out[shape] = seconds if absolute else seconds / float(row["calibration_s"])
     return out
 
 
-def _t_star_by_shape(payload: Dict, backend: str) -> Dict[Shape, str]:
-    return {
-        (int(r["n"]), int(r["m"])): str(r["T_star"])
-        for r in payload.get("rows", [])
-        if r.get("backend") == backend and _canonical(r)
-    }
-
-
-def _metric(
-    payload: Dict, backend: str, normalize_by: Optional[str]
-) -> Dict[Shape, float]:
-    secs = _seconds_by_shape(payload, backend)
-    if normalize_by is None:
-        return secs
-    ref = _seconds_by_shape(payload, normalize_by)
-    return {
-        shape: secs[shape] / ref[shape]
-        for shape in secs
-        if shape in ref and ref[shape] > 0
-    }
+def _backends(payload: Dict) -> List[str]:
+    return sorted({str(r["backend"]) for r in payload.get("rows", [])})
 
 
 #: Counters gated per row.  Deterministic given (code, instance), so the
@@ -147,17 +131,78 @@ def check_counters(
     return failures
 
 
-def main(argv: List[str] = None) -> int:
+def check_times(
+    baseline: Dict, fresh: Dict, backends: Sequence[str], max_slowdown: float,
+    absolute: bool,
+) -> int:
+    """Gate each backend's median slowdown over the shared shapes.
+
+    Returns 0 on a pass, 1 on a slowdown or ``T*`` drift, 2 when the files
+    share nothing to compare or the baseline carries no calibration.
+    """
+    unit = "s" if absolute else "x calibration"
+    failures = 0
+    for backend in backends:
+        try:
+            base_vals = _metric(baseline, backend, absolute)
+            fresh_vals = _metric(fresh, backend, absolute)
+        except KeyError:
+            print(
+                f"FAIL: a {backend} row carries no calibration_s — "
+                "regenerate the artifact with bench_lp_backends.py"
+            )
+            return 2
+        common = sorted(set(base_vals) & set(fresh_vals))
+        if not common:
+            print(
+                f"FAIL: no common (n, m) shapes for {backend} between baseline "
+                f"{sorted(base_vals)} and fresh {sorted(fresh_vals)} — "
+                "regenerate the committed artifact"
+            )
+            return 2
+        base_rows, fresh_rows = _rows(baseline, backend), _rows(fresh, backend)
+        for shape in common:
+            base_t = str(base_rows[shape]["T_star"])
+            fresh_t = str(fresh_rows[shape]["T_star"])
+            if base_t != fresh_t:
+                print(
+                    f"FAIL: exact T* drifted at (n={shape[0]}, m={shape[1]}) "
+                    f"{backend}: baseline {base_t} vs fresh {fresh_t}"
+                )
+                return 1
+        slowdowns = []
+        for shape in common:
+            ratio = fresh_vals[shape] / base_vals[shape] if base_vals[shape] > 0 else 1.0
+            slowdowns.append(ratio)
+            print(
+                f"n={shape[0]:3d} m={shape[1]:3d} {backend}: "
+                f"baseline {base_vals[shape]:.2f}{unit}  "
+                f"fresh {fresh_vals[shape]:.2f}{unit}  slowdown {ratio:.2f}x"
+            )
+        median = statistics.median(slowdowns)
+        ok = median <= max_slowdown
+        print(
+            f"{'ok' if ok else 'FAIL'}: median {backend} slowdown over "
+            f"{len(common)} shape(s): {median:.2f}x (gate: {max_slowdown}x, "
+            f"{'absolute seconds' if absolute else 'calibrated'})"
+        )
+        failures += 0 if ok else 1
+    return 1 if failures else 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", help="committed BENCH_lp_backends.json")
     parser.add_argument("fresh", help="freshly generated BENCH_lp_backends.json")
-    parser.add_argument("--backend", default="hybrid")
-    parser.add_argument("--normalize-by", default="exact")
+    parser.add_argument(
+        "--backend", action="append", default=None,
+        help="backend to gate (repeatable; default: every backend in both files)",
+    )
     parser.add_argument("--max-slowdown", type=float, default=1.5)
     parser.add_argument(
         "--absolute", action="store_true",
-        help="compare raw seconds (only meaningful when baseline and fresh "
-        "ran on the same machine)",
+        help="compare raw median seconds (only meaningful when baseline and "
+        "fresh ran on the same machine)",
     )
     parser.add_argument(
         "--max-counter-growth", type=float, default=1.1,
@@ -176,48 +221,17 @@ def main(argv: List[str] = None) -> int:
     with open(args.fresh) as fh:
         fresh = json.load(fh)
 
-    normalize_by = None if args.absolute else args.normalize_by
-    base_vals = _metric(baseline, args.backend, normalize_by)
-    fresh_vals = _metric(fresh, args.backend, normalize_by)
-    common = sorted(set(base_vals) & set(fresh_vals))
-    if not common:
-        print(
-            f"FAIL: no common (n, m) shapes between baseline {sorted(base_vals)} "
-            f"and fresh {sorted(fresh_vals)} — regenerate the committed artifact"
-        )
+    backends = args.backend or sorted(set(_backends(baseline)) & set(_backends(fresh)))
+    if not backends:
+        print("FAIL: baseline and fresh share no backend")
         return 2
-
-    # Drift is checked on every shape both files measured — including any a
-    # zero-rounded reference timing excluded from the slowdown metric.
-    base_t = _t_star_by_shape(baseline, args.backend)
-    fresh_t = _t_star_by_shape(fresh, args.backend)
-    for shape in sorted(set(base_t) & set(fresh_t)):
-        if base_t.get(shape) != fresh_t.get(shape):
-            print(
-                f"FAIL: exact T* drifted at (n={shape[0]}, m={shape[1]}): "
-                f"baseline {base_t.get(shape)} vs fresh {fresh_t.get(shape)}"
-            )
-            return 1
-
-    unit = "s" if args.absolute else f"x {args.normalize_by}"
-    slowdowns = []
-    for shape in common:
-        ratio = fresh_vals[shape] / base_vals[shape] if base_vals[shape] > 0 else 1.0
-        slowdowns.append(ratio)
-        print(
-            f"n={shape[0]:3d} m={shape[1]:3d} {args.backend}: "
-            f"baseline {base_vals[shape]:.4f}{unit}  "
-            f"fresh {fresh_vals[shape]:.4f}{unit}  slowdown {ratio:.2f}x"
-        )
-    median = statistics.median(slowdowns)
-    print(
-        f"median {args.backend} slowdown over {len(common)} shape(s): "
-        f"{median:.2f}x (gate: {args.max_slowdown}x, "
-        f"{'absolute seconds' if args.absolute else 'normalized by ' + args.normalize_by})"
+    status = check_times(
+        baseline, fresh, backends, args.max_slowdown, args.absolute
     )
-    if median > args.max_slowdown:
-        print("FAIL: perf regression gate tripped")
-        return 1
+    if status:
+        if status == 1:
+            print("FAIL: perf regression gate tripped")
+        return status
     counter_failures = check_counters(
         baseline, fresh, args.max_counter_growth, args.counter_slack
     )
