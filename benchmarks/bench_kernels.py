@@ -325,12 +325,20 @@ LST_BASES = ("forest", "lu")
 def _lst_step_sample(rows, basis):
     """One cold canonical LST solve on *basis*, timed per kernel step.
 
-    Class-level wrappers time pricing (``_RevisedSolver._entering``), the
-    dual row's ``btran`` and every ``ftran`` and ``update`` of the solve;
-    ``solve_ms`` is the whole ``solve_standard`` call, wrappers included.
-    ``basis="lu"`` swaps ``LUBasis`` in for ``ForestBasis`` in the solver's
-    module for the duration of the sample; both return the same integers,
-    so the pivots are identical.
+    Class-level wrappers time pricing, the dual row, and every ``ftran``
+    and ``update`` of the solve; ``solve_ms`` is the whole
+    ``solve_standard`` call, wrappers included.  Pricing is
+    ``_RevisedSolver._entering`` and, on ``ForestBasis``,
+    ``_entering_screened``, which holds every pricing step there: the
+    screen's construction, its refresh of the moved duals, the exact
+    pricing of its candidates, and the full pricing (with the lift of every
+    dual to the current den) that starts each phase.  The dual row is
+    ``btran`` and, on ``ForestBasis``, ``rederive``, which re-derives only
+    the moved duals.  A wrapped call inside another call of the same step
+    counts once.  ``basis="lu"`` swaps ``LUBasis`` in for ``ForestBasis``
+    in the solver's module for the duration of the sample; ``LUBasis``
+    names no moved duals, so it prices in full, and both return the same
+    integers, so the pivots are identical.
     """
     import time
 
@@ -341,20 +349,29 @@ def _lst_step_sample(rows, basis):
 
     cls = ForestBasis if basis == "forest" else LUBasis
     totals = {"price_ms": 0.0, "ftran_ms": 0.0, "update_ms": 0.0, "btran_ms": 0.0}
-    wrapped = (
+    steps = (
         (_RevisedSolver, "_entering", "price_ms"),
+        (_RevisedSolver, "_entering_screened", "price_ms"),
         (cls, "ftran", "ftran_ms"),
         (cls, "update", "update_ms"),
         (cls, "btran", "btran_ms"),
+        (cls, "rederive", "btran_ms"),
     )
+    # LUBasis has no rederive.
+    wrapped = [step for step in steps if hasattr(step[0], step[1])]
+    active = set()
 
     def timed(fn, key):
         def wrapper(*args, **kwargs):
+            if key in active:
+                return fn(*args, **kwargs)
+            active.add(key)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 totals[key] += (time.perf_counter() - start) * 1e3
+                active.discard(key)
 
         return wrapper
 

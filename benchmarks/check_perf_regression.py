@@ -172,7 +172,8 @@ def check_times(
                 return 1
         slowdowns = []
         for shape in common:
-            ratio = fresh_vals[shape] / base_vals[shape] if base_vals[shape] > 0 else 1.0
+            base = base_vals[shape]
+            ratio = fresh_vals[shape] / base if base > 0 else 1.0
             slowdowns.append(ratio)
             print(
                 f"n={shape[0]:3d} m={shape[1]:3d} {backend}: "

@@ -49,22 +49,40 @@ Operations
     Each step's division is exact because ``den`` holds every ``c_v`` of a
     loop-rooted component; a cycle-rooted one works at ``den·C_w`` and
     divides by ``C_w`` once at the end.
-``btran(c_B)``
+``btran(c_B)`` and ``rederive(c_B)``
     Duals top-down: ``y_root = c_f / ℓ`` (or the cycle's ``λ`` solve), then
-    ``y_v = (c_{e_v} − p_v·y_parent) / c_v``.  Only nodes a pivot moved
-    since the last call are re-derived; every other dual is unchanged as a
-    rational, so its den-scaled integer is rescaled by ``new_den/den``.
+    ``y_v = (c_{e_v} − p_v·y_parent) / c_v``.  ``rederive`` re-derives only
+    the nodes a pivot moved since the last call and leaves them in
+    ``moved`` (``None`` when it re-derived every node: the first call, or
+    new costs on an unmoved edge); that is what lets the revised simplex
+    reprice only the columns touching them.  Every other dual is unchanged
+    as a rational and keeps its integer and the den it was written at.
+    Cost: the moved subtrees.  ``btran`` is ``rederive`` plus ``duals()``,
+    which brings every dual to the current den: one exact
+    ``y·den // stamp`` per dual written at an older den, ``O(rows)``.
 ``update(r, α, col)``
     The leaving column at position ``r`` is cut out, which leaves one
     rootless tree; the entering column *col* (which must touch it, or the
     new basis would be singular) re-hangs it: as a new loop or cycle root,
-    or under the other endpoint.  Cost: the size of the re-hung tree, plus
-    the ``O(rows)`` rescale of ``rhs`` that ``LUBasis`` also pays.
+    or under the other endpoint, and every node of it is marked moved for
+    the next ``rederive``.  ``rhs`` moves as in ``LUBasis``, but only its
+    entries with ``α_i ≠ 0`` are rewritten; the others change only by the
+    factor ``new_den/den`` and keep their integers and stamps.  Cost: the
+    size of the re-hung tree plus one scan of ``α``.
+
+Stamped entries
+---------------
+Each ``rhs`` entry and each dual carries the den it was written at, the
+``LUBasis`` stamping idiom: an entry ``v`` stamped ``s`` reads
+``v·den // s`` now, an exact division because both are den-scaled
+integers of one rational.  ``rhs_at(i)`` and ``dual(v)`` read one entry
+(and store it back lifted); the ``rhs`` property and ``duals()`` lift every
+entry, so they return the same integers ``LUBasis`` keeps eagerly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .._fraction import bigint
 from ..exceptions import SolverError
@@ -78,15 +96,17 @@ class ForestBasis:
     (that edge's entry in this row), ``pv`` (its entry in the parent's row;
     for a cycle root, the root edge's entry at ``cyc``), ``cyc`` (a cycle
     root's other endpoint, ``-1`` for a loop) and ``kids``.  ``owner[p]``
-    is the node whose ``pe`` is position ``p``.  ``rhs`` is eager and
-    ``den > 0``, as in :class:`~repro.lp.basis.LUBasis`.
+    is the node whose ``pe`` is position ``p``.  ``den > 0``, as in
+    :class:`~repro.lp.basis.LUBasis`; ``rhs`` and the duals are stamped
+    (see the module docstring).
     """
 
     kind = "forest"
 
     __slots__ = (
-        "m", "den", "rhs", "updates", "par", "pe", "cv", "pv", "cyc",
-        "kids", "owner", "_lam", "_y", "_yden", "_ycosts", "_dirty",
+        "m", "den", "updates", "par", "pe", "cv", "pv", "cyc", "kids",
+        "owner", "moved", "_lam", "_b", "_bs", "_y", "_ys", "_ycosts",
+        "_dirty",
     )
 
     def __init__(self, m: int, b: Sequence[int]):
@@ -95,7 +115,9 @@ class ForestBasis:
         one = bigint(1)
         self.m = m
         self.den = one
-        self.rhs: List[int] = [bigint(v) for v in b]
+        # den-scaled rhs entries, each with the den it was written at.
+        self._b: List[int] = [bigint(v) for v in b]
+        self._bs: List[int] = [one] * m
         self.updates = 0
         # The identity basis: every row its own component, rooted at a
         # unit loop in its own position.
@@ -108,12 +130,53 @@ class ForestBasis:
         self.owner: List[int] = list(range(m))
         #: Cycle roots' ``(Λ, C_w)``, computed on first use.
         self._lam: Dict[int, Tuple[int, int]] = {}
-        # Cached den-scaled duals: their den, the costs they were derived
-        # for, and the nodes a pivot moved since.
+        # Cached den-scaled duals, each with the den it was written at,
+        # the costs they were derived for, and the nodes a pivot moved
+        # since.
         self._y: List[int] = [0] * m
-        self._yden = one
+        self._ys: List[int] = [one] * m
         self._ycosts: Dict[int, int] = {}
         self._dirty: Set[int] = set(range(m))
+        #: The nodes the last ``rederive`` re-derived; ``None`` for all.
+        self.moved: Optional[Set[int]] = None
+
+    # ------------------------------------------------------------------
+    # Stamped entries
+    # ------------------------------------------------------------------
+
+    def _lift(self, vals: List[int], stamps: List[int], i: int) -> int:
+        den = self.den
+        if stamps[i] != den:
+            vals[i] = vals[i] * den // stamps[i]
+            stamps[i] = den
+        return vals[i]
+
+    def _lift_all(self, vals: List[int], stamps: List[int]) -> List[int]:
+        den = self.den
+        for i in range(self.m):
+            if stamps[i] != den:
+                vals[i] = vals[i] * den // stamps[i]
+                stamps[i] = den
+        return vals
+
+    @property
+    def rhs(self) -> List[int]:
+        """``den·B⁻¹b``, every entry at the current den (the basis' own
+        list: never write to it)."""
+        return self._lift_all(self._b, self._bs)
+
+    def rhs_at(self, i: int) -> int:
+        """Entry *i* of ``rhs`` at the current den."""
+        return self._lift(self._b, self._bs, i)
+
+    def dual(self, v: int) -> int:
+        """Node *v*'s den-scaled dual, as of the last ``rederive``."""
+        return self._lift(self._y, self._ys, v)
+
+    def duals(self) -> List[int]:
+        """Every dual as of the last ``rederive``, at the current den (the
+        basis' own list: never write to it)."""
+        return self._lift_all(self._y, self._ys)
 
     # ------------------------------------------------------------------
     # Tree helpers
@@ -234,13 +297,28 @@ class ForestBasis:
         return self.ftran(col)[row]
 
     def btran(self, basic_costs: Mapping[int, int]) -> List[int]:
-        """``den·c_Bᵀ·B⁻¹`` for a sparse basic-cost vector — den-scaled duals."""
+        """``den·c_Bᵀ·B⁻¹`` for a sparse basic-cost vector — den-scaled duals.
+
+        :meth:`rederive`, then :meth:`duals`: every dual at the current
+        den.  Returns the basis' own dual list: read it before the next
+        call or pivot, and never write to it.
+        """
+        self.rederive(basic_costs)
+        return self.duals()
+
+    def rederive(self, basic_costs: Mapping[int, int]) -> Optional[Set[int]]:
+        """Re-derive the duals a pivot moved for these basic costs.
+
+        Sets and returns ``moved`` (see the module docstring).  Every other
+        dual is unchanged as a rational and keeps its integer and stamp;
+        :meth:`dual` reads one at the current den.
+        """
         m = self.m
         par, pe, cv, pv, cyc, kids = (
             self.par, self.pe, self.cv, self.pv, self.cyc, self.kids,
         )
         den = self.den
-        y = self._y
+        y, ys = self._y, self._ys
         dirty = self._dirty
         owner = self.owner
         old = self._ycosts
@@ -259,18 +337,14 @@ class ForestBasis:
                     break
         if stale:
             dirty = set(range(m))
-        yden = self._yden
-        if yden != den:
-            for v in range(m):
-                if y[v] and v not in dirty:
-                    y[v] = y[v] * den // yden
         cost = basic_costs.get
         for top in dirty:
             up = par[top]
             if up >= 0 and up in dirty:
                 continue
             if up >= 0:
-                y[top] = (den * cost(pe[top], 0) - pv[top] * y[up]) // cv[top]
+                y_up = self.dual(up)
+                y[top] = (den * cost(pe[top], 0) - pv[top] * y_up) // cv[top]
             else:
                 c_f = cost(pe[top], 0)
                 w = cyc[top]
@@ -290,6 +364,7 @@ class ForestBasis:
                     for v in reversed(path):
                         a = (k * cost(pe[v], 0) - pv[v] * a) // cv[v]
                     y[top] = (k * c_f - pv[top] * a) // lam
+            ys[top] = den
             stack = list(kids[top])
             while stack:
                 v = stack.pop()
@@ -299,11 +374,12 @@ class ForestBasis:
                     y[v] = (den * c - pv[v] * yp) // cv[v]
                 else:
                     y[v] = 0
+                ys[v] = den
                 stack.extend(kids[v])
         self._dirty = set()
-        self._yden = den
         self._ycosts = dict(basic_costs)
-        return list(y)
+        self.moved = None if stale else dirty
+        return self.moved
 
     # ------------------------------------------------------------------
     # Basis exchange
@@ -313,30 +389,28 @@ class ForestBasis:
         """Basis exchange: *col* (with transform *alpha*) enters at *row*.
 
         ``rhs`` moves exactly as in :meth:`LUBasis.update
-        <repro.lp.basis.LUBasis.update>`; the graph drops the leaving edge
-        and re-hangs the rootless tree that leaves on *col*.
+        <repro.lp.basis.LUBasis.update>` (rows with ``alpha[i] == 0`` keep
+        their stamped entries); the graph drops the leaving edge and
+        re-hangs the rootless tree that leaves on *col*.
         """
         piv = alpha[row]
         if piv == 0:
             raise SolverError("zero pivot element in basis update")
         den = self.den
-        rhs = self.rhs
-        piv_rhs = rhs[row]
+        b, bs = self._b, self._bs
+        piv_rhs = self.rhs_at(row)
         negative = piv < 0
         new_den = -piv if negative else piv
-        for i in range(self.m):
-            if i == row:
-                continue
-            f = alpha[i]
-            if f == 0:
-                if new_den != den:
-                    rhs[i] = rhs[i] * new_den // den
-                continue
-            if negative:
-                f = -f
-            rhs[i] = (rhs[i] * new_den - f * piv_rhs) // den
-        if negative:
-            rhs[row] = -piv_rhs
+        # Rows off the pivot's paths only rescale by new_den/den: they keep
+        # their integers and stamps (rhs_at lifts them when read).
+        for i, f in enumerate(alpha):
+            if f and i != row:
+                if negative:
+                    f = -f
+                b[i] = (self.rhs_at(i) * new_den - f * piv_rhs) // den
+                bs[i] = new_den
+        b[row] = -piv_rhs if negative else piv_rhs
+        bs[row] = new_den
         self._exchange(row, [(v, a) for v, a in col.items() if a])
         self.den = new_den
         self.updates += 1

@@ -29,20 +29,26 @@ happens inside the pivot loop.
 
 Pricing follows the vertex contract.  Canonical solves (the default) price
 every column with Dantzig's rule, which is deterministic, so the returned
-vertex depends only on the program and the starting basis.  They price in
-one pass over the scaled constraint rows whose dual is non-zero,
-``acc[j] = c_j·den − Σ_i y_i·a_ij``, and the first minimum of ``acc``
-enters (the smallest index wins ties).  Probe-style solves
-(``canonical=False``) use partial pricing: columns are scanned in rotating
-blocks and the Dantzig winner of the first block containing an improving
-column enters.  That scan stays column-wise, since it usually stops after
-one block; it prices only a fraction of the columns per iteration and may
-land on a *different* (equally optimal) vertex when optima are non-unique.
+vertex depends only on the program and the starting basis: the first
+minimum of the den-scaled reduced costs ``acc[j] = c_j·den − Σ_i y_i·a_ij``
+enters (the smallest index wins ties).  On ``LUBasis`` every pricing
+computes ``acc`` in one pass over the scaled constraint rows whose dual is
+non-zero.  On ``ForestBasis`` only a phase's first pricing (and one after
+every dual was re-derived) does; after that, a float screen of the
+reduced costs (:class:`_Screen`) refreshes just the duals the last pivot
+moved, narrows the choice to the columns within its proven error bound of
+the minimum, and prices those exactly, so the same column enters.
+Probe-style solves (``canonical=False``) use partial pricing: columns are
+scanned in rotating blocks and the Dantzig winner of the first block
+containing an improving column enters.  That scan stays column-wise,
+since it usually stops after one block; it prices only a fraction of the
+columns per iteration and may land on a *different* (equally optimal)
+vertex when optima are non-unique.
 Under both rules, once the pivot count crosses ``BLAND_THRESHOLD_DEFAULT``
-the rule switches to Bland's smallest-index rule (the first negative entry
-of the one-pass prices), which cannot cycle, so termination is guaranteed.
-Every compared quantity is an exact integer, so how prices are computed
-never changes which column enters.
+the rule switches to Bland's smallest-index rule (the first exactly
+negative reduced cost), which cannot cycle, so termination is guaranteed.
+Every decision rests on exact integers, so how prices are computed never
+changes which column enters.
 
 A warm start is a point, never a carried basis: the point's support
 columns are eliminated straight into the basis (``O(rows³)``, independent
@@ -59,8 +65,10 @@ and skip entire solves.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, inf
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .._fraction import bigint, to_fraction
 from ..exceptions import PivotLimitError, SolverError
@@ -80,6 +88,161 @@ from .stats import SolverStats, record
 
 def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
+
+
+class _Screen:
+    """A float screen of the reduced costs, kept across pivots.
+
+    For programs whose every column lies in at most two rows (the LST LP on
+    :class:`~repro.lp.forest.ForestBasis`), a column's reduced cost
+    ``d_j = c_j − y_{r1}·a_1 − y_{r2}·a_2`` changes only when the true
+    dual of one of its two rows does, and the basis names those rows
+    (``moved``).  The screen keeps each row's dual as a float ``y_i/den``
+    (correctly rounded), refreshes only the moved rows, and evaluates
+    ``s_j`` by that formula in floats for all columns at once.
+
+    Each ``s_j`` is within
+    ``E = 7u·(max|c| + 2·max|a|·max|y|) + 2⁻¹⁰⁷⁰·(max|a| + 1)`` of ``d_j``
+    (``u = 2⁻⁵³``: at most six roundings — of the cost, the dual, the entry
+    and the three operations — each at most ``u`` relative to a term
+    bounded by ``|c| + |y_1 a_1| + |y_2 a_2|``; the absolute term covers
+    underflow).  So every column attaining the exact minimum has
+    ``s_j ≤ min s + 2E`` (the code allows ``3E``, which absorbs the
+    rounding of the sum), and only a column with ``s_j < E`` can be
+    negative.  Those candidates are settled exactly: a column whose two
+    duals are integers, with every magnitude below ``2⁵³``, has
+    ``s_j = d_j`` exactly (all operations are exact integer arithmetic);
+    every other candidate is priced exactly from the integer duals.
+    Dantzig's rule takes the first exact minimum and Bland's rule the
+    first exactly negative column — the columns that pricing every column
+    exactly picks.
+    """
+
+    __slots__ = ("r1", "a1", "r2", "a2", "amax", "yf", "frac", "cf", "cmax", "stale")
+
+    def __init__(self, solver: "_RevisedSolver"):
+        m, n = solver.m, solver.std.art_start
+        # A one-entry (or empty) column points its missing rows at the
+        # zero dual ``m``.
+        self.r1 = np.full(n, m, dtype=np.intp)
+        self.r2 = np.full(n, m, dtype=np.intp)
+        self.a1 = np.zeros(n)
+        self.a2 = np.zeros(n)
+        #: ``max|a|``, or ``None`` when an entry overflows a float: then
+        #: the screen is off and every pricing is full.
+        self.amax: Optional[float] = None
+        try:
+            for j in range(n):
+                first = True
+                for i, a in solver.col_items[j]:
+                    if a:
+                        if first:
+                            self.r1[j], self.a1[j] = i, float(a)
+                            first = False
+                        else:
+                            self.r2[j], self.a2[j] = i, float(a)
+        except OverflowError:
+            pass
+        else:
+            self.amax = float(
+                max(np.abs(self.a1).max(initial=0), np.abs(self.a2).max(initial=0))
+            )
+        #: The float duals, and which rows' true duals are not integers.
+        self.yf = np.zeros(m + 1)
+        self.frac = np.zeros(m + 1, dtype=bool)
+        #: The phase-2 costs as floats (built on first use), and ``max|c|``.
+        self.cf: Optional[np.ndarray] = None
+        self.cmax = 0.0
+        #: Every float dual must be refreshed.
+        self.stale = True
+
+    def _refresh(self, lub, den: int, moved) -> None:
+        yf, frac = self.yf, self.frac
+        if self.stale:
+            y_num = lub.duals()
+            m = len(y_num)
+            yf[:m] = [v / den for v in y_num]
+            frac[:m] = [v % den != 0 for v in y_num]
+            self.stale = False
+        else:
+            dual = lub.dual
+            for i in moved:
+                v = dual(i)
+                yf[i] = v / den
+                frac[i] = v % den != 0
+
+    def evaluate(self, solver: "_RevisedSolver", moved):
+        """Refresh the moved duals and screen every column.
+
+        Returns ``(s, err, fuzzy)``: the screen, its error bound ``E`` and,
+        per row, whether a column touching it must be priced exactly (its
+        dual is not an integer, or the magnitudes reach ``2⁵³``).  Returns
+        ``None`` when a float overflowed.
+        """
+        if self.amax is None:
+            return None
+        den = solver.lub.den
+        try:
+            self._refresh(solver.lub, den, moved)
+        except OverflowError:
+            self.stale = True
+            return None
+        s = self.yf[self.r1] * self.a1
+        s += self.yf[self.r2] * self.a2
+        costs = solver._costs()
+        if costs:
+            if self.cf is None:
+                cf = np.zeros(len(s))
+                try:
+                    cf[: len(costs)] = [float(c) for c in costs]
+                except OverflowError:
+                    return None
+                self.cf = cf
+                self.cmax = float(np.abs(cf).max(initial=0))
+            s = self.cf - s
+            cmax = self.cmax
+        else:
+            s = -s
+            cmax = 0.0
+        bound = cmax + 2 * self.amax * float(np.abs(self.yf).max())
+        if not bound < inf:
+            return None
+        fuzzy = self.frac if bound < 2.0 ** 53 else np.ones_like(self.frac)
+        err = 7 * 2.0 ** -53 * bound + 2.0 ** -1070 * (self.amax + 1)
+        return s, err, fuzzy
+
+    def pick(self, solver: "_RevisedSolver", moved, bland: bool) -> Optional[int]:
+        """The entering column, or ``-1`` when a float overflowed."""
+        screened = self.evaluate(solver, moved)
+        if screened is None:
+            return -1
+        s, err, fuzzy_row = screened
+        # The candidates, in index order, and which must be priced exactly.
+        if bland:
+            cand = np.flatnonzero(s < err)
+        else:
+            cand = np.flatnonzero(s <= min(float(s.min()) + 3 * err, err))
+        fuzzy = fuzzy_row[self.r1[cand]] | fuzzy_row[self.r2[cand]]
+        den = solver.lub.den
+        costs = solver._costs()
+        exact_rc = solver._exact_rc
+        if bland:
+            for j, f in zip(cand.tolist(), fuzzy.tolist()):
+                if (exact_rc(j, den, costs) < 0) if f else s[j] < 0:
+                    return j
+            return None
+        win: Optional[int] = None
+        win_v = 0
+        sure = cand[~fuzzy]
+        if len(sure):
+            j = int(sure[np.argmin(s[sure])])
+            if s[j] < 0:
+                win, win_v = j, int(s[j]) * den
+        for j in cand[fuzzy].tolist():
+            v = exact_rc(j, den, costs)
+            if v < win_v or (v == win_v and win is not None and j < win):
+                win, win_v = j, v
+        return win
 
 
 class _RevisedSolver:
@@ -183,6 +346,19 @@ class _RevisedSolver:
         self.lub = self._basis_cls(m, self.b_int)
         self._cursor = 0
         self._block = max(64, (std.art_start + 7) // 8)
+        #: The basis keeps its duals and rhs stamped, reads them one entry
+        #: at a time and names the duals a pivot moved (``ForestBasis``).
+        self._stamped = hasattr(self.lub, "rederive")
+        #: Canonical pricing on such a basis keeps a float screen of the
+        #: reduced costs across pivots; see :class:`_Screen`.
+        self._incremental = self._stamped and not partial
+        self._screen: Optional[_Screen] = None
+        #: Whether this phase has priced once (its first pricing is full).
+        self._priced = False
+        #: The current phase's non-zero basic costs by basis position,
+        #: kept up to date by ``_pivot``; ``None`` until ``_basic_costs``
+        #: builds it.
+        self._cb: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------
     # Counters
@@ -195,6 +371,13 @@ class _RevisedSolver:
     def _pivot(self, row: int, alpha: Sequence[int], col: int) -> None:
         self.lub.update(row, alpha, self.cols[col])
         self.basis[row] = col
+        cb = self._cb
+        if cb is not None:
+            c = self._basic_cost(col)
+            if c:
+                cb[row] = c
+            else:
+                cb.pop(row, None)
         if self.phase == 1:
             self.stats.phase1_pivots += 1
         if self.lub.updates > self.max_pivots:
@@ -208,6 +391,13 @@ class _RevisedSolver:
         # Phase 1 prices against zero structural costs; phase 2 against the
         # scaled objective (slack/artificial costs are zero in both).
         return self.c_int if self.phase == 2 else ()
+
+    def _basic_cost(self, col: int) -> int:
+        """Column *col*'s cost in the current phase (artificials cost 1 in
+        phase 1, structurals their scaled objective in phase 2)."""
+        if self.phase == 1:
+            return 1 if col >= self.std.art_start else 0
+        return self.c_int[col] if col < self.std.n else 0
 
     def _prices(self, y_num: List[int]) -> List[int]:
         """Every priced column's den-scaled reduced cost, in one pass.
@@ -224,6 +414,35 @@ class _RevisedSolver:
                 for j, a in row_items[i]:
                     acc[j] -= yi * a
         return acc
+
+    def _exact_rc(self, j: int, den: int, costs) -> int:
+        """Column *j*'s den-scaled reduced cost, exactly, from the duals of
+        the last ``rederive`` (pseudo-forest basis only)."""
+        v = costs[j] * den if j < len(costs) else 0
+        dual = self.lub.dual
+        for i, a in self.col_items[j]:
+            if a:
+                v -= dual(i) * a
+        return v
+
+    def _entering_screened(
+        self, moved: Optional[Set[int]], bland: bool
+    ) -> Optional[int]:
+        """The entering column on the pseudo-forest basis, after
+        ``rederive`` re-derived the *moved* duals (``None``: all)."""
+        if self._priced and moved is not None:
+            if self._screen is None:
+                self._screen = _Screen(self)
+            col = self._screen.pick(self, moved, bland)
+            if col != -1:
+                return col
+        # A phase's first pricing, or one after every dual was re-derived
+        # or the screen overflowed: price every column exactly, and refresh
+        # every float dual next time.
+        self._priced = True
+        if self._screen is not None:
+            self._screen.stale = True
+        return self._entering(self.lub.duals(), bland)
 
     def _entering(self, y_num: List[int], bland: bool) -> Optional[int]:
         if bland:
@@ -267,35 +486,34 @@ class _RevisedSolver:
             self._cursor = (best_j + 1) % limit
         return best_j
 
+    def _basic_costs(self) -> Dict[int, int]:
+        """The current phase's non-zero basic costs by basis position."""
+        if self._cb is None:
+            cost = self._basic_cost
+            self._cb = {
+                i: c for i, b in enumerate(self.basis) if (c := cost(b))
+            }
+        return self._cb
+
     def _dual_row(self) -> List[int]:
         """den-scaled duals ``c_B·W`` for the current phase's costs."""
-        if self.phase == 1:
-            cb = {
-                i: 1
-                for i in range(self.m)
-                if self.basis[i] >= self.std.art_start
-            }
-        else:
-            cb = {}
-            for i in range(self.m):
-                b = self.basis[i]
-                if b < self.std.n and self.c_int[b]:
-                    cb[i] = self.c_int[b]
-        return self.lub.btran(cb)
+        return self.lub.btran(self._basic_costs())
 
     # ------------------------------------------------------------------
     # Ratio test (ties broken by smallest basis index: Bland-safe)
     # ------------------------------------------------------------------
 
     def _leaving(self, alpha: Sequence[int]) -> Optional[int]:
-        rhs, basis = self.lub.rhs, self.basis
+        lub = self.lub
+        rhs_at = lub.rhs_at if self._stamped else lub.rhs.__getitem__
+        basis = self.basis
         best_r: Optional[int] = None
         best_b = best_a = 0
         for r in range(self.m):
             a = alpha[r]
             if a <= 0:
                 continue
-            b = rhs[r]
+            b = rhs_at(r)
             if best_r is None:
                 best_r, best_b, best_a = r, b, a
                 continue
@@ -305,12 +523,24 @@ class _RevisedSolver:
                 best_r, best_b, best_a = r, b, a
         return best_r
 
-    def run_phase(self, phase: int) -> str:
+    def _set_phase(self, phase: int) -> None:
+        # New costs or a new basis: the basic-cost dict and the screen's
+        # costs are rebuilt, and the next pricing is full.
         self.phase = phase
+        self._cb = None
+        self._priced = False
+        if self._screen is not None:
+            self._screen.cf = None
+
+    def run_phase(self, phase: int) -> str:
+        self._set_phase(phase)
         while True:
             bland = self.pivots >= self.bland_threshold
-            y_num = self._dual_row()
-            col = self._entering(y_num, bland)
+            if self._incremental:
+                moved = self.lub.rederive(self._basic_costs())
+                col = self._entering_screened(moved, bland)
+            else:
+                col = self._entering(self._dual_row(), bland)
             if col is None:
                 return "optimal"
             alpha = self.lub.ftran(self.cols[col])
@@ -401,10 +631,11 @@ class _RevisedSolver:
                         in_basis.discard(self.basis[r])
                         self._pivot(r, alpha, s)
                         in_basis.add(s)
+        rhs = self.lub.rhs
         for r in range(m):
-            if self.lub.rhs[r] < 0:
+            if rhs[r] < 0:
                 return False
-            if self.basis[r] >= std.art_start and self.lub.rhs[r] != 0:
+            if self.basis[r] >= std.art_start and rhs[r] != 0:
                 return False
         return True
 
@@ -433,14 +664,16 @@ class _RevisedSolver:
         updates = self.lub.updates
         self.lub = self._basis_cls(self.m, self.b_int)
         self.lub.updates = updates  # pivot budget covers the failed crash
+        self._set_phase(self.phase)
 
     # ------------------------------------------------------------------
     # Phase-1 bookkeeping
     # ------------------------------------------------------------------
 
     def artificial_level_positive(self) -> bool:
+        rhs = self.lub.rhs
         return any(
-            self.lub.rhs[i] != 0
+            rhs[i] != 0
             for i in range(self.m)
             if self.basis[i] >= self.std.art_start
         )
@@ -479,7 +712,7 @@ class _RevisedSolver:
         signs.  Verified exactly before being returned — a certificate this
         module emits is always a proof.
         """
-        self.phase = 1
+        self._set_phase(1)
         y_num = self._dual_row()
         den = self.lub.den
         y_std = [
@@ -497,10 +730,11 @@ class _RevisedSolver:
     def extract(self, objective: Sequence[Fraction]):
         n = self.std.n
         den = self.lub.den
+        rhs = self.lub.rhs
         x = [Fraction(0)] * n
         for i in range(self.m):
             if self.basis[i] < n:
-                x[self.basis[i]] = Fraction(self.lub.rhs[i], den)
+                x[self.basis[i]] = Fraction(rhs[i], den)
         value = sum(
             (to_fraction(objective[j]) * x[j] for j in range(n) if x[j]),
             Fraction(0),
