@@ -5,7 +5,8 @@ Every bench prints the experiment table it reproduces and also writes it to
 capture (EXPERIMENTS.md is assembled from those files).  The script-mode
 benches write their ``BENCH_*.json`` artifacts through
 :func:`write_bench_json`, summarize repeats with :func:`summary` and scale
-wall-clock to the machine with :func:`calibration_sample`.
+wall-clock to the machine with :func:`calibration_sample` (re-exported from
+``perfbench/workload.py``).
 """
 
 from __future__ import annotations
@@ -13,11 +14,18 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import sys
 import tempfile
-import time
-from fractions import Fraction
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
+
+# The repository benchmark's machine-speed sample: one loop for every
+# wall-clock figure the repository scales to the machine.
+from perfbench.workload import calibration_sample  # noqa: E402,F401
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -80,38 +88,6 @@ def summary(values):
         "min": round(vals[0], 4),
         "iqr": round(q3 - q1, 4),
     }
-
-
-def calibration_sample() -> float:
-    """Time one pass of a fixed loop: ``Fraction`` elimination, then dict and sort.
-
-    The same loop as ``perfbench/workload.py::calibration_sample``: its mix
-    resembles the program's hot code (rational arithmetic, small
-    containers) and it touches nothing of the program, so no change to the
-    program changes its cost.  Dividing a timing by the median of samples
-    taken alongside it cancels the machine's speed and its drift over a
-    run.  Returns the elapsed seconds (about 2.5 ms on a 2-core x86-64 box).
-    """
-    t0 = time.perf_counter()
-    n = 9
-    rows = [
-        [Fraction((i * 7 + j * 13) % 17 + 20 * (i == j), (i + j) % 5 + 1)
-         for j in range(n + 1)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        for r in range(c + 1, n):
-            f = rows[r][c] / rows[c][c]
-            for j in range(c, n + 1):
-                rows[r][j] -= f * rows[c][j]
-    counts = {}
-    keys = []
-    for i in range(3000):
-        key = (i * 31) % 1009
-        counts[key] = counts.get(key, 0) + i
-        keys.append((i * 17) % 101)
-    keys.sort()
-    return time.perf_counter() - t0
 
 
 def run_once(benchmark, fn):

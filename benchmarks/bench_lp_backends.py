@@ -9,12 +9,12 @@ refactorizations) from :func:`repro.lp.stats.collect_stats`.
 Every (shape, backend) configuration gets :data:`WARMUP` untimed runs and
 :data:`REPEATS` timed ones (three with ``--quick``), reported as median,
 min and interquartile range; the configurations run in an order shuffled
-by ``--seed``.  Before each timed run the script takes
+by :data:`ORDER_SEED`.  Before each timed run the script takes
 :data:`CALIBRATION_PER_REPEAT` samples of
 :func:`_common.calibration_sample`, and each row records the median of its
-samples as ``calibration_s``.  ``seconds / calibration_s`` is the row's
-time in units of the machine's own speed at that moment, the quantity
-``check_perf_regression.py`` gates.
+samples as ``calibration_s``.  ``check_perf_regression.py`` gates each
+row's ``seconds`` scaled by that sample to the nominal machine
+(:func:`_common.calibrated`).
 
 Results are written to ``BENCH_lp_backends.json`` at the repository root
 (the perf-trajectory artifact CI uploads) and mirrored under
@@ -62,6 +62,8 @@ WARMUP = 1
 REPEATS = 7
 #: Calibration samples taken before each timed run.
 CALIBRATION_PER_REPEAT = 3
+#: Seeds the shuffled configuration order.
+ORDER_SEED = 0
 
 #: Aggregate hybrid-over-exact speedup the full run must demonstrate.
 #: Re-based (3.0 → 1.3) when the revised kernel landed: the exact core got
@@ -105,7 +107,6 @@ def run(
     backends: Tuple[str, ...] = BACKENDS,
     seed: int = 140,
     repeats: int = REPEATS,
-    order_seed: int = 0,
 ) -> Dict:
     # Same instance for every backend (fresh rng per shape).
     instances = {
@@ -115,7 +116,7 @@ def run(
     # A seeded random order, so a drift in machine speed over the run does
     # not always land on the same configuration.
     order = [(shape, backend) for shape in shapes for backend in backends]
-    random.Random(order_seed).shuffle(order)
+    random.Random(ORDER_SEED).shuffle(order)
     measured = {}
     for shape, backend in order:
         measured[shape, backend] = _measure(instances[shape], backend, repeats)
@@ -166,7 +167,7 @@ def run(
         "seed": seed,
         "shapes": [list(s) for s in shapes],
         "config": {
-            "order_seed": order_seed,
+            "order_seed": ORDER_SEED,
             "warmup": WARMUP,
             "repeats": repeats,
             "calibration_per_repeat": CALIBRATION_PER_REPEAT,
@@ -196,9 +197,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "shapes; used by the CI perf gate to match the committed baseline). "
         "Disables the speedup assertion like --quick does.",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seeds the configuration order"
-    )
     args = parser.parse_args(argv)
 
     if args.shapes:
@@ -208,7 +206,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         shapes = QUICK_SHAPES if args.quick else FULL_SHAPES
     repeats = 3 if args.quick else REPEATS
-    payload = run(shapes=shapes, repeats=repeats, order_seed=args.seed)
+    payload = run(shapes=shapes, repeats=repeats)
     payload["mode"] = "quick" if args.quick or args.shapes else "full"
 
     write_bench_json(args.out, DEFAULT_OUT, payload)

@@ -9,12 +9,21 @@ exceeds the threshold (default 1.5×).
 
 By default a row's time is **calibrated**: its median ``seconds`` divided
 by its ``calibration_s``, the median of the calibration samples
-(``_common.calibration_sample``, a fixed loop that touches nothing of the
-program) taken alongside its repeats.  Machine speed and its drift cancel,
-so a baseline from another machine compares, and each backend is gated on
-its own time — a speedup of one backend never reads as a slowdown of the
-other.  ``--absolute`` compares raw median seconds instead (only meaningful
-when both files come from the same machine).
+(``perfbench/workload.py::calibration_sample``, a fixed loop that touches
+nothing of the program) taken just before each of its repeats.  Machine
+speed and its drift cancel, so a baseline from another machine compares,
+and each backend is gated on its own time — a speedup of one backend never
+reads as a slowdown of the other.  ``--absolute`` compares raw median
+seconds instead (only meaningful when both files come from the same
+machine).
+
+The time is divided by the sample itself, not by its square root as
+``perfbench`` scales its 25-second op rate: here each sample sits next to
+the run it scales, and the two move together.  Over nine runs on a 2-core
+x86-64 box whose speed swung by 1.6x, a row's log seconds moved with its
+log ``calibration_s`` at a slope of 0.89; against a baseline taken when the
+box was slower, the calibrated median slowdowns read 0.96-1.12x, the
+square-root scaling 0.75-0.96x and raw seconds 0.58-0.92x.
 
 It also re-checks the certification invariant: where both files share a
 row, they must agree on the exact ``T*`` string — a perf artifact from a
@@ -31,7 +40,7 @@ forbid 1).  Rows whose baseline predates counter recording are skipped.
 Usage::
 
     python benchmarks/check_perf_regression.py BASELINE.json FRESH.json \\
-        [--max-slowdown 1.5] [--backend hybrid ...] [--absolute] \\
+        [--max-slowdown 1.5] [--absolute] \\
         [--max-counter-growth 1.1] [--counter-slack 4]
 """
 
@@ -195,10 +204,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", help="committed BENCH_lp_backends.json")
     parser.add_argument("fresh", help="freshly generated BENCH_lp_backends.json")
-    parser.add_argument(
-        "--backend", action="append", default=None,
-        help="backend to gate (repeatable; default: every backend in both files)",
-    )
     parser.add_argument("--max-slowdown", type=float, default=1.5)
     parser.add_argument(
         "--absolute", action="store_true",
@@ -222,7 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     with open(args.fresh) as fh:
         fresh = json.load(fh)
 
-    backends = args.backend or sorted(set(_backends(baseline)) & set(_backends(fresh)))
+    backends = sorted(set(_backends(baseline)) & set(_backends(fresh)))
     if not backends:
         print("FAIL: baseline and fresh share no backend")
         return 2

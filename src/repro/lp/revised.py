@@ -46,7 +46,8 @@ columns per iteration and may land on a *different* (equally optimal)
 vertex when optima are non-unique.
 Under both rules, once the pivot count crosses ``BLAND_THRESHOLD_DEFAULT``
 the rule switches to Bland's smallest-index rule (the first exactly
-negative reduced cost), which cannot cycle, so termination is guaranteed.
+negative reduced cost, priced in full on either basis), which cannot
+cycle, so termination is guaranteed.
 Every decision rests on exact integers, so how prices are computed never
 changes which column enters.
 
@@ -70,7 +71,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .._fraction import bigint, to_fraction
+from .._fraction import HAVE_GMPY2, bigint, to_fraction
 from ..exceptions import PivotLimitError, SolverError
 from .basis import LUBasis
 from .certificates import denormalize_farkas, farkas_certifies
@@ -113,9 +114,13 @@ class _Screen:
     duals are integers, with every magnitude below ``2⁵³``, has
     ``s_j = d_j`` exactly (all operations are exact integer arithmetic);
     every other candidate is priced exactly from the integer duals.
-    Dantzig's rule takes the first exact minimum and Bland's rule the
-    first exactly negative column — the columns that pricing every column
-    exactly picks.
+    Dantzig's rule takes the first exact minimum — the column that pricing
+    every column exactly picks.  (Bland's rule prices every column in full.)
+
+    Every conversion to float is the built-in ``int``'s, which rounds
+    correctly and raises ``OverflowError`` beyond float range.  gmpy2's
+    ``mpz / mpz`` is an ``mpfr`` instead (neither holds), so under gmpy2
+    the integers go through ``int`` first.
     """
 
     __slots__ = ("r1", "a1", "r2", "a2", "amax", "yf", "frac", "cf", "cmax", "stale")
@@ -137,10 +142,10 @@ class _Screen:
                 for i, a in solver.col_items[j]:
                     if a:
                         if first:
-                            self.r1[j], self.a1[j] = i, float(a)
+                            self.r1[j], self.a1[j] = i, float(int(a))
                             first = False
                         else:
-                            self.r2[j], self.a2[j] = i, float(a)
+                            self.r2[j], self.a2[j] = i, float(int(a))
         except OverflowError:
             pass
         else:
@@ -158,8 +163,13 @@ class _Screen:
 
     def _refresh(self, lub, den: int, moved) -> None:
         yf, frac = self.yf, self.frac
+        to_int = HAVE_GMPY2
+        if to_int:
+            den = int(den)
         if self.stale:
             y_num = lub.duals()
+            if to_int:
+                y_num = [int(v) for v in y_num]
             m = len(y_num)
             yf[:m] = [v / den for v in y_num]
             frac[:m] = [v % den != 0 for v in y_num]
@@ -168,6 +178,8 @@ class _Screen:
             dual = lub.dual
             for i in moved:
                 v = dual(i)
+                if to_int:
+                    v = int(v)
                 yf[i] = v / den
                 frac[i] = v % den != 0
 
@@ -194,7 +206,7 @@ class _Screen:
             if self.cf is None:
                 cf = np.zeros(len(s))
                 try:
-                    cf[: len(costs)] = [float(c) for c in costs]
+                    cf[: len(costs)] = [float(int(c)) for c in costs]
                 except OverflowError:
                     return None
                 self.cf = cf
@@ -211,26 +223,18 @@ class _Screen:
         err = 7 * 2.0 ** -53 * bound + 2.0 ** -1070 * (self.amax + 1)
         return s, err, fuzzy
 
-    def pick(self, solver: "_RevisedSolver", moved, bland: bool) -> Optional[int]:
-        """The entering column, or ``-1`` when a float overflowed."""
+    def pick(self, solver: "_RevisedSolver", moved) -> Optional[int]:
+        """Dantzig's entering column, or ``-1`` when a float overflowed."""
         screened = self.evaluate(solver, moved)
         if screened is None:
             return -1
         s, err, fuzzy_row = screened
         # The candidates, in index order, and which must be priced exactly.
-        if bland:
-            cand = np.flatnonzero(s < err)
-        else:
-            cand = np.flatnonzero(s <= min(float(s.min()) + 3 * err, err))
+        cand = np.flatnonzero(s <= min(float(s.min()) + 3 * err, err))
         fuzzy = fuzzy_row[self.r1[cand]] | fuzzy_row[self.r2[cand]]
         den = solver.lub.den
         costs = solver._costs()
         exact_rc = solver._exact_rc
-        if bland:
-            for j, f in zip(cand.tolist(), fuzzy.tolist()):
-                if (exact_rc(j, den, costs) < 0) if f else s[j] < 0:
-                    return j
-            return None
         win: Optional[int] = None
         win_v = 0
         sure = cand[~fuzzy]
@@ -430,15 +434,16 @@ class _RevisedSolver:
     ) -> Optional[int]:
         """The entering column on the pseudo-forest basis, after
         ``rederive`` re-derived the *moved* duals (``None``: all)."""
-        if self._priced and moved is not None:
+        if self._priced and moved is not None and not bland:
             if self._screen is None:
                 self._screen = _Screen(self)
-            col = self._screen.pick(self, moved, bland)
+            col = self._screen.pick(self, moved)
             if col != -1:
                 return col
-        # A phase's first pricing, or one after every dual was re-derived
-        # or the screen overflowed: price every column exactly, and refresh
-        # every float dual next time.
+        # A phase's first pricing, one after every dual was re-derived or
+        # the screen overflowed, and every pricing under Bland's rule:
+        # price every column exactly, and refresh every float dual next
+        # time.
         self._priced = True
         if self._screen is not None:
             self._screen.stale = True

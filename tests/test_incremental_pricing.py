@@ -8,8 +8,9 @@ through a wrapper that also prices every column exactly with
 :meth:`_RevisedSolver._prices` (the one-pass pricing, kept as the oracle)
 and asserts, at every pivot:
 
-* the screened pricing picks the column the oracle picks (Dantzig's first
-  minimum, or Bland's first negative column);
+* the pricing picks the column the oracle picks (Dantzig's first minimum
+  through the screen, or Bland's first negative column, which is always
+  priced in full);
 * the kept float duals equal a full refresh, ``y_i/den`` correctly
   rounded, and the kept integer flags equal ``den | y_i``;
 * every screen value lies within the screen's error bound of the exact
@@ -174,7 +175,15 @@ class TestSeededLST:
         result = _solve_both(monkeypatch, _lst_rows(24, 8, 3))
         assert result.status == "optimal"
         assert lockstep["bland"] == lockstep["pricings"] > 0
-        assert lockstep["screened"] > 0
+        assert lockstep["screened"] == 0
+
+    def test_duals_through_int(self, lockstep, monkeypatch):
+        # The path gmpy2's mpz duals take (through int before dividing)
+        # prices built-in ints exactly as the direct division does.
+        monkeypatch.setattr(revised, "HAVE_GMPY2", True)
+        result = _solve_both(monkeypatch, _lst_rows(32, 10, 4))
+        assert result.status == "optimal"
+        assert lockstep["screened"] > 0 and lockstep["overflow"] == 0
 
 
 def _identical_jobs(m, n):
@@ -230,7 +239,7 @@ class TestDegenerateTies:
         monkeypatch.setattr(revised, "BLAND_THRESHOLD_DEFAULT", 0)
         assert _solve_both(monkeypatch, _twinned_jobs(12, 4, 1)).status == "optimal"
         assert lockstep["bland"] == lockstep["pricings"] > 0
-        assert lockstep["screened"] > 0
+        assert lockstep["screened"] == 0
 
 
 class TestStarts:
@@ -314,7 +323,7 @@ class TestEdgeCases:
         solver = _RevisedSolver(std, rows[3], 5000, 200000, partial=False)
         screen = _Screen(solver)
         solver.lub = SimpleNamespace(den=1, duals=lambda: [10 ** 400] * solver.m)
-        assert screen.pick(solver, None, False) == -1
+        assert screen.pick(solver, None) == -1
         assert screen.stale
 
 
