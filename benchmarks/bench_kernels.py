@@ -11,9 +11,13 @@ LP at 64×16 down into pricing, ftran, update and btran time under both
 bases — the pseudo-forest basis the solver picks for it
 (:class:`repro.lp.forest.ForestBasis`) and ``LUBasis``, forced by patching
 the solver's basis choice inside this script — with the ratio of their
-solve times, and writes ``BENCH_kernels.json`` to the repository root
-(mirrored under ``benchmarks/results/``; a run with ``--out`` elsewhere
-writes only that file)::
+solve times, times the **model build** of Theorem V.2 at the ``v2_exact``
+and ``v2_large`` shapes (the :class:`~repro.core.programs.IP3Builder`, the
+LST LP's integer rows, the kernel's construction from them and their float
+image, each beside the same step from the keyed, rational rows), and writes
+``BENCH_kernels.json`` to the repository root (mirrored under
+``benchmarks/results/``; a run with ``--out`` elsewhere writes only that
+file)::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--quick] [--seed S]
 
@@ -166,11 +170,11 @@ def _lu_fixture(n, m, seed=140):
 
     inst = random_hierarchical(rng_from_seed(seed), n=n, m=m)
     builder = IP3Builder(inst)
-    coeff, senses, rhs, active = builder.probe_rows(builder.breakpoints[-1])
+    coeff, senses, rhs, scales, active = builder.probe_rows(builder.breakpoints[-1])
     objective = [Fraction(0)] * len(active)
-    std = standard_form(coeff, senses, rhs, objective)
+    std = standard_form(coeff, senses, rhs, objective, scales)
     solver = _RevisedSolver(std, objective, 5000, 200000, partial=False)
-    result = solve_standard(coeff, senses, rhs, objective)
+    result = solve_standard(coeff, senses, rhs, objective, scales=scales)
     assert result.status == "optimal"
     return solver, [solver.cols[c] for c in result.basis]
 
@@ -278,27 +282,109 @@ def _repr_ops_sample(solver, sparse, dense):
     return out
 
 
-def _lst_lp_rows(n, m, seed=140):
-    """Standard rows of the LST assignment LP of ``Iu`` at ``T*``.
+def _collapse(inst):
+    """The singleton times of *inst* as a ``job -> {machine: time}`` matrix."""
+    from repro._fraction import is_inf
 
-    This is the cold canonical solve that Theorem V.2 rounds: the hardest
-    single solve of the E14 pipeline (wide, degenerate).
+    return {
+        j: {
+            i: inst.p(j, frozenset([i]))
+            for i in sorted(inst.machines)
+            if not is_inf(inst.p(j, frozenset([i])))
+        }
+        for j in range(inst.n)
+    }
+
+
+def _lst_lp_rows(n, m, seed=140):
+    """The LST assignment LP of ``Iu`` at ``T*`` as integer rows.
+
+    Returns ``(coeff_rows, senses, rhs, objective, scales)``, what
+    Theorem V.2 hands the kernel: the cold canonical solve it rounds, the
+    hardest single solve of the E14 pipeline (wide, degenerate).
     """
-    from repro._fraction import is_inf, to_fraction
-    from repro.core.programs import minimal_fractional_T
-    from repro.rounding.lst import build_unrelated_lp
+    from repro.core.programs import IP3Builder, minimal_fractional_T
+    from repro.rounding.lst import unrelated_rows
 
     inst = random_hierarchical(rng_from_seed(seed), n=n, m=m).with_singletons()
-    T = minimal_fractional_T(inst, backend="exact")
-    p_matrix = {}
-    for j in range(inst.n):
-        row = {}
-        for i in sorted(inst.machines):
-            value = inst.p(j, frozenset([i]))
-            if not is_inf(value):
-                row[i] = to_fraction(value)
-        p_matrix[j] = row
-    return build_unrelated_lp(p_matrix, T).to_standard_rows()
+    builder = IP3Builder(inst)
+    T = minimal_fractional_T(inst, backend="exact", builder=builder)
+    coeff, senses, rhs, scales, pairs = unrelated_rows(builder.singleton_times(), T)
+    return coeff, senses, rhs, [0] * len(pairs), scales
+
+
+def _solve_lst(rows, canonical):
+    from repro.lp.revised import solve_standard
+
+    coeff, senses, rhs, objective, scales = rows
+    return solve_standard(
+        coeff, senses, rhs, objective, canonical=canonical, scales=scales
+    )
+
+
+#: The model-build breakdown's shapes: those of ``v2_exact`` and ``v2_large``.
+BUILD_SHAPES = ((64, 16), (96, 24))
+
+
+def _build_fixture(n, m, seed=140):
+    """The singleton extension of a seeded draw, its collapse and ``T*``."""
+    from repro.core.programs import minimal_fractional_T
+
+    inst = random_hierarchical(rng_from_seed(seed), n=n, m=m).with_singletons()
+    return inst, _collapse(inst), minimal_fractional_T(inst, backend="exact")
+
+
+def _build_sample(inst, p, T):
+    """One sample of building Theorem V.2's LPs and handing them over.
+
+    ``ip3_build_ms`` is the :class:`IP3Builder`, ``ip3_float_template_ms``
+    its float CSR template (built on the search's first HiGHS call).  For
+    the LST LP at ``T*``: ``lst_rows_ms`` builds the integer rows from the
+    builder's singleton times, ``kernel_init_ms`` the exact kernel from
+    them (standard form and solver construction), ``float_image_ms`` the
+    float CSR the HiGHS leg gets.  The ``*_rational_ms`` twins are the same
+    steps from the keyed LP (``build_unrelated_lp`` and its standard rows,
+    then the rational entry of the kernel and of the float image).
+    """
+    import time
+
+    from repro.core.programs import IP3Builder
+    from repro.lp.revised import _RevisedSolver
+    from repro.lp.scipy_backend import float_matrix
+    from repro.lp.simplex import standard_form
+    from repro.rounding.lst import build_unrelated_lp, unrelated_rows
+
+    out = {}
+    start = time.perf_counter()
+    builder = IP3Builder(inst)
+    out["ip3_build_ms"] = (time.perf_counter() - start) * 1e3
+    start = time.perf_counter()
+    builder.float_slice(list(range(len(builder.finite))))
+    out["ip3_float_template_ms"] = (time.perf_counter() - start) * 1e3
+
+    start = time.perf_counter()
+    coeff, senses, rhs, scales, pairs = unrelated_rows(builder.singleton_times(), T)
+    out["lst_rows_ms"] = (time.perf_counter() - start) * 1e3
+    objective = [0] * len(pairs)
+    start = time.perf_counter()
+    std = standard_form(coeff, senses, rhs, objective, scales)
+    _RevisedSolver(std, objective, 5000, 200000, partial=False)
+    out["kernel_init_ms"] = (time.perf_counter() - start) * 1e3
+    start = time.perf_counter()
+    float_matrix(coeff, len(pairs), scales)
+    out["float_image_ms"] = (time.perf_counter() - start) * 1e3
+
+    start = time.perf_counter()
+    coeff, senses, rhs, objective = build_unrelated_lp(p, T).to_standard_rows()
+    out["lst_rows_rational_ms"] = (time.perf_counter() - start) * 1e3
+    start = time.perf_counter()
+    std = standard_form(coeff, senses, rhs, objective)
+    _RevisedSolver(std, objective, 5000, 200000, partial=False)
+    out["kernel_init_rational_ms"] = (time.perf_counter() - start) * 1e3
+    start = time.perf_counter()
+    float_matrix(coeff, len(objective))
+    out["float_image_rational_ms"] = (time.perf_counter() - start) * 1e3
+    return out
 
 
 def _pricing_pivots(rows):
@@ -307,11 +393,9 @@ def _pricing_pivots(rows):
     ``dantzig`` is what canonical solves price with, ``partial`` what
     probe-style (``canonical=False``) solves price with.
     """
-    from repro.lp.revised import solve_standard
-
     out = {}
     for pricing, canonical in (("dantzig", True), ("partial", False)):
-        result = solve_standard(*rows, canonical=canonical)
+        result = _solve_lst(rows, canonical)
         assert result.status == "optimal"
         out[f"pivots_{pricing}"] = result.pivots
     return out
@@ -345,7 +429,7 @@ def _lst_step_sample(rows, basis):
     from repro.lp import revised
     from repro.lp.basis import LUBasis
     from repro.lp.forest import ForestBasis
-    from repro.lp.revised import _RevisedSolver, solve_standard
+    from repro.lp.revised import _RevisedSolver
 
     cls = ForestBasis if basis == "forest" else LUBasis
     totals = {"price_ms": 0.0, "ftran_ms": 0.0, "update_ms": 0.0, "btran_ms": 0.0}
@@ -381,7 +465,7 @@ def _lst_step_sample(rows, basis):
         for (owner, name, key), (_, _, fn) in zip(wrapped, originals):
             setattr(owner, name, timed(fn, key))
         start = time.perf_counter()
-        result = solve_standard(*rows, canonical=True)
+        result = _solve_lst(rows, canonical=True)
         totals["solve_ms"] = (time.perf_counter() - start) * 1e3
     finally:
         revised.ForestBasis = ForestBasis
@@ -425,11 +509,13 @@ def lu_main(argv=None):
     fixtures = {shape: _lu_fixture(*shape) for shape in shapes}
     bases = {shape: _repr_bases(*fixtures[shape]) for shape in shapes}
     lst_rows = {shape: _lst_lp_rows(*shape) for shape in (*shapes, LST_SHAPE)}
+    builds = {shape: _build_fixture(*shape) for shape in BUILD_SHAPES}
 
     # Every timed configuration, run in a seeded random order so a drift in
     # machine speed over the run does not always land on the same shape.
     configs = [(kind, shape) for shape in shapes for kind in ("lu", "repr")]
     configs += [(f"lst-{basis}", LST_SHAPE) for basis in LST_BASES]
+    configs += [("build", shape) for shape in BUILD_SHAPES]
     order = list(configs)
     random.Random(args.seed).shuffle(order)
     measured = {}
@@ -438,6 +524,8 @@ def lu_main(argv=None):
             sample = lambda: _lu_ops_sample(*fixtures[shape])  # noqa: E731
         elif kind == "repr":
             sample = lambda: _repr_ops_sample(fixtures[shape][0], *bases[shape])  # noqa: E731
+        elif kind == "build":
+            sample = lambda: _build_sample(*builds[shape])  # noqa: E731
         else:
             basis = kind[len("lst-"):]
             sample = lambda: _lst_step_sample(lst_rows[shape], basis)  # noqa: E731
@@ -498,6 +586,15 @@ def lu_main(argv=None):
             + "  ".join(f"{k}={v['median']}" for k, v in steps[basis].items())
         )
     print(f"LST LP lu/forest solve time: {lst['lu_over_forest']}x")
+    model_build = []
+    for shape in BUILD_SHAPES:
+        inst, p, T = builds[shape]
+        ops = measured["build", shape]
+        model_build.append({"n": shape[0], "m": shape[1], "T": str(T), "ops": ops})
+        print(
+            f"model build {shape[0]}x{shape[1]}  "
+            + "  ".join(f"{op}={v['median']}" for op, v in ops.items())
+        )
     payload = {
         "family": "e14_scaling",
         "kernel": "LUBasis",
@@ -511,6 +608,7 @@ def lu_main(argv=None):
         },
         "rows": rows,
         "lst_step_breakdown": lst,
+        "model_build": model_build,
     }
     write_bench_json(args.out, default_out, payload)
     return 0

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict
 
-from .._fraction import is_inf, to_fraction
 from ..exceptions import RoundingError
 from ..rounding.lst import lst_round
 from ..schedule.schedule import Schedule
@@ -33,7 +32,7 @@ from ..schedule.validator import validate_schedule
 from .assignment import Assignment, min_T_for_assignment
 from .hierarchical import schedule_hierarchical
 from .instance import Instance
-from .programs import feasible_lp_solution, minimal_fractional_T
+from .programs import IP3Builder, feasible_lp_solution, minimal_fractional_T
 from .pushdown import push_down
 
 
@@ -112,7 +111,8 @@ def two_approximation(
         the check is optional (tests enable it).
     """
     ext = instance.with_singletons()
-    T_star = minimal_fractional_T(ext, backend=backend)
+    builder = IP3Builder(ext)
+    T_star = minimal_fractional_T(ext, backend=backend, builder=builder)
 
     if use_pushdown_certificate:
         x = feasible_lp_solution(ext, T_star, backend=backend)
@@ -122,17 +122,9 @@ def two_approximation(
         if not pushed.supported_on_singletons():  # pragma: no cover
             raise RoundingError("push-down certificate failed")
 
-    # Collapse to the unrelated instance Iu (singleton processing times).
-    p_matrix: Dict[int, Dict[int, Fraction]] = {}
-    for j in range(ext.n):
-        row: Dict[int, Fraction] = {}
-        for i in sorted(ext.machines):
-            value = ext.p(j, frozenset([i]))
-            if not is_inf(value):
-                row[i] = to_fraction(value)
-        p_matrix[j] = row
-
-    mapping = lst_round(p_matrix, T_star, backend=backend)
+    # Collapse to the unrelated instance Iu: the singleton times, as the
+    # search's builder already holds them in integers.
+    mapping = lst_round(builder.singleton_times(), T_star, backend=backend)
     assignment = Assignment({j: frozenset([i]) for j, i in mapping.items()})
 
     T_schedule = min_T_for_assignment(ext, assignment)

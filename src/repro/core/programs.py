@@ -31,11 +31,16 @@ Probe cost: a naive implementation rebuilds the subset-closure scan
 is **incremental** end to end:
 
 * one :class:`IP3Builder` is shared across all probes — the closure is
-  computed once, and each probe's rows are materialized by *masking* the
-  cached index templates on ``p ≤ T`` (:meth:`IP3Builder.probe_rows`), not
-  by rebuilding a keyed :class:`~repro.lp.model.LinearProgram`; the mask is
-  one exact integer threshold per probe (:meth:`IP3Builder.mask`), and the
-  HiGHS leg gets a column slice of one float CSR template per builder;
+  computed once, over the processing times converted once to integers
+  over one common denominator, and each probe's rows are materialized by
+  *masking* the cached index templates on ``p ≤ T``
+  (:meth:`IP3Builder.probe_rows`), not by rebuilding a keyed
+  :class:`~repro.lp.model.LinearProgram`; the rows come out as integer
+  rows plus one scale per row (the contract of :mod:`repro.lp.simplex`),
+  the integers the exact kernel works in, so no ``Fraction`` row is built;
+  the mask is one exact integer threshold per probe
+  (:meth:`IP3Builder.mask`), and the HiGHS leg gets a column slice of one
+  float CSR template per builder;
 * successive probes reuse the bracketing probes' outcomes: a still-valid
   feasible point answers a "yes" probe after one ``O(nnz)`` exact re-check,
   a still-valid Farkas certificate answers a "no" probe the same way, and
@@ -53,6 +58,11 @@ is **incremental** end to end:
   :class:`~repro.lp.model.LinearProgram` — and the previous bracket's is
   warm-started from the anchor's feasible point.
 
+Theorem V.2 then rounds the LST LP of the singleton collapse at ``T*``:
+the builder hands it the singleton times in the same integers
+(:meth:`IP3Builder.singleton_times`), so that LP too is built once, as
+integer rows (:func:`repro.rounding.lst.unrelated_rows`).
+
 This is the only ``T*`` search over the breakpoints.  The ``R||Cmax``
 assignment LP is (IP-3) on the singleton family
 (:func:`repro.baselines.lst_unrelated.minimal_unrelated_T`), and the
@@ -67,7 +77,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -76,6 +86,7 @@ from ..exceptions import InfeasibleError, InvalidInstanceError
 from ..lp.certificates import farkas_certifies
 from ..lp.hybrid import HAVE_SCIPY
 from ..lp.model import LinearProgram
+from ..lp.simplex import scale_rows
 from ..lp.solve import (
     _resolve_backend,
     check_standard_rows,
@@ -85,6 +96,7 @@ from ..lp.solve import (
 )
 from ..lp.stats import SolverStats, record
 from ..obs.trace import span as trace_span
+from ..rounding.lst import IntegerTimes
 from .assignment import FractionalAssignment
 from .instance import Instance
 from .laminar import MachineSet
@@ -113,6 +125,15 @@ class IP3Builder:
     match :func:`build_ip3` exactly (the vertex a solver returns depends on
     it).
 
+    **Integer times.**  Every finite time is converted once to an integer
+    over one common :attr:`denominator` (:attr:`var_p`, the third field of
+    :attr:`finite`); the ranks, the templates, the row builders and the
+    bounds below all read those integers.  :meth:`probe_rows`,
+    :meth:`min_T_rows` and :meth:`singleton_times` (Theorem V.2's LST
+    slice) hand the exact kernel integer rows plus one scale per row: the
+    lcm of the raw row's denominators, the scale the kernel would derive
+    from the rational row.
+
     **Exact mask.**  Every finite pair's time is one of the sorted
     ``breakpoints``; :attr:`var_rank` stores its index there.  So
     ``p ≤ T`` holds exactly when ``var_rank < mask(T)``, where
@@ -134,13 +155,13 @@ class IP3Builder:
     a float matrix.  The builder keeps one ``scipy.sparse`` CSR of *all*
     probe rows over the global variables, built on the first float call;
     a probe's matrix is the column slice over its active variables
-    (:meth:`float_slice`) — equal, entry for entry, to the matrix built
-    from its dict rows.  The min-T LP (:meth:`min_T_rows`: the probe rows
+    (:meth:`float_slice`) — equal, bit for bit, to the matrix built from
+    its rows.  The min-T LP (:meth:`min_T_rows`: the probe rows
     with a ``T`` column in front and a ``T ≥ t_low`` row at the end) gets
     its float matrix from the same slice (:meth:`min_T_float_slice`).
 
     **Demand bound.**  Per job it keeps the cheapest time, as an integer
-    over one common :attr:`denominator`, and the trap steps, so
+    over :attr:`denominator`, and the trap steps, so
     :meth:`demand_bound` evaluates the trapped demand at a mask with one
     bisection per job and one integer pass over the family, with no
     ``Fraction`` arithmetic.  :meth:`trivial_lower`, :meth:`volume_bound`
@@ -155,77 +176,103 @@ class IP3Builder:
         self.instance = instance
         family = instance.family
         n = instance.n
-        #: (j, α, p) for every finite pair, in build_ip3 variable order.
-        self.finite: List[Tuple[int, MachineSet, Fraction]] = []
-        has_finite = [False] * n
+        pairs: List[Tuple[int, MachineSet]] = []
+        times: List[Fraction] = []
+        #: Global variable indices per family set, in job order.
+        vars_of_set: Dict[MachineSet, List[int]] = {alpha: [] for alpha in family.sets}
+        #: Per-job assignment-row template: global variable indices.
+        self.assign_template: List[List[int]] = []
         for j in range(n):
+            group: List[int] = []
             for alpha in family.sets:
                 p = instance.p(j, alpha)
                 if not is_inf(p):
-                    self.finite.append((j, alpha, to_fraction(p)))
-                    has_finite[j] = True
+                    vars_of_set[alpha].append(len(times))
+                    group.append(len(times))
+                    pairs.append((j, alpha))
+                    times.append(p)
+            self.assign_template.append(group)
         self.jobs_without_options: List[int] = [
-            j for j in range(n) if not has_finite[j]
+            j for j, group in enumerate(self.assign_template) if not group
         ]
-        #: Processing time per global variable index (position in ``finite``).
-        self.var_p: List[Fraction] = [p for _j, _a, p in self.finite]
-        by_time: Dict[Fraction, List[int]] = {}
-        for gi, p in enumerate(self.var_p):
-            by_time.setdefault(p, []).append(gi)
-        self.breakpoints: List[Fraction] = sorted(by_time)
+        #: Common denominator of every finite time.
+        self.denominator: int = lcm(*{p.denominator for p in times})
+        den = self.denominator
+        #: Processing time per global variable index (position in
+        #: ``finite``), as an integer over ``denominator``.
+        self.var_p: List[int] = (
+            [p.numerator for p in times] if den == 1
+            else [p.numerator * (den // p.denominator) for p in times]
+        )
+        #: (j, α, P) for every finite pair, in build_ip3 variable order,
+        #: with ``p_αj = P / denominator``.
+        self.finite: List[Tuple[int, MachineSet, int]] = [
+            (j, alpha, P) for (j, alpha), P in zip(pairs, self.var_p)
+        ]
+        by_time: Dict[int, List[int]] = {}
+        for gi, P in enumerate(self.var_p):
+            by_time.setdefault(P, []).append(gi)
+        ranked = sorted(by_time)
+        #: The distinct finite times, ascending.
+        self.breakpoints: List[Fraction] = [times[by_time[P][0]] for P in ranked]
         #: Index of each variable's time in ``breakpoints`` (the exact mask key).
         self.var_rank: List[int] = [0] * len(self.var_p)
-        for rank, p in enumerate(self.breakpoints):
-            for gi in by_time[p]:
+        for rank, P in enumerate(ranked):
+            for gi in by_time[P]:
                 self.var_rank[gi] = rank
+        #: Per variable, the denominator of its time (``None`` when every
+        #: time is an integer): the row scales of :meth:`probe_rows`.
+        self._var_den: Optional[List[int]] = (
+            None if den == 1 else [den // gcd(P, den) for P in self.var_p]
+        )
 
         # Index-based row templates for probe masking: probes address
         # variables by their position in ``self.finite`` (stable across all
         # horizons), so materializing a probe is pure integer filtering —
         # no tuple-key hashing, no LinearProgram object.
-        var_of_pair: Dict[Tuple[int, MachineSet], int] = {
-            (j, alpha): gi for gi, (j, alpha, _p) in enumerate(self.finite)
-        }
-        #: Per-job assignment-row template: global variable indices.
-        self.assign_template: List[List[int]] = [[] for _ in range(n)]
-        for gi, (j, _alpha, _p) in enumerate(self.finite):
-            self.assign_template[j].append(gi)
-        #: Per-set load-row template: (global index, p, rank) over β ⊆ α.
-        self.load_template: List[Tuple[MachineSet, List[Tuple[int, Fraction, int]]]] = []
-        for alpha in family.sets:
-            entries: List[Tuple[int, Fraction, int]] = []
-            for beta in family.subsets_of(alpha):
-                for j in range(n):
-                    gi = var_of_pair.get((j, beta))
-                    if gi is not None:
-                        entries.append((gi, self.var_p[gi], self.var_rank[gi]))
-            self.load_template.append((alpha, entries))
+        var_p, var_rank = self.var_p, self.var_rank
+        #: Per-set load-row template: (global index, P, rank) over β ⊆ α.
+        self.load_template: List[Tuple[MachineSet, List[Tuple[int, int, int]]]] = [
+            (
+                alpha,
+                [
+                    (gi, var_p[gi], var_rank[gi])
+                    for beta in family.subsets_of(alpha)
+                    for gi in vars_of_set[beta]
+                ],
+            )
+            for alpha in family.sets
+        ]
         #: Per side row: (entries as (global index, coeff, rank), bound).
         self.side_template: List[Tuple[List[Tuple[int, Fraction, int]], Fraction]] = []
+        var_of_pair = {pair: gi for gi, pair in enumerate(pairs)} if side_rows else {}
         for coeffs, bound in side_rows:
             entries = []
             for (alpha, j), coeff in coeffs.items():
                 gi = var_of_pair[(j, alpha)]
-                entries.append((gi, to_fraction(coeff), self.var_rank[gi]))
+                entries.append((gi, to_fraction(coeff), var_rank[gi]))
             self.side_template.append((entries, to_fraction(bound)))
         #: Smallest mask at which every job has an admissible pair (beyond
         #: every mask when some job has none).
         self.full_mask: int = 1 + max(
             (
-                min((self.var_rank[gi] for gi in group), default=len(self.breakpoints))
+                min((var_rank[gi] for gi in group), default=len(self.breakpoints))
                 for group in self.assign_template
             ),
             default=-1,
         )
-        cheapest: List[Fraction] = []
+        #: Cheapest finite time per job as an integer over ``denominator``
+        #: (0 for a job without options): the trapped-demand weight and the
+        #: volume bound's term.
+        self.cheapest: List[int] = []
         #: Per job, its trap steps ``(rank, trap)``: ``trap`` is the minimal
         #: family set containing every mask of rank ``< rank``; it holds for
         #: every mask ``k ≥ rank`` up to the next step.  ``None`` (masks on
         #: two roots) is final.
         self.trap_steps: List[List[Tuple[int, Optional[MachineSet]]]] = []
         for group in self.assign_template:
-            by_rank = sorted(group, key=self.var_rank.__getitem__)
-            cheapest.append(self.var_p[by_rank[0]] if by_rank else Fraction(0))
+            by_rank = sorted(group, key=var_rank.__getitem__)
+            self.cheapest.append(var_p[by_rank[0]] if by_rank else 0)
             steps: List[Tuple[int, Optional[MachineSet]]] = []
             for gi in by_rank:
                 trap = self.finite[gi][1]
@@ -238,20 +285,12 @@ class IP3Builder:
                         continue
                     while trap is not None and not alpha <= trap:
                         trap = family.parent(trap)
-                step = (self.var_rank[gi] + 1, trap)
+                step = (var_rank[gi] + 1, trap)
                 if steps and steps[-1][0] == step[0]:
                     steps[-1] = step
                 else:
                     steps.append(step)
             self.trap_steps.append(steps)
-        #: Common denominator of the cheapest times.
-        self.denominator: int = lcm(*(c.denominator for c in cheapest))
-        #: Cheapest finite time per job as an integer over ``denominator``
-        #: (``c_j = cheapest[j] / denominator``; 0 for a job without
-        #: options): the trapped-demand weight and the volume bound's term.
-        self.cheapest: List[int] = [
-            c.numerator * (self.denominator // c.denominator) for c in cheapest
-        ]
         self._float_template = None
 
     def mask(self, T: Time) -> int:
@@ -376,45 +415,77 @@ class IP3Builder:
             local[gi] = offset + li
         return active, local
 
-    def probe_rows(
-        self, T: Fraction
-    ) -> Tuple[List[Dict[int, Fraction]], List[str], List[Fraction], List[int]]:
-        """The decision LP at horizon *T* as masked standard rows.
+    def _load_scale(self, entries, k: int, scale: int) -> int:
+        """The lcm of *scale* and the denominators of the times of rank
+        ``< k`` in a load-row template (*scale* itself when every time is
+        an integer)."""
+        dens = self._var_den
+        if dens is not None:
+            for gi, P, r in entries:
+                if r < k and P and scale % dens[gi]:
+                    scale = lcm(scale, dens[gi])
+        return scale
 
-        Returns ``(coeff_rows, senses, rhs, active)`` where *active* maps
-        local variable index → position in ``self.finite``.  Row order is
-        the :func:`build_ip3` order (all assignment rows, then all load
-        rows), then the side rows; a fixed order is what keeps Farkas
-        certificates transferable between probes.  ``O(nnz)`` integer
-        filtering on the exact mask.
+    def _side_rows(self, k: int, local: List[int]):
+        """The side rows at mask *k* as integer ``(rows, rhs, scales)``."""
+        return scale_rows(
+            [
+                {local[gi]: c for gi, c, r in entries if r < k}
+                for entries, _bound in self.side_template
+            ],
+            [bound for _entries, bound in self.side_template],
+        )
+
+    def probe_rows(
+        self, T: Time
+    ) -> Tuple[List[Dict[int, int]], List[str], List[int], List[int], List[int]]:
+        """The decision LP at horizon *T* as masked integer rows.
+
+        Returns ``(coeff_rows, senses, rhs, scales, active)``: integer rows
+        (see :mod:`repro.lp.simplex`) and *active*, which maps local
+        variable index → position in ``self.finite``.  Row ``i`` is
+        ``scales[i]`` times the raw row, ``scales[i]`` the lcm of the raw
+        row's denominators, so the kernel's integers are those it would
+        derive from the rational rows.  Row order is the :func:`build_ip3`
+        order (all assignment rows, then all load rows), then the side
+        rows; a fixed order is what keeps Farkas certificates transferable
+        between probes.  ``O(nnz)`` integer filtering on the exact mask.
         """
+        T = to_fraction(T)
         k = self.mask(T)
         rank = self.var_rank
+        den = self.denominator
         active, local = self._columns(k, 0)
-        coeff_rows: List[Dict[int, Fraction]] = []
-        senses: List[str] = []
-        rhs: List[Fraction] = []
-        one = Fraction(1)
-        for group in self.assign_template:
-            coeff_rows.append({local[gi]: one for gi in group if rank[gi] < k})
-            senses.append("==")
-            rhs.append(one)
+        coeff_rows: List[Dict[int, int]] = [
+            {local[gi]: 1 for gi in group if rank[gi] < k} for group in self.assign_template
+        ]
+        rhs = [1] * len(coeff_rows)
+        scales = [1] * len(coeff_rows)
+        t_num, t_den = T.numerator, T.denominator
         for alpha, entries in self.load_template:
-            coeff_rows.append({local[gi]: p for gi, p, r in entries if r < k})
-            senses.append("<=")
-            rhs.append(len(alpha) * T)
-        for entries, bound in self.side_template:
-            coeff_rows.append({local[gi]: c for gi, c, r in entries if r < k})
-            senses.append("<=")
-            rhs.append(bound)
-        return coeff_rows, senses, rhs, active
+            size = len(alpha)
+            # |α|·T has denominator t_den / gcd(|α|, t_den).
+            scale = self._load_scale(entries, k, t_den // gcd(size, t_den))
+            if scale == den:
+                row = {local[gi]: P for gi, P, r in entries if r < k}
+            else:
+                row = {local[gi]: P * scale // den for gi, P, r in entries if r < k}
+            coeff_rows.append(row)
+            rhs.append(size * t_num * scale // t_den)
+            scales.append(scale)
+        side, side_rhs, side_scales = self._side_rows(k, local)
+        coeff_rows += side
+        jobs = len(self.assign_template)
+        senses = ["=="] * jobs + ["<="] * (len(coeff_rows) - jobs)
+        return coeff_rows, senses, rhs + side_rhs, scales + side_scales, active
 
     def float_slice(self, active: List[int]):
         """Float CSR of :meth:`probe_rows` over *active*, or ``None`` without scipy.
 
         The column slice of the builder's template (built on the first
-        call); it equals ``float_matrix(coeff_rows, len(active))`` of the
-        probe's dict rows.
+        call): every entry is the float of the raw rational (``P /
+        denominator``, integer true division, which rounds correctly), so
+        it equals ``float_matrix`` of the probe's rows, bit for bit.
         """
         if not HAVE_SCIPY:
             return None
@@ -422,55 +493,65 @@ class IP3Builder:
             from ..lp.scipy_backend import float_matrix
 
             rows = [{gi: 1 for gi in group} for group in self.assign_template]
-            rows += [{gi: p for gi, p, _r in entries} for _a, entries in self.load_template]
-            rows += [{gi: c for gi, c, _r in entries} for entries, _b in self.side_template]
-            self._float_template = float_matrix(rows, len(self.finite))
+            rows += [{gi: P for gi, P, _r in entries} for _a, entries in self.load_template]
+            every = list(range(len(self.finite)))
+            side, _bounds, side_scales = self._side_rows(len(self.breakpoints), every)
+            scales = [1] * len(self.assign_template)
+            scales += [self.denominator] * len(self.load_template)
+            self._float_template = float_matrix(
+                rows + side, len(self.finite), scales + side_scales
+            )
         return self._float_template[:, active]
 
     def min_T_rows(
         self, r_anchor: Fraction, t_low: Fraction
     ) -> Optional[
-        Tuple[List[Dict[int, Fraction]], List[str], List[Fraction], List[Fraction], List[int]]
+        Tuple[List[Dict[int, int]], List[str], List[int], List[int], List[int], List[int]]
     ]:
-        """Min-T LP with ``R`` frozen at *r_anchor* and ``T ≥ t_low``, as raw rows.
+        """Min-T LP with ``R`` frozen at *r_anchor* and ``T ≥ t_low``, as integer rows.
 
-        Returns ``(coeff_rows, senses, rhs, objective, active)``: column 0
-        is ``T``, column ``1 + li`` is global variable ``active[li]``; the
-        rows are the assignment rows, the load rows
-        ``Σ p·x − |α|·T ≤ 0`` (``T`` first, ``p = 0`` entries omitted), the
-        side rows and ``T ≥ t_low``; the objective is ``T``.  Returns
-        ``None`` when some job has no admissible set at the anchor (the
-        frozen-R program is then trivially infeasible).  ``x ≤ 1`` is implied by the
-        assignment rows and not materialized.
+        Returns ``(coeff_rows, senses, rhs, scales, objective, active)``:
+        integer rows as in :meth:`probe_rows`; column 0 is ``T``, column
+        ``1 + li`` is global variable ``active[li]``; the rows are the
+        assignment rows, the load rows ``Σ p·x − |α|·T ≤ 0`` (``T`` first,
+        ``p = 0`` entries omitted), the side rows and ``T ≥ t_low``; the
+        objective is ``T``.  Returns ``None`` when some job has no
+        admissible set at the anchor (the frozen-R program is then
+        trivially infeasible).  ``x ≤ 1`` is implied by the assignment rows
+        and not materialized.
         """
         k = self.mask(r_anchor)
         if k < self.full_mask:
             return None
+        t_low = to_fraction(t_low)
         rank = self.var_rank
+        den = self.denominator
         active, local = self._columns(k, 1)
-        one, zero = Fraction(1), Fraction(0)
-        coeff_rows: List[Dict[int, Fraction]] = []
-        senses: List[str] = []
-        rhs: List[Fraction] = []
-        for group in self.assign_template:
-            coeff_rows.append({local[gi]: one for gi in group if rank[gi] < k})
-            senses.append("==")
-            rhs.append(one)
+        coeff_rows: List[Dict[int, int]] = [
+            {local[gi]: 1 for gi in group if rank[gi] < k} for group in self.assign_template
+        ]
+        rhs = [1] * len(coeff_rows)
+        scales = [1] * len(coeff_rows)
         for alpha, entries in self.load_template:
-            row: Dict[int, Fraction] = {0: Fraction(-len(alpha))}
-            row.update((local[gi], p) for gi, p, r in entries if r < k and p)
+            scale = self._load_scale(entries, k, 1)
+            row: Dict[int, int] = {0: -len(alpha) * scale}
+            if scale == den:
+                row.update((local[gi], P) for gi, P, r in entries if r < k and P)
+            else:
+                row.update(
+                    (local[gi], P * scale // den) for gi, P, r in entries if r < k and P
+                )
             coeff_rows.append(row)
-            senses.append("<=")
-            rhs.append(zero)
-        for entries, bound in self.side_template:
-            coeff_rows.append({local[gi]: c for gi, c, r in entries if r < k})
-            senses.append("<=")
-            rhs.append(bound)
-        coeff_rows.append({0: one})
-        senses.append(">=")
-        rhs.append(to_fraction(t_low))
-        objective = [one] + [zero] * len(active)
-        return coeff_rows, senses, rhs, objective, active
+            rhs.append(0)
+            scales.append(scale)
+        side, side_rhs, side_scales = self._side_rows(k, local)
+        loads = len(coeff_rows) - len(self.assign_template)
+        senses = ["=="] * len(self.assign_template) + ["<="] * (loads + len(side)) + [">="]
+        coeff_rows += side + [{0: t_low.denominator}]
+        rhs += side_rhs + [t_low.numerator]
+        scales += side_scales + [t_low.denominator]
+        objective = [1] + [0] * len(active)
+        return coeff_rows, senses, rhs, scales, objective, active
 
     def min_T_float_slice(self, active: List[int]):
         """Float CSR of :meth:`min_T_rows` over *active*, or ``None`` without scipy.
@@ -494,6 +575,26 @@ class IP3Builder:
         )
         bracket = csr_array(([1.0], ([0], [0])), shape=(1, 1 + len(active)))
         return vstack([hstack([t_column, sliced]), bracket], format="csr")
+
+    def singleton_times(self) -> IntegerTimes:
+        """The singleton pairs as ``R||Cmax`` times, for the LST LP.
+
+        Job ``j`` on machine ``i`` takes its time on the singleton
+        ``{i}``, as an integer over :attr:`denominator`.  On a family with every singleton (Theorem
+        V.2's extension) this is the collapse ``Iu``, and
+        :func:`repro.rounding.lst.unrelated_rows` builds its LST LP with no
+        ``Fraction`` arithmetic.
+        """
+        jobs: List[Tuple[int, List[Tuple[int, int]]]] = [
+            (j, []) for j in range(self.instance.n)
+        ]
+        for j, alpha, P in self.finite:
+            if len(alpha) == 1:
+                (i,) = alpha
+                jobs[j][1].append((i, P))
+        for _j, row in jobs:
+            row.sort()
+        return IntegerTimes(jobs, self.denominator)
 
 
 def _forest_flow(
@@ -627,9 +728,9 @@ class _ProbeSession:
                 if probe_sp:
                     probe_sp.attrs["outcome"] = "structurally-infeasible"
                 return None
-            coeff_rows, senses, rhs, active = builder.probe_rows(T)
+            coeff_rows, senses, rhs, scales, active = builder.probe_rows(T)
             if self.farkas is not None and farkas_certifies(
-                coeff_rows, senses, rhs, self.farkas
+                coeff_rows, senses, rhs, self.farkas, scales=scales
             ):
                 record(SolverStats(farkas_reuses=1))
                 if probe_sp:
@@ -642,7 +743,7 @@ class _ProbeSession:
                 rank = builder.var_rank
                 support_survives = all(rank[gi] < k for gi in self.point)
                 if support_survives and check_standard_rows(
-                    coeff_rows, senses, rhs, masked
+                    coeff_rows, senses, rhs, masked, scales=scales
                 ):
                     record(SolverStats(point_reuses=1))
                     if probe_sp:
@@ -654,6 +755,7 @@ class _ProbeSession:
             point, farkas = feasible_point_rows(
                 coeff_rows, senses, rhs, len(active),
                 backend=self.backend, warm_point=masked, float_rows=float_rows,
+                scales=scales,
             )
             if point is not None:
                 self.point = {
@@ -771,7 +873,7 @@ def _min_T_with_fixed_R(
             if min_sp:
                 min_sp.attrs["outcome"] = "trivially-infeasible"
             return None
-        coeff_rows, senses, rhs, objective, active = program
+        coeff_rows, senses, rhs, scales, objective, active = program
         warm_point = None
         if warm is not None:
             warm_T, point = warm
@@ -783,6 +885,7 @@ def _min_T_with_fixed_R(
         result = solve_rows(
             coeff_rows, senses, rhs, objective, backend=backend,
             warm_point=warm_point, float_rows=float_rows, canonical=False,
+            scales=scales,
         )
         if result.status != "optimal":
             if min_sp:
@@ -814,12 +917,18 @@ def _gallop(start: int, top: int):
     yield top
 
 
-def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fraction:
+def minimal_fractional_T(
+    instance: Instance,
+    backend: str = "hybrid",
+    builder: Optional[IP3Builder] = None,
+) -> Fraction:
     """The minimum horizon ``T*`` at which (IP-3)'s LP relaxation is feasible.
 
     This is the paper's fractional lower bound: ``T* ≤ opt(I)``, found by
     the breakpoint search of :func:`_minimal_T` on the instance's
-    :class:`IP3Builder`.
+    :class:`IP3Builder`.  *builder*, when given, must be the instance's
+    builder (side-row free); a caller that needs it afterwards builds it
+    once (Theorem V.2 reads its :meth:`IP3Builder.singleton_times`).
 
     Degenerate inputs resolve exactly instead of entering a vacuous search:
 
@@ -831,7 +940,10 @@ def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fractio
     """
     if instance.n == 0:
         return Fraction(0)
-    builder = IP3Builder(instance)
+    if builder is None:
+        builder = IP3Builder(instance)
+    elif builder.instance is not instance or builder.side_template:
+        raise ValueError("builder must be the side-row-free builder of instance")
     if builder.jobs_without_options:
         jobs = builder.jobs_without_options
         raise InvalidInstanceError(
@@ -908,10 +1020,11 @@ def _minimal_T(builder: IP3Builder, backend: str) -> Fraction:
             if search_sp:
                 search_sp.attrs["flow"] = "short" if point is None else "saturated"
             if point is not None:
-                coeff_rows, senses, rhs, active = builder.probe_rows(bound)
+                coeff_rows, senses, rhs, scales, active = builder.probe_rows(bound)
                 zero = Fraction(0)
                 if check_standard_rows(
-                    coeff_rows, senses, rhs, [point.get(gi, zero) for gi in active]
+                    coeff_rows, senses, rhs, [point.get(gi, zero) for gi in active],
+                    scales=scales,
                 ):
                     if search_sp:
                         search_sp.attrs["refine"] = "volume-flow"

@@ -14,7 +14,7 @@ column sum of ``yᵀA`` is ``≤ 0`` and ``x ≥ 0`` force ``yᵀA·x ≤ 0``.
 
 These certificates are the currency of the incremental probe pipeline: an
 infeasible probe of a binary search hands its ``y`` to the next probe,
-which re-checks it against the *new* rows in ``O(nnz)`` rational work — if
+which re-checks it against the *new* rows in ``O(nnz)`` integer work — if
 it still certifies, an entire exact solve is skipped (see
 :meth:`repro.core.programs.IP3Builder`).  The exact simplex and the
 HiGHS-dual path of :func:`repro.lp.hybrid.certify_infeasible` emit their
@@ -24,14 +24,11 @@ certificates in this one format.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Sequence
+from math import lcm
+from typing import Dict, List, Optional, Sequence
 
 from .._fraction import to_fraction
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+from .simplex import scale_rows
 
 
 def farkas_certifies(
@@ -39,8 +36,13 @@ def farkas_certifies(
     senses: Sequence[str],
     rhs: Sequence[Fraction],
     y: Sequence[Fraction],
+    scales: Optional[Sequence[int]] = None,
 ) -> bool:
-    """Exactly verify the certificate conditions above (``True`` = proof)."""
+    """Exactly verify the certificate conditions above (``True`` = proof).
+
+    *scales* ``None`` means rational rows; otherwise the rows are integer
+    rows (:mod:`repro.lp.simplex`).  *y* is in raw-row units either way.
+    """
     if len(y) != len(coeff_rows):
         return False
     fy = [to_fraction(yi) for yi in y]
@@ -49,30 +51,26 @@ def farkas_certifies(
             return False
         if sense == ">=" and yi < 0:
             return False
-    # Scale y by the (positive) lcm of its denominators: every condition
-    # below is a sign test, so the scaling changes nothing — but it turns
-    # the column sums into (mostly) pure integer arithmetic, an order of
-    # magnitude cheaper than Fraction accumulation on the probe hot path.
-    scale = 1
-    for yi in fy:
-        scale = _lcm(scale, yi.denominator)
-    y_int = [yi.numerator * (scale // yi.denominator) for yi in fy]
-    column_sums: Dict[int, object] = {}
+    if scales is None:
+        coeff_rows, rhs, scales = scale_rows(coeff_rows, rhs)
+    # Integer row i is scales[i] times raw row i, so it takes the
+    # multiplier y_i / scales[i].  Scale those by the (positive) lcm of
+    # their denominators: every condition below is a sign test, so the
+    # scaling changes nothing, and the sums run in integers.
+    den = [yi.denominator * s for yi, s in zip(fy, scales)]
+    common = lcm(*(d for yi, d in zip(fy, den) if yi))
+    y_int = [
+        yi.numerator * (common // d) if yi else 0 for yi, d in zip(fy, den)
+    ]
+    column_sums: Dict[int, int] = {}
     for yi, row in zip(y_int, coeff_rows):
         if not yi:
             continue
         for j, v in row.items():
-            term = yi * v.numerator if v.denominator == 1 else yi * v
-            acc = column_sums.get(j)
-            column_sums[j] = term if acc is None else acc + term
+            column_sums[j] = column_sums.get(j, 0) + yi * v
     if any(total > 0 for total in column_sums.values()):
         return False
-    gain = 0
-    for yi, b in zip(y_int, rhs):
-        if yi:
-            fb = to_fraction(b)
-            gain += yi * fb.numerator if fb.denominator == 1 else yi * fb
-    return gain > 0
+    return sum(yi * b for yi, b in zip(y_int, rhs) if yi) > 0
 
 
 def denormalize_farkas(
@@ -82,8 +80,7 @@ def denormalize_farkas(
 
     :func:`repro.lp.simplex.standard_form` negates every row whose rhs is
     negative; a dual on the normalized system certifies the raw system with
-    the corresponding entries negated back.
+    the corresponding entries negated back.  *raw_rhs* may be rational or
+    integer-row right-hand sides: only their signs matter.
     """
-    return [
-        -yi if to_fraction(b) < 0 else yi for yi, b in zip(y_std, raw_rhs)
-    ]
+    return [-yi if b < 0 else yi for yi, b in zip(y_std, raw_rhs)]

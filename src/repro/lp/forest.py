@@ -53,8 +53,9 @@ Operations
     Duals top-down: ``y_root = c_f / ℓ`` (or the cycle's ``λ`` solve), then
     ``y_v = (c_{e_v} − p_v·y_parent) / c_v``.  ``rederive`` re-derives only
     the nodes a pivot moved since the last call and leaves them in
-    ``moved`` (``None`` when it re-derived every node: the first call, or
-    new costs on an unmoved edge); that is what lets the revised simplex
+    ``moved`` (``None`` when it re-derived every node: the first call or
+    new costs; within a phase only pivoted positions change cost, and
+    their edges always moved); that is what lets the revised simplex
     reprice only the columns touching them.  Every other dual is unchanged
     as a rational and keeps its integer and the den it was written at.
     Cost: the moved subtrees.  ``btran`` is ``rederive`` plus ``duals()``,
@@ -105,8 +106,7 @@ class ForestBasis:
 
     __slots__ = (
         "m", "den", "updates", "par", "pe", "cv", "pv", "cyc", "kids",
-        "owner", "moved", "_lam", "_b", "_bs", "_y", "_ys", "_ycosts",
-        "_dirty",
+        "owner", "moved", "_lam", "_b", "_bs", "_y", "_ys", "_dirty",
     )
 
     def __init__(self, m: int, b: Sequence[int]):
@@ -131,11 +131,9 @@ class ForestBasis:
         #: Cycle roots' ``(Λ, C_w)``, computed on first use.
         self._lam: Dict[int, Tuple[int, int]] = {}
         # Cached den-scaled duals, each with the den it was written at,
-        # the costs they were derived for, and the nodes a pivot moved
-        # since.
+        # and the nodes a pivot moved since they were derived.
         self._y: List[int] = [0] * m
         self._ys: List[int] = [one] * m
-        self._ycosts: Dict[int, int] = {}
         self._dirty: Set[int] = set(range(m))
         #: The nodes the last ``rederive`` re-derived; ``None`` for all.
         self.moved: Optional[Set[int]] = None
@@ -306,12 +304,17 @@ class ForestBasis:
         self.rederive(basic_costs)
         return self.duals()
 
-    def rederive(self, basic_costs: Mapping[int, int]) -> Optional[Set[int]]:
+    def rederive(
+        self, basic_costs: Mapping[int, int], new_costs: bool = True
+    ) -> Optional[Set[int]]:
         """Re-derive the duals a pivot moved for these basic costs.
 
-        Sets and returns ``moved`` (see the module docstring).  Every other
-        dual is unchanged as a rational and keeps its integer and stamp;
-        :meth:`dual` reads one at the current den.
+        Pass ``new_costs=False`` only when every cost is the last call's
+        except at positions pivoted in since; then only the moved duals
+        are re-derived, otherwise all of them.  Sets and returns ``moved``
+        (see the module docstring).  Every other dual is unchanged as a
+        rational and keeps its integer and stamp; :meth:`dual` reads one at
+        the current den.
         """
         m = self.m
         par, pe, cv, pv, cyc, kids = (
@@ -320,21 +323,10 @@ class ForestBasis:
         den = self.den
         y, ys = self._y, self._ys
         dirty = self._dirty
-        owner = self.owner
-        old = self._ycosts
         # A changed cost reaches only the duals below its edge, which are
-        # re-derived anyway when that edge's node moved.
-        stale = len(dirty) == m
-        if not stale:
-            for pos, c in basic_costs.items():
-                if old.get(pos, 0) != c and owner[pos] not in dirty:
-                    stale = True
-                    break
-        if not stale:
-            for pos, c in old.items():
-                if c and pos not in basic_costs and owner[pos] not in dirty:
-                    stale = True
-                    break
+        # re-derived anyway when that edge's node moved: a pivot's own
+        # position always has (update marks the entering edge's subtree).
+        stale = new_costs or len(dirty) == m
         if stale:
             dirty = set(range(m))
         cost = basic_costs.get
@@ -377,7 +369,6 @@ class ForestBasis:
                 ys[v] = den
                 stack.extend(kids[v])
         self._dirty = set()
-        self._ycosts = dict(basic_costs)
         self.moved = None if stale else dirty
         return self.moved
 

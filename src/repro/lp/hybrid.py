@@ -38,7 +38,9 @@ The float leg never builds a dense matrix.  :func:`float_candidate` and
 the column slice of its builder's template for the probe's exact mask
 (:meth:`repro.core.programs.IP3Builder.float_slice`), the min-T solve its
 min-T counterpart through :func:`solve_standard_hybrid` — and build one
-from the dict rows otherwise (:func:`repro.lp.scipy_backend.float_matrix`).
+from the dict rows otherwise (:func:`repro.lp.scipy_backend.float_matrix`;
+for integer rows each entry is ``a / scale``, the float of the raw
+rational).
 Only the ``linprog`` call itself is allowed to fail quietly (the caller
 falls back to the exact solver); a construction error, such as a
 mis-shaped *float_rows*, raises.
@@ -49,11 +51,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .._fraction import rationalize, to_fraction
+from .._fraction import rationalize
 from ..exceptions import SolverError
 from .certificates import denormalize_farkas, farkas_certifies
 from .revised import solve_standard
-from .simplex import SimplexResult, standard_form
+from .simplex import SimplexResult, scale_rows, standard_form
 
 try:  # pragma: no cover - exercised implicitly on import
     from .scipy_backend import solve_standard_float
@@ -74,17 +76,20 @@ def float_candidate(
     rhs: Sequence[Fraction],
     objective: Sequence[Fraction],
     float_rows=None,
+    scales: Optional[Sequence[int]] = None,
 ) -> Optional[SimplexResult]:
     """The HiGHS candidate, or ``None`` when scipy is missing or HiGHS fails.
 
     The result is *uncertified*: statuses and values are hints only.
-    *float_rows* is an optional prebuilt float CSR of *coeff_rows*.
+    *float_rows* is an optional prebuilt float CSR of *coeff_rows*;
+    *scales* marks integer rows (:mod:`repro.lp.simplex`).
     """
     if not HAVE_SCIPY:
         return None
     try:
         return solve_standard_float(
-            coeff_rows, senses, rhs, objective, float_rows=float_rows
+            coeff_rows, senses, rhs, objective, float_rows=float_rows,
+            scales=scales,
         )
     except SolverError:  # pragma: no cover - HiGHS internal failures
         return None
@@ -96,6 +101,7 @@ def certify_infeasible(
     rhs: Sequence[Fraction],
     num_vars: Optional[int] = None,
     float_rows=None,
+    scales: Optional[Sequence[int]] = None,
 ) -> Optional[List[Fraction]]:
     """Exact Farkas certificate of infeasibility from a float phase-1 dual.
 
@@ -118,8 +124,9 @@ def certify_infeasible(
     returns ``None`` and the caller falls back to the exact simplex.
 
     This is what makes the binary search of ``minimal_fractional_T`` fast:
-    its infeasible probes are certified in ``O(nnz)`` rational work instead
-    of a cold exact phase-1 solve.
+    its infeasible probes are certified in ``O(nnz)`` integer work instead
+    of a cold exact phase-1 solve.  *scales* marks integer rows
+    (:mod:`repro.lp.simplex`); ``y`` is in raw-row units either way.
     """
     if not HAVE_SCIPY:
         return None
@@ -131,14 +138,15 @@ def certify_infeasible(
 
     if num_vars is None:
         num_vars = _num_vars(coeff_rows)
-    std = standard_form(coeff_rows, senses, rhs, [Fraction(0)] * num_vars)
+    if scales is None:
+        coeff_rows, rhs, scales = scale_rows(coeff_rows, rhs)
+    std = standard_form(coeff_rows, senses, rhs, [0] * num_vars, scales)
     n, r = std.n, std.num_rows
     if r == 0:
         return None  # x = 0 is feasible
-    raw_rhs = [to_fraction(b) for b in rhs]
     # standard_form negated the rows with a negative rhs.
-    flip = np.array([b < 0 for b in raw_rhs], dtype=bool)
-    row, col, data = float_entries(coeff_rows, n, float_rows, flip)
+    flip = np.array([b < 0 for b in rhs], dtype=bool)
+    row, col, data = float_entries(coeff_rows, n, float_rows, flip, scales)
     slack_rows = np.array(
         [i for i in range(r) if std.slack_of_row[i] is not None], dtype=np.int64
     )
@@ -157,7 +165,7 @@ def certify_infeasible(
         ),
         shape=(r, width),
     )
-    b_eq = np.array([float(b) for b in std.rhs])
+    b_eq = np.array([b / s for b, s in zip(std.rhs, scales)])
     c = np.zeros(width)
     c[n + num_slack:] = 1.0
     try:
@@ -172,8 +180,8 @@ def certify_infeasible(
             y_std = [rationalize(sign * v, 10**9) for v in raw]
         except ValueError:  # pragma: no cover - non-finite marginals
             continue
-        y = denormalize_farkas(y_std, raw_rhs)
-        if farkas_certifies(coeff_rows, senses, rhs, y):
+        y = denormalize_farkas(y_std, rhs)
+        if farkas_certifies(coeff_rows, senses, rhs, y, scales=scales):
             return y
     return None
 
@@ -190,6 +198,7 @@ def solve_standard_hybrid(
     warm_point: Optional[Sequence[Fraction]] = None,
     canonical: bool = True,
     float_rows=None,
+    scales: Optional[Sequence[int]] = None,
 ) -> SimplexResult:
     """Certified solve: float candidate first, exact verification always.
 
@@ -203,18 +212,20 @@ def solve_standard_hybrid(
     is attached to the result for reuse.
 
     *float_rows* is an optional prebuilt float CSR of *coeff_rows* for the
-    HiGHS leg; it changes no result.
+    HiGHS leg; it changes no result.  *scales* marks integer rows
+    (:mod:`repro.lp.simplex`).
     """
     n = len(objective)
     size = n * max(len(coeff_rows), 1)
     if size >= _FLOAT_SIZE_CUTOFF:
-        prebuilt = {} if float_rows is None else {"float_rows": float_rows}
-        candidate = float_candidate(coeff_rows, senses, rhs, objective, **prebuilt)
+        given = {"float_rows": float_rows, "scales": scales}
+        given = {key: value for key, value in given.items() if value is not None}
+        candidate = float_candidate(coeff_rows, senses, rhs, objective, **given)
         if candidate is not None and candidate.status == "optimal":
             warm_point = candidate.x
         elif candidate is not None and candidate.status == "infeasible":
             farkas = certify_infeasible(
-                coeff_rows, senses, rhs, num_vars=n, **prebuilt
+                coeff_rows, senses, rhs, num_vars=n, **given
             )
             if farkas is not None:
                 return SimplexResult(
@@ -222,5 +233,5 @@ def solve_standard_hybrid(
                 )
     return solve_standard(
         coeff_rows, senses, rhs, objective,
-        warm_point=warm_point, canonical=canonical,
+        warm_point=warm_point, canonical=canonical, scales=scales,
     )

@@ -23,9 +23,13 @@ pivot, so pricing, the ratio test, the crash and Farkas certificates see the
 same numbers and every pivot is the same under either.  The ``lp.solve``
 span records which one ran (``basis=forest|lu``).
 
-Each constraint row is pre-scaled to integers, so every quantity is an
-integer over the basis' common denominator and no rational normalization
-happens inside the pivot loop.
+The kernel takes integer rows (the contract of :mod:`repro.lp.simplex`):
+each constraint row arrives scaled to integers by the lcm of its
+denominators, either straight from a builder that emits integer rows or
+through one :func:`~repro.lp.simplex.scale_rows` at the rational entry, so
+every quantity is an integer over the basis' common denominator and no
+rational normalization happens inside the pivot loop.  The same
+:class:`_RevisedSolver` constructor serves both entries.
 
 Pricing follows the vertex contract.  Canonical solves (the default) price
 every column with Dantzig's rule, which is deterministic, so the returned
@@ -66,7 +70,7 @@ and skip entire solves.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf
+from math import inf, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -82,13 +86,10 @@ from .simplex import (
     _point_hints,
     _tight_rows,
     default_max_pivots,
+    scale_rows,
     standard_form,
 )
 from .stats import SolverStats, record
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 class _Screen:
@@ -273,41 +274,30 @@ class _RevisedSolver:
         self.stats = SolverStats(solves=1)
         self.phase = 2
 
-        # Row scales: every constraint row becomes integer; slacks and
-        # artificials are implicitly rescaled with their row (their columns
-        # keep ±1 entries, so the starting basis is the identity).
-        m, n = self.m, std.n
-        self.scales: List[int] = []
-        for i in range(m):
-            scale = 1
-            for v in std.rows[i].values():
-                scale = _lcm(scale, v.denominator)
-            scale = _lcm(scale, std.rhs[i].denominator)
-            self.scales.append(scale)
+        # The rows arrive as integers (see the module docstring); slacks
+        # and artificials are implicitly rescaled with their row (their
+        # columns keep ±1 entries, so the starting basis is the identity).
         # Kernel integers go through the active bigint backend (gmpy2 when
         # available): products/sums inside ftran/btran/update then stay in
-        # the fast type automatically.  Each row scale is a multiple of
-        # every denominator in its row, so the scaled entries come from
-        # pure integer arithmetic — no Fraction multiply (whose gcd
-        # normalization used to dominate solver construction).
-        self.b_int: List[int] = [
-            bigint(
-                std.rhs[i].numerator * (self.scales[i] // std.rhs[i].denominator)
-            )
-            for i in range(m)
-        ]
+        # the fast type automatically.
+        m = self.m
+        self.scales: List[int] = std.scales
+        to_big = bigint if HAVE_GMPY2 else None
+        self.b_int: List[int] = (
+            [to_big(b) for b in std.rhs] if to_big else list(std.rhs)
+        )
 
         # Sparse integer columns of [A | S | I], and the same entries by row
         # restricted to the priced columns [A | S] (one-pass pricing).
         cols: List[Dict[int, int]] = [dict() for _ in range(std.total_cols)]
-        row_items: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+        row_items: List[List[Tuple[int, int]]] = []
         for i in range(m):
-            scale = self.scales[i]
-            items = row_items[i]
-            for j, v in std.rows[i].items():
-                a = bigint(v.numerator * (scale // v.denominator))
+            items = list(std.rows[i].items())
+            if to_big:
+                items = [(j, to_big(a)) for j, a in items]
+            for j, a in items:
                 cols[j][i] = a
-                items.append((j, a))
+            row_items.append(items)
         art_index = std.art_start
         self.art_of_row: List[Optional[int]] = [None] * m
         for i in range(m):
@@ -326,10 +316,8 @@ class _RevisedSolver:
         ]
 
         # Scaled integer objective (positive scaling preserves signs/argmin).
-        obj_scale = 1
-        fr_obj = [to_fraction(c) for c in objective]
-        for c in fr_obj:
-            obj_scale = _lcm(obj_scale, c.denominator)
+        fr_obj = [c if isinstance(c, int) else to_fraction(c) for c in objective]
+        obj_scale = lcm(*(c.denominator for c in fr_obj))
         self.c_int: List[int] = [
             bigint(c.numerator * (obj_scale // c.denominator)) for c in fr_obj
         ]
@@ -344,7 +332,7 @@ class _RevisedSolver:
         # Chosen by structure alone (see the module docstring).
         self._basis_cls = (
             ForestBasis
-            if all(sum(1 for a in c.values() if a) <= 2 for c in cols)
+            if all(len(c) <= 2 or sum(1 for a in c.values() if a) <= 2 for c in cols)
             else LUBasis
         )
         self.lub = self._basis_cls(m, self.b_int)
@@ -363,6 +351,11 @@ class _RevisedSolver:
         #: kept up to date by ``_pivot``; ``None`` until ``_basic_costs``
         #: builds it.
         self._cb: Optional[Dict[int, int]] = None
+        #: The costs were replaced (a new phase) since the last
+        #: ``rederive``, so every dual must be re-derived (pseudo-forest
+        #: basis).  Within a phase only a pivot's own position changes
+        #: cost, and ``ForestBasis.update`` marks that edge's node moved.
+        self._new_costs = True
 
     # ------------------------------------------------------------------
     # Counters
@@ -500,8 +493,18 @@ class _RevisedSolver:
             }
         return self._cb
 
+    def _rederive(self) -> Optional[Set[int]]:
+        """``rederive`` on the pseudo-forest basis: the duals the pivots
+        since the last call moved (``None``: all of them)."""
+        moved = self.lub.rederive(self._basic_costs(), self._new_costs)
+        self._new_costs = False
+        return moved
+
     def _dual_row(self) -> List[int]:
         """den-scaled duals ``c_B·W`` for the current phase's costs."""
+        if self._stamped:
+            self._rederive()
+            return self.lub.duals()
         return self.lub.btran(self._basic_costs())
 
     # ------------------------------------------------------------------
@@ -533,6 +536,7 @@ class _RevisedSolver:
         # costs are rebuilt, and the next pricing is full.
         self.phase = phase
         self._cb = None
+        self._new_costs = True
         self._priced = False
         if self._screen is not None:
             self._screen.cf = None
@@ -542,8 +546,7 @@ class _RevisedSolver:
         while True:
             bland = self.pivots >= self.bland_threshold
             if self._incremental:
-                moved = self.lub.rederive(self._basic_costs())
-                col = self._entering_screened(moved, bland)
+                col = self._entering_screened(self._rederive(), bland)
             else:
                 col = self._entering(self._dual_row(), bland)
             if col is None:
@@ -704,9 +707,9 @@ class _RevisedSolver:
 
     def farkas_certificate(
         self,
-        coeff_rows: Sequence[Dict[int, Fraction]],
+        coeff_rows: Sequence[Dict[int, int]],
         senses: Sequence[str],
-        rhs: Sequence[Fraction],
+        rhs: Sequence[int],
     ) -> Optional[List[Fraction]]:
         """The exact Farkas dual read off the optimal phase-1 basis.
 
@@ -714,8 +717,9 @@ class _RevisedSolver:
         row ``i`` of the scaled system is ``scales[i]`` times the
         sign-normalized row, so the normalized certificate is
         ``y_num[i]·scales[i]/den``, denormalized back to the caller's row
-        signs.  Verified exactly before being returned — a certificate this
-        module emits is always a proof.
+        signs: raw-row units.  Verified exactly against the caller's
+        integer rows before being returned — a certificate this module
+        emits is always a proof.
         """
         self._set_phase(1)
         y_num = self._dual_row()
@@ -723,8 +727,8 @@ class _RevisedSolver:
         y_std = [
             Fraction(y_num[i] * self.scales[i], den) for i in range(self.m)
         ]
-        y_raw = denormalize_farkas(y_std, [to_fraction(b) for b in rhs])
-        if farkas_certifies(coeff_rows, senses, rhs, y_raw):
+        y_raw = denormalize_farkas(y_std, rhs)
+        if farkas_certifies(coeff_rows, senses, rhs, y_raw, scales=self.scales):
             return y_raw
         return None  # pragma: no cover - duality guarantees the checks
 
@@ -754,14 +758,17 @@ def solve_standard(
     objective: Sequence[Fraction],
     warm_point: Optional[Sequence[Fraction]] = None,
     canonical: bool = True,
+    scales: Optional[Sequence[int]] = None,
 ) -> SimplexResult:
     """Solve ``min c·x  s.t.  rows, x ≥ 0`` exactly.
 
     *coeff_rows* are sparse ``{var_index: coefficient}`` mappings; *senses*
-    entries are ``"<="``, ``">="`` or ``"=="``.  The returned ``x`` is an
-    exact rational basic solution: at most ``len(coeff_rows)`` entries are
-    non-zero.  Every result carries ``stats``; infeasible results carry a
-    verified Farkas certificate on ``farkas``.
+    entries are ``"<="``, ``">="`` or ``"=="``.  With *scales* the rows are
+    integer rows (see :mod:`repro.lp.simplex`); without, rational rows,
+    scaled to integers on entry.  The returned ``x`` is an exact rational
+    basic solution: at most ``len(coeff_rows)`` entries are non-zero.
+    Every result carries ``stats``; infeasible results carry a verified
+    Farkas certificate on ``farkas``, in raw-row units.
 
     Pricing switches to Bland's rule after
     :data:`~repro.lp.simplex.BLAND_THRESHOLD_DEFAULT` pivots.  The pivot
@@ -789,7 +796,9 @@ def solve_standard(
     with trace_span(
         "lp.solve", kernel="revised", rows=len(coeff_rows), cols=len(objective),
     ) as solve_sp:
-        std = standard_form(coeff_rows, senses, rhs, objective)
+        if scales is None:
+            coeff_rows, rhs, scales = scale_rows(coeff_rows, rhs)
+        std = standard_form(coeff_rows, senses, rhs, objective, scales)
         solver = _RevisedSolver(
             std,
             objective,
@@ -809,7 +818,7 @@ def solve_standard(
                 solver.stats.warm_start_attempts += 1
                 with trace_span("lp.crash", hints=len(hints)) as crash_sp:
                     crashed = solver.crash_factorize(
-                        hints, _tight_rows(coeff_rows, senses, rhs, point)
+                        hints, _tight_rows(coeff_rows, senses, rhs, scales, point)
                     )
                     if crashed:
                         solver.stats.warm_start_hits += 1

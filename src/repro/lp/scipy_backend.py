@@ -7,7 +7,9 @@ to rationals with a denominator bound before re-entering the exact pipeline.
 
 The float leg is sparse end to end.  The float image of the exact rows is
 a ``scipy.sparse`` CSR — either built here from the dict rows
-(:func:`float_matrix`, one stored entry per dict item) or handed in
+(:func:`float_matrix`, one stored entry per dict item; integer rows, see
+:mod:`repro.lp.simplex`, give ``a / scale`` per entry, the float of the raw
+rational, so both row forms give the same bits) or handed in
 ready-made as *float_rows*: the binary search of
 :func:`repro.core.programs.minimal_fractional_T` keeps one float CSR
 template per :class:`~repro.core.programs.IP3Builder` and passes each probe
@@ -38,20 +40,29 @@ _SENSES = ("<=", ">=", "==")
 
 
 def float_matrix(
-    coeff_rows: Sequence[Dict[int, Fraction]], num_vars: int
+    coeff_rows: Sequence[Dict[int, Fraction]],
+    num_vars: int,
+    scales: Optional[Sequence[int]] = None,
 ) -> csr_array:
     """The exact rows as a float CSR, one stored entry per dict item.
 
-    Zero coefficients stay stored (:func:`float_entries` drops them on the
-    way to HiGHS); a column index outside ``range(num_vars)`` raises
-    ``ValueError``.
+    With *scales* the rows are integer rows (see :mod:`repro.lp.simplex`)
+    and each entry is ``a / scale``: integer true division rounds
+    correctly, so the matrix is the float image of the raw rational rows,
+    bit for bit.  Zero coefficients stay stored (:func:`float_entries`
+    drops them on the way to HiGHS); a column index outside
+    ``range(num_vars)`` raises ``ValueError``.
     """
     indptr = [0]
     indices: List[int] = []
-    data: List[Fraction] = []
-    for row in coeff_rows:
+    data: List[float] = []
+    for i, row in enumerate(coeff_rows):
         indices.extend(row)
-        data.extend(row.values())
+        if scales is None:
+            data.extend(map(float, row.values()))
+        else:
+            scale = scales[i]
+            data.extend([a / scale for a in row.values()])
         indptr.append(len(indices))
     return csr_array(
         (
@@ -68,16 +79,18 @@ def float_entries(
     num_vars: int,
     float_rows: Optional[csr_array],
     flip: np.ndarray,
+    scales: Optional[Sequence[int]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(row, col, value)`` of the nonzero entries of the rows' float image.
 
     Entries come in row-major order; rows where *flip* is set are negated.
     *float_rows*, when given, must be the float image of *coeff_rows* (same
     shape, same values) and replaces building it from the dict rows; a
-    shape mismatch raises ``ValueError``.
+    shape mismatch raises ``ValueError``.  *scales* as in
+    :func:`float_matrix`.
     """
     if float_rows is None:
-        float_rows = float_matrix(coeff_rows, num_vars)
+        float_rows = float_matrix(coeff_rows, num_vars, scales)
     elif float_rows.shape != (len(coeff_rows), num_vars):
         raise ValueError(
             f"float_rows has shape {float_rows.shape}, "
@@ -97,6 +110,7 @@ def highs_inputs(
     rhs: Sequence[Fraction],
     objective: Sequence[Fraction],
     float_rows: Optional[csr_array] = None,
+    scales: Optional[Sequence[int]] = None,
 ) -> Dict[str, Optional[np.ndarray]]:
     """The ``linprog`` keyword arguments ``c``, ``A_ub``, ``b_ub``, ``A_eq``, ``b_eq``.
 
@@ -105,8 +119,9 @@ def highs_inputs(
     (the format ``linprog`` converts every sparse input to), and ``None``
     when empty.  *float_rows*, when given, must be the float image of
     *coeff_rows* (same shape, same values); it replaces building the
-    matrix from the dict rows.  A shape mismatch or an unknown sense
-    raises ``ValueError``.
+    matrix from the dict rows.  With *scales* the rows are integer rows
+    and every float is that of the raw row (see :func:`float_matrix`).  A
+    shape mismatch or an unknown sense raises ``ValueError``.
     """
     n = len(objective)
     r = len(coeff_rows)
@@ -116,8 +131,12 @@ def highs_inputs(
     if unknown:
         raise ValueError(f"unknown sense(s) {sorted(unknown)!r}")
     flip = np.array([s == ">=" for s in senses], dtype=bool)
-    row, col, data = float_entries(coeff_rows, n, float_rows, flip)
-    b = np.array([float(v) for v in rhs], dtype=float)
+    row, col, data = float_entries(coeff_rows, n, float_rows, flip, scales)
+    b = np.array(
+        [float(v) for v in rhs] if scales is None
+        else [v / s for v, s in zip(rhs, scales)],
+        dtype=float,
+    )
     b = np.where(flip, -b, b)
     is_eq = np.array([s == "==" for s in senses], dtype=bool)
     inputs: Dict[str, Optional[np.ndarray]] = {
@@ -145,13 +164,15 @@ def solve_standard_float(
     objective: Sequence[Fraction],
     max_denominator: int = 10**6,
     float_rows: Optional[csr_array] = None,
+    scales: Optional[Sequence[int]] = None,
 ) -> SimplexResult:
     """Solve the same standard form as the exact simplex, via HiGHS.
 
     The result's ``x`` is rationalized (``limit_denominator``) so downstream
     exact checks can run; statuses map onto the exact solver's vocabulary.
-    *float_rows* is an optional prebuilt float CSR of *coeff_rows* (see
-    :func:`highs_inputs`).  Construction errors raise ``ValueError``; a
+    *float_rows* is an optional prebuilt float CSR of *coeff_rows* and
+    *scales* marks integer rows (see :func:`highs_inputs`).  Construction
+    errors raise ``ValueError``; a
     failure inside ``linprog`` or a status other than optimal, infeasible
     or unbounded raises :class:`~repro.exceptions.SolverError`.
     """
@@ -160,12 +181,11 @@ def solve_standard_float(
         # linprog rejects empty programs; decide them exactly right here.
         # (The IP-3 builders encode "job has no options" as a {} == 1 row.)
         for sense, b in zip(senses, rhs):
-            b = Fraction(b)
             ok = (b >= 0) if sense == "<=" else (b <= 0) if sense == ">=" else b == 0
             if not ok:
                 return SimplexResult("infeasible", [], None, None)
         return SimplexResult("optimal", [], Fraction(0), [])
-    inputs = highs_inputs(coeff_rows, senses, rhs, objective, float_rows)
+    inputs = highs_inputs(coeff_rows, senses, rhs, objective, float_rows, scales)
     try:
         result = linprog(**inputs, bounds=(0, None), method="highs")
     except Exception as exc:  # pragma: no cover - HiGHS internal failures

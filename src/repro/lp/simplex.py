@@ -10,17 +10,31 @@ combinatorial arguments.  The exact simplex
 fractionality are exact properties.
 
 This module holds what that solver and the hybrid backend share: the
-normalized :class:`StandardForm` (rows sign-normalized to ``b ≥ 0``, fixed
+integer-row contract (:func:`scale_rows`), the normalized
+:class:`StandardForm` (integer rows sign-normalized to ``b ≥ 0``, fixed
 slack/artificial column indices), the :class:`SimplexResult` record, the
 warm-point helpers that turn a candidate solution into crash hints and
 tight-row flags, and the pivot budget.
+
+**Integer rows.**  Every row-taking entry point of :mod:`repro.lp` accepts
+its constraint rows in one of two forms.  Without ``scales`` the rows and
+right-hand sides are exact rationals (``Fraction`` or ``int``).  With
+``scales`` they are integers: row ``i`` stands for the raw row
+``rows[i] / scales[i]  sense  rhs[i] / scales[i]``, with ``scales[i]`` the
+lcm of the denominators of the raw row's entries and right-hand side.
+That is the scaling the exact kernel works in, so the builders of the hot
+LPs (:class:`repro.core.programs.IP3Builder`,
+:func:`repro.rounding.lst.unrelated_rows`) emit integer rows directly, and
+a rational caller pays one :func:`scale_rows` at its entry point.  Points,
+objective values and Farkas certificates are always in raw-row units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from math import lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._fraction import to_fraction
 from ..exceptions import SolverError
@@ -77,20 +91,46 @@ class SimplexResult:
         return self.status == "optimal"
 
 
+def scale_rows(
+    coeff_rows: Sequence[Dict[int, Fraction]], rhs: Sequence[Fraction]
+) -> Tuple[List[Dict[int, int]], List[int], List[int]]:
+    """Rational rows as integer rows: ``(rows, rhs, scales)``.
+
+    Row ``i`` is multiplied by ``scales[i]``, the lcm of its entries' and
+    its right-hand side's denominators, so every entry and right-hand side
+    becomes an integer (see the module docstring).  Stored zero entries
+    stay stored.
+    """
+    rows: List[Dict[int, int]] = []
+    rhs_int: List[int] = []
+    scales: List[int] = []
+    for row, b in zip(coeff_rows, rhs):
+        b = to_fraction(b)
+        scale = lcm(b.denominator, *(v.denominator for v in row.values()))
+        rows.append(
+            {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+        )
+        rhs_int.append(b.numerator * (scale // b.denominator))
+        scales.append(scale)
+    return rows, rhs_int, scales
+
+
 @dataclass
 class StandardForm:
     """The normalized standard form shared by the exact and hybrid solvers.
 
-    Rows are sign-normalized to ``b ≥ 0``; slack and artificial variables are
-    assigned fixed column indices so a candidate basis can be described by
-    column index alone.
+    Rows are integer rows (see the module docstring) sign-normalized to
+    ``b ≥ 0``: row ``i`` is the raw row times ``±scales[i]``.  Slack and
+    artificial variables are assigned fixed column indices so a candidate
+    basis can be described by column index alone.
     """
 
     n: int  # structural variables
     num_rows: int
-    rows: List[Dict[int, Fraction]]
+    rows: List[Dict[int, int]]
     senses: List[str]
-    rhs: List[Fraction]
+    rhs: List[int]
+    scales: List[int]
     slack_of_row: List[Optional[int]]
     slack_sign: List[int]
     needs_artificial: List[bool]
@@ -103,18 +143,25 @@ def standard_form(
     senses: Sequence[str],
     rhs: Sequence[Fraction],
     objective: Sequence[Fraction],
+    scales: Optional[Sequence[int]] = None,
 ) -> StandardForm:
-    """Normalize ``min c·x s.t. rows, x ≥ 0`` for the exact solver."""
+    """Normalize ``min c·x s.t. rows, x ≥ 0`` for the exact solver.
+
+    *scales* ``None`` means rational rows, which are scaled to integers
+    first (:func:`scale_rows`); otherwise the rows are integer rows.
+    """
     n = len(objective)
     r = len(coeff_rows)
     if len(senses) != r or len(rhs) != r:
         raise SolverError("rows, senses and rhs must have equal length")
-    norm_rows: List[Dict[int, Fraction]] = []
-    norm_rhs: List[Fraction] = []
+    if scales is None:
+        coeff_rows, rhs, scales = scale_rows(coeff_rows, rhs)
+    norm_rows: List[Dict[int, int]] = []
+    norm_rhs: List[int] = []
     norm_senses: List[str] = []
     for i in range(r):
-        row = dict(coeff_rows[i])
-        b = to_fraction(rhs[i])
+        row = coeff_rows[i]
+        b = rhs[i]
         sense = senses[i]
         if sense not in ("<=", ">=", "=="):
             raise SolverError(f"unknown sense {sense!r}")
@@ -143,6 +190,7 @@ def standard_form(
         rows=norm_rows,
         senses=norm_senses,
         rhs=norm_rhs,
+        scales=list(scales),
         slack_of_row=slack_of_row,
         slack_sign=slack_sign,
         needs_artificial=needs_artificial,
@@ -153,7 +201,7 @@ def standard_form(
 
 def _point_hints(point: Sequence[Fraction]) -> List[int]:
     """Support of a warm-start point, largest value first (deterministic)."""
-    support = [(v, j) for j, v in enumerate(point) if v > 0]
+    support = [(v, j) for j, v in enumerate(point) if v and v > 0]
     support.sort(key=lambda pair: (-pair[0], pair[1]))
     return [j for _v, j in support]
 
@@ -166,12 +214,13 @@ _TIGHT_EPS = 1e-9
 
 
 def _tight_rows(
-    coeff_rows: Sequence[Dict[int, Fraction]],
+    coeff_rows: Sequence[Dict[int, int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction],
+    rhs: Sequence[int],
+    scales: Sequence[int],
     point: Sequence[Fraction],
 ) -> List[bool]:
-    """Which rows hold with (near-)equality at *point*.
+    """Which integer rows hold with (near-)equality at *point*.
 
     Equality rows count as tight regardless of the (possibly noisy) point —
     their artificial has to leave the basis either way.
@@ -179,10 +228,12 @@ def _tight_rows(
     flags: List[bool] = []
     # Float throughout: this is a heuristic with a relative tolerance nine
     # orders of magnitude above float dot-product noise, and the crash it
-    # feeds is verified exactly afterwards.  Exact Fraction accumulation
-    # here used to be one of the most expensive steps of a warm solve.
-    fpoint = [float(v) for v in point]
-    for row, sense, b in zip(coeff_rows, senses, rhs):
+    # feeds is verified exactly afterwards.  It runs on the raw rows: the
+    # tolerance is relative to the raw right-hand side, so it is not
+    # invariant under row scaling.  ``a / scale`` (integer true division)
+    # rounds correctly, so each entry is the float of the raw rational.
+    fpoint = [float(v) if v else 0.0 for v in point]
+    for row, sense, b, scale in zip(coeff_rows, senses, rhs, scales):
         if sense == "==":
             flags.append(True)
             continue
@@ -190,7 +241,7 @@ def _tight_rows(
         for j, v in row.items():
             pj = fpoint[j]
             if pj:
-                activity += float(v) * pj
-        fb = float(b)
+                activity += v / scale * pj
+        fb = b / scale
         flags.append(abs(activity - fb) <= _TIGHT_EPS * max(1.0, abs(fb)))
     return flags

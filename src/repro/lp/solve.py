@@ -26,11 +26,21 @@ warm-start input: no solver basis is carried from one solve to the next.
 :func:`solve_lp` (keyed :class:`~repro.lp.model.LinearProgram`) and
 :func:`solve_rows` (raw standard rows) share one backend dispatch:
 ``solve_lp`` converts to rows and delegates.
+
+Every row-taking function here takes its rows in either form of the
+integer-row contract (:mod:`repro.lp.simplex`): rational rows, or integer
+rows with ``scales=``, each row times the lcm of its denominators.  The
+builders of the hot LPs emit integer rows
+(:class:`repro.core.programs.IP3Builder`,
+:func:`repro.rounding.lst.unrelated_rows`); rational rows are scaled once
+at the entry, and the exact kernel sees the same integers either way.
+Points and Farkas certificates are in raw-row units.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from .._fraction import to_fraction
@@ -38,6 +48,7 @@ from ..exceptions import SolverError
 from .hybrid import HAVE_SCIPY, solve_standard_hybrid
 from .model import LinearProgram, LPSolution, VarKey
 from .revised import solve_standard
+from .simplex import scale_rows
 
 if HAVE_SCIPY:
     # Unused here; kept bound because perfbench/layers.py wraps this name.
@@ -89,27 +100,31 @@ def solve_rows(
     warm_point: Optional[Sequence[Fraction]] = None,
     float_rows=None,
     canonical: bool = True,
+    scales: Optional[Sequence[int]] = None,
 ):
     """Solve raw standard rows (minimization) on *backend*.
 
     The backend dispatch behind :func:`solve_lp`, for callers that build
     their rows without a :class:`~repro.lp.model.LinearProgram` (the
-    min-T LP of :func:`repro.core.programs.minimal_fractional_T`).  Returns
-    the solver's :class:`~repro.lp.simplex.SimplexResult`; the per-backend
-    guarantees are those of the module docstring.  *warm_point* is a dense
-    structural vector; *float_rows* is an optional prebuilt float CSR of
-    *coeff_rows* for the HiGHS leg and changes no result.  *canonical*
-    picks the pricing and vertex contract, as in
-    :func:`repro.lp.revised.solve_standard`.
+    min-T LP of :func:`repro.core.programs.minimal_fractional_T`, the LST
+    LP of :func:`repro.rounding.lst.lst_round`).  Returns the solver's
+    :class:`~repro.lp.simplex.SimplexResult`; the per-backend guarantees
+    are those of the module docstring.  *warm_point* is a dense structural
+    vector; *float_rows* is an optional prebuilt float CSR of *coeff_rows*
+    for the HiGHS leg and changes no result.  *canonical* picks the
+    pricing and vertex contract, as in
+    :func:`repro.lp.revised.solve_standard`.  With *scales* the rows are
+    integer rows (:mod:`repro.lp.simplex`).
     """
     if _resolve_backend(backend) == "exact":
         return solve_standard(
             coeff_rows, senses, rhs, objective,
-            warm_point=warm_point, canonical=canonical,
+            warm_point=warm_point, canonical=canonical, scales=scales,
         )
     return solve_standard_hybrid(
         coeff_rows, senses, rhs, objective,
         warm_point=warm_point, canonical=canonical, float_rows=float_rows,
+        scales=scales,
     )
 
 
@@ -151,19 +166,38 @@ def check_standard_rows(
     senses: Sequence[str],
     rhs: Sequence[Fraction],
     x: Sequence[Fraction],
+    scales: Optional[Sequence[int]] = None,
 ) -> bool:
     """Exactly verify ``x ≥ 0`` against the rows (no tolerances).
 
     The raw-row counterpart of
     :meth:`~repro.lp.model.LinearProgram.check_values`; this is the gate
     that certifies float candidates — and re-certifies cached points in the
-    incremental probe pipeline — without an exact solve.
+    incremental probe pipeline — without an exact solve.  With *scales*
+    the rows are integer rows (:mod:`repro.lp.simplex`); rational rows are
+    scaled first.  The point is scaled by the lcm of its denominators, so
+    every row sums in integers.
     """
-    if any(v < 0 for v in x):
-        return False
+    support = []
+    for j, v in enumerate(x):
+        if v:
+            v = to_fraction(v)
+            if v < 0:
+                return False
+            support.append((j, v))
+    if scales is None:
+        coeff_rows, rhs, _scales = scale_rows(coeff_rows, rhs)
+    common = lcm(*{v.denominator for _j, v in support})
+    x_int = [0] * len(x)
+    for j, v in support:
+        x_int[j] = v.numerator * (common // v.denominator)
     for row, sense, b in zip(coeff_rows, senses, rhs):
-        lhs = sum((v * x[j] for j, v in row.items() if x[j]), Fraction(0))
-        b = to_fraction(b)
+        lhs = 0
+        for j, a in row.items():
+            v = x_int[j]
+            if v:
+                lhs += a * v
+        b *= common
         ok = (
             lhs <= b if sense == "<="
             else lhs >= b if sense == ">="
@@ -182,6 +216,7 @@ def feasible_point_rows(
     backend: str = "hybrid",
     warm_point: Optional[Sequence[Fraction]] = None,
     float_rows=None,
+    scales: Optional[Sequence[int]] = None,
 ):
     """Certified feasibility probe on raw standard rows.
 
@@ -199,7 +234,9 @@ def feasible_point_rows(
     that fails the exact re-check).  Probe vertices are **not**
     canonicalized (feasibility verdicts are vertex-agnostic).
     *float_rows* is an optional prebuilt float CSR of *coeff_rows* for the
-    HiGHS leg (see :mod:`repro.lp.hybrid`); it changes no result.
+    HiGHS leg (see :mod:`repro.lp.hybrid`); it changes no result.  With
+    *scales* the rows are integer rows (:mod:`repro.lp.simplex`); rational
+    rows are scaled once, here.
     """
     from .hybrid import _FLOAT_SIZE_CUTOFF, certify_infeasible, float_candidate
 
@@ -207,24 +244,28 @@ def feasible_point_rows(
         _resolve_backend(backend) == "hybrid"
         and num_vars * max(len(coeff_rows), 1) >= _FLOAT_SIZE_CUTOFF
     )
-    objective = [Fraction(0)] * num_vars
+    if scales is None:
+        coeff_rows, rhs, scales = scale_rows(coeff_rows, rhs)
+    objective = [0] * num_vars
     if use_float:
         candidate = float_candidate(
-            coeff_rows, senses, rhs, objective, float_rows=float_rows
+            coeff_rows, senses, rhs, objective, float_rows=float_rows,
+            scales=scales,
         )
         if candidate is not None and candidate.status == "optimal":
-            if check_standard_rows(coeff_rows, senses, rhs, candidate.x):
+            if check_standard_rows(coeff_rows, senses, rhs, candidate.x, scales):
                 return list(candidate.x), None  # certified by the re-check
             warm_point = candidate.x  # uncertified: warm-start the repair
         elif candidate is not None and candidate.status == "infeasible":
             farkas = certify_infeasible(
-                coeff_rows, senses, rhs, num_vars=num_vars, float_rows=float_rows
+                coeff_rows, senses, rhs, num_vars=num_vars, float_rows=float_rows,
+                scales=scales,
             )
             if farkas is not None:
                 return None, farkas
     result = solve_standard(
         coeff_rows, senses, rhs, objective,
-        warm_point=warm_point, canonical=False,
+        warm_point=warm_point, canonical=False, scales=scales,
     )
     if result.status != "optimal":
         return None, result.farkas

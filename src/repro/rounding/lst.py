@@ -14,22 +14,112 @@ machines so each machine receives at most one extra job of size ≤ T.
 
 This is the engine behind Theorem V.2: after Lemma V.1's push-down, the
 hierarchical LP solution lives on singletons and *is* such an LP solution.
+
+:func:`lst_round` solves that LP from integer rows
+(:func:`unrelated_rows`, the integer-row contract of
+:mod:`repro.lp.simplex`): the times are integers over one common
+denominator (:class:`IntegerTimes`), taken from a processing-time matrix or,
+for Theorem V.2, straight from the search's
+:meth:`~repro.core.programs.IP3Builder.singleton_times`.  The rows are
+those of :func:`build_unrelated_lp`, the keyed form, scaled as the exact
+kernel scales them, so no :class:`~repro.lp.model.LinearProgram` is built
+on the way.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Mapping, Tuple, Union
 
 from .._fraction import INF, is_inf, to_fraction, to_fraction_finite
 from ..exceptions import InfeasibleError, RoundingError
 from ..lp.model import LinearProgram
-from ..lp.solve import solve_lp
+
+# solve_lp is unused here; kept bound because perfbench/layers.py wraps it.
+from ..lp.solve import solve_lp, solve_rows  # noqa: F401
 from .matching import maximum_bipartite_matching
 from .pseudoforest import connected_components
 
 Time = Union[int, Fraction]
 PMatrix = Mapping[int, Mapping[int, Union[int, Fraction, float]]]
+
+
+@dataclass(frozen=True)
+class IntegerTimes:
+    """``R||Cmax`` processing times as integers over one common denominator.
+
+    ``jobs`` lists ``(job, [(machine, P), …])`` by increasing job, each
+    job's finite times by increasing machine; job ``j`` takes
+    ``P / denominator`` on machine ``i``.
+    """
+
+    jobs: List[Tuple[int, List[Tuple[int, int]]]]
+    denominator: int
+
+    @classmethod
+    def from_matrix(cls, p: PMatrix) -> "IntegerTimes":
+        """The finite entries of *p* (``job -> {machine: time}``)."""
+        rows = [
+            (j, [(i, to_fraction(p[j][i])) for i in sorted(p[j]) if not is_inf(p[j][i])])
+            for j in sorted(p)
+        ]
+        den = lcm(*{v.denominator for _j, row in rows for _i, v in row})
+        return cls(
+            [
+                (j, [(i, v.numerator * (den // v.denominator)) for i, v in row])
+                for j, row in rows
+            ],
+            den,
+        )
+
+
+def unrelated_rows(
+    times: IntegerTimes, T: Time
+) -> Tuple[List[Dict[int, int]], List[str], List[int], List[int], List[Tuple[int, int]]]:
+    """The LP of :func:`build_unrelated_lp` at horizon *T* as integer rows.
+
+    Returns ``(coeff_rows, senses, rhs, scales, pairs)``: the rows of
+    ``build_unrelated_lp(p, T).to_standard_rows()`` in the same order (one
+    assignment row per job, an empty one for a job with no time within
+    *T*; one load row per machine with a variable, ``p = 0`` entries
+    omitted), each times ``scales[i]``, the lcm of its denominators (see
+    :mod:`repro.lp.simplex`).  ``pairs[col]`` is column ``col``'s
+    ``(machine, job)``.
+    """
+    T = to_fraction(T)
+    den = times.denominator
+    t_num, t_den = T.numerator, T.denominator
+    cap = t_num * den  # P / den ≤ T  ⇔  P·t_den ≤ cap
+    coeff_rows: List[Dict[int, int]] = []
+    pairs: List[Tuple[int, int]] = []
+    loads: Dict[int, List[Tuple[int, int]]] = {}
+    for j, row in times.jobs:
+        assign: Dict[int, int] = {}
+        for i, P in row:
+            if P * t_den <= cap:
+                col = len(pairs)
+                pairs.append((i, j))
+                assign[col] = 1
+                loads.setdefault(i, []).append((col, P))
+        coeff_rows.append(assign)
+    senses = ["=="] * len(coeff_rows)
+    rhs = [1] * len(coeff_rows)
+    scales = [1] * len(coeff_rows)
+    for i in sorted(loads):
+        entries = [(col, P) for col, P in loads[i] if P]
+        scale = t_den
+        if den != 1:
+            for _col, P in entries:
+                d = den // gcd(P, den)
+                if scale % d:
+                    scale = lcm(scale, d)
+        coeff_rows.append({col: P * scale // den for col, P in entries})
+        senses.append("<=")
+        rhs.append(t_num * (scale // t_den))
+        scales.append(scale)
+    return coeff_rows, senses, rhs, scales, pairs
 
 
 def build_unrelated_lp(p: PMatrix, T: Time) -> LinearProgram:
@@ -127,23 +217,32 @@ def round_fractional_solution(
 
 
 def lst_round(
-    p: PMatrix,
+    p: Union[PMatrix, IntegerTimes],
     T: Time,
     backend: str = "hybrid",
 ) -> Dict[int, int]:
     """Full LST step: solve the assignment LP at *T*, then round.
 
-    Returns ``job -> machine``.  The resulting per-machine load is at most
-    ``2T`` (LP load ≤ T plus at most one extra job of size ≤ T).  Raises
-    :class:`InfeasibleError` when the LP itself is infeasible at *T*.
+    *p* is a matrix ``job -> {machine: time}`` or its
+    :class:`IntegerTimes`.  Returns ``job -> machine``.  The resulting
+    per-machine load is at most ``2T`` (LP load ≤ T plus at most one extra
+    job of size ≤ T).  Raises :class:`InfeasibleError` when the LP itself
+    is infeasible at *T*.
 
     The rounding needs a *basic* solution; both backends guarantee one.
+    The LP is :func:`unrelated_rows`, solved canonically, so the vertex is
+    the one the keyed :func:`build_unrelated_lp` gives.
     """
-    lp = build_unrelated_lp(p, T)
-    solution = solve_lp(lp, backend=backend)
-    if not solution.is_optimal:
+    times = p if isinstance(p, IntegerTimes) else IntegerTimes.from_matrix(p)
+    coeff_rows, senses, rhs, scales, pairs = unrelated_rows(times, T)
+    result = solve_rows(
+        coeff_rows, senses, rhs, [0] * len(pairs), backend=backend, scales=scales
+    )
+    if result.status != "optimal":
         raise InfeasibleError(f"assignment LP infeasible at T={T}")
-    return round_fractional_solution(solution.values)
+    return round_fractional_solution(
+        {("x", i, j): v for (i, j), v in zip(pairs, result.x) if v}
+    )
 
 
 def assignment_loads(p: PMatrix, assignment: Mapping[int, int]) -> Dict[int, Fraction]:

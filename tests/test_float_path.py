@@ -20,6 +20,7 @@
 from fractions import Fraction
 
 import pytest
+from _int_rows import min_T_rows, probe_rows, time_of
 
 from repro._fraction import INF, is_inf
 from repro.core.instance import Instance
@@ -94,14 +95,14 @@ def _horizons(builder: IP3Builder):
 def _reference_probe_rows(inst: Instance, builder: IP3Builder, T: Fraction):
     """Probe rows from per-entry ``p ≤ T`` comparisons on the instance."""
     var_of_pair = {(j, alpha): gi for gi, (j, alpha, _p) in enumerate(builder.finite)}
-    active = [gi for gi, (_j, _a, p) in enumerate(builder.finite) if p <= T]
+    active = [gi for gi in range(len(builder.finite)) if time_of(builder, gi) <= T]
     local = {gi: li for li, gi in enumerate(active)}
     rows, senses, rhs = [], [], []
     for j in range(inst.n):
         rows.append({
             local[gi]: Fraction(1)
-            for gi, (jj, _a, p) in enumerate(builder.finite)
-            if jj == j and p <= T
+            for gi, (jj, _a, _p) in enumerate(builder.finite)
+            if jj == j and time_of(builder, gi) <= T
         })
         senses.append("==")
         rhs.append(Fraction(1))
@@ -161,9 +162,9 @@ class TestTemplateSlice:
         inst = INSTANCES[name]
         builder = IP3Builder(inst)
         for T in _horizons(builder):
-            assert builder.probe_rows(T) == _reference_probe_rows(inst, builder, T)
+            assert probe_rows(builder, T) == _reference_probe_rows(inst, builder, T)
             every_job = all(
-                any(builder.var_p[gi] <= T for gi in group)
+                any(time_of(builder, gi) <= T for gi in group)
                 for group in builder.assign_template
             )
             assert (builder.mask(T) >= builder.full_mask) == every_job
@@ -171,7 +172,7 @@ class TestTemplateSlice:
     def test_slice_equals_row_built_matrices(self, name):
         builder = IP3Builder(INSTANCES[name])
         for T in _horizons(builder):
-            rows, senses, rhs, active = builder.probe_rows(T)
+            rows, senses, rhs, active = probe_rows(builder, T)
             objective = [Fraction(0)] * len(active)
             if not active:
                 continue
@@ -187,7 +188,7 @@ class TestTemplateSlice:
     def test_float_solve_identical_either_way(self, name):
         builder = IP3Builder(INSTANCES[name])
         for T in _horizons(builder):
-            rows, senses, rhs, active = builder.probe_rows(T)
+            rows, senses, rhs, active = probe_rows(builder, T)
             objective = [Fraction(0)] * len(active)
             a = solve_standard_float(rows, senses, rhs, objective)
             b = solve_standard_float(
@@ -205,8 +206,8 @@ def _reference_min_T_lp(builder: IP3Builder, r_anchor, t_low):
     lp = LinearProgram()
     lp.add_variable(T_KEY, lb=0)
     by_job = {}
-    for j, alpha, p in builder.finite:
-        if p <= r_anchor:
+    for gi, (j, alpha, _p) in enumerate(builder.finite):
+        if time_of(builder, gi) <= r_anchor:
             lp.add_variable(("x", alpha, j), lb=0)
             by_job.setdefault(j, []).append(alpha)
     for j in range(inst.n):
@@ -243,7 +244,7 @@ def test_masked_lp_builders_unchanged(name):
     for T in _horizons(builder):
         # The probe rows are build_ip3's rows, in its variable and row
         # order, except that they keep the p = 0 entries build_ip3 drops.
-        rows, senses, rhs, active = builder.probe_rows(T)
+        rows, senses, rhs, active = probe_rows(builder, T)
         ref = build_ip3(inst, T)
         ref_rows, ref_senses, ref_rhs, _objective = ref.to_standard_rows()
         nonzero = [{col: v for col, v in row.items() if v} for row in rows]
@@ -252,7 +253,7 @@ def test_masked_lp_builders_unchanged(name):
         assert _keys(builder, active) == list(ref.variable_keys)
         for t_low in (T, T + 1):
             ref = _reference_min_T_lp(builder, T, t_low)
-            got = builder.min_T_rows(T, t_low)
+            got = min_T_rows(builder, T, t_low)
             assert (got is None) == (ref is None)
             if ref is None:
                 continue
@@ -270,7 +271,7 @@ def test_min_T_template_equals_row_built_matrices(name):
     builder = IP3Builder(INSTANCES[name])
     checked = 0
     for T in builder.breakpoints:
-        program = builder.min_T_rows(T, T)
+        program = min_T_rows(builder, T, T)
         if program is None:
             continue
         rows, senses, rhs, objective, active = program
@@ -335,7 +336,7 @@ class TestFloatEdgeCases:
 class TestConstructionErrorsRaise:
     def _probe(self):
         builder = IP3Builder(INSTANCES["seed2"])
-        rows, senses, rhs, active = builder.probe_rows(builder.breakpoints[-1])
+        rows, senses, rhs, active = probe_rows(builder, builder.breakpoints[-1])
         wrong = builder.float_slice(active[:-1])  # one column short
         return rows, senses, rhs, active, wrong
 
@@ -369,7 +370,7 @@ def _dense_phase1_csc(rows, senses, rhs, n):
     dense = np.zeros((std.num_rows, n + num_slack + std.num_rows))
     for i, row in enumerate(std.rows):
         for j, v in row.items():
-            dense[i][j] = float(v)
+            dense[i][j] = v / std.scales[i]  # the raw row's float
         if std.slack_of_row[i] is not None:
             dense[i][std.slack_of_row[i]] = float(std.slack_sign[i])
         dense[i][n + num_slack + i] = 1.0
@@ -409,7 +410,7 @@ def test_certify_infeasible_on_infeasible_probes(name, monkeypatch):
     for T in _horizons(builder):
         if builder.mask(T) < builder.full_mask:
             continue  # structurally infeasible: decided before any LP
-        rows, senses, rhs, active = builder.probe_rows(T)
+        rows, senses, rhs, active = probe_rows(builder, T)
         objective = [Fraction(0)] * len(active)
         if solve_standard_float(rows, senses, rhs, objective).status != "infeasible":
             continue

@@ -28,6 +28,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from _int_rows import min_T_rows, probe_rows
 
 from repro._fraction import bigint, is_inf, to_fraction
 from repro.core.programs import IP3Builder, minimal_fractional_T
@@ -401,9 +402,9 @@ class TestStructuralChoice:
     def test_ip3_probe_and_min_T_keep_lu(self):
         inst = random_hierarchical(rng_from_seed(11), n=10, m=4)
         builder = IP3Builder(inst)
-        coeff, senses, rhs, active = builder.probe_rows(builder.breakpoints[-1])
+        coeff, senses, rhs, active = probe_rows(builder, builder.breakpoints[-1])
         probe = self._solver(coeff, senses, rhs, [Fraction(0)] * len(active))
-        program = builder.min_T_rows(builder.breakpoints[-1], Fraction(0))
+        program = min_T_rows(builder, builder.breakpoints[-1], Fraction(0))
         assert program is not None
         min_t = self._solver(*program[:4])
         for solver in (probe, min_t):

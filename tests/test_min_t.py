@@ -29,6 +29,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from _int_rows import min_T_rows
 from _reference_bound import demand_bound, trivial_lower, volume_bound
 
 from repro import minimal_fractional_T
@@ -268,5 +269,5 @@ def test_min_T_float_template_needs_scipy():
     install gets ``None`` and solves min-T on the exact kernel)."""
     builder = IP3Builder(CASES["prev-seed1"])
     top = builder.breakpoints[-1]
-    _rows, _senses, _rhs, _objective, active = builder.min_T_rows(top, top)
+    _rows, _senses, _rhs, _objective, active = min_T_rows(builder, top, top)
     assert (builder.min_T_float_slice(active) is None) == (not HAVE_SCIPY)

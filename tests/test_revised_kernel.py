@@ -21,6 +21,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from _int_rows import probe_rows, time_of
 from _reference_simplex import reference_solve
 from repro._fraction import bigint
 from repro.core.programs import IP3Builder, minimal_fractional_T, _ProbeSession
@@ -64,7 +65,7 @@ class TestKernelEquivalence:
             if not builder.breakpoints:
                 continue
             for T in (builder.breakpoints[0], builder.breakpoints[-1]):
-                rows, senses, rhs, active = builder.probe_rows(T)
+                rows, senses, rhs, active = probe_rows(builder, T)
                 objective = [Fraction(0)] * len(active)
                 _assert_equivalent(rows, senses, rhs, objective)
 
@@ -74,7 +75,7 @@ class TestKernelEquivalence:
         topo = make_topology("flat4")
         inst = make_instance("heavy_tailed", rng_from_seed(7), topo, n=6)
         builder = IP3Builder(inst)
-        rows, senses, rhs, active = builder.probe_rows(builder.breakpoints[-1])
+        rows, senses, rhs, active = probe_rows(builder, builder.breakpoints[-1])
         objective = [Fraction(1)] * len(active)
         full = solve_standard(rows, senses, rhs, objective, canonical=True)
         part = solve_standard(rows, senses, rhs, objective, canonical=False)
@@ -314,7 +315,7 @@ class TestStampedRows:
             "heavy_tailed", rng_from_seed(7), make_topology("flat4"), n=6
         )
         builder = IP3Builder(inst)
-        coeff, senses, rhs, active = builder.probe_rows(builder.breakpoints[-1])
+        coeff, senses, rhs, active = probe_rows(builder, builder.breakpoints[-1])
         objective = [Fraction(1)] * len(active)
         for canonical in (True, False):
             assert solve_standard(
@@ -473,7 +474,7 @@ class TestWarmStartEdgeCases:
             for t in points
             if t < t_star
             and all(
-                any(builder.var_p[gi] <= t for gi in group)
+                any(time_of(builder, gi) <= t for gi in group)
                 for group in builder.assign_template
             )
         ][-2:]
@@ -484,7 +485,7 @@ class TestWarmStartEdgeCases:
         # First infeasible probe solves and stores a verified certificate.
         assert session.probe(infeasible_ts[0]) is None
         assert session.farkas is not None
-        rows0 = builder.probe_rows(infeasible_ts[0])[:3]
+        rows0 = probe_rows(builder, infeasible_ts[0])[:3]
         assert farkas_certifies(*rows0, session.farkas)
         # Second infeasible probe is answered by certificate reuse when the
         # certificate transfers (and by a fresh solve otherwise) — either
@@ -494,11 +495,11 @@ class TestWarmStartEdgeCases:
         assert stats.farkas_reuses + stats.solves >= 1
         # The feasible side of the pair: the stale certificate must NOT
         # certify the feasible LP, and the probe must find a point.
-        rows1 = builder.probe_rows(feasible_t)[:3]
+        rows1 = probe_rows(builder, feasible_t)[:3]
         assert not farkas_certifies(*rows1, session.farkas)
         point = session.probe(feasible_t)
         assert point is not None
-        coeff, senses, rhs, active = builder.probe_rows(feasible_t)
+        coeff, senses, rhs, active = probe_rows(builder, feasible_t)
         dense = [Fraction(0)] * len(active)
         for li, gi in enumerate(active):
             dense[li] = point.get(gi, Fraction(0))

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 import pytest
 
+from _int_rows import probe_rows, time_of
 from _reference_bound import demand_bound, trivial_lower, volume_bound
 from test_search_bound import CASES, REFERENCE, _reference
 from test_unified_search import _model1_case, _model2_case
@@ -63,7 +64,7 @@ def _at_volume(inst):
 def _check_point(inst, builder, point, T):
     """*point* is exactly feasible at *T*: on the builder's probe rows and
     on the keyed (IP-3) program."""
-    coeff_rows, senses, rhs, active = builder.probe_rows(T)
+    coeff_rows, senses, rhs, active = probe_rows(builder, T)
     assert check_standard_rows(
         coeff_rows, senses, rhs, [point.get(gi, Fraction(0)) for gi in active]
     )
@@ -73,7 +74,8 @@ def _check_point(inst, builder, point, T):
     assert build_ip3(inst, T).check_values(values) == []
     # Only cheapest pairs carry a job at the volume bound.
     for gi in point:
-        j, _alpha, p = builder.finite[gi]
+        j, _alpha, _P = builder.finite[gi]
+        p = time_of(builder, gi)
         assert p * builder.denominator == builder.cheapest[j]
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from _int_rows import min_T_rows, probe_rows
 
 from repro import INF, Instance, LaminarFamily
 from repro.baselines import minimal_unrelated_T
@@ -232,10 +233,10 @@ class TestSideRows:
     def test_side_rows_follow_the_load_rows(self, builder):
         loads = len(builder.assign_template) + len(builder.load_template)
         for T in builder.breakpoints:
-            rows, senses, rhs, active = builder.probe_rows(T)
+            rows, senses, rhs, active = probe_rows(builder, T)
             assert len(rows) == loads + 3
             assert senses[loads:] == ["<="] * 3 and rhs[loads:] == [5] * 3
-            program = builder.min_T_rows(T, T)
+            program = min_T_rows(builder, T, T)
             if program is None:
                 continue
             min_rows, min_senses, min_rhs, _objective, _active = program
@@ -250,12 +251,12 @@ class TestSideRows:
         from repro.lp.scipy_backend import float_matrix
 
         for T in builder.breakpoints:
-            rows, _senses, _rhs, active = builder.probe_rows(T)
+            rows, _senses, _rhs, active = probe_rows(builder, T)
             if not active:
                 continue
             built = float_matrix(rows, len(active)).toarray()
             assert np.array_equal(builder.float_slice(active).toarray(), built)
-            program = builder.min_T_rows(T, T)
+            program = min_T_rows(builder, T, T)
             if program is None:
                 continue
             min_rows, _s, _r, _o, active = program
