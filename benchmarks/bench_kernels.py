@@ -97,14 +97,18 @@ def test_kernel_exact_simplex_ip3(benchmark):
 
 def test_kernel_scipy_lp_ip3(benchmark):
     from repro.lp.scipy_backend import solve_standard_float
+    from repro.lp.simplex import scale_rows
 
     rng = rng_from_seed(1003)
     inst = random_hierarchical(rng, n=30, m=10)
     _lo, hi = inst.trivial_bounds()
     lp = build_ip3(inst, hi)
-    rows = lp.to_standard_rows()
+    coeff, senses, rhs, objective = lp.to_standard_rows()
+    coeff, rhs, scales = scale_rows(coeff, rhs)
     # The float ceiling: HiGHS alone, no exact certification.
-    solution = benchmark(lambda: solve_standard_float(*rows))
+    solution = benchmark(
+        lambda: solve_standard_float(coeff, senses, rhs, objective, scales)
+    )
     assert solution.status == "optimal"
 
 
@@ -174,7 +178,7 @@ def _lu_fixture(n, m, seed=140):
     objective = [Fraction(0)] * len(active)
     std = standard_form(coeff, senses, rhs, objective, scales)
     solver = _RevisedSolver(std, objective, 5000, 200000, partial=False)
-    result = solve_standard(coeff, senses, rhs, objective, scales=scales)
+    result = solve_standard(coeff, senses, rhs, objective, scales)
     assert result.status == "optimal"
     return solver, [solver.cols[c] for c in result.basis]
 
@@ -317,9 +321,7 @@ def _solve_lst(rows, canonical):
     from repro.lp.revised import solve_standard
 
     coeff, senses, rhs, objective, scales = rows
-    return solve_standard(
-        coeff, senses, rhs, objective, canonical=canonical, scales=scales
-    )
+    return solve_standard(coeff, senses, rhs, objective, scales, canonical=canonical)
 
 
 #: The model-build breakdown's shapes: those of ``v2_exact`` and ``v2_large``.
@@ -343,15 +345,16 @@ def _build_sample(inst, p, T):
     builder's singleton times, ``kernel_init_ms`` the exact kernel from
     them (standard form and solver construction), ``float_image_ms`` the
     float CSR the HiGHS leg gets.  The ``*_rational_ms`` twins are the same
-    steps from the keyed LP (``build_unrelated_lp`` and its standard rows,
-    then the rational entry of the kernel and of the float image).
+    steps from the keyed LP: ``build_unrelated_lp`` and its standard rows,
+    then the rational entry's :func:`~repro.lp.simplex.scale_rows` and the
+    kernel.  The float image of the scaled rows is the one above.
     """
     import time
 
     from repro.core.programs import IP3Builder
     from repro.lp.revised import _RevisedSolver
     from repro.lp.scipy_backend import float_matrix
-    from repro.lp.simplex import standard_form
+    from repro.lp.simplex import scale_rows, standard_form
     from repro.rounding.lst import build_unrelated_lp, unrelated_rows
 
     out = {}
@@ -378,12 +381,10 @@ def _build_sample(inst, p, T):
     coeff, senses, rhs, objective = build_unrelated_lp(p, T).to_standard_rows()
     out["lst_rows_rational_ms"] = (time.perf_counter() - start) * 1e3
     start = time.perf_counter()
-    std = standard_form(coeff, senses, rhs, objective)
+    coeff, rhs, scales = scale_rows(coeff, rhs)
+    std = standard_form(coeff, senses, rhs, objective, scales)
     _RevisedSolver(std, objective, 5000, 200000, partial=False)
     out["kernel_init_rational_ms"] = (time.perf_counter() - start) * 1e3
-    start = time.perf_counter()
-    float_matrix(coeff, len(objective))
-    out["float_image_rational_ms"] = (time.perf_counter() - start) * 1e3
     return out
 
 

@@ -730,7 +730,7 @@ class _ProbeSession:
                 return None
             coeff_rows, senses, rhs, scales, active = builder.probe_rows(T)
             if self.farkas is not None and farkas_certifies(
-                coeff_rows, senses, rhs, self.farkas, scales=scales
+                coeff_rows, senses, rhs, self.farkas, scales
             ):
                 record(SolverStats(farkas_reuses=1))
                 if probe_sp:
@@ -743,7 +743,7 @@ class _ProbeSession:
                 rank = builder.var_rank
                 support_survives = all(rank[gi] < k for gi in self.point)
                 if support_survives and check_standard_rows(
-                    coeff_rows, senses, rhs, masked, scales=scales
+                    coeff_rows, senses, rhs, masked
                 ):
                     record(SolverStats(point_reuses=1))
                     if probe_sp:
@@ -1020,11 +1020,10 @@ def _minimal_T(builder: IP3Builder, backend: str) -> Fraction:
             if search_sp:
                 search_sp.attrs["flow"] = "short" if point is None else "saturated"
             if point is not None:
-                coeff_rows, senses, rhs, scales, active = builder.probe_rows(bound)
+                coeff_rows, senses, rhs, _scales, active = builder.probe_rows(bound)
                 zero = Fraction(0)
                 if check_standard_rows(
-                    coeff_rows, senses, rhs, [point.get(gi, zero) for gi in active],
-                    scales=scales,
+                    coeff_rows, senses, rhs, [point.get(gi, zero) for gi in active]
                 ):
                     if search_sp:
                         search_sp.attrs["refine"] = "volume-flow"

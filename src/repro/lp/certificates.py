@@ -25,23 +25,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .._fraction import to_fraction
-from .simplex import scale_rows
 
 
 def farkas_certifies(
-    coeff_rows: Sequence[Dict[int, Fraction]],
+    coeff_rows: Sequence[Dict[int, int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction],
+    rhs: Sequence[int],
     y: Sequence[Fraction],
-    scales: Optional[Sequence[int]] = None,
+    scales: Sequence[int],
 ) -> bool:
     """Exactly verify the certificate conditions above (``True`` = proof).
 
-    *scales* ``None`` means rational rows; otherwise the rows are integer
-    rows (:mod:`repro.lp.simplex`).  *y* is in raw-row units either way.
+    The rows are integer rows with their *scales* (:mod:`repro.lp.simplex`);
+    *y* is in raw-row units.
     """
     if len(y) != len(coeff_rows):
         return False
@@ -51,8 +50,6 @@ def farkas_certifies(
             return False
         if sense == ">=" and yi < 0:
             return False
-    if scales is None:
-        coeff_rows, rhs, scales = scale_rows(coeff_rows, rhs)
     # Integer row i is scales[i] times raw row i, so it takes the
     # multiplier y_i / scales[i].  Scale those by the (positive) lcm of
     # their denominators: every condition below is a sign test, so the

@@ -38,9 +38,10 @@ The float leg never builds a dense matrix.  :func:`float_candidate` and
 the column slice of its builder's template for the probe's exact mask
 (:meth:`repro.core.programs.IP3Builder.float_slice`), the min-T solve its
 min-T counterpart through :func:`solve_standard_hybrid` — and build one
-from the dict rows otherwise (:func:`repro.lp.scipy_backend.float_matrix`;
-for integer rows each entry is ``a / scale``, the float of the raw
-rational).
+from the integer rows otherwise
+(:func:`repro.lp.scipy_backend.float_matrix`: each entry is
+``a / scale``, the float of the raw rational).  Every function here takes
+integer rows with their scales (:mod:`repro.lp.simplex`).
 Only the ``linprog`` call itself is allowed to fail quietly (the caller
 falls back to the exact solver); a construction error, such as a
 mis-shaped *float_rows*, raises.
@@ -55,7 +56,7 @@ from .._fraction import rationalize
 from ..exceptions import SolverError
 from .certificates import denormalize_farkas, farkas_certifies
 from .revised import solve_standard
-from .simplex import SimplexResult, scale_rows, standard_form
+from .simplex import SimplexResult, standard_form
 
 try:  # pragma: no cover - exercised implicitly on import
     from .scipy_backend import solve_standard_float
@@ -71,37 +72,35 @@ _FLOAT_SIZE_CUTOFF = 64
 
 
 def float_candidate(
-    coeff_rows: Sequence[Dict[int, Fraction]],
+    coeff_rows: Sequence[Dict[int, int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction],
+    rhs: Sequence[int],
     objective: Sequence[Fraction],
+    scales: Sequence[int],
     float_rows=None,
-    scales: Optional[Sequence[int]] = None,
 ) -> Optional[SimplexResult]:
     """The HiGHS candidate, or ``None`` when scipy is missing or HiGHS fails.
 
     The result is *uncertified*: statuses and values are hints only.
-    *float_rows* is an optional prebuilt float CSR of *coeff_rows*;
-    *scales* marks integer rows (:mod:`repro.lp.simplex`).
+    *float_rows* is an optional prebuilt float CSR of *coeff_rows*.
     """
     if not HAVE_SCIPY:
         return None
     try:
         return solve_standard_float(
-            coeff_rows, senses, rhs, objective, float_rows=float_rows,
-            scales=scales,
+            coeff_rows, senses, rhs, objective, scales, float_rows=float_rows,
         )
     except SolverError:  # pragma: no cover - HiGHS internal failures
         return None
 
 
 def certify_infeasible(
-    coeff_rows: Sequence[Dict[int, Fraction]],
+    coeff_rows: Sequence[Dict[int, int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction],
+    rhs: Sequence[int],
+    scales: Sequence[int],
     num_vars: Optional[int] = None,
     float_rows=None,
-    scales: Optional[Sequence[int]] = None,
 ) -> Optional[List[Fraction]]:
     """Exact Farkas certificate of infeasibility from a float phase-1 dual.
 
@@ -125,8 +124,7 @@ def certify_infeasible(
 
     This is what makes the binary search of ``minimal_fractional_T`` fast:
     its infeasible probes are certified in ``O(nnz)`` integer work instead
-    of a cold exact phase-1 solve.  *scales* marks integer rows
-    (:mod:`repro.lp.simplex`); ``y`` is in raw-row units either way.
+    of a cold exact phase-1 solve.  ``y`` is in raw-row units.
     """
     if not HAVE_SCIPY:
         return None
@@ -138,8 +136,6 @@ def certify_infeasible(
 
     if num_vars is None:
         num_vars = _num_vars(coeff_rows)
-    if scales is None:
-        coeff_rows, rhs, scales = scale_rows(coeff_rows, rhs)
     std = standard_form(coeff_rows, senses, rhs, [0] * num_vars, scales)
     n, r = std.n, std.num_rows
     if r == 0:
@@ -181,24 +177,24 @@ def certify_infeasible(
         except ValueError:  # pragma: no cover - non-finite marginals
             continue
         y = denormalize_farkas(y_std, rhs)
-        if farkas_certifies(coeff_rows, senses, rhs, y, scales=scales):
+        if farkas_certifies(coeff_rows, senses, rhs, y, scales):
             return y
     return None
 
 
-def _num_vars(coeff_rows: Sequence[Dict[int, Fraction]]) -> int:
+def _num_vars(coeff_rows: Sequence[Dict[int, int]]) -> int:
     return 1 + max((max(row, default=-1) for row in coeff_rows), default=-1)
 
 
 def solve_standard_hybrid(
-    coeff_rows: Sequence[Dict[int, Fraction]],
+    coeff_rows: Sequence[Dict[int, int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction],
+    rhs: Sequence[int],
     objective: Sequence[Fraction],
+    scales: Sequence[int],
     warm_point: Optional[Sequence[Fraction]] = None,
     canonical: bool = True,
     float_rows=None,
-    scales: Optional[Sequence[int]] = None,
 ) -> SimplexResult:
     """Certified solve: float candidate first, exact verification always.
 
@@ -211,27 +207,28 @@ def solve_standard_hybrid(
     infeasibility is accepted only with an exact Farkas certificate, which
     is attached to the result for reuse.
 
-    *float_rows* is an optional prebuilt float CSR of *coeff_rows* for the
-    HiGHS leg; it changes no result.  *scales* marks integer rows
-    (:mod:`repro.lp.simplex`).
+    The rows are integer rows with their *scales*
+    (:mod:`repro.lp.simplex`).  *float_rows* is an optional prebuilt float
+    CSR of *coeff_rows* for the HiGHS leg; it changes no result.
     """
     n = len(objective)
     size = n * max(len(coeff_rows), 1)
     if size >= _FLOAT_SIZE_CUTOFF:
-        given = {"float_rows": float_rows, "scales": scales}
-        given = {key: value for key, value in given.items() if value is not None}
-        candidate = float_candidate(coeff_rows, senses, rhs, objective, **given)
+        candidate = float_candidate(
+            coeff_rows, senses, rhs, objective, scales, float_rows=float_rows
+        )
         if candidate is not None and candidate.status == "optimal":
             warm_point = candidate.x
         elif candidate is not None and candidate.status == "infeasible":
             farkas = certify_infeasible(
-                coeff_rows, senses, rhs, num_vars=n, **given
+                coeff_rows, senses, rhs, scales, num_vars=n,
+                float_rows=float_rows,
             )
             if farkas is not None:
                 return SimplexResult(
                     "infeasible", [], None, None, farkas=farkas
                 )
     return solve_standard(
-        coeff_rows, senses, rhs, objective,
-        warm_point=warm_point, canonical=canonical, scales=scales,
+        coeff_rows, senses, rhs, objective, scales,
+        warm_point=warm_point, canonical=canonical,
     )

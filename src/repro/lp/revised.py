@@ -23,13 +23,13 @@ pivot, so pricing, the ratio test, the crash and Farkas certificates see the
 same numbers and every pivot is the same under either.  The ``lp.solve``
 span records which one ran (``basis=forest|lu``).
 
-The kernel takes integer rows (the contract of :mod:`repro.lp.simplex`):
-each constraint row arrives scaled to integers by the lcm of its
-denominators, either straight from a builder that emits integer rows or
-through one :func:`~repro.lp.simplex.scale_rows` at the rational entry, so
-every quantity is an integer over the basis' common denominator and no
-rational normalization happens inside the pivot loop.  The same
-:class:`_RevisedSolver` constructor serves both entries.
+The kernel takes integer rows with their scales (the contract of
+:mod:`repro.lp.simplex`): each constraint row arrives scaled to integers
+by the lcm of its denominators, either straight from a builder that emits
+integer rows or through the one :func:`~repro.lp.simplex.scale_rows` of a
+rational entry point (:mod:`repro.lp.solve`), so every quantity is an
+integer over the basis' common denominator and no rational normalization
+happens inside the pivot loop.
 
 Pricing follows the vertex contract.  Canonical solves (the default) price
 every column with Dantzig's rule, which is deterministic, so the returned
@@ -86,7 +86,6 @@ from .simplex import (
     _point_hints,
     _tight_rows,
     default_max_pivots,
-    scale_rows,
     standard_form,
 )
 from .stats import SolverStats, record
@@ -728,7 +727,7 @@ class _RevisedSolver:
             Fraction(y_num[i] * self.scales[i], den) for i in range(self.m)
         ]
         y_raw = denormalize_farkas(y_std, rhs)
-        if farkas_certifies(coeff_rows, senses, rhs, y_raw, scales=self.scales):
+        if farkas_certifies(coeff_rows, senses, rhs, y_raw, self.scales):
             return y_raw
         return None  # pragma: no cover - duality guarantees the checks
 
@@ -752,20 +751,19 @@ class _RevisedSolver:
 
 
 def solve_standard(
-    coeff_rows: Sequence[Dict[int, Fraction]],
+    coeff_rows: Sequence[Dict[int, int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction],
+    rhs: Sequence[int],
     objective: Sequence[Fraction],
+    scales: Sequence[int],
     warm_point: Optional[Sequence[Fraction]] = None,
     canonical: bool = True,
-    scales: Optional[Sequence[int]] = None,
 ) -> SimplexResult:
     """Solve ``min c·x  s.t.  rows, x ≥ 0`` exactly.
 
     *coeff_rows* are sparse ``{var_index: coefficient}`` mappings; *senses*
-    entries are ``"<="``, ``">="`` or ``"=="``.  With *scales* the rows are
-    integer rows (see :mod:`repro.lp.simplex`); without, rational rows,
-    scaled to integers on entry.  The returned ``x`` is an exact rational
+    entries are ``"<="``, ``">="`` or ``"=="``.  The rows are integer rows
+    with their *scales* (see :mod:`repro.lp.simplex`).  The returned ``x`` is an exact rational
     basic solution: at most ``len(coeff_rows)`` entries are non-zero.
     Every result carries ``stats``; infeasible results carry a verified
     Farkas certificate on ``farkas``, in raw-row units.
@@ -796,8 +794,6 @@ def solve_standard(
     with trace_span(
         "lp.solve", kernel="revised", rows=len(coeff_rows), cols=len(objective),
     ) as solve_sp:
-        if scales is None:
-            coeff_rows, rhs, scales = scale_rows(coeff_rows, rhs)
         std = standard_form(coeff_rows, senses, rhs, objective, scales)
         solver = _RevisedSolver(
             std,

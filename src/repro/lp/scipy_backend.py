@@ -6,10 +6,9 @@ solution, which is what the Section V rounding needs; values are snapped back
 to rationals with a denominator bound before re-entering the exact pipeline.
 
 The float leg is sparse end to end.  The float image of the exact rows is
-a ``scipy.sparse`` CSR — either built here from the dict rows
-(:func:`float_matrix`, one stored entry per dict item; integer rows, see
-:mod:`repro.lp.simplex`, give ``a / scale`` per entry, the float of the raw
-rational, so both row forms give the same bits) or handed in
+a ``scipy.sparse`` CSR — either built here from the integer rows (see
+:mod:`repro.lp.simplex`) by :func:`float_matrix`, one stored entry
+``a / scale`` per dict item, the float of the raw rational, or handed in
 ready-made as *float_rows*: the binary search of
 :func:`repro.core.programs.minimal_fractional_T` keeps one float CSR
 template per :class:`~repro.core.programs.IP3Builder` and passes each probe
@@ -40,29 +39,25 @@ _SENSES = ("<=", ">=", "==")
 
 
 def float_matrix(
-    coeff_rows: Sequence[Dict[int, Fraction]],
+    coeff_rows: Sequence[Dict[int, int]],
     num_vars: int,
-    scales: Optional[Sequence[int]] = None,
+    scales: Sequence[int],
 ) -> csr_array:
     """The exact rows as a float CSR, one stored entry per dict item.
 
-    With *scales* the rows are integer rows (see :mod:`repro.lp.simplex`)
-    and each entry is ``a / scale``: integer true division rounds
-    correctly, so the matrix is the float image of the raw rational rows,
-    bit for bit.  Zero coefficients stay stored (:func:`float_entries`
+    The rows are integer rows with their *scales* (see
+    :mod:`repro.lp.simplex`) and each entry is ``a / scale``: integer true
+    division rounds correctly, so the matrix is the float image of the raw
+    rational rows, bit for bit.  Zero coefficients stay stored (:func:`float_entries`
     drops them on the way to HiGHS); a column index outside
     ``range(num_vars)`` raises ``ValueError``.
     """
     indptr = [0]
     indices: List[int] = []
     data: List[float] = []
-    for i, row in enumerate(coeff_rows):
+    for row, scale in zip(coeff_rows, scales):
         indices.extend(row)
-        if scales is None:
-            data.extend(map(float, row.values()))
-        else:
-            scale = scales[i]
-            data.extend([a / scale for a in row.values()])
+        data.extend([a / scale for a in row.values()])
         indptr.append(len(indices))
     return csr_array(
         (
@@ -75,11 +70,11 @@ def float_matrix(
 
 
 def float_entries(
-    coeff_rows: Sequence[Dict[int, Fraction]],
+    coeff_rows: Sequence[Dict[int, int]],
     num_vars: int,
     float_rows: Optional[csr_array],
     flip: np.ndarray,
-    scales: Optional[Sequence[int]] = None,
+    scales: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(row, col, value)`` of the nonzero entries of the rows' float image.
 
@@ -105,12 +100,12 @@ def float_entries(
 
 
 def highs_inputs(
-    coeff_rows: Sequence[Dict[int, Fraction]],
+    coeff_rows: Sequence[Dict[int, int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction],
+    rhs: Sequence[int],
     objective: Sequence[Fraction],
+    scales: Sequence[int],
     float_rows: Optional[csr_array] = None,
-    scales: Optional[Sequence[int]] = None,
 ) -> Dict[str, Optional[np.ndarray]]:
     """The ``linprog`` keyword arguments ``c``, ``A_ub``, ``b_ub``, ``A_eq``, ``b_eq``.
 
@@ -119,9 +114,10 @@ def highs_inputs(
     (the format ``linprog`` converts every sparse input to), and ``None``
     when empty.  *float_rows*, when given, must be the float image of
     *coeff_rows* (same shape, same values); it replaces building the
-    matrix from the dict rows.  With *scales* the rows are integer rows
-    and every float is that of the raw row (see :func:`float_matrix`).  A
-    shape mismatch or an unknown sense raises ``ValueError``.
+    matrix from the dict rows.  The rows are integer rows with their
+    *scales*, and every float is that of the raw row (see
+    :func:`float_matrix`).  A shape mismatch or an unknown sense raises
+    ``ValueError``.
     """
     n = len(objective)
     r = len(coeff_rows)
@@ -132,11 +128,7 @@ def highs_inputs(
         raise ValueError(f"unknown sense(s) {sorted(unknown)!r}")
     flip = np.array([s == ">=" for s in senses], dtype=bool)
     row, col, data = float_entries(coeff_rows, n, float_rows, flip, scales)
-    b = np.array(
-        [float(v) for v in rhs] if scales is None
-        else [v / s for v, s in zip(rhs, scales)],
-        dtype=float,
-    )
+    b = np.array([v / s for v, s in zip(rhs, scales)], dtype=float)
     b = np.where(flip, -b, b)
     is_eq = np.array([s == "==" for s in senses], dtype=bool)
     inputs: Dict[str, Optional[np.ndarray]] = {
@@ -158,20 +150,20 @@ def highs_inputs(
 
 
 def solve_standard_float(
-    coeff_rows: Sequence[Dict[int, Fraction]],
+    coeff_rows: Sequence[Dict[int, int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction],
+    rhs: Sequence[int],
     objective: Sequence[Fraction],
+    scales: Sequence[int],
     max_denominator: int = 10**6,
     float_rows: Optional[csr_array] = None,
-    scales: Optional[Sequence[int]] = None,
 ) -> SimplexResult:
     """Solve the same standard form as the exact simplex, via HiGHS.
 
     The result's ``x`` is rationalized (``limit_denominator``) so downstream
     exact checks can run; statuses map onto the exact solver's vocabulary.
-    *float_rows* is an optional prebuilt float CSR of *coeff_rows* and
-    *scales* marks integer rows (see :func:`highs_inputs`).  Construction
+    The rows are integer rows with their *scales*; *float_rows* is an
+    optional prebuilt float CSR of *coeff_rows* (see :func:`highs_inputs`).  Construction
     errors raise ``ValueError``; a
     failure inside ``linprog`` or a status other than optimal, infeasible
     or unbounded raises :class:`~repro.exceptions.SolverError`.
@@ -185,7 +177,7 @@ def solve_standard_float(
             if not ok:
                 return SimplexResult("infeasible", [], None, None)
         return SimplexResult("optimal", [], Fraction(0), [])
-    inputs = highs_inputs(coeff_rows, senses, rhs, objective, float_rows, scales)
+    inputs = highs_inputs(coeff_rows, senses, rhs, objective, scales, float_rows)
     try:
         result = linprog(**inputs, bounds=(0, None), method="highs")
     except Exception as exc:  # pragma: no cover - HiGHS internal failures

@@ -16,17 +16,19 @@ slack/artificial column indices), the :class:`SimplexResult` record, the
 warm-point helpers that turn a candidate solution into crash hints and
 tight-row flags, and the pivot budget.
 
-**Integer rows.**  Every row-taking entry point of :mod:`repro.lp` accepts
-its constraint rows in one of two forms.  Without ``scales`` the rows and
-right-hand sides are exact rationals (``Fraction`` or ``int``).  With
-``scales`` they are integers: row ``i`` stands for the raw row
+**Integer rows.**  The exact kernel, its certificates and the HiGHS leg
+take integer rows: row ``i`` stands for the raw row
 ``rows[i] / scales[i]  sense  rhs[i] / scales[i]``, with ``scales[i]`` the
-lcm of the denominators of the raw row's entries and right-hand side.
-That is the scaling the exact kernel works in, so the builders of the hot
-LPs (:class:`repro.core.programs.IP3Builder`,
-:func:`repro.rounding.lst.unrelated_rows`) emit integer rows directly, and
-a rational caller pays one :func:`scale_rows` at its entry point.  Points,
-objective values and Farkas certificates are always in raw-row units.
+lcm of the denominators of the raw row's entries and right-hand side, and
+every function below the entry points takes ``scales`` as a required
+argument.  The builders of the hot LPs
+(:class:`repro.core.programs.IP3Builder`,
+:func:`repro.rounding.lst.unrelated_rows`) emit integer rows directly.
+Rational rows enter only through :func:`repro.lp.solve.solve_lp`,
+:func:`~repro.lp.solve.solve_rows` and
+:func:`~repro.lp.solve.feasible_point_rows`, which convert them once with
+:func:`scale_rows`.  Points, objective values and Farkas certificates are
+always in raw-row units.
 """
 
 from __future__ import annotations
@@ -139,23 +141,21 @@ class StandardForm:
 
 
 def standard_form(
-    coeff_rows: Sequence[Dict[int, Fraction]],
+    coeff_rows: Sequence[Dict[int, int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction],
+    rhs: Sequence[int],
     objective: Sequence[Fraction],
-    scales: Optional[Sequence[int]] = None,
+    scales: Sequence[int],
 ) -> StandardForm:
     """Normalize ``min c·x s.t. rows, x ≥ 0`` for the exact solver.
 
-    *scales* ``None`` means rational rows, which are scaled to integers
-    first (:func:`scale_rows`); otherwise the rows are integer rows.
+    The rows are integer rows with their *scales* (see the module
+    docstring).
     """
     n = len(objective)
     r = len(coeff_rows)
     if len(senses) != r or len(rhs) != r:
         raise SolverError("rows, senses and rhs must have equal length")
-    if scales is None:
-        coeff_rows, rhs, scales = scale_rows(coeff_rows, rhs)
     norm_rows: List[Dict[int, int]] = []
     norm_rhs: List[int] = []
     norm_senses: List[str] = []

@@ -27,14 +27,17 @@ warm-start input: no solver basis is carried from one solve to the next.
 :func:`solve_rows` (raw standard rows) share one backend dispatch:
 ``solve_lp`` converts to rows and delegates.
 
-Every row-taking function here takes its rows in either form of the
-integer-row contract (:mod:`repro.lp.simplex`): rational rows, or integer
-rows with ``scales=``, each row times the lcm of its denominators.  The
-builders of the hot LPs emit integer rows
-(:class:`repro.core.programs.IP3Builder`,
-:func:`repro.rounding.lst.unrelated_rows`); rational rows are scaled once
-at the entry, and the exact kernel sees the same integers either way.
-Points and Farkas certificates are in raw-row units.
+:func:`solve_lp`, :func:`solve_rows` and :func:`feasible_point_rows` are
+the rational entry points of the integer-row contract
+(:mod:`repro.lp.simplex`).  :func:`solve_rows` and
+:func:`feasible_point_rows` take rational rows, or integer rows with
+``scales=``, each row times the lcm of its denominators; they convert
+rational rows once, with :func:`~repro.lp.simplex.scale_rows`, and hand
+integer rows and scales to every layer below.  The builders of the hot
+LPs emit integer rows (:class:`repro.core.programs.IP3Builder`,
+:func:`repro.rounding.lst.unrelated_rows`), so the exact kernel sees the
+same integers either way.  Points and Farkas certificates are in raw-row
+units.
 """
 
 from __future__ import annotations
@@ -114,17 +117,19 @@ def solve_rows(
     for the HiGHS leg and changes no result.  *canonical* picks the
     pricing and vertex contract, as in
     :func:`repro.lp.revised.solve_standard`.  With *scales* the rows are
-    integer rows (:mod:`repro.lp.simplex`).
+    integer rows (:mod:`repro.lp.simplex`); rational rows are scaled once,
+    here.
     """
+    if scales is None:
+        coeff_rows, rhs, scales = scale_rows(coeff_rows, rhs)
     if _resolve_backend(backend) == "exact":
         return solve_standard(
-            coeff_rows, senses, rhs, objective,
-            warm_point=warm_point, canonical=canonical, scales=scales,
+            coeff_rows, senses, rhs, objective, scales,
+            warm_point=warm_point, canonical=canonical,
         )
     return solve_standard_hybrid(
-        coeff_rows, senses, rhs, objective,
+        coeff_rows, senses, rhs, objective, scales,
         warm_point=warm_point, canonical=canonical, float_rows=float_rows,
-        scales=scales,
     )
 
 
@@ -162,21 +167,21 @@ def solve_lp(
 
 
 def check_standard_rows(
-    coeff_rows: Sequence[Dict[int, Fraction]],
+    coeff_rows: Sequence[Dict[int, int]],
     senses: Sequence[str],
-    rhs: Sequence[Fraction],
+    rhs: Sequence[int],
     x: Sequence[Fraction],
-    scales: Optional[Sequence[int]] = None,
 ) -> bool:
     """Exactly verify ``x ≥ 0`` against the rows (no tolerances).
 
     The raw-row counterpart of
     :meth:`~repro.lp.model.LinearProgram.check_values`; this is the gate
     that certifies float candidates — and re-certifies cached points in the
-    incremental probe pipeline — without an exact solve.  With *scales*
-    the rows are integer rows (:mod:`repro.lp.simplex`); rational rows are
-    scaled first.  The point is scaled by the lcm of its denominators, so
-    every row sums in integers.
+    incremental probe pipeline — without an exact solve.  A positive row
+    scale changes no verdict, so the rows come without their scales:
+    integer rows (:mod:`repro.lp.simplex`) or rational rows alike.  The
+    point is scaled by the lcm of its denominators, so integer rows sum in
+    integers.
     """
     support = []
     for j, v in enumerate(x):
@@ -185,8 +190,6 @@ def check_standard_rows(
             if v < 0:
                 return False
             support.append((j, v))
-    if scales is None:
-        coeff_rows, rhs, _scales = scale_rows(coeff_rows, rhs)
     common = lcm(*{v.denominator for _j, v in support})
     x_int = [0] * len(x)
     for j, v in support:
@@ -249,23 +252,22 @@ def feasible_point_rows(
     objective = [0] * num_vars
     if use_float:
         candidate = float_candidate(
-            coeff_rows, senses, rhs, objective, float_rows=float_rows,
-            scales=scales,
+            coeff_rows, senses, rhs, objective, scales, float_rows=float_rows
         )
         if candidate is not None and candidate.status == "optimal":
-            if check_standard_rows(coeff_rows, senses, rhs, candidate.x, scales):
+            if check_standard_rows(coeff_rows, senses, rhs, candidate.x):
                 return list(candidate.x), None  # certified by the re-check
             warm_point = candidate.x  # uncertified: warm-start the repair
         elif candidate is not None and candidate.status == "infeasible":
             farkas = certify_infeasible(
-                coeff_rows, senses, rhs, num_vars=num_vars, float_rows=float_rows,
-                scales=scales,
+                coeff_rows, senses, rhs, scales, num_vars=num_vars,
+                float_rows=float_rows,
             )
             if farkas is not None:
                 return None, farkas
     result = solve_standard(
-        coeff_rows, senses, rhs, objective,
-        warm_point=warm_point, canonical=False, scales=scales,
+        coeff_rows, senses, rhs, objective, scales,
+        warm_point=warm_point, canonical=False,
     )
     if result.status != "optimal":
         return None, result.farkas

@@ -20,6 +20,8 @@ from fractions import Fraction
 from math import lcm
 from typing import List, NamedTuple, Optional
 
+from _int_rows import scaled
+
 from repro.lp.simplex import BLAND_THRESHOLD_DEFAULT, standard_form
 
 
@@ -150,7 +152,7 @@ def _build(std, objective: List[Fraction]):
 def reference_solve(coeff_rows, senses, rhs, objective) -> ReferenceResult:
     """Solve ``min c·x  s.t.  rows, x ≥ 0`` from the slack/artificial basis."""
     objective = [Fraction(c) for c in objective]
-    std = standard_form(coeff_rows, senses, rhs, objective)
+    std = standard_form(*scaled(coeff_rows, senses, rhs, objective))
     tab, has_artificials = _build(std, objective)
     m = std.num_rows
     if has_artificials:

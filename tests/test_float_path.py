@@ -20,13 +20,13 @@
 from fractions import Fraction
 
 import pytest
-from _int_rows import min_T_rows, probe_rows, time_of
+from _int_rows import certifies, int_rows, min_T_rows, probe_rows, scaled, time_of
 
 from repro._fraction import INF, is_inf
 from repro.core.instance import Instance
 from repro.core.laminar import LaminarFamily
 from repro.core.programs import IP3Builder, build_ip3
-from repro.lp import HAVE_SCIPY, LinearProgram, farkas_certifies, solve_standard
+from repro.lp import HAVE_SCIPY, LinearProgram, solve_standard
 from repro.lp.simplex import standard_form
 from repro.workloads import random_hierarchical, rng_from_seed
 
@@ -140,6 +140,12 @@ def _dense_csc(rows, senses, n):
     return sparse.csc_array(np.vstack(blocks))
 
 
+def _float_matrix(rows, senses, rhs, n):
+    """:func:`float_matrix` of rational rows."""
+    coeff_rows, _senses, _rhs, scales = int_rows(rows, senses, rhs)
+    return float_matrix(coeff_rows, n, scales)
+
+
 def _assert_same_csc(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a.indptr, b.indptr)
@@ -177,10 +183,10 @@ class TestTemplateSlice:
             if not active:
                 continue
             sliced = builder.float_slice(active)
-            built = float_matrix(rows, len(active))
+            built = _float_matrix(rows, senses, rhs, len(active))
             _assert_same_csc(sliced.tocsc(), built.tocsc())
-            via_template = highs_inputs(rows, senses, rhs, objective, float_rows=sliced)
-            via_rows = highs_inputs(rows, senses, rhs, objective)
+            via_template = highs_inputs(*scaled(rows, senses, rhs, objective), float_rows=sliced)
+            via_rows = highs_inputs(*scaled(rows, senses, rhs, objective))
             _assert_same_inputs(via_template, via_rows)
             _assert_same_csc(_linprog_csc(via_rows), _dense_csc(rows, senses, len(active)))
             assert np.array_equal(via_rows["b_ub"], [float(len(a) * T) for a, _e in builder.load_template])
@@ -190,9 +196,9 @@ class TestTemplateSlice:
         for T in _horizons(builder):
             rows, senses, rhs, active = probe_rows(builder, T)
             objective = [Fraction(0)] * len(active)
-            a = solve_standard_float(rows, senses, rhs, objective)
+            a = solve_standard_float(*scaled(rows, senses, rhs, objective))
             b = solve_standard_float(
-                rows, senses, rhs, objective, float_rows=builder.float_slice(active)
+                *scaled(rows, senses, rhs, objective), float_rows=builder.float_slice(active)
             )
             assert (a.status, a.x, a.objective) == (b.status, b.x, b.objective)
 
@@ -277,12 +283,12 @@ def test_min_T_template_equals_row_built_matrices(name):
         rows, senses, rhs, objective, active = program
         template = builder.min_T_float_slice(active)
         assert template.shape == (len(rows), 1 + len(active))
-        via_template = highs_inputs(rows, senses, rhs, objective, float_rows=template)
-        via_rows = highs_inputs(rows, senses, rhs, objective)
+        via_template = highs_inputs(*scaled(rows, senses, rhs, objective), float_rows=template)
+        via_rows = highs_inputs(*scaled(rows, senses, rhs, objective))
         _assert_same_inputs(via_template, via_rows)
         _assert_same_csc(_linprog_csc(via_rows), _dense_csc(rows, senses, len(objective)))
-        a = solve_standard_float(rows, senses, rhs, objective)
-        b = solve_standard_float(rows, senses, rhs, objective, float_rows=template)
+        a = solve_standard_float(*scaled(rows, senses, rhs, objective))
+        b = solve_standard_float(*scaled(rows, senses, rhs, objective), float_rows=template)
         assert (a.status, a.x, a.objective) == (b.status, b.x, b.objective)
         checked += 1
     assert checked
@@ -322,14 +328,16 @@ class TestFloatEdgeCases:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_agrees_with_exact(self, case):
         rows, senses, rhs, objective = self.CASES[case]
-        exact = solve_standard(rows, senses, rhs, objective)
-        floaty = solve_standard_float(rows, senses, rhs, objective)
+        exact = solve_standard(*scaled(rows, senses, rhs, objective))
+        floaty = solve_standard_float(*scaled(rows, senses, rhs, objective))
         assert floaty.status == exact.status
         if exact.status == "optimal":
             assert floaty.objective == exact.objective
             if objective:
-                prebuilt = float_matrix(rows, len(objective))
-                again = solve_standard_float(rows, senses, rhs, objective, float_rows=prebuilt)
+                prebuilt = _float_matrix(rows, senses, rhs, len(objective))
+                again = solve_standard_float(
+                    *scaled(rows, senses, rhs, objective), float_rows=prebuilt
+                )
                 assert (again.status, again.x) == (floaty.status, floaty.x)
 
 
@@ -344,12 +352,14 @@ class TestConstructionErrorsRaise:
         rows, senses, rhs, active, wrong = self._probe()
         objective = [Fraction(0)] * len(active)
         with pytest.raises(ValueError, match="float_rows has shape"):
-            float_candidate(rows, senses, rhs, objective, float_rows=wrong)
+            float_candidate(*scaled(rows, senses, rhs, objective), float_rows=wrong)
 
     def test_certify_infeasible_raises_on_misshaped_float_rows(self):
         rows, senses, rhs, active, wrong = self._probe()
         with pytest.raises(ValueError, match="float_rows has shape"):
-            certify_infeasible(rows, senses, rhs, num_vars=len(active), float_rows=wrong)
+            certify_infeasible(
+                *int_rows(rows, senses, rhs), num_vars=len(active), float_rows=wrong
+            )
 
     def test_probe_pipeline_does_not_swallow_it(self):
         rows, senses, rhs, active, wrong = self._probe()
@@ -360,12 +370,12 @@ class TestConstructionErrorsRaise:
 
     def test_unknown_sense_raises(self):
         with pytest.raises(ValueError, match="unknown sense"):
-            float_candidate([{0: Fraction(1)}], ["<"], [Fraction(1)], [Fraction(1)])
+            float_candidate(*scaled([{0: Fraction(1)}], ["<"], [Fraction(1)], [Fraction(1)]))
 
 
 def _dense_phase1_csc(rows, senses, rhs, n):
     """CSC of the dense ``[A | S | I]`` phase-1 matrix, rows sign-normalized."""
-    std = standard_form(rows, senses, rhs, [Fraction(0)] * n)
+    std = standard_form(*scaled(rows, senses, rhs, [Fraction(0)] * n))
     num_slack = sum(1 for s in std.slack_of_row if s is not None)
     dense = np.zeros((std.num_rows, n + num_slack + std.num_rows))
     for i, row in enumerate(std.rows):
@@ -391,10 +401,12 @@ def _certify_both_ways(monkeypatch, rows, senses, rhs, n, float_rows):
 
     with monkeypatch.context() as patch:
         patch.setattr(scipy.optimize, "linprog", recording_linprog)
-        built = certify_infeasible(rows, senses, rhs, num_vars=n)
-        sliced = certify_infeasible(rows, senses, rhs, num_vars=n, float_rows=float_rows)
+        built = certify_infeasible(*int_rows(rows, senses, rhs), num_vars=n)
+        sliced = certify_infeasible(
+            *int_rows(rows, senses, rhs), num_vars=n, float_rows=float_rows
+        )
     assert built is not None and sliced == built
-    assert farkas_certifies(rows, senses, rhs, sliced)
+    assert certifies(rows, senses, rhs, sliced)
     dense = _dense_phase1_csc(rows, senses, rhs, n)
     assert len(phase1) == 2
     for a_eq in phase1:
@@ -412,7 +424,7 @@ def test_certify_infeasible_on_infeasible_probes(name, monkeypatch):
             continue  # structurally infeasible: decided before any LP
         rows, senses, rhs, active = probe_rows(builder, T)
         objective = [Fraction(0)] * len(active)
-        if solve_standard_float(rows, senses, rhs, objective).status != "infeasible":
+        if solve_standard_float(*scaled(rows, senses, rhs, objective)).status != "infeasible":
             continue
         _certify_both_ways(
             monkeypatch, rows, senses, rhs, len(active), builder.float_slice(active)
@@ -429,4 +441,4 @@ def test_certify_infeasible_negative_rhs_rows(monkeypatch):
     rows = [{0: Fraction(-1), 1: Fraction(-1)}, {0: Fraction(1)}, {1: Fraction(-1)}]
     senses = ["<=", "<=", ">="]
     rhs = [Fraction(-3), Fraction(1), Fraction(-1)]
-    _certify_both_ways(monkeypatch, rows, senses, rhs, 2, float_matrix(rows, 2))
+    _certify_both_ways(monkeypatch, rows, senses, rhs, 2, _float_matrix(rows, senses, rhs, 2))

@@ -28,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from _int_rows import min_T_rows, probe_rows
+from _int_rows import min_T_rows, probe_rows, scaled
 
 from repro._fraction import bigint, is_inf, to_fraction
 from repro.core.programs import IP3Builder, minimal_fractional_T
@@ -160,7 +160,7 @@ def _force_lu(monkeypatch):
 
 
 def _lst_rows(n, m, seed, scale_T=Fraction(1)):
-    """Standard rows of the LST LP of a seeded instance at ``scale_T·T*``."""
+    """Integer rows of the LST LP of a seeded instance at ``scale_T·T*``."""
     inst = random_hierarchical(rng_from_seed(seed), n=n, m=m).with_singletons()
     T = minimal_fractional_T(inst, backend="exact") * scale_T
     p = {}
@@ -170,7 +170,7 @@ def _lst_rows(n, m, seed, scale_T=Fraction(1)):
             value = inst.p(j, frozenset([i]))
             if not is_inf(value):
                 p[j][i] = to_fraction(value)
-    return build_unrelated_lp(p, T).to_standard_rows()
+    return scaled(*build_unrelated_lp(p, T).to_standard_rows())
 
 
 def _same_result(a, b):
@@ -206,7 +206,7 @@ class TestLSTLockstep:
         # Every job on its highest-numbered machine overloads a load row: the
         # crash lands on an infeasible dictionary, reset() restarts from
         # the identity basis and the support is pushed in by ratio tests.
-        coeff_rows, senses, rhs, objective = rows
+        coeff_rows, senses, _rhs, objective, _scales = rows
         n_assign = senses.count("==")
         bad = [Fraction(0)] * len(objective)
         for row in coeff_rows[:n_assign]:
@@ -245,7 +245,7 @@ class TestLSTLockstep:
             4: {0: 3, 1: 2},
         }
         lp = build_unrelated_lp(p, Fraction(4))
-        rows = lp.to_standard_rows()
+        rows = scaled(*lp.to_standard_rows())
         assert any(
             sum(1 for r in rows[0] if r.get(j)) == 1
             for j in range(lp.num_variables)
@@ -390,8 +390,8 @@ class TestLeavingCases:
 
 
 class TestStructuralChoice:
-    def _solver(self, coeff_rows, senses, rhs, objective):
-        std = standard_form(coeff_rows, senses, rhs, objective)
+    def _solver(self, coeff_rows, senses, rhs, objective, scales):
+        std = standard_form(coeff_rows, senses, rhs, objective, scales)
         return _RevisedSolver(std, objective, 5000, 200000, partial=False)
 
     def test_lst_lp_runs_on_the_forest(self):
@@ -403,10 +403,10 @@ class TestStructuralChoice:
         inst = random_hierarchical(rng_from_seed(11), n=10, m=4)
         builder = IP3Builder(inst)
         coeff, senses, rhs, active = probe_rows(builder, builder.breakpoints[-1])
-        probe = self._solver(coeff, senses, rhs, [Fraction(0)] * len(active))
+        probe = self._solver(*scaled(coeff, senses, rhs, [Fraction(0)] * len(active)))
         program = min_T_rows(builder, builder.breakpoints[-1], Fraction(0))
         assert program is not None
-        min_t = self._solver(*program[:4])
+        min_t = self._solver(*scaled(*program[:4]))
         for solver in (probe, min_t):
             assert max(sum(1 for a in c.values() if a) for c in solver.cols) > 2
             assert solver.lub.kind == "lu"

@@ -34,6 +34,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from _int_rows import scaled
 
 from repro._fraction import bigint, is_inf, to_fraction
 from repro.core.programs import minimal_fractional_T
@@ -153,6 +154,7 @@ def _lst_rows(n, m, seed, scale_T=Fraction(1)):
 
 
 def _solve_both(monkeypatch, rows, **kwargs):
+    rows = scaled(*rows)
     result = solve_standard(*rows, **kwargs)
     _same_result(result, _on_lu(monkeypatch, lambda: solve_standard(*rows, **kwargs)))
     return result
@@ -296,7 +298,7 @@ class TestEdgeCases:
         assert lockstep["screened"] > 0
 
     def test_pivot_limit_mid_phase(self, lockstep, monkeypatch):
-        rows = _lst_rows(32, 10, 4)
+        rows = scaled(*_lst_rows(32, 10, 4))
         budget = solve_standard(*rows).pivots // 2
         with pytest.raises(PivotLimitError) as forest_err, pivot_cap(budget):
             solve_standard(*rows)
@@ -318,7 +320,7 @@ class TestEdgeCases:
         assert lockstep["screened"] == 0 and lockstep["overflow"] > 0
 
     def test_duals_beyond_float_range_price_in_full(self):
-        rows = _lst_rows(16, 6, 1)
+        rows = scaled(*_lst_rows(16, 6, 1))
         std = standard_form(*rows)
         solver = _RevisedSolver(std, rows[3], 5000, 200000, partial=False)
         screen = _Screen(solver)

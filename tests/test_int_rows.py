@@ -10,11 +10,16 @@ memory models' side rows:
 * the LST slice is :func:`~repro.rounding.lst.build_unrelated_lp`'s LP, row
   for row and column for column;
 * the kernel built from integer rows equals the kernel built from the
-  rational rows (``cols``, ``b_int``, ``c_int``, ``scales``), and both are
-  the integers an independent per-row lcm scaling gives;
-* the float leg's ``highs_inputs``, the crash's tight-row flags, the
-  exact point check, solve results and Farkas certificates are the same
-  either way;
+  rational rows as the rational entry points convert them
+  (:func:`~repro.lp.simplex.scale_rows`): ``cols``, ``b_int``, ``c_int``
+  and ``scales``, and both are the integers an independent per-row lcm
+  scaling gives;
+* the float leg's matrix and ``highs_inputs`` are, bit for bit, the
+  floats of the rational rows;
+* the crash's tight-row flags, the exact point check, solve results and
+  Farkas certificates are the same from the integer rows and from the
+  rational rows through :func:`~repro.lp.solve.solve_rows` and
+  :func:`~repro.lp.solve.feasible_point_rows`;
 * Theorem V.2 builds no :class:`~repro.lp.model.LinearProgram`;
 * all of it holds on the forced gmpy2 path.
 """
@@ -24,7 +29,7 @@ from math import lcm
 
 import pytest
 
-from _int_rows import rational
+from _int_rows import rational, scaled
 from repro._fraction import INF, is_inf
 from repro.core.approx import two_approximation
 from repro.core.instance import Instance
@@ -33,7 +38,7 @@ from repro.core.memory import _memory_builder, _model1_rows, _model2_rows
 from repro.core.programs import IP3Builder, minimal_fractional_T
 from repro.lp import HAVE_SCIPY, LinearProgram, revised
 from repro.lp.revised import _RevisedSolver, solve_standard
-from repro.lp.solve import check_standard_rows
+from repro.lp.solve import check_standard_rows, feasible_point_rows, solve_rows
 from repro.lp.simplex import (
     _TIGHT_EPS,
     BLAND_THRESHOLD_DEFAULT,
@@ -170,7 +175,7 @@ def test_lst_slice_is_build_unrelated_lp(name, draws):
     assert empty_row and missing_machine
 
 
-def _kernel(rows, senses, rhs, objective, scales=None):
+def _kernel(rows, senses, rhs, objective, scales):
     std = standard_form(rows, senses, rhs, objective, scales)
     return _RevisedSolver(
         std, objective, BLAND_THRESHOLD_DEFAULT, default_max_pivots(), partial=False
@@ -178,12 +183,13 @@ def _kernel(rows, senses, rhs, objective, scales=None):
 
 
 def _assert_same_kernel(program):
-    """The kernel from the integer rows, from their rational read-back and
-    from an independent per-row lcm scaling of the normalized rows."""
+    """The kernel from the integer rows, from their rational read-back as
+    the rational entry points scale it, and from an independent per-row
+    lcm scaling of the normalized rows."""
     rows, senses, rhs, scales, objective = program
     frac_rows, frac_rhs = rational(rows, rhs, scales)
     via_int = _kernel(rows, senses, rhs, objective, scales)
-    via_frac = _kernel(frac_rows, senses, frac_rhs, [Fraction(c) for c in objective])
+    via_frac = _kernel(*scaled(frac_rows, senses, frac_rhs, [Fraction(c) for c in objective]))
     assert via_int.cols == via_frac.cols
     assert via_int.col_items == via_frac.col_items
     assert via_int.row_items == via_frac.row_items
@@ -282,8 +288,9 @@ def test_solves_flags_and_certificates_either_entry(name, draws, int_path):
         rows, senses, rhs, scales, pairs = unrelated_rows(times, T)
         frac_rows, frac_rhs = rational(rows, rhs, scales)
         objective = [0] * len(pairs)
-        via_int = solve_standard(rows, senses, rhs, objective, scales=scales)
-        via_frac = solve_standard(frac_rows, senses, frac_rhs, [Fraction(0)] * len(pairs))
+        frac_objective = [Fraction(0)] * len(pairs)
+        via_int = solve_standard(rows, senses, rhs, objective, scales)
+        via_frac = solve_rows(frac_rows, senses, frac_rhs, frac_objective)
         _same_result(via_int, via_frac)
         if T != t_star:
             assert via_int.status == "infeasible" and via_int.farkas is not None
@@ -292,17 +299,14 @@ def test_solves_flags_and_certificates_either_entry(name, draws, int_path):
         # The optimum and a perturbed copy: rows tight at one, slack at the other.
         noisy = [v * (1 + Fraction(1, 10**6)) if v else v for v in via_int.x]
         for point, feasible in ((via_int.x, True), (noisy, False)):
-            assert check_standard_rows(rows, senses, rhs, point, scales=scales) is feasible
+            assert check_standard_rows(rows, senses, rhs, point) is feasible
             assert check_standard_rows(frac_rows, senses, frac_rhs, point) is feasible
             flags = _tight_rows(rows, senses, rhs, scales, point)
             assert flags == _reference_tight(frac_rows, senses, frac_rhs, point)
             flagged.update(flags)
-        warm = solve_standard(rows, senses, rhs, objective, warm_point=noisy, scales=scales)
+        warm = solve_standard(rows, senses, rhs, objective, scales, warm_point=noisy)
         _same_result(
-            warm,
-            solve_standard(
-                frac_rows, senses, frac_rhs, [Fraction(0)] * len(pairs), warm_point=noisy
-            ),
+            warm, solve_rows(frac_rows, senses, frac_rhs, frac_objective, warm_point=noisy)
         )
     assert flagged == {True, False}
     # The last breakpoint below T* where every job has a pair: an LP
@@ -312,10 +316,10 @@ def test_solves_flags_and_certificates_either_entry(name, draws, int_path):
     )
     rows, senses, rhs, scales, active = builder.probe_rows(below)
     frac_rows, frac_rhs = rational(rows, rhs, scales)
-    via_int = solve_standard(rows, senses, rhs, [0] * len(active), scales=scales)
+    via_int = solve_standard(rows, senses, rhs, [0] * len(active), scales)
     assert via_int.status == "infeasible" and via_int.farkas is not None
     _same_result(
-        via_int, solve_standard(frac_rows, senses, frac_rhs, [Fraction(0)] * len(active))
+        via_int, solve_rows(frac_rows, senses, frac_rhs, [Fraction(0)] * len(active))
     )
 
 
@@ -323,6 +327,7 @@ def test_solves_flags_and_certificates_either_entry(name, draws, int_path):
 @pytest.mark.parametrize("name", sorted(DRAWS))
 def test_float_leg_either_entry(name, draws):
     import numpy as np
+    from scipy.sparse import csr_array
 
     from repro.lp.hybrid import certify_infeasible
     from repro.lp.scipy_backend import float_matrix, highs_inputs
@@ -342,23 +347,34 @@ def test_float_leg_either_entry(name, draws):
 
     for rows, senses, rhs, scales, objective in _programs(builder, t_star):
         frac_rows, frac_rhs = rational(rows, rhs, scales)
-        frac_objective = [Fraction(c) for c in objective]
         n = len(objective)
-        assert (
-            float_matrix(rows, n, scales).data.tobytes()
-            == float_matrix(frac_rows, n).data.tobytes()
+        # The float image of the rational rows, entry by entry.
+        reference = csr_array(
+            (
+                np.array([float(v) for row in frac_rows for v in row.values()]),
+                np.array([j for row in frac_rows for j in row], dtype=np.int32),
+                np.cumsum([0] + [len(row) for row in frac_rows], dtype=np.int32),
+            ),
+            shape=(len(frac_rows), n),
         )
+        built = float_matrix(rows, n, scales)
+        assert built.data.tobytes() == reference.data.tobytes()
+        inputs = highs_inputs(rows, senses, rhs, objective, scales)
         same_inputs(
-            highs_inputs(rows, senses, rhs, objective, scales=scales),
-            highs_inputs(frac_rows, senses, frac_rhs, frac_objective),
+            inputs, highs_inputs(rows, senses, rhs, objective, scales, float_rows=reference)
         )
+        b_raw = [-float(b) if sense == ">=" else float(b) for b, sense in zip(frac_rhs, senses)]
+        for part, eq in (("b_ub", False), ("b_eq", True)):
+            expected = [b for b, sense in zip(b_raw, senses) if (sense == "==") == eq]
+            if expected:
+                assert inputs[part].tobytes() == np.array(expected).tobytes()
     rows, senses, rhs, scales, pairs = unrelated_rows(
         builder.singleton_times(), t_star * Fraction(9, 10)
     )
     frac_rows, frac_rhs = rational(rows, rhs, scales)
-    farkas = certify_infeasible(rows, senses, rhs, num_vars=len(pairs), scales=scales)
+    farkas = certify_infeasible(rows, senses, rhs, scales, num_vars=len(pairs))
     assert farkas is not None
-    assert farkas == certify_infeasible(frac_rows, senses, frac_rhs, num_vars=len(pairs))
+    assert (None, farkas) == feasible_point_rows(frac_rows, senses, frac_rhs, len(pairs))
 
 
 @pytest.mark.parametrize("backend", ["exact", "hybrid"])

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from _int_rows import scaled
 from repro.exceptions import SolverError
 from repro.lp import (
     HAVE_SCIPY,
@@ -61,73 +62,73 @@ class TestModelBuilder:
 class TestExactSimplex:
     def test_known_optimum(self):
         # max x+y st x+2y<=4, 3x+y<=6 → min -(x+y); opt at (8/5, 6/5): -14/5.
-        result = solve_standard(
+        result = solve_standard(*scaled(
             coeff_rows=[{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3), 1: Fraction(1)}],
             senses=["<=", "<="],
             rhs=[Fraction(4), Fraction(6)],
             objective=[Fraction(-1), Fraction(-1)],
-        )
+        ))
         assert result.status == "optimal"
         assert result.objective == Fraction(-14, 5)
         assert result.x == [Fraction(8, 5), Fraction(6, 5)]
 
     def test_equality_constraints(self):
-        result = solve_standard(
+        result = solve_standard(*scaled(
             coeff_rows=[{0: Fraction(1), 1: Fraction(1)}],
             senses=["=="],
             rhs=[Fraction(5)],
             objective=[Fraction(1), Fraction(2)],
-        )
+        ))
         assert result.objective == 5  # all weight on x0
 
     def test_negative_rhs_normalized(self):
         # -x <= -2 means x >= 2.
-        result = solve_standard(
+        result = solve_standard(*scaled(
             coeff_rows=[{0: Fraction(-1)}],
             senses=["<="],
             rhs=[Fraction(-2)],
             objective=[Fraction(1)],
-        )
+        ))
         assert result.objective == 2
 
     def test_infeasible(self):
-        result = solve_standard(
+        result = solve_standard(*scaled(
             coeff_rows=[{0: Fraction(1)}, {0: Fraction(1)}],
             senses=["<=", ">="],
             rhs=[Fraction(1), Fraction(2)],
             objective=[Fraction(0)],
-        )
+        ))
         assert result.status == "infeasible"
 
     def test_unbounded(self):
-        result = solve_standard(
+        result = solve_standard(*scaled(
             coeff_rows=[],
             senses=[],
             rhs=[],
             objective=[Fraction(-1)],
-        )
+        ))
         assert result.status == "unbounded"
 
     def test_degenerate_redundant_rows(self):
         # Duplicate equality rows leave an artificial basic at zero.
-        result = solve_standard(
+        result = solve_standard(*scaled(
             coeff_rows=[{0: Fraction(1)}, {0: Fraction(1)}],
             senses=["==", "=="],
             rhs=[Fraction(3), Fraction(3)],
             objective=[Fraction(1)],
-        )
+        ))
         assert result.status == "optimal"
         assert result.x == [Fraction(3)]
 
     def test_basic_solution_support_bound(self):
         # A vertex has at most (#rows) nonzeros.
         rows = [{j: Fraction(1) for j in range(6)}, {0: Fraction(1), 3: Fraction(2)}]
-        result = solve_standard(
+        result = solve_standard(*scaled(
             coeff_rows=rows,
             senses=["==", "<="],
             rhs=[Fraction(4), Fraction(3)],
             objective=[Fraction(0)] * 6,
-        )
+        ))
         assert result.status == "optimal"
         assert sum(1 for v in result.x if v != 0) <= 2
 
@@ -159,8 +160,8 @@ def test_exact_simplex_agrees_with_scipy(data):
     from repro.lp.scipy_backend import solve_standard_float
 
     rows, senses, rhs, objective = data
-    exact = solve_standard(rows, senses, rhs, objective)
-    floaty = solve_standard_float(rows, senses, rhs, objective)
+    exact = solve_standard(*scaled(rows, senses, rhs, objective))
+    floaty = solve_standard_float(*scaled(rows, senses, rhs, objective))
     assert exact.status == floaty.status
     if exact.status == "optimal":
         assert abs(float(exact.objective) - float(floaty.objective)) < 1e-6

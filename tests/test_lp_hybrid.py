@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from _int_rows import scaled
 from repro.exceptions import SolverError
 from repro.lp import (
     BACKENDS,
@@ -59,26 +60,26 @@ class TestHybridBackend:
         assert _feasible_point(lp, backend="hybrid") is None
 
     def test_unbounded(self):
-        result = solve_standard_hybrid(
+        result = solve_standard_hybrid(*scaled(
             coeff_rows=[], senses=[], rhs=[], objective=[Fraction(-1)]
-        )
+        ))
         assert result.status == "unbounded"
 
     def test_returns_basic_solution(self):
         # A vertex has at most (#rows) nonzeros — the property LST needs.
         rows = [{j: Fraction(1) for j in range(6)}, {0: Fraction(1), 3: Fraction(2)}]
-        result = solve_standard_hybrid(
+        result = solve_standard_hybrid(*scaled(
             coeff_rows=rows,
             senses=["==", "<="],
             rhs=[Fraction(4), Fraction(3)],
             objective=[Fraction(0)] * 6,
-        )
+        ))
         assert result.status == "optimal"
         assert sum(1 for v in result.x if v != 0) <= 2
 
     def test_fractional_vertex_exact(self):
         # Optimum at (8/5, 6/5): rationalization must recover it exactly.
-        result = solve_standard_hybrid(
+        result = solve_standard_hybrid(*scaled(
             coeff_rows=[
                 {0: Fraction(1), 1: Fraction(2)},
                 {0: Fraction(3), 1: Fraction(1)},
@@ -86,7 +87,7 @@ class TestHybridBackend:
             senses=["<=", "<="],
             rhs=[Fraction(4), Fraction(6)],
             objective=[Fraction(-1), Fraction(-1)],
-        )
+        ))
         assert result.objective == Fraction(-14, 5)
         assert result.x == [Fraction(8, 5), Fraction(6, 5)]
 
@@ -112,8 +113,8 @@ class TestWarmStart:
         senses = ["==", ">="]
         rhs = [Fraction(5), Fraction(1)]
         objective = [Fraction(j + 1) for j in range(8)]
-        cold = solve_standard(rows, senses, rhs, objective)
-        warm = solve_standard(rows, senses, rhs, objective, warm_point=cold.x)
+        cold = solve_standard(*scaled(rows, senses, rhs, objective))
+        warm = solve_standard(*scaled(rows, senses, rhs, objective), warm_point=cold.x)
         assert warm.objective == cold.objective
         assert warm.pivots <= cold.pivots
 
@@ -173,12 +174,12 @@ class TestFeasiblePoint:
 
 class TestPivotAccounting:
     def test_pivots_reported(self):
-        result = solve_standard(
+        result = solve_standard(*scaled(
             coeff_rows=[{0: Fraction(1), 1: Fraction(2)}],
             senses=["<="],
             rhs=[Fraction(4)],
             objective=[Fraction(-1), Fraction(-1)],
-        )
+        ))
         assert result.status == "optimal"
         assert result.pivots >= 1
 
@@ -213,8 +214,8 @@ def random_lp(draw):
 def test_hybrid_agrees_with_exact_exactly(data):
     """Status and optimum match to exact equality — the certification claim."""
     rows, senses, rhs, objective = data
-    exact = solve_standard(rows, senses, rhs, objective)
-    hybrid = solve_standard_hybrid(rows, senses, rhs, objective)
+    exact = solve_standard(*scaled(rows, senses, rhs, objective))
+    hybrid = solve_standard_hybrid(*scaled(rows, senses, rhs, objective))
     assert exact.status == hybrid.status
     if exact.status == "optimal":
         assert exact.objective == hybrid.objective

@@ -21,7 +21,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from _int_rows import probe_rows, time_of
+from _int_rows import certifies, probe_rows, scaled, time_of
 from _reference_simplex import reference_solve
 from repro._fraction import bigint
 from repro.core.programs import IP3Builder, minimal_fractional_T, _ProbeSession
@@ -31,7 +31,6 @@ from repro.lp import (
     LinearProgram,
     SolverStats,
     collect_stats,
-    farkas_certifies,
     solve_lp,
     solve_standard,
 )
@@ -46,7 +45,7 @@ from repro.workloads import FAMILIES, make_instance, make_topology, rng_from_see
 def _assert_equivalent(rows, senses, rhs, objective):
     """The reference simplex and a cold canonical solve agree vertex-for-vertex."""
     tab = reference_solve(rows, senses, rhs, objective)
-    rev = solve_standard(rows, senses, rhs, objective, canonical=True)
+    rev = solve_standard(*scaled(rows, senses, rhs, objective), canonical=True)
     assert tab.status == rev.status
     if tab.status == "optimal":
         assert tab.objective == rev.objective
@@ -77,8 +76,8 @@ class TestKernelEquivalence:
         builder = IP3Builder(inst)
         rows, senses, rhs, active = probe_rows(builder, builder.breakpoints[-1])
         objective = [Fraction(1)] * len(active)
-        full = solve_standard(rows, senses, rhs, objective, canonical=True)
-        part = solve_standard(rows, senses, rhs, objective, canonical=False)
+        full = solve_standard(*scaled(rows, senses, rhs, objective), canonical=True)
+        part = solve_standard(*scaled(rows, senses, rhs, objective), canonical=False)
         assert full.status == part.status == "optimal"
         assert full.objective == part.objective
         # Both are vertices: support bounded by the row count.
@@ -86,7 +85,7 @@ class TestKernelEquivalence:
 
     def test_canonical_must_be_bool(self):
         with pytest.raises(SolverError):
-            solve_standard([], [], [], [Fraction(1)], canonical="lex")
+            solve_standard([], [], [], [Fraction(1)], [], canonical="lex")
 
 
 @st.composite
@@ -115,7 +114,7 @@ def test_kernels_agree_on_random_lps(data):
     if rev.status == "infeasible":
         # The solver's certificate is a verified proof.
         assert rev.farkas is not None
-        assert farkas_certifies(rows, senses, rhs, rev.farkas)
+        assert certifies(rows, senses, rhs, rev.farkas)
 
 
 class TestLUBasis:
@@ -304,7 +303,7 @@ class TestStampedRows:
         rhs = [Fraction(2), Fraction(1), Fraction(1)]
         objective = [Fraction(1), Fraction(-1), Fraction(2)]
         result = solve_standard(
-            rows, senses, rhs, objective,
+            *scaled(rows, senses, rhs, objective),
             warm_point=[Fraction(1), Fraction(0), Fraction(0)],
         )
         assert result.stats.warm_start_attempts == 1
@@ -319,7 +318,7 @@ class TestStampedRows:
         objective = [Fraction(1)] * len(active)
         for canonical in (True, False):
             assert solve_standard(
-                coeff, senses, rhs, objective, canonical=canonical
+                *scaled(coeff, senses, rhs, objective), canonical=canonical
             ).status == "optimal"
 
 
@@ -349,7 +348,7 @@ class TestOnePassPricing:
             rhs.append(Fraction(rng.randrange(0, 7)))
         costs = [Fraction(rng.randrange(-3, 4), 2) for _ in range(half)]
         objective = [c for c in costs for _ in (0, 1)]
-        std = standard_form(rows, senses, rhs, objective)
+        std = standard_form(*scaled(rows, senses, rhs, objective))
         return _RevisedSolver(std, objective, 50, 1000, partial=False), rng
 
     @staticmethod
@@ -420,7 +419,7 @@ class TestWarmStartEdgeCases:
         rhs = [Fraction(2), Fraction(1)]
         objective = [Fraction(0), Fraction(-1), Fraction(0)]
         result = solve_standard(
-            rows, senses, rhs, objective,
+            *scaled(rows, senses, rhs, objective),
             warm_point=[Fraction(1), Fraction(0), Fraction(0)],
         )
         assert result.stats.warm_start_attempts == 1
@@ -451,8 +450,8 @@ class TestWarmStartEdgeCases:
         senses = ["==", "<="]
         rhs = [Fraction(2), Fraction(3)]
         objective = [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
-        cold = solve_standard(rows, senses, rhs, objective)
-        warm = solve_standard(rows, senses, rhs, objective, warm_point=cold.x)
+        cold = solve_standard(*scaled(rows, senses, rhs, objective))
+        warm = solve_standard(*scaled(rows, senses, rhs, objective), warm_point=cold.x)
         assert warm.status == "optimal" and warm.objective == cold.objective
         assert warm.stats.warm_start_hits == 1
         assert warm.stats.phase1_pivots == 0
@@ -486,7 +485,7 @@ class TestWarmStartEdgeCases:
         assert session.probe(infeasible_ts[0]) is None
         assert session.farkas is not None
         rows0 = probe_rows(builder, infeasible_ts[0])[:3]
-        assert farkas_certifies(*rows0, session.farkas)
+        assert certifies(*rows0, session.farkas)
         # Second infeasible probe is answered by certificate reuse when the
         # certificate transfers (and by a fresh solve otherwise) — either
         # way the verdict is infeasible.
@@ -496,7 +495,7 @@ class TestWarmStartEdgeCases:
         # The feasible side of the pair: the stale certificate must NOT
         # certify the feasible LP, and the probe must find a point.
         rows1 = probe_rows(builder, feasible_t)[:3]
-        assert not farkas_certifies(*rows1, session.farkas)
+        assert not certifies(*rows1, session.farkas)
         point = session.probe(feasible_t)
         assert point is not None
         coeff, senses, rhs, active = probe_rows(builder, feasible_t)
@@ -527,14 +526,14 @@ class TestPivotBudget:
         rhs = [Fraction(1), Fraction(1)]
         objective = [Fraction(-1), Fraction(1)]
         with pytest.raises(PivotLimitError) as err, pivot_cap(1):
-            solve_standard(rows, senses, rhs, objective)
+            solve_standard(*scaled(rows, senses, rhs, objective))
         assert err.value.budget == 1
         assert err.value.pivots == 2
         assert err.value.phase in (1, 2)
 
     def test_default_budget_solves_fine(self):
         rows = [{0: Fraction(1)}]
-        result = solve_standard(rows, ["<="], [Fraction(1)], [Fraction(-1)])
+        result = solve_standard(*scaled(rows, ["<="], [Fraction(1)], [Fraction(-1)]))
         assert result.status == "optimal"
 
     def test_bland_threshold_zero_still_terminates(self, monkeypatch):
@@ -546,9 +545,9 @@ class TestPivotBudget:
         senses = ["<=", "<="]
         rhs = [Fraction(4), Fraction(6)]
         objective = [Fraction(-1), Fraction(-1), Fraction(-1)]
-        b = solve_standard(rows, senses, rhs, objective)
+        b = solve_standard(*scaled(rows, senses, rhs, objective))
         monkeypatch.setattr(revised_mod, "BLAND_THRESHOLD_DEFAULT", 0)
-        a = solve_standard(rows, senses, rhs, objective)
+        a = solve_standard(*scaled(rows, senses, rhs, objective))
         assert a.status == b.status == "optimal"
         assert a.objective == b.objective
 
@@ -568,7 +567,7 @@ class TestHybridCertification:
         )
         lp.set_objective({("x", j): Fraction(j + 1) for j in range(10)})
 
-        def corrupted(coeff_rows, senses, rhs, objective):
+        def corrupted(coeff_rows, senses, rhs, objective, scales, float_rows=None):
             # Claims optimality at a wildly infeasible point.
             return SimplexResult(
                 "optimal", [Fraction(5)] * len(objective), Fraction(0), None
@@ -589,7 +588,7 @@ class TestHybridCertification:
             lp.add_variable(("x", j), lb=0)
         lp.add_constraint({("x", j): 1 for j in range(8)}, "==", 1)
 
-        def lying(coeff_rows, senses, rhs, objective):
+        def lying(coeff_rows, senses, rhs, objective, scales, float_rows=None):
             return SimplexResult("infeasible", [], None, None)
 
         monkeypatch.setattr(hybrid_mod, "float_candidate", lying)
@@ -608,9 +607,9 @@ class TestCertificates:
 
     def test_farkas_rejects_wrong_length_and_signs(self):
         rows = [{0: Fraction(1)}]
-        assert not farkas_certifies(rows, ["<="], [Fraction(1)], [])
+        assert not certifies(rows, ["<="], [Fraction(1)], [])
         # y > 0 on a <= row violates the sign condition.
-        assert not farkas_certifies(rows, ["<="], [Fraction(1)], [Fraction(1)])
+        assert not certifies(rows, ["<="], [Fraction(1)], [Fraction(1)])
 
     def test_feasible_point_rows_returns_certificate(self):
         rows = [{0: Fraction(1)}, {0: Fraction(1)}]
@@ -618,7 +617,7 @@ class TestCertificates:
         rhs = [Fraction(3), Fraction(1)]
         point, farkas = feasible_point_rows(rows, senses, rhs, 1, backend="exact")
         assert point is None and farkas is not None
-        assert farkas_certifies(rows, senses, rhs, farkas)
+        assert certifies(rows, senses, rhs, farkas)
 
 
 class TestStatsPlumbing:
@@ -654,7 +653,7 @@ class TestStatsPlumbing:
 def test_standard_form_unchanged_contract():
     """The shared standard form still sign-normalizes rows to b ≥ 0."""
     std = standard_form(
-        [{0: Fraction(1)}], ["<="], [Fraction(-2)], [Fraction(0)]
+        *scaled([{0: Fraction(1)}], ["<="], [Fraction(-2)], [Fraction(0)])
     )
     assert std.senses == [">="]
     assert std.rhs == [Fraction(2)]

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from _int_rows import scaled
 
 from repro import (
     Assignment,
@@ -19,7 +20,7 @@ from repro.lp import LinearProgram, solve_lp, solve_standard
 class TestDegenerateLPs:
     def test_zero_rhs_degenerate_vertex(self):
         # Multiple constraints tight at the origin — classic degeneracy.
-        result = solve_standard(
+        result = solve_standard(*scaled(
             coeff_rows=[
                 {0: Fraction(1), 1: Fraction(-1)},
                 {0: Fraction(-1), 1: Fraction(1)},
@@ -28,7 +29,7 @@ class TestDegenerateLPs:
             senses=["<=", "<=", "<="],
             rhs=[Fraction(0), Fraction(0), Fraction(2)],
             objective=[Fraction(-1), Fraction(-1)],
-        )
+        ))
         assert result.status == "optimal"
         assert result.objective == -2  # x = y = 1
 
@@ -45,10 +46,10 @@ class TestDegenerateLPs:
         senses = ["<=", "<=", "<="]
         rhs = [Fraction(0), Fraction(0), Fraction(1)]
         objective = [Fraction(-3, 4), Fraction(150), Fraction(-1, 50), Fraction(6)]
-        result = solve_standard(rows, senses, rhs, objective)
+        result = solve_standard(*scaled(rows, senses, rhs, objective))
         assert result.status == "optimal"
         assert result.objective == Fraction(-77, 100)
-        floaty = solve_standard_float(rows, senses, rhs, objective)
+        floaty = solve_standard_float(*scaled(rows, senses, rhs, objective))
         assert floaty.objective == result.objective
 
     def test_empty_objective_feasibility(self):
@@ -60,7 +61,7 @@ class TestDegenerateLPs:
         assert 2 <= solution.value("x") <= 5
 
     def test_all_equality_square_system(self):
-        result = solve_standard(
+        result = solve_standard(*scaled(
             coeff_rows=[
                 {0: Fraction(2), 1: Fraction(1)},
                 {0: Fraction(1), 1: Fraction(3)},
@@ -68,7 +69,7 @@ class TestDegenerateLPs:
             senses=["==", "=="],
             rhs=[Fraction(5), Fraction(10)],
             objective=[Fraction(0), Fraction(0)],
-        )
+        ))
         assert result.status == "optimal"
         assert result.x == [Fraction(1), Fraction(3)]
 

@@ -71,10 +71,11 @@ def run_ft_flaky(counter_path: str = "", fail_times: int = 1, value: int = 7):
 def run_ft_lp(n: int = 3):
     """A tiny exact LP solve, so the pivot budget has pivots to count."""
     result = solve_standard(
-        coeff_rows=[{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3), 1: Fraction(1)}],
+        coeff_rows=[{0: 1, 1: 2}, {0: 3, 1: 1}],
         senses=["<=", "<="],
-        rhs=[Fraction(4 * n), Fraction(6 * n)],
+        rhs=[4 * n, 6 * n],
         objective=[Fraction(-1), Fraction(-1)],
+        scales=[1, 1],
     )
     return _result(objective=result.objective)
 

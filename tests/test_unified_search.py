@@ -251,16 +251,16 @@ class TestSideRows:
         from repro.lp.scipy_backend import float_matrix
 
         for T in builder.breakpoints:
-            rows, _senses, _rhs, active = probe_rows(builder, T)
+            rows, _senses, _rhs, scales, active = builder.probe_rows(T)
             if not active:
                 continue
-            built = float_matrix(rows, len(active)).toarray()
+            built = float_matrix(rows, len(active), scales).toarray()
             assert np.array_equal(builder.float_slice(active).toarray(), built)
-            program = min_T_rows(builder, T, T)
+            program = builder.min_T_rows(T, T)
             if program is None:
                 continue
-            min_rows, _s, _r, _o, active = program
-            built = float_matrix(min_rows, 1 + len(active)).toarray()
+            min_rows, _s, _r, scales, _o, active = program
+            built = float_matrix(min_rows, 1 + len(active), scales).toarray()
             assert np.array_equal(builder.min_T_float_slice(active).toarray(), built)
 
     def test_zero_times_with_infeasible_side_rows_raise(self):

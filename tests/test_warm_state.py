@@ -26,6 +26,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from _int_rows import scaled
 from _reference_simplex import reference_solve
 from repro._fraction import HAVE_GMPY2, bigint, bigint_backend
 from repro.core.programs import IP3Builder, _ProbeSession
@@ -59,9 +60,9 @@ class TestPivotLimitResumability:
         """A budgeted abort is an exception, not a corrupted process."""
         rows, senses, rhs, objective = _small_lp()
         with pytest.raises(PivotLimitError), pivot_cap(1):
-            solve_standard(rows, senses, rhs, objective)
+            solve_standard(*scaled(rows, senses, rhs, objective))
         # The very next solve in the same process is untouched.
-        result = solve_standard(rows, senses, rhs, objective)
+        result = solve_standard(*scaled(rows, senses, rhs, objective))
         assert result.status == "optimal"
 
     def test_probe_session_resumable_after_pivot_limit(self, monkeypatch):
@@ -137,14 +138,14 @@ def test_carried_basis_solve_equals_cold_solve(data):
     satisfies every row exactly and returns a vertex (support ≤ rows).
     """
     rows, senses, rhs, objective = data
-    cold = solve_standard(rows, senses, rhs, objective)
+    cold = solve_standard(*scaled(rows, senses, rhs, objective))
     # Donor: partial pricing, so its vertex may differ from the cold
     # Dantzig one whenever this LP allows it.
-    donor = solve_standard(rows, senses, rhs, objective, canonical=False)
+    donor = solve_standard(*scaled(rows, senses, rhs, objective), canonical=False)
     assert donor.status == cold.status
     if donor.status != "optimal":
         return
-    warm = solve_standard(rows, senses, rhs, objective, warm_point=donor.x)
+    warm = solve_standard(*scaled(rows, senses, rhs, objective), warm_point=donor.x)
     assert warm.status == "optimal"
     assert warm.objective == cold.objective
     assert check_standard_rows(rows, senses, rhs, warm.x)
@@ -221,7 +222,7 @@ class TestBigintSeam:
         vertex-for-vertex."""
         rows, senses, rhs, objective = _small_lp()
         tab = reference_solve(rows, senses, rhs, objective)
-        rev = solve_standard(rows, senses, rhs, objective, canonical=True)
+        rev = solve_standard(*scaled(rows, senses, rhs, objective), canonical=True)
         assert tab.status == rev.status == "optimal"
         assert tab.objective == rev.objective
         assert tab.x == rev.x
@@ -240,8 +241,7 @@ class TestBigintSeam:
             "assert bigint_backend() == 'python', bigint_backend()\n"
             "assert type(bigint(7)) is int\n"
             "from repro.lp import solve_standard\n"
-            "r = solve_standard("
-            "[{0: Fraction(1)}], ['<='], [Fraction(2)], [Fraction(-1)])\n"
+            "r = solve_standard([{0: 1}], ['<='], [2], [Fraction(-1)], [1])\n"
             "assert r.status == 'optimal' and r.x == [Fraction(2)]\n"
             "print('ok')\n"
         )
