@@ -186,13 +186,21 @@ def _lu_fixture(n, m, seed=140):
 def _measure(sample, repeats):
     """Run *sample* :data:`WARMUP` times untimed, then summarize *repeats* runs.
 
-    *sample* returns one ``{op: value}`` dict per run.
+    *sample* returns one ``{op: value}`` dict per run.  A full garbage
+    collection runs before every timed sample, so a generation-2
+    collection of garbage left by earlier samples does not land inside a
+    short timing.
     """
+    import gc
+
     from _common import summary
 
     for _ in range(WARMUP):
         sample()
-    runs = [sample() for _ in range(repeats)]
+    runs = []
+    for _ in range(repeats):
+        gc.collect()
+        runs.append(sample())
     return {op: summary([run[op] for run in runs]) for op in runs[0]}
 
 
@@ -339,21 +347,22 @@ def _build_fixture(n, m, seed=140):
 def _build_sample(inst, p, T):
     """One sample of building Theorem V.2's LPs and handing them over.
 
-    ``ip3_build_ms`` is the :class:`IP3Builder`, ``ip3_float_template_ms``
-    its float CSR template (built on the search's first HiGHS call).  For
-    the LST LP at ``T*``: ``lst_rows_ms`` builds the integer rows from the
-    builder's singleton times, ``kernel_init_ms`` the exact kernel from
-    them (standard form and solver construction), ``float_image_ms`` the
-    float CSR the HiGHS leg gets.  The ``*_rational_ms`` twins are the same
-    steps from the keyed LP: ``build_unrelated_lp`` and its standard rows,
-    then the rational entry's :func:`~repro.lp.simplex.scale_rows` and the
-    kernel.  The float image of the scaled rows is the one above.
+    ``ip3_build_ms`` is the :class:`IP3Builder`.  For the LST LP at
+    ``T*``: ``lst_rows_ms`` builds the integer rows from the builder's
+    singleton times, ``kernel_init_ms`` the exact kernel from them
+    (standard form and solver construction), ``float_image_ms`` the float
+    image the HiGHS leg builds from them
+    (:func:`~repro.lp.scipy_backend.float_entries`).  The
+    ``*_rational_ms`` twins are the same steps from the keyed LP:
+    ``build_unrelated_lp`` and its standard rows, then the rational entry's
+    :func:`~repro.lp.simplex.scale_rows` and the kernel.  The float image
+    of the scaled rows is the one above.
     """
     import time
 
     from repro.core.programs import IP3Builder
     from repro.lp.revised import _RevisedSolver
-    from repro.lp.scipy_backend import float_matrix
+    from repro.lp.scipy_backend import float_entries
     from repro.lp.simplex import scale_rows, standard_form
     from repro.rounding.lst import build_unrelated_lp, unrelated_rows
 
@@ -361,9 +370,6 @@ def _build_sample(inst, p, T):
     start = time.perf_counter()
     builder = IP3Builder(inst)
     out["ip3_build_ms"] = (time.perf_counter() - start) * 1e3
-    start = time.perf_counter()
-    builder.float_slice(list(range(len(builder.finite))))
-    out["ip3_float_template_ms"] = (time.perf_counter() - start) * 1e3
 
     start = time.perf_counter()
     coeff, senses, rhs, scales, pairs = unrelated_rows(builder.singleton_times(), T)
@@ -374,7 +380,7 @@ def _build_sample(inst, p, T):
     _RevisedSolver(std, objective, 5000, 200000, partial=False)
     out["kernel_init_ms"] = (time.perf_counter() - start) * 1e3
     start = time.perf_counter()
-    float_matrix(coeff, len(pairs), scales)
+    float_entries(coeff, scales, [sense == ">=" for sense in senses])
     out["float_image_ms"] = (time.perf_counter() - start) * 1e3
 
     start = time.perf_counter()
@@ -605,7 +611,10 @@ def lu_main(argv=None):
             "warmup": WARMUP,
             "repeats": repeats,
             "order": [f"{kind}:{n}x{m}" for kind, (n, m) in order],
-            "stats": "median, min and interquartile range over the repeats",
+            "stats": (
+                "median, min and interquartile range over the repeats; "
+                "a full gc.collect() runs before every timed repeat"
+            ),
         },
         "rows": rows,
         "lst_step_breakdown": lst,

@@ -39,8 +39,8 @@ is **incremental** end to end:
   rows plus one scale per row (the contract of :mod:`repro.lp.simplex`),
   the integers the exact kernel works in, so no ``Fraction`` row is built;
   the mask is one exact integer threshold per probe
-  (:meth:`IP3Builder.mask`), and the HiGHS leg gets a column slice of one
-  float CSR template per builder;
+  (:meth:`IP3Builder.mask`), and the HiGHS leg builds its float image from
+  those integer rows, once per call;
 * successive probes reuse the bracketing probes' outcomes: a still-valid
   feasible point answers a "yes" probe after one ``O(nnz)`` exact re-check,
   a still-valid Farkas certificate answers a "no" probe the same way, and
@@ -53,8 +53,7 @@ is **incremental** end to end:
   anchor``, so over ``R(anchor)`` with ``T ≥ anchor`` the optimum is the
   anchor itself; only the previous bracket ``[prev, anchor)``, with the
   smaller ``R(prev)``, can do better.  Every min-T LP is built from the
-  builder's raw rows and float template (:meth:`IP3Builder.min_T_rows`,
-  :meth:`IP3Builder.min_T_float_slice`) — no keyed
+  builder's integer rows (:meth:`IP3Builder.min_T_rows`) — no keyed
   :class:`~repro.lp.model.LinearProgram` — and the previous bracket's is
   warm-started from the anchor's feasible point.
 
@@ -84,7 +83,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .._fraction import is_inf, to_fraction
 from ..exceptions import InfeasibleError, InvalidInstanceError
 from ..lp.certificates import farkas_certifies
-from ..lp.hybrid import HAVE_SCIPY
 from ..lp.model import LinearProgram
 from ..lp.simplex import scale_rows
 from ..lp.solve import (
@@ -146,19 +144,11 @@ class IP3Builder:
     every program the builder makes, each ``({(α, j): coeff}, bound)``
     meaning ``Σ coeff·x_{αj} ≤ bound`` over the pairs active at the probed
     horizon; every key must be a finite pair of the instance.  They come
-    after the load rows in :meth:`probe_rows`, :meth:`min_T_rows` (before
-    ``T ≥ t_low``, with no ``T`` entry) and both float templates.  The
-    memory models of Section VI are (IP-3) plus such rows (see
-    :mod:`repro.core.memory`); with none, every program is (IP-3) itself.
-
-    **Float template.**  The HiGHS leg of a probe needs the probe rows as
-    a float matrix.  The builder keeps one ``scipy.sparse`` CSR of *all*
-    probe rows over the global variables, built on the first float call;
-    a probe's matrix is the column slice over its active variables
-    (:meth:`float_slice`) — equal, bit for bit, to the matrix built from
-    its rows.  The min-T LP (:meth:`min_T_rows`: the probe rows
-    with a ``T`` column in front and a ``T ≥ t_low`` row at the end) gets
-    its float matrix from the same slice (:meth:`min_T_float_slice`).
+    after the load rows in :meth:`probe_rows` and :meth:`min_T_rows`
+    (before ``T ≥ t_low``, with no ``T`` entry).  The memory models of
+    Section VI are (IP-3) plus such rows (see :mod:`repro.core.memory`);
+    with none, every program is (IP-3) itself.  The builder keeps no float
+    image: the HiGHS leg builds one from the integer rows it is handed.
 
     **Demand bound.**  Per job it keeps the cheapest time, as an integer
     over :attr:`denominator`, and the trap steps, so
@@ -291,7 +281,6 @@ class IP3Builder:
                 else:
                     steps.append(step)
             self.trap_steps.append(steps)
-        self._float_template = None
 
     def mask(self, T: Time) -> int:
         """The exact mask of horizon *T*: ``p_gi ≤ T  ⇔  var_rank[gi] < mask(T)``."""
@@ -479,30 +468,6 @@ class IP3Builder:
         senses = ["=="] * jobs + ["<="] * (len(coeff_rows) - jobs)
         return coeff_rows, senses, rhs + side_rhs, scales + side_scales, active
 
-    def float_slice(self, active: List[int]):
-        """Float CSR of :meth:`probe_rows` over *active*, or ``None`` without scipy.
-
-        The column slice of the builder's template (built on the first
-        call): every entry is the float of the raw rational (``P /
-        denominator``, integer true division, which rounds correctly), so
-        it equals ``float_matrix`` of the probe's rows, bit for bit.
-        """
-        if not HAVE_SCIPY:
-            return None
-        if self._float_template is None:
-            from ..lp.scipy_backend import float_matrix
-
-            rows = [{gi: 1 for gi in group} for group in self.assign_template]
-            rows += [{gi: P for gi, P, _r in entries} for _a, entries in self.load_template]
-            every = list(range(len(self.finite)))
-            side, _bounds, side_scales = self._side_rows(len(self.breakpoints), every)
-            scales = [1] * len(self.assign_template)
-            scales += [self.denominator] * len(self.load_template)
-            self._float_template = float_matrix(
-                rows + side, len(self.finite), scales + side_scales
-            )
-        return self._float_template[:, active]
-
     def min_T_rows(
         self, r_anchor: Fraction, t_low: Fraction
     ) -> Optional[
@@ -552,29 +517,6 @@ class IP3Builder:
         scales += side_scales + [t_low.denominator]
         objective = [1] + [0] * len(active)
         return coeff_rows, senses, rhs, scales, objective, active
-
-    def min_T_float_slice(self, active: List[int]):
-        """Float CSR of :meth:`min_T_rows` over *active*, or ``None`` without scipy.
-
-        The ``T`` column (``−|α|`` on the load rows, empty on the side
-        rows), then :meth:`float_slice` of *active*, then the
-        ``T ≥ t_low`` row.  It stores the ``p = 0`` entries the dict rows
-        omit; HiGHS gets the same matrix either way (zeros are dropped on
-        the way in).
-        """
-        sliced = self.float_slice(active)
-        if sliced is None:
-            return None
-        from scipy.sparse import csr_array, hstack, vstack
-
-        n, loads = len(self.assign_template), len(self.load_template)
-        sizes = [-float(len(alpha)) for alpha, _e in self.load_template]
-        t_column = csr_array(
-            (sizes, (range(n, n + loads), [0] * loads)),
-            shape=(n + loads + len(self.side_template), 1),
-        )
-        bracket = csr_array(([1.0], ([0], [0])), shape=(1, 1 + len(active)))
-        return vstack([hstack([t_column, sliced]), bracket], format="csr")
 
     def singleton_times(self) -> IntegerTimes:
         """The singleton pairs as ``R||Cmax`` times, for the LST LP.
@@ -749,13 +691,9 @@ class _ProbeSession:
                     if probe_sp:
                         probe_sp.attrs["outcome"] = "point-reuse"
                     return self.point
-            float_rows = (
-                builder.float_slice(active) if self.backend != "exact" else None
-            )
             point, farkas = feasible_point_rows(
                 coeff_rows, senses, rhs, len(active),
-                backend=self.backend, warm_point=masked, float_rows=float_rows,
-                scales=scales,
+                backend=self.backend, warm_point=masked, scales=scales,
             )
             if point is not None:
                 self.point = {
@@ -879,13 +817,9 @@ def _min_T_with_fixed_R(
             warm_T, point = warm
             zero = Fraction(0)
             warm_point = [warm_T] + [point.get(gi, zero) for gi in active]
-        float_rows = (
-            builder.min_T_float_slice(active) if backend != "exact" else None
-        )
         result = solve_rows(
             coeff_rows, senses, rhs, objective, backend=backend,
-            warm_point=warm_point, float_rows=float_rows, canonical=False,
-            scales=scales,
+            warm_point=warm_point, canonical=False, scales=scales,
         )
         if result.status != "optimal":
             if min_sp:

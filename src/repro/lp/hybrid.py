@@ -32,19 +32,14 @@ Small programs skip HiGHS entirely (below :data:`_FLOAT_SIZE_CUTOFF` the
 fixed ``linprog`` overhead exceeds a full exact solve).  When scipy is not
 installed the backend degrades to the exact solver, keeping every guarantee.
 
-The float leg never builds a dense matrix.  :func:`float_candidate` and
-:func:`certify_infeasible` accept *float_rows*, a prebuilt
-``scipy.sparse`` CSR image of the exact rows — the probe pipeline passes
-the column slice of its builder's template for the probe's exact mask
-(:meth:`repro.core.programs.IP3Builder.float_slice`), the min-T solve its
-min-T counterpart through :func:`solve_standard_hybrid` — and build one
-from the integer rows otherwise
-(:func:`repro.lp.scipy_backend.float_matrix`: each entry is
-``a / scale``, the float of the raw rational).  Every function here takes
-integer rows with their scales (:mod:`repro.lp.simplex`).
+The float leg never builds a dense matrix.  Every function here takes
+integer rows with their scales (:mod:`repro.lp.simplex`), and each HiGHS
+call builds its float image from those rows, once
+(:func:`repro.lp.scipy_backend.float_entries`: each entry is
+``a / scale``, the float of the raw rational).
 Only the ``linprog`` call itself is allowed to fail quietly (the caller
-falls back to the exact solver); a construction error, such as a
-mis-shaped *float_rows*, raises.
+falls back to the exact solver); a construction error, such as an unknown
+row sense, raises.
 """
 
 from __future__ import annotations
@@ -77,19 +72,15 @@ def float_candidate(
     rhs: Sequence[int],
     objective: Sequence[Fraction],
     scales: Sequence[int],
-    float_rows=None,
 ) -> Optional[SimplexResult]:
     """The HiGHS candidate, or ``None`` when scipy is missing or HiGHS fails.
 
     The result is *uncertified*: statuses and values are hints only.
-    *float_rows* is an optional prebuilt float CSR of *coeff_rows*.
     """
     if not HAVE_SCIPY:
         return None
     try:
-        return solve_standard_float(
-            coeff_rows, senses, rhs, objective, scales, float_rows=float_rows,
-        )
+        return solve_standard_float(coeff_rows, senses, rhs, objective, scales)
     except SolverError:  # pragma: no cover - HiGHS internal failures
         return None
 
@@ -99,8 +90,7 @@ def certify_infeasible(
     senses: Sequence[str],
     rhs: Sequence[int],
     scales: Sequence[int],
-    num_vars: Optional[int] = None,
-    float_rows=None,
+    num_vars: int,
 ) -> Optional[List[Fraction]]:
     """Exact Farkas certificate of infeasibility from a float phase-1 dual.
 
@@ -124,7 +114,8 @@ def certify_infeasible(
 
     This is what makes the binary search of ``minimal_fractional_T`` fast:
     its infeasible probes are certified in ``O(nnz)`` integer work instead
-    of a cold exact phase-1 solve.  ``y`` is in raw-row units.
+    of a cold exact phase-1 solve.  ``y`` is in raw-row units;
+    *num_vars* is the number of structural columns.
     """
     if not HAVE_SCIPY:
         return None
@@ -134,15 +125,13 @@ def certify_infeasible(
 
     from .scipy_backend import float_entries
 
-    if num_vars is None:
-        num_vars = _num_vars(coeff_rows)
     std = standard_form(coeff_rows, senses, rhs, [0] * num_vars, scales)
     n, r = std.n, std.num_rows
     if r == 0:
         return None  # x = 0 is feasible
     # standard_form negated the rows with a negative rhs.
-    flip = np.array([b < 0 for b in rhs], dtype=bool)
-    row, col, data = float_entries(coeff_rows, n, float_rows, flip, scales)
+    flip = [b < 0 for b in rhs]
+    row, col, data = float_entries(coeff_rows, scales, flip)
     slack_rows = np.array(
         [i for i in range(r) if std.slack_of_row[i] is not None], dtype=np.int64
     )
@@ -182,10 +171,6 @@ def certify_infeasible(
     return None
 
 
-def _num_vars(coeff_rows: Sequence[Dict[int, int]]) -> int:
-    return 1 + max((max(row, default=-1) for row in coeff_rows), default=-1)
-
-
 def solve_standard_hybrid(
     coeff_rows: Sequence[Dict[int, int]],
     senses: Sequence[str],
@@ -194,7 +179,6 @@ def solve_standard_hybrid(
     scales: Sequence[int],
     warm_point: Optional[Sequence[Fraction]] = None,
     canonical: bool = True,
-    float_rows=None,
 ) -> SimplexResult:
     """Certified solve: float candidate first, exact verification always.
 
@@ -208,22 +192,16 @@ def solve_standard_hybrid(
     is attached to the result for reuse.
 
     The rows are integer rows with their *scales*
-    (:mod:`repro.lp.simplex`).  *float_rows* is an optional prebuilt float
-    CSR of *coeff_rows* for the HiGHS leg; it changes no result.
+    (:mod:`repro.lp.simplex`).
     """
     n = len(objective)
     size = n * max(len(coeff_rows), 1)
     if size >= _FLOAT_SIZE_CUTOFF:
-        candidate = float_candidate(
-            coeff_rows, senses, rhs, objective, scales, float_rows=float_rows
-        )
+        candidate = float_candidate(coeff_rows, senses, rhs, objective, scales)
         if candidate is not None and candidate.status == "optimal":
             warm_point = candidate.x
         elif candidate is not None and candidate.status == "infeasible":
-            farkas = certify_infeasible(
-                coeff_rows, senses, rhs, scales, num_vars=n,
-                float_rows=float_rows,
-            )
+            farkas = certify_infeasible(coeff_rows, senses, rhs, scales, num_vars=n)
             if farkas is not None:
                 return SimplexResult(
                     "infeasible", [], None, None, farkas=farkas

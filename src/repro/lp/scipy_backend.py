@@ -5,15 +5,11 @@ slow.  ``method="highs"`` (dual simplex inside HiGHS) returns a basic optimal
 solution, which is what the Section V rounding needs; values are snapped back
 to rationals with a denominator bound before re-entering the exact pipeline.
 
-The float leg is sparse end to end.  The float image of the exact rows is
-a ``scipy.sparse`` CSR — either built here from the integer rows (see
-:mod:`repro.lp.simplex`) by :func:`float_matrix`, one stored entry
-``a / scale`` per dict item, the float of the raw rational, or handed in
-ready-made as *float_rows*: the binary search of
-:func:`repro.core.programs.minimal_fractional_T` keeps one float CSR
-template per :class:`~repro.core.programs.IP3Builder` and passes each probe
-a column slice of it.  Its nonzero entries reach ``linprog`` as COO (the
-format ``linprog`` converts sparse input to); explicit zeros (``p = 0``
+The float leg is sparse end to end.  Each call builds the float image of
+the integer rows it is handed (see :mod:`repro.lp.simplex`) in one pass,
+:func:`float_entries`: one ``a / scale`` per nonzero dict item, the float
+of the raw rational.  The entries reach ``linprog`` as COO (the format
+``linprog`` converts sparse input to); explicit zeros (``p = 0``
 coefficients) are dropped, so HiGHS receives exactly the CSC a dense
 matrix of the same rows would convert to.  On the way back only entries
 that do not snap to zero are rationalized.
@@ -26,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_array, csr_array
+from scipy.sparse import coo_array
 
 from .._fraction import rationalize
 from ..exceptions import SolverError
@@ -34,69 +30,39 @@ from .simplex import SimplexResult
 
 #: Values within this distance of an integer are snapped during rationalization.
 _SNAP_EPS = 1e-9
+#: Denominator bound for rationalizing the other values.
+_MAX_DENOMINATOR = 10**6
 
 _SENSES = ("<=", ">=", "==")
 
 
-def float_matrix(
-    coeff_rows: Sequence[Dict[int, int]],
-    num_vars: int,
-    scales: Sequence[int],
-) -> csr_array:
-    """The exact rows as a float CSR, one stored entry per dict item.
-
-    The rows are integer rows with their *scales* (see
-    :mod:`repro.lp.simplex`) and each entry is ``a / scale``: integer true
-    division rounds correctly, so the matrix is the float image of the raw
-    rational rows, bit for bit.  Zero coefficients stay stored (:func:`float_entries`
-    drops them on the way to HiGHS); a column index outside
-    ``range(num_vars)`` raises ``ValueError``.
-    """
-    indptr = [0]
-    indices: List[int] = []
-    data: List[float] = []
-    for row, scale in zip(coeff_rows, scales):
-        indices.extend(row)
-        data.extend([a / scale for a in row.values()])
-        indptr.append(len(indices))
-    return csr_array(
-        (
-            np.array(data, dtype=float),
-            np.array(indices, dtype=np.int32),
-            np.array(indptr, dtype=np.int32),
-        ),
-        shape=(len(coeff_rows), num_vars),
-    )
-
-
 def float_entries(
     coeff_rows: Sequence[Dict[int, int]],
-    num_vars: int,
-    float_rows: Optional[csr_array],
-    flip: np.ndarray,
     scales: Sequence[int],
+    flip: Sequence[bool],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(row, col, value)`` of the nonzero entries of the rows' float image.
 
-    Entries come in row-major order; rows where *flip* is set are negated.
-    *float_rows*, when given, must be the float image of *coeff_rows* (same
-    shape, same values) and replaces building it from the dict rows; a
-    shape mismatch raises ``ValueError``.  *scales* as in
-    :func:`float_matrix`.
+    The rows are integer rows with their *scales* (see
+    :mod:`repro.lp.simplex`) and each value is ``a / scale``: integer true
+    division rounds correctly, so it is the float of the raw rational, bit
+    for bit.  Rows where *flip* is set are negated.  Entries come row by
+    row, each row in dict order; zero coefficients are dropped.  *flip* is
+    best a list: iterating a numpy array yields slow scalars.
     """
-    if float_rows is None:
-        float_rows = float_matrix(coeff_rows, num_vars, scales)
-    elif float_rows.shape != (len(coeff_rows), num_vars):
-        raise ValueError(
-            f"float_rows has shape {float_rows.shape}, "
-            f"the rows need {(len(coeff_rows), num_vars)}"
-        )
-    entries = float_rows.tocoo()
-    stored = entries.data != 0
-    row, col, data = entries.row[stored], entries.col[stored], entries.data[stored]
-    if flip.any():
-        data = np.where(flip[row], -data, data)
-    return row, col, data
+    counts: List[int] = []
+    cols: List[int] = []
+    data: List[float] = []
+    for row, scale, negate in zip(coeff_rows, scales, flip):
+        if negate:
+            scale = -scale
+        counts.append(len(row))
+        cols.extend(row)
+        data.extend([a / scale for a in row.values()])
+    values = np.array(data, dtype=float)
+    nonzero = values != 0
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows[nonzero], np.array(cols, dtype=np.int64)[nonzero], values[nonzero]
 
 
 def highs_inputs(
@@ -105,18 +71,15 @@ def highs_inputs(
     rhs: Sequence[int],
     objective: Sequence[Fraction],
     scales: Sequence[int],
-    float_rows: Optional[csr_array] = None,
 ) -> Dict[str, Optional[np.ndarray]]:
     """The ``linprog`` keyword arguments ``c``, ``A_ub``, ``b_ub``, ``A_eq``, ``b_eq``.
 
     ``<=`` and ``>=`` rows (the latter negated) form ``A_ub`` and ``==`` rows
     ``A_eq``, each in the caller's row order, as COO without stored zeros
     (the format ``linprog`` converts every sparse input to), and ``None``
-    when empty.  *float_rows*, when given, must be the float image of
-    *coeff_rows* (same shape, same values); it replaces building the
-    matrix from the dict rows.  The rows are integer rows with their
-    *scales*, and every float is that of the raw row (see
-    :func:`float_matrix`).  A shape mismatch or an unknown sense raises
+    when empty.  The rows are integer rows with their *scales*, and every
+    float is that of the raw row (see :func:`float_entries`).  An unknown
+    sense or a column index outside ``range(len(objective))`` raises
     ``ValueError``.
     """
     n = len(objective)
@@ -126,8 +89,8 @@ def highs_inputs(
     unknown = set(senses).difference(_SENSES)
     if unknown:
         raise ValueError(f"unknown sense(s) {sorted(unknown)!r}")
-    flip = np.array([s == ">=" for s in senses], dtype=bool)
-    row, col, data = float_entries(coeff_rows, n, float_rows, flip, scales)
+    flip = [s == ">=" for s in senses]
+    row, col, data = float_entries(coeff_rows, scales, flip)
     b = np.array([v / s for v, s in zip(rhs, scales)], dtype=float)
     b = np.where(flip, -b, b)
     is_eq = np.array([s == "==" for s in senses], dtype=bool)
@@ -155,16 +118,13 @@ def solve_standard_float(
     rhs: Sequence[int],
     objective: Sequence[Fraction],
     scales: Sequence[int],
-    max_denominator: int = 10**6,
-    float_rows: Optional[csr_array] = None,
 ) -> SimplexResult:
     """Solve the same standard form as the exact simplex, via HiGHS.
 
     The result's ``x`` is rationalized (``limit_denominator``) so downstream
     exact checks can run; statuses map onto the exact solver's vocabulary.
-    The rows are integer rows with their *scales*; *float_rows* is an
-    optional prebuilt float CSR of *coeff_rows* (see :func:`highs_inputs`).  Construction
-    errors raise ``ValueError``; a
+    The rows are integer rows with their *scales*, imaged for HiGHS by
+    :func:`highs_inputs`.  Construction errors raise ``ValueError``; a
     failure inside ``linprog`` or a status other than optimal, infeasible
     or unbounded raises :class:`~repro.exceptions.SolverError`.
     """
@@ -177,7 +137,7 @@ def solve_standard_float(
             if not ok:
                 return SimplexResult("infeasible", [], None, None)
         return SimplexResult("optimal", [], Fraction(0), [])
-    inputs = highs_inputs(coeff_rows, senses, rhs, objective, scales, float_rows)
+    inputs = highs_inputs(coeff_rows, senses, rhs, objective, scales)
     try:
         result = linprog(**inputs, bounds=(0, None), method="highs")
     except Exception as exc:  # pragma: no cover - HiGHS internal failures
@@ -199,7 +159,7 @@ def solve_standard_float(
         if snapped[j]:
             x[j] = Fraction(int(nearest[j]))
         else:
-            x[j] = rationalize(float(values[j]), max_denominator)
+            x[j] = rationalize(float(values[j]), _MAX_DENOMINATOR)
     objective_value = sum(
         (Fraction(objective[j]) * x[j] for j in support), Fraction(0)
     )

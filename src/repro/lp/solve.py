@@ -33,8 +33,9 @@ the rational entry points of the integer-row contract
 :func:`feasible_point_rows` take rational rows, or integer rows with
 ``scales=``, each row times the lcm of its denominators; they convert
 rational rows once, with :func:`~repro.lp.simplex.scale_rows`, and hand
-integer rows and scales to every layer below.  The builders of the hot
-LPs emit integer rows (:class:`repro.core.programs.IP3Builder`,
+integer rows and scales to every layer below; each HiGHS call of
+``"hybrid"`` builds its float image from those rows.  The builders of the
+hot LPs emit integer rows (:class:`repro.core.programs.IP3Builder`,
 :func:`repro.rounding.lst.unrelated_rows`), so the exact kernel sees the
 same integers either way.  Points and Farkas certificates are in raw-row
 units.
@@ -101,7 +102,6 @@ def solve_rows(
     objective: Sequence[Fraction],
     backend: str = "exact",
     warm_point: Optional[Sequence[Fraction]] = None,
-    float_rows=None,
     canonical: bool = True,
     scales: Optional[Sequence[int]] = None,
 ):
@@ -113,9 +113,7 @@ def solve_rows(
     LP of :func:`repro.rounding.lst.lst_round`).  Returns the solver's
     :class:`~repro.lp.simplex.SimplexResult`; the per-backend guarantees
     are those of the module docstring.  *warm_point* is a dense structural
-    vector; *float_rows* is an optional prebuilt float CSR of *coeff_rows*
-    for the HiGHS leg and changes no result.  *canonical* picks the
-    pricing and vertex contract, as in
+    vector.  *canonical* picks the pricing and vertex contract, as in
     :func:`repro.lp.revised.solve_standard`.  With *scales* the rows are
     integer rows (:mod:`repro.lp.simplex`); rational rows are scaled once,
     here.
@@ -129,7 +127,7 @@ def solve_rows(
         )
     return solve_standard_hybrid(
         coeff_rows, senses, rhs, objective, scales,
-        warm_point=warm_point, canonical=canonical, float_rows=float_rows,
+        warm_point=warm_point, canonical=canonical,
     )
 
 
@@ -218,7 +216,6 @@ def feasible_point_rows(
     num_vars: int,
     backend: str = "hybrid",
     warm_point: Optional[Sequence[Fraction]] = None,
-    float_rows=None,
     scales: Optional[Sequence[int]] = None,
 ):
     """Certified feasibility probe on raw standard rows.
@@ -235,9 +232,7 @@ def feasible_point_rows(
     *warm_point* is a dense structural vector that seeds the exact solve's
     crash basis (the float candidate replaces it when HiGHS returns one
     that fails the exact re-check).  Probe vertices are **not**
-    canonicalized (feasibility verdicts are vertex-agnostic).
-    *float_rows* is an optional prebuilt float CSR of *coeff_rows* for the
-    HiGHS leg (see :mod:`repro.lp.hybrid`); it changes no result.  With
+    canonicalized (feasibility verdicts are vertex-agnostic).  With
     *scales* the rows are integer rows (:mod:`repro.lp.simplex`); rational
     rows are scaled once, here.
     """
@@ -251,18 +246,13 @@ def feasible_point_rows(
         coeff_rows, rhs, scales = scale_rows(coeff_rows, rhs)
     objective = [0] * num_vars
     if use_float:
-        candidate = float_candidate(
-            coeff_rows, senses, rhs, objective, scales, float_rows=float_rows
-        )
+        candidate = float_candidate(coeff_rows, senses, rhs, objective, scales)
         if candidate is not None and candidate.status == "optimal":
             if check_standard_rows(coeff_rows, senses, rhs, candidate.x):
                 return list(candidate.x), None  # certified by the re-check
             warm_point = candidate.x  # uncertified: warm-start the repair
         elif candidate is not None and candidate.status == "infeasible":
-            farkas = certify_infeasible(
-                coeff_rows, senses, rhs, scales, num_vars=num_vars,
-                float_rows=float_rows,
-            )
+            farkas = certify_infeasible(coeff_rows, senses, rhs, scales, num_vars)
             if farkas is not None:
                 return None, farkas
     result = solve_standard(

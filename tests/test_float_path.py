@@ -1,20 +1,19 @@
 """The sparse float leg from ``IP3Builder`` to HiGHS.
 
-* The builder's float template, sliced to a probe's active columns, hands
-  HiGHS exactly the matrices and right-hand sides the probe's dict rows
-  produce — and exactly the CSC a dense matrix of those rows converts to —
-  at every breakpoint of seeded instances, including non-integer times,
-  ``p = 0`` entries, single-option jobs and empty load rows.
+* Every HiGHS call builds its float image from the integer rows it is
+  handed; for the probe and min-T rows that image is exactly the CSC a
+  dense matrix of those rows converts to, with the right-hand sides of
+  the rows, at every breakpoint of seeded instances, including
+  non-integer times, ``p = 0`` entries, single-option jobs and empty load
+  rows.
 * The exact mask (one integer threshold per horizon) selects the same
   variables and builds the same rows and LPs as per-entry ``p ≤ T``
-  comparisons; the min-T rows equal the keyed min-T LP's standard rows,
-  and the min-T float template hands HiGHS the same matrices as those
-  rows.
+  comparisons; the min-T rows equal the keyed min-T LP's standard rows.
 * ``solve_standard_float`` agrees with the exact simplex on the edge
   shapes of the standard form, and construction errors raise instead of
   falling back to the exact solve.
-* ``certify_infeasible`` still certifies infeasible probes, with and
-  without the template.
+* ``certify_infeasible`` certifies infeasible probes from the dense
+  phase-1 matrix of their rows.
 """
 
 from fractions import Fraction
@@ -37,11 +36,7 @@ if HAVE_SCIPY:
     from scipy import sparse
 
     from repro.lp.hybrid import certify_infeasible, float_candidate
-    from repro.lp.scipy_backend import (
-        float_matrix,
-        highs_inputs,
-        solve_standard_float,
-    )
+    from repro.lp.scipy_backend import highs_inputs, solve_standard_float
     from repro.lp.solve import feasible_point_rows
 
 
@@ -140,26 +135,11 @@ def _dense_csc(rows, senses, n):
     return sparse.csc_array(np.vstack(blocks))
 
 
-def _float_matrix(rows, senses, rhs, n):
-    """:func:`float_matrix` of rational rows."""
-    coeff_rows, _senses, _rhs, scales = int_rows(rows, senses, rhs)
-    return float_matrix(coeff_rows, n, scales)
-
-
 def _assert_same_csc(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.data, b.data)
-
-
-def _assert_same_inputs(a, b):
-    for key in ("c", "b_ub", "b_eq"):
-        if a[key] is None or b[key] is None:
-            assert a[key] is None and b[key] is None, key
-        else:
-            assert np.array_equal(a[key], b[key]), key
-    _assert_same_csc(_linprog_csc(a), _linprog_csc(b))
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -182,25 +162,9 @@ class TestTemplateSlice:
             objective = [Fraction(0)] * len(active)
             if not active:
                 continue
-            sliced = builder.float_slice(active)
-            built = _float_matrix(rows, senses, rhs, len(active))
-            _assert_same_csc(sliced.tocsc(), built.tocsc())
-            via_template = highs_inputs(*scaled(rows, senses, rhs, objective), float_rows=sliced)
             via_rows = highs_inputs(*scaled(rows, senses, rhs, objective))
-            _assert_same_inputs(via_template, via_rows)
             _assert_same_csc(_linprog_csc(via_rows), _dense_csc(rows, senses, len(active)))
             assert np.array_equal(via_rows["b_ub"], [float(len(a) * T) for a, _e in builder.load_template])
-
-    def test_float_solve_identical_either_way(self, name):
-        builder = IP3Builder(INSTANCES[name])
-        for T in _horizons(builder):
-            rows, senses, rhs, active = probe_rows(builder, T)
-            objective = [Fraction(0)] * len(active)
-            a = solve_standard_float(*scaled(rows, senses, rhs, objective))
-            b = solve_standard_float(
-                *scaled(rows, senses, rhs, objective), float_rows=builder.float_slice(active)
-            )
-            assert (a.status, a.x, a.objective) == (b.status, b.x, b.objective)
 
 
 T_KEY = ("__T__",)
@@ -272,24 +236,17 @@ def test_masked_lp_builders_unchanged(name):
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_min_T_template_equals_row_built_matrices(name):
-    """At every breakpoint, the min-T float template hands HiGHS the same
-    matrices as ``float_matrix`` of the min-T rows (which omit ``p = 0``)."""
+    """At every breakpoint, HiGHS gets the dense CSC of the min-T rows
+    (which omit ``p = 0``)."""
     builder = IP3Builder(INSTANCES[name])
     checked = 0
     for T in builder.breakpoints:
         program = min_T_rows(builder, T, T)
         if program is None:
             continue
-        rows, senses, rhs, objective, active = program
-        template = builder.min_T_float_slice(active)
-        assert template.shape == (len(rows), 1 + len(active))
-        via_template = highs_inputs(*scaled(rows, senses, rhs, objective), float_rows=template)
+        rows, senses, rhs, objective, _active = program
         via_rows = highs_inputs(*scaled(rows, senses, rhs, objective))
-        _assert_same_inputs(via_template, via_rows)
         _assert_same_csc(_linprog_csc(via_rows), _dense_csc(rows, senses, len(objective)))
-        a = solve_standard_float(*scaled(rows, senses, rhs, objective))
-        b = solve_standard_float(*scaled(rows, senses, rhs, objective), float_rows=template)
-        assert (a.status, a.x, a.objective) == (b.status, b.x, b.objective)
         checked += 1
     assert checked
 
@@ -333,39 +290,15 @@ class TestFloatEdgeCases:
         assert floaty.status == exact.status
         if exact.status == "optimal":
             assert floaty.objective == exact.objective
-            if objective:
-                prebuilt = _float_matrix(rows, senses, rhs, len(objective))
-                again = solve_standard_float(
-                    *scaled(rows, senses, rhs, objective), float_rows=prebuilt
-                )
-                assert (again.status, again.x) == (floaty.status, floaty.x)
 
 
 class TestConstructionErrorsRaise:
-    def _probe(self):
+    def test_probe_pipeline_does_not_swallow_it(self):
         builder = IP3Builder(INSTANCES["seed2"])
         rows, senses, rhs, active = probe_rows(builder, builder.breakpoints[-1])
-        wrong = builder.float_slice(active[:-1])  # one column short
-        return rows, senses, rhs, active, wrong
-
-    def test_float_candidate_raises_on_misshaped_float_rows(self):
-        rows, senses, rhs, active, wrong = self._probe()
-        objective = [Fraction(0)] * len(active)
-        with pytest.raises(ValueError, match="float_rows has shape"):
-            float_candidate(*scaled(rows, senses, rhs, objective), float_rows=wrong)
-
-    def test_certify_infeasible_raises_on_misshaped_float_rows(self):
-        rows, senses, rhs, active, wrong = self._probe()
-        with pytest.raises(ValueError, match="float_rows has shape"):
-            certify_infeasible(
-                *int_rows(rows, senses, rhs), num_vars=len(active), float_rows=wrong
-            )
-
-    def test_probe_pipeline_does_not_swallow_it(self):
-        rows, senses, rhs, active, wrong = self._probe()
-        with pytest.raises(ValueError, match="float_rows has shape"):
+        with pytest.raises(ValueError, match="unknown sense"):
             feasible_point_rows(
-                rows, senses, rhs, len(active), backend="hybrid", float_rows=wrong
+                rows, ["<"] + senses[1:], rhs, len(active), backend="hybrid"
             )
 
     def test_unknown_sense_raises(self):
@@ -387,9 +320,9 @@ def _dense_phase1_csc(rows, senses, rhs, n):
     return sparse.csc_array(dense)
 
 
-def _certify_both_ways(monkeypatch, rows, senses, rhs, n, float_rows):
-    """The certificate from the dict rows and from *float_rows*; asserts
-    both agree, verify exactly, and came from the dense phase-1 matrix."""
+def _certify(monkeypatch, rows, senses, rhs, n):
+    """The certificate of the rows; asserts it verifies exactly and came
+    from the dense phase-1 matrix."""
     import scipy.optimize
 
     phase1 = []
@@ -401,22 +334,20 @@ def _certify_both_ways(monkeypatch, rows, senses, rhs, n, float_rows):
 
     with monkeypatch.context() as patch:
         patch.setattr(scipy.optimize, "linprog", recording_linprog)
-        built = certify_infeasible(*int_rows(rows, senses, rhs), num_vars=n)
-        sliced = certify_infeasible(
-            *int_rows(rows, senses, rhs), num_vars=n, float_rows=float_rows
-        )
-    assert built is not None and sliced == built
-    assert certifies(rows, senses, rhs, sliced)
-    dense = _dense_phase1_csc(rows, senses, rhs, n)
-    assert len(phase1) == 2
-    for a_eq in phase1:
-        _assert_same_csc(sparse.csc_array(sparse.coo_array(a_eq)), dense)
-    return sliced
+        farkas = certify_infeasible(*int_rows(rows, senses, rhs), num_vars=n)
+    assert farkas is not None
+    assert certifies(rows, senses, rhs, farkas)
+    assert len(phase1) == 1
+    _assert_same_csc(
+        sparse.csc_array(sparse.coo_array(phase1[0])),
+        _dense_phase1_csc(rows, senses, rhs, n),
+    )
+    return farkas
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_certify_infeasible_on_infeasible_probes(name, monkeypatch):
-    """Every seeded probe HiGHS calls infeasible is certified, both ways."""
+    """Every seeded probe HiGHS calls infeasible is certified."""
     builder = IP3Builder(INSTANCES[name])
     certified = 0
     for T in _horizons(builder):
@@ -426,9 +357,7 @@ def test_certify_infeasible_on_infeasible_probes(name, monkeypatch):
         objective = [Fraction(0)] * len(active)
         if solve_standard_float(*scaled(rows, senses, rhs, objective)).status != "infeasible":
             continue
-        _certify_both_ways(
-            monkeypatch, rows, senses, rhs, len(active), builder.float_slice(active)
-        )
+        _certify(monkeypatch, rows, senses, rhs, len(active))
         certified += 1
     if name.startswith("seed"):
         assert certified, "no LP-infeasible probe exercised"
@@ -441,4 +370,4 @@ def test_certify_infeasible_negative_rhs_rows(monkeypatch):
     rows = [{0: Fraction(-1), 1: Fraction(-1)}, {0: Fraction(1)}, {1: Fraction(-1)}]
     senses = ["<=", "<=", ">="]
     rhs = [Fraction(-3), Fraction(1), Fraction(-1)]
-    _certify_both_ways(monkeypatch, rows, senses, rhs, 2, _float_matrix(rows, senses, rhs, 2))
+    _certify(monkeypatch, rows, senses, rhs, 2)

@@ -14,8 +14,8 @@ memory models' side rows:
   (:func:`~repro.lp.simplex.scale_rows`): ``cols``, ``b_int``, ``c_int``
   and ``scales``, and both are the integers an independent per-row lcm
   scaling gives;
-* the float leg's matrix and ``highs_inputs`` are, bit for bit, the
-  floats of the rational rows;
+* the float leg's image (:func:`~repro.lp.scipy_backend.float_entries`)
+  and ``highs_inputs`` are, bit for bit, the floats of the rational rows;
 * the crash's tight-row flags, the exact point check, solve results and
   Farkas certificates are the same from the integer rows and from the
   rational rows through :func:`~repro.lp.solve.solve_rows` and
@@ -327,42 +327,29 @@ def test_solves_flags_and_certificates_either_entry(name, draws, int_path):
 @pytest.mark.parametrize("name", sorted(DRAWS))
 def test_float_leg_either_entry(name, draws):
     import numpy as np
-    from scipy.sparse import csr_array
 
     from repro.lp.hybrid import certify_infeasible
-    from repro.lp.scipy_backend import float_matrix, highs_inputs
+    from repro.lp.scipy_backend import float_entries, highs_inputs
 
     _ext, builder, t_star = draws[name]
-
-    def same_inputs(a, b):
-        assert a.keys() == b.keys()
-        for key in a:
-            if a[key] is None or b[key] is None:
-                assert a[key] is None and b[key] is None
-            elif isinstance(a[key], np.ndarray):
-                assert a[key].tobytes() == b[key].tobytes()
-            else:
-                for part in ("data", "row", "col"):
-                    assert getattr(a[key], part).tobytes() == getattr(b[key], part).tobytes()
-
     for rows, senses, rhs, scales, objective in _programs(builder, t_star):
         frac_rows, frac_rhs = rational(rows, rhs, scales)
-        n = len(objective)
+        flip = [sense == ">=" for sense in senses]
         # The float image of the rational rows, entry by entry.
-        reference = csr_array(
-            (
-                np.array([float(v) for row in frac_rows for v in row.values()]),
-                np.array([j for row in frac_rows for j in row], dtype=np.int32),
-                np.cumsum([0] + [len(row) for row in frac_rows], dtype=np.int32),
-            ),
-            shape=(len(frac_rows), n),
-        )
-        built = float_matrix(rows, n, scales)
-        assert built.data.tobytes() == reference.data.tobytes()
+        reference = [
+            (i, j, -float(v) if negate else float(v))
+            for i, (row, negate) in enumerate(zip(frac_rows, flip))
+            for j, v in row.items()
+            if v
+        ]
+        row, col, data = float_entries(rows, scales, flip)
+        assert list(zip(row.tolist(), col.tolist())) == [(i, j) for i, j, _v in reference]
+        assert data.tobytes() == np.array([v for _i, _j, v in reference]).tobytes()
         inputs = highs_inputs(rows, senses, rhs, objective, scales)
-        same_inputs(
-            inputs, highs_inputs(rows, senses, rhs, objective, scales, float_rows=reference)
-        )
+        for part, eq in (("A_ub", False), ("A_eq", True)):
+            expected = [v for i, _j, v in reference if (senses[i] == "==") == eq]
+            if inputs[part] is not None:
+                assert inputs[part].data.tobytes() == np.array(expected).tobytes()
         b_raw = [-float(b) if sense == ">=" else float(b) for b, sense in zip(frac_rhs, senses)]
         for part, eq in (("b_ub", False), ("b_eq", True)):
             expected = [b for b, sense in zip(b_raw, senses) if (sense == "==") == eq]

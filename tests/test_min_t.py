@@ -29,13 +29,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from _int_rows import min_T_rows
 from _reference_bound import demand_bound, trivial_lower, volume_bound
 
 from repro import minimal_fractional_T
 from repro._fraction import INF, is_inf
 from repro.core.instance import Instance
-from repro.core.programs import IP3Builder, build_ip3
+from repro.core.programs import build_ip3
 from repro.lp import HAVE_SCIPY, LinearProgram, solve_lp
 from repro.obs.trace import tracing
 from repro.workloads import random_hierarchical, rng_from_seed
@@ -262,12 +261,3 @@ def test_one_min_T_span_per_refinement(name, backend):
         bound = demand_bound(inst)
         expected = [str(bound)] if bound > trivial_lower(inst) else []
         assert [probe.attrs["T"] for probe in probes] == expected
-
-
-def test_min_T_float_template_needs_scipy():
-    """The float template exists exactly when scipy does (the exact-only
-    install gets ``None`` and solves min-T on the exact kernel)."""
-    builder = IP3Builder(CASES["prev-seed1"])
-    top = builder.breakpoints[-1]
-    _rows, _senses, _rhs, _objective, active = min_T_rows(builder, top, top)
-    assert (builder.min_T_float_slice(active) is None) == (not HAVE_SCIPY)

@@ -567,7 +567,7 @@ class TestHybridCertification:
         )
         lp.set_objective({("x", j): Fraction(j + 1) for j in range(10)})
 
-        def corrupted(coeff_rows, senses, rhs, objective, scales, float_rows=None):
+        def corrupted(coeff_rows, senses, rhs, objective, scales):
             # Claims optimality at a wildly infeasible point.
             return SimplexResult(
                 "optimal", [Fraction(5)] * len(objective), Fraction(0), None
@@ -588,7 +588,7 @@ class TestHybridCertification:
             lp.add_variable(("x", j), lb=0)
         lp.add_constraint({("x", j): 1 for j in range(8)}, "==", 1)
 
-        def lying(coeff_rows, senses, rhs, objective, scales, float_rows=None):
+        def lying(coeff_rows, senses, rhs, objective, scales):
             return SimplexResult("infeasible", [], None, None)
 
         monkeypatch.setattr(hybrid_mod, "float_candidate", lying)

@@ -10,7 +10,6 @@ must return the same values on both backends, and the same exception types.
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from _int_rows import min_T_rows, probe_rows
 
@@ -25,7 +24,6 @@ from repro.core.memory import (
 )
 from repro.core.programs import IP3Builder, _minimal_T
 from repro.exceptions import InfeasibleError, InvalidInstanceError
-from repro.lp import HAVE_SCIPY
 from repro.obs.trace import tracing
 from repro.workloads import random_semi_partitioned, rng_from_seed
 from repro.workloads.generators import monotone_instance
@@ -245,23 +243,6 @@ class TestSideRows:
                 {1 + col: c for col, c in row.items()} for row in rows[loads:]
             ]
             assert min_senses[-1] == ">=" and min_rhs[loads:-1] == [5] * 3
-
-    @pytest.mark.skipif(not HAVE_SCIPY, reason="float template needs scipy")
-    def test_float_templates_equal_row_matrices(self, builder):
-        from repro.lp.scipy_backend import float_matrix
-
-        for T in builder.breakpoints:
-            rows, _senses, _rhs, scales, active = builder.probe_rows(T)
-            if not active:
-                continue
-            built = float_matrix(rows, len(active), scales).toarray()
-            assert np.array_equal(builder.float_slice(active).toarray(), built)
-            program = builder.min_T_rows(T, T)
-            if program is None:
-                continue
-            min_rows, _s, _r, scales, _o, active = program
-            built = float_matrix(min_rows, 1 + len(active), scales).toarray()
-            assert np.array_equal(builder.min_T_float_slice(active).toarray(), built)
 
     def test_zero_times_with_infeasible_side_rows_raise(self):
         inst = Instance.identical(2, [0, 0])
