@@ -11,7 +11,10 @@ LP at 64×16 down into pricing, ftran, update and btran time under both
 bases — the pseudo-forest basis the solver picks for it
 (:class:`repro.lp.forest.ForestBasis`) and ``LUBasis``, forced by patching
 the solver's basis choice inside this script — with the ratio of their
-solve times, times the **model build** of Theorem V.2 at the ``v2_exact``
+solve times, breaks the cold min-T LP that Theorem V.2's search solves at
+24×8 and 64×16 down the same way under the GUB basis the solver picks for
+it (:class:`repro.lp.gub.GUBBasis`) and ``LUBasis``, times the **model
+build** of Theorem V.2 at the ``v2_exact``
 and ``v2_large`` shapes (the :class:`~repro.core.programs.IP3Builder`, the
 LST LP's integer rows, the kernel's construction from them and their float
 image, each beside the same step from the keyed, rational rows), and writes
@@ -412,9 +415,46 @@ def _pricing_pivots(rows):
 #: solver picks for the LST LP, and LUBasis forced in its place.
 LST_BASES = ("forest", "lu")
 
+#: The shapes of the cold min-T LP breakdown (``v2_small``'s larger shape
+#: and ``v2_exact``'s), and the bases it runs under: the GUB basis the
+#: solver picks for it, and LUBasis forced in its place.
+MIN_T_SHAPES = ((24, 8), (64, 16))
+MIN_T_BASES = ("gub", "lu")
 
-def _lst_step_sample(rows, basis):
-    """One cold canonical LST solve on *basis*, timed per kernel step.
+
+def _min_t_lp_rows(n, m, seed=140):
+    """The first min-T LP Theorem V.2's search solves, from seed *seed* up.
+
+    Most draws are settled by the volume flow or a probe, so the seeds are
+    tried in order until the search solves a min-T LP.  Returns
+    ``(seed, (coeff_rows, senses, rhs, objective, scales))``: the LP the
+    search hands the kernel, which the breakdown solves cold (no warm
+    point) with the search's ``canonical=False`` pricing.
+    """
+    from repro.core.programs import IP3Builder, minimal_fractional_T
+
+    for draw in range(seed, seed + 100):
+        inst = random_hierarchical(rng_from_seed(draw), n=n, m=m).with_singletons()
+        builder = IP3Builder(inst)
+        programs = []
+        min_T_rows = builder.min_T_rows
+
+        def capture(r_anchor, t_low):
+            program = min_T_rows(r_anchor, t_low)
+            if program is not None:
+                programs.append(program)
+            return program
+
+        builder.min_T_rows = capture
+        minimal_fractional_T(inst, backend="exact", builder=builder)
+        if programs:
+            coeff, senses, rhs, scales, objective, _active = programs[0]
+            return draw, (coeff, senses, rhs, objective, scales)
+    raise AssertionError(f"no min-T LP in seeds {seed}..{seed + 99} at {n}x{m}")
+
+
+def _step_sample(rows, basis, canonical):
+    """One cold solve of *rows* on *basis*, timed per kernel step.
 
     Class-level wrappers time pricing, the dual row, and every ``ftran``
     and ``update`` of the solve; ``solve_ms`` is the whole
@@ -426,19 +466,21 @@ def _lst_step_sample(rows, basis):
     dual to the current den) that starts each phase.  The dual row is
     ``btran`` and, on ``ForestBasis``, ``rederive``, which re-derives only
     the moved duals.  A wrapped call inside another call of the same step
-    counts once.  ``basis="lu"`` swaps ``LUBasis`` in for ``ForestBasis``
-    in the solver's module for the duration of the sample; ``LUBasis``
-    names no moved duals, so it prices in full, and both return the same
-    integers, so the pivots are identical.
+    counts once; on ``GUBBasis`` only its own methods are wrapped, so the
+    working basis' ``LUBasis`` calls count inside them.  ``basis="lu"``
+    makes the solver pick ``LUBasis`` for the duration of the sample (no
+    pseudo-forest, no GUB rows); every basis returns the same integers, so
+    the pivots are identical.
     """
     import time
 
     from repro.lp import revised
     from repro.lp.basis import LUBasis
     from repro.lp.forest import ForestBasis
-    from repro.lp.revised import _RevisedSolver
+    from repro.lp.gub import GUBBasis
+    from repro.lp.revised import _RevisedSolver, solve_standard
 
-    cls = ForestBasis if basis == "forest" else LUBasis
+    cls = {"forest": ForestBasis, "gub": GUBBasis, "lu": LUBasis}[basis]
     totals = {"price_ms": 0.0, "ftran_ms": 0.0, "update_ms": 0.0, "btran_ms": 0.0}
     steps = (
         (_RevisedSolver, "_entering", "price_ms"),
@@ -448,12 +490,15 @@ def _lst_step_sample(rows, basis):
         (cls, "btran", "btran_ms"),
         (cls, "rederive", "btran_ms"),
     )
-    # LUBasis has no rederive.
+    # Only ForestBasis has rederive.
     wrapped = [step for step in steps if hasattr(step[0], step[1])]
     active = set()
+    updates = [0]
 
     def timed(fn, key):
         def wrapper(*args, **kwargs):
+            if key == "update_ms":
+                updates[0] += 1
             if key in active:
                 return fn(*args, **kwargs)
             active.add(key)
@@ -466,22 +511,36 @@ def _lst_step_sample(rows, basis):
 
         return wrapper
 
-    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in wrapped]
+    patches = [(owner, name, timed(getattr(owner, name), key)) for owner, name, key in wrapped]
+    if basis == "lu":
+        patches += [(revised, "ForestBasis", LUBasis), (revised, "gub_rows", lambda row_items: [])]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     try:
-        revised.ForestBasis = cls
-        for (owner, name, key), (_, _, fn) in zip(wrapped, originals):
-            setattr(owner, name, timed(fn, key))
+        for owner, name, value in patches:
+            setattr(owner, name, value)
         start = time.perf_counter()
-        result = _solve_lst(rows, canonical=True)
+        result = solve_standard(*rows, canonical=canonical)
         totals["solve_ms"] = (time.perf_counter() - start) * 1e3
     finally:
-        revised.ForestBasis = ForestBasis
         for owner, name, fn in originals:
             setattr(owner, name, fn)
     assert result.status == "optimal"
+    # Every pivot went through the timed basis.
+    assert updates[0] == result.pivots
     totals["pivots"] = result.pivots
     totals["phase1_pivots"] = result.stats.phase1_pivots
     return totals
+
+
+def _breakdown(steps, bases):
+    """The per-basis step medians of one LP, with its pivot counts (which
+    must agree across repeats and bases) split off."""
+    counts = {
+        key: {steps[basis].pop(key)["median"] for basis in bases}
+        for key in ("pivots", "phase1_pivots")
+    }
+    assert all(len(values) == 1 for values in counts.values()), counts
+    return {key: values.pop() for key, values in counts.items()}
 
 
 def test_kernel_lu_basis_ops(benchmark):
@@ -516,12 +575,14 @@ def lu_main(argv=None):
     fixtures = {shape: _lu_fixture(*shape) for shape in shapes}
     bases = {shape: _repr_bases(*fixtures[shape]) for shape in shapes}
     lst_rows = {shape: _lst_lp_rows(*shape) for shape in (*shapes, LST_SHAPE)}
+    min_t = {shape: _min_t_lp_rows(*shape) for shape in MIN_T_SHAPES}
     builds = {shape: _build_fixture(*shape) for shape in BUILD_SHAPES}
 
     # Every timed configuration, run in a seeded random order so a drift in
     # machine speed over the run does not always land on the same shape.
     configs = [(kind, shape) for shape in shapes for kind in ("lu", "repr")]
     configs += [(f"lst-{basis}", LST_SHAPE) for basis in LST_BASES]
+    configs += [(f"mint-{basis}", shape) for shape in MIN_T_SHAPES for basis in MIN_T_BASES]
     configs += [("build", shape) for shape in BUILD_SHAPES]
     order = list(configs)
     random.Random(args.seed).shuffle(order)
@@ -533,9 +594,12 @@ def lu_main(argv=None):
             sample = lambda: _repr_ops_sample(fixtures[shape][0], *bases[shape])  # noqa: E731
         elif kind == "build":
             sample = lambda: _build_sample(*builds[shape])  # noqa: E731
+        elif kind.startswith("mint-"):
+            basis = kind[len("mint-"):]
+            sample = lambda: _step_sample(min_t[shape][1], basis, False)  # noqa: E731
         else:
             basis = kind[len("lst-"):]
-            sample = lambda: _lst_step_sample(lst_rows[shape], basis)  # noqa: E731
+            sample = lambda: _step_sample(lst_rows[shape], basis, True)  # noqa: E731
         measured[kind, shape] = _measure(sample, repeats)
 
     rows = []
@@ -565,19 +629,13 @@ def lu_main(argv=None):
             )
         )
     steps = {basis: measured[f"lst-{basis}", LST_SHAPE] for basis in LST_BASES}
-    # Deterministic counts: identical in every repeat and under both bases.
-    counts = {
-        key: {steps[basis].pop(key)["median"] for basis in LST_BASES}
-        for key in ("pivots", "phase1_pivots")
-    }
-    assert all(len(values) == 1 for values in counts.values()), counts
     lst = {
         "n": LST_SHAPE[0],
         "m": LST_SHAPE[1],
         "rows": len(lst_rows[LST_SHAPE][0]),
         "cols": len(lst_rows[LST_SHAPE][3]),
-        "pivots": counts["pivots"].pop(),
-        "phase1_pivots": counts["phase1_pivots"].pop(),
+        # Deterministic counts: identical in every repeat and under both bases.
+        **_breakdown(steps, LST_BASES),
         "steps": steps["forest"],
         "steps_lu": steps["lu"],
         # Median LUBasis solve time over median pseudo-forest solve time.
@@ -593,6 +651,32 @@ def lu_main(argv=None):
             + "  ".join(f"{k}={v['median']}" for k, v in steps[basis].items())
         )
     print(f"LST LP lu/forest solve time: {lst['lu_over_forest']}x")
+    min_t_rows = []
+    for shape in MIN_T_SHAPES:
+        draw, program = min_t[shape]
+        steps = {basis: measured[f"mint-{basis}", shape] for basis in MIN_T_BASES}
+        row = {
+            "n": shape[0],
+            "m": shape[1],
+            "seed": draw,
+            "rows": len(program[0]),
+            "gub_rows": program[1].count("=="),
+            "cols": len(program[3]),
+            **_breakdown(steps, MIN_T_BASES),
+            "steps": steps["gub"],
+            "steps_lu": steps["lu"],
+            # Median LUBasis solve time over median GUB solve time.
+            "lu_over_gub": round(
+                steps["lu"]["solve_ms"]["median"] / steps["gub"]["solve_ms"]["median"], 3
+            ),
+        }
+        min_t_rows.append(row)
+        for basis in MIN_T_BASES:
+            print(
+                f"min-T LP {shape[0]}x{shape[1]} {basis:6s} pivots={row['pivots']}  "
+                + "  ".join(f"{k}={v['median']}" for k, v in steps[basis].items())
+            )
+        print(f"min-T LP {shape[0]}x{shape[1]} lu/gub solve time: {row['lu_over_gub']}x")
     model_build = []
     for shape in BUILD_SHAPES:
         inst, p, T = builds[shape]
@@ -606,6 +690,7 @@ def lu_main(argv=None):
         "family": "e14_scaling",
         "kernel": "LUBasis",
         "lst_kernels": ["ForestBasis", "LUBasis"],
+        "min_t_kernels": ["GUBBasis", "LUBasis"],
         "config": {
             "seed": args.seed,
             "warmup": WARMUP,
@@ -618,6 +703,7 @@ def lu_main(argv=None):
         },
         "rows": rows,
         "lst_step_breakdown": lst,
+        "min_t_step_breakdown": min_t_rows,
         "model_build": model_build,
     }
     write_bench_json(args.out, default_out, payload)

@@ -8,15 +8,18 @@ into the starting basis.
 
 The basis is picked by structure: a pseudo-forest
 (:class:`~repro.lp.forest.ForestBasis`) when every column has at most two
-non-zeros, as in the LST LP, and :class:`LUBasis` otherwise.  Both return
-the same integers after every pivot, so the choice changes no pivot,
-vertex or certificate.
+non-zeros, as in the LST LP; else a GUB basis
+(:class:`~repro.lp.gub.GUBBasis`) when some rows have only ``+1`` entries,
+as (IP-3)'s assignment rows do, which it keeps implicit; and
+:class:`LUBasis` otherwise.  All three return the same integers after
+every pivot, so the choice changes no pivot, vertex or certificate.
 """
 
 from .basis import LUBasis
 from .branch_and_bound import BnBResult, solve_binary_ilp
 from .certificates import farkas_certifies
 from .forest import ForestBasis
+from .gub import GUBBasis
 from .hybrid import HAVE_SCIPY, solve_standard_hybrid
 from .model import LinearProgram, LPSolution, Row
 from .revised import solve_standard
@@ -33,6 +36,7 @@ __all__ = [
     "BACKENDS",
     "BnBResult",
     "ForestBasis",
+    "GUBBasis",
     "LPSolution",
     "LUBasis",
     "LinearProgram",

@@ -1,11 +1,15 @@
 """Fraction-free factorized basis for the revised exact simplex.
 
-This is the general basis.  When every column of ``[A | S | I]`` has at
-most two non-zeros — the LST LP that Theorem V.2 rounds — the solver picks
-the pseudo-forest basis of :mod:`repro.lp.forest` instead, by that
-structure alone.  The two return the same integers after every pivot
-(``den``, ``rhs``, ``ftran``, ``btran``, ``row_dot``; see
-``tests/test_forest_basis.py``), so the choice moves no pivot.
+This is the general basis.  The solver picks by structure alone, first
+match wins: when every column of ``[A | S | I]`` has at most two non-zeros
+— the LST LP that Theorem V.2 rounds — the pseudo-forest basis of
+:mod:`repro.lp.forest`; when some row has only ``+1`` entries — the
+assignment rows of the search's LPs — the GUB basis of :mod:`repro.lp.gub`,
+which keeps those rows implicit and runs this class on the other rows;
+otherwise this class.  All three return the same integers after every
+pivot (``den``, ``rhs``, ``ftran``, ``btran``, ``row_dot``; see
+``tests/test_forest_basis.py`` and ``tests/test_gub_basis.py``), so the
+choice moves no pivot.
 
 A dense simplex tableau updates **every** column on every pivot —
 ``O(rows·cols)`` big-integer work per pivot, even though a simplex

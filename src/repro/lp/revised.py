@@ -12,16 +12,21 @@ just what an iteration needs:
 * the entering column ``B⁻¹·a_q`` by one forward transform (``ftran``),
 * the basis exchange by one update of the factorized basis.
 
-The basis is chosen by the program's structure, with no parameter.  When
-every column of ``[A | S | I]`` has at most two non-zeros (the LST LP), it
-is :class:`repro.lp.forest.ForestBasis`, which keeps the basis as a
-pseudo-forest and updates it in tree-sized steps.  Otherwise it is
-:class:`repro.lp.basis.LUBasis`, the integer-preserving inverse with an
-``O(rows²)`` rank-one update.  Both return the same den-scaled integers
-(``den = |det B|``, ``rhs``, ``ftran``, ``btran``, ``row_dot``) after every
-pivot, so pricing, the ratio test, the crash and Farkas certificates see the
-same numbers and every pivot is the same under either.  The ``lp.solve``
-span records which one ran (``basis=forest|lu``).
+The basis is chosen by the program's structure, with no parameter, in
+this order.  When every column of ``[A | S | I]`` has at most two non-zeros
+(the LST LP), it is :class:`repro.lp.forest.ForestBasis`, which keeps the
+basis as a pseudo-forest and updates it in tree-sized steps.  Otherwise,
+when some row has only ``+1`` entries (the assignment rows of the search's
+probes, min-T LPs and side-row programs), it is
+:class:`repro.lp.gub.GUBBasis`, which keeps those rows implicit
+(generalized upper bounding) and pivots a working basis the size of the
+other rows.  Otherwise it is :class:`repro.lp.basis.LUBasis`, the
+integer-preserving inverse with an ``O(rows²)`` rank-one update.  All three
+return the same den-scaled integers (``den = |det B|``, ``rhs``,
+``ftran``, ``btran``, ``row_dot``) after every pivot, so pricing, the ratio
+test, the crash and Farkas certificates see the same numbers and every
+pivot is the same under any of them.  The ``lp.solve`` span records which
+one ran (``basis=forest|gub|lu``).
 
 The kernel takes integer rows with their scales (the contract of
 :mod:`repro.lp.simplex`): each constraint row arrives scaled to integers
@@ -80,6 +85,7 @@ from ..exceptions import PivotLimitError, SolverError
 from .basis import LUBasis
 from .certificates import denormalize_farkas, farkas_certifies
 from .forest import ForestBasis
+from .gub import GUBBasis, gub_rows
 from .simplex import (
     BLAND_THRESHOLD_DEFAULT,
     SimplexResult,
@@ -252,8 +258,9 @@ class _Screen:
 class _RevisedSolver:
     """One solve's state: scaled columns, factorized basis, counters.
 
-    ``lub`` is the basis: a :class:`ForestBasis` or an :class:`LUBasis`,
-    as ``_basis_cls`` chose from the columns.
+    ``lub`` is the basis: a :class:`ForestBasis`, a :class:`GUBBasis` or
+    an :class:`LUBasis`, as ``_basis_cls`` chose from the columns
+    (``_basis_args`` holds a ``GUBBasis``'s implicit rows).
     """
 
     def __init__(
@@ -329,12 +336,14 @@ class _RevisedSolver:
             for i in range(m)
         ]
         # Chosen by structure alone (see the module docstring).
-        self._basis_cls = (
-            ForestBasis
-            if all(len(c) <= 2 or sum(1 for a in c.values() if a) <= 2 for c in cols)
-            else LUBasis
-        )
-        self.lub = self._basis_cls(m, self.b_int)
+        self._basis_args: Tuple = ()
+        if all(len(c) <= 2 or sum(1 for a in c.values() if a) <= 2 for c in cols):
+            self._basis_cls = ForestBasis
+        elif implicit := gub_rows(row_items):
+            self._basis_cls, self._basis_args = GUBBasis, (implicit,)
+        else:
+            self._basis_cls = LUBasis
+        self.lub = self._basis_cls(m, self.b_int, *self._basis_args)
         self._cursor = 0
         self._block = max(64, (std.art_start + 7) // 8)
         #: The basis keeps its duals and rhs stamped, reads them one entry
@@ -669,7 +678,7 @@ class _RevisedSolver:
             for i in range(self.m)
         ]
         updates = self.lub.updates
-        self.lub = self._basis_cls(self.m, self.b_int)
+        self.lub = self._basis_cls(self.m, self.b_int, *self._basis_args)
         self.lub.updates = updates  # pivot budget covers the failed crash
         self._set_phase(self.phase)
 

@@ -17,7 +17,7 @@ These tests step both bases through the same pivots:
   ``PivotLimitError`` in the middle of a solve.
 
 IP-3 probe and min-T LPs have columns with more than two non-zeros and
-must keep LUBasis.
+run on :class:`repro.lp.gub.GUBBasis` (``tests/test_gub_basis.py``).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.exceptions import PivotLimitError
 from repro.lp import revised, solve_lp
 from repro.lp.basis import LUBasis
 from repro.lp.forest import ForestBasis
+from repro.lp.gub import GUBBasis
 from repro.lp.revised import _RevisedSolver, solve_standard
 from repro.lp.simplex import standard_form
 from repro.rounding.lst import build_unrelated_lp
@@ -399,7 +400,7 @@ class TestStructuralChoice:
         assert solver.lub.kind == "forest"
         assert all(sum(1 for a in c.values() if a) <= 2 for c in solver.cols)
 
-    def test_ip3_probe_and_min_T_keep_lu(self):
+    def test_ip3_probe_and_min_T_run_on_gub(self):
         inst = random_hierarchical(rng_from_seed(11), n=10, m=4)
         builder = IP3Builder(inst)
         coeff, senses, rhs, active = probe_rows(builder, builder.breakpoints[-1])
@@ -409,9 +410,9 @@ class TestStructuralChoice:
         min_t = self._solver(*scaled(*program[:4]))
         for solver in (probe, min_t):
             assert max(sum(1 for a in c.values() if a) for c in solver.cols) > 2
-            assert solver.lub.kind == "lu"
+            assert solver.lub.kind == "gub"
             solver.reset()
-            assert type(solver.lub) is LUBasis
+            assert type(solver.lub) is GUBBasis
 
     def test_reset_keeps_the_forest_and_the_pivot_count(self):
         rows = _lst_rows(16, 6, 1)

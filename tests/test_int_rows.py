@@ -202,6 +202,7 @@ def _assert_same_kernel(program):
         for j, v in row.items():
             assert via_int.cols[j][i] == sign * v * scale
     assert via_int._basis_cls is via_frac._basis_cls
+    assert via_int._basis_args == via_frac._basis_args
 
 
 def _programs(builder: IP3Builder, t_star: Fraction):

@@ -480,9 +480,10 @@ class TestInstrumentationShape:
     def test_lp_solve_span_records_basis(self):
         from repro import two_approximation
 
-        # The min-T LP's T column sits in every load row, so it runs on
-        # LUBasis; every column of the LST LP has at most two non-zeros,
-        # so it runs on the pseudo-forest basis.
+        # The min-T LP's T column sits in every load row and its
+        # assignment rows are all +1, so it runs on GUBBasis; every column
+        # of the LST LP has at most two non-zeros, so it runs on the
+        # pseudo-forest basis.
         inst = random_hierarchical(rng_from_seed(0), n=8, m=3)
         with tracing() as tracer:
             two_approximation(inst, backend="exact")
@@ -492,7 +493,7 @@ class TestInstrumentationShape:
              sp.attrs["basis"])
             for sp in tracer.spans if sp.name == "lp.solve"
         ]
-        assert solves == [("search.min_T", "lu"), (None, "forest")]
+        assert solves == [("search.min_T", "gub"), (None, "forest")]
 
     def test_admission_spans(self):
         from repro.schedule.arrivals import PeriodicArrivals

@@ -279,9 +279,11 @@ class TestStampedRows:
         from repro.lp.revised import _RevisedSolver
 
         # The first LP has at most two non-zeros per column, so the solver
-        # would pick the pseudo-forest basis; these checks read LUBasis'
-        # stamped rows, so run it on LUBasis.
+        # would pick the pseudo-forest basis, and the IP-3 probes have
+        # assignment rows, so it would keep those implicit (GUBBasis);
+        # these checks read LUBasis' stamped rows, so run both on LUBasis.
         monkeypatch.setattr(revised, "ForestBasis", LUBasis)
+        monkeypatch.setattr(revised, "gub_rows", lambda row_items: [])
         original = _RevisedSolver._pivot
         pivots = []
 
@@ -373,8 +375,12 @@ class TestOnePassPricing:
         return best_j, cursor
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_prices_and_entering_match_reference_scan(self, seed):
+    def test_prices_and_entering_match_reference_scan(self, seed, monkeypatch):
+        # The test sets LUBasis' den; a draw with an all-+1 row would run
+        # on GUBBasis, whose den is its working basis', so keep LUBasis.
+        monkeypatch.setattr(revised_mod, "gub_rows", lambda row_items: [])
         solver, rng = self._solver(seed)
+        assert type(solver.lub) is LUBasis
         limit = solver.std.art_start
         ties = 0
         for step in range(24):
