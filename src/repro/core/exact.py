@@ -179,12 +179,33 @@ def find_assignment_within(
     remaining_min: List[Fraction] = [Fraction(0)] * (instance.n + 1)
     for t in range(instance.n - 1, -1, -1):
         remaining_min[t] = remaining_min[t + 1] + options[job_order[t]][0][0]
+    m = instance.m
+
+    # Forced loads, checked once before the search.  With volume slack
+    # s = m·T − Σ cheapest, no witness gives a job an option dearer than
+    # its cheapest by more than s.  When every option within s lies under
+    # one set, that set and its ancestors carry at least the job's
+    # cheapest time in every witness; a set whose forced load exceeds its
+    # capacity leaves none, however deep the tree the search would walk.
+    slack = m * T - remaining_min[0]
+    if slack >= 0:
+        forced: List[Fraction] = [Fraction(0)] * len(sets)
+        for opts in options:
+            cheapest = opts[0][0]
+            common = set(supersets[opts[0][1]])
+            for p, k in opts[1:]:
+                if p - cheapest > slack:
+                    break
+                common.intersection_update(supersets[k])
+            for a in common:
+                forced[a] += cheapest
+        if any(load > cap for load, cap in zip(forced, capacities)):
+            return None
 
     nested: List[Fraction] = [Fraction(0)] * len(sets)
     chosen: List[int] = [-1] * instance.n
     assigned_total = Fraction(0)
     nodes = 0
-    m = instance.m
 
     def dfs(t: int) -> bool:
         nonlocal nodes, assigned_total

@@ -183,6 +183,21 @@ class TestFindAssignmentWithin:
             if opt > 0:
                 assert find_assignment_within(inst, opt - Fraction(1, 1000)) is None
 
+    def test_forced_loads_refute_before_the_search(self):
+        """At T = 10 the volume slack is 20 − 19 = 1, so jobs 0 and 1 can
+        only take machine 0, and 6 + 6 overflows its capacity of 10: no
+        witness, decided before the search visits a node."""
+        from repro.core.exact import find_assignment_within
+
+        inst = Instance.semi_partitioned(
+            p_local=[[6, 9], [6, 9], [10, 7]], p_global=[15, 15, 15]
+        )
+        assert find_assignment_within(inst, 10, node_limit=1) is None
+        # At T = 11 the slack of 3 admits machine 1 too, so the search runs.
+        with pytest.raises(SolverError):
+            find_assignment_within(inst, 11, node_limit=1)
+        assert find_assignment_within(inst, 10) is None
+
 
 class TestEdgeCases:
     def test_zero_length_jobs_through_pipeline(self):

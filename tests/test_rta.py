@@ -203,6 +203,15 @@ class TestPrefilter:
         without = witness_within(inst, T_REF, prefilter=False)
         assert with_pf == without
 
+    def test_forced_load_overflow_decides_both_paths(self):
+        """seed 4883, u = 0.95: the engine is inconclusive and four jobs
+        can only afford machine 0, whose forced load (21) exceeds T.  The
+        plain search gave up after two million nodes on both paths."""
+        inst = _workload(4883, 0.95).with_singletons()
+        assert analytic_schedulable(inst, "hierarchical", T_REF).status == UNKNOWN
+        assert witness_within(inst, T_REF, prefilter=True, node_limit=1) is None
+        assert witness_within(inst, T_REF, prefilter=False, node_limit=1) is None
+
     @_SETTINGS
     @given(st.integers(0, 10**6), st.sampled_from([0.6, 0.95]))
     def test_analytic_witness_fast_path_is_sound(self, seed, u):
