@@ -12,7 +12,6 @@ scalars interchangeably.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Union
 
@@ -20,39 +19,6 @@ Number = Union[int, float, Fraction]
 
 #: Sentinel for "this job may not run on this machine set" (the paper's ∞).
 INF = math.inf
-
-# ---------------------------------------------------------------------------
-# Optional big-integer backend
-# ---------------------------------------------------------------------------
-# The exact LP kernels spend their time multiplying scaled integers whose
-# bit-length grows with pivot depth.  gmpy2's mpz (GMP) multiplies large
-# integers asymptotically faster than CPython's int; when the package is
-# importable we route kernel integers through it.  mpz registers as
-# numbers.Integral, so Fraction(mpz, mpz), comparisons and mixed arithmetic
-# with plain ints all behave; results crossing the kernel boundary are
-# coerced back to int for hashing/serialization safety.
-#
-# ``REPRO_BIGINT=python`` is the escape hatch: it forces the pure-python
-# path even when gmpy2 is installed (bit-for-bit reference behaviour).
-
-try:
-    if os.environ.get("REPRO_BIGINT", "").lower() == "python":
-        raise ImportError("REPRO_BIGINT=python requested the built-in int")
-    from gmpy2 import mpz as _mpz  # type: ignore[import-not-found]
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised via subprocess test
-    _mpz = int
-    HAVE_GMPY2 = False
-
-#: Coerce a kernel integer to the active big-integer type.  ``bigint(0)``
-#: is the kernel's zero; sums/products stay in the fast type automatically.
-bigint = _mpz
-
-
-def bigint_backend() -> str:
-    """Name of the active integer backend: ``"gmpy2"`` or ``"python"``."""
-    return "gmpy2" if HAVE_GMPY2 else "python"
 
 
 def is_inf(value: object) -> bool:

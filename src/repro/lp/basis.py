@@ -104,7 +104,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-from .._fraction import bigint
 from ..exceptions import SolverError
 
 #: A row of ``W``: dict-of-nonzeros while sparse, dense list once filled.
@@ -136,13 +135,12 @@ class LUBasis:
     def __init__(self, m: int, b: Sequence[int]):
         if len(b) != m:
             raise SolverError("rhs length must match the basis dimension")
-        one = bigint(1)
         self.m = m
-        self.den = one
-        self.inv: List[Row] = [{i: one} for i in range(m)]
+        self.den = 1
+        self.inv: List[Row] = [{i: 1} for i in range(m)]
         #: The ``den`` at which each row of ``inv`` was last written.
-        self.stamp: List[int] = [one] * m
-        self.rhs: List[int] = [bigint(v) for v in b]
+        self.stamp: List[int] = [1] * m
+        self.rhs: List[int] = list(b)
         self.updates = 0
         # Densify once fill crosses the threshold; precomputed per instance.
         self._dense_at = max(2, int(DENSIFY_THRESHOLD * m) + 1)
@@ -171,11 +169,10 @@ class LUBasis:
         cdict = dict(items)
         cget = cdict.get
         nitems = len(items)
-        zero = bigint(0)
         den = self.den
         out = []
         for row, st in zip(self.inv, self.stamp):
-            s = zero
+            s = 0
             if type(row) is dict:
                 # Dot over the intersection: iterate whichever side is
                 # smaller — deep in a sparse factorization rows often hold
@@ -203,7 +200,7 @@ class LUBasis:
 
     def btran(self, basic_costs: Mapping[int, int]) -> List[int]:
         """``c_Bᵀ·W`` for a sparse basic-cost vector — den-scaled duals."""
-        out = [bigint(0)] * self.m
+        out = [0] * self.m
         for i, c in basic_costs.items():
             if c == 0:
                 continue
@@ -275,9 +272,8 @@ class LUBasis:
                 else:
                     acc = {j: w * lifted // st for j, w in w_row.items()}
                 get = acc.get
-                zero = bigint(0)
                 for j, p in piv_row.items():
-                    acc[j] = get(j, zero) - f * p
+                    acc[j] = get(j, 0) - f * p
                 new_row: Row = {}
                 for j, v in acc.items():
                     if v:
@@ -354,7 +350,7 @@ class LUBasis:
         inv_row = self.current_row(row)
         if type(inv_row) is dict:
             get = inv_row.get
-            s = bigint(0)
+            s = 0
             for k, v in col.items():
                 if v:
                     w = get(k)

@@ -85,7 +85,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .._fraction import bigint
 from ..exceptions import SolverError
 
 
@@ -112,12 +111,11 @@ class ForestBasis:
     def __init__(self, m: int, b: Sequence[int]):
         if len(b) != m:
             raise SolverError("rhs length must match the basis dimension")
-        one = bigint(1)
         self.m = m
-        self.den = one
+        self.den = 1
         # den-scaled rhs entries, each with the den it was written at.
-        self._b: List[int] = [bigint(v) for v in b]
-        self._bs: List[int] = [one] * m
+        self._b: List[int] = list(b)
+        self._bs: List[int] = [1] * m
         self.updates = 0
         # The identity basis: every row its own component, rooted at a
         # unit loop in its own position.
@@ -133,7 +131,7 @@ class ForestBasis:
         # Cached den-scaled duals, each with the den it was written at,
         # and the nodes a pivot moved since they were derived.
         self._y: List[int] = [0] * m
-        self._ys: List[int] = [one] * m
+        self._ys: List[int] = [1] * m
         self._dirty: Set[int] = set(range(m))
         #: The nodes the last ``rederive`` re-derived; ``None`` for all.
         self.moved: Optional[Set[int]] = None

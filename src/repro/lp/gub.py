@@ -62,7 +62,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
-from .._fraction import bigint
 from ..exceptions import SolverError
 from .basis import LUBasis, Row
 
@@ -120,7 +119,7 @@ class GUBBasis:
         self.lidx = [-1] * m
         for l, i in enumerate(self.lrows):
             self.lidx[i] = l
-        self.gb = [bigint(b[g]) for g in self.groups]
+        self.gb = [b[g] for g in self.groups]
         # The identity basis: every row's own unit column at its position;
         # a GUB row's is its key, with no entry in the other rows.
         self.s = LUBasis(len(self.lrows), [b[i] for i in self.lrows])
@@ -143,7 +142,7 @@ class GUBBasis:
         """``den·B⁻¹b`` by basis position, built once per pivot."""
         if self._rhs is None:
             rs = self.s.rhs
-            out = [bigint(0)] * self.m
+            out = [0] * self.m
             for p, v in zip(self.pos_of_s, rs):
                 out[p] = v
             den = self.s.den
@@ -187,7 +186,7 @@ class GUBBasis:
         """``den·B⁻¹a`` by basis position — ``LUBasis.ftran``'s integers."""
         red, ag = self._reduced(col)
         alpha_s = self.s.ftran(red)
-        out = [bigint(0)] * self.m
+        out = [0] * self.m
         key_pos, sgroup = self.key_pos, self.sgroup
         den = self.s.den
         for k, a in ag:
@@ -217,13 +216,12 @@ class GUBBasis:
                     for u in members[k]:
                         cs[u] = cs.get(u, 0) - c
         y_s = self.s.btran(cs)
-        zero = bigint(0)
-        out = [zero] * self.m
+        out = [0] * self.m
         for i, y in zip(self.lrows, y_s):
             out[i] = y
         den = self.s.den
         for g, c, load in zip(self.groups, ck, self.key_load):
-            v = den * c if c else zero
+            v = den * c if c else 0
             for l, a in load.items():
                 y = y_s[l]
                 if y:

@@ -80,7 +80,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .._fraction import HAVE_GMPY2, bigint, to_fraction
+from .._fraction import to_fraction
 from ..exceptions import PivotLimitError, SolverError
 from .basis import LUBasis
 from .certificates import denormalize_farkas, farkas_certifies
@@ -124,9 +124,7 @@ class _Screen:
     every column exactly picks.  (Bland's rule prices every column in full.)
 
     Every conversion to float is the built-in ``int``'s, which rounds
-    correctly and raises ``OverflowError`` beyond float range.  gmpy2's
-    ``mpz / mpz`` is an ``mpfr`` instead (neither holds), so under gmpy2
-    the integers go through ``int`` first.
+    correctly and raises ``OverflowError`` beyond float range.
     """
 
     __slots__ = ("r1", "a1", "r2", "a2", "amax", "yf", "frac", "cf", "cmax", "stale")
@@ -148,10 +146,10 @@ class _Screen:
                 for i, a in solver.col_items[j]:
                     if a:
                         if first:
-                            self.r1[j], self.a1[j] = i, float(int(a))
+                            self.r1[j], self.a1[j] = i, float(a)
                             first = False
                         else:
-                            self.r2[j], self.a2[j] = i, float(int(a))
+                            self.r2[j], self.a2[j] = i, float(a)
         except OverflowError:
             pass
         else:
@@ -169,13 +167,8 @@ class _Screen:
 
     def _refresh(self, lub, den: int, moved) -> None:
         yf, frac = self.yf, self.frac
-        to_int = HAVE_GMPY2
-        if to_int:
-            den = int(den)
         if self.stale:
             y_num = lub.duals()
-            if to_int:
-                y_num = [int(v) for v in y_num]
             m = len(y_num)
             yf[:m] = [v / den for v in y_num]
             frac[:m] = [v % den != 0 for v in y_num]
@@ -184,8 +177,6 @@ class _Screen:
             dual = lub.dual
             for i in moved:
                 v = dual(i)
-                if to_int:
-                    v = int(v)
                 yf[i] = v / den
                 frac[i] = v % den != 0
 
@@ -283,15 +274,9 @@ class _RevisedSolver:
         # The rows arrive as integers (see the module docstring); slacks
         # and artificials are implicitly rescaled with their row (their
         # columns keep ±1 entries, so the starting basis is the identity).
-        # Kernel integers go through the active bigint backend (gmpy2 when
-        # available): products/sums inside ftran/btran/update then stay in
-        # the fast type automatically.
         m = self.m
         self.scales: List[int] = std.scales
-        to_big = bigint if HAVE_GMPY2 else None
-        self.b_int: List[int] = (
-            [to_big(b) for b in std.rhs] if to_big else list(std.rhs)
-        )
+        self.b_int: List[int] = list(std.rhs)
 
         # Sparse integer columns of [A | S | I], and the same entries by row
         # restricted to the priced columns [A | S] (one-pass pricing).
@@ -299,8 +284,6 @@ class _RevisedSolver:
         row_items: List[List[Tuple[int, int]]] = []
         for i in range(m):
             items = list(std.rows[i].items())
-            if to_big:
-                items = [(j, to_big(a)) for j, a in items]
             for j, a in items:
                 cols[j][i] = a
             row_items.append(items)
@@ -325,7 +308,7 @@ class _RevisedSolver:
         fr_obj = [c if isinstance(c, int) else to_fraction(c) for c in objective]
         obj_scale = lcm(*(c.denominator for c in fr_obj))
         self.c_int: List[int] = [
-            bigint(c.numerator * (obj_scale // c.denominator)) for c in fr_obj
+            c.numerator * (obj_scale // c.denominator) for c in fr_obj
         ]
 
         # Slack-or-artificial starting basis (identity in the scaled system).

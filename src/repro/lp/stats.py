@@ -66,15 +66,6 @@ class SolverStats:
     #: payload was recorded for next time.
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Sweep fault-tolerance outcomes, recorded by the driver so the obs
-    #: layer (scopes, spans, the store index) sees the recovery machinery
-    #: working: ``task_retries`` counts re-submitted task attempts,
-    #: ``tasks_quarantined`` counts tasks skipped because their failure-
-    #: ledger attempt count exhausted the retry budget, ``budget_kills``
-    #: counts workers killed by the driver's wall-clock deadline.
-    task_retries: int = 0
-    tasks_quarantined: int = 0
-    budget_kills: int = 0
 
     def add(self, other: "SolverStats") -> None:
         for name in _COUNTERS:
@@ -110,9 +101,6 @@ class SolverStats:
                 f"{self.farkas_reuses} Farkas reuses",
                 f"  solve cache       {self.cache_hits} hits, "
                 f"{self.cache_misses} misses",
-                f"  fault tolerance   {self.task_retries} task retries, "
-                f"{self.tasks_quarantined} quarantined, "
-                f"{self.budget_kills} budget kills",
             ]
         )
 

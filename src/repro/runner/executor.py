@@ -290,7 +290,6 @@ def run_tasks(
         prior = 0 if retry_failed else store.failure_attempts(task.key)
         if prior >= max_attempts:
             stats.quarantined += 1
-            record_stats(SolverStats(tasks_quarantined=1))
             say(
                 f"quarantine {task.label()}  [{prior} failed attempt"
                 f"{'s' if prior != 1 else ''} in the ledger; pass "
@@ -318,7 +317,6 @@ def run_tasks(
         )
         if attempt_count < max_attempts:
             stats.retried += 1
-            record_stats(SolverStats(task_retries=1))
             say(
                 f"retry {task.label()}  [{type(exc).__name__}; attempt "
                 f"{attempt_count + 1}/{max_attempts}]"
@@ -542,7 +540,6 @@ def run_tasks(
                             continue  # finished in the race window
                         if fut in expired:
                             stats.budget_kills += 1
-                            record_stats(SolverStats(budget_kills=1))
                             exc = TaskBudgetError(
                                 "wall", wall, round(now - started, 2),
                                 detail="worker killed by the sweep deadline",

@@ -45,14 +45,25 @@ from .request import SolveRequest
 _default_cache: Optional[SolveCache] = None
 
 
+def _check_cache(cache: object) -> None:
+    """Raise ``TypeError`` unless *cache* is ``None``, a path or a cache."""
+    if cache is not None and not isinstance(cache, (str, SolveCache)):
+        raise TypeError(
+            "cache must be None, a store path or a SolveCache, "
+            f"not {type(cache).__name__} {cache!r}"
+        )
+
+
 def set_default_cache(cache: Union[SolveCache, str, None]) -> Optional[SolveCache]:
     """Set (and return) the process-default solve cache.
 
     Accepts an open :class:`SolveCache`, a store directory path, or ``None``
-    to clear.  The CLI's ``--cache`` sets it once and every Session
-    constructed without an explicit cache picks it up.
+    to clear; anything else raises ``TypeError``.  The CLI's ``--cache``
+    sets it once and every Session constructed without an explicit cache
+    picks it up.
     """
     global _default_cache
+    _check_cache(cache)
     if isinstance(cache, str):
         cache = SolveCache(cache)
     _default_cache = cache
@@ -78,7 +89,8 @@ class Session:
         absent, in which case the session solves cold every time;
         ``False`` disables caching even when a default is set; a path
         string opens (and owns) a store at that directory; an open
-        :class:`SolveCache` is used without taking ownership.
+        :class:`SolveCache` is used without taking ownership.  Any other
+        value raises ``TypeError``.
     """
 
     def __init__(
@@ -87,6 +99,8 @@ class Session:
         cache: Union[SolveCache, str, None, bool] = None,
     ):
         _resolve_backend(backend)  # raises on unknown names
+        if cache is not False:
+            _check_cache(cache)
         # The requested name, not its scipy-less fallback, keys the cache.
         self.backend = backend
         self._owns_cache = False

@@ -30,7 +30,7 @@ from fractions import Fraction
 import pytest
 from _int_rows import min_T_rows, probe_rows, scaled
 
-from repro._fraction import bigint, is_inf, to_fraction
+from repro._fraction import is_inf, to_fraction
 from repro.core.programs import IP3Builder, minimal_fractional_T
 from repro.exceptions import PivotLimitError
 from repro.lp import revised, solve_lp
@@ -293,11 +293,11 @@ def _pivot(forest, lu, row, col):
 
 class TestLeavingCases:
     # Four rows; three edges close the triangle 0–1–2, one hangs row 3.
-    E01 = {0: bigint(1), 1: bigint(2)}
-    E12 = {1: bigint(3), 2: bigint(1)}
-    E02 = {0: bigint(2), 2: bigint(-5)}
-    E23 = {2: bigint(1), 3: bigint(4)}
-    LOOP1 = {1: bigint(1)}
+    E01 = {0: 1, 1: 2}
+    E12 = {1: 3, 2: 1}
+    E02 = {0: 2, 2: -5}
+    E23 = {2: 1, 3: 4}
+    LOOP1 = {1: 1}
     B = [3, 1, 4, 2]
 
     def _cycle_basis(self):
@@ -317,7 +317,7 @@ class TestLeavingCases:
 
     def _check(self, forest, lu):
         cols = [self.E01, self.E12, self.E02, self.E23, self.LOOP1]
-        cols += [{i: bigint(1)} for i in range(4)]
+        cols += [{i: 1} for i in range(4)]
         costs = [{0: 1, 2: -2}, {i: i + 1 for i in range(4)}]
         _assert_same(forest, lu, cols, costs)
 
@@ -338,7 +338,7 @@ class TestLeavingCases:
     def test_tree_edge_off_cycle_leaves(self):
         forest, lu = self._cycle_basis()
         # E23 hangs row 3 off the triangle; its loop re-roots row 3 alone.
-        case = _pivot(forest, lu, 3, {3: bigint(-2)})
+        case = _pivot(forest, lu, 3, {3: -2})
         assert case == "off-cycle"
         self._check(forest, lu)
 
@@ -364,12 +364,12 @@ class TestLeavingCases:
             pool = []
             for _ in range(3 * m):
                 if rng.random() < 0.2:
-                    pool.append({rng.randrange(m): bigint(rng.choice([-3, -1, 1, 2, 5]))})
+                    pool.append({rng.randrange(m): rng.choice([-3, -1, 1, 2, 5])})
                 else:
                     a, b = rng.sample(range(m), 2)
                     pool.append({
-                        a: bigint(rng.choice([-3, -2, -1, 1, 2, 4])),
-                        b: bigint(rng.choice([-2, -1, 1, 3, 7])),
+                        a: rng.choice([-3, -2, -1, 1, 2, 4]),
+                        b: rng.choice([-2, -1, 1, 3, 7]),
                     })
             b = [rng.randrange(0, 9) for _ in range(m)]
             forest, lu = ForestBasis(m, b), LUBasis(m, b)

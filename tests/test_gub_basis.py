@@ -16,8 +16,7 @@ same pivots:
   an infeasible dictionary followed by ``reset()``, the switch to Bland's
   rule and an infeasible probe's Farkas certificate;
 * random pivots on small GUB-structured matrices, which hit every case
-  many times;
-* all of it also on the forced gmpy2 path (``revised.HAVE_GMPY2``).
+  many times.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro._fraction import bigint
 from repro.core.memory import _memory_builder, _model1_rows, _model2_rows
 from repro.core.programs import IP3Builder, minimal_fractional_T
 from repro.lp import revised
@@ -133,15 +131,12 @@ class _Lockstep:
         _assert_same(self.gub, self.lu, sample, costs, rows)
 
 
-@pytest.fixture(params=["native", "forced-gmpy2"])
-def lockstep(request, monkeypatch):
+@pytest.fixture(params=["native"])
+def lockstep(monkeypatch):
     """Run GUB-eligible solves on :class:`_Lockstep`; yield its counters.
 
-    ``forced-gmpy2`` takes the path gmpy2's kernel integers take (the
-    solver's constructor converts every entry).
+    The one param, the built-in ``int``, keeps the ``native`` test ids.
     """
-    if request.param == "forced-gmpy2":
-        monkeypatch.setattr(revised, "HAVE_GMPY2", True)
     original_init = _RevisedSolver.__init__
     original_reset = _RevisedSolver.reset
 
@@ -330,7 +325,7 @@ class TestStructure:
         from repro.exceptions import SolverError
 
         basis = GUBBasis(2, [1, 3], [0])
-        col = {1: bigint(2)}  # in the other row only
+        col = {1: 2}  # in the other row only
         alpha = basis.ftran(col)
         assert alpha[0] == 0
         with pytest.raises(SolverError):
@@ -345,9 +340,9 @@ def _random_program(rng, groups, others):
     for _ in range(4 * m):
         col = {}
         if rng.random() < 0.85:
-            col[rng.randrange(groups)] = bigint(1)
+            col[rng.randrange(groups)] = 1
         for i in rng.sample(range(groups, m), rng.randrange(0, min(3, others) + 1)):
-            col[i] = bigint(rng.choice([-3, -2, -1, 1, 2, 5]))
+            col[i] = rng.choice([-3, -2, -1, 1, 2, 5])
         if col:
             pool.append(col)
     return m, pool

@@ -36,7 +36,7 @@ from types import SimpleNamespace
 import pytest
 from _int_rows import scaled
 
-from repro._fraction import bigint, is_inf, to_fraction
+from repro._fraction import is_inf, to_fraction
 from repro.core.programs import minimal_fractional_T
 from repro.exceptions import PivotLimitError
 from repro.lp import revised
@@ -178,14 +178,6 @@ class TestSeededLST:
         assert result.status == "optimal"
         assert lockstep["bland"] == lockstep["pricings"] > 0
         assert lockstep["screened"] == 0
-
-    def test_duals_through_int(self, lockstep, monkeypatch):
-        # The path gmpy2's mpz duals take (through int before dividing)
-        # prices built-in ints exactly as the direct division does.
-        monkeypatch.setattr(revised, "HAVE_GMPY2", True)
-        result = _solve_both(monkeypatch, _lst_rows(32, 10, 4))
-        assert result.status == "optimal"
-        assert lockstep["screened"] > 0 and lockstep["overflow"] == 0
 
 
 def _identical_jobs(m, n):
@@ -342,12 +334,12 @@ class TestStampedReads:
             pool = []
             for _ in range(3 * m):
                 if rng.random() < 0.2:
-                    pool.append({rng.randrange(m): bigint(rng.choice([-3, 1, 2, 5]))})
+                    pool.append({rng.randrange(m): rng.choice([-3, 1, 2, 5])})
                 else:
                     a, b = rng.sample(range(m), 2)
                     pool.append({
-                        a: bigint(rng.choice([-3, -2, -1, 1, 2, 4])),
-                        b: bigint(rng.choice([-2, -1, 1, 3, 7])),
+                        a: rng.choice([-3, -2, -1, 1, 2, 4]),
+                        b: rng.choice([-2, -1, 1, 3, 7]),
                     })
             b = [rng.randrange(0, 9) for _ in range(m)]
             forest, lu = ForestBasis(m, b), LUBasis(m, b)

@@ -20,8 +20,7 @@ memory models' side rows:
   Farkas certificates are the same from the integer rows and from the
   rational rows through :func:`~repro.lp.solve.solve_rows` and
   :func:`~repro.lp.solve.feasible_point_rows`;
-* Theorem V.2 builds no :class:`~repro.lp.model.LinearProgram`;
-* all of it holds on the forced gmpy2 path.
+* Theorem V.2 builds no :class:`~repro.lp.model.LinearProgram`.
 """
 
 from fractions import Fraction
@@ -36,7 +35,7 @@ from repro.core.instance import Instance
 from repro.core.laminar import LaminarFamily
 from repro.core.memory import _memory_builder, _model1_rows, _model2_rows
 from repro.core.programs import IP3Builder, minimal_fractional_T
-from repro.lp import HAVE_SCIPY, LinearProgram, revised
+from repro.lp import HAVE_SCIPY, LinearProgram
 from repro.lp.revised import _RevisedSolver, solve_standard
 from repro.lp.solve import check_standard_rows, feasible_point_rows, solve_rows
 from repro.lp.simplex import (
@@ -90,12 +89,10 @@ def draws():
     return out
 
 
-@pytest.fixture(params=["native", "forced-gmpy2"])
-def int_path(request, monkeypatch):
-    """Run on the built-in ints and on the path gmpy2's kernel integers
-    take (the constructor converts every entry)."""
-    if request.param == "forced-gmpy2":
-        monkeypatch.setattr(revised, "HAVE_GMPY2", True)
+@pytest.fixture(params=["native"])
+def int_path(request):
+    """The kernel's integer type, the built-in ``int``; the one param keeps
+    the ``native`` test ids."""
     return request.param
 
 

@@ -23,7 +23,6 @@ from hypothesis import HealthCheck, given, settings
 
 from _int_rows import certifies, probe_rows, scaled, time_of
 from _reference_simplex import reference_solve
-from repro._fraction import bigint
 from repro.core.programs import IP3Builder, minimal_fractional_T, _ProbeSession
 from repro.exceptions import PivotLimitError, SolverError
 from repro.lp import (
@@ -385,7 +384,7 @@ class TestOnePassPricing:
         ties = 0
         for step in range(24):
             solver.phase = 1 + step % 2
-            solver.lub.den = bigint(rng.randrange(1, 9))
+            solver.lub.den = rng.randrange(1, 9)
             y = [rng.choice([0, 0, -2, -1, 1, 3]) for _ in range(solver.m)]
             prices = [self._reference_price(solver, j, y) for j in range(limit)]
             assert solver._prices(y) == prices

@@ -358,6 +358,24 @@ def test_default_cache_is_picked_up_and_clearable(tmp_path):
     assert Session().cache is None
 
 
+@pytest.mark.parametrize(
+    "bad", [True, 0, 1.5, object()], ids=["True", "0", "1.5", "object"]
+)
+def test_session_rejects_a_cache_of_another_type(bad):
+    with pytest.raises(TypeError, match="cache must be"):
+        Session(cache=bad)
+    assert Session(cache=False).cache is None
+
+
+@pytest.mark.parametrize(
+    "bad", [True, False, 0, object()], ids=["True", "False", "0", "object"]
+)
+def test_set_default_cache_rejects_a_cache_of_another_type(bad):
+    with pytest.raises(TypeError, match="cache must be"):
+        set_default_cache(bad)
+    assert Session().cache is None
+
+
 # ---------------------------------------------------------------------------
 # stats scopes: nesting regression
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Warm starts from a point: resumability, determinism, kernel seams.
+"""Warm starts from a point: resumability, determinism, row layouts.
 
 A solve is warm-started only from a point (``warm_point`` on raw rows,
 keyed ``warm_values`` on a :class:`~repro.lp.model.LinearProgram`); no
@@ -10,16 +10,12 @@ solver basis survives from one solve to the next.  This module pins down:
   cold solve's objective and a vertex-sized support (warm starts change the
   path, never the answer);
 * a warm key the target program lacks raises ``SolverError``;
-* sparse and densified ``W`` rows answer ftran/btran identically;
-* the gmpy2 bigint seam is optional and escapable (``REPRO_BIGINT``).
+* sparse and densified ``W`` rows answer ftran/btran identically.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -27,8 +23,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from _int_rows import scaled
-from _reference_simplex import reference_solve
-from repro._fraction import HAVE_GMPY2, bigint, bigint_backend
 from repro.core.programs import IP3Builder, _ProbeSession
 from repro.exceptions import PivotLimitError, SolverError
 from repro.lp import (
@@ -199,55 +193,9 @@ class TestSparseDenseEquivalence:
                 if type(row) is dict:
                     dense.inv[i] = _to_dense(row, dense.m)
                 assert dense.row_density(i) == 1.0
-            probe_cols = cols + [{i: bigint(1)} for i in range(7)]
+            probe_cols = cols + [{i: 1} for i in range(7)]
             for col in probe_cols:
                 assert sparse.ftran(col) == dense.ftran(col)
-            for cb in ({0: bigint(1)}, {i: bigint(i + 1) for i in range(7)}):
+            for cb in ({0: 1}, {i: i + 1 for i in range(7)}):
                 assert sparse.btran(cb) == dense.btran(cb)
 
-
-class TestBigintSeam:
-    def test_backend_reported(self):
-        assert bigint_backend() in ("gmpy2", "python")
-        assert (bigint_backend() == "gmpy2") == HAVE_GMPY2
-
-    def test_bigint_arithmetic_is_exact(self):
-        x = bigint(2) ** 200 + bigint(1)
-        assert int(x) == 2**200 + 1
-        assert Fraction(int(bigint(3)), int(bigint(6))) == Fraction(1, 2)
-
-    @pytest.mark.skipif(not HAVE_GMPY2, reason="gmpy2 not installed")
-    def test_kernel_equivalence_under_gmpy2(self):
-        """With gmpy2 active the solver still matches the reference simplex
-        vertex-for-vertex."""
-        rows, senses, rhs, objective = _small_lp()
-        tab = reference_solve(rows, senses, rhs, objective)
-        rev = solve_standard(*scaled(rows, senses, rhs, objective), canonical=True)
-        assert tab.status == rev.status == "optimal"
-        assert tab.objective == rev.objective
-        assert tab.x == rev.x
-        assert tab.basis == rev.basis
-        assert all(isinstance(v, Fraction) for v in rev.x)
-
-    def test_escape_hatch_forces_python_ints(self):
-        """``REPRO_BIGINT=python`` pins the built-in int in a fresh process."""
-        env = dict(os.environ, REPRO_BIGINT="python")
-        env["PYTHONPATH"] = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
-        )
-        code = (
-            "from fractions import Fraction\n"
-            "from repro._fraction import bigint, bigint_backend\n"
-            "assert bigint_backend() == 'python', bigint_backend()\n"
-            "assert type(bigint(7)) is int\n"
-            "from repro.lp import solve_standard\n"
-            "r = solve_standard([{0: 1}], ['<='], [2], [Fraction(-1)], [1])\n"
-            "assert r.status == 'optimal' and r.x == [Fraction(2)]\n"
-            "print('ok')\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env,
-            capture_output=True, text=True, timeout=120,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "ok"
