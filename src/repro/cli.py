@@ -154,8 +154,9 @@ def _run_sweep(
     chaos: Optional[str] = None,
     retry_failed: bool = False,
 ) -> int:
-    from .runner import ResultsStore, TaskBudget, experiment_ids, get_spec, run_sweep
+    from .runner import TaskBudget, experiment_ids, get_spec, run_sweep
     from .runner.chaos import resolve as resolve_chaos
+    from .session.cache import SolveCache
 
     chosen = ids or experiment_ids()
     known = set(experiment_ids())
@@ -197,10 +198,10 @@ def _run_sweep(
         chaos_spec = resolve_chaos(chaos)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    with ResultsStore(store_path) as store:
+    with SolveCache(store_path) as cache:
         stats = run_sweep(
             chosen,
-            store,
+            cache,
             jobs=jobs,
             overrides=overrides,
             seeds=seeds,
@@ -240,20 +241,21 @@ def _run_report(
 ) -> int:
     import os
 
-    from .runner import ResultsStore, assemble_table
+    from .runner import assemble_table, experiment_buckets
+    from .session.cache import SolveCache
 
     if not os.path.isdir(store_path):
         print(f"no results store at {store_path!r}")
         return 2
-    with ResultsStore(store_path) as store:
+    with SolveCache(store_path) as cache:
         if failures:
-            return _render_failures(store, ids or None)
-        chosen = ids or store.experiments()
+            return _render_failures(cache, ids or None)
+        chosen = ids or experiment_buckets(cache)
         if not chosen and not profile:
             print(f"store {store_path!r} holds no completed tasks yet")
             return 0
         for exp_id in chosen:
-            table = assemble_table(store, exp_id, timings=timings)
+            table = assemble_table(cache, exp_id, timings=timings)
             if table is None:
                 print(f"\n{exp_id}: no completed tasks in store")
                 continue
@@ -261,13 +263,13 @@ def _run_report(
             print(table.render())
         if profile:
             print()
-            _render_store_profile(store, ids or None)
+            _render_store_profile(cache, ids or None)
     return 0
 
 
-def _render_failures(store, ids: Optional[List[str]] = None) -> int:
+def _render_failures(cache, ids: Optional[List[str]] = None) -> int:
     """``repro report --failures``: render the store's failure ledger."""
-    rows = store.failures()
+    rows = cache.failures()
     if ids:
         wanted = set(ids)
         rows = [row for row in rows if row["experiment"] in wanted]
@@ -294,11 +296,16 @@ def _render_failures(store, ids: Optional[List[str]] = None) -> int:
     return 0
 
 
-def _render_store_profile(store, ids: Optional[List[str]] = None) -> None:
+def _render_store_profile(cache, ids: Optional[List[str]] = None) -> None:
     """Per-experiment and fleet-wide solver counters from a store index."""
     from .lp.stats import SolverStats
+    from .runner import experiment_buckets
 
-    totals = store.stats_totals()
+    experiments = set(experiment_buckets(cache))
+    totals = {
+        name: stats for name, stats in cache.stats_totals().items()
+        if name in experiments
+    }
     if ids:
         totals = {name: totals[name] for name in ids if name in totals}
     if not totals:

@@ -202,6 +202,19 @@ def find_assignment_within(
         if any(load > cap for load, cap in zip(forced, capacities)):
             return None
 
+    # Identical jobs (equal option lists) are interchangeable, so a job
+    # takes no option index below its previous twin's in ``job_order``.
+    # The DFS returns the lexicographically first feasible index vector,
+    # which already obeys this (swapping a violating pair gives a smaller
+    # one), so the cut keeps the witness and only skips symmetric subtrees.
+    twin: List[int] = [-1] * instance.n
+    last_of: Dict[Tuple[Tuple[Fraction, int], ...], int] = {}
+    for t, j in enumerate(job_order):
+        signature = tuple(options[j])
+        twin[t] = last_of.get(signature, -1)
+        last_of[signature] = t
+    picked: List[int] = [0] * instance.n
+
     nested: List[Fraction] = [Fraction(0)] * len(sets)
     chosen: List[int] = [-1] * instance.n
     assigned_total = Fraction(0)
@@ -217,7 +230,9 @@ def find_assignment_within(
         if t == instance.n:
             return True
         j = job_order[t]
-        for p, k in options[j]:
+        first = picked[twin[t]] if twin[t] >= 0 else 0
+        for i in range(first, len(options[j])):
+            p, k = options[j][i]
             ok = True
             for a in supersets[k]:
                 if nested[a] + p > capacities[a]:
@@ -229,6 +244,7 @@ def find_assignment_within(
                 nested[a] += p
             assigned_total += p
             chosen[j] = k
+            picked[t] = i
             if dfs(t + 1):
                 return True
             chosen[j] = -1

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from ..analysis import Table
 from ..exceptions import SolverError
@@ -95,20 +95,6 @@ class E18Result:
             ):
                 return r
         return None
-
-    @property
-    def miss_ratio_monotone_in_utilization(self) -> bool:
-        """Within each (topology, family), misses never decrease with u
-        (the phase-diagram shape; ties allowed)."""
-        groups: Dict[Tuple[str, str], List[E18Row]] = {}
-        for r in self.rows:
-            groups.setdefault((r.topology, r.family), []).append(r)
-        for rows in groups.values():
-            rows = sorted(rows, key=lambda r: r.utilization)
-            ratios = [r.miss_ratio for r in rows if r.miss_ratio is not None]
-            if any(b < a for a, b in zip(ratios, ratios[1:])):
-                return False
-        return True
 
 
 def run(

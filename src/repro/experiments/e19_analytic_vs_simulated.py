@@ -76,11 +76,6 @@ class E19Result:
                 return r
         return None
 
-    def decided_rate(self, scheduler_class: str) -> List[Fraction]:
-        return [
-            r.decided for r in self.rows if r.scheduler_class == scheduler_class
-        ]
-
     @property
     def unknown_total(self) -> int:
         return sum(r.unknown for r in self.rows)

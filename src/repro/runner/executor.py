@@ -72,11 +72,12 @@ from ..obs.trace import (
     tracing_enabled,
     uninstall,
 )
+from ..session.cache import SolveCache
+from ..session.canon import canonical
 from ..workloads.generators import derive_seed
 from .budget import TaskBudget, worker_guards
 from .chaos import ChaosSpec, inject as chaos_inject, resolve as resolve_chaos
 from .registry import get_spec
-from .store import ResultsStore, _canonical
 
 #: ``Task.label()`` truncates each param's repr at this many characters so
 #: one enormous parameter (a 10k-entry tuple, a pasted matrix) cannot flood
@@ -200,12 +201,37 @@ def execute_task(
     record = {
         "key": key,
         "experiment": experiment,
-        "params": _canonical(params),
+        "params": canonical(params),
         "seed": params.get("seed"),
         "fingerprint": fingerprint,
         "table": payload,
     }
     return record, elapsed, profile
+
+
+def store_record(
+    cache: SolveCache,
+    record: Dict[str, Any],
+    elapsed_s: float,
+    stats: Optional[Dict[str, Any]] = None,
+) -> None:
+    """Persist one finished task: JSONL payload + index row.
+
+    The one place a task record turns into :meth:`SolveCache.put`'s index
+    columns.  *stats*, when given, is the task's aggregated solver-counter
+    dict (``SolverStats.to_json()`` shape); it lands in the index only —
+    payload bytes stay a pure function of (experiment, params, code).
+    """
+    cache.put(
+        record["key"],
+        record["experiment"],
+        record,
+        params=record["params"],
+        seed=record.get("seed"),
+        fingerprint=record["fingerprint"],
+        elapsed_s=elapsed_s,
+        stats=stats,
+    )
 
 
 def _execute_tuple(
@@ -251,7 +277,7 @@ def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
 
 def run_tasks(
     tasks: List[Task],
-    store: ResultsStore,
+    cache: SolveCache,
     fingerprint: str,
     jobs: int = 1,
     echo: Optional[Callable[[str], None]] = None,
@@ -260,7 +286,7 @@ def run_tasks(
     chaos: "ChaosSpec | str | None" = None,
     retry_failed: bool = False,
 ) -> SweepStats:
-    """Execute every task not already in *store*; flush in task order.
+    """Execute every task not already in *cache*; flush in task order.
 
     Each executed task's solver counters land in the store index
     (``stats_json``) next to its wall-clock.  With *trace* set and a tracer
@@ -283,11 +309,11 @@ def run_tasks(
     pending: List[Tuple[int, Task]] = []
     attempts: Dict[int, int] = {}
     for idx, task in enumerate(tasks):
-        if store.has(task.key):
+        if cache.has(task.key):
             stats.skipped += 1
             say(f"skip {task.label()}  [cached {task.key[:12]}]")
             continue
-        prior = 0 if retry_failed else store.failure_attempts(task.key)
+        prior = 0 if retry_failed else cache.failure_attempts(task.key)
         if prior >= max_attempts:
             stats.quarantined += 1
             say(
@@ -309,7 +335,7 @@ def run_tasks(
         task = by_index[idx]
         attempts[idx] += 1
         attempt_count = attempts[idx]
-        store.record_failure(
+        cache.record_failure(
             task.key, task.experiment,
             type(exc).__name__, str(exc), attempt_count,
             traceback_text=tb_text, params=task.params,
@@ -354,7 +380,7 @@ def run_tasks(
                     ):
                         continue
                     break
-                store.add(record, elapsed, stats=profile.get("stats"))
+                store_record(cache, record, elapsed, stats=profile.get("stats"))
                 stats.executed += 1
                 say(f"done {task.label()}  ({elapsed:.2f}s)")
                 break
@@ -375,7 +401,7 @@ def run_tasks(
     def commit(idx: int) -> None:
         task = by_index[idx]
         record, elapsed, profile = ready.pop(idx)
-        store.add(record, elapsed, stats=profile.get("stats"))
+        store_record(cache, record, elapsed, stats=profile.get("stats"))
         # The work happened in a worker: replay its counter aggregate into
         # the driver's ambient scopes/spans and graft its span tree under
         # the driver's current span.

@@ -6,6 +6,19 @@ over derived seeds), keys every task by content hash, and hands the missing
 ones to the executor.  ``assemble_table`` is the face of ``repro report``:
 it folds a store's accumulated records for one experiment back into a
 single :class:`~repro.analysis.tables.Table`.
+
+The store is a :class:`~repro.session.cache.SolveCache` and the sweep adds
+two conventions to it:
+
+* a task is keyed by :func:`task_key` — the content hash of ``(experiment
+  id, canonicalized params, code fingerprint)`` — so re-running an
+  identical sweep finds every key present and executes nothing ("skip
+  completed" is nothing but a cache hit);
+* each experiment id is one payload bucket.  A
+  :class:`~repro.session.Session` sharing the directory writes session
+  buckets (:data:`~repro.session.request.SESSION_BUCKET_PREFIX`), which
+  :func:`experiment_buckets` leaves out so reports never tabulate raw
+  solve payloads.
 """
 
 from __future__ import annotations
@@ -13,14 +26,29 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.tables import Table, decode_cell
+from ..session.cache import SolveCache
+from ..session.canon import canonical_json, code_fingerprint, content_key
+from ..session.request import SESSION_BUCKET_PREFIX
 from ..workloads.generators import derive_seed
 from .budget import TaskBudget
 from .executor import SweepStats, Task, run_tasks
 from .registry import get_spec
-from .store import ResultsStore, canonical_json, code_fingerprint, task_key
 
 #: Root seed used for replicate derivation when ``--seed0`` is not given.
 DEFAULT_SEED0 = 2017
+
+
+def task_key(experiment: str, params: Dict[str, Any], fingerprint: str) -> str:
+    """Content hash identifying one (experiment, params, code) task."""
+    return content_key(experiment, canonical_json(params), fingerprint)
+
+
+def experiment_buckets(cache: SolveCache) -> List[str]:
+    """Experiment buckets with completed tasks (session buckets left out)."""
+    return [
+        name for name in cache.buckets()
+        if not name.startswith(SESSION_BUCKET_PREFIX)
+    ]
 
 
 def build_tasks(
@@ -85,7 +113,7 @@ def shard_tasks(tasks: Sequence[Task], shard: Tuple[int, int]) -> List[Task]:
 
 def run_sweep(
     experiment_ids: Sequence[str],
-    store: ResultsStore,
+    cache: SolveCache,
     jobs: int = 1,
     overrides: Optional[Mapping[str, Any]] = None,
     seeds: int = 1,
@@ -97,7 +125,7 @@ def run_sweep(
     chaos: Optional[Any] = None,
     retry_failed: bool = False,
 ) -> SweepStats:
-    """Run (the missing part of) a sweep against *store*; returns stats.
+    """Run (the missing part of) a sweep against *cache*; returns stats.
 
     *shard* restricts execution to slice ``(K, N)`` of the deterministic
     task list (see :func:`shard_tasks`) so independent machines can split
@@ -115,7 +143,7 @@ def run_sweep(
     if shard is not None:
         tasks = shard_tasks(tasks, shard)
     return run_tasks(
-        tasks, store, fingerprint, jobs=jobs, echo=echo, trace=trace,
+        tasks, cache, fingerprint, jobs=jobs, echo=echo, trace=trace,
         budget=budget, chaos=chaos, retry_failed=retry_failed,
     )
 
@@ -148,7 +176,7 @@ def _record_sort_key(record: Dict[str, Any]):
 
 
 def assemble_table(
-    store: ResultsStore,
+    cache: SolveCache,
     experiment: str,
     timings: bool = False,
 ) -> Optional[Table]:
@@ -159,7 +187,7 @@ def assemble_table(
     a per-task ``elapsed s`` column is appended from the store index —
     measured metadata, deliberately kept out of the payloads.
     """
-    records = sorted(store.records(experiment), key=_record_sort_key)
+    records = sorted(cache.records(experiment), key=_record_sort_key)
     if not records:
         return None
     row_dicts: List[Dict[str, Any]] = []
@@ -169,7 +197,7 @@ def assemble_table(
         headers = payload["headers"]
         elapsed = None
         if timings:
-            meta = store.task_meta(record["key"]) or {}
+            meta = cache.meta(record["key"]) or {}
             elapsed = meta.get("elapsed_s")
         for row in payload["rows"]:
             out: Dict[str, Any] = {}

@@ -9,8 +9,8 @@ scheduling-as-a-service item starts from:
   content keys, the memoized salted code fingerprint);
 * :mod:`repro.session.cache` — :class:`SolveCache`, the generic
   content-addressed KV store (SQLite index + JSONL payloads, exact
-  round-trip); the sweep runner's ``ResultsStore`` is now a thin
-  bookkeeping client on top of it;
+  round-trip); the sweep runner (:mod:`repro.runner`) writes its task
+  records into it directly;
 * :mod:`repro.session.request` / :mod:`repro.session.session` —
   :class:`SolveRequest` (canonical description of what is being solved) and
   :class:`Session` (the façade owning the backend default, the cache,

@@ -1,9 +1,8 @@
 """Content-addressed solve cache: SQLite index + JSONL payloads.
 
-This is the generic storage half of what used to be ``runner/store.py``'s
-``ResultsStore`` — promoted to a first-class layer any entry point can
-consult, with the sweep bookkeeping left behind as a thin client
-(:class:`repro.runner.store.ResultsStore`).  Layout under the root::
+The one store API: the sweep runner (:mod:`repro.runner`), the
+:class:`~repro.session.Session` and the CLI all read and write it
+directly.  Layout under the root::
 
     <root>/
       index.sqlite          # entry index: key -> status + run metadata
@@ -13,9 +12,11 @@ consult, with the sweep bookkeeping left behind as a thin client
 Every entry is addressed by a **content key** — in practice the sha256 of
 ``(what was solved, canonical params, code fingerprint)`` — and lives in a
 named *bucket* (one JSONL file).  Sweep tasks use their experiment id as the
-bucket; :class:`repro.session.Session` uses ``solve-*`` buckets, which the
-sweep reporter deliberately ignores (`repro report` only assembles
-experiment buckets), so one store directory can serve both.
+bucket; :class:`repro.session.Session` uses session buckets (named with
+:data:`~repro.session.request.SESSION_BUCKET_PREFIX`), which the sweep
+reporter deliberately ignores (`repro report` only assembles experiment
+buckets, see :func:`repro.runner.sweep.experiment_buckets`), so one store
+directory can serve both.
 
 The index/payload split is deliberate and unchanged from the sweep store:
 
@@ -25,9 +26,10 @@ The index/payload split is deliberate and unchanged from the sweep store:
   the fast key lookup that makes a hit O(1).
 
 On-disk compatibility: the schema is the sweep store's ``tasks`` table.
-Opening a store written before this split transparently migrates it by
-adding the (index-only) ``payload_offset`` column — payload files are never
-rewritten, so old stores stay readable and their bytes stay authoritative.
+Opening a store written before the index gained its ``payload_offset``
+column transparently migrates it by adding that (index-only) column —
+payload files are never rewritten, so old stores stay readable and their
+bytes stay authoritative.
 Entries recorded without an offset fall back to a bucket scan on
 :meth:`SolveCache.get`.
 """

@@ -1,7 +1,7 @@
 """Canonical serialization shared by every content-addressed layer.
 
-One module owns the three encodings that used to live as private copies in
-``runner/store.py`` and ``schedule/serialize.py``:
+One module owns the three encodings that the sweep runner, the solve cache
+and ``schedule/serialize.py`` share:
 
 * **canonical JSON** — :func:`canonical` / :func:`canonical_json` reduce an
   arbitrary parameter structure to a strict-JSON form that is stable across

@@ -24,6 +24,11 @@ from .._fraction import is_inf
 from ..core.instance import Instance
 from .canon import canonical_json, code_fingerprint, content_key
 
+#: Bucket-name prefix of every session entry.  A store directory can hold
+#: sweep experiment buckets and session buckets side by side; sweep reports
+#: tell them apart by this prefix.
+SESSION_BUCKET_PREFIX = "solve-"
+
 
 def instance_signature(instance: Instance) -> Dict[str, Any]:
     """The canonical JSON-ready description of *instance*.
@@ -70,7 +75,7 @@ class SolveRequest:
     def bucket(self) -> str:
         """Cache bucket name — namespaced so ``repro report`` never
         mistakes session entries for sweep experiment results."""
-        return f"solve-{self.algorithm}"
+        return SESSION_BUCKET_PREFIX + self.algorithm
 
     def canonical(self) -> Dict[str, Any]:
         """The canonical JSON-ready form (before hashing)."""

@@ -271,20 +271,6 @@ def random_feasible_pair(
     return assignment, T
 
 
-def scale_to_utilization(
-    instance: Instance,
-    target_utilization: Fraction,
-    reference_T: Union[int, Fraction],
-) -> Fraction:
-    """The system utilization ``Σ_j min_α P_j(α) / (m · T_ref)`` of an instance.
-
-    Returned for reporting; generators control utilization through ``n`` and
-    *base_range* rather than post-scaling (integer times stay integer).
-    """
-    total = sum((to_fraction(instance.min_p(j)) for j in range(instance.n)), Fraction(0))
-    return total / (instance.m * to_fraction(reference_T))
-
-
 def utilization_workload(
     rng: np.random.Generator,
     family: LaminarFamily,

@@ -198,6 +198,113 @@ class TestFindAssignmentWithin:
             find_assignment_within(inst, 11, node_limit=1)
         assert find_assignment_within(inst, 10) is None
 
+    def test_identical_jobs_refuted_without_reordering_them(self):
+        """Seed 520's volume is exactly m·T, so every job takes its
+        cheapest option; three machines each need the one free job of
+        length 2.  Without the identical-job cut the search re-proves this
+        for every ordering of the interchangeable jobs of lengths 4 and 8
+        and runs out of nodes."""
+        from repro.baselines.restrictions import exact_schedulable_within
+        from repro.workloads.generators import utilization_workload
+
+        inst = utilization_workload(
+            rng_from_seed(520), LaminarFamily.clustered(4, 2), 1.0, 20
+        )
+        assert not exact_schedulable_within(
+            inst, "partitioned", 20, node_limit=100_000
+        )
+
+    def test_identical_job_cut_keeps_the_witness(self):
+        """On every seeded draw the plain DFS decides within its budget,
+        the search returns the plain DFS's witness (or ``None`` with it)."""
+        from repro.baselines.restrictions import (
+            restrict_instance,
+            restricted_family_for,
+        )
+        from repro.core.exact import find_assignment_within
+        from repro.workloads.generators import utilization_workload
+
+        decided = {True: 0, False: 0}
+        for seed in range(20):
+            for family in (
+                LaminarFamily.clustered(4, 2),
+                LaminarFamily.semi_partitioned(4),
+            ):
+                for u in (0.6, 0.95, 1.0):
+                    inst = utilization_workload(
+                        rng_from_seed(seed), family, u, 20
+                    )
+                    for cls in ("hierarchical", "partitioned"):
+                        restricted = restrict_instance(
+                            inst, restricted_family_for(inst, cls)
+                        )
+                        try:
+                            want = _plain_witness(restricted, 20, 5_000)
+                        except SolverError:
+                            continue
+                        got = find_assignment_within(restricted, 20)
+                        assert got == want, (seed, family, u, cls)
+                        decided[want is not None] += 1
+        assert decided[True] >= 200 and decided[False] >= 10
+
+
+def _plain_witness(instance, T, node_limit):
+    """The witness search without the identical-job cut (and without the
+    forced-load refutation): a job-by-job DFS over each job's options,
+    cheapest first, in decreasing cheapest-time order, pruned by total
+    volume.  It returns the lexicographically first feasible assignment,
+    or ``None``."""
+    from repro import Assignment
+    from repro._fraction import is_inf
+
+    family = instance.family
+    sets = family.sets
+    index = {alpha: k for k, alpha in enumerate(sets)}
+    ups = [[index[a]] + [index[b] for b in family.ancestors(a)] for a in sets]
+    capacity = [len(alpha) * T for alpha in sets]
+    options = []
+    for j in range(instance.n):
+        opts = sorted(
+            (Fraction(p), index[alpha])
+            for alpha in sets
+            for p in (instance.p(j, alpha),)
+            if not is_inf(p) and Fraction(p) <= T
+        )
+        if not opts:
+            return None
+        options.append(opts)
+    order = sorted(range(instance.n), key=lambda j: -options[j][0][0])
+    # rest[t]: the cheapest volume of the jobs from position t on.
+    rest = [sum(options[j][0][0] for j in order[t:]) for t in range(len(order))]
+    rest.append(0)
+    load = [Fraction(0)] * len(sets)
+    chosen = {}
+    nodes = 0
+
+    def dfs(t, assigned):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise SolverError("plain search gave up")
+        if assigned + rest[t] > instance.m * T:
+            return False
+        if t == len(order):
+            return True
+        j = order[t]
+        for p, k in options[j]:
+            if any(load[a] + p > capacity[a] for a in ups[k]):
+                continue
+            for a in ups[k]:
+                load[a] += p
+            chosen[j] = sets[k]
+            if dfs(t + 1, assigned + p):
+                return True
+            for a in ups[k]:
+                load[a] -= p
+        return False
+
+    return Assignment(chosen) if dfs(0, 0) else None
+
 
 class TestEdgeCases:
     def test_zero_length_jobs_through_pipeline(self):

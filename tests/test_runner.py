@@ -21,17 +21,17 @@ import pytest
 from repro.analysis.tables import Table, decode_cell, encode_cell
 from repro.cli import main as cli_main
 from repro.runner import (
-    ResultsStore,
     all_specs,
     assemble_table,
     build_tasks,
-    canonical_json,
-    code_fingerprint,
     execute_task,
+    experiment_buckets,
     get_spec,
     run_sweep,
+    store_record,
     task_key,
 )
+from repro.session import SolveCache, canonical_json, code_fingerprint
 from repro.workloads import derive_seed
 
 #: Overrides that shrink every seedable experiment used below to test scale.
@@ -157,18 +157,18 @@ class TestStoreAndKeys:
         assert len(code_fingerprint()) == 64
 
     def test_store_round_trip(self, tmp_path):
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             record, elapsed, _profile = execute_task(
                 "e01", {}, task_key("e01", {}, code_fingerprint()), code_fingerprint()
             )
-            store.add(record, elapsed)
+            store_record(store, record, elapsed)
             assert store.has(record["key"])
-            assert store.experiments() == ["e01"]
+            assert experiment_buckets(store) == ["e01"]
             (got,) = list(store.records("e01"))
             table = Table.from_json(got["table"])
             # E01's measured optimum is the exact Fraction 2, preserved.
             assert table.rows[0][2] == 2
-            meta = store.task_meta(record["key"])
+            meta = store.meta(record["key"])
             assert meta["status"] == "done"
             assert meta["elapsed_s"] >= 0
 
@@ -197,7 +197,7 @@ class TestSweep:
         ids = ["e01", "e03"]
         stats = {}
         for jobs, name in ((1, "serial"), (2, "parallel")):
-            with ResultsStore(str(tmp_path / name)) as store:
+            with SolveCache(str(tmp_path / name)) as store:
                 stats[name] = run_sweep(ids, store, jobs=jobs, overrides=TINY)
         assert stats["serial"].executed == stats["parallel"].executed == 2
         assert stats["serial"].failed == stats["parallel"].failed == 0
@@ -208,7 +208,7 @@ class TestSweep:
             assert serial  # non-empty
 
     def test_resume_skips_every_completed_task(self, tmp_path):
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             first = run_sweep(["e01", "e03"], store, jobs=1, overrides=TINY)
             second = run_sweep(["e01", "e03"], store, jobs=2, overrides=TINY)
         assert first.executed == 2 and first.skipped == 0
@@ -237,7 +237,7 @@ class TestSweep:
 
     def test_sharded_sweeps_compose_into_one_store(self, tmp_path):
         ids = ["e01", "e03"]
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             first = run_sweep(ids, store, overrides=TINY, shard=(1, 2))
             second = run_sweep(ids, store, overrides=TINY, shard=(2, 2))
             full = run_sweep(ids, store, overrides=TINY)
@@ -257,7 +257,7 @@ class TestSweep:
         assert all(row[ratio] is not None for row in record["table"]["rows"])
 
     def test_assemble_table_accumulates_across_invocations(self, tmp_path):
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             run_sweep(["e03"], store, jobs=1, overrides=TINY)
             run_sweep(
                 ["e03"], store, jobs=1,
@@ -269,11 +269,11 @@ class TestSweep:
         assert "2 tasks" in table.title
 
     def test_assemble_table_empty_store(self, tmp_path):
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             assert assemble_table(store, "e03") is None
 
     def test_assemble_table_orders_numeric_axes_numerically(self, tmp_path):
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             for counts in ((10,), (2,)):
                 run_sweep(
                     ["e03"], store, jobs=1,
@@ -285,12 +285,12 @@ class TestSweep:
 
     def test_report_never_mixes_code_generations(self, tmp_path):
         """After a (simulated) code edit, only the latest generation shows."""
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             for fp in ("old" * 21 + "x", "new" * 21 + "x"):
                 record, elapsed, _profile = execute_task(
                     "e01", {}, task_key("e01", {}, fp), fp
                 )
-                store.add(record, elapsed)
+                store_record(store, record, elapsed)
             latest = list(store.records("e01"))
             assert len(latest) == 1
             assert latest[0]["fingerprint"].startswith("new")
@@ -312,7 +312,7 @@ class TestStoreTornWrites:
     E01_PARAMS: dict = {}
 
     def _store_with_torn_tail(self, tmp_path, fragment: str):
-        store = ResultsStore(str(tmp_path / "store"))
+        store = SolveCache(str(tmp_path / "store"))
         run_sweep(["e01"], store, jobs=1)
         payload = tmp_path / "store" / "payloads" / "e01.jsonl"
         with open(payload, "a", encoding="utf-8") as fh:
@@ -341,7 +341,7 @@ class TestStoreTornWrites:
         store, payload = self._store_with_torn_tail(tmp_path, '{"key": "de')
         store.close()
         # The crashed writer is gone; the resume opens a *fresh* store.
-        store = ResultsStore(str(tmp_path / "store"))
+        store = SolveCache(str(tmp_path / "store"))
         # The completed task is still indexed, so resume executes nothing…
         stats = run_sweep(["e01"], store, jobs=1)
         assert stats.executed == 0 and stats.skipped == 1
@@ -351,7 +351,7 @@ class TestStoreTornWrites:
             "e01", {}, task_key("e01", {"v": 2}, code_fingerprint()),
             code_fingerprint(),
         )
-        store.add(record, elapsed)
+        store_record(store, record, elapsed)
         records = list(store.records("e01"))
         assert len(records) == 2
         lines = payload.read_text(encoding="utf-8").splitlines()
@@ -361,13 +361,13 @@ class TestStoreTornWrites:
 
     def test_ends_mid_line_detection(self, tmp_path):
         path = tmp_path / "f.jsonl"
-        assert not ResultsStore._ends_mid_line(str(path))  # missing
+        assert not SolveCache._ends_mid_line(str(path))  # missing
         path.write_text("")
-        assert not ResultsStore._ends_mid_line(str(path))  # empty
+        assert not SolveCache._ends_mid_line(str(path))  # empty
         path.write_text('{"a": 1}\n')
-        assert not ResultsStore._ends_mid_line(str(path))  # clean
+        assert not SolveCache._ends_mid_line(str(path))  # clean
         path.write_text('{"a": 1}\n{"b"')
-        assert ResultsStore._ends_mid_line(str(path))  # torn
+        assert SolveCache._ends_mid_line(str(path))  # torn
 
     def test_blank_and_non_dict_lines_skipped(self, tmp_path):
         store, payload = self._store_with_torn_tail(tmp_path, "\n\n[1, 2]\n42\n")
@@ -388,7 +388,7 @@ class TestMixedExperimentStore:
     }
 
     def _populated_store(self, tmp_path):
-        store = ResultsStore(str(tmp_path / "store"))
+        store = SolveCache(str(tmp_path / "store"))
         s16 = run_sweep(["e16"], store, jobs=1, overrides=self.E16_TINY)
         s18 = run_sweep(["e18"], store, jobs=1, overrides=self.E18_TINY)
         assert s16.failed == 0 and s18.failed == 0
@@ -397,7 +397,7 @@ class TestMixedExperimentStore:
 
     def test_store_lists_both_experiments(self, tmp_path):
         store = self._populated_store(tmp_path)
-        assert store.experiments() == ["e16", "e18"]
+        assert experiment_buckets(store) == ["e16", "e18"]
         store.close()
 
     def test_assemble_each_experiment_independently(self, tmp_path):
@@ -422,7 +422,7 @@ class TestMixedExperimentStore:
     def test_e18_parallel_payload_byte_identical(self, tmp_path):
         overrides = dict(self.E18_TINY, arrival_families=("synchronous", "sporadic"))
         for jobs, name in ((1, "serial"), (2, "parallel")):
-            with ResultsStore(str(tmp_path / name)) as store:
+            with SolveCache(str(tmp_path / name)) as store:
                 stats = run_sweep(["e18"], store, jobs=jobs, overrides=overrides)
                 assert stats.failed == 0
         serial = (tmp_path / "serial" / "payloads" / "e18.jsonl").read_bytes()

@@ -31,18 +31,15 @@ from repro.runner import (
     ChaosError,
     ChaosSpec,
     ExperimentSpec,
-    ResultsStore,
     Task,
     TaskBudget,
-    code_fingerprint,
     register,
     run_tasks,
 )
 from repro.runner.budget import memory_guard, pivot_cap, worker_guards
 from repro.runner.chaos import CHAOS_ENV, inject, resolve
 from repro.runner.executor import _truncated_repr
-from repro.session import Session, SolveRequest
-from repro.session.cache import SolveCache
+from repro.session import Session, SolveCache, SolveRequest, code_fingerprint
 from repro.workloads import example_ii1
 
 
@@ -258,7 +255,7 @@ class TestSerialRetries:
     def test_retry_succeeds_and_clears_the_ledger(self, tmp_path):
         counter = str(tmp_path / "count")
         task = _task("ft_flaky", counter_path=counter, fail_times=1)
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             stats = run_tasks(
                 [task], store, FP, budget=TaskBudget(retries=2)
             )
@@ -268,7 +265,7 @@ class TestSerialRetries:
 
     def test_exhausted_retries_record_final_failure_with_traceback(self, tmp_path):
         task = _task("ft_ok", value=9)
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             stats = run_tasks(
                 [task], store, FP,
                 budget=TaskBudget(retries=1), chaos="fail:1.0",
@@ -285,7 +282,7 @@ class TestSerialRetries:
     def test_poison_quarantine_and_retry_failed(self, tmp_path):
         task = _task("ft_ok", value=9)
         budget = TaskBudget(retries=1)
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             run_tasks([task], store, FP, budget=budget, chaos="fail:1.0")
             # Resume without --retry-failed: the ledger says the attempt
             # budget is spent, so the task is skipped as poison.
@@ -302,7 +299,7 @@ class TestSerialRetries:
 
     def test_keyboard_interrupt_aborts_without_a_failure_record(self, tmp_path):
         task = _task("ft_interrupt")
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             with pytest.raises(KeyboardInterrupt):
                 run_tasks([task], store, FP, budget=TaskBudget(retries=3))
             assert store.failure(task.key) is None
@@ -311,7 +308,7 @@ class TestSerialRetries:
 
     def test_chaos_pivot_fault_fires_through_the_lp(self, tmp_path):
         task = _task("ft_lp", n=2)
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             stats = run_tasks([task], store, FP, chaos="pivot:1.0")
             assert stats.failed == 1
             row = store.failure(task.key)
@@ -324,10 +321,10 @@ class TestParallelFaults:
         tasks = [_task("ft_ok", value=v) for v in (1, 2, 3, 4)]
         serial_dir = tmp_path / "serial"
         chaos_dir = tmp_path / "chaos"
-        with ResultsStore(str(serial_dir)) as store:
+        with SolveCache(str(serial_dir)) as store:
             clean = run_tasks(tasks, store, FP)
             assert clean.executed == 4
-        with ResultsStore(str(chaos_dir)) as store:
+        with SolveCache(str(chaos_dir)) as store:
             stats = run_tasks(
                 tasks, store, FP, jobs=2,
                 budget=TaskBudget(retries=2), chaos="crash@0:1.0",
@@ -343,7 +340,7 @@ class TestParallelFaults:
 
     def test_hang_is_killed_by_the_wall_deadline_then_retried(self, tmp_path):
         task = _task("ft_ok", value=5)
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             stats = run_tasks(
                 [task], store, FP, jobs=2,
                 budget=TaskBudget(wall_seconds=1.0, retries=1),
@@ -356,7 +353,7 @@ class TestParallelFaults:
 
     def test_hang_without_retries_lands_in_the_ledger(self, tmp_path):
         task = _task("ft_ok", value=6)
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             stats = run_tasks(
                 [task], store, FP, jobs=2,
                 budget=TaskBudget(wall_seconds=1.0), chaos="hang@0:1.0",
@@ -369,7 +366,7 @@ class TestParallelFaults:
 
     def test_worker_crash_error_names_the_crash(self, tmp_path):
         task = _task("ft_ok", value=8)
-        with ResultsStore(str(tmp_path / "store")) as store:
+        with SolveCache(str(tmp_path / "store")) as store:
             stats = run_tasks(
                 [task], store, FP, jobs=2, chaos="crash:1.0",
             )

@@ -29,7 +29,7 @@ from repro.core.exact import solve_exact
 from repro.core.programs import minimal_fractional_T
 from repro.exceptions import SolverError
 from repro.lp.stats import SolverStats, collect_stats, record
-from repro.runner import ResultsStore
+from repro.runner import experiment_buckets
 from repro.schedule.arrivals import JobArrival
 from repro.schedule.serialize import (
     schedule_from_json,
@@ -191,23 +191,13 @@ def test_pre_split_store_is_migrated_and_readable(tmp_path):
         }
         assert "payload_offset" in columns  # index-only migration
         assert cache.get("oldkey")["table"] == {"x": 1}  # NULL offset → scan
-    with ResultsStore(root) as store:
-        assert store.experiments() == ["e99"]
-        assert [r["key"] for r in store.records("e99")] == ["oldkey"]
-        assert [r["key"] for r in store.records("e99", fingerprint="*")] == [
+    with SolveCache(root) as cache:
+        assert experiment_buckets(cache) == ["e99"]
+        assert [r["key"] for r in cache.records("e99")] == ["oldkey"]
+        assert [r["key"] for r in cache.records("e99", fingerprint="*")] == [
             "oldkey"
         ]
-        assert store.latest_fingerprint("e99") == "oldfp"
-
-
-def test_results_store_hides_session_buckets(tmp_path):
-    root = str(tmp_path / "shared")
-    with SolveCache(root) as cache:
-        cache.put("s1", "solve-template", {"key": "s1"}, fingerprint="f")
-        cache.put("t1", "e01", {"key": "t1"}, fingerprint="f")
-        store = ResultsStore(cache)
-        assert store.experiments() == ["e01"]  # solve-* never tabulated
-        assert "solve-template" in cache.buckets()
+        assert cache.latest_fingerprint("e99") == "oldfp"
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +467,26 @@ def test_cli_solve_demo_reuses_experiment_cache(tmp_path, capsys):
 
 def test_sweep_store_and_session_share_one_directory(tmp_path, capsys):
     """One store directory serves sweep tasks and session solves at once;
-    ``repro report`` renders only the sweep side."""
+    ``repro report`` (with or without ``--profile``) renders only the sweep
+    side, while ``repro store stats`` lists every bucket."""
     store = str(tmp_path / "shared")
     assert cli_main(["sweep", "e01", "--store", store]) == 0
     capsys.readouterr()
     with Session(cache=store) as s:
         s.minimal_fractional_T(example_ii1())
+    with SolveCache(store) as cache:
+        assert experiment_buckets(cache) == ["e01"]  # solve-* never tabulated
+        assert "solve-minimal_fractional_T" in cache.buckets()
     assert cli_main(["report", store]) == 0
     out = capsys.readouterr().out
     assert "e01" in out and "solve-" not in out
+    assert cli_main(["report", store, "--profile"]) == 0
+    out = capsys.readouterr().out
+    assert "per-experiment solver counters" in out
+    assert "  e01: solves=" in out and "solve-" not in out
+    assert cli_main(["store", "stats", store]) == 0
+    out = capsys.readouterr().out
+    assert "solve-minimal_fractional_T" in out and "e01" in out
 
 
 # ---------------------------------------------------------------------------
