@@ -29,17 +29,18 @@ claimed "infeasible"/"unbounded" is likewise never trusted — the exact
 solver re-derives the verdict from scratch.
 
 Small programs skip HiGHS entirely (below :data:`_FLOAT_SIZE_CUTOFF` the
-fixed ``linprog`` overhead exceeds a full exact solve).  When scipy is not
+fixed cost of a HiGHS call exceeds a full exact solve).  When scipy is not
 installed the backend degrades to the exact solver, keeping every guarantee.
 
 The float leg never builds a dense matrix.  Every function here takes
 integer rows with their scales (:mod:`repro.lp.simplex`), and each HiGHS
-call builds its float image from those rows, once
-(:func:`repro.lp.scipy_backend.float_entries`: each entry is
-``a / scale``, the float of the raw rational).
-Only the ``linprog`` call itself is allowed to fail quietly (the caller
-falls back to the exact solver); a construction error, such as an unknown
-row sense, raises.
+call builds one column-wise model from those rows, once
+(:func:`repro.lp.scipy_backend.highs_model`: each entry is ``a / scale``,
+the float of the raw rational), and hands it to HiGHS directly
+(:func:`repro.lp.scipy_backend.solve_highs`).
+Only the HiGHS solve itself is allowed to fail quietly (the caller falls
+back to the exact solver); a construction error, such as an unknown row
+sense, raises.
 """
 
 from __future__ import annotations
@@ -54,15 +55,15 @@ from .revised import solve_standard
 from .simplex import SimplexResult, standard_form
 
 try:  # pragma: no cover - exercised implicitly on import
-    from .scipy_backend import solve_standard_float
+    from .scipy_backend import solve_highs, solve_standard_float
 
     HAVE_SCIPY = True
 except ImportError:  # pragma: no cover - scipy is present in CI images
-    solve_standard_float = None  # type: ignore[assignment]
+    solve_highs = solve_standard_float = None  # type: ignore[assignment]
     HAVE_SCIPY = False
 
 #: Problems with (variables × rows) below this skip the float probe: the
-#: fixed cost of one ``linprog`` call exceeds a cold exact solve there.
+#: fixed cost of one HiGHS call exceeds a cold exact solve there.
 _FLOAT_SIZE_CUTOFF = 64
 
 
@@ -103,7 +104,9 @@ def certify_infeasible(
         min 1ᵀa   s.t.   A·x + S·s + I·a = b,   x, s, a ≥ 0
 
     (rows sign-normalized to ``b ≥ 0``; ``S`` the slack columns) is always
-    feasible, so HiGHS returns an optimal dual ``y``.  Rationalizing ``y``
+    feasible, so HiGHS returns an optimal dual ``y``.  It goes to HiGHS as
+    integer equality rows with the raw rows' scales, so its float image is
+    that of the raw rows and the ``±1`` of ``S`` and ``I``.  Rationalizing ``y``
     and re-checking **exactly** the Farkas conditions
 
         yᵀA ≤ 0 (all columns),  sign conditions per row sense,  yᵀb > 0
@@ -119,48 +122,30 @@ def certify_infeasible(
     """
     if not HAVE_SCIPY:
         return None
-    import numpy as np
-    from scipy.optimize import linprog
-    from scipy.sparse import coo_array
-
-    from .scipy_backend import float_entries
-
     std = standard_form(coeff_rows, senses, rhs, [0] * num_vars, scales)
-    n, r = std.n, std.num_rows
+    r = std.num_rows
     if r == 0:
         return None  # x = 0 is feasible
-    # standard_form negated the rows with a negative rhs.
-    flip = [b < 0 for b in rhs]
-    row, col, data = float_entries(coeff_rows, scales, flip)
-    slack_rows = np.array(
-        [i for i in range(r) if std.slack_of_row[i] is not None], dtype=np.int64
-    )
-    slack_cols = np.array([std.slack_of_row[i] for i in slack_rows], dtype=np.int64)
-    slack_signs = np.array([float(std.slack_sign[i]) for i in slack_rows])
-    num_slack = len(slack_rows)
-    width = n + num_slack + r
-    artificial = np.arange(r)
-    a_eq = coo_array(
-        (
-            np.concatenate([data, slack_signs, np.ones(r)]),
-            (
-                np.concatenate([row, slack_rows, artificial]),
-                np.concatenate([col, slack_cols, n + num_slack + artificial]),
-            ),
-        ),
-        shape=(r, width),
-    )
-    b_eq = np.array([b / s for b, s in zip(std.rhs, scales)])
-    c = np.zeros(width)
-    c[n + num_slack:] = 1.0
+    # standard_form negated the rows with a negative rhs; the slack and
+    # artificial entries are ±scale, so their floats are ±1.0.
+    art_start = std.art_start
+    phase1 = []
+    for i, row in enumerate(std.rows):
+        row = dict(row)
+        scale = std.scales[i]
+        if std.slack_of_row[i] is not None:
+            row[std.slack_of_row[i]] = std.slack_sign[i] * scale
+        row[art_start + i] = scale
+        phase1.append(row)
+    cost = [0] * art_start + [1] * r
     try:
-        result = linprog(c=c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    except Exception:  # pragma: no cover - HiGHS internal failures
+        result = solve_highs(phase1, ["=="] * r, std.rhs, cost, std.scales)
+    except SolverError:  # pragma: no cover - HiGHS internal failures
         return None
-    if result.status != 0 or result.fun < 1e-9 or result.eqlin is None:
+    if result.status != "optimal" or result.objective < 1e-9:
         return None
-    raw = [float(v) for v in result.eqlin.marginals]
-    for sign in (1.0, -1.0):  # scipy's dual sign convention varies by path
+    raw = result.row_dual.tolist()
+    for sign in (1.0, -1.0):  # the sign convention of HiGHS duals is not pinned
         try:
             y_std = [rationalize(sign * v, 10**9) for v in raw]
         except ValueError:  # pragma: no cover - non-finite marginals

@@ -1,28 +1,35 @@
-"""Floating-point LP backend on top of :func:`scipy.optimize.linprog`.
+"""Floating-point LP backend: the HiGHS core that scipy bundles.
 
 Used for the larger benchmark instances where the exact simplex would be
-slow.  ``method="highs"`` (dual simplex inside HiGHS) returns a basic optimal
-solution, which is what the Section V rounding needs; values are snapped back
-to rationals with a denominator bound before re-entering the exact pipeline.
+slow.  HiGHS's dual simplex returns a basic optimal solution, which is
+what the Section V rounding needs; values are snapped back to rationals
+with a denominator bound before re-entering the exact pipeline.
 
-The float leg is sparse end to end.  Each call builds the float image of
-the integer rows it is handed (see :mod:`repro.lp.simplex`) in one pass,
-:func:`float_entries`: one ``a / scale`` per nonzero dict item, the float
-of the raw rational.  The entries reach ``linprog`` as COO (the format
-``linprog`` converts sparse input to); explicit zeros (``p = 0``
-coefficients) are dropped, so HiGHS receives exactly the CSC a dense
-matrix of the same rows would convert to.  On the way back only entries
-that do not snap to zero are rationalized.
+The float leg is sparse end to end and calls HiGHS directly, with no
+``scipy.optimize.linprog`` wrapper in between.  Each call builds one
+column-wise ``HighsLp`` from the integer rows it is handed (see
+:mod:`repro.lp.simplex`), :func:`highs_model`: one ``a / scale`` per
+nonzero dict item (:func:`float_entries`), the float of the raw rational,
+with explicit zeros (``p = 0`` coefficients) dropped.  The model, the
+five options and the status and tolerance checks are those
+``linprog(method="highs")`` uses (scipy 1.17), so HiGHS receives the same
+model and returns the same ``x``, row duals and statuses bit for bit:
+``<=``/``>=`` rows come first and ``==`` rows after, each in the caller's
+row order, and ``>=`` rows are negated into ``<=`` rows.  On the way back
+only entries that do not snap to zero are rationalized.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_array
+from scipy.optimize._highspy import _core as highs
+
+# Unused here; kept bound because perfbench/layers.py wraps this name.
+from scipy.optimize import linprog  # noqa: F401
 
 from .._fraction import rationalize
 from ..exceptions import SolverError
@@ -34,6 +41,49 @@ _SNAP_EPS = 1e-9
 _MAX_DENOMINATOR = 10**6
 
 _SENSES = ("<=", ">=", "==")
+
+#: ``linprog``'s acceptance tolerance for an optimal point: ``10·sqrt(tol)``
+#: with its default ``tol = 1e-9``, on the column bounds, the ``<=`` slacks
+#: and the equality residuals.
+_CHECK_TOL = 10 * math.sqrt(1e-9)
+
+
+def _options() -> "highs.HighsOptions":
+    """The option values ``linprog(method="highs")`` sets; the rest default."""
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.log_to_console = False
+    options.output_flag = False
+    return options
+
+
+_OPTIONS = _options()
+
+_Status = highs.HighsModelStatus
+#: Model statuses read as a verdict; every other status is a failure
+#: (``kUnboundedOrInfeasible``, the limits, and the error statuses).
+_VERDICTS = {
+    _Status.kOptimal: "optimal",
+    _Status.kInfeasible: "infeasible",
+    _Status.kModelError: "infeasible",  # linprog's mapping: a model HiGHS rejects
+    _Status.kUnbounded: "unbounded",
+}
+
+
+class HighsSolution(NamedTuple):
+    """One HiGHS solve: the verdict and, when optimal, its floats.
+
+    ``x`` is the column values, ``row_dual`` the row duals in the caller's
+    row order (``linprog``'s ``marginals``), ``objective`` the optimal
+    value; all three are ``None`` unless ``status == "optimal"``.
+    """
+
+    status: str
+    x: Optional[np.ndarray] = None
+    row_dual: Optional[np.ndarray] = None
+    objective: Optional[float] = None
 
 
 def float_entries(
@@ -65,22 +115,25 @@ def float_entries(
     return rows[nonzero], np.array(cols, dtype=np.int64)[nonzero], values[nonzero]
 
 
-def highs_inputs(
+def highs_model(
     coeff_rows: Sequence[Dict[int, int]],
     senses: Sequence[str],
     rhs: Sequence[int],
     objective: Sequence[Fraction],
     scales: Sequence[int],
-) -> Dict[str, Optional[np.ndarray]]:
-    """The ``linprog`` keyword arguments ``c``, ``A_ub``, ``b_ub``, ``A_eq``, ``b_eq``.
+) -> Tuple["highs.HighsLp", List[int]]:
+    """The column-wise ``HighsLp`` of ``min c·x s.t. rows, x ≥ 0``, and its row order.
 
-    ``<=`` and ``>=`` rows (the latter negated) form ``A_ub`` and ``==`` rows
-    ``A_eq``, each in the caller's row order, as COO without stored zeros
-    (the format ``linprog`` converts every sparse input to), and ``None``
-    when empty.  The rows are integer rows with their *scales*, and every
-    float is that of the raw row (see :func:`float_entries`).  An unknown
-    sense or a column index outside ``range(len(objective))`` raises
-    ``ValueError``.
+    HiGHS row ``k`` is caller row ``order[k]``: the ``<=`` and ``>=`` rows
+    first, then the ``==`` rows, each in the caller's order (the order
+    ``linprog`` stacks ``A_ub`` over ``A_eq`` in).  ``>=`` rows are
+    negated; inequality rows get row bounds ``[-inf, b]`` and equality
+    rows ``[b, b]``; columns get ``[0, inf)``.  The CSC holds no explicit
+    zeros and its row indices ascend within each column, so it equals the
+    CSC of a dense matrix of the same rows.  The rows are integer rows
+    with their *scales*, and every float is that of the raw rational (see
+    :func:`float_entries`).  An unknown sense or a column index outside
+    ``range(len(objective))`` raises ``ValueError``.
     """
     n = len(objective)
     r = len(coeff_rows)
@@ -89,27 +142,91 @@ def highs_inputs(
     unknown = set(senses).difference(_SENSES)
     if unknown:
         raise ValueError(f"unknown sense(s) {sorted(unknown)!r}")
-    flip = [s == ">=" for s in senses]
-    row, col, data = float_entries(coeff_rows, scales, flip)
-    b = np.array([v / s for v, s in zip(rhs, scales)], dtype=float)
+    order = [i for i, s in enumerate(senses) if s != "=="]
+    num_ub = len(order)
+    order += [i for i, s in enumerate(senses) if s == "=="]
+    flip = [senses[i] == ">=" for i in order]
+    row_scales = [scales[i] for i in order]
+    row, col, value = float_entries([coeff_rows[i] for i in order], row_scales, flip)
+    if col.size and (col.min() < 0 or col.max() >= n):
+        raise ValueError(f"column index outside range({n})")
+    by_col = np.argsort(col, kind="stable")  # rows ascend within each column
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=n), out=start[1:])
+    b = np.array([rhs[i] / s for i, s in zip(order, row_scales)], dtype=float)
     b = np.where(flip, -b, b)
-    is_eq = np.array([s == "==" for s in senses], dtype=bool)
-    inputs: Dict[str, Optional[np.ndarray]] = {
-        "c": np.array([float(v) if v else 0.0 for v in objective], dtype=float)
-    }
-    for part, in_part in (("ub", ~is_eq), ("eq", is_eq)):
-        size = int(in_part.sum())
-        block = b_part = None
-        if size:
-            position = np.cumsum(in_part) - 1  # row index inside the part
-            pick = in_part[row]
-            block = coo_array(
-                (data[pick], (position[row[pick]], col[pick])), shape=(size, n)
-            )
-            b_part = b[in_part]
-        inputs["A_" + part] = block
-        inputs["b_" + part] = b_part
-    return inputs
+    lower = b.copy()
+    lower[:num_ub] = -highs.kHighsInf
+
+    lp = highs.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = r
+    lp.col_cost_ = np.array([float(v) if v else 0.0 for v in objective], dtype=float)
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.full(n, highs.kHighsInf)
+    lp.row_lower_ = lower
+    lp.row_upper_ = b
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_ = n
+    matrix.num_row_ = r
+    matrix.start_ = start
+    matrix.index_ = row[by_col].astype(np.int32)
+    matrix.value_ = value[by_col]
+    return lp, order
+
+
+def solve_highs(
+    coeff_rows: Sequence[Dict[int, int]],
+    senses: Sequence[str],
+    rhs: Sequence[int],
+    objective: Sequence[Fraction],
+    scales: Sequence[int],
+) -> HighsSolution:
+    """Solve ``min c·x s.t. rows, x ≥ 0`` with HiGHS, as ``linprog`` would.
+
+    The model is :func:`highs_model`'s.  The verdict maps HiGHS's model
+    status the way ``linprog`` does (``kModelError`` reads as infeasible),
+    and an optimal point is accepted only within ``linprog``'s tolerance
+    (:data:`_CHECK_TOL`).  Construction errors raise ``ValueError``; any
+    other outcome (``kUnboundedOrInfeasible``, a limit, an error status,
+    an exception inside HiGHS, a point outside the tolerance) raises
+    :class:`~repro.exceptions.SolverError`.
+    """
+    lp, order = highs_model(coeff_rows, senses, rhs, objective, scales)
+    solver = highs._Highs()
+    try:
+        if solver.passOptions(_OPTIONS) == highs.HighsStatus.kError:
+            status = solver.getModelStatus()  # kNotset, read as a failure
+        elif solver.passModel(lp) == highs.HighsStatus.kError:
+            status = _Status.kModelError
+        else:
+            solver.run()  # an error status shows in the model status
+            status = solver.getModelStatus()
+        verdict = _VERDICTS.get(status)
+        if verdict == "optimal":
+            solution = solver.getSolution()
+            x = np.array(solution.col_value)
+            residual = np.asarray(lp.row_upper_) - np.array(solution.row_value)
+            row_dual = np.array(solution.row_dual)
+            value = solver.getInfo().objective_function_value
+    except Exception as exc:  # pragma: no cover - HiGHS internal failures
+        raise SolverError(f"HiGHS failed: {exc}") from exc
+    if verdict is None:
+        raise SolverError(f"HiGHS failed: {solver.modelStatusToString(status)}")
+    if verdict != "optimal":
+        return HighsSolution(verdict)
+    inequality = np.isinf(np.asarray(lp.row_lower_))
+    if (
+        np.isnan(x).any() or np.isnan(value) or np.isnan(residual).any()
+        or (x < -_CHECK_TOL).any()
+        or (residual[inequality] < -_CHECK_TOL).any()
+        or (np.abs(residual[~inequality]) > _CHECK_TOL).any()
+    ):
+        raise SolverError("HiGHS's optimal point violates the constraints beyond tolerance")
+    dual = np.empty_like(row_dual)
+    dual[order] = row_dual
+    return HighsSolution("optimal", x, dual, value)
 
 
 def solve_standard_float(
@@ -123,33 +240,25 @@ def solve_standard_float(
 
     The result's ``x`` is rationalized (``limit_denominator``) so downstream
     exact checks can run; statuses map onto the exact solver's vocabulary.
-    The rows are integer rows with their *scales*, imaged for HiGHS by
-    :func:`highs_inputs`.  Construction errors raise ``ValueError``; a
-    failure inside ``linprog`` or a status other than optimal, infeasible
-    or unbounded raises :class:`~repro.exceptions.SolverError`.
+    The rows are integer rows with their *scales*, solved by
+    :func:`solve_highs`.  Construction errors raise ``ValueError``; a
+    failure inside HiGHS or a status other than optimal, infeasible or
+    unbounded raises :class:`~repro.exceptions.SolverError`.
     """
     n = len(objective)
     if n == 0:
-        # linprog rejects empty programs; decide them exactly right here.
+        # HiGHS is never handed an empty program; decide it exactly here.
         # (The IP-3 builders encode "job has no options" as a {} == 1 row.)
         for sense, b in zip(senses, rhs):
             ok = (b >= 0) if sense == "<=" else (b <= 0) if sense == ">=" else b == 0
             if not ok:
                 return SimplexResult("infeasible", [], None, None)
         return SimplexResult("optimal", [], Fraction(0), [])
-    inputs = highs_inputs(coeff_rows, senses, rhs, objective, scales)
-    try:
-        result = linprog(**inputs, bounds=(0, None), method="highs")
-    except Exception as exc:  # pragma: no cover - HiGHS internal failures
-        raise SolverError(f"HiGHS failed: {exc}") from exc
-    if result.status == 2:
-        return SimplexResult("infeasible", [], None, None)
-    if result.status == 3:
-        return SimplexResult("unbounded", [], None, None)
-    if result.status != 0:  # pragma: no cover - solver-internal failures
-        raise SolverError(f"HiGHS failed: {result.message}")
+    result = solve_highs(coeff_rows, senses, rhs, objective, scales)
+    if result.status != "optimal":
+        return SimplexResult(result.status, [], None, None)
 
-    values = np.asarray(result.x, dtype=float)
+    values = result.x
     nearest = np.round(values)
     snapped = np.abs(values - nearest) < _SNAP_EPS
     zero = Fraction(0)

@@ -13,7 +13,7 @@
   shapes of the standard form, and construction errors raise instead of
   falling back to the exact solve.
 * ``certify_infeasible`` certifies infeasible probes from the dense
-  phase-1 matrix of their rows.
+  phase-1 matrix of their rows, handed to HiGHS as equality rows.
 """
 
 from fractions import Fraction
@@ -36,7 +36,7 @@ if HAVE_SCIPY:
     from scipy import sparse
 
     from repro.lp.hybrid import certify_infeasible, float_candidate
-    from repro.lp.scipy_backend import highs_inputs, solve_standard_float
+    from repro.lp.scipy_backend import highs_model, solve_standard_float
     from repro.lp.solve import feasible_point_rows
 
 
@@ -114,14 +114,17 @@ def _reference_probe_rows(inst: Instance, builder: IP3Builder, T: Fraction):
     return rows, senses, rhs, active
 
 
-def _linprog_csc(inputs):
-    """The CSC ``linprog`` assembles from ``A_ub`` over ``A_eq`` for HiGHS."""
-    blocks = [sparse.coo_array(inputs[k]) for k in ("A_ub", "A_eq") if inputs[k] is not None]
-    return sparse.csc_array(sparse.vstack(blocks))
+def _highs_csc(lp):
+    """The CSC matrix of a ``HighsLp``, as scipy sees it."""
+    matrix = lp.a_matrix_
+    return sparse.csc_array(
+        (matrix.value_, matrix.index_, matrix.start_), shape=(lp.num_row_, lp.num_col_)
+    )
 
 
 def _dense_csc(rows, senses, n):
-    """The CSC of a dense list-of-lists image of the rows (``>=`` negated)."""
+    """The CSC of a dense list-of-lists image of the rows, ``<=`` and
+    ``>=`` (negated) rows over ``==`` rows, as ``linprog`` stacks them."""
     ub, eq = [], []
     for row, sense in zip(rows, senses):
         dense = [0.0] * n
@@ -162,9 +165,17 @@ class TestTemplateSlice:
             objective = [Fraction(0)] * len(active)
             if not active:
                 continue
-            via_rows = highs_inputs(*scaled(rows, senses, rhs, objective))
-            _assert_same_csc(_linprog_csc(via_rows), _dense_csc(rows, senses, len(active)))
-            assert np.array_equal(via_rows["b_ub"], [float(len(a) * T) for a, _e in builder.load_template])
+            lp, order = highs_model(*scaled(rows, senses, rhs, objective))
+            _assert_same_csc(_highs_csc(lp), _dense_csc(rows, senses, len(active)))
+            loads = [float(len(a) * T) for a, _e in builder.load_template]
+            num_loads = len(loads)
+            assert [senses[i] for i in order[:num_loads]] == ["<="] * num_loads
+            assert np.array_equal(lp.row_upper_[:num_loads], loads)
+            assert np.array_equal(lp.row_lower_[:num_loads], [-np.inf] * num_loads)
+            # The assignment rows are equalities: lo == up == 1.
+            ones = [1.0] * builder.instance.n
+            assert np.array_equal(lp.row_lower_[num_loads:], ones)
+            assert np.array_equal(lp.row_upper_[num_loads:], ones)
 
 
 T_KEY = ("__T__",)
@@ -245,8 +256,8 @@ def test_min_T_template_equals_row_built_matrices(name):
         if program is None:
             continue
         rows, senses, rhs, objective, _active = program
-        via_rows = highs_inputs(*scaled(rows, senses, rhs, objective))
-        _assert_same_csc(_linprog_csc(via_rows), _dense_csc(rows, senses, len(objective)))
+        lp, _order = highs_model(*scaled(rows, senses, rhs, objective))
+        _assert_same_csc(_highs_csc(lp), _dense_csc(rows, senses, len(objective)))
         checked += 1
     assert checked
 
@@ -322,26 +333,32 @@ def _dense_phase1_csc(rows, senses, rhs, n):
 
 def _certify(monkeypatch, rows, senses, rhs, n):
     """The certificate of the rows; asserts it verifies exactly and came
-    from the dense phase-1 matrix."""
-    import scipy.optimize
+    from the dense phase-1 matrix, as equality rows with cost 1 on the
+    artificial columns."""
+    import repro.lp.hybrid as hybrid
 
     phase1 = []
-    real_linprog = scipy.optimize.linprog
+    real_solve = hybrid.solve_highs
 
-    def recording_linprog(*args, **kwargs):
-        phase1.append(kwargs["A_eq"])
-        return real_linprog(*args, **kwargs)
+    def recording_solve(*args):
+        phase1.append(highs_model(*args))
+        return real_solve(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(scipy.optimize, "linprog", recording_linprog)
+        patch.setattr(hybrid, "solve_highs", recording_solve)
         farkas = certify_infeasible(*int_rows(rows, senses, rhs), num_vars=n)
     assert farkas is not None
     assert certifies(rows, senses, rhs, farkas)
     assert len(phase1) == 1
-    _assert_same_csc(
-        sparse.csc_array(sparse.coo_array(phase1[0])),
-        _dense_phase1_csc(rows, senses, rhs, n),
-    )
+    lp, order = phase1[0]
+    dense = _dense_phase1_csc(rows, senses, rhs, n)
+    _assert_same_csc(_highs_csc(lp), dense)
+    assert order == list(range(len(rows)))
+    b = [abs(float(v)) for v in rhs]  # sign-normalized to b >= 0
+    assert np.array_equal(lp.row_lower_, b) and np.array_equal(lp.row_upper_, b)
+    num_artificial = len(rows)
+    width = dense.shape[1]
+    assert np.array_equal(lp.col_cost_, [0.0] * (width - num_artificial) + [1.0] * num_artificial)
     return farkas
 
 

@@ -15,7 +15,8 @@ memory models' side rows:
   and ``scales``, and both are the integers an independent per-row lcm
   scaling gives;
 * the float leg's image (:func:`~repro.lp.scipy_backend.float_entries`)
-  and ``highs_inputs`` are, bit for bit, the floats of the rational rows;
+  and the ``HighsLp`` of :func:`~repro.lp.scipy_backend.highs_model` are,
+  bit for bit, the floats of the rational rows;
 * the crash's tight-row flags, the exact point check, solve results and
   Farkas certificates are the same from the integer rows and from the
   rational rows through :func:`~repro.lp.solve.solve_rows` and
@@ -327,7 +328,7 @@ def test_float_leg_either_entry(name, draws):
     import numpy as np
 
     from repro.lp.hybrid import certify_infeasible
-    from repro.lp.scipy_backend import float_entries, highs_inputs
+    from repro.lp.scipy_backend import float_entries, highs_model
 
     _ext, builder, t_star = draws[name]
     for rows, senses, rhs, scales, objective in _programs(builder, t_star):
@@ -343,16 +344,21 @@ def test_float_leg_either_entry(name, draws):
         row, col, data = float_entries(rows, scales, flip)
         assert list(zip(row.tolist(), col.tolist())) == [(i, j) for i, j, _v in reference]
         assert data.tobytes() == np.array([v for _i, _j, v in reference]).tobytes()
-        inputs = highs_inputs(rows, senses, rhs, objective, scales)
-        for part, eq in (("A_ub", False), ("A_eq", True)):
-            expected = [v for i, _j, v in reference if (senses[i] == "==") == eq]
-            if inputs[part] is not None:
-                assert inputs[part].data.tobytes() == np.array(expected).tobytes()
+        lp, order = highs_model(rows, senses, rhs, objective, scales)
+        # HiGHS rows: the inequality rows, then the equality rows.
+        assert order == [i for i, s in enumerate(senses) if s != "=="] + [
+            i for i, s in enumerate(senses) if s == "=="
+        ]
+        position = {i: k for k, i in enumerate(order)}
+        by_col = sorted(reference, key=lambda entry: (entry[1], position[entry[0]]))
+        matrix = lp.a_matrix_
+        assert np.array_equal(matrix.index_, [position[i] for i, _j, _v in by_col])
+        assert np.asarray(matrix.value_).tobytes() == np.array([v for _i, _j, v in by_col]).tobytes()
         b_raw = [-float(b) if sense == ">=" else float(b) for b, sense in zip(frac_rhs, senses)]
-        for part, eq in (("b_ub", False), ("b_eq", True)):
-            expected = [b for b, sense in zip(b_raw, senses) if (sense == "==") == eq]
-            if expected:
-                assert inputs[part].tobytes() == np.array(expected).tobytes()
+        upper = [b_raw[i] for i in order]
+        lower = [b_raw[i] if senses[i] == "==" else -np.inf for i in order]
+        assert np.asarray(lp.row_upper_, dtype=float).tobytes() == np.array(upper).tobytes()
+        assert np.asarray(lp.row_lower_, dtype=float).tobytes() == np.array(lower).tobytes()
     rows, senses, rhs, scales, pairs = unrelated_rows(
         builder.singleton_times(), t_star * Fraction(9, 10)
     )
