@@ -100,7 +100,7 @@ def test_kernel_exact_simplex_ip3(benchmark):
 
 def test_kernel_scipy_lp_ip3(benchmark):
     from repro.lp.scipy_backend import solve_standard_float
-    from repro.lp.simplex import scale_rows
+    from repro.lp.solve import scale_rows
 
     rng = rng_from_seed(1003)
     inst = random_hierarchical(rng, n=30, m=10)
@@ -172,15 +172,14 @@ def _lu_fixture(n, m, seed=140):
     from fractions import Fraction
 
     from repro.core.programs import IP3Builder
-    from repro.lp.revised import _RevisedSolver, solve_standard
-    from repro.lp.simplex import standard_form
+    from repro.lp.revised import _RevisedSolver, solve_standard, standard_form
 
     inst = random_hierarchical(rng_from_seed(seed), n=n, m=m)
     builder = IP3Builder(inst)
     coeff, senses, rhs, scales, active = builder.probe_rows(builder.breakpoints[-1])
     objective = [Fraction(0)] * len(active)
     std = standard_form(coeff, senses, rhs, objective, scales)
-    solver = _RevisedSolver(std, objective, 5000, 200000, partial=False)
+    solver = _RevisedSolver(std, objective, partial=False)
     result = solve_standard(coeff, senses, rhs, objective, scales)
     assert result.status == "optimal"
     return solver, [solver.cols[c] for c in result.basis]
@@ -358,15 +357,15 @@ def _build_sample(inst, p, T):
     (:func:`~repro.lp.scipy_backend.float_entries`).  The
     ``*_rational_ms`` twins are the same steps from the keyed LP:
     ``build_unrelated_lp`` and its standard rows, then the rational entry's
-    :func:`~repro.lp.simplex.scale_rows` and the kernel.  The float image
+    :func:`~repro.lp.solve.scale_rows` and the kernel.  The float image
     of the scaled rows is the one above.
     """
     import time
 
     from repro.core.programs import IP3Builder
-    from repro.lp.revised import _RevisedSolver
+    from repro.lp.revised import _RevisedSolver, standard_form
     from repro.lp.scipy_backend import float_entries
-    from repro.lp.simplex import scale_rows, standard_form
+    from repro.lp.solve import scale_rows
     from repro.rounding.lst import build_unrelated_lp, unrelated_rows
 
     out = {}
@@ -380,7 +379,7 @@ def _build_sample(inst, p, T):
     objective = [0] * len(pairs)
     start = time.perf_counter()
     std = standard_form(coeff, senses, rhs, objective, scales)
-    _RevisedSolver(std, objective, 5000, 200000, partial=False)
+    _RevisedSolver(std, objective, partial=False)
     out["kernel_init_ms"] = (time.perf_counter() - start) * 1e3
     start = time.perf_counter()
     float_entries(coeff, scales, [sense == ">=" for sense in senses])
@@ -392,7 +391,7 @@ def _build_sample(inst, p, T):
     start = time.perf_counter()
     coeff, rhs, scales = scale_rows(coeff, rhs)
     std = standard_form(coeff, senses, rhs, objective, scales)
-    _RevisedSolver(std, objective, 5000, 200000, partial=False)
+    _RevisedSolver(std, objective, partial=False)
     out["kernel_init_rational_ms"] = (time.perf_counter() - start) * 1e3
     return out
 

@@ -36,7 +36,7 @@ is **incremental** end to end:
   *masking* the cached index templates on ``p ≤ T``
   (:meth:`IP3Builder.probe_rows`), not by rebuilding a keyed
   :class:`~repro.lp.model.LinearProgram`; the rows come out as integer
-  rows plus one scale per row (the contract of :mod:`repro.lp.simplex`),
+  rows plus one scale per row (the contract of :mod:`repro.lp.solve`),
   the integers the exact kernel works in, so no ``Fraction`` row is built;
   the mask is one exact integer threshold per probe
   (:meth:`IP3Builder.mask`), and the HiGHS leg builds its float image from
@@ -84,11 +84,11 @@ from .._fraction import is_inf, to_fraction
 from ..exceptions import InfeasibleError, InvalidInstanceError
 from ..lp.certificates import farkas_certifies
 from ..lp.model import LinearProgram
-from ..lp.simplex import scale_rows
 from ..lp.solve import (
     _resolve_backend,
     check_standard_rows,
     feasible_point_rows,
+    scale_rows,
     solve_lp,
     solve_rows,
 )
@@ -431,7 +431,7 @@ class IP3Builder:
         """The decision LP at horizon *T* as masked integer rows.
 
         Returns ``(coeff_rows, senses, rhs, scales, active)``: integer rows
-        (see :mod:`repro.lp.simplex`) and *active*, which maps local
+        (see :mod:`repro.lp.solve`) and *active*, which maps local
         variable index → position in ``self.finite``.  Row ``i`` is
         ``scales[i]`` times the raw row, ``scales[i]`` the lcm of the raw
         row's denominators, so the kernel's integers are those it would

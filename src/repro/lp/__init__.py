@@ -22,8 +22,7 @@ from .forest import ForestBasis
 from .gub import GUBBasis
 from .hybrid import HAVE_SCIPY, solve_standard_hybrid
 from .model import LinearProgram, LPSolution, Row
-from .revised import solve_standard
-from .simplex import SimplexResult
+from .revised import SimplexResult, solve_standard
 from .solve import BACKENDS, feasible_point_rows, solve_lp
 from .stats import SolverStats, collect_stats
 

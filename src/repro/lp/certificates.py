@@ -39,7 +39,7 @@ def farkas_certifies(
 ) -> bool:
     """Exactly verify the certificate conditions above (``True`` = proof).
 
-    The rows are integer rows with their *scales* (:mod:`repro.lp.simplex`);
+    The rows are integer rows with their *scales* (:mod:`repro.lp.solve`);
     *y* is in raw-row units.
     """
     if len(y) != len(coeff_rows):
@@ -75,7 +75,7 @@ def denormalize_farkas(
 ) -> List[Fraction]:
     """Map a certificate on sign-normalized rows back to the raw rows.
 
-    :func:`repro.lp.simplex.standard_form` negates every row whose rhs is
+    :func:`repro.lp.revised.standard_form` negates every row whose rhs is
     negative; a dual on the normalized system certifies the raw system with
     the corresponding entries negated back.  *raw_rhs* may be rational or
     integer-row right-hand sides: only their signs matter.

@@ -33,7 +33,7 @@ fixed cost of a HiGHS call exceeds a full exact solve).  When scipy is not
 installed the backend degrades to the exact solver, keeping every guarantee.
 
 The float leg never builds a dense matrix.  Every function here takes
-integer rows with their scales (:mod:`repro.lp.simplex`), and each HiGHS
+integer rows with their scales (:mod:`repro.lp.solve`), and each HiGHS
 call builds one column-wise model from those rows, once
 (:func:`repro.lp.scipy_backend.highs_model`: each entry is ``a / scale``,
 the float of the raw rational), and hands it to HiGHS directly
@@ -51,8 +51,7 @@ from typing import Dict, List, Optional, Sequence
 from .._fraction import rationalize
 from ..exceptions import SolverError
 from .certificates import denormalize_farkas, farkas_certifies
-from .revised import solve_standard
-from .simplex import SimplexResult, standard_form
+from .revised import SimplexResult, solve_standard, standard_form
 
 try:  # pragma: no cover - exercised implicitly on import
     from .scipy_backend import solve_highs, solve_standard_float
@@ -177,7 +176,7 @@ def solve_standard_hybrid(
     is attached to the result for reuse.
 
     The rows are integer rows with their *scales*
-    (:mod:`repro.lp.simplex`).
+    (:mod:`repro.lp.solve`).
     """
     n = len(objective)
     size = n * max(len(coeff_rows), 1)

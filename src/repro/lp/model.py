@@ -76,6 +76,14 @@ class LinearProgram:
     def has_variable(self, key: VarKey) -> bool:
         return key in self._index
 
+    def _column(self, key: VarKey) -> int:
+        """The column of variable *key*; an unknown key raises
+        :class:`~repro.exceptions.SolverError`."""
+        try:
+            return self._index[key]
+        except KeyError:
+            raise SolverError(f"key {key!r} is not a variable of the LP") from None
+
     def add_constraint(
         self,
         coeffs: Mapping[VarKey, Union[int, Fraction]],
@@ -89,13 +97,13 @@ class LinearProgram:
         for key, value in coeffs.items():
             coeff = to_fraction(value)
             if coeff != 0:
-                row[self._index[key]] = coeff
+                row[self._column(key)] = coeff
         self._rows.append(Row(coeffs=row, sense=sense, rhs=to_fraction(rhs), name=name))
 
     def set_objective(self, coeffs: Mapping[VarKey, Union[int, Fraction]]) -> None:
         """Minimization objective; omit for pure feasibility problems."""
         self._objective = {
-            self._index[key]: to_fraction(value) for key, value in coeffs.items()
+            self._column(key): to_fraction(value) for key, value in coeffs.items()
         }
 
     # ------------------------------------------------------------------

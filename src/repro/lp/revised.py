@@ -1,9 +1,14 @@
 """The exact simplex: revised two-phase simplex over a factorized basis.
 
-The paper's rounding steps need exact *basic* solutions (see
-:mod:`repro.lp.simplex`).  :func:`solve_standard` produces them with a
-revised simplex that keeps only the basis factorized and reconstructs
-just what an iteration needs:
+The rounding arguments of Sections V and VI need *basic* feasible
+solutions: Lenstra–Shmoys–Tardos relies on the pseudo-forest structure of
+a vertex's support, and Lemma VI.2's iterative relaxation counts
+fractional variables at a vertex.  Floating-point solvers return "almost"
+vertices, and telling a fractional value from numeric noise then needs
+tolerances that can break the combinatorial arguments.
+:func:`solve_standard` is exact throughout, so support and fractionality
+are exact properties.  It is a revised simplex that keeps only the basis
+factorized and reconstructs just what an iteration needs:
 
 * the dual row ``y = c_B·B⁻¹`` by one backward transform (``btran``) of the
   sparse basic-cost vector,
@@ -28,13 +33,15 @@ test, the crash and Farkas certificates see the same numbers and every
 pivot is the same under any of them.  The ``lp.solve`` span records which
 one ran (``basis=forest|gub|lu``).
 
-The kernel takes integer rows with their scales (the contract of
-:mod:`repro.lp.simplex`): each constraint row arrives scaled to integers
-by the lcm of its denominators, either straight from a builder that emits
-integer rows or through the one :func:`~repro.lp.simplex.scale_rows` of a
-rational entry point (:mod:`repro.lp.solve`), so every quantity is an
-integer over the basis' common denominator and no rational normalization
-happens inside the pivot loop.
+The kernel takes integer rows with their scales (the contract stated in
+:mod:`repro.lp.solve`): each constraint row arrives scaled to integers by
+the lcm of its denominators, either straight from a builder that emits
+integer rows or through the one :func:`~repro.lp.solve.scale_rows` of a
+rational entry point, so every quantity is an integer over the basis'
+common denominator and no rational normalization happens inside the pivot
+loop.  :func:`standard_form` sign-normalizes those rows into the
+:class:`StandardForm` the kernel and the hybrid backend share, and
+:class:`SimplexResult` is the record every backend returns.
 
 Pricing follows the vertex contract.  Canonical solves (the default) price
 every column with Dantzig's rule, which is deterministic, so the returned
@@ -53,7 +60,7 @@ containing an improving column enters.  That scan stays column-wise,
 since it usually stops after one block; it prices only a fraction of the
 columns per iteration and may land on a *different* (equally optimal)
 vertex when optima are non-unique.
-Under both rules, once the pivot count crosses ``BLAND_THRESHOLD_DEFAULT``
+Under both rules, once the pivot count crosses :data:`BLAND_THRESHOLD`
 the rule switches to Bland's smallest-index rule (the first exactly
 negative reduced cost, priced in full on either basis), which cannot
 cycle, so termination is guaranteed.
@@ -74,6 +81,7 @@ and skip entire solves.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -86,15 +94,168 @@ from .basis import LUBasis
 from .certificates import denormalize_farkas, farkas_certifies
 from .forest import ForestBasis
 from .gub import GUBBasis, gub_rows
-from .simplex import (
-    BLAND_THRESHOLD_DEFAULT,
-    SimplexResult,
-    _point_hints,
-    _tight_rows,
-    default_max_pivots,
-    standard_form,
-)
 from .stats import SolverStats, record
+
+#: After this many pivots the pivot rule switches to Bland's (anti-cycling).
+BLAND_THRESHOLD = 5000
+#: The pivot budget every solve runs under, exceeded only by a bug, not by
+#: honest degeneracy; exceeding it raises the structured
+#: :class:`~repro.exceptions.PivotLimitError`.  It is the one pivot-cap
+#: channel: the sweep runner's per-task budget
+#: (:func:`repro.runner.budget.pivot_cap`) swaps it for the duration of a
+#: worker task and restores it, so every solve the task performs answers to
+#: the budget without a cap threaded through every call chain.
+MAX_PIVOTS = 200000
+
+
+@dataclass
+class SimplexResult:
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    x: List[Fraction]
+    objective: Optional[Fraction]
+    basis: Optional[List[int]]
+    pivots: int = 0
+    #: Per-solve performance counters (``None`` for the float backend).
+    stats: Optional[SolverStats] = None
+    #: Verified Farkas certificate (infeasible results; row-indexed in the
+    #: caller's row order, see :mod:`repro.lp.certificates`).
+    farkas: Optional[List[Fraction]] = None
+
+    @property
+    def is_optimal(self) -> bool:
+        return self.status == "optimal"
+
+
+@dataclass
+class StandardForm:
+    """The normalized standard form shared by the exact and hybrid solvers.
+
+    Rows are integer rows (see :mod:`repro.lp.solve`) sign-normalized to
+    ``b ≥ 0``: row ``i`` is the raw row times ``±scales[i]``.  Slack and
+    artificial variables are assigned fixed column indices so a candidate
+    basis can be described by column index alone.
+    """
+
+    n: int  # structural variables
+    num_rows: int
+    rows: List[Dict[int, int]]
+    senses: List[str]
+    rhs: List[int]
+    scales: List[int]
+    slack_of_row: List[Optional[int]]
+    slack_sign: List[int]
+    needs_artificial: List[bool]
+    art_start: int  # first artificial column; == total non-artificial columns
+    total_cols: int  # including artificials, excluding the rhs column
+
+
+def standard_form(
+    coeff_rows: Sequence[Dict[int, int]],
+    senses: Sequence[str],
+    rhs: Sequence[int],
+    objective: Sequence[Fraction],
+    scales: Sequence[int],
+) -> StandardForm:
+    """Normalize ``min c·x s.t. rows, x ≥ 0`` for the exact solver.
+
+    The rows are integer rows with their *scales* (see the module
+    docstring).
+    """
+    n = len(objective)
+    r = len(coeff_rows)
+    if len(senses) != r or len(rhs) != r:
+        raise SolverError("rows, senses and rhs must have equal length")
+    norm_rows: List[Dict[int, int]] = []
+    norm_rhs: List[int] = []
+    norm_senses: List[str] = []
+    for i in range(r):
+        row = coeff_rows[i]
+        b = rhs[i]
+        sense = senses[i]
+        if sense not in ("<=", ">=", "=="):
+            raise SolverError(f"unknown sense {sense!r}")
+        if b < 0:
+            row = {j: -v for j, v in row.items()}
+            b = -b
+            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
+        norm_rows.append(row)
+        norm_rhs.append(b)
+        norm_senses.append(sense)
+
+    slack_index = n
+    slack_of_row: List[Optional[int]] = [None] * r
+    slack_sign: List[int] = [0] * r
+    for i, sense in enumerate(norm_senses):
+        if sense in ("<=", ">="):
+            slack_of_row[i] = slack_index
+            slack_sign[i] = 1 if sense == "<=" else -1
+            slack_index += 1
+    needs_artificial = [sense in (">=", "==") for sense in norm_senses]
+    art_start = slack_index
+    total_cols = art_start + sum(needs_artificial)
+    return StandardForm(
+        n=n,
+        num_rows=r,
+        rows=norm_rows,
+        senses=norm_senses,
+        rhs=norm_rhs,
+        scales=list(scales),
+        slack_of_row=slack_of_row,
+        slack_sign=slack_sign,
+        needs_artificial=needs_artificial,
+        art_start=art_start,
+        total_cols=total_cols,
+    )
+
+
+def _point_hints(point: Sequence[Fraction]) -> List[int]:
+    """Support of a warm-start point, largest value first (deterministic)."""
+    support = [(v, j) for j, v in enumerate(point) if v and v > 0]
+    support.sort(key=lambda pair: (-pair[0], pair[1]))
+    return [j for _v, j in support]
+
+
+#: Relative slack below which a row counts as tight at a warm-start point.
+#: Only a *heuristic* (the crash result is verified exactly afterwards), so
+#: the tolerance exists to keep rationalization noise from hiding a row that
+#: is tight at the true vertex.
+_TIGHT_EPS = 1e-9
+
+
+def _tight_rows(
+    coeff_rows: Sequence[Dict[int, int]],
+    senses: Sequence[str],
+    rhs: Sequence[int],
+    scales: Sequence[int],
+    point: Sequence[Fraction],
+) -> List[bool]:
+    """Which integer rows hold with (near-)equality at *point*.
+
+    Equality rows count as tight regardless of the (possibly noisy) point —
+    their artificial has to leave the basis either way.
+    """
+    flags: List[bool] = []
+    # Float throughout: this is a heuristic with a relative tolerance nine
+    # orders of magnitude above float dot-product noise, and the crash it
+    # feeds is verified exactly afterwards.  It runs on the raw rows: the
+    # tolerance is relative to the raw right-hand side, so it is not
+    # invariant under row scaling.  ``a / scale`` (integer true division)
+    # rounds correctly, so each entry is the float of the raw rational.
+    fpoint = [float(v) if v else 0.0 for v in point]
+    for row, sense, b, scale in zip(coeff_rows, senses, rhs, scales):
+        if sense == "==":
+            flags.append(True)
+            continue
+        activity = 0.0
+        for j, v in row.items():
+            pj = fpoint[j]
+            if pj:
+                activity += v / scale * pj
+        fb = b / scale
+        flags.append(abs(activity - fb) <= _TIGHT_EPS * max(1.0, abs(fb)))
+    return flags
+
+
 
 
 class _Screen:
@@ -258,14 +419,10 @@ class _RevisedSolver:
         self,
         std,
         objective: Sequence[Fraction],
-        bland_threshold: int,
-        max_pivots: int,
         partial: bool,
     ):
         self.std = std
         self.m = std.num_rows
-        self.bland_threshold = bland_threshold
-        self.max_pivots = max_pivots
         #: Partial (rotating-block) pricing instead of full Dantzig.
         self.partial = partial
         self.stats = SolverStats(solves=1)
@@ -368,8 +525,8 @@ class _RevisedSolver:
                 cb.pop(row, None)
         if self.phase == 1:
             self.stats.phase1_pivots += 1
-        if self.lub.updates > self.max_pivots:
-            raise PivotLimitError(self.max_pivots, self.lub.updates, self.phase)
+        if self.lub.updates > MAX_PIVOTS:
+            raise PivotLimitError(MAX_PIVOTS, self.lub.updates, self.phase)
 
     # ------------------------------------------------------------------
     # Pricing
@@ -535,7 +692,7 @@ class _RevisedSolver:
     def run_phase(self, phase: int) -> str:
         self._set_phase(phase)
         while True:
-            bland = self.pivots >= self.bland_threshold
+            bland = self.pivots >= BLAND_THRESHOLD
             if self._incremental:
                 col = self._entering_screened(self._rederive(), bland)
             else:
@@ -755,16 +912,14 @@ def solve_standard(
 
     *coeff_rows* are sparse ``{var_index: coefficient}`` mappings; *senses*
     entries are ``"<="``, ``">="`` or ``"=="``.  The rows are integer rows
-    with their *scales* (see :mod:`repro.lp.simplex`).  The returned ``x`` is an exact rational
-    basic solution: at most ``len(coeff_rows)`` entries are non-zero.
+    with their *scales* (see :mod:`repro.lp.solve`).  The returned ``x`` is
+    an exact rational basic solution: at most ``len(coeff_rows)`` entries are non-zero.
     Every result carries ``stats``; infeasible results carry a verified
     Farkas certificate on ``farkas``, in raw-row units.
 
-    Pricing switches to Bland's rule after
-    :data:`~repro.lp.simplex.BLAND_THRESHOLD_DEFAULT` pivots.  The pivot
-    budget is the process budget
-    (:func:`~repro.lp.simplex.default_max_pivots`, which the sweep runner's
-    :func:`~repro.runner.budget.pivot_cap` sets per task); exhausting it
+    Pricing switches to Bland's rule after :data:`BLAND_THRESHOLD` pivots.
+    The pivot budget is :data:`MAX_PIVOTS` (which the sweep runner's
+    :func:`~repro.runner.budget.pivot_cap` swaps per task); exhausting it
     raises the structured :class:`~repro.exceptions.PivotLimitError`.
 
     A warm start can only speed the solve up, never change its guarantees:
@@ -787,13 +942,7 @@ def solve_standard(
         "lp.solve", kernel="revised", rows=len(coeff_rows), cols=len(objective),
     ) as solve_sp:
         std = standard_form(coeff_rows, senses, rhs, objective, scales)
-        solver = _RevisedSolver(
-            std,
-            objective,
-            BLAND_THRESHOLD_DEFAULT,
-            default_max_pivots(),
-            partial=not canonical,
-        )
+        solver = _RevisedSolver(std, objective, partial=not canonical)
         if solve_sp:
             solve_sp.attrs["basis"] = solver.lub.kind
         has_artificials = any(std.needs_artificial)

@@ -8,7 +8,7 @@ with a denominator bound before re-entering the exact pipeline.
 The float leg is sparse end to end and calls HiGHS directly, with no
 ``scipy.optimize.linprog`` wrapper in between.  Each call builds one
 column-wise ``HighsLp`` from the integer rows it is handed (see
-:mod:`repro.lp.simplex`), :func:`highs_model`: one ``a / scale`` per
+:mod:`repro.lp.solve`), :func:`highs_model`: one ``a / scale`` per
 nonzero dict item (:func:`float_entries`), the float of the raw rational,
 with explicit zeros (``p = 0`` coefficients) dropped.  The model, the
 five options and the status and tolerance checks are those
@@ -33,7 +33,7 @@ from scipy.optimize import linprog  # noqa: F401
 
 from .._fraction import rationalize
 from ..exceptions import SolverError
-from .simplex import SimplexResult
+from .revised import SimplexResult
 
 #: Values within this distance of an integer are snapped during rationalization.
 _SNAP_EPS = 1e-9
@@ -94,7 +94,7 @@ def float_entries(
     """``(row, col, value)`` of the nonzero entries of the rows' float image.
 
     The rows are integer rows with their *scales* (see
-    :mod:`repro.lp.simplex`) and each value is ``a / scale``: integer true
+    :mod:`repro.lp.solve`) and each value is ``a / scale``: integer true
     division rounds correctly, so it is the float of the raw rational, bit
     for bit.  Rows where *flip* is set are negated.  Entries come row by
     row, each row in dict order; zero coefficients are dropped.  *flip* is

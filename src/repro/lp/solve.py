@@ -27,32 +27,35 @@ warm-start input: no solver basis is carried from one solve to the next.
 :func:`solve_rows` (raw standard rows) share one backend dispatch:
 ``solve_lp`` converts to rows and delegates.
 
-:func:`solve_lp`, :func:`solve_rows` and :func:`feasible_point_rows` are
-the rational entry points of the integer-row contract
-(:mod:`repro.lp.simplex`).  :func:`solve_rows` and
-:func:`feasible_point_rows` take rational rows, or integer rows with
-``scales=``, each row times the lcm of its denominators; they convert
-rational rows once, with :func:`~repro.lp.simplex.scale_rows`, and hand
-integer rows and scales to every layer below; each HiGHS call of
-``"hybrid"`` builds its float image from those rows.  The builders of the
-hot LPs emit integer rows (:class:`repro.core.programs.IP3Builder`,
+**Integer rows.**  The exact kernel, its certificates and the HiGHS leg
+take integer rows: row ``i`` stands for the raw row
+``rows[i] / scales[i]  sense  rhs[i] / scales[i]``, with ``scales[i]`` the
+lcm of the denominators of the raw row's entries and right-hand side, and
+every function below the entry points here takes ``scales`` as a required
+argument.  :func:`solve_lp`, :func:`solve_rows` and
+:func:`feasible_point_rows` are the rational entry points:
+:func:`solve_rows` and :func:`feasible_point_rows` take rational rows, or
+integer rows with ``scales=``, and convert rational rows once, with
+:func:`scale_rows`, before handing integer rows and scales to every layer
+below; each HiGHS call of ``"hybrid"`` builds its float image from those
+rows.  The builders of the hot LPs emit integer rows
+(:class:`repro.core.programs.IP3Builder`,
 :func:`repro.rounding.lst.unrelated_rows`), so the exact kernel sees the
-same integers either way.  Points and Farkas certificates are in raw-row
-units.
+same integers either way.  Points, objective values and Farkas
+certificates are always in raw-row units.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .._fraction import to_fraction
 from ..exceptions import SolverError
 from .hybrid import HAVE_SCIPY, solve_standard_hybrid
 from .model import LinearProgram, LPSolution, VarKey
 from .revised import solve_standard
-from .simplex import scale_rows
 
 if HAVE_SCIPY:
     # Unused here; kept bound because perfbench/layers.py wraps this name.
@@ -70,6 +73,30 @@ def _resolve_backend(backend: str) -> str:
     if backend == "hybrid" and not HAVE_SCIPY:
         return "exact"  # guarantees intact, only the float probe is lost
     return backend
+
+
+def scale_rows(
+    coeff_rows: Sequence[Dict[int, Fraction]], rhs: Sequence[Fraction]
+) -> Tuple[List[Dict[int, int]], List[int], List[int]]:
+    """Rational rows as integer rows: ``(rows, rhs, scales)``.
+
+    Row ``i`` is multiplied by ``scales[i]``, the lcm of its entries' and
+    its right-hand side's denominators, so every entry and right-hand side
+    becomes an integer (see the module docstring).  Stored zero entries
+    stay stored.
+    """
+    rows: List[Dict[int, int]] = []
+    rhs_int: List[int] = []
+    scales: List[int] = []
+    for row, b in zip(coeff_rows, rhs):
+        b = to_fraction(b)
+        scale = lcm(b.denominator, *(v.denominator for v in row.values()))
+        rows.append(
+            {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+        )
+        rhs_int.append(b.numerator * (scale // b.denominator))
+        scales.append(scale)
+    return rows, rhs_int, scales
 
 
 def _warm_point(
@@ -111,12 +138,12 @@ def solve_rows(
     their rows without a :class:`~repro.lp.model.LinearProgram` (the
     min-T LP of :func:`repro.core.programs.minimal_fractional_T`, the LST
     LP of :func:`repro.rounding.lst.lst_round`).  Returns the solver's
-    :class:`~repro.lp.simplex.SimplexResult`; the per-backend guarantees
+    :class:`~repro.lp.revised.SimplexResult`; the per-backend guarantees
     are those of the module docstring.  *warm_point* is a dense structural
     vector.  *canonical* picks the pricing and vertex contract, as in
     :func:`repro.lp.revised.solve_standard`.  With *scales* the rows are
-    integer rows (:mod:`repro.lp.simplex`); rational rows are scaled once,
-    here.
+    integer rows (see the module docstring); rational rows are scaled
+    once, here.
     """
     if scales is None:
         coeff_rows, rhs, scales = scale_rows(coeff_rows, rhs)
@@ -177,7 +204,7 @@ def check_standard_rows(
     that certifies float candidates — and re-certifies cached points in the
     incremental probe pipeline — without an exact solve.  A positive row
     scale changes no verdict, so the rows come without their scales:
-    integer rows (:mod:`repro.lp.simplex`) or rational rows alike.  The
+    integer rows (see the module docstring) or rational rows alike.  The
     point is scaled by the lcm of its denominators, so integer rows sum in
     integers.
     """
@@ -233,7 +260,7 @@ def feasible_point_rows(
     crash basis (the float candidate replaces it when HiGHS returns one
     that fails the exact re-check).  Probe vertices are **not**
     canonicalized (feasibility verdicts are vertex-agnostic).  With
-    *scales* the rows are integer rows (:mod:`repro.lp.simplex`); rational
+    *scales* the rows are integer rows (see the module docstring); rational
     rows are scaled once, here.
     """
     from .hybrid import _FLOAT_SIZE_CUTOFF, certify_infeasible, float_candidate

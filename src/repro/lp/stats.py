@@ -4,7 +4,7 @@ Perf work on the LP substrate needs numbers that survive machine noise:
 wall-clock alone cannot tell "the kernel pivots less" from "the laptop was
 idle".  Every solve therefore fills a :class:`SolverStats` record (pivot
 counts, phase-1 share, basis refactorizations, warm-start outcomes) that is
-attached to the :class:`~repro.lp.simplex.SimplexResult` /
+attached to the :class:`~repro.lp.revised.SimplexResult` /
 :class:`~repro.lp.model.LPSolution` it produced.
 
 Higher-level pipelines (the ``minimal_fractional_T`` binary search, the

@@ -17,7 +17,7 @@ hierarchical LP solution lives on singletons and *is* such an LP solution.
 
 :func:`lst_round` solves that LP from integer rows
 (:func:`unrelated_rows`, the integer-row contract of
-:mod:`repro.lp.simplex`): the times are integers over one common
+:mod:`repro.lp.solve`): the times are integers over one common
 denominator (:class:`IntegerTimes`), taken from a processing-time matrix or,
 for Theorem V.2, straight from the search's
 :meth:`~repro.core.programs.IP3Builder.singleton_times`.  The rows are
@@ -85,7 +85,7 @@ def unrelated_rows(
     assignment row per job, an empty one for a job with no time within
     *T*; one load row per machine with a variable, ``p = 0`` entries
     omitted), each times ``scales[i]``, the lcm of its denominators (see
-    :mod:`repro.lp.simplex`).  ``pairs[col]`` is column ``col``'s
+    :mod:`repro.lp.solve`).  ``pairs[col]`` is column ``col``'s
     ``(machine, job)``.
     """
     T = to_fraction(T)

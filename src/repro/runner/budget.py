@@ -10,8 +10,8 @@ declared failed and (possibly) retried:
   serial (``jobs=1``) path, where there is no second process to do the
   killing.
 * ``max_pivots`` — simplex pivot budget per attempt, enforced **in the
-  worker** by installing a process-default pivot cap
-  (:func:`repro.lp.simplex.set_default_max_pivots`) around the task; any
+  worker** by swapping the process pivot cap
+  (:data:`repro.lp.revised.MAX_PIVOTS`) around the task; any
   solve that exhausts it raises the existing structured
   :class:`~repro.exceptions.PivotLimitError`, which the worker converts to
   a :class:`~repro.exceptions.TaskBudgetError` of kind ``"pivots"``.
@@ -73,21 +73,22 @@ class TaskBudget:
 
 @contextmanager
 def pivot_cap(cap: Optional[int]) -> Iterator[None]:
-    """Install *cap* as the process-default pivot budget for the scope.
+    """Install *cap* as the process pivot budget for the scope.
 
-    Restores the previous default on exit, so a pool worker that runs many
+    Restores the previous cap on exit, so a pool worker that runs many
     tasks back to back never leaks one task's budget into the next.
     """
     if cap is None:
         yield
         return
-    from ..lp.simplex import set_default_max_pivots
+    from ..lp import revised
 
-    previous = set_default_max_pivots(cap)
+    previous = revised.MAX_PIVOTS
+    revised.MAX_PIVOTS = cap
     try:
         yield
     finally:
-        set_default_max_pivots(previous)
+        revised.MAX_PIVOTS = previous
 
 
 @contextmanager

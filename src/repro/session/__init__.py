@@ -13,10 +13,10 @@ scheduling-as-a-service item starts from:
   records into it directly;
 * :mod:`repro.session.request` / :mod:`repro.session.session` —
   :class:`SolveRequest` (canonical description of what is being solved) and
-  :class:`Session` (the façade owning the backend default, the cache,
-  and :class:`~repro.lp.stats.SolverStats` aggregation, through which
-  ``two_approximation``, ``minimal_fractional_T``, the memory models,
-  ``schedule_hierarchical`` templates and batch admission all route).
+  :class:`Session` (the façade owning the backend default and the cache,
+  through which ``two_approximation``, ``minimal_fractional_T``, the
+  memory models, ``schedule_hierarchical`` templates and batch admission
+  all route).
 """
 
 from .cache import SolveCache

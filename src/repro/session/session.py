@@ -1,11 +1,13 @@
-"""The solver session: one façade owning defaults, cache, and counters.
+"""The solver session: one façade owning defaults and the cache.
 
 A :class:`Session` is the object every entry point routes through: it owns
 the backend default (instead of threading ``backend=`` strings through
-call chains), consults one content-addressed
-:class:`~repro.session.cache.SolveCache` before every solve, and aggregates
-:class:`~repro.lp.stats.SolverStats` — including cache hits/misses — for the
-``--profile`` output.
+call chains) and consults one content-addressed
+:class:`~repro.session.cache.SolveCache` before every solve.  It counts
+cache hits and misses as every solve counts its pivots: through
+:func:`~repro.lp.stats.record`, into whatever
+:func:`~repro.lp.stats.collect_stats` scope or trace span is open (the
+``--profile`` output reads such a scope).
 
 Cache discipline: every cacheable entry point builds a
 :class:`~repro.session.request.SolveRequest`, keys it under the current
@@ -75,7 +77,7 @@ def default_cache() -> Optional[SolveCache]:
 
 
 class Session:
-    """A reusable solver session: defaults + cache + stats aggregation.
+    """A reusable solver session: defaults + cache.
 
     Parameters
     ----------
@@ -113,9 +115,6 @@ class Session:
             self._owns_cache = True
         else:
             self.cache = cache
-        #: Aggregated counters of every solve and cache outcome routed
-        #: through this session (the ``--profile`` scope sees them too).
-        self.stats = SolverStats()
 
     # -- plumbing --------------------------------------------------------
 
@@ -139,9 +138,7 @@ class Session:
                 key = request.key()
                 stored = cache.get(key)
                 if stored is not None:
-                    hit = SolverStats(cache_hits=1)
-                    self.stats.add(hit)
-                    record(hit)
+                    record(SolverStats(cache_hits=1))
                     if session_sp:
                         session_sp.attrs["cache"] = "hit"
                     return decode(stored["result"])
@@ -151,11 +148,8 @@ class Session:
                 start = time.perf_counter()
                 value = compute()
                 elapsed = time.perf_counter() - start
-            self.stats.add(scope)
             if cache is not None:
-                miss = SolverStats(cache_misses=1)
-                self.stats.add(miss)
-                record(miss)
+                record(SolverStats(cache_misses=1))
                 fingerprint = code_fingerprint()
                 cache.put(
                     key,
@@ -376,10 +370,6 @@ class Session:
         )
 
     # -- lifecycle -------------------------------------------------------
-
-    def profile(self) -> str:
-        """The session's aggregated counters, rendered like ``--profile``."""
-        return self.stats.render()
 
     def close(self) -> None:
         """Close the cache if this session opened it (path constructor)."""

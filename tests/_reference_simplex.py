@@ -2,15 +2,15 @@
 
 An independent implementation of the exact simplex, kept only to check the
 revised solver (:func:`repro.lp.solve_standard`) against.  It shares
-nothing with that solver except :func:`repro.lp.simplex.standard_form` (the
-column layout both must agree on) and the Bland threshold.  Each row is scaled to integers and the
-tableau is kept with one common denominator (Edmonds' fraction-free
+nothing with that solver except :func:`repro.lp.revised.standard_form` (the
+column layout both must agree on) and the Bland threshold.  Each row is
+scaled to integers and the tableau is kept with one common denominator (Edmonds' fraction-free
 pivoting), so every value is exact.
 
 The pivot rule is the revised solver's canonical one: Dantzig's rule with
 ties to the smallest column, a min-ratio test with ties to the smallest
 basic column, and Bland's rule once the pivot count reaches
-:data:`~repro.lp.simplex.BLAND_THRESHOLD_DEFAULT`.  From a cold start both
+:data:`~repro.lp.revised.BLAND_THRESHOLD`.  From a cold start both
 solvers therefore pivot identically and return the same basis.
 """
 
@@ -22,7 +22,7 @@ from typing import List, NamedTuple, Optional
 
 from _int_rows import scaled
 
-from repro.lp.simplex import BLAND_THRESHOLD_DEFAULT, standard_form
+from repro.lp.revised import BLAND_THRESHOLD, standard_form
 
 
 class ReferenceResult(NamedTuple):
@@ -70,7 +70,7 @@ class _Tableau:
     def entering(self, cost_index: int) -> Optional[int]:
         """Most negative reduced cost (Dantzig), or the first one (Bland)."""
         cost = self.rows[cost_index]
-        bland = self.pivots >= BLAND_THRESHOLD_DEFAULT
+        bland = self.pivots >= BLAND_THRESHOLD
         best_j: Optional[int] = None
         best = 0
         for j in range(self.art_start):

@@ -26,7 +26,7 @@ from repro.core.instance import Instance
 from repro.core.laminar import LaminarFamily
 from repro.core.programs import IP3Builder, build_ip3
 from repro.lp import HAVE_SCIPY, LinearProgram, solve_standard
-from repro.lp.simplex import standard_form
+from repro.lp.revised import standard_form
 from repro.workloads import random_hierarchical, rng_from_seed
 
 pytestmark = pytest.mark.skipif(not HAVE_SCIPY, reason="the float leg needs scipy")

@@ -28,17 +28,16 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from _int_rows import min_T_rows, probe_rows, scaled
+from _int_rows import lst_rows, min_T_rows, probe_rows, same_result, scaled
 
-from repro._fraction import is_inf, to_fraction
+from repro._fraction import is_inf
 from repro.core.programs import IP3Builder, minimal_fractional_T
 from repro.exceptions import PivotLimitError
 from repro.lp import revised, solve_lp
 from repro.lp.basis import LUBasis
 from repro.lp.forest import ForestBasis
 from repro.lp.gub import GUBBasis
-from repro.lp.revised import _RevisedSolver, solve_standard
-from repro.lp.simplex import standard_form
+from repro.lp.revised import _RevisedSolver, solve_standard, standard_form
 from repro.rounding.lst import build_unrelated_lp
 from repro.runner.budget import pivot_cap
 from repro.workloads import random_hierarchical, rng_from_seed
@@ -160,44 +159,22 @@ def _force_lu(monkeypatch):
     monkeypatch.setattr(revised, "ForestBasis", LUBasis)
 
 
-def _lst_rows(n, m, seed, scale_T=Fraction(1)):
-    """Integer rows of the LST LP of a seeded instance at ``scale_T·T*``."""
-    inst = random_hierarchical(rng_from_seed(seed), n=n, m=m).with_singletons()
-    T = minimal_fractional_T(inst, backend="exact") * scale_T
-    p = {}
-    for j in range(inst.n):
-        p[j] = {}
-        for i in sorted(inst.machines):
-            value = inst.p(j, frozenset([i]))
-            if not is_inf(value):
-                p[j][i] = to_fraction(value)
-    return scaled(*build_unrelated_lp(p, T).to_standard_rows())
-
-
-def _same_result(a, b):
-    assert a.status == b.status
-    assert a.x == b.x and a.basis == b.basis
-    assert a.pivots == b.pivots
-    assert a.stats.phase1_pivots == b.stats.phase1_pivots
-    assert a.farkas == b.farkas
-
-
 class TestLSTLockstep:
     @pytest.mark.parametrize(
         "n, m, seed", [(16, 6, 1), (16, 6, 2), (24, 8, 3), (32, 10, 4), (64, 16, 5)]
     )
     def test_cold_solve(self, lockstep, monkeypatch, n, m, seed):
-        rows = _lst_rows(n, m, seed)
+        rows = scaled(*lst_rows(n, m, seed))
         result = solve_standard(*rows)
         assert result.status == "optimal"
         assert lockstep["pivots"] == result.pivots > 0
         monkeypatch.undo()
         _force_lu(monkeypatch)
-        _same_result(result, solve_standard(*rows))
+        same_result(result, solve_standard(*rows))
 
     @pytest.mark.parametrize("n, m, seed", [(16, 6, 6), (24, 8, 7)])
     def test_crash_hit_and_reset_fallback(self, lockstep, n, m, seed):
-        rows = _lst_rows(n, m, seed)
+        rows = scaled(*lst_rows(n, m, seed))
         cold = solve_standard(*rows)
         # The optimum itself: the crash factorizes its support and skips
         # phase 1.
@@ -255,20 +232,20 @@ class TestLSTLockstep:
         assert result.status == "optimal" and lockstep["pivots"]
         monkeypatch.undo()
         _force_lu(monkeypatch)
-        _same_result(result, solve_standard(*rows))
+        same_result(result, solve_standard(*rows))
         assert solve_lp(lp, backend="exact").status == "optimal"
 
     def test_infeasible_farkas_matches(self, lockstep, monkeypatch):
-        rows = _lst_rows(16, 6, 9, scale_T=Fraction(1, 2))
+        rows = scaled(*lst_rows(16, 6, 9, scale_T=Fraction(1, 2)))
         result = solve_standard(*rows)
         assert result.status == "infeasible" and result.farkas is not None
         assert lockstep["pivots"]
         monkeypatch.undo()
         _force_lu(monkeypatch)
-        _same_result(result, solve_standard(*rows))
+        same_result(result, solve_standard(*rows))
 
     def test_pivot_limit_mid_solve(self, lockstep, monkeypatch):
-        rows = _lst_rows(16, 6, 10)
+        rows = scaled(*lst_rows(16, 6, 10))
         budget = solve_standard(*rows).pivots // 2
         with pytest.raises(PivotLimitError) as forest_err, pivot_cap(budget):
             solve_standard(*rows)
@@ -393,10 +370,10 @@ class TestLeavingCases:
 class TestStructuralChoice:
     def _solver(self, coeff_rows, senses, rhs, objective, scales):
         std = standard_form(coeff_rows, senses, rhs, objective, scales)
-        return _RevisedSolver(std, objective, 5000, 200000, partial=False)
+        return _RevisedSolver(std, objective, partial=False)
 
     def test_lst_lp_runs_on_the_forest(self):
-        solver = self._solver(*_lst_rows(16, 6, 1))
+        solver = self._solver(*scaled(*lst_rows(16, 6, 1)))
         assert solver.lub.kind == "forest"
         assert all(sum(1 for a in c.values() if a) <= 2 for c in solver.cols)
 
@@ -415,7 +392,7 @@ class TestStructuralChoice:
             assert type(solver.lub) is GUBBasis
 
     def test_reset_keeps_the_forest_and_the_pivot_count(self):
-        rows = _lst_rows(16, 6, 1)
+        rows = scaled(*lst_rows(16, 6, 1))
         solver = self._solver(*rows)
         solver.phase = 1
         col = next(j for j in range(solver.std.art_start) if solver.cols[j])

@@ -26,14 +26,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from _int_rows import same_result
 
 from repro.core.memory import _memory_builder, _model1_rows, _model2_rows
 from repro.core.programs import IP3Builder, minimal_fractional_T
 from repro.lp import revised
 from repro.lp.basis import LUBasis
 from repro.lp.gub import GUBBasis, gub_rows
-from repro.lp.revised import _RevisedSolver, solve_standard
-from repro.lp.simplex import standard_form
+from repro.lp.revised import _RevisedSolver, solve_standard, standard_form
 from repro.workloads import random_hierarchical, rng_from_seed
 
 SHAPES = [(16, 6), (24, 8), (64, 16)]
@@ -166,20 +166,12 @@ def _on_lu(fn):
         return fn()
 
 
-def _same_result(a, b):
-    assert a.status == b.status
-    assert a.x == b.x and a.basis == b.basis
-    assert a.pivots == b.pivots
-    assert a.stats.phase1_pivots == b.stats.phase1_pivots
-    assert a.farkas == b.farkas
-
-
 def _solve_both(seen, program, **kwargs):
     """Solve *program* in lockstep and on LUBasis; the results must agree."""
     before = seen["pivots"]
     result = solve_standard(*program, **kwargs)
     assert seen["pivots"] - before == result.pivots
-    _same_result(result, _on_lu(lambda: solve_standard(*program, **kwargs)))
+    same_result(result, _on_lu(lambda: solve_standard(*program, **kwargs)))
     return result
 
 
@@ -287,7 +279,7 @@ class TestWarmAndBland:
         _, min_ts = _search_programs(n, m, 300 + n)
         program = min_ts[1]
         pivots = _on_lu(lambda: solve_standard(*program)).pivots
-        monkeypatch.setattr(revised, "BLAND_THRESHOLD_DEFAULT", pivots // 3)
+        monkeypatch.setattr(revised, "BLAND_THRESHOLD", pivots // 3)
         result = _solve_both(lockstep, program)
         assert result.status == "optimal"
         assert result.pivots > pivots // 3
@@ -309,7 +301,7 @@ class TestStructure:
         probes, min_ts = _search_programs(16, 6, 1)
         for program in (probes[0], min_ts[0]):
             std = standard_form(*program)
-            solver = _RevisedSolver(std, program[3], 5000, 200000, partial=False)
+            solver = _RevisedSolver(std, program[3], partial=False)
             assert solver.lub.kind == "gub"
             n_assign = program[1].count("==")
             assert solver.lub.groups == list(range(n_assign))

@@ -34,7 +34,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from _int_rows import scaled
+from _int_rows import lst_rows, same_result, scaled
 
 from repro._fraction import is_inf, to_fraction
 from repro.core.programs import minimal_fractional_T
@@ -42,8 +42,7 @@ from repro.exceptions import PivotLimitError
 from repro.lp import revised
 from repro.lp.basis import LUBasis
 from repro.lp.forest import ForestBasis
-from repro.lp.revised import _RevisedSolver, _Screen, solve_standard
-from repro.lp.simplex import standard_form
+from repro.lp.revised import _RevisedSolver, _Screen, solve_standard, standard_form
 from repro.rounding.lst import build_unrelated_lp
 from repro.runner.budget import pivot_cap
 from repro.workloads import random_hierarchical, rng_from_seed
@@ -131,32 +130,10 @@ def _on_lu(monkeypatch, fn):
         return fn()
 
 
-def _same_result(a, b):
-    assert a.status == b.status
-    assert a.x == b.x and a.basis == b.basis
-    assert a.pivots == b.pivots
-    assert a.stats.phase1_pivots == b.stats.phase1_pivots
-    assert a.farkas == b.farkas
-
-
-def _lst_rows(n, m, seed, scale_T=Fraction(1)):
-    """Standard rows of the LST LP of a seeded instance at ``scale_T·T*``."""
-    inst = random_hierarchical(rng_from_seed(seed), n=n, m=m).with_singletons()
-    T = minimal_fractional_T(inst, backend="exact") * scale_T
-    p = {}
-    for j in range(inst.n):
-        p[j] = {}
-        for i in sorted(inst.machines):
-            value = inst.p(j, frozenset([i]))
-            if not is_inf(value):
-                p[j][i] = to_fraction(value)
-    return build_unrelated_lp(p, T).to_standard_rows()
-
-
 def _solve_both(monkeypatch, rows, **kwargs):
     rows = scaled(*rows)
     result = solve_standard(*rows, **kwargs)
-    _same_result(result, _on_lu(monkeypatch, lambda: solve_standard(*rows, **kwargs)))
+    same_result(result, _on_lu(monkeypatch, lambda: solve_standard(*rows, **kwargs)))
     return result
 
 
@@ -166,15 +143,15 @@ class TestSeededLST:
         [(16, 6, 1), (24, 8, 3), (32, 10, 4), (48, 12, 2), (64, 16, 5)],
     )
     def test_cold_solve(self, lockstep, monkeypatch, n, m, seed):
-        result = _solve_both(monkeypatch, _lst_rows(n, m, seed))
+        result = _solve_both(monkeypatch, lst_rows(n, m, seed))
         assert result.status == "optimal" and result.pivots > 0
         # All but each phase's first pricing went through the screen.
         assert lockstep["screened"] >= lockstep["pricings"] // 2 > 0
         assert lockstep["overflow"] == 0
 
     def test_bland(self, lockstep, monkeypatch):
-        monkeypatch.setattr(revised, "BLAND_THRESHOLD_DEFAULT", 0)
-        result = _solve_both(monkeypatch, _lst_rows(24, 8, 3))
+        monkeypatch.setattr(revised, "BLAND_THRESHOLD", 0)
+        result = _solve_both(monkeypatch, lst_rows(24, 8, 3))
         assert result.status == "optimal"
         assert lockstep["bland"] == lockstep["pricings"] > 0
         assert lockstep["screened"] == 0
@@ -230,7 +207,7 @@ class TestDegenerateTies:
         assert lockstep["tied_mixed"] > 0
 
     def test_bland(self, lockstep, monkeypatch):
-        monkeypatch.setattr(revised, "BLAND_THRESHOLD_DEFAULT", 0)
+        monkeypatch.setattr(revised, "BLAND_THRESHOLD", 0)
         assert _solve_both(monkeypatch, _twinned_jobs(12, 4, 1)).status == "optimal"
         assert lockstep["bland"] == lockstep["pricings"] > 0
         assert lockstep["screened"] == 0
@@ -238,7 +215,7 @@ class TestDegenerateTies:
 
 class TestStarts:
     def test_crash_hit_and_reset_fallback(self, lockstep, monkeypatch):
-        rows = _lst_rows(24, 8, 7)
+        rows = lst_rows(24, 8, 7)
         cold = _solve_both(monkeypatch, rows)
         # The optimum itself: the crash factorizes its support and skips
         # phase 1.
@@ -262,7 +239,7 @@ class TestStarts:
     def test_phase2_costs(self, lockstep, monkeypatch):
         # Costs with both signs on the assignment polytope (bounded, since
         # every x_ij ≤ 1): phase 2 pivots and prices real costs.
-        coeff_rows, senses, rhs, objective = _lst_rows(24, 8, 3)
+        coeff_rows, senses, rhs, objective = lst_rows(24, 8, 3)
         cost = [Fraction((7 * j) % 11 - 5, 1 + j % 3) for j in range(len(objective))]
         result = _solve_both(monkeypatch, (coeff_rows, senses, rhs, cost))
         assert result.status == "optimal"
@@ -271,7 +248,7 @@ class TestStarts:
 
 class TestEdgeCases:
     def test_infeasible_farkas(self, lockstep, monkeypatch):
-        rows = _lst_rows(16, 6, 9, scale_T=Fraction(1, 2))
+        rows = lst_rows(16, 6, 9, scale_T=Fraction(1, 2))
         result = _solve_both(monkeypatch, rows)
         assert result.status == "infeasible" and result.farkas is not None
         assert lockstep["screened"] > 0
@@ -290,7 +267,7 @@ class TestEdgeCases:
         assert lockstep["screened"] > 0
 
     def test_pivot_limit_mid_phase(self, lockstep, monkeypatch):
-        rows = scaled(*_lst_rows(32, 10, 4))
+        rows = scaled(*lst_rows(32, 10, 4))
         budget = solve_standard(*rows).pivots // 2
         with pytest.raises(PivotLimitError) as forest_err, pivot_cap(budget):
             solve_standard(*rows)
@@ -312,9 +289,9 @@ class TestEdgeCases:
         assert lockstep["screened"] == 0 and lockstep["overflow"] > 0
 
     def test_duals_beyond_float_range_price_in_full(self):
-        rows = scaled(*_lst_rows(16, 6, 1))
+        rows = scaled(*lst_rows(16, 6, 1))
         std = standard_form(*rows)
-        solver = _RevisedSolver(std, rows[3], 5000, 200000, partial=False)
+        solver = _RevisedSolver(std, rows[3], partial=False)
         screen = _Screen(solver)
         solver.lub = SimpleNamespace(den=1, duals=lambda: [10 ** 400] * solver.m)
         assert screen.pick(solver, None) == -1

@@ -3,7 +3,7 @@
 :class:`repro.core.programs.IP3Builder` (probe rows, min-T rows and the
 singleton LST slice) and :func:`repro.rounding.lst.unrelated_rows` hand the
 exact kernel integer rows plus one scale per row (the contract of
-:mod:`repro.lp.simplex`).  These tests pin that contract on seeded 16×6,
+:mod:`repro.lp.solve`).  These tests pin that contract on seeded 16×6,
 24×8, 64×16 and 96×24 draws, on draws with fractional times, and on the
 memory models' side rows:
 
@@ -11,7 +11,7 @@ memory models' side rows:
   for row and column for column;
 * the kernel built from integer rows equals the kernel built from the
   rational rows as the rational entry points convert them
-  (:func:`~repro.lp.simplex.scale_rows`): ``cols``, ``b_int``, ``c_int``
+  (:func:`~repro.lp.solve.scale_rows`): ``cols``, ``b_int``, ``c_int``
   and ``scales``, and both are the integers an independent per-row lcm
   scaling gives;
 * the float leg's image (:func:`~repro.lp.scipy_backend.float_entries`)
@@ -29,7 +29,7 @@ from math import lcm
 
 import pytest
 
-from _int_rows import rational, scaled
+from _int_rows import rational, same_result, scaled
 from repro._fraction import INF, is_inf
 from repro.core.approx import two_approximation
 from repro.core.instance import Instance
@@ -37,15 +37,14 @@ from repro.core.laminar import LaminarFamily
 from repro.core.memory import _memory_builder, _model1_rows, _model2_rows
 from repro.core.programs import IP3Builder, minimal_fractional_T
 from repro.lp import HAVE_SCIPY, LinearProgram
-from repro.lp.revised import _RevisedSolver, solve_standard
-from repro.lp.solve import check_standard_rows, feasible_point_rows, solve_rows
-from repro.lp.simplex import (
+from repro.lp.revised import (
     _TIGHT_EPS,
-    BLAND_THRESHOLD_DEFAULT,
+    _RevisedSolver,
     _tight_rows,
-    default_max_pivots,
+    solve_standard,
     standard_form,
 )
+from repro.lp.solve import check_standard_rows, feasible_point_rows, solve_rows
 from repro.rounding.lst import IntegerTimes, build_unrelated_lp, unrelated_rows
 from repro.workloads import monotone_instance, random_hierarchical, rng_from_seed
 
@@ -175,9 +174,7 @@ def test_lst_slice_is_build_unrelated_lp(name, draws):
 
 def _kernel(rows, senses, rhs, objective, scales):
     std = standard_form(rows, senses, rhs, objective, scales)
-    return _RevisedSolver(
-        std, objective, BLAND_THRESHOLD_DEFAULT, default_max_pivots(), partial=False
-    )
+    return _RevisedSolver(std, objective, partial=False)
 
 
 def _assert_same_kernel(program):
@@ -270,14 +267,6 @@ def _reference_tight(rows, senses, rhs, point):
     return flags
 
 
-def _same_result(a, b):
-    assert (a.status, a.x, a.objective, a.basis, a.pivots) == (
-        b.status, b.x, b.objective, b.basis, b.pivots
-    )
-    assert a.stats.phase1_pivots == b.stats.phase1_pivots
-    assert a.farkas == b.farkas
-
-
 @pytest.mark.parametrize("name", sorted(DRAWS))
 def test_solves_flags_and_certificates_either_entry(name, draws, int_path):
     _ext, builder, t_star = draws[name]
@@ -290,7 +279,7 @@ def test_solves_flags_and_certificates_either_entry(name, draws, int_path):
         frac_objective = [Fraction(0)] * len(pairs)
         via_int = solve_standard(rows, senses, rhs, objective, scales)
         via_frac = solve_rows(frac_rows, senses, frac_rhs, frac_objective)
-        _same_result(via_int, via_frac)
+        same_result(via_int, via_frac)
         if T != t_star:
             assert via_int.status == "infeasible" and via_int.farkas is not None
             continue
@@ -304,7 +293,7 @@ def test_solves_flags_and_certificates_either_entry(name, draws, int_path):
             assert flags == _reference_tight(frac_rows, senses, frac_rhs, point)
             flagged.update(flags)
         warm = solve_standard(rows, senses, rhs, objective, scales, warm_point=noisy)
-        _same_result(
+        same_result(
             warm, solve_rows(frac_rows, senses, frac_rhs, frac_objective, warm_point=noisy)
         )
     assert flagged == {True, False}
@@ -317,7 +306,7 @@ def test_solves_flags_and_certificates_either_entry(name, draws, int_path):
     frac_rows, frac_rhs = rational(rows, rhs, scales)
     via_int = solve_standard(rows, senses, rhs, [0] * len(active), scales)
     assert via_int.status == "infeasible" and via_int.farkas is not None
-    _same_result(
+    same_result(
         via_int, solve_rows(frac_rows, senses, frac_rhs, [Fraction(0)] * len(active))
     )
 

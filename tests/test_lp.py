@@ -32,6 +32,15 @@ class TestModelBuilder:
         with pytest.raises(SolverError):
             lp.add_constraint({"x": 1}, "<", 1)
 
+    def test_unknown_key_raises_solver_error_naming_it(self):
+        lp = LinearProgram()
+        lp.add_variable("x")
+        with pytest.raises(SolverError, match="'y' is not a variable"):
+            lp.add_constraint({"x": 1, "y": 2}, "<=", 1)
+        with pytest.raises(SolverError, match="'y' is not a variable"):
+            lp.set_objective({"y": 1})
+        assert lp.rows == ()
+
     def test_zero_coefficients_dropped(self):
         lp = LinearProgram()
         lp.add_variable("x")

@@ -2,11 +2,10 @@
 
 from fractions import Fraction
 
-import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from _int_rows import scaled
+from _int_rows import random_lp, scaled
 from repro.exceptions import SolverError
 from repro.lp import (
     BACKENDS,
@@ -16,7 +15,7 @@ from repro.lp import (
     solve_standard,
     solve_standard_hybrid,
 )
-from repro.lp.simplex import _point_hints
+from repro.lp.revised import _point_hints
 
 
 def _feasible_point(lp, backend):
@@ -187,26 +186,6 @@ class TestPivotAccounting:
         lp = _knapsack_lp()
         with pytest.raises(SolverError):
             solve_lp(lp, backend="cplex")
-
-
-@st.composite
-def random_lp(draw):
-    n = draw(st.integers(1, 4))
-    r = draw(st.integers(1, 4))
-    rows = []
-    senses = []
-    rhs = []
-    for _ in range(r):
-        row = {
-            j: Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
-            for j in range(n)
-            if draw(st.booleans())
-        }
-        rows.append(row)
-        senses.append(draw(st.sampled_from(["<=", ">=", "=="])))
-        rhs.append(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3))))
-    objective = [Fraction(draw(st.integers(-3, 3))) for _ in range(n)]
-    return rows, senses, rhs, objective
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -21,7 +21,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from _int_rows import certifies, probe_rows, scaled, time_of
+from _int_rows import certifies, probe_rows, random_lp, scaled, time_of
 from _reference_simplex import reference_solve
 from repro.core.programs import IP3Builder, minimal_fractional_T, _ProbeSession
 from repro.exceptions import PivotLimitError, SolverError
@@ -34,8 +34,8 @@ from repro.lp import (
     solve_standard,
 )
 from repro.lp.certificates import denormalize_farkas
-from repro.lp.simplex import standard_form
 from repro.lp import revised as revised_mod
+from repro.lp.revised import standard_form
 from repro.lp.solve import check_standard_rows, feasible_point_rows
 from repro.runner.budget import pivot_cap
 from repro.workloads import FAMILIES, make_instance, make_topology, rng_from_seed
@@ -85,24 +85,6 @@ class TestKernelEquivalence:
     def test_canonical_must_be_bool(self):
         with pytest.raises(SolverError):
             solve_standard([], [], [], [Fraction(1)], [], canonical="lex")
-
-
-@st.composite
-def random_lp(draw):
-    n = draw(st.integers(1, 4))
-    r = draw(st.integers(1, 4))
-    rows, senses, rhs = [], [], []
-    for _ in range(r):
-        row = {
-            j: Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
-            for j in range(n)
-            if draw(st.booleans())
-        }
-        rows.append(row)
-        senses.append(draw(st.sampled_from(["<=", ">=", "=="])))
-        rhs.append(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3))))
-    objective = [Fraction(draw(st.integers(-3, 3))) for _ in range(n)]
-    return rows, senses, rhs, objective
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -327,7 +309,7 @@ class TestOnePassPricing:
     """One-pass row-wise prices and entering choices match a column scan."""
 
     @staticmethod
-    def _solver(seed):
+    def _solver(seed, monkeypatch):
         """A solver whose structural columns come in identical pairs, so
         every reduced cost — and so every minimum — is tied."""
         from repro.lp.revised import _RevisedSolver
@@ -350,7 +332,9 @@ class TestOnePassPricing:
         costs = [Fraction(rng.randrange(-3, 4), 2) for _ in range(half)]
         objective = [c for c in costs for _ in (0, 1)]
         std = standard_form(*scaled(rows, senses, rhs, objective))
-        return _RevisedSolver(std, objective, 50, 1000, partial=False), rng
+        monkeypatch.setattr(revised_mod, "BLAND_THRESHOLD", 50)
+        monkeypatch.setattr(revised_mod, "MAX_PIVOTS", 1000)
+        return _RevisedSolver(std, objective, partial=False), rng
 
     @staticmethod
     def _reference_price(solver, j, y):
@@ -378,7 +362,7 @@ class TestOnePassPricing:
         # The test sets LUBasis' den; a draw with an all-+1 row would run
         # on GUBBasis, whose den is its working basis', so keep LUBasis.
         monkeypatch.setattr(revised_mod, "gub_rows", lambda row_items: [])
-        solver, rng = self._solver(seed)
+        solver, rng = self._solver(seed, monkeypatch)
         assert type(solver.lub) is LUBasis
         limit = solver.std.art_start
         ties = 0
@@ -551,7 +535,7 @@ class TestPivotBudget:
         rhs = [Fraction(4), Fraction(6)]
         objective = [Fraction(-1), Fraction(-1), Fraction(-1)]
         b = solve_standard(*scaled(rows, senses, rhs, objective))
-        monkeypatch.setattr(revised_mod, "BLAND_THRESHOLD_DEFAULT", 0)
+        monkeypatch.setattr(revised_mod, "BLAND_THRESHOLD", 0)
         a = solve_standard(*scaled(rows, senses, rhs, objective))
         assert a.status == b.status == "optimal"
         assert a.objective == b.objective
@@ -561,7 +545,7 @@ class TestHybridCertification:
     def test_corrupted_candidate_rejected(self, monkeypatch):
         """A wrong float candidate is repaired by the exact verifier."""
         import repro.lp.hybrid as hybrid_mod
-        from repro.lp.simplex import SimplexResult
+        from repro.lp.revised import SimplexResult
 
         lp = LinearProgram()
         for j in range(10):
@@ -586,7 +570,7 @@ class TestHybridCertification:
 
     def test_corrupted_infeasibility_claim_rejected(self, monkeypatch):
         import repro.lp.hybrid as hybrid_mod
-        from repro.lp.simplex import SimplexResult
+        from repro.lp.revised import SimplexResult
 
         lp = LinearProgram()
         for j in range(8):

@@ -26,7 +26,7 @@ import pytest
 from repro.analysis.tables import Table
 from repro.exceptions import TaskBudgetError, WorkerCrashError
 from repro.lp import solve_standard
-from repro.lp.simplex import default_max_pivots
+from repro.lp import revised
 from repro.runner import (
     ChaosError,
     ChaosSpec,
@@ -179,10 +179,10 @@ class TestTaskBudget:
         assert TaskBudget(retries=3).max_attempts == 4
 
     def test_pivot_cap_scopes_the_process_default(self):
-        before = default_max_pivots()
+        before = revised.MAX_PIVOTS
         with pivot_cap(5):
-            assert default_max_pivots() == 5
-        assert default_max_pivots() == before
+            assert revised.MAX_PIVOTS == 5
+        assert revised.MAX_PIVOTS == before
 
     def test_pivot_budget_trips_through_the_solver(self):
         with pytest.raises(TaskBudgetError) as info:

@@ -217,11 +217,11 @@ def test_pre_split_store_is_migrated_and_readable(tmp_path):
 def test_warm_hit_matches_cold_solve_exactly(tmp_path, backend):
     inst = example_ii1()
     root = str(tmp_path / "store")
-    with Session(backend=backend, cache=root) as cold:
+    with Session(backend=backend, cache=root) as cold, collect_stats() as scope:
         cold_result = cold.two_approximation(inst)
         cold_T = cold.minimal_fractional_T(inst)
-        assert cold.stats.cache_misses == 2 and cold.stats.cache_hits == 0
-        assert cold.stats.solves > 0
+        assert scope.cache_misses == 2 and scope.cache_hits == 0
+        assert scope.solves > 0
     payload = tmp_path / "store" / "payloads" / "solve-two_approximation.jsonl"
     cold_bytes = payload.read_bytes()
 
@@ -229,7 +229,7 @@ def test_warm_hit_matches_cold_solve_exactly(tmp_path, backend):
         with collect_stats() as scope:
             warm_result = warm.two_approximation(inst)
             warm_T = warm.minimal_fractional_T(inst)
-        assert warm.stats.cache_hits == 2 and warm.stats.cache_misses == 0
+        assert scope.cache_hits == 2 and scope.cache_misses == 0
         assert scope.solves == 0 and scope.pivots == 0  # zero LP work
     assert payload.read_bytes() == cold_bytes  # nothing re-appended
     assert warm_T == cold_T
@@ -254,12 +254,12 @@ def test_distinct_solver_configs_occupy_distinct_slots(tmp_path):
     root = str(tmp_path / "store")
     with Session(backend="hybrid", cache=root) as s:
         s.minimal_fractional_T(inst)
-    with Session(backend="exact", cache=root) as s:
+    with Session(backend="exact", cache=root) as s, collect_stats() as scope:
         s.minimal_fractional_T(inst)
-        assert s.stats.cache_misses == 1  # different backend, different key
-    with Session(backend="exact", cache=root) as s:
+        assert scope.cache_misses == 1  # different backend, different key
+    with Session(backend="exact", cache=root) as s, collect_stats() as scope:
         s.minimal_fractional_T(inst)
-        assert s.stats.cache_hits == 1
+        assert scope.cache_hits == 1
 
 
 @pytest.mark.parametrize("backend", ["scipy", "auto", "gurobi"])
@@ -277,10 +277,10 @@ def test_solve_exact_and_template_round_trip(tmp_path):
         exact = cold.solve_exact(inst)
         template = cold.template(inst, exact.assignment, exact.optimum)
     assert exact.optimum == solve_exact(inst).optimum
-    with Session(cache=root) as warm:
+    with Session(cache=root) as warm, collect_stats() as scope:
         exact2 = warm.solve_exact(inst)
         template2 = warm.template(inst, exact2.assignment, exact2.optimum)
-        assert warm.stats.cache_hits == 2 and warm.stats.solves == 0
+        assert scope.cache_hits == 2 and scope.solves == 0
     assert exact2.optimum == exact.optimum
     assert exact2.nodes_explored == exact.nodes_explored
     assert schedule_to_dict(template2) == schedule_to_dict(template)
@@ -290,16 +290,16 @@ def test_salt_invalidates_exactly_the_stale_generation(tmp_path, monkeypatch):
     monkeypatch.delenv(FINGERPRINT_SALT_ENV, raising=False)
     inst = example_ii1()
     root = str(tmp_path / "store")
-    with Session(cache=root) as s:
+    with Session(cache=root) as s, collect_stats() as scope:
         s.minimal_fractional_T(inst)
-        assert s.stats.cache_misses == 1
+        assert scope.cache_misses == 1
 
     monkeypatch.setenv(FINGERPRINT_SALT_ENV, "new-generation")
-    with Session(cache=root) as s:
+    with Session(cache=root) as s, collect_stats() as scope:
         s.minimal_fractional_T(inst)
-        assert s.stats.cache_misses == 1  # salted fingerprint: fresh key
+        assert scope.cache_misses == 1  # salted fingerprint: fresh key
         s.minimal_fractional_T(inst)
-        assert s.stats.cache_hits == 1
+        assert scope.cache_hits == 1
         # Both generations live in the store; default reads the latest.
         recs = list(s.cache.records("solve-minimal_fractional_T"))
         assert len(recs) == 1
@@ -309,9 +309,9 @@ def test_salt_invalidates_exactly_the_stale_generation(tmp_path, monkeypatch):
         assert len(all_recs) == 2
 
     monkeypatch.delenv(FINGERPRINT_SALT_ENV)
-    with Session(cache=root) as s:
+    with Session(cache=root) as s, collect_stats() as scope:
         s.minimal_fractional_T(inst)
-        assert s.stats.cache_hits == 1  # original generation hits again
+        assert scope.cache_hits == 1  # original generation hits again
 
 
 def test_request_key_depends_on_fingerprint_and_params():
@@ -327,21 +327,22 @@ def test_session_without_cache_still_aggregates_stats():
     # A draw whose T* needs a min-T LP (Example II.1's needs none).
     inst = random_hierarchical(rng_from_seed(0), n=8, m=3)
     session = Session(backend="exact", cache=False)
-    T = session.minimal_fractional_T(inst)
+    with collect_stats() as scope:
+        T = session.minimal_fractional_T(inst)
     assert T == minimal_fractional_T(inst, backend="exact")
-    assert session.stats.solves > 0
-    assert session.stats.cache_hits == 0 and session.stats.cache_misses == 0
-    assert "solve cache" in session.profile()
+    assert scope.solves > 0
+    assert scope.cache_hits == 0 and scope.cache_misses == 0
+    assert "solve cache" in scope.render()
 
 
 def test_default_cache_is_picked_up_and_clearable(tmp_path):
     inst = example_ii1()
     cache = set_default_cache(str(tmp_path / "store"))
     try:
-        with Session() as s:
+        with Session() as s, collect_stats() as scope:
             assert s.cache is cache
             s.minimal_fractional_T(inst)
-            assert s.stats.cache_misses == 1
+            assert scope.cache_misses == 1
     finally:
         set_default_cache(None)
         cache.close()
@@ -421,16 +422,16 @@ def test_session_admit_batch_uses_cached_template(tmp_path):
     inst = example_ii1()
     exact = solve_exact(inst)
     root = str(tmp_path / "store")
-    with Session(cache=root) as s:
+    with Session(cache=root) as s, collect_stats() as scope:
         streams = _arrival_streams(exact.optimum)
         results = s.admit_batch(
             inst, exact.assignment, exact.optimum, streams, windows=3
         )
-        assert s.stats.cache_misses == 1  # the template, built once
+        assert scope.cache_misses == 1  # the template, built once
         results2 = s.admit_batch(
             inst, exact.assignment, exact.optimum, streams, windows=3
         )
-        assert s.stats.cache_hits == 1  # second batch replays the template
+        assert scope.cache_hits == 1  # second batch replays the template
     for got, want in zip(results2, results):
         assert got.admitted == want.admitted
 
@@ -500,9 +501,9 @@ def test_random_instance_cache_round_trip(tmp_path):
     root = str(tmp_path / "store")
     with Session(backend="exact", cache=root) as cold:
         cold_result = cold.two_approximation(inst)
-    with Session(backend="exact", cache=root) as warm:
+    with Session(backend="exact", cache=root) as warm, collect_stats() as scope:
         warm_result = warm.two_approximation(inst)
-        assert warm.stats.cache_hits == 1 and warm.stats.solves == 0
+        assert scope.cache_hits == 1 and scope.solves == 0
     assert warm_result.makespan == cold_result.makespan
     assert schedule_to_dict(warm_result.schedule) == schedule_to_dict(
         cold_result.schedule

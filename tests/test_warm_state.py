@@ -18,11 +18,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from _int_rows import scaled
+from _int_rows import random_lp, scaled
 from repro.core.programs import IP3Builder, _ProbeSession
 from repro.exceptions import PivotLimitError, SolverError
 from repro.lp import (
@@ -104,24 +103,6 @@ class TestPivotLimitResumability:
         fresh.probe(T_hi)
         fresh_verdict = fresh.probe(T_abort)
         assert (resumed_verdict is None) == (fresh_verdict is None)
-
-
-@st.composite
-def random_lp(draw):
-    n = draw(st.integers(1, 4))
-    r = draw(st.integers(1, 4))
-    rows, senses, rhs = [], [], []
-    for _ in range(r):
-        row = {
-            j: Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
-            for j in range(n)
-            if draw(st.booleans())
-        }
-        rows.append(row)
-        senses.append(draw(st.sampled_from(["<=", ">=", "=="])))
-        rhs.append(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3))))
-    objective = [Fraction(draw(st.integers(-3, 3))) for _ in range(n)]
-    return rows, senses, rhs, objective
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
