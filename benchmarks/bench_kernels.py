@@ -424,7 +424,7 @@ MIN_T_BASES = ("gub", "lu")
 def _min_t_lp_rows(n, m, seed=140):
     """The first min-T LP Theorem V.2's search solves, from seed *seed* up.
 
-    Most draws are settled by the volume flow or a probe, so the seeds are
+    Most draws are settled by the max-flow at ``B`` or a probe, so the seeds are
     tried in order until the search solves a min-T LP.  Returns
     ``(seed, (coeff_rows, senses, rhs, objective, scales))``: the LP the
     search hands the kernel, which the breakdown solves cold (no warm

@@ -16,15 +16,17 @@ a bound ``B ≤ T*`` found with no LP (:meth:`IP3Builder.demand_bound`): the
 instance's trivial lower bound ``LB``
 (:meth:`~repro.core.instance.Instance.trivial_bounds`) sharpened by the
 trapped-demand cut ``D(α) ≤ |α|·T``, which holds for the LP relaxation and
-not only for integral assignments.  ``T* = B`` is tried first, keyed on
-the term that set ``B``: at the volume bound ``Σ_j c_j / m`` one max-flow
-decides the LP (:meth:`IP3Builder.volume_flow`, no LP at all), and at a
-trapped set's ``D(α)/|α| > LB`` strictly inside a bracket one probe at
-``B`` does.  Failing that, when ``B`` lies strictly inside a bracket, that
-bracket's min-T LP runs and usually settles ``T*``.  Otherwise no
-breakpoint below ``B`` is probed, the search gallops upward from the first
-one at or above it and then bisects, and an anchor equal to ``B`` is
-``T*`` itself.
+not only for integral assignments.  ``T* = B`` is tried first, whichever
+term set ``B``: one max-flow onto each job's cheapest pairs
+(:meth:`IP3Builder.cheapest_flow`, no LP at all) either finds a point of
+the decision LP at ``B``, which proves ``T* = B``, or comes up short.  At
+the volume bound ``Σ_j c_j / m`` a short flow refutes ``B``; above it, it
+proves nothing, and when a trapped set's ``D(α)/|α| > LB`` lies strictly
+inside a bracket, one probe at ``B`` decides.  Failing that, when ``B``
+lies strictly inside a bracket, that bracket's min-T LP runs and usually
+settles ``T*``.  Otherwise no breakpoint below ``B`` is probed, the search
+gallops upward from the first one at or above it and then bisects, and an
+anchor equal to ``B`` is ``T*`` itself.
 
 Probe cost: a naive implementation rebuilds the subset-closure scan
 (``O(|F|²·n)``) and cold-starts the simplex at every probe.  The search here
@@ -33,7 +35,7 @@ is **incremental** end to end:
 * one :class:`IP3Builder` is shared across all probes — the closure is
   computed once, over the processing times converted once to integers
   over one common denominator, and each probe's rows are materialized by
-  *masking* the cached index templates on ``p ≤ T``
+  *masking* index templates, built on the first probe, on ``p ≤ T``
   (:meth:`IP3Builder.probe_rows`), not by rebuilding a keyed
   :class:`~repro.lp.model.LinearProgram`; the rows come out as integer
   rows plus one scale per row (the contract of :mod:`repro.lp.solve`),
@@ -76,6 +78,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -117,11 +120,13 @@ def admissible_pairs(instance: Instance, T: Time) -> List[Tuple[MachineSet, int]
 class IP3Builder:
     """Instance structure shared by every LP a ``T``-search builds.
 
-    Precomputes the finite pairs, the breakpoint list, and the per-set
-    subset-closure templates of the load rows, so each probe LP is a filter
-    pass instead of a fresh ``O(|F|²·n)`` scan.  Variable and row ordering
-    match :func:`build_ip3` exactly (the vertex a solver returns depends on
-    it).
+    Precomputes the finite pairs and the breakpoint list.  The per-set
+    subset-closure templates of the load rows (:attr:`load_template`) are
+    built on first use, by the first probe or min-T LP, so each LP after
+    that is a filter pass instead of a fresh ``O(|F|²·n)`` scan, and a
+    search the flow proves builds none.  Variable and row ordering match
+    :func:`build_ip3` exactly (the vertex a solver returns depends on it).
+    Construction is traced as one ``search.build`` span.
 
     **Integer times.**  Every finite time is converted once to an integer
     over one common :attr:`denominator` (:attr:`var_p`, the third field of
@@ -154,8 +159,9 @@ class IP3Builder:
     over :attr:`denominator`, and the trap steps, so
     :meth:`demand_bound` evaluates the trapped demand at a mask with one
     bisection per job and one integer pass over the family, with no
-    ``Fraction`` arithmetic.  :meth:`trivial_lower`, :meth:`volume_bound`
-    and :meth:`volume_flow` read the same integers.
+    ``Fraction`` arithmetic.  :meth:`trivial_lower` and
+    :meth:`cheapest_flow` read the same integers, and
+    :meth:`point_feasible` checks the flow's point on them.
     """
 
     def __init__(
@@ -163,66 +169,129 @@ class IP3Builder:
         instance: Instance,
         side_rows: Sequence[Tuple[Mapping[Tuple[MachineSet, int], Time], Time]] = (),
     ):
-        self.instance = instance
-        family = instance.family
-        n = instance.n
-        pairs: List[Tuple[int, MachineSet]] = []
-        times: List[Fraction] = []
-        #: Global variable indices per family set, in job order.
-        vars_of_set: Dict[MachineSet, List[int]] = {alpha: [] for alpha in family.sets}
-        #: Per-job assignment-row template: global variable indices.
-        self.assign_template: List[List[int]] = []
-        for j in range(n):
-            group: List[int] = []
-            for alpha in family.sets:
-                p = instance.p(j, alpha)
-                if not is_inf(p):
-                    vars_of_set[alpha].append(len(times))
-                    group.append(len(times))
-                    pairs.append((j, alpha))
-                    times.append(p)
-            self.assign_template.append(group)
-        self.jobs_without_options: List[int] = [
-            j for j, group in enumerate(self.assign_template) if not group
-        ]
-        #: Common denominator of every finite time.
-        self.denominator: int = lcm(*{p.denominator for p in times})
-        den = self.denominator
-        #: Processing time per global variable index (position in
-        #: ``finite``), as an integer over ``denominator``.
-        self.var_p: List[int] = (
-            [p.numerator for p in times] if den == 1
-            else [p.numerator * (den // p.denominator) for p in times]
-        )
-        #: (j, α, P) for every finite pair, in build_ip3 variable order,
-        #: with ``p_αj = P / denominator``.
-        self.finite: List[Tuple[int, MachineSet, int]] = [
-            (j, alpha, P) for (j, alpha), P in zip(pairs, self.var_p)
-        ]
-        by_time: Dict[int, List[int]] = {}
-        for gi, P in enumerate(self.var_p):
-            by_time.setdefault(P, []).append(gi)
-        ranked = sorted(by_time)
-        #: The distinct finite times, ascending.
-        self.breakpoints: List[Fraction] = [times[by_time[P][0]] for P in ranked]
-        #: Index of each variable's time in ``breakpoints`` (the exact mask key).
-        self.var_rank: List[int] = [0] * len(self.var_p)
-        for rank, P in enumerate(ranked):
-            for gi in by_time[P]:
-                self.var_rank[gi] = rank
-        #: Per variable, the denominator of its time (``None`` when every
-        #: time is an integer): the row scales of :meth:`probe_rows`.
-        self._var_den: Optional[List[int]] = (
-            None if den == 1 else [den // gcd(P, den) for P in self.var_p]
-        )
+        with trace_span(
+            "search.build", n=instance.n, sets=len(instance.family.sets),
+            side_rows=len(side_rows),
+        ):
+            self.instance = instance
+            family = instance.family
+            n = instance.n
+            pairs: List[Tuple[int, MachineSet]] = []
+            times: List[Fraction] = []
+            #: Global variable indices per family set, in job order.
+            self._vars_of_set: Dict[MachineSet, List[int]] = {
+                alpha: [] for alpha in family.sets
+            }
+            vars_of_set = self._vars_of_set
+            #: Per-job assignment-row template: global variable indices.
+            self.assign_template: List[List[int]] = []
+            for j in range(n):
+                group: List[int] = []
+                for alpha in family.sets:
+                    p = instance.p(j, alpha)
+                    if not is_inf(p):
+                        vars_of_set[alpha].append(len(times))
+                        group.append(len(times))
+                        pairs.append((j, alpha))
+                        times.append(p)
+                self.assign_template.append(group)
+            self.jobs_without_options: List[int] = [
+                j for j, group in enumerate(self.assign_template) if not group
+            ]
+            #: Common denominator of every finite time.
+            self.denominator: int = lcm(*{p.denominator for p in times})
+            den = self.denominator
+            #: Processing time per global variable index (position in
+            #: ``finite``), as an integer over ``denominator``.
+            self.var_p: List[int] = (
+                [p.numerator for p in times] if den == 1
+                else [p.numerator * (den // p.denominator) for p in times]
+            )
+            #: (j, α, P) for every finite pair, in build_ip3 variable order,
+            #: with ``p_αj = P / denominator``.
+            self.finite: List[Tuple[int, MachineSet, int]] = [
+                (j, alpha, P) for (j, alpha), P in zip(pairs, self.var_p)
+            ]
+            by_time: Dict[int, List[int]] = {}
+            for gi, P in enumerate(self.var_p):
+                by_time.setdefault(P, []).append(gi)
+            ranked = sorted(by_time)
+            #: The distinct finite times, ascending.
+            self.breakpoints: List[Fraction] = [times[by_time[P][0]] for P in ranked]
+            #: Index of each variable's time in ``breakpoints`` (the exact mask key).
+            self.var_rank: List[int] = [0] * len(self.var_p)
+            for rank, P in enumerate(ranked):
+                for gi in by_time[P]:
+                    self.var_rank[gi] = rank
+            #: Per variable, the denominator of its time (``None`` when every
+            #: time is an integer): the row scales of :meth:`probe_rows`.
+            self._var_den: Optional[List[int]] = (
+                None if den == 1 else [den // gcd(P, den) for P in self.var_p]
+            )
+            var_p, var_rank = self.var_p, self.var_rank
+            #: Per side row: (entries as (global index, coeff, rank), bound).
+            self.side_template: List[Tuple[List[Tuple[int, Fraction, int]], Fraction]] = []
+            var_of_pair = {pair: gi for gi, pair in enumerate(pairs)} if side_rows else {}
+            for coeffs, bound in side_rows:
+                entries = []
+                for (alpha, j), coeff in coeffs.items():
+                    gi = var_of_pair[(j, alpha)]
+                    entries.append((gi, to_fraction(coeff), var_rank[gi]))
+                self.side_template.append((entries, to_fraction(bound)))
+            #: Smallest mask at which every job has an admissible pair (beyond
+            #: every mask when some job has none).
+            self.full_mask: int = 1 + max(
+                (
+                    min((var_rank[gi] for gi in group), default=len(self.breakpoints))
+                    for group in self.assign_template
+                ),
+                default=-1,
+            )
+            #: Cheapest finite time per job as an integer over ``denominator``
+            #: (0 for a job without options): the trapped-demand weight, the
+            #: volume bound's term and the flow's supply.
+            self.cheapest: List[int] = []
+            #: Per job, its trap steps ``(rank, trap)``: ``trap`` is the minimal
+            #: family set containing every mask of rank ``< rank``; it holds for
+            #: every mask ``k ≥ rank`` up to the next step.  ``None`` (masks on
+            #: two roots) is final.
+            self.trap_steps: List[List[Tuple[int, Optional[MachineSet]]]] = []
+            for group in self.assign_template:
+                by_rank = sorted(group, key=var_rank.__getitem__)
+                self.cheapest.append(var_p[by_rank[0]] if by_rank else 0)
+                steps: List[Tuple[int, Optional[MachineSet]]] = []
+                for gi in by_rank:
+                    trap = self.finite[gi][1]
+                    if steps:
+                        # The sets containing the old trap form its ancestor
+                        # chain; the first one that also holds the new mask is
+                        # the minimal set containing both.
+                        alpha, trap = trap, steps[-1][1]
+                        if trap is None or alpha <= trap:
+                            continue
+                        while trap is not None and not alpha <= trap:
+                            trap = family.parent(trap)
+                    step = (var_rank[gi] + 1, trap)
+                    if steps and steps[-1][0] == step[0]:
+                        steps[-1] = step
+                    else:
+                        steps.append(step)
+                self.trap_steps.append(steps)
 
-        # Index-based row templates for probe masking: probes address
-        # variables by their position in ``self.finite`` (stable across all
-        # horizons), so materializing a probe is pure integer filtering —
-        # no tuple-key hashing, no LinearProgram object.
-        var_p, var_rank = self.var_p, self.var_rank
-        #: Per-set load-row template: (global index, P, rank) over β ⊆ α.
-        self.load_template: List[Tuple[MachineSet, List[Tuple[int, int, int]]]] = [
+    @cached_property
+    def load_template(self) -> List[Tuple[MachineSet, List[Tuple[int, int, int]]]]:
+        """Per-set load-row template: ``(α, [(global index, P, rank)])``
+        over every ``β ⊆ α``, built on first use.
+
+        Probes address variables by their position in :attr:`finite`
+        (stable across all horizons), so materializing a probe from it is
+        pure integer filtering: no tuple-key hashing, no
+        :class:`~repro.lp.model.LinearProgram`.  Only :meth:`probe_rows`
+        and :meth:`min_T_rows` read it.
+        """
+        family = self.instance.family
+        var_p, var_rank, vars_of_set = self.var_p, self.var_rank, self._vars_of_set
+        return [
             (
                 alpha,
                 [
@@ -233,54 +302,6 @@ class IP3Builder:
             )
             for alpha in family.sets
         ]
-        #: Per side row: (entries as (global index, coeff, rank), bound).
-        self.side_template: List[Tuple[List[Tuple[int, Fraction, int]], Fraction]] = []
-        var_of_pair = {pair: gi for gi, pair in enumerate(pairs)} if side_rows else {}
-        for coeffs, bound in side_rows:
-            entries = []
-            for (alpha, j), coeff in coeffs.items():
-                gi = var_of_pair[(j, alpha)]
-                entries.append((gi, to_fraction(coeff), var_rank[gi]))
-            self.side_template.append((entries, to_fraction(bound)))
-        #: Smallest mask at which every job has an admissible pair (beyond
-        #: every mask when some job has none).
-        self.full_mask: int = 1 + max(
-            (
-                min((var_rank[gi] for gi in group), default=len(self.breakpoints))
-                for group in self.assign_template
-            ),
-            default=-1,
-        )
-        #: Cheapest finite time per job as an integer over ``denominator``
-        #: (0 for a job without options): the trapped-demand weight and the
-        #: volume bound's term.
-        self.cheapest: List[int] = []
-        #: Per job, its trap steps ``(rank, trap)``: ``trap`` is the minimal
-        #: family set containing every mask of rank ``< rank``; it holds for
-        #: every mask ``k ≥ rank`` up to the next step.  ``None`` (masks on
-        #: two roots) is final.
-        self.trap_steps: List[List[Tuple[int, Optional[MachineSet]]]] = []
-        for group in self.assign_template:
-            by_rank = sorted(group, key=var_rank.__getitem__)
-            self.cheapest.append(var_p[by_rank[0]] if by_rank else 0)
-            steps: List[Tuple[int, Optional[MachineSet]]] = []
-            for gi in by_rank:
-                trap = self.finite[gi][1]
-                if steps:
-                    # The sets containing the old trap form its ancestor
-                    # chain; the first one that also holds the new mask is
-                    # the minimal set containing both.
-                    alpha, trap = trap, steps[-1][1]
-                    if trap is None or alpha <= trap:
-                        continue
-                    while trap is not None and not alpha <= trap:
-                        trap = family.parent(trap)
-                step = (var_rank[gi] + 1, trap)
-                if steps and steps[-1][0] == step[0]:
-                    steps[-1] = step
-                else:
-                    steps.append(step)
-            self.trap_steps.append(steps)
 
     def mask(self, T: Time) -> int:
         """The exact mask of horizon *T*: ``p_gi ≤ T  ⇔  var_rank[gi] < mask(T)``."""
@@ -304,10 +325,6 @@ class IP3Builder:
         return Fraction(
             max(max(self.cheapest) * m, sum(self.cheapest)), m * self.denominator
         )
-
-    def volume_bound(self) -> Fraction:
-        """``Σ_j c_j / m``, the volume term of :meth:`trivial_lower`."""
-        return Fraction(sum(self.cheapest), self.instance.m * self.denominator)
 
     def demand_bound(self, lower: Fraction) -> Fraction:
         """A lower bound ``B ≥ lower`` on (IP-3)'s ``T*``, from the
@@ -342,47 +359,63 @@ class IP3Builder:
                 top_d, top_size = d, len(alpha)
         return max(lower, points[lo - 1], Fraction(top_d, top_size * den))
 
-    def volume_flow(self) -> Optional[Dict[int, Fraction]]:
-        """A point of the decision LP at ``T = Σc/m`` from one max-flow, or
-        ``None`` when the flow is short (then the LP is infeasible there).
+    def cheapest_flow(self, T: Fraction) -> Optional[Dict[int, Fraction]]:
+        """A point of the decision LP at *T* on each job's cheapest pairs,
+        from one max-flow, or ``None`` when the flow is short (then there
+        is no such point).
 
-        Summing the root load rows with the assignment rows at that horizon
-        forces every feasible point to put each job on its cheapest pairs
-        only and to fill the roots exactly.  So feasibility there is a
-        flow: source → job ``j`` with capacity ``c_j``; job ``j`` → every
-        inclusion-maximal set among its cheapest pairs, uncapacitated
+        The network: source → job ``j`` with capacity ``c_j``; job ``j`` →
+        every inclusion-maximal set among its cheapest pairs, uncapacitated
         (moving flow from ``β`` up to a cheapest ``α ⊇ β`` loads a subset of
-        the rows ``β`` loads); set ``α`` → its parent (the sink, for a
-        root) with capacity ``|α|·T``.  It saturates exactly when the LP is
-        feasible, and ``x_αj = flow_αj / c_j`` is then a point; a job with
-        ``c_j = 0`` goes whole onto one zero-time pair.  Capacities are
-        integers (everything times ``m·denominator``).  Side rows are
-        ignored: callers with side rows must not use it.
+        the rows ``β`` loads); set ``α`` → its parent (the sink, for a root)
+        with capacity ``|α|·T``.  A saturated flow gives the point
+        ``x_αj = flow_αj / c_j``; a job with ``c_j = 0`` goes whole onto one
+        zero-time pair.  With ``T = num/den``, job ``j`` supplies
+        ``c_j·den`` and set ``α`` holds ``|α|·num·denominator``, all
+        integers.  When some ``c_j > T`` no cheapest pair is admissible and
+        the flow is short.
+
+        For ``T ≥ LB`` every cheapest pair is admissible, so a saturated
+        flow is a point of the decision LP and proves ``T* ≤ T``.  At
+        ``T = Σc/m`` the converse holds too: summed with the assignment
+        rows, the root load rows force every feasible point onto cheapest
+        pairs and fill the roots exactly, so the flow saturates exactly when
+        the LP is feasible.  Above ``Σc/m`` a short flow proves nothing.
+        Side rows are ignored: callers with side rows must not use it.
         """
+        num, den = T.numerator, T.denominator
+        if max(self.cheapest, default=0) * den > num * self.denominator:
+            return None
         family = self.instance.family
         sets = family.sets
         index = {alpha: s for s, alpha in enumerate(sets)}
-        m, total = self.instance.m, sum(self.cheapest)
-        supply = [c * m for c in self.cheapest]
-        rank = self.var_rank
+        parent = [index.get(family.parent(alpha), -1) for alpha in sets]
+        supply = [c * den for c in self.cheapest]
+        var_p, finite = self.var_p, self.finite
         point: Dict[int, Fraction] = {}
         options: List[List[int]] = []
+        # Per job, its cheapest pairs: set index → global index.
         var_of: List[Dict[int, int]] = []
-        for j, group in enumerate(self.assign_template):
-            low = min(rank[gi] for gi in group)
-            pairs = {self.finite[gi][1]: gi for gi in group if rank[gi] == low}
-            if supply[j]:
-                options.append([
-                    index[alpha] for alpha in pairs if not any(alpha < b for b in pairs)
-                ])
-            else:
+        for group, c in zip(self.assign_template, self.cheapest):
+            pairs = {index[finite[gi][1]]: gi for gi in group if var_p[gi] == c}
+            var_of.append(pairs)
+            if not c:
                 point[next(iter(pairs.values()))] = Fraction(1)
                 options.append([])
-            var_of.append({index[alpha]: gi for alpha, gi in pairs.items()})
+                continue
+            maximal = []
+            for s in pairs:  # no ancestor of s is a cheapest pair too
+                up = parent[s]
+                while up >= 0 and up not in pairs:
+                    up = parent[up]
+                if up < 0:
+                    maximal.append(s)
+            options.append(maximal)
+        unit = num * self.denominator
         flow = _forest_flow(
-            [index.get(family.parent(alpha), -1) for alpha in sets],
+            parent,
             [[index[c] for c in family.children(alpha)] for alpha in sets],
-            [len(alpha) * total for alpha in sets],
+            [len(alpha) * unit for alpha in sets],
             options,
             supply,
         )
@@ -393,6 +426,39 @@ class IP3Builder:
                 if f:
                     point[var_of[j][s]] = Fraction(f, supply[j])
         return point
+
+    def point_feasible(self, T: Fraction, point: Mapping[int, Fraction]) -> bool:
+        """Whether *point* (global index → value, non-zero entries only) is
+        exactly a point of the decision LP at *T*, without building its rows.
+
+        Every entry must be ``≥ 0`` on a pair with ``p ≤ T`` (rank
+        ``< mask(T)``), each job's entries must sum to exactly 1, and each
+        set's load, accumulated bottom-up along ``family.parent``, must be at
+        most ``|α|·T``.  The point is scaled by the lcm of its denominators,
+        as :func:`~repro.lp.solve.check_standard_rows` scales it, so with
+        ``T = num/den`` every comparison is ``load·den ≤ |α|·num·denominator``
+        in integers.  This is the verdict of ``check_standard_rows`` on
+        :meth:`probe_rows` at *T*.  Side rows are not checked.
+        """
+        k = self.mask(T)
+        rank, finite = self.var_rank, self.finite
+        common = lcm(*{v.denominator for v in point.values()})
+        mass = [0] * len(self.assign_template)
+        booked: List[Tuple[MachineSet, int]] = []
+        for gi, v in point.items():
+            if v < 0 or rank[gi] >= k:
+                return False
+            x = v.numerator * (common // v.denominator)
+            j, alpha, P = finite[gi]
+            mass[j] += x
+            if P:
+                booked.append((alpha, P * x))
+        if any(total != common for total in mass):
+            return False
+        # The same bottom-up pass as the trapped demand, over the loads.
+        loads = self.instance.family.trapped_demand(booked, zero=0)
+        unit, den = T.numerator * self.denominator * common, T.denominator
+        return all(load * den <= len(alpha) * unit for alpha, load in loads.items())
 
     def _columns(self, k: int, offset: int) -> Tuple[List[int], List[int]]:
         """``(active, local)`` at mask *k*: the global indices of the active
@@ -552,16 +618,18 @@ def _forest_flow(
     capacity ``cap[s]``; job ``j`` may send any amount into each set of
     ``options[j]``.  Returns ``flow[s][j]``, job ``j``'s flow into set
     ``s``, when the maximum flow routes all of *supply*, else ``None``.
-    Flow is placed greedily up each job's chain first; then BFS augmenting
-    paths (shortest first, so the loop ends) run over the residual graph,
+    Flow is placed greedily up each job's chain first, jobs with the fewest
+    options first (the rest can fill around them, which leaves few
+    augmenting paths); then BFS augmenting paths (shortest first, so the
+    loop ends) run over the residual graph,
     whose backward arcs go from a set down to a child with flow and from a
     set back to a job with flow into it.
     """
     resid = list(cap)
     flow: List[Dict[int, int]] = [{} for _ in cap]
     need = list(supply)
-    for j, sets in enumerate(options):
-        for s in sets:
+    for j in sorted(range(len(options)), key=lambda j: len(options[j])):
+        for s in options[j]:
             amount, t = need[j], s
             while t >= 0 and amount:
                 amount, t = min(amount, resid[t]), parent[t]
@@ -901,13 +969,14 @@ def _minimal_T(builder: IP3Builder, backend: str) -> Fraction:
     ``B = builder.demand_bound(LB)``, with ``LB`` the instance's trivial
     lower bound (:meth:`IP3Builder.trivial_lower`):
     ``LB ≤ B ≤ T*``, found from the LP-valid trapped-demand cut with no LP.
-    ``T* = B`` is tried first wherever the term that set ``B`` allows a
-    cheap proof.  When ``B`` is the volume bound ``Σc/m`` and there are no
-    side rows, one max-flow (:meth:`IP3Builder.volume_flow`) decides the
-    LP at ``B``; a saturated flow's point, re-checked exactly on the probe
-    rows at ``B``, proves ``T* = B`` with no LP at all.  When ``B > LB``
+    ``T* = B`` is tried first.  With no side rows, one max-flow onto each
+    job's cheapest pairs (:meth:`IP3Builder.cheapest_flow`) runs at ``B``,
+    whichever term set it; a saturated flow's point, checked exactly by
+    :meth:`IP3Builder.point_feasible`, proves ``T* = B`` with no LP and no
+    LP rows at all.  A short flow refutes ``B`` only when ``B = Σc/m``;
+    otherwise it proves nothing and the search goes on.  When ``B > LB``
     (a trapped set's ``D(α)/|α|``) lies strictly inside
-    ``[points[s-1], points[s])``, one probe at ``B`` runs first and a
+    ``[points[s-1], points[s])``, one probe at ``B`` runs next and a
     feasible verdict proves ``T* = B``.  Otherwise, on that bracket, where
     ``R`` is fixed, the bracket's min-T LP with ``T ≥ B`` runs; an optimum
     ``≤ points[s]`` is ``T*``.  Failing that, from the first breakpoint
@@ -921,9 +990,10 @@ def _minimal_T(builder: IP3Builder, backend: str) -> Fraction:
     feasible points and Farkas certificates and only a handful of them pay
     for an actual LP solve.  The search span records ``lower_bound`` (LB),
     ``demand_bound`` (B), ``start`` (B's breakpoint index), ``flow``
-    (``saturated`` or ``short``, when the flow ran) and how the bracket
-    was refined: ``refine=volume-flow`` (the flow proved ``T* = B``, no
-    LP), ``bound-probe`` (the probe at B proved ``T* = B``),
+    (``saturated`` or ``short``, when the flow ran; its ``search.flow``
+    child span records ``outcome=saturated|short|check-failed``) and how
+    the bracket was refined: ``refine=flow`` (the flow proved ``T* = B``,
+    no LP), ``bound-probe`` (the probe at B proved ``T* = B``),
     ``bound-bracket`` (B's bracket LP gave ``T*``), ``bound`` (the anchor
     is B, so ``T* = B`` with no min-T LP), ``prev-bracket`` (the LP below
     the anchor beat it), ``anchor`` or ``above-top`` (infeasible at every
@@ -949,19 +1019,22 @@ def _minimal_T(builder: IP3Builder, backend: str) -> Fraction:
         n=builder.instance.n, backend=backend, breakpoints=len(points),
         lower_bound=str(lower), demand_bound=str(bound), start=start,
     ) as search_sp:
-        if not builder.side_template and bound == builder.volume_bound():
-            point = builder.volume_flow()
+        if not builder.side_template:
+            with trace_span("search.flow", T=str(bound)) as flow_sp:
+                point = builder.cheapest_flow(bound)
+                outcome = (
+                    "short" if point is None
+                    else "saturated" if builder.point_feasible(bound, point)
+                    else "check-failed"
+                )
+                if flow_sp:
+                    flow_sp.attrs["outcome"] = outcome
             if search_sp:
                 search_sp.attrs["flow"] = "short" if point is None else "saturated"
-            if point is not None:
-                coeff_rows, senses, rhs, _scales, active = builder.probe_rows(bound)
-                zero = Fraction(0)
-                if check_standard_rows(
-                    coeff_rows, senses, rhs, [point.get(gi, zero) for gi in active]
-                ):
-                    if search_sp:
-                        search_sp.attrs["refine"] = "volume-flow"
-                    return bound
+            if outcome == "saturated":
+                if search_sp:
+                    search_sp.attrs["refine"] = "flow"
+                return bound
         if start > top:
             if search_sp:
                 search_sp.attrs["refine"] = "above-top"

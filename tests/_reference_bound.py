@@ -9,6 +9,11 @@ scans the brackets upward from the one holding ``LB`` for the first whose
 ``g_k = max_α D_k(α)/|α|`` stays below ``b_k``.  Then
 ``B = max(LB, b_{k-1}, g_k)``.  It shares no code with ``IP3Builder``: no
 trap steps, no bisection, no bottom-up accumulation.
+
+:func:`cheapest_pairs_feasible` is the oracle of the search's max-flow
+(``IP3Builder.cheapest_flow``): the decision LP at ``T`` restricted to each
+job's cheapest pairs, built as a keyed ``LinearProgram`` from ``inst.p``
+and solved exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import List
 
 from repro._fraction import is_inf
 from repro.core.instance import Instance
+from repro.lp import LinearProgram, solve_lp
 
 
 def breakpoints(inst: Instance) -> List[Fraction]:
@@ -45,6 +51,32 @@ def trivial_lower(inst: Instance) -> Fraction:
 def volume_bound(inst: Instance) -> Fraction:
     """``Σ_j min_α p_αj / m``, the volume term of :func:`trivial_lower`."""
     return sum(cheapest(inst), Fraction(0)) / inst.m
+
+
+def cheapest_pairs_feasible(inst: Instance, T: Fraction) -> bool:
+    """Whether (IP-3)'s LP relaxation at *T* has a point that puts every job
+    only on pairs with its cheapest time (exact backend)."""
+    family = inst.family
+    lp = LinearProgram()
+    for j, c in enumerate(cheapest(inst)):
+        keys = [
+            ("x", a, j) for a in family.sets
+            if not is_inf(inst.p(j, a)) and inst.p(j, a) == c and c <= T
+        ]
+        if not keys:
+            return False
+        for key in keys:
+            lp.add_variable(key)
+        lp.add_constraint({key: 1 for key in keys}, "==", 1)
+    for alpha in family.sets:
+        row = {
+            ("x", beta, j): inst.p(j, beta)
+            for beta in family.subsets_of(alpha)
+            for j in range(inst.n)
+            if lp.has_variable(("x", beta, j))
+        }
+        lp.add_constraint(row, "<=", len(alpha) * T)
+    return solve_lp(lp, backend="exact").is_optimal
 
 
 def demand_bound(inst: Instance) -> Fraction:

@@ -147,6 +147,6 @@ def test_unknown_backend_raises_even_without_an_lp(backend):
         model1_lp_feasible(inst, space, budgets, 0, backend=backend)
     with pytest.raises(SolverError):
         model2_lp_feasible(sizes_inst, sizes, mu, 0, backend=backend)
-    # The volume flow proves this T* with no LP; the name is still checked.
+    # The max-flow at B proves this T* with no LP; the name is still checked.
     with pytest.raises(SolverError):
         minimal_fractional_T(Instance.identical(2, [1, 1, 1]), backend=backend)

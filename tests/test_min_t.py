@@ -1,10 +1,12 @@
 """The bracket refinement of ``minimal_fractional_T``.
 
 The search starts at the trapped-demand bound ``B`` (``LB ≤ B ≤ T*``).
-When ``B`` is the volume bound ``Σc/m``, a max-flow at ``B`` proves
-``T* = B`` whenever it holds (``refine=volume-flow``, no LP).  When a
-trapped set put ``B`` above ``LB`` and strictly inside a bracket, one
-probe at ``B`` proves ``T* = B`` whenever it holds (``bound-probe``).
+A max-flow onto each job's cheapest pairs at ``B`` proves ``T* = B``
+whenever the decision LP at ``B`` has a point on those pairs
+(``refine=flow``, no LP), whichever term set ``B``.  When the flow is
+short and a trapped set put ``B`` above ``LB`` and strictly inside a
+bracket, one probe at ``B`` proves ``T* = B`` whenever it holds
+(``bound-probe``).
 Otherwise, with ``B`` strictly inside a bracket, that bracket's min-T LP
 with ``T ≥ B`` runs and settles ``T*`` whenever its optimum stays within
 the bracket's closure (``refine=bound-bracket``).  Otherwise the
@@ -18,8 +20,10 @@ objects on the exact backend, under every backend, on seeded instances and
 on the edge cases: ``T*`` in ``B``'s bracket, ``T* = anchor``,
 ``T* = anchor = B``, an anchor at the top of ``B``'s bracket, an anchor
 above it, an optimum above every breakpoint, an anchor at the first
-breakpoint, ``T* = B`` at the volume bound and at a trapped set's bound, a
-probe at ``B`` that fails, no jobs and all-zero times.  They also pin the ``search.min_T``
+breakpoint, ``T* = B`` proved by the flow at the volume bound and at a
+trapped set's bound, ``T* = B`` that needs a job off its cheapest pairs
+(the flow is short, the probe proves it), a probe at ``B`` that fails, no
+jobs and all-zero times.  They also pin the ``search.min_T``
 and ``search.probe`` span counts and the ``refine`` reason.
 """
 
@@ -29,7 +33,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from _reference_bound import demand_bound, trivial_lower, volume_bound
+from _reference_bound import cheapest_pairs_feasible, demand_bound, trivial_lower
 
 from repro import minimal_fractional_T
 from repro._fraction import INF, is_inf
@@ -88,9 +92,9 @@ def _reference(inst: Instance):
     both bracket LPs around the anchor and never looks at a bound; then the
     refinement the bound-first search takes and how many min-T LPs it
     solves, with ``B`` and ``LB`` from the independent oracle.  The flow at
-    the volume bound saturates exactly when ``T* = B``, and a probe at
-    ``B`` is feasible exactly when ``T* = B``, so both proofs are predicted
-    from ``T*`` alone."""
+    ``B`` saturates exactly when the decision LP there has a point on
+    cheapest pairs (the keyed oracle :func:`cheapest_pairs_feasible`), and
+    a probe at ``B`` is feasible exactly when ``T* = B``."""
     if inst.n == 0:
         return Fraction(0), None, 0
     points = _breakpoints(inst)
@@ -108,8 +112,9 @@ def _reference(inst: Instance):
         t_prev = _keyed_min_T(inst, points[lo - 1], points[lo - 1]) if lo > 0 else None
         t_star = t_prev if t_prev is not None and t_prev < anchor else anchor
     bound, lower = demand_bound(inst), trivial_lower(inst)
-    if bound == volume_bound(inst) and t_star == bound:
-        return t_star, "volume-flow", 0
+    if cheapest_pairs_feasible(inst, bound):
+        assert t_star == bound
+        return t_star, "flow", 0
     s = bisect_left(points, bound)
     if s == len(points):
         return t_star, "above-top", 1
@@ -186,10 +191,13 @@ CASES = {
     # Instance refuses n = 0; the search's own n = 0 guard is checked on a
     # stand-in that has only ``n``.
     "no-jobs": SimpleNamespace(n=0),
-    # B = 4 = D({0})/1 inside [3, 7), above LB = 3: the probe at B is
-    # feasible, so T* = B with no min-T LP.
+    # B = 4 = D({0})/1 inside [3, 7), above LB = 3: the flow at B puts
+    # both jobs on machine 0, so T* = B with no LP.
     "bound-probe-unrelated": Instance.unrelated([[1, 7], [3, 7]]),
     "bound-probe-seed5": _seeded(5, 16, 6),
+    # LB = 4 and B = T* = 5 inside [4, 7), but the flow at B is short: job 1
+    # needs its non-cheapest time 4.  The probe at B proves T* = B.
+    "bound-probe-short-flow": Instance.unrelated([[7, 1], [4, 3], [9, 4]]),
     # B = 6 inside [5, 8), above LB = 5: the probe at B is infeasible, and
     # B's bracket LP gives T* = 13/2.
     "bracket-after-probe": Instance.unrelated([[8, 1], [3, 1], [5, 3], [8, 5]]),
@@ -202,16 +210,19 @@ REFERENCE = {name: _reference(inst) for name, inst in CASES.items()}
 def test_cases_cover_every_refinement():
     refines = {refine for _t, refine, _lps in REFERENCE.values()}
     assert refines == {
-        "volume-flow", "bound-probe", "bound-bracket", "prev-bracket", "anchor",
+        "flow", "bound-probe", "bound-bracket", "prev-bracket", "anchor",
         "bound", "above-top", None,
     }
     # B = Σc/m and T* = B: the flow proves it, on a breakpoint and above
     # the top one.
-    assert REFERENCE["first-breakpoint"][1] == REFERENCE["above-top"][1] == "volume-flow"
-    assert REFERENCE["bound-probe-unrelated"][1:] == ("bound-probe", 0)
+    assert REFERENCE["first-breakpoint"][1] == REFERENCE["above-top"][1] == "flow"
+    # B set by a trapped set (B > LB): the flow proves T* = B where a point
+    # on cheapest pairs exists, and the probe at B where none does.
+    assert REFERENCE["bound-probe-unrelated"][1:] == ("flow", 0)
+    assert REFERENCE["bound-probe-short-flow"][1:] == ("bound-probe", 0)
     assert REFERENCE["bound-probe-seed5"][1:] == ("bound-probe", 0)
     assert REFERENCE["bracket-after-probe"][1:] == ("bound-bracket", 1)
-    assert REFERENCE["anchor-seed73"][1] == REFERENCE["anchor-seed73/7"][1] == "bound"
+    assert REFERENCE["anchor-seed73"][1] == REFERENCE["anchor-seed73/7"][1] == "flow"
     first = CASES["first-breakpoint"]
     assert REFERENCE["first-breakpoint"][0] == _breakpoints(first)[0]
     # Both ways the anchor can follow a bound-bracket LP that overshoots:
@@ -253,9 +264,15 @@ def test_one_min_T_span_per_refinement(name, backend):
     assert search.attrs["refine"] == refine
     assert len(min_T) == lps
     assert all(lp_span.parent_id == search.span_id for lp_span in min_T)
-    if refine == "volume-flow":
+    # Every search here has no side rows, so the flow runs once, at B.
+    (flow,) = [s for s in tracer.spans if s.name == "search.flow"]
+    assert flow.parent_id == search.span_id and flow.attrs["T"] == search.attrs["demand_bound"]
+    assert flow.attrs["outcome"] == search.attrs["flow"]
+    if refine == "flow":
         assert search.attrs["flow"] == "saturated"
         assert probes == [] and search.stats.solves == 0
+    else:
+        assert search.attrs["flow"] == "short"
     if refine in ("bound-probe", "bound-bracket"):
         # One probe at B exactly when a trapped set set B above LB.
         bound = demand_bound(inst)

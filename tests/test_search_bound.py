@@ -267,10 +267,10 @@ def test_search_starts_at_bound(name):
         Fraction(s.attrs["T"]) >= bound for s in tracer.spans if s.name == "search.probe"
     )
     # The anchor is B exactly when T* = B lands on a breakpoint, unless the
-    # flow at the volume bound already proved it; either way no min-T LP
-    # runs.  The flow proves only T* = B.
+    # flow at B already proved it; either way no min-T LP runs.  The flow
+    # proves only T* = B.
     at_bound = REFERENCE[name] == bound and bound in points
-    if search.attrs["refine"] == "volume-flow":
+    if search.attrs["refine"] == "flow":
         assert REFERENCE[name] == bound
     else:
         assert (search.attrs["refine"] == "bound") == at_bound
@@ -296,8 +296,10 @@ def test_bound_above_every_breakpoint_needs_no_probe():
     with tracing() as tracer:
         assert minimal_fractional_T(Instance.identical(2, [1, 1, 1])) == Fraction(3, 2)
     (search,) = [s for s in tracer.spans if s.name == "search.minimal_fractional_T"]
-    assert search.attrs["refine"] == "volume-flow"
-    assert [s.name for s in tracer.spans] == ["search.minimal_fractional_T"]
+    assert search.attrs["refine"] == "flow"
+    assert sorted(s.name for s in tracer.spans) == [
+        "search.build", "search.flow", "search.minimal_fractional_T",
+    ]
 
 
 def test_gallop_runs_to_the_top():
